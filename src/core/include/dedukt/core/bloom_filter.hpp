@@ -53,7 +53,7 @@ class DeviceBloomFilter {
   /// concurrent occurrences of the same key exactly one caller sees
   /// "unseen". Exposed for fused kernels (count_supermers).
   [[nodiscard]] bool test_and_set(std::uint64_t key,
-                                  gpusim::ThreadCtx& ctx);
+                                  gpusim::KernelCharges& charges);
 
   /// Bits in the filter (power of two, >= 64).
   [[nodiscard]] std::uint64_t bits() const { return (word_mask_ + 1) * 64; }

@@ -77,7 +77,9 @@ class DeviceHashTable {
   /// bloom_filter.hpp): a k-mer enters the table only on its second
   /// observed occurrence; the claiming insert adds 2 so surviving counts
   /// equal the true multiplicity (modulo Bloom false positives, which at
-  /// worst admit a singleton or add +1).
+  /// worst admit a singleton or add +1). They run in the canonical block
+  /// order, so which occurrence the filter absorbs — and every count and
+  /// charge — is the same at any DEDUKT_SIM_THREADS.
   gpusim::LaunchStats count_kmers_filtered(
       const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
       DeviceBloomFilter& bloom);
@@ -97,7 +99,9 @@ class DeviceHashTable {
   /// Sum of all counts. Priced like unique(): reduction kernel + D2H.
   [[nodiscard]] std::uint64_t total();
 
-  /// Copy all (key, count) pairs to the host, priced as a D2H transfer.
+  /// Copy all (key, count) pairs to the host with one host scan. Priced
+  /// like a device readout: the unique() reduction kernel sizing the
+  /// output, then a D2H transfer of 12 bytes per entry.
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint32_t>>
   to_host();
 

@@ -29,7 +29,7 @@ DeviceBloomFilter::DeviceBloomFilter(gpusim::Device& device,
 }
 
 bool DeviceBloomFilter::test_and_set(std::uint64_t key,
-                                     gpusim::ThreadCtx& ctx) {
+                                     gpusim::KernelCharges& charges) {
   // Blocked filter: one hash picks the 64-bit block, a second supplies
   // kHashes in-block bit positions (6 bits each). The single fetch_or is
   // the simulated atomicOr and doubles as the linearization point — of
@@ -45,9 +45,9 @@ bool DeviceBloomFilter::test_and_set(std::uint64_t key,
   std::atomic_ref<std::uint64_t> block(words_[word]);
   const std::uint64_t previous =
       block.fetch_or(mask, std::memory_order_relaxed);
-  ctx.count_atomic();
-  ctx.count_gmem_read(sizeof(std::uint64_t));
-  ctx.count_ops(4 + 2 * kHashes);
+  charges.count_atomic();
+  charges.count_gmem_read(sizeof(std::uint64_t));
+  charges.count_ops(4 + 2 * kHashes);
   return (previous & mask) == mask;
 }
 

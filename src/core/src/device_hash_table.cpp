@@ -4,6 +4,7 @@
 #include <bit>
 #include <span>
 
+#include "dedukt/core/block_aggregation.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/hash/murmur3.hpp"
 #include "dedukt/kmer/supermer.hpp"
@@ -35,8 +36,8 @@ namespace {
 ///    time vary with DEDUKT_SIM_THREADS. See docs/performance-model.md.
 std::size_t insert_with_atomics(std::uint64_t* keys, std::uint32_t* counts,
                                 std::size_t mask, std::uint64_t key,
-                                std::uint32_t claim_add = 1,
-                                std::uint32_t hit_add = 1) {
+                                std::uint32_t claim_add,
+                                std::uint32_t hit_add) {
   DEDUKT_CHECK_MSG(key != kmer::kInvalidCode,
                    "all-ones key is the empty-slot sentinel");
   std::size_t slot = hash::hash_u64(key, DeviceHashTable::kProbeSeed) & mask;
@@ -65,126 +66,117 @@ struct GlobalTable {
   std::size_t mask;
 };
 
-/// One per-occurrence global insert with its traffic charges — the legacy
-/// (non-aggregating) inner loop, also used for shared-table overflow.
-/// `bonus` is the Bloom-compensation increment a claiming insert adds on
-/// top of the occurrence itself (1 on the filtered paths, 0 otherwise).
-void insert_occurrence(gpusim::ThreadCtx& ctx, const GlobalTable& g,
-                       std::uint64_t key, std::uint32_t bonus) {
-  const std::size_t probes = insert_with_atomics(
-      g.keys, g.counts, g.mask, key, /*claim_add=*/1 + bonus, /*hit_add=*/1);
+/// One global insert of `count` occurrences of `key` with its traffic
+/// charges: a per-occurrence insert (count 1), a shared-table flush
+/// (count = the block's count), or a consolidated pair. `bonus` is the
+/// Bloom-compensation increment a claiming insert adds on top (1 on the
+/// filtered paths, 0 otherwise): whichever insert claims globally pays it
+/// exactly once.
+void insert_counted(gpusim::KernelCharges& charges, const GlobalTable& g,
+                    std::uint64_t key, std::uint32_t count,
+                    std::uint32_t bonus) {
+  const std::size_t probes =
+      insert_with_atomics(g.keys, g.counts, g.mask, key,
+                          /*claim_add=*/count + bonus, /*hit_add=*/count);
   // Each probe reads a key slot; the terminal probe does CAS + add.
-  ctx.count_gmem_read(probes * sizeof(std::uint64_t));
-  ctx.count_atomic(2);
-  ctx.count_ops(10 + probes * 4);
+  charges.count_gmem_read(probes * sizeof(std::uint64_t));
+  charges.count_atomic(2);
+  charges.count_ops(10 + probes * 4);
 }
 
-// --- two-level counting (block-local shared-memory aggregation) ---------
-//
-// Phase 0: every thread funnels its k-mer occurrences through a small
-// open-addressing table in block shared memory (CAS-claim / add on shared
-// slots); occurrences that cannot be placed within the probe bound fall
-// through to the per-occurrence global insert above. Phase 1 (after the
-// implicit block barrier): threads cooperatively scan the shared slots and
-// flush each distinct key's block-local count with ONE accumulate-style
-// global insert. Global atomics drop by the within-block duplication
-// factor. Because a block always executes on one worker, the shared table
-// layout — and therefore every shared-memory charge — is a pure function
-// of the block's input, independent of DEDUKT_SIM_THREADS; the global
-// flush charges follow the same parking-function claim rule as the legacy
-// path. See docs/performance-model.md ("Shared memory").
-
-/// Shared-table sizes: 12 bytes/slot (key + count). The per-k-mer kernels
-/// see one key per thread, so a small table suffices; the supermer kernels
-/// extract many k-mers per thread and get the largest table that fits the
-/// 96 KB V100 budget.
-constexpr std::size_t kSmemSlotsKmer = 1024;      // 12 KB
-constexpr std::size_t kSmemSlotsSupermer = 4096;  // 48 KB
-
-/// Bounded probing in the shared table: past this, the occurrence
-/// overflows to the global path instead of evicting (keeps the shared
-/// table lossless and the walk short).
-constexpr std::size_t kSmemProbeLimit = 16;
-
-/// The block's shared-memory aggregation table.
-struct SmemTable {
-  std::uint64_t* keys;
-  std::uint32_t* counts;
-  std::size_t slots;
-};
-
-/// Materialize (or re-fetch) the block's shared table. Every thread of
-/// every phase issues the same two ctx.shared calls, per the
-/// sequence-matched contract.
-SmemTable smem_table(gpusim::ThreadCtx& ctx, std::size_t slots) {
-  auto* keys = ctx.shared<std::uint64_t>(slots, kmer::kInvalidCode);
-  auto* counts = ctx.shared<std::uint32_t>(slots);
-  return SmemTable{keys, counts, slots};
-}
-
-/// Charge this thread's share of the cooperative shared-table init (each
-/// thread clears slots/block_dim slots, 12 bytes apiece).
-void charge_smem_init(gpusim::ThreadCtx& ctx, std::size_t slots) {
-  const std::size_t per_thread =
-      (slots + ctx.block_dim() - 1) / ctx.block_dim();
-  ctx.count_smem_write(per_thread * 12);
-}
-
-/// Aggregate one occurrence into the shared table. Returns false when the
-/// probe bound is hit (caller falls through to the global path). Within a
-/// block threads run sequentially, so plain writes model the shared-memory
-/// atomics; the charges still price them at the SM-local atomic rate.
-bool smem_aggregate(gpusim::ThreadCtx& ctx, const SmemTable& t,
-                    std::uint64_t key) {
-  const std::size_t mask = t.slots - 1;
-  std::size_t slot = hash::hash_u64(key, DeviceHashTable::kProbeSeed) & mask;
-  for (std::size_t probes = 1; probes <= kSmemProbeLimit; ++probes) {
-    ctx.count_smem_read(sizeof(std::uint64_t));
-    if (t.keys[slot] == kmer::kInvalidCode) {
-      t.keys[slot] = key;  // shared-memory atomicCAS claim
-      t.counts[slot] = 1;
-      ctx.count_smem_atomic(2);
-      ctx.count_ops(4);
-      return true;
-    }
-    if (t.keys[slot] == key) {
-      t.counts[slot] += 1;  // shared-memory atomicAdd
-      ctx.count_smem_atomic(1);
-      ctx.count_ops(2);
-      return true;
-    }
-    slot = (slot + 1) & mask;
+/// Launch one of the count_* kernels. `for_each_key(charges, i, emit)`
+/// loads input element i (charging its reads and extraction) and calls
+/// emit(code) for every k-mer occurrence the element yields; a non-null
+/// `filter` absorbs each key's first occurrence (claims add 1 + bonus).
+///
+/// With `smem_agg` the kernel is block-cooperative (two-level counting,
+/// see block_aggregation.hpp): each block aggregates its threads'
+/// occurrences in thread order into a `slots`-slot shared table, overflow
+/// goes straight to the global table, and the flush commits each distinct
+/// key once. Because a block always executes on one worker, the shared
+/// table layout — and every shared-memory charge — is a pure function of
+/// the block's input; the global charges follow the same
+/// parking-function claim rule as the per-occurrence path.
+///
+/// Filtered kernels run in the canonical block order on both paths: which
+/// occurrence the filter absorbs — and so which block's shared table sees
+/// a key — would otherwise depend on how blocks interleave.
+template <typename ForEachKey>
+gpusim::LaunchStats launch_count(gpusim::Device& device, const char* name,
+                                 std::size_t n, const GlobalTable& g,
+                                 bool smem_agg, std::size_t slots,
+                                 DeviceBloomFilter* filter,
+                                 ForEachKey for_each_key) {
+  const std::uint32_t bonus = filter != nullptr ? 1 : 0;
+  const auto shape = device.shape_for(n);
+  if (!smem_agg) {
+    auto kernel = [=](gpusim::ThreadCtx& ctx) {
+      const std::uint64_t i = ctx.global_id();
+      if (i >= n) return;
+      for_each_key(ctx, static_cast<std::size_t>(i), [&](std::uint64_t key) {
+        if (filter != nullptr && !filter->test_and_set(key, ctx)) return;
+        insert_counted(ctx, g, key, /*count=*/1, bonus);
+      });
+    };
+    return filter != nullptr
+               ? device.launch_ordered(name, shape.grid_dim, shape.block_dim,
+                                       kernel)
+               : device.launch(name, shape.grid_dim, shape.block_dim, kernel);
   }
-  return false;
+  auto kernel = [=](gpusim::BlockCtx& block) {
+    BlockAggregator& agg =
+        BlockAggregator::begin(block, slots, DeviceHashTable::kProbeSeed);
+    const std::size_t first = block.first_global_id();
+    const std::uint32_t active = block.threads_below(n);
+    for (std::uint32_t t = 0; t < active; ++t) {
+      for_each_key(block, first + t, [&](std::uint64_t key) {
+        if (filter != nullptr && !filter->test_and_set(key, block)) return;
+        if (!agg.add(block, key)) insert_counted(block, g, key, 1, bonus);
+      });
+    }
+    agg.flush(block, [&](std::uint64_t key, std::uint32_t count) {
+      insert_counted(block, g, key, count, bonus);
+    });
+  };
+  const std::uint64_t smem = BlockAggregator::footprint(slots);
+  return filter != nullptr
+             ? device.launch_blocks_ordered(name, shape.grid_dim,
+                                            shape.block_dim, smem, kernel)
+             : device.launch_blocks(name, shape.grid_dim, shape.block_dim,
+                                    smem, kernel);
 }
 
-/// Phase-1 flush: thread t scans slots t, t+block_dim, ... and commits
-/// each occupied slot's (key, count) with one global insert. The claiming
-/// insert adds the block count plus `bonus` (the Bloom compensation —
-/// whichever flush or overflow insert claims globally pays it exactly
-/// once); hits add the block count alone.
-void flush_smem(gpusim::ThreadCtx& ctx, const SmemTable& t,
-                const GlobalTable& g, std::uint32_t bonus) {
-  for (std::size_t slot = ctx.thread_idx(); slot < t.slots;
-       slot += ctx.block_dim()) {
-    ctx.count_smem_read(12);
-    if (t.keys[slot] == kmer::kInvalidCode) continue;
-    const std::uint32_t block_count = t.counts[slot];
-    const std::size_t probes = insert_with_atomics(
-        g.keys, g.counts, g.mask, t.keys[slot],
-        /*claim_add=*/block_count + bonus, /*hit_add=*/block_count);
-    ctx.count_gmem_read(probes * sizeof(std::uint64_t));
-    ctx.count_atomic(2);
-    ctx.count_ops(10 + probes * 4);
-  }
+/// Input loaders for launch_count: one packed k-mer per thread, or one
+/// supermer per thread whose k-mers are extracted by shift+mask (§IV-B).
+auto kmer_keys(const std::uint64_t* in) {
+  return [in](gpusim::KernelCharges& charges, std::size_t i, auto&& emit) {
+    charges.count_gmem_read(sizeof(std::uint64_t));  // load the k-mer
+    emit(in[i]);
+  };
 }
 
-/// One occurrence on the aggregating path: shared table first, global
-/// overflow second.
-void count_occurrence(gpusim::ThreadCtx& ctx, const SmemTable& t,
-                      const GlobalTable& g, std::uint64_t key,
-                      std::uint32_t bonus) {
-  if (!smem_aggregate(ctx, t, key)) insert_occurrence(ctx, g, key, bonus);
+auto supermer_keys(const std::uint64_t* smers, const std::uint8_t* lens,
+                   int k) {
+  return [=](gpusim::KernelCharges& charges, std::size_t i, auto&& emit) {
+    charges.count_gmem_read(sizeof(std::uint64_t) + sizeof(std::uint8_t));
+    const kmer::PackedSupermer smer{smers[i], lens[i]};
+    kmer::for_each_kmer_in_supermer(smer, k, [&](kmer::KmerCode code) {
+      charges.count_ops(6);  // shift+mask extraction (§IV-B)
+      emit(code);
+    });
+  };
+}
+
+auto wide_supermer_keys(const kmer::WideKey* smers, const std::uint8_t* lens,
+                        int k) {
+  return [=](gpusim::KernelCharges& charges, std::size_t i, auto&& emit) {
+    charges.count_gmem_read(sizeof(kmer::WideKey) + sizeof(std::uint8_t));
+    const kmer::PackedWideSupermer smer{smers[i], lens[i]};
+    kmer::for_each_kmer_in_wide_supermer(smer, k, [&](kmer::KmerCode code) {
+      charges.count_ops(8);  // two-word shift+mask extraction
+      emit(code);
+    });
+  };
 }
 
 }  // namespace
@@ -194,9 +186,7 @@ gpusim::LaunchStats DeviceHashTable::accumulate_pairs(
     const gpusim::DeviceBuffer<std::uint32_t>& key_counts, std::size_t n) {
   DEDUKT_REQUIRE(n <= keys_in.size());
   DEDUKT_REQUIRE(n <= key_counts.size());
-  auto* keys = keys_.data();
-  auto* counts = counts_.data();
-  const std::size_t mask = mask_;
+  const GlobalTable g{keys_.data(), counts_.data(), mask_};
   const std::uint64_t* in_keys = keys_in.data();
   const std::uint32_t* in_counts = key_counts.data();
 
@@ -207,13 +197,7 @@ gpusim::LaunchStats DeviceHashTable::accumulate_pairs(
     const std::uint64_t i = ctx.global_id();
     if (i >= n) return;
     ctx.count_gmem_read(sizeof(std::uint64_t) + sizeof(std::uint32_t));
-    const std::size_t probes =
-        insert_with_atomics(keys, counts, mask, in_keys[i],
-                            /*claim_add=*/in_counts[i],
-                            /*hit_add=*/in_counts[i]);
-    ctx.count_gmem_read(probes * sizeof(std::uint64_t));
-    ctx.count_atomic(2);
-    ctx.count_ops(10 + probes * 4);
+    insert_counted(ctx, g, in_keys[i], in_counts[i], /*bonus=*/0);
   });
 }
 
@@ -234,36 +218,10 @@ DeviceHashTable::DeviceHashTable(gpusim::Device& device,
 gpusim::LaunchStats DeviceHashTable::count_kmers(
     const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n) {
   DEDUKT_REQUIRE(n <= kmers.size());
-  auto* keys = keys_.data();
-  auto* counts = counts_.data();
-  const std::size_t mask = mask_;
-  const std::uint64_t* in = kmers.data();
-
-  const auto shape = device_->shape_for(n);
-  if (!smem_agg_) {
-    return device_->launch("hash_count_kmers", shape.grid_dim,
-                           shape.block_dim, [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t));  // load the k-mer
-      insert_occurrence(ctx, GlobalTable{keys, counts, mask}, in[i],
-                        /*bonus=*/0);
-    });
-  }
-  return device_->launch("hash_count_kmers", shape.grid_dim, shape.block_dim,
-                         /*phases=*/2, [=](gpusim::ThreadCtx& ctx) {
-    const SmemTable agg = smem_table(ctx, kSmemSlotsKmer);
-    const GlobalTable g{keys, counts, mask};
-    if (ctx.phase() == 0) {
-      charge_smem_init(ctx, agg.slots);
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t));  // load the k-mer
-      count_occurrence(ctx, agg, g, in[i], /*bonus=*/0);
-    } else {
-      flush_smem(ctx, agg, g, /*bonus=*/0);
-    }
-  });
+  return launch_count(*device_, "hash_count_kmers", n,
+                      GlobalTable{keys_.data(), counts_.data(), mask_},
+                      smem_agg_, kSmemSlotsKmer, /*filter=*/nullptr,
+                      kmer_keys(kmers.data()));
 }
 
 gpusim::LaunchStats DeviceHashTable::count_supermers(
@@ -273,88 +231,20 @@ gpusim::LaunchStats DeviceHashTable::count_supermers(
   DEDUKT_REQUIRE(n <= supermers.size());
   DEDUKT_REQUIRE(n <= lengths.size());
   DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  auto* keys = keys_.data();
-  auto* counts = counts_.data();
-  const std::size_t mask = mask_;
-  const std::uint64_t* smers = supermers.data();
-  const std::uint8_t* lens = lengths.data();
-
-  const auto shape = device_->shape_for(n);
-  if (!smem_agg_) {
-    return device_->launch("hash_count_supermers",
-                           shape.grid_dim, shape.block_dim,
-                           [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t) + sizeof(std::uint8_t));
-      const kmer::PackedSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_supermer(smer, k, [&](kmer::KmerCode code) {
-        ctx.count_ops(6);  // shift+mask extraction (§IV-B)
-        insert_occurrence(ctx, GlobalTable{keys, counts, mask}, code,
-                          /*bonus=*/0);
-      });
-    });
-  }
-  return device_->launch("hash_count_supermers",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
-                         [=](gpusim::ThreadCtx& ctx) {
-    const SmemTable agg = smem_table(ctx, kSmemSlotsSupermer);
-    const GlobalTable g{keys, counts, mask};
-    if (ctx.phase() == 0) {
-      charge_smem_init(ctx, agg.slots);
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t) + sizeof(std::uint8_t));
-      const kmer::PackedSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_supermer(smer, k, [&](kmer::KmerCode code) {
-        ctx.count_ops(6);  // shift+mask extraction (§IV-B)
-        count_occurrence(ctx, agg, g, code, /*bonus=*/0);
-      });
-    } else {
-      flush_smem(ctx, agg, g, /*bonus=*/0);
-    }
-  });
+  return launch_count(*device_, "hash_count_supermers", n,
+                      GlobalTable{keys_.data(), counts_.data(), mask_},
+                      smem_agg_, kSmemSlotsSupermer, /*filter=*/nullptr,
+                      supermer_keys(supermers.data(), lengths.data(), k));
 }
 
 gpusim::LaunchStats DeviceHashTable::count_kmers_filtered(
     const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
     DeviceBloomFilter& bloom) {
   DEDUKT_REQUIRE(n <= kmers.size());
-  auto* keys = keys_.data();
-  auto* counts = counts_.data();
-  const std::size_t mask = mask_;
-  const std::uint64_t* in = kmers.data();
-  DeviceBloomFilter* filter = &bloom;
-
-  const auto shape = device_->shape_for(n);
-  if (!smem_agg_) {
-    return device_->launch("hash_count_kmers_filtered",
-                           shape.grid_dim, shape.block_dim,
-                           [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t));
-      if (!filter->test_and_set(in[i], ctx)) return;  // 1st occ. absorbed
-      insert_occurrence(ctx, GlobalTable{keys, counts, mask}, in[i],
-                        /*bonus=*/1);
-    });
-  }
-  return device_->launch("hash_count_kmers_filtered",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
-                         [=](gpusim::ThreadCtx& ctx) {
-    const SmemTable agg = smem_table(ctx, kSmemSlotsKmer);
-    const GlobalTable g{keys, counts, mask};
-    if (ctx.phase() == 0) {
-      charge_smem_init(ctx, agg.slots);
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t));
-      if (!filter->test_and_set(in[i], ctx)) return;  // 1st occ. absorbed
-      count_occurrence(ctx, agg, g, in[i], /*bonus=*/1);
-    } else {
-      flush_smem(ctx, agg, g, /*bonus=*/1);
-    }
-  });
+  return launch_count(*device_, "hash_count_kmers_filtered", n,
+                      GlobalTable{keys_.data(), counts_.data(), mask_},
+                      smem_agg_, kSmemSlotsKmer, &bloom,
+                      kmer_keys(kmers.data()));
 }
 
 gpusim::LaunchStats DeviceHashTable::count_supermers_filtered(
@@ -364,50 +254,10 @@ gpusim::LaunchStats DeviceHashTable::count_supermers_filtered(
   DEDUKT_REQUIRE(n <= supermers.size());
   DEDUKT_REQUIRE(n <= lengths.size());
   DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  auto* keys = keys_.data();
-  auto* counts = counts_.data();
-  const std::size_t mask = mask_;
-  const std::uint64_t* smers = supermers.data();
-  const std::uint8_t* lens = lengths.data();
-  DeviceBloomFilter* filter = &bloom;
-
-  const auto shape = device_->shape_for(n);
-  if (!smem_agg_) {
-    return device_->launch("hash_count_supermers_filtered",
-                           shape.grid_dim, shape.block_dim,
-                           [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t) + sizeof(std::uint8_t));
-      const kmer::PackedSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_supermer(smer, k, [&](kmer::KmerCode code) {
-        ctx.count_ops(6);
-        if (!filter->test_and_set(code, ctx)) return;
-        insert_occurrence(ctx, GlobalTable{keys, counts, mask}, code,
-                          /*bonus=*/1);
-      });
-    });
-  }
-  return device_->launch("hash_count_supermers_filtered",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
-                         [=](gpusim::ThreadCtx& ctx) {
-    const SmemTable agg = smem_table(ctx, kSmemSlotsSupermer);
-    const GlobalTable g{keys, counts, mask};
-    if (ctx.phase() == 0) {
-      charge_smem_init(ctx, agg.slots);
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t) + sizeof(std::uint8_t));
-      const kmer::PackedSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_supermer(smer, k, [&](kmer::KmerCode code) {
-        ctx.count_ops(6);
-        if (!filter->test_and_set(code, ctx)) return;
-        count_occurrence(ctx, agg, g, code, /*bonus=*/1);
-      });
-    } else {
-      flush_smem(ctx, agg, g, /*bonus=*/1);
-    }
-  });
+  return launch_count(*device_, "hash_count_supermers_filtered", n,
+                      GlobalTable{keys_.data(), counts_.data(), mask_},
+                      smem_agg_, kSmemSlotsSupermer, &bloom,
+                      supermer_keys(supermers.data(), lengths.data(), k));
 }
 
 gpusim::LaunchStats DeviceHashTable::count_wide_supermers(
@@ -417,49 +267,11 @@ gpusim::LaunchStats DeviceHashTable::count_wide_supermers(
   DEDUKT_REQUIRE(n <= supermers.size());
   DEDUKT_REQUIRE(n <= lengths.size());
   DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  auto* keys = keys_.data();
-  auto* counts = counts_.data();
-  const std::size_t mask = mask_;
-  const kmer::WideKey* smers = supermers.data();
-  const std::uint8_t* lens = lengths.data();
-
-  const auto shape = device_->shape_for(n);
-  if (!smem_agg_) {
-    return device_->launch("hash_count_wide_supermers",
-                           shape.grid_dim, shape.block_dim,
-                           [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(kmer::WideKey) + sizeof(std::uint8_t));
-      const kmer::PackedWideSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_wide_supermer(smer, k,
-                                           [&](kmer::KmerCode code) {
-        ctx.count_ops(8);  // two-word shift+mask extraction
-        insert_occurrence(ctx, GlobalTable{keys, counts, mask}, code,
-                          /*bonus=*/0);
-      });
-    });
-  }
-  return device_->launch("hash_count_wide_supermers",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
-                         [=](gpusim::ThreadCtx& ctx) {
-    const SmemTable agg = smem_table(ctx, kSmemSlotsSupermer);
-    const GlobalTable g{keys, counts, mask};
-    if (ctx.phase() == 0) {
-      charge_smem_init(ctx, agg.slots);
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(kmer::WideKey) + sizeof(std::uint8_t));
-      const kmer::PackedWideSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_wide_supermer(smer, k,
-                                           [&](kmer::KmerCode code) {
-        ctx.count_ops(8);  // two-word shift+mask extraction
-        count_occurrence(ctx, agg, g, code, /*bonus=*/0);
-      });
-    } else {
-      flush_smem(ctx, agg, g, /*bonus=*/0);
-    }
-  });
+  return launch_count(
+      *device_, "hash_count_wide_supermers", n,
+      GlobalTable{keys_.data(), counts_.data(), mask_}, smem_agg_,
+      kSmemSlotsSupermer, /*filter=*/nullptr,
+      wide_supermer_keys(supermers.data(), lengths.data(), k));
 }
 
 gpusim::LaunchStats DeviceHashTable::count_wide_supermers_filtered(
@@ -469,136 +281,94 @@ gpusim::LaunchStats DeviceHashTable::count_wide_supermers_filtered(
   DEDUKT_REQUIRE(n <= supermers.size());
   DEDUKT_REQUIRE(n <= lengths.size());
   DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  auto* keys = keys_.data();
-  auto* counts = counts_.data();
-  const std::size_t mask = mask_;
-  const kmer::WideKey* smers = supermers.data();
-  const std::uint8_t* lens = lengths.data();
-  DeviceBloomFilter* filter = &bloom;
-
-  const auto shape = device_->shape_for(n);
-  if (!smem_agg_) {
-    return device_->launch("hash_count_wide_supermers_filtered",
-                           shape.grid_dim, shape.block_dim,
-                           [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(kmer::WideKey) + sizeof(std::uint8_t));
-      const kmer::PackedWideSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_wide_supermer(smer, k,
-                                           [&](kmer::KmerCode code) {
-        ctx.count_ops(8);
-        if (!filter->test_and_set(code, ctx)) return;
-        insert_occurrence(ctx, GlobalTable{keys, counts, mask}, code,
-                          /*bonus=*/1);
-      });
-    });
-  }
-  return device_->launch("hash_count_wide_supermers_filtered",
-                         shape.grid_dim, shape.block_dim, /*phases=*/2,
-                         [=](gpusim::ThreadCtx& ctx) {
-    const SmemTable agg = smem_table(ctx, kSmemSlotsSupermer);
-    const GlobalTable g{keys, counts, mask};
-    if (ctx.phase() == 0) {
-      charge_smem_init(ctx, agg.slots);
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(kmer::WideKey) + sizeof(std::uint8_t));
-      const kmer::PackedWideSupermer smer{smers[i], lens[i]};
-      kmer::for_each_kmer_in_wide_supermer(smer, k,
-                                           [&](kmer::KmerCode code) {
-        ctx.count_ops(8);
-        if (!filter->test_and_set(code, ctx)) return;
-        count_occurrence(ctx, agg, g, code, /*bonus=*/1);
-      });
-    } else {
-      flush_smem(ctx, agg, g, /*bonus=*/1);
-    }
-  });
+  return launch_count(
+      *device_, "hash_count_wide_supermers_filtered", n,
+      GlobalTable{keys_.data(), counts_.data(), mask_}, smem_agg_,
+      kSmemSlotsSupermer, &bloom,
+      wide_supermer_keys(supermers.data(), lengths.data(), k));
 }
 
 namespace {
 
-/// Block-reduction over a device array: phase 0 writes one per-thread
-/// partial into shared memory, phase 1 has thread 0 sum the block's
-/// partials and commit them with a single global atomic add — the standard
-/// CUDA reduction shape, priced accordingly. `load` maps an element index
-/// to its contribution (charging its own global read).
-template <typename Load>
-void reduce_block(gpusim::ThreadCtx& ctx, std::size_t n,
-                  std::uint64_t* result, Load&& load) {
-  auto* partial = ctx.shared<std::uint64_t>(ctx.block_dim());
-  if (ctx.phase() == 0) {
-    ctx.count_smem_write(sizeof(std::uint64_t));
-    std::uint64_t value = 0;
-    const std::uint64_t i = ctx.global_id();
-    if (i < n) value = load(ctx, static_cast<std::size_t>(i));
-    partial[ctx.thread_idx()] = value;
-    ctx.count_ops(2);
-  } else {
-    if (ctx.thread_idx() != 0) return;
-    std::uint64_t sum = 0;
-    for (std::uint32_t t = 0; t < ctx.block_dim(); ++t) sum += partial[t];
-    ctx.count_smem_read(sizeof(std::uint64_t) * ctx.block_dim());
-    ctx.count_ops(ctx.block_dim());
-    std::atomic_ref<std::uint64_t>(result[0])
-        .fetch_add(sum, std::memory_order_relaxed);
-    ctx.count_atomic(1);
-  }
+/// Launch the block reduction `name` over `n` device slots of
+/// `elem_bytes` each and return its result, copied back with an 8-byte
+/// D2H. The standard CUDA shape: each thread writes one partial to shared
+/// memory, then thread 0 sums the block's partials and commits them with
+/// one global atomic add. Its charges depend on the launch shape alone, so
+/// each block states them in closed form — per block 8·block_dim B smem
+/// write, 3·block_dim ops, 8·block_dim B smem read and 1 atomic, plus one
+/// element read per in-range slot — and `block_sum(begin, end)` does only
+/// the functional sum over the block's in-range slots.
+template <typename BlockSum>
+std::uint64_t reduce_slots(gpusim::Device& device, const char* name,
+                           std::size_t n, std::uint64_t elem_bytes,
+                           BlockSum block_sum) {
+  auto result = device.alloc<std::uint64_t>(1);  // value-initialized to 0
+  std::uint64_t* out = result.data();
+  const auto shape = device.shape_for(n);
+  const std::uint64_t partials_bytes =
+      sizeof(std::uint64_t) * std::uint64_t{shape.block_dim};
+  device.launch_blocks(name, shape.grid_dim, shape.block_dim, partials_bytes,
+                       [=](gpusim::BlockCtx& block) {
+    const std::uint64_t threads = block.block_dim();
+    const std::uint32_t active = block.threads_below(n);
+    block.count_smem_write(sizeof(std::uint64_t) * threads);
+    block.count_gmem_read(elem_bytes * active);
+    block.count_ops(3 * threads);
+    block.count_smem_read(sizeof(std::uint64_t) * threads);
+    block.count_atomic(1);
+    const std::size_t first = block.first_global_id();
+    const std::uint64_t sum = block_sum(first, first + active);
+    std::atomic_ref<std::uint64_t>(out[0]).fetch_add(
+        sum, std::memory_order_relaxed);
+  });
+  std::uint64_t host = 0;
+  device.copy_to_host(result, std::span<std::uint64_t>(&host, 1));
+  device.free(result);
+  return host;
 }
 
 }  // namespace
 
 std::size_t DeviceHashTable::unique() {
-  auto result = device_->alloc<std::uint64_t>(1);  // value-initialized to 0
-  auto* out = result.data();
   const std::uint64_t* keys = keys_.data();
-  const std::size_t cap = keys_.size();
-  const auto shape = device_->shape_for(cap);
-  device_->launch("hash_reduce_unique", shape.grid_dim, shape.block_dim,
-                  /*phases=*/2, [=](gpusim::ThreadCtx& ctx) {
-    reduce_block(ctx, cap, out,
-                 [keys](gpusim::ThreadCtx& tc, std::size_t i) {
-      tc.count_gmem_read(sizeof(std::uint64_t));
-      return keys[i] != kmer::kInvalidCode ? std::uint64_t{1}
-                                           : std::uint64_t{0};
-    });
-  });
-  std::uint64_t host = 0;
-  device_->copy_to_host(result, std::span<std::uint64_t>(&host, 1));
-  device_->free(result);
-  return static_cast<std::size_t>(host);
+  return static_cast<std::size_t>(reduce_slots(
+      *device_, "hash_reduce_unique", keys_.size(), sizeof(std::uint64_t),
+      [keys](std::size_t begin, std::size_t end) {
+        std::uint64_t occupied = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          occupied += keys[i] != kmer::kInvalidCode ? 1 : 0;
+        }
+        return occupied;
+      }));
 }
 
 std::uint64_t DeviceHashTable::total() {
-  auto result = device_->alloc<std::uint64_t>(1);
-  auto* out = result.data();
   const std::uint32_t* counts = counts_.data();
-  const std::size_t cap = counts_.size();
-  const auto shape = device_->shape_for(cap);
-  device_->launch("hash_reduce_total", shape.grid_dim, shape.block_dim,
-                  /*phases=*/2, [=](gpusim::ThreadCtx& ctx) {
-    reduce_block(ctx, cap, out,
-                 [counts](gpusim::ThreadCtx& tc, std::size_t i) {
-      tc.count_gmem_read(sizeof(std::uint32_t));
-      return static_cast<std::uint64_t>(counts[i]);
-    });
-  });
-  std::uint64_t host = 0;
-  device_->copy_to_host(result, std::span<std::uint64_t>(&host, 1));
-  device_->free(result);
-  return host;
+  return reduce_slots(*device_, "hash_reduce_total", counts_.size(),
+                      sizeof(std::uint32_t),
+                      [counts](std::size_t begin, std::size_t end) {
+                        std::uint64_t sum = 0;
+                        for (std::size_t i = begin; i < end; ++i) {
+                          sum += counts[i];
+                        }
+                        return sum;
+                      });
 }
 
 std::vector<std::pair<std::uint64_t, std::uint32_t>>
 DeviceHashTable::to_host() {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
-  out.reserve(unique());
   for (std::size_t i = 0; i < keys_.size(); ++i) {
     if (keys_[i] != kmer::kInvalidCode) out.emplace_back(keys_[i], counts_[i]);
   }
-  // Price the extraction as a D2H transfer of the occupied (key, count)
-  // pairs — 12 bytes per entry.
+  // Price the readout as the device performs it: the hash_reduce_unique
+  // launch that sizes the output (its charges are closed-form, so the scan
+  // above already supplies its result), then a D2H transfer of the
+  // occupied (key, count) pairs — 12 bytes per entry.
+  reduce_slots(*device_, "hash_reduce_unique", keys_.size(),
+               sizeof(std::uint64_t),
+               [](std::size_t, std::size_t) { return std::uint64_t{0}; });
   if (!out.empty()) {
     const std::size_t bytes = out.size() * 12;
     std::vector<std::uint8_t> scratch(bytes);

@@ -113,7 +113,10 @@ void push_wide_words(std::vector<std::uint64_t>& out,
 std::vector<kmer::WideKey> words_to_wide(
     const std::vector<std::uint64_t>& words) {
   std::vector<kmer::WideKey> keys(words.size() / 2);
-  std::memcpy(keys.data(), words.data(),
+  // An empty bin has no storage, and memcpy from its null data() is
+  // undefined behaviour even for 0 bytes.
+  if (keys.empty()) return keys;
+  std::memcpy(static_cast<void*>(keys.data()), words.data(),
               keys.size() * sizeof(kmer::WideKey));
   return keys;
 }

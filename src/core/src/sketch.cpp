@@ -5,6 +5,7 @@
 #include <bit>
 #include <limits>
 
+#include "dedukt/core/block_aggregation.hpp"
 #include "dedukt/core/result.hpp"
 #include "dedukt/kmer/kmer.hpp"
 
@@ -93,12 +94,13 @@ std::uint64_t sketch_estimate_cells(std::span<const std::uint32_t> cells,
 
 // --- device kernels -----------------------------------------------------
 //
-// The vanilla update reuses PR 5's two-level shape: phase 0 aggregates each
-// block's occurrences in a shared-memory key table (identical layout,
-// probe bound and charges to the hash kernels), phase 1 flushes every
-// distinct key with `depth` global atomic adds carrying the block-local
-// count. All global traffic is commutative adds, so cells are bit-identical
-// at any DEDUKT_SIM_THREADS; the flush charge is a function of the block's
+// The vanilla update reuses the counting kernels' two-level shape
+// (block_aggregation.hpp): each block aggregates its occurrences in a
+// shared-memory key table (same layout, probe bound and charges as the
+// hash kernels, probing from row 0's hash), then flushes every distinct
+// key with `depth` global atomic adds carrying the block-local count. All
+// global traffic is commutative adds, so cells are bit-identical at any
+// DEDUKT_SIM_THREADS; the flush charge is a function of the block's
 // distinct-key set alone. Occurrences that overflow the shared probe bound
 // fall through to a direct per-occurrence row update.
 //
@@ -115,53 +117,10 @@ namespace {
 /// mask/offset (~2 ops).
 constexpr std::uint64_t kRowOps = 8;
 
-constexpr std::size_t kSmemSlotsSketch = 1024;  // 12 KB, as the k-mer kernels
-constexpr std::size_t kSmemProbeLimit = 16;
-
-struct SmemTable {
-  std::uint64_t* keys;
-  std::uint32_t* counts;
-  std::size_t slots;
-};
-
-SmemTable smem_table(gpusim::ThreadCtx& ctx, std::size_t slots) {
-  auto* keys = ctx.shared<std::uint64_t>(slots, kmer::kInvalidCode);
-  auto* counts = ctx.shared<std::uint32_t>(slots);
-  return SmemTable{keys, counts, slots};
-}
-
-void charge_smem_init(gpusim::ThreadCtx& ctx, std::size_t slots) {
-  const std::size_t per_thread =
-      (slots + ctx.block_dim() - 1) / ctx.block_dim();
-  ctx.count_smem_write(per_thread * 12);
-}
-
-bool smem_aggregate(gpusim::ThreadCtx& ctx, const SmemTable& t,
-                    std::uint64_t key) {
-  const std::size_t mask = t.slots - 1;
-  std::size_t slot = hash::hash_u64(key, sketch_row_seed(0)) & mask;
-  for (std::size_t probes = 1; probes <= kSmemProbeLimit; ++probes) {
-    ctx.count_smem_read(sizeof(std::uint64_t));
-    if (t.keys[slot] == kmer::kInvalidCode) {
-      t.keys[slot] = key;  // shared-memory atomicCAS claim
-      t.counts[slot] = 1;
-      ctx.count_smem_atomic(2);
-      ctx.count_ops(4);
-      return true;
-    }
-    if (t.keys[slot] == key) {
-      t.counts[slot] += 1;  // shared-memory atomicAdd
-      ctx.count_smem_atomic(1);
-      ctx.count_ops(2);
-      return true;
-    }
-    slot = (slot + 1) & mask;
-  }
-  return false;
-}
+constexpr std::size_t kSmemSlotsSketch = kSmemSlotsKmer;  // 12 KB
 
 /// Add `count` to key's cell in every row with global atomic adds.
-void rows_atomic_add(gpusim::ThreadCtx& ctx, std::uint32_t* cells,
+void rows_atomic_add(gpusim::KernelCharges& charges, std::uint32_t* cells,
                      std::uint32_t width, std::uint32_t depth,
                      std::uint64_t key, std::uint32_t count) {
   for (std::uint32_t r = 0; r < depth; ++r) {
@@ -169,8 +128,8 @@ void rows_atomic_add(gpusim::ThreadCtx& ctx, std::uint32_t* cells,
         cells[sketch_cell_index(width, r, key)])
         .fetch_add(count, std::memory_order_relaxed);
   }
-  ctx.count_atomic(depth);
-  ctx.count_ops(kRowOps * depth);
+  charges.count_atomic(depth);
+  charges.count_ops(kRowOps * depth);
 }
 
 }  // namespace
@@ -221,27 +180,25 @@ void DeviceCountMinSketch::update(
     });
     return;
   }
-  device_->launch("sketch_update", shape.grid_dim, shape.block_dim,
-                  /*phases=*/2, [=](gpusim::ThreadCtx& ctx) {
-    const SmemTable agg = smem_table(ctx, kSmemSlotsSketch);
-    if (ctx.phase() == 0) {
-      charge_smem_init(ctx, agg.slots);
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t));  // load the k-mer
-      if (!smem_aggregate(ctx, agg, in[i])) {
-        rows_atomic_add(ctx, cells, width, depth, in[i], 1);  // overflow
-      }
-    } else {
-      for (std::size_t slot = ctx.thread_idx(); slot < agg.slots;
-           slot += ctx.block_dim()) {
-        ctx.count_smem_read(12);
-        if (agg.keys[slot] == kmer::kInvalidCode) continue;
-        rows_atomic_add(ctx, cells, width, depth, agg.keys[slot],
-                        agg.counts[slot]);
-      }
-    }
-  });
+  device_->launch_blocks(
+      "sketch_update", shape.grid_dim, shape.block_dim,
+      BlockAggregator::footprint(kSmemSlotsSketch),
+      [=](gpusim::BlockCtx& block) {
+        BlockAggregator& agg =
+            BlockAggregator::begin(block, kSmemSlotsSketch, sketch_row_seed(0));
+        const std::size_t first = block.first_global_id();
+        const std::uint32_t active = block.threads_below(n);
+        for (std::uint32_t t = 0; t < active; ++t) {
+          block.count_gmem_read(sizeof(std::uint64_t));  // load the k-mer
+          const std::uint64_t key = in[first + t];
+          if (!agg.add(block, key)) {
+            rows_atomic_add(block, cells, width, depth, key, 1);  // overflow
+          }
+        }
+        agg.flush(block, [&](std::uint64_t key, std::uint32_t count) {
+          rows_atomic_add(block, cells, width, depth, key, count);
+        });
+      });
 }
 
 void DeviceCountMinSketch::estimate(

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "dedukt/gpusim/cost_model.hpp"
@@ -156,24 +157,8 @@ class Device {
   template <typename Kernel>
   LaunchStats launch(const char* name, std::uint32_t grid_dim,
                      std::uint32_t block_dim, Kernel&& kernel) {
-    return launch(name, grid_dim, block_dim, /*phases=*/1,
-                  std::forward<Kernel>(kernel));
-  }
-
-  /// Phased launch: each block runs `phases` sequential passes over its
-  /// threads — the simulation analogue of a CUDA kernel split into
-  /// barrier-delimited sections by __syncthreads(). ctx.phase() tells the
-  /// kernel which section it is in, and ctx.shared<T>(n) hands out
-  /// block-scoped __shared__ buffers that persist across phases. A whole
-  /// block (all its phases) executes on one worker, so shared buffers are
-  /// block-private plain memory and every block's side effects and charges
-  /// are independent of the pool size.
-  template <typename Kernel>
-  LaunchStats launch(const char* name, std::uint32_t grid_dim,
-                     std::uint32_t block_dim, std::uint32_t phases,
-                     Kernel&& kernel) {
-    return launch_impl(name, grid_dim, block_dim, phases, /*ordered=*/false,
-                       std::forward<Kernel>(kernel));
+    return run_blocks(name, grid_dim, block_dim, /*ordered=*/false,
+                      per_thread(grid_dim, block_dim, kernel));
   }
 
   /// Order-pinned launch: blocks always execute in the canonical
@@ -193,16 +178,81 @@ class Device {
   template <typename Kernel>
   LaunchStats launch_ordered(const char* name, std::uint32_t grid_dim,
                              std::uint32_t block_dim, Kernel&& kernel) {
-    return launch_impl(name, grid_dim, block_dim, /*phases=*/1,
-                       /*ordered=*/true, std::forward<Kernel>(kernel));
+    return run_blocks(name, grid_dim, block_dim, /*ordered=*/true,
+                      per_thread(grid_dim, block_dim, kernel));
+  }
+
+  /// Block-cooperative launch: the kernel callable is invoked once per
+  /// block with a BlockCtx, on one pool worker, and steps through the
+  /// block's threads itself, in thread order. `smem_bytes` is the
+  /// block's declared __shared__ footprint; a footprint above
+  /// DeviceProps::smem_bytes_per_block throws SimulationError before any
+  /// block runs. Counters, LaunchStats, timeline and trace span are merged
+  /// exactly as for the per-thread form, so a kernel ported between the
+  /// two forms with the same charges prices identically.
+  template <typename Kernel>
+  LaunchStats launch_blocks(const char* name, std::uint32_t grid_dim,
+                            std::uint32_t block_dim, std::uint64_t smem_bytes,
+                            Kernel&& kernel) {
+    check_smem_footprint(smem_bytes);
+    return run_blocks(name, grid_dim, block_dim, /*ordered=*/false,
+                      per_block(grid_dim, block_dim, kernel));
+  }
+
+  /// Block-cooperative launch in the canonical sequential block order (see
+  /// launch_ordered), for block kernels whose side effects depend on the
+  /// order blocks reach shared global state.
+  template <typename Kernel>
+  LaunchStats launch_blocks_ordered(const char* name, std::uint32_t grid_dim,
+                                    std::uint32_t block_dim,
+                                    std::uint64_t smem_bytes,
+                                    Kernel&& kernel) {
+    check_smem_footprint(smem_bytes);
+    return run_blocks(name, grid_dim, block_dim, /*ordered=*/true,
+                      per_block(grid_dim, block_dim, kernel));
   }
 
  private:
+  /// Block body of a per-thread kernel: its threads in order.
   template <typename Kernel>
-  LaunchStats launch_impl(const char* name, std::uint32_t grid_dim,
-                          std::uint32_t block_dim, std::uint32_t phases,
-                          bool ordered, Kernel&& kernel) {
-    DEDUKT_REQUIRE_MSG(block_dim > 0 && grid_dim > 0 && phases > 0,
+  static auto per_thread(std::uint32_t grid_dim, std::uint32_t block_dim,
+                         Kernel& kernel) {
+    return [grid_dim, block_dim, &kernel](std::uint32_t b,
+                                          LaunchCounters& local) {
+      for (std::uint32_t t = 0; t < block_dim; ++t) {
+        ThreadCtx ctx(b, t, block_dim, grid_dim, local);
+        kernel(ctx);
+      }
+    };
+  }
+
+  /// Block body of a block-cooperative kernel: one call per block.
+  template <typename Kernel>
+  static auto per_block(std::uint32_t grid_dim, std::uint32_t block_dim,
+                        Kernel& kernel) {
+    return [grid_dim, block_dim, &kernel](std::uint32_t b,
+                                          LaunchCounters& local) {
+      BlockCtx ctx(b, block_dim, grid_dim, local);
+      kernel(ctx);
+    };
+  }
+
+  void check_smem_footprint(std::uint64_t smem_bytes) const {
+    if (smem_bytes > props_.smem_bytes_per_block) {
+      throw SimulationError(
+          "block shared memory exhausted: " + std::to_string(smem_bytes) +
+          " > " + std::to_string(props_.smem_bytes_per_block) +
+          " bytes per block");
+    }
+  }
+
+  /// Run `block_body(b, counters)` for every block b, merge the counters,
+  /// price the launch and record it on the timeline and the trace.
+  template <typename BlockBody>
+  LaunchStats run_blocks(const char* name, std::uint32_t grid_dim,
+                         std::uint32_t block_dim, bool ordered,
+                         BlockBody&& block_body) {
+    DEDUKT_REQUIRE_MSG(block_dim > 0 && grid_dim > 0,
                        "empty launch configuration");
     DEDUKT_REQUIRE_MSG(
         block_dim <= static_cast<std::uint32_t>(props_.max_threads_per_block),
@@ -230,18 +280,7 @@ class Device {
       const std::uint32_t begin =
           static_cast<std::uint32_t>(range) * range_blocks;
       const std::uint32_t end = std::min(grid_dim, begin + range_blocks);
-      for (std::uint32_t b = begin; b < end; ++b) {
-        // The block's simulated shared memory; dies when the block retires.
-        BlockShared arena(props_.smem_bytes_per_block);
-        for (std::uint32_t phase = 0; phase < phases; ++phase) {
-          for (std::uint32_t t = 0; t < block_dim; ++t) {
-            arena.begin_thread();
-            ThreadCtx ctx(b, t, block_dim, grid_dim, local, &arena, phase,
-                          phases);
-            kernel(ctx);
-          }
-        }
-      }
+      for (std::uint32_t b = begin; b < end; ++b) block_body(b, local);
       range_counters[range] = local;
     });
 

@@ -1,50 +1,45 @@
 // Kernel launch interface of the GPU simulator.
 //
-// Kernels are C++ callables with the signature void(ThreadCtx&). They are
-// structured exactly like the paper's CUDA kernels — a grid of blocks of
-// threads, each thread processing the elements its global id maps to — and
-// execute *functionally* (results are bit-exact). Each thread reports its
-// global-memory traffic and op counts through ThreadCtx; the Device
-// aggregates them into LaunchStats and prices the launch with the analytic
-// cost model.
+// Kernels are C++ callables structured exactly like the paper's CUDA
+// kernels — a grid of blocks of threads, each thread processing the
+// elements its global id maps to — and execute *functionally* (results are
+// bit-exact). Each thread reports its global-memory traffic and op counts
+// through a counter context; the Device aggregates them into LaunchStats
+// and prices the launch with the analytic cost model.
 //
-// Blocks may execute concurrently on host worker threads (see
-// Device::launch), so a kernel must follow the same discipline as its CUDA
-// counterpart: every write that another simulated thread could also
-// perform goes through std::atomic_ref (the simulated atomicCAS/atomicAdd/
-// atomicOr), and nothing may depend on block execution order. The
-// LaunchCounters& a ThreadCtx carries is private to one contiguous block
+// Two launch forms exist (see Device):
+//  - Per-thread kernels, void(ThreadCtx&), are invoked once per simulated
+//    thread (Device::launch / launch_ordered).
+//  - Block-cooperative kernels, void(BlockCtx&), are invoked once per
+//    block (Device::launch_blocks / launch_blocks_ordered) and step through
+//    the block's threads themselves, in thread order (thread t handles
+//    global id first_global_id() + t). This is the form for kernels with
+//    __syncthreads()-separated sections over block __shared__ state: the
+//    kernel keeps that state itself (it is block-private because a whole
+//    block runs on one worker), runs each section as a loop over its
+//    threads, and charges per-block fixed costs — shared-memory init,
+//    strided scans — in closed form on the BlockCtx. Each launch declares
+//    its per-block shared-memory footprint, which the Device checks against
+//    DeviceProps::smem_bytes_per_block before any block runs.
+//
+// Blocks may execute concurrently on host worker threads, so a kernel must
+// follow the same discipline as its CUDA counterpart: every write that
+// another simulated block could also perform goes through std::atomic_ref
+// (the simulated atomicCAS/atomicAdd/atomicOr), and nothing may depend on
+// block execution order unless the launch pins it (the *_ordered forms).
+// The LaunchCounters& a context carries is private to one contiguous block
 // range — never shared across concurrent workers — and the per-range
-// counters are merged deterministically after the launch joins.
+// counters are merged deterministically after the launch joins, so every
+// block's charges are a pure function of its input, independent of
+// DEDUKT_SIM_THREADS.
 //
-// Shared memory and barriers: the phased launch overload of Device::launch
-// runs each block through `phases` sequential passes over its threads —
-// the simulation analogue of __syncthreads() splitting a CUDA kernel into
-// barrier-delimited sections. Block-scoped __shared__ buffers come from
-// ctx.shared<T>(n): allocations are sequence-matched (every thread of a
-// block must make the same ordered shared() calls, like CUDA's static
-// __shared__ declarations), persist across phases, and die with the block.
-// Because a whole block always executes on ONE worker, shared buffers are
-// block-private plain memory — no std::atomic_ref needed, exactly like
-// shared-memory atomics being SM-local on the real hardware — and every
-// shared-memory side effect and charge is a pure function of the block's
-// input, independent of DEDUKT_SIM_THREADS.
-//
-// Launches accept an optional static kernel name (the first overload of
-// Device::launch); when tracing is enabled, each launch records a "kernel"
-// span on the device track carrying the grid shape, memory traffic, and
-// the modeled time the cost model priced it at.
+// Launches accept an optional static kernel name; when tracing is enabled,
+// each launch records a "kernel" span on the device track carrying the
+// grid shape, memory traffic, and the modeled time the cost model priced
+// it at.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <string>
-#include <type_traits>
-#include <vector>
-
-#include "dedukt/util/error.hpp"
 
 namespace dedukt::gpusim {
 
@@ -55,8 +50,8 @@ struct LaunchCounters {
   std::uint64_t gmem_write_bytes = 0;
   std::uint64_t atomics = 0;
   std::uint64_t ops = 0;  ///< integer/ALU operations
-  // Shared-memory traffic (block-scoped ctx.shared<T> buffers). Separate
-  // from the global counters because the cost model prices it at SM-local
+  // Shared-memory traffic (block-scoped __shared__ state). Separate from
+  // the global counters because the cost model prices it at SM-local
   // bandwidth/atomic rates, one to two orders cheaper than HBM/global
   // atomics (§III-B3's motivation for on-chip aggregation).
   std::uint64_t smem_read_bytes = 0;
@@ -75,152 +70,14 @@ struct LaunchCounters {
   }
 };
 
-/// One block's simulated shared memory: an arena of sequence-matched
-/// allocations, created by Device::launch per block and destroyed when the
-/// block retires. The first thread to reach the i-th ctx.shared<T>(n) call
-/// materializes the buffer (value-initialized, or filled); every later
-/// thread — and every later phase — gets the same storage back, so the
-/// buffer behaves exactly like a static __shared__ array. Capacity is
-/// checked against the device's per-block shared-memory limit.
-class BlockShared {
- public:
-  explicit BlockShared(std::uint64_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
-
-  BlockShared(const BlockShared&) = delete;
-  BlockShared& operator=(const BlockShared&) = delete;
-
-  /// Rewind the per-thread allocation cursor; called by the launch loop
-  /// before each simulated thread starts (each thread re-walks the same
-  /// allocation sequence).
-  void begin_thread() { cursor_ = 0; }
-
-  template <typename T>
-  T* get(std::size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "shared buffers hold plain device data");
-    return static_cast<T*>(slot(n * sizeof(T), [n](void* p) {
-      T* first = static_cast<T*>(p);
-      // Value-initialize, like fresh __shared__ contents after the
-      // cooperative init every CUDA kernel performs.
-      for (std::size_t i = 0; i < n; ++i) new (first + i) T();
-    }));
-  }
-
-  template <typename T>
-  T* get(std::size_t n, const T& fill) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "shared buffers hold plain device data");
-    return static_cast<T*>(slot(n * sizeof(T), [n, &fill](void* p) {
-      T* first = static_cast<T*>(p);
-      for (std::size_t i = 0; i < n; ++i) new (first + i) T(fill);
-    }));
-  }
-
-  [[nodiscard]] std::uint64_t used_bytes() const { return used_bytes_; }
-
- private:
-  struct Allocation {
-    std::unique_ptr<std::byte[]> storage;
-    std::size_t bytes = 0;
-  };
-
-  template <typename Init>
-  void* slot(std::size_t bytes, Init&& init) {
-    if (cursor_ < allocations_.size()) {
-      // A later thread (or phase) re-requesting the cursor_-th buffer: the
-      // sequence-matched contract requires the same size every time.
-      DEDUKT_REQUIRE_MSG(allocations_[cursor_].bytes == bytes,
-                         "mismatched ctx.shared() sequence: allocation "
-                             << cursor_ << " was "
-                             << allocations_[cursor_].bytes
-                             << " bytes, now requested as " << bytes);
-      return allocations_[cursor_++].storage.get();
-    }
-    if (used_bytes_ + bytes > capacity_bytes_) {
-      throw SimulationError(
-          "block shared memory exhausted: " +
-          std::to_string(used_bytes_ + bytes) + " > " +
-          std::to_string(capacity_bytes_) + " bytes per block");
-    }
-    Allocation alloc;
-    alloc.storage = std::make_unique<std::byte[]>(bytes);
-    alloc.bytes = bytes;
-    init(static_cast<void*>(alloc.storage.get()));
-    used_bytes_ += bytes;
-    allocations_.push_back(std::move(alloc));
-    return allocations_[cursor_++].storage.get();
-  }
-
-  std::vector<Allocation> allocations_;
-  std::size_t cursor_ = 0;        ///< next allocation index for this thread
-  std::uint64_t used_bytes_ = 0;
-  std::uint64_t capacity_bytes_;
-};
-
-/// Execution context handed to each simulated GPU thread. The counters
-/// reference is a block-range-private accumulator owned by the executing
-/// worker (see Device::launch), so counting is race-free under
+/// Traffic/ops accounting shared by both kernel contexts. Charges price the
+/// launch and have no functional effect; they land in the executing
+/// worker's block-range-private counters, so counting is race-free under
 /// block-parallel execution.
-class ThreadCtx {
+class KernelCharges {
  public:
-  ThreadCtx(std::uint32_t block_idx, std::uint32_t thread_idx,
-            std::uint32_t block_dim, std::uint32_t grid_dim,
-            LaunchCounters& counters, BlockShared* shared = nullptr,
-            std::uint32_t phase = 0, std::uint32_t phase_count = 1)
-      : block_idx_(block_idx),
-        thread_idx_(thread_idx),
-        block_dim_(block_dim),
-        grid_dim_(grid_dim),
-        phase_(phase),
-        phase_count_(phase_count),
-        counters_(counters),
-        shared_(shared) {}
+  explicit KernelCharges(LaunchCounters& counters) : counters_(counters) {}
 
-  [[nodiscard]] std::uint32_t block_idx() const { return block_idx_; }
-  [[nodiscard]] std::uint32_t thread_idx() const { return thread_idx_; }
-  [[nodiscard]] std::uint32_t block_dim() const { return block_dim_; }
-  [[nodiscard]] std::uint32_t grid_dim() const { return grid_dim_; }
-
-  /// Barrier-delimited section of a phased launch this invocation runs in
-  /// (0-based); always 0 in the plain launch overloads.
-  [[nodiscard]] std::uint32_t phase() const { return phase_; }
-  [[nodiscard]] std::uint32_t phase_count() const { return phase_count_; }
-
-  /// blockIdx.x * blockDim.x + threadIdx.x
-  [[nodiscard]] std::uint64_t global_id() const {
-    return static_cast<std::uint64_t>(block_idx_) * block_dim_ + thread_idx_;
-  }
-
-  /// Total threads in the launch.
-  [[nodiscard]] std::uint64_t global_size() const {
-    return static_cast<std::uint64_t>(grid_dim_) * block_dim_;
-  }
-
-  /// Block-scoped shared buffer of n value-initialized Ts — the simulated
-  /// __shared__ T buf[n]. Every thread of the block must issue the same
-  /// ordered sequence of shared() calls; all of them (across all phases)
-  /// receive the same storage. Requires a phased launch (which is where
-  /// the per-block arena exists). Throws SimulationError when the block's
-  /// shared-memory budget overflows.
-  template <typename T>
-  T* shared(std::size_t n) {
-    DEDUKT_REQUIRE_MSG(shared_ != nullptr,
-                       "ctx.shared() needs the phased Device::launch "
-                       "overload (which owns the per-block arena)");
-    return shared_->get<T>(n);
-  }
-
-  /// Shared buffer with every element initialized to `fill`.
-  template <typename T>
-  T* shared(std::size_t n, const T& fill) {
-    DEDUKT_REQUIRE_MSG(shared_ != nullptr,
-                       "ctx.shared() needs the phased Device::launch "
-                       "overload (which owns the per-block arena)");
-    return shared_->get<T>(n, fill);
-  }
-
-  // --- traffic/ops accounting (prices the launch; no functional effect) ---
   void count_gmem_read(std::uint64_t bytes) {
     counters_.gmem_read_bytes += bytes;
   }
@@ -237,15 +94,78 @@ class ThreadCtx {
   }
   void count_smem_atomic(std::uint64_t n = 1) { counters_.smem_atomics += n; }
 
+ protected:
+  LaunchCounters& counters_;
+};
+
+/// Execution context of one simulated GPU thread.
+class ThreadCtx : public KernelCharges {
+ public:
+  ThreadCtx(std::uint32_t block_idx, std::uint32_t thread_idx,
+            std::uint32_t block_dim, std::uint32_t grid_dim,
+            LaunchCounters& counters)
+      : KernelCharges(counters),
+        block_idx_(block_idx),
+        thread_idx_(thread_idx),
+        block_dim_(block_dim),
+        grid_dim_(grid_dim) {}
+
+  [[nodiscard]] std::uint32_t block_idx() const { return block_idx_; }
+  [[nodiscard]] std::uint32_t thread_idx() const { return thread_idx_; }
+  [[nodiscard]] std::uint32_t block_dim() const { return block_dim_; }
+  [[nodiscard]] std::uint32_t grid_dim() const { return grid_dim_; }
+
+  /// blockIdx.x * blockDim.x + threadIdx.x
+  [[nodiscard]] std::uint64_t global_id() const {
+    return static_cast<std::uint64_t>(block_idx_) * block_dim_ + thread_idx_;
+  }
+
+  /// Total threads in the launch.
+  [[nodiscard]] std::uint64_t global_size() const {
+    return static_cast<std::uint64_t>(grid_dim_) * block_dim_;
+  }
+
  private:
   std::uint32_t block_idx_;
   std::uint32_t thread_idx_;
   std::uint32_t block_dim_;
   std::uint32_t grid_dim_;
-  std::uint32_t phase_;
-  std::uint32_t phase_count_;
-  LaunchCounters& counters_;
-  BlockShared* shared_;
+};
+
+/// Execution context of one block of a block-cooperative launch. The
+/// kernel charges its threads' per-element work and the block's
+/// closed-form fixed costs alike through it.
+class BlockCtx : public KernelCharges {
+ public:
+  BlockCtx(std::uint32_t block_idx, std::uint32_t block_dim,
+           std::uint32_t grid_dim, LaunchCounters& counters)
+      : KernelCharges(counters),
+        block_idx_(block_idx),
+        block_dim_(block_dim),
+        grid_dim_(grid_dim) {}
+
+  [[nodiscard]] std::uint32_t block_idx() const { return block_idx_; }
+  [[nodiscard]] std::uint32_t block_dim() const { return block_dim_; }
+  [[nodiscard]] std::uint32_t grid_dim() const { return grid_dim_; }
+
+  /// Global id of the block's thread 0.
+  [[nodiscard]] std::uint64_t first_global_id() const {
+    return static_cast<std::uint64_t>(block_idx_) * block_dim_;
+  }
+
+  /// Threads of this block whose global id falls below `n` (the usual
+  /// `if (i >= n) return;` guard, counted for the whole block).
+  [[nodiscard]] std::uint32_t threads_below(std::uint64_t n) const {
+    const std::uint64_t first = first_global_id();
+    if (first >= n) return 0;
+    return n - first < block_dim_ ? static_cast<std::uint32_t>(n - first)
+                                  : block_dim_;
+  }
+
+ private:
+  std::uint32_t block_idx_;
+  std::uint32_t block_dim_;
+  std::uint32_t grid_dim_;
 };
 
 /// Result of one kernel launch.

@@ -53,10 +53,12 @@ LaunchStats member_sorted(Device& device, const SortedTableView& table,
                           DeviceBuffer<std::uint8_t>& out_member);
 
 /// Capped value histogram: out_bins[min(values[i], nbins-1)] += 1 for every
-/// stored entry. Two-level like the counting kernels — phase 0 aggregates
-/// each block's values into shared-memory bins, phase 1 flushes nonzero
+/// stored entry. Two-level like the counting kernels — a block-cooperative
+/// launch bins each block's values in shared memory, then flushes nonzero
 /// bins with one global atomic add apiece. Kernel "value_histogram".
-/// `out_bins` must hold nbins zero-initialized slots.
+/// `out_bins` must hold nbins zero-initialized slots; nbins × 4 bytes of
+/// bins must fit the device's per-block shared memory (SimulationError
+/// otherwise).
 LaunchStats value_histogram(Device& device,
                             const DeviceBuffer<std::uint64_t>& values,
                             std::size_t n, std::size_t nbins,

@@ -1,6 +1,7 @@
 #include "dedukt/gpusim/lookup.hpp"
 
 #include <atomic>
+#include <vector>
 
 #include "dedukt/util/error.hpp"
 
@@ -127,40 +128,45 @@ LaunchStats value_histogram(Device& device,
   const auto shape = device.shape_for(n);
   const std::uint64_t* vals = values.data();
   std::uint64_t* bins = out_bins.data();
-  // Two-level like the counting kernels: phase 0 bins the block's values
-  // in shared memory (per-block bin totals fit u32: at most block_dim
-  // contributions per block), phase 1 flushes nonzero bins with one global
-  // atomic add each. Per-block charges depend only on the block's slice of
+  // Two-level like the counting kernels: the block's threads bin their
+  // values in shared memory (per-block bin totals fit u32: at most
+  // block_dim contributions per block), then stride over the bins and
+  // flush each nonzero one with one global atomic add. The bin scan's
+  // charges — 4 B smem read and 1 op per bin per block — are stated in
+  // closed form. Per-block charges depend only on the block's slice of
   // `values`, so totals are pool-size invariant.
-  return device.launch(
-      "value_histogram", shape.grid_dim, shape.block_dim, /*phases=*/2,
-      [=](ThreadCtx& ctx) {
-        std::uint32_t* smem_bins = ctx.shared<std::uint32_t>(nbins);
-        if (ctx.phase() == 0) {
-          const std::uint64_t i = ctx.global_id();
-          if (i >= n) return;
-          ctx.count_gmem_read(sizeof(std::uint64_t));
-          const std::uint64_t v = vals[i];
+  return device.launch_blocks(
+      "value_histogram", shape.grid_dim, shape.block_dim,
+      nbins * sizeof(std::uint32_t), [=](BlockCtx& block) {
+        // The executing worker's bins, all zero between blocks: the flush
+        // re-zeroes every bin it commits.
+        thread_local std::vector<std::uint32_t> smem_bins;
+        if (smem_bins.size() < nbins) smem_bins.assign(nbins, 0u);
+        const std::size_t first = block.first_global_id();
+        const std::uint32_t active = block.threads_below(n);
+        for (std::uint32_t t = 0; t < active; ++t) {
+          block.count_gmem_read(sizeof(std::uint64_t));
+          const std::uint64_t v = vals[first + t];
           const std::size_t bin =
               v < nbins ? static_cast<std::size_t>(v) : nbins - 1;
-          ctx.count_ops(2);  // clamp + bin address math
+          block.count_ops(2);  // clamp + bin address math
           smem_bins[bin] += 1;
-          ctx.count_smem_atomic(1);
-          ctx.count_smem_write(sizeof(std::uint32_t));
-          return;
+          block.count_smem_atomic(1);
+          block.count_smem_write(sizeof(std::uint32_t));
         }
-        // Phase 1: threads stride over the bins; only bins this block
-        // actually touched pay a global atomic.
-        for (std::size_t b = ctx.thread_idx(); b < nbins;
-             b += ctx.block_dim()) {
-          ctx.count_smem_read(sizeof(std::uint32_t));
-          ctx.count_ops(1);
-          const std::uint32_t count = smem_bins[b];
-          if (count == 0) continue;
-          std::atomic_ref<std::uint64_t> slot(bins[b]);
-          slot.fetch_add(count, std::memory_order_relaxed);
-          ctx.count_atomic(1);
-          ctx.count_gmem_write(sizeof(std::uint64_t));
+        block.count_smem_read(nbins * sizeof(std::uint32_t));
+        block.count_ops(nbins);
+        // Only bins this block actually touched pay a global atomic.
+        for (std::size_t t = 0; t < block.block_dim(); ++t) {
+          for (std::size_t b = t; b < nbins; b += block.block_dim()) {
+            const std::uint32_t count = smem_bins[b];
+            if (count == 0) continue;
+            smem_bins[b] = 0;
+            std::atomic_ref<std::uint64_t> slot(bins[b]);
+            slot.fetch_add(count, std::memory_order_relaxed);
+            block.count_atomic(1);
+            block.count_gmem_write(sizeof(std::uint64_t));
+          }
         }
       });
 }

@@ -34,7 +34,7 @@ struct KernelMetrics {
   double modeled_seconds = 0.0;
   double wall_seconds = 0.0;
   /// Shared-memory traffic of the kernel's launches (zero — and absent
-  /// from the JSON — for kernels that never touch ctx.shared buffers).
+  /// from the JSON — for kernels that never touch shared memory).
   std::uint64_t smem_read_bytes = 0;
   std::uint64_t smem_write_bytes = 0;
   std::uint64_t smem_atomics = 0;

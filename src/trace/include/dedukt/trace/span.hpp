@@ -62,7 +62,7 @@ struct SpanRecord {
   /// the per-phase metrics, not added to the modeled clock.
   double overlap_saved_seconds = 0.0;
   /// Shared-memory traffic of a kernel span (two-level counting path);
-  /// zero for kernels that never touch ctx.shared buffers. Aggregated into
+  /// zero for kernels that never touch shared memory. Aggregated into
   /// the per-kernel metrics.
   std::uint64_t smem_read_bytes = 0;
   std::uint64_t smem_write_bytes = 0;

@@ -9,6 +9,7 @@
 
 #include "dedukt/io/fastq.hpp"
 #include "dedukt/io/synthetic.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::core {
 namespace {
@@ -28,9 +29,7 @@ AppResult run(std::vector<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using test_support::temp_path;
 
 TEST(AppTest, NoArgsPrintsUsageAndFails) {
   const AppResult result = run({});

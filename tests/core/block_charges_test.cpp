@@ -1,0 +1,214 @@
+// Closed-form charges of the block-cooperative counting and reduction
+// kernels, checked on hand-sized inputs whose every probe is known: the
+// keys are chosen so no two share a home slot in the shared or the global
+// table, so every claim walks exactly one probe. Per block the kernels
+// state the shared-table init (block_dim × ⌈slots/block_dim⌉ × 12 B), the
+// flush scan (slots × 12 B) and the reduction's fixed costs in closed form;
+// these tests pin those forms together with the per-occurrence charges.
+#include "dedukt/core/device_hash_table.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "dedukt/core/block_aggregation.hpp"
+#include "dedukt/hash/murmur3.hpp"
+#include "dedukt/trace/trace.hpp"
+
+namespace dedukt::core {
+namespace {
+
+constexpr std::uint64_t kBlock = 256;  // Device::shape_for's default
+
+std::size_t home(std::uint64_t key, std::size_t slots) {
+  return hash::hash_u64(key, DeviceHashTable::kProbeSeed) & (slots - 1);
+}
+
+/// True when no two keys share a home slot in a `slots`-slot table.
+bool distinct_homes(const std::vector<std::uint64_t>& keys,
+                    std::size_t slots) {
+  std::set<std::size_t> homes;
+  for (std::uint64_t key : keys) homes.insert(home(key, slots));
+  return homes.size() == keys.size();
+}
+
+/// Per-block fixed charges of a two-level count kernel.
+std::uint64_t init_bytes(std::uint64_t slots) {
+  return kBlock * ((slots + kBlock - 1) / kBlock) * kSmemSlotBytes;
+}
+std::uint64_t scan_bytes(std::uint64_t slots) {
+  return slots * kSmemSlotBytes;
+}
+
+/// Charges of one flush commit or global insert that walks one probe.
+constexpr std::uint64_t kInsertOps = 10 + 4;
+constexpr std::uint64_t kInsertAtomics = 2;
+constexpr std::uint64_t kInsertReadBytes = 8;
+
+TEST(BlockChargesTest, CountKmersMatchesClosedForm) {
+  gpusim::Device device;
+  DeviceHashTable table(device, /*expected_keys=*/32);  // 64 global slots
+  ASSERT_EQ(table.capacity(), 64u);
+
+  // Three keys with distinct home slots in both tables.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t candidate = 1; keys.size() < 3; ++candidate) {
+    keys.push_back(candidate);
+    if (!distinct_homes(keys, kSmemSlotsKmer) ||
+        !distinct_homes(keys, table.capacity())) {
+      keys.pop_back();
+    }
+  }
+  // 300 occurrences over two blocks: 256 in block 0, 44 in block 1. Each
+  // block claims each key once in shared memory and hits it afterwards.
+  constexpr std::size_t kN = 300;
+  std::vector<std::uint64_t> kmers(kN);
+  for (std::size_t i = 0; i < kN; ++i) kmers[i] = keys[i % keys.size()];
+  auto d_kmers = device.alloc<std::uint64_t>(kN);
+  device.copy_to_device<std::uint64_t>(kmers, d_kmers);
+
+  const gpusim::LaunchStats stats = table.count_kmers(d_kmers, kN);
+  const gpusim::LaunchCounters& c = stats.counters;
+
+  constexpr std::uint64_t kBlocks = 2;
+  const std::uint64_t claims = kBlocks * keys.size();  // = flush commits
+  const std::uint64_t hits = kN - claims;
+  EXPECT_EQ(c.threads, kBlocks * kBlock);
+  EXPECT_EQ(c.smem_write_bytes, kBlocks * init_bytes(kSmemSlotsKmer));
+  EXPECT_EQ(c.smem_read_bytes,
+            kN * sizeof(std::uint64_t) + kBlocks * scan_bytes(kSmemSlotsKmer));
+  EXPECT_EQ(c.smem_atomics, claims * 2 + hits);
+  EXPECT_EQ(c.ops, claims * 4 + hits * 2 + claims * kInsertOps);
+  EXPECT_EQ(c.atomics, claims * kInsertAtomics);
+  EXPECT_EQ(c.gmem_read_bytes,
+            kN * sizeof(std::uint64_t) + claims * kInsertReadBytes);
+  EXPECT_EQ(c.gmem_write_bytes, 0u);
+
+  EXPECT_EQ(table.unique(), keys.size());
+  EXPECT_EQ(table.total(), kN);
+}
+
+TEST(BlockChargesTest, CountSupermersMatchesClosedForm) {
+  gpusim::Device device;
+  DeviceHashTable table(device, /*expected_keys=*/32);
+  constexpr int kK = 5;
+  constexpr std::uint8_t kLen = 10;  // 6 k-mers per supermer
+  // All-A and all-T supermers: every k-mer of one is the same key.
+  const std::uint64_t all_t = (std::uint64_t{1} << (2 * kLen)) - 1;
+  const std::vector<std::uint64_t> keys = {
+      0, (std::uint64_t{1} << (2 * kK)) - 1};
+  ASSERT_TRUE(distinct_homes(keys, kSmemSlotsSupermer));
+  ASSERT_TRUE(distinct_homes(keys, table.capacity()));
+
+  constexpr std::size_t kN = 300;  // supermers: 256 + 44 over two blocks
+  std::vector<std::uint64_t> words(kN);
+  std::vector<std::uint8_t> lens(kN, kLen);
+  for (std::size_t i = 0; i < kN; ++i) words[i] = i % 2 == 0 ? 0 : all_t;
+  auto d_words = device.alloc<std::uint64_t>(kN);
+  auto d_lens = device.alloc<std::uint8_t>(kN);
+  device.copy_to_device<std::uint64_t>(words, d_words);
+  device.copy_to_device<std::uint8_t>(lens, d_lens);
+
+  const gpusim::LaunchStats stats =
+      table.count_supermers(d_words, d_lens, kN, kK);
+  const gpusim::LaunchCounters& c = stats.counters;
+
+  constexpr std::uint64_t kBlocks = 2;
+  constexpr std::uint64_t kKmers = kN * (kLen - kK + 1);
+  const std::uint64_t claims = kBlocks * keys.size();
+  const std::uint64_t hits = kKmers - claims;
+  EXPECT_EQ(c.threads, kBlocks * kBlock);
+  EXPECT_EQ(c.smem_write_bytes, kBlocks * init_bytes(kSmemSlotsSupermer));
+  EXPECT_EQ(c.smem_read_bytes, kKmers * sizeof(std::uint64_t) +
+                                   kBlocks * scan_bytes(kSmemSlotsSupermer));
+  EXPECT_EQ(c.smem_atomics, claims * 2 + hits);
+  EXPECT_EQ(c.ops,
+            kKmers * 6 + claims * 4 + hits * 2 + claims * kInsertOps);
+  EXPECT_EQ(c.atomics, claims * kInsertAtomics);
+  EXPECT_EQ(c.gmem_read_bytes,
+            kN * (sizeof(std::uint64_t) + sizeof(std::uint8_t)) +
+                claims * kInsertReadBytes);
+  EXPECT_EQ(c.gmem_write_bytes, 0u);
+
+  EXPECT_EQ(table.unique(), keys.size());
+  EXPECT_EQ(table.total(), kKmers);
+}
+
+/// The hash_reduce_unique kernel spans recorded while `readout` runs.
+template <typename Readout>
+std::vector<trace::SpanRecord> reduce_spans(Readout&& readout) {
+  auto& session = trace::TraceSession::instance();
+  session.reset();
+  session.enable("");
+  readout();
+  std::vector<trace::SpanRecord> spans;
+  for (const auto& span :
+       session.recorder(trace::SpanRecorder::kMainRank).spans_snapshot()) {
+    if (span.name == "hash_reduce_unique") spans.push_back(span);
+  }
+  session.disable();
+  return spans;
+}
+
+std::uint64_t arg(const trace::SpanRecord& span, const std::string& key) {
+  for (const auto& a : span.args) {
+    if (a.key == key) return std::stoull(a.json);
+  }
+  ADD_FAILURE() << "span " << span.name << " has no arg " << key;
+  return 0;
+}
+
+TEST(BlockChargesTest, ReduceUniqueMatchesClosedForm) {
+  // Capacities below, at and above one block's worth of slots.
+  for (const std::size_t expected_keys : {8u, 128u, 700u}) {
+    gpusim::Device device;
+    DeviceHashTable table(device, expected_keys);
+    const std::uint64_t cap = table.capacity();
+    const std::uint64_t blocks = (cap + kBlock - 1) / kBlock;
+    SCOPED_TRACE(testing::Message() << "capacity " << cap);
+
+    const auto spans = reduce_spans([&] { EXPECT_EQ(table.unique(), 0u); });
+    ASSERT_EQ(spans.size(), 1u);
+    const trace::SpanRecord& s = spans[0];
+    EXPECT_EQ(arg(s, "threads"), blocks * kBlock);
+    EXPECT_EQ(arg(s, "smem_write_bytes"), blocks * 8 * kBlock);
+    EXPECT_EQ(arg(s, "smem_read_bytes"), blocks * 8 * kBlock);
+    EXPECT_EQ(arg(s, "ops"), blocks * 3 * kBlock);
+    EXPECT_EQ(arg(s, "atomics"), blocks);
+    EXPECT_EQ(arg(s, "gmem_read_bytes"), cap * sizeof(std::uint64_t));
+    EXPECT_EQ(arg(s, "gmem_write_bytes"), 0u);
+    EXPECT_EQ(arg(s, "smem_atomics"), 0u);
+  }
+}
+
+TEST(BlockChargesTest, ToHostPricesTheSameReductionWithoutRescanning) {
+  gpusim::Device device;
+  DeviceHashTable table(device, /*expected_keys=*/600);
+  std::vector<std::uint64_t> kmers;
+  for (std::uint64_t i = 0; i < 600; ++i) kmers.push_back(i * 7919 % 401);
+  auto d_kmers = device.alloc<std::uint64_t>(kmers.size());
+  device.copy_to_device<std::uint64_t>(kmers, d_kmers);
+  table.count_kmers(d_kmers, kmers.size());
+
+  std::size_t unique = 0;
+  const auto from_unique = reduce_spans([&] { unique = table.unique(); });
+  std::size_t entries = 0;
+  const auto from_to_host =
+      reduce_spans([&] { entries = table.to_host().size(); });
+  EXPECT_EQ(entries, unique);
+  EXPECT_EQ(unique, 401u);
+  ASSERT_EQ(from_unique.size(), 1u);
+  ASSERT_EQ(from_to_host.size(), 1u);
+  EXPECT_EQ(from_to_host[0].modeled_seconds, from_unique[0].modeled_seconds);
+  ASSERT_EQ(from_to_host[0].args.size(), from_unique[0].args.size());
+  for (std::size_t i = 0; i < from_unique[0].args.size(); ++i) {
+    EXPECT_EQ(from_to_host[0].args[i].key, from_unique[0].args[i].key);
+    EXPECT_EQ(from_to_host[0].args[i].json, from_unique[0].args[i].json);
+  }
+}
+
+}  // namespace
+}  // namespace dedukt::core

@@ -11,6 +11,7 @@
 #include "dedukt/core/driver.hpp"
 #include "dedukt/io/synthetic.hpp"
 #include "dedukt/util/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::core {
 namespace {
@@ -145,7 +146,7 @@ TEST(CountsBinaryTest, EveryFlippedByteFailsTypedOrRoundTrips) {
 }
 
 TEST(CountsIoTest, TrailingBytesInFileRejected) {
-  const std::string path = testing::TempDir() + "/dedukt_trailing.bin";
+  const std::string path = test_support::temp_path("dedukt_trailing.bin");
   write_counts_binary_file(path, sample_file());
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -243,7 +244,7 @@ TEST(CountsIoTest, PipelineResultRoundTripsThroughDisk) {
   file.encoding = options.pipeline.encoding();
   file.counts = result.global_counts;
 
-  const std::string path = testing::TempDir() + "/dedukt_counts.bin";
+  const std::string path = test_support::temp_path("dedukt_counts.bin");
   write_counts_binary_file(path, file);
   const CountsFile loaded = read_counts_binary_file(path);
   EXPECT_EQ(loaded.counts, result.global_counts);

@@ -28,6 +28,7 @@
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
 #include "dedukt/util/thread_pool.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::core {
 namespace {
@@ -47,7 +48,7 @@ io::ReadBatch parity_reads() {
 }
 
 std::string spill_root() {
-  return ::testing::TempDir() + "dedukt-ooc-parity";
+  return test_support::temp_path("dedukt-ooc-parity");
 }
 
 // --- deterministic identity rendering ----------------------------------

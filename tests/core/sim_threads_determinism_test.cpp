@@ -1,14 +1,19 @@
 // End-to-end determinism across DEDUKT_SIM_THREADS: the full k-mer and
 // supermer pipelines must produce bit-identical spectra, work counts, and
 // modeled times whether the simulated kernels run sequentially or on a
-// pool of host workers. (The Bloom-filtered path is excluded by design —
-// its ±1-false-positive outcomes depend on filter fill *order*; see
-// docs/performance-model.md.)
+// pool of host workers. The Bloom-filtered pipelines are held to the same
+// contract: their count kernels run in the canonical block order, so the
+// filter fills in the same order at every pool size (see
+// docs/performance-model.md). Pool sizes are set in-process, so the
+// contract is checked beyond the core count of the machine running it.
 #include "dedukt/core/driver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dedukt/io/datasets.hpp"
+#include "dedukt/trace/trace.hpp"
 #include "dedukt/util/thread_pool.hpp"
 
 namespace dedukt::core {
@@ -99,6 +104,51 @@ TEST(SimThreadsDeterminismTest, Kmc2OrderAlsoDeterministic) {
   };
   const CountResult sequential = run(1);
   expect_identical(run(8), sequential, 8);
+}
+
+/// A Bloom-filtered run plus its trace metrics on the modeled clock, which
+/// carry every kernel's traffic counters (shared-memory bytes included), so
+/// a drift that leaves modeled seconds unchanged still fails.
+struct FilteredRun {
+  CountResult result;
+  std::string kernel_metrics;
+};
+
+FilteredRun run_filtered_at(unsigned threads, PipelineKind kind,
+                            const io::ReadBatch& reads) {
+  util::ThreadPool::set_global_threads(threads);
+  DriverOptions options;
+  options.pipeline.kind = kind;
+  options.pipeline.filter_singletons = true;
+  options.nranks = 4;
+  auto& session = trace::TraceSession::instance();
+  session.reset();
+  session.enable("");
+  FilteredRun run{run_distributed_count(reads, options), ""};
+  run.kernel_metrics = session.metrics().to_json(/*include_wall=*/false);
+  session.disable();
+  return run;
+}
+
+void expect_filtered_identical_across_pool_sizes(PipelineKind kind) {
+  PoolGuard guard;
+  const io::ReadBatch reads = preset_reads();
+  const FilteredRun sequential = run_filtered_at(1, kind, reads);
+  EXPECT_GT(sequential.result.global_counts.size(), 0u);
+  for (const unsigned threads : {2u, 4u, 8u, 16u}) {
+    const FilteredRun pooled = run_filtered_at(threads, kind, reads);
+    expect_identical(pooled.result, sequential.result, threads);
+    EXPECT_EQ(pooled.kernel_metrics, sequential.kernel_metrics);
+  }
+}
+
+TEST(SimThreadsDeterminismTest, FilteredKmerPipelineIdenticalAcrossPoolSizes) {
+  expect_filtered_identical_across_pool_sizes(PipelineKind::kGpuKmer);
+}
+
+TEST(SimThreadsDeterminismTest,
+     FilteredSupermerPipelineIdenticalAcrossPoolSizes) {
+  expect_filtered_identical_across_pool_sizes(PipelineKind::kGpuSupermer);
 }
 
 }  // namespace

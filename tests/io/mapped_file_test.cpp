@@ -19,16 +19,12 @@
 #include "dedukt/io/mapped_file.hpp"
 #include "dedukt/store/shard.hpp"
 #include "dedukt/util/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::io {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test_support::fresh_dir;
 
 std::vector<std::byte> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

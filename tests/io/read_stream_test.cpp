@@ -9,6 +9,7 @@
 
 #include "dedukt/io/fastq.hpp"
 #include "dedukt/util/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::io {
 namespace {
@@ -143,7 +144,7 @@ TEST(ReadStreamTest, ResidentReadBytesSumsPayload) {
 class FastqStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "read_stream_test.fastq";
+    path_ = test_support::temp_path("read_stream_test.fastq");
     write_fastq_file(path_, sample_reads(11));
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -184,7 +185,7 @@ TEST(FastqStreamErrorTest, MissingFileThrowsParseError) {
 
 TEST(FastqStreamErrorTest, MalformedRecordThrowsParseErrorMidStream) {
   const std::string path =
-      ::testing::TempDir() + "read_stream_malformed.fastq";
+      test_support::temp_path("read_stream_malformed.fastq");
   {
     std::ofstream out(path);
     out << "@ok\nACGT\n+\nIIII\n";

@@ -11,13 +11,16 @@
 #include <vector>
 
 #include "dedukt/util/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::io {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string test_root() { return ::testing::TempDir() + "dedukt-spill-test"; }
+std::string test_root() {
+  return test_support::temp_path("dedukt-spill-test");
+}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

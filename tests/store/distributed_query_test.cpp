@@ -23,16 +23,12 @@
 #include "dedukt/store/store.hpp"
 #include "dedukt/util/rng.hpp"
 #include "dedukt/util/thread_pool.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::store {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test_support::fresh_dir;
 
 /// One pipeline-built store shared by the whole battery (built once).
 const std::string& pipeline_store_dir() {

@@ -11,13 +11,12 @@
 #include "dedukt/store/manifest.hpp"
 #include "dedukt/store/shard.hpp"
 #include "dedukt/util/error.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::store {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+using test_support::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -19,16 +19,12 @@
 #include "dedukt/store/store.hpp"
 #include "dedukt/util/error.hpp"
 #include "dedukt/util/rng.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::store {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test_support::fresh_dir;
 
 std::vector<std::uint64_t> random_keys(int k, std::size_t n,
                                        std::uint64_t seed) {
@@ -185,7 +181,7 @@ AppResult run_cli(std::vector<std::string> args) {
 
 TEST(StoreCliTest, StoreOutBitIdenticalToFlatDump) {
   const std::string dir = fresh_dir("store_cli");
-  const std::string counts_path = testing::TempDir() + "/store_cli.bin";
+  const std::string counts_path = test_support::temp_path("store_cli.bin");
   const AppResult result = run_cli(
       {"count", "--synthetic=ecoli30x", "--scale=4000", "--ranks=4",
        "--output=" + counts_path, "--store-out=" + dir});
