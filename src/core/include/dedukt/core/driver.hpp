@@ -84,17 +84,6 @@ struct DriverOptions {
 [[nodiscard]] CountResult run_distributed_count(io::ReadBatchStream& stream,
                                                 const DriverOptions& options);
 
-/// Sketch-backend driver (pipeline.sketch): each rank sketches its own
-/// parsed k-mer stream into a count-min sketch — no k-mers cross the wire —
-/// and the per-rank cell arrays merge with one cell-wise-sum
-/// allreduce_vector at the end of the run, charged to the exchange phase.
-/// With heavy_threshold > 0 a second pass re-scans the input (streamed
-/// batches are retained for it) and keeps exact counts for candidates whose
-/// global estimate reaches the threshold. run_distributed_count dispatches
-/// here automatically; exposed for tests and benches.
-[[nodiscard]] CountResult run_sketch_count(io::ReadBatchStream& stream,
-                                           const DriverOptions& options);
-
 /// Serial reference counter (single table, no distribution) with the same
 /// k / encoding / canonical settings — the oracle the tests compare
 /// distributed results against.

@@ -4,23 +4,27 @@
 //
 // Generic over the key type: HostHashTable counts single-word packed
 // k-mers (k <= 31, the paper's regime); WideHostHashTable counts two-word
-// wide k-mers (k <= 63).
+// wide k-mers (k <= 63). The key traits also carry each width's k-mer walk
+// with routing, which the CPU pipelines and the out-of-core pass 1 share.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "dedukt/hash/murmur3.hpp"
+#include "dedukt/kmer/extract.hpp"
 #include "dedukt/kmer/kmer.hpp"
+#include "dedukt/kmer/minimizer.hpp"
 #include "dedukt/kmer/wide.hpp"
 #include "dedukt/util/error.hpp"
 
 namespace dedukt::core {
 
-/// Key policy for single-word packed k-mers.
+/// Key policy for single-word packed k-mers (k <= 31).
 struct NarrowKeyTraits {
   using Key = kmer::KmerCode;
   [[nodiscard]] static constexpr Key invalid() { return kmer::kInvalidCode; }
@@ -28,9 +32,22 @@ struct NarrowKeyTraits {
                                                     std::uint64_t seed) {
     return hash::hash_u64(key, seed);
   }
+
+  /// Visit every k-mer of an ACGT-only `fragment` as (destination rank,
+  /// key): Algorithm 1's parse and route, canonicalized on request.
+  template <typename Fn>
+  static void for_each_routed(std::string_view fragment, int k,
+                              bool canonical, io::BaseEncoding enc,
+                              std::uint32_t parts, Fn&& fn) {
+    kmer::for_each_kmer(fragment, k, enc, [&](kmer::KmerCode code) {
+      if (canonical) code = kmer::canonical(code, k, enc);
+      fn(kmer::kmer_partition(code, parts), code);
+    });
+  }
 };
 
-/// Key policy for two-word wide k-mers.
+/// Key policy for two-word wide k-mers (31 < k <= 63): the 16-byte WideKey
+/// goes on the wire, so the exchanged volume per k-mer doubles.
 struct WideKeyTraits {
   using Key = kmer::WideKey;
   [[nodiscard]] static constexpr Key invalid() {
@@ -39,6 +56,16 @@ struct WideKeyTraits {
   [[nodiscard]] static constexpr std::uint64_t hash(const Key& key,
                                                     std::uint64_t seed) {
     return kmer::hash_wide(key, seed);
+  }
+
+  template <typename Fn>
+  static void for_each_routed(std::string_view fragment, int k,
+                              bool canonical, io::BaseEncoding enc,
+                              std::uint32_t parts, Fn&& fn) {
+    kmer::for_each_wide_kmer(fragment, k, enc, [&](kmer::WideCode code) {
+      if (canonical) code = kmer::wide_canonical(code, k, enc);
+      fn(kmer::wide_kmer_partition(code, parts), kmer::to_key(code));
+    });
   }
 };
 

@@ -1,0 +1,54 @@
+// The count phases of the three exact pipelines (COUNTKMER of Fig. 1).
+//
+// Internal to dedukt_core: each pipeline's lockstep and overlapped rounds
+// call these, and the out-of-core pass 2 (ooc.cpp) calls them after
+// exchanging one spill bin, so a replayed bin is counted and charged
+// exactly like an in-memory round.
+#pragma once
+
+#include <cstdint>
+
+#include "dedukt/core/config.hpp"
+#include "dedukt/core/host_hash_table.hpp"
+#include "dedukt/core/staged_pipeline.hpp"
+#include "dedukt/core/summit.hpp"
+#include "dedukt/gpusim/device.hpp"
+#include "dedukt/mpisim/comm.hpp"
+
+namespace dedukt::core::detail {
+
+/// CPU baseline (Algorithm 1 lines 10-15): fold the received keys into the
+/// local partition of the global hash table.
+template <typename KeyTraits>
+void count_cpu(
+    const mpisim::AlltoallvResult<typename KeyTraits::Key>& received,
+    BasicHostHashTable<KeyTraits>& local_table, RankMetrics& metrics) {
+  PhaseScope phase(metrics, kPhaseCount);
+  for (const auto& key : received.data) {
+    local_table.add(key);
+  }
+  metrics.kmers_received = received.data.size();
+  phase.set_uniform_charge(static_cast<double>(metrics.kmers_received) /
+                           summit::kCpuCountKmersPerSec);
+}
+
+/// GPU k-mer pipeline (§III-B3): count the received k-mers in a device
+/// hash table and merge it into `local_table`. Frees `d_recv`.
+void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
+                     const mpisim::AlltoallvResult<std::uint64_t>& received,
+                     gpusim::DeviceBuffer<std::uint64_t>& d_recv,
+                     HostHashTable& local_table, RankMetrics& metrics);
+
+/// GPU supermer pipeline (§IV): extract the k-mers of the received
+/// supermers on the device, count them, and merge into `local_table`.
+/// Frees the device buffers. Word is the supermer packing: std::uint64_t
+/// or kmer::WideKey.
+template <typename Word>
+void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
+                         const mpisim::AlltoallvResult<Word>& recv_words,
+                         const mpisim::AlltoallvResult<std::uint8_t>& recv_lens,
+                         gpusim::DeviceBuffer<Word>& d_recv_words,
+                         gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
+                         HostHashTable& local_table, RankMetrics& metrics);
+
+}  // namespace dedukt::core::detail

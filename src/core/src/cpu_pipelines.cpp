@@ -7,79 +7,37 @@
 //    the hash is the 128->64 mix, so the exchanged volume per k-mer
 //    doubles — exactly the regime where the supermer idea pays off most.
 //
-// One translation unit, templated on a key-traits struct (mirroring how
-// the supermer pipeline templates on its packing word); each round is the
-// parse -> exchange -> count stage sequence on the staged pipeline
-// framework.
+// One translation unit, templated on the key traits of host_hash_table.hpp
+// (mirroring how the supermer pipeline templates on its packing word); each
+// round is the parse -> exchange -> count stage sequence on the staged
+// pipeline framework.
 #include <vector>
 
+#include "count_stages.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
-#include "dedukt/io/partition.hpp"
 #include "dedukt/kmer/extract.hpp"
-#include "dedukt/kmer/wide.hpp"
-#include "dedukt/trace/trace.hpp"
 
 namespace dedukt::core {
 
 namespace {
 
-/// Single-word keys (k <= 31): the packed code itself goes on the wire.
-struct NarrowCpuTraits {
-  using Wire = std::uint64_t;
-  using Table = HostHashTable;
-
-  /// Visit every k-mer of `fragment` as (destination rank, wire key).
-  template <typename Fn>
-  static void for_each_routed(std::string_view fragment,
-                              const PipelineConfig& config,
-                              io::BaseEncoding enc, std::uint32_t parts,
-                              Fn&& fn) {
-    kmer::for_each_kmer(fragment, config.k, enc, [&](kmer::KmerCode code) {
-      if (config.canonical) {
-        code = kmer::canonical(code, config.k, enc);
-      }
-      fn(kmer::kmer_partition(code, parts), code);
-    });
-  }
-};
-
-/// Two-word keys (31 < k <= 63): the 16-byte WideKey goes on the wire.
-struct WideCpuTraits {
-  using Wire = kmer::WideKey;
-  using Table = WideHostHashTable;
-
-  template <typename Fn>
-  static void for_each_routed(std::string_view fragment,
-                              const PipelineConfig& config,
-                              io::BaseEncoding enc, std::uint32_t parts,
-                              Fn&& fn) {
-    kmer::for_each_wide_kmer(
-        fragment, config.k, enc, [&](kmer::WideCode code) {
-          if (config.canonical) {
-            code = kmer::wide_canonical(code, config.k, enc);
-          }
-          fn(kmer::wide_kmer_partition(code, parts), kmer::to_key(code));
-        });
-  }
-};
-
 /// PARSEKMER (one full parse phase): extract k-mers and bucket them by
 /// destination processor. Shared verbatim by the lockstep and overlapped
 /// paths so their operations — and the parse charge — cannot drift.
-template <typename Traits>
-std::vector<std::vector<typename Traits::Wire>> parse_cpu(
+template <typename KeyTraits>
+std::vector<std::vector<typename KeyTraits::Key>> parse_cpu(
     const io::ReadBatch& reads, const PipelineConfig& config,
     std::uint32_t parts, RankMetrics& metrics) {
   const io::BaseEncoding enc = config.encoding();
-  std::vector<std::vector<typename Traits::Wire>> outgoing(parts);
+  std::vector<std::vector<typename KeyTraits::Key>> outgoing(parts);
   PhaseScope phase(metrics, kPhaseParse);
   for (const auto& read : reads.reads) {
     for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-      Traits::for_each_routed(
-          fragment, config, enc, parts,
-          [&](std::uint32_t dest, const typename Traits::Wire& key) {
+      KeyTraits::for_each_routed(
+          fragment, config.k, config.canonical, enc, parts,
+          [&](std::uint32_t dest, const typename KeyTraits::Key& key) {
             outgoing[dest].push_back(key);
             ++metrics.kmers_parsed;
           });
@@ -90,36 +48,22 @@ std::vector<std::vector<typename Traits::Wire>> parse_cpu(
   return outgoing;
 }
 
-/// COUNTKMER (one full count phase): fold the received keys into the local
-/// partition of the global hash table.
-template <typename Traits>
-void count_cpu(const mpisim::AlltoallvResult<typename Traits::Wire>& received,
-               typename Traits::Table& local_table, RankMetrics& metrics) {
-  PhaseScope phase(metrics, kPhaseCount);
-  for (const auto& key : received.data) {
-    local_table.add(key);
-  }
-  metrics.kmers_received = received.data.size();
-  phase.set_uniform_charge(static_cast<double>(metrics.kmers_received) /
-                           summit::kCpuCountKmersPerSec);
-}
-
 /// One round of Algorithm 1 (the whole job when it fits in memory).
-template <typename Traits>
+template <typename KeyTraits>
 RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
                            const PipelineConfig& config,
-                           typename Traits::Table& local_table) {
+                           BasicHostHashTable<KeyTraits>& local_table) {
   const auto parts = static_cast<std::uint32_t>(comm.size());
 
   RankMetrics metrics;
   metrics.reads = reads.size();
   metrics.bases = reads.total_bases();
 
-  std::vector<std::vector<typename Traits::Wire>> outgoing =
-      parse_cpu<Traits>(reads, config, parts, metrics);
+  std::vector<std::vector<typename KeyTraits::Key>> outgoing =
+      parse_cpu<KeyTraits>(reads, config, parts, metrics);
 
   // --- EXCHANGEKMER: Alltoallv of packed k-mers ---
-  mpisim::AlltoallvResult<typename Traits::Wire> received;
+  mpisim::AlltoallvResult<typename KeyTraits::Key> received;
   {
     PhaseScope phase(metrics, kPhaseExchange);
     ExchangePlan plan(comm, /*device=*/nullptr, /*staged=*/false,
@@ -130,7 +74,7 @@ RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
   outgoing.clear();
   outgoing.shrink_to_fit();
 
-  count_cpu<Traits>(received, local_table, metrics);
+  detail::count_cpu(received, local_table, metrics);
 
   metrics.unique_kmers = local_table.unique();
   metrics.counted_kmers = local_table.total();
@@ -140,21 +84,21 @@ RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
 /// The round decomposition RoundRunner::run_overlapped drives: parse and
 /// count call the exact helpers of the lockstep path; the exchange is
 /// split into a nonblocking post and a wait-side receive.
-template <typename Traits>
+template <typename KeyTraits>
 struct CpuOverlapStages {
-  using Wire = typename Traits::Wire;
-  using Parsed = std::vector<std::vector<Wire>>;
-  using Pending = mpisim::Request<Wire>;
-  using Received = mpisim::AlltoallvResult<Wire>;
+  using Key = typename KeyTraits::Key;
+  using Parsed = std::vector<std::vector<Key>>;
+  using Pending = mpisim::Request<Key>;
+  using Received = mpisim::AlltoallvResult<Key>;
 
   const PipelineConfig& config;
   std::uint32_t parts;
-  typename Traits::Table& local_table;
+  BasicHostHashTable<KeyTraits>& local_table;
 
   Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
     metrics.reads = reads.size();
     metrics.bases = reads.total_bases();
-    return parse_cpu<Traits>(reads, config, parts, metrics);
+    return parse_cpu<KeyTraits>(reads, config, parts, metrics);
   }
 
   Pending post(Parsed&& outgoing, ExchangePlan& plan, RankMetrics&) {
@@ -166,17 +110,17 @@ struct CpuOverlapStages {
   }
 
   void count(Received&& received, RankMetrics& metrics) {
-    count_cpu<Traits>(received, local_table, metrics);
+    detail::count_cpu(received, local_table, metrics);
   }
 };
 
-template <typename Traits>
+template <typename KeyTraits>
 RankMetrics run_cpu_pipeline(mpisim::Comm& comm, const io::ReadBatch& reads,
                              const PipelineConfig& config,
-                             typename Traits::Table& local_table) {
+                             BasicHostHashTable<KeyTraits>& local_table) {
   const RoundRunner runner(comm, reads, config);
   if (config.overlap_rounds) {
-    CpuOverlapStages<Traits> stages{
+    CpuOverlapStages<KeyTraits> stages{
         config, static_cast<std::uint32_t>(comm.size()), local_table};
     const OverlapExchangeSpec spec{/*device=*/nullptr, /*staged=*/false,
                                    /*overhead_seconds=*/0.0,
@@ -184,7 +128,7 @@ RankMetrics run_cpu_pipeline(mpisim::Comm& comm, const io::ReadBatch& reads,
     return runner.run_overlapped(comm, spec, local_table, stages);
   }
   return runner.run(local_table, [&](const io::ReadBatch& batch) {
-    return run_cpu_single<Traits>(comm, batch, config, local_table);
+    return run_cpu_single<KeyTraits>(comm, batch, config, local_table);
   });
 }
 
@@ -194,19 +138,14 @@ RankMetrics run_cpu_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
                          const PipelineConfig& config,
                          HostHashTable& local_table) {
   config.validate();
-  return run_cpu_pipeline<NarrowCpuTraits>(comm, reads, config, local_table);
+  return run_cpu_pipeline<NarrowKeyTraits>(comm, reads, config, local_table);
 }
 
 RankMetrics run_cpu_wide_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
                               const PipelineConfig& config,
                               WideHostHashTable& local_table) {
-  DEDUKT_REQUIRE_MSG(config.k > kmer::kMaxPackedK &&
-                         config.k <= kmer::kMaxWideK,
-                     "wide pipeline handles 31 < k <= 63, got k="
-                         << config.k);
-  DEDUKT_REQUIRE_MSG(config.kind == PipelineKind::kCpu,
-                     "wide-k counting is CPU-pipeline only");
-  return run_cpu_pipeline<WideCpuTraits>(comm, reads, config, local_table);
+  config.validate();
+  return run_cpu_pipeline<WideKeyTraits>(comm, reads, config, local_table);
 }
 
 }  // namespace dedukt::core

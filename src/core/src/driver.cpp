@@ -1,69 +1,130 @@
 #include "dedukt/core/driver.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <utility>
-
-#include "dedukt/core/ooc.hpp"
 #include "dedukt/core/pipeline.hpp"
-#include "dedukt/core/round_runner.hpp"
 #include "dedukt/gpusim/device.hpp"
-#include "dedukt/io/partition.hpp"
 #include "dedukt/kmer/extract.hpp"
 #include "dedukt/kmer/wide.hpp"
-#include "dedukt/mpisim/runtime.hpp"
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
+#include "engine.hpp"
 
 namespace dedukt::core {
 
-namespace {
-
-/// Wire format for gathering per-rank table entries to rank 0.
-struct KmerCount {
-  std::uint64_t key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<KmerCount>);
-
-}  // namespace
-
 namespace detail {
 
-void merge_gathered_counts(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>& counts) {
-  std::sort(counts.begin(), counts.end());
-  // Partitioning normally sends every occurrence of a k-mer to one rank,
-  // so keys are disjoint across parts — but sum duplicates anyway: the
-  // frequency-balanced routing schemes re-sample their assignment per
-  // batch under streamed ingest, so a minimizer may legally land on
-  // different ranks in different batches.
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < counts.size(); ++read) {
-    if (write > 0 && counts[write - 1].first == counts[read].first) {
-      counts[write - 1].second += counts[read].second;
-    } else {
-      counts[write++] = counts[read];
-    }
+void validate_run(const DriverOptions& options, bool wide_keys) {
+  const PipelineConfig& config = options.pipeline;
+  config.validate();
+  DEDUKT_REQUIRE_MSG(options.nranks >= 1,
+                     "need at least one rank, got " << options.nranks);
+  if (wide_keys) {
+    DEDUKT_REQUIRE_MSG(config.kind == PipelineKind::kCpu,
+                       "wide-k counting runs on the CPU pipeline");
+    DEDUKT_REQUIRE_MSG(config.k > kmer::kMaxPackedK,
+                       "the wide entry point counts 31 < k <= 63, got k="
+                           << config.k);
+    DEDUKT_REQUIRE_MSG(!config.sketch,
+                       "the sketch backend counts one-word keys (k <= 31)");
+  } else {
+    DEDUKT_REQUIRE_MSG(config.k <= kmer::kMaxPackedK,
+                       "one-word keys hold k <= 31, got k="
+                           << config.k
+                           << "; 31 < k <= 63 counts through "
+                              "run_distributed_count_wide");
   }
-  counts.resize(write);
-}
-
-void merge_gathered_counts_wide(
-    std::vector<std::pair<kmer::WideKey, std::uint64_t>>& counts) {
-  std::sort(counts.begin(), counts.end());
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < counts.size(); ++read) {
-    if (write > 0 && counts[write - 1].first == counts[read].first) {
-      counts[write - 1].second += counts[read].second;
-    } else {
-      counts[write++] = counts[read];
-    }
+  if (options.ooc.enabled()) {
+    DEDUKT_REQUIRE_MSG(options.ooc.bins >= 1,
+                       "--ooc-bins must be >= 1, got " << options.ooc.bins);
+    DEDUKT_REQUIRE_MSG(!config.overlap_rounds,
+                       "out-of-core mode and --overlap-rounds are mutually "
+                       "exclusive (pass 2 replays bins in lockstep)");
+    DEDUKT_REQUIRE_MSG(config.max_kmers_per_round == 0,
+                       "out-of-core bins replace multi-round processing; "
+                       "leave --max-kmers-per-round unset");
+    DEDUKT_REQUIRE_MSG(!config.filter_singletons,
+                       "the Bloom pre-filter cannot span spill bins");
+    DEDUKT_REQUIRE_MSG(!config.source_consolidation,
+                       "source-side consolidation is incompatible with "
+                       "out-of-core spilling");
+    DEDUKT_REQUIRE_MSG(!config.sketch,
+                       "the sketch backend is already one-pass with a fixed "
+                       "footprint; compose --batch-reads/--batch-bytes "
+                       "streaming instead of --ooc-spill");
   }
-  counts.resize(write);
 }
 
 }  // namespace detail
+
+namespace {
+
+/// One rank's share of one batch through the selected exact pipeline.
+/// Each GPU rank builds its simulated device per batch.
+RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
+                     const DriverOptions& options, HostHashTable& table) {
+  switch (options.pipeline.kind) {
+    case PipelineKind::kCpu:
+      return run_cpu_rank(comm, mine, options.pipeline, table);
+    case PipelineKind::kGpuKmer: {
+      gpusim::Device device(options.device);
+      return run_gpu_kmer_rank(comm, device, mine, options.pipeline, table);
+    }
+    case PipelineKind::kGpuSupermer: {
+      gpusim::Device device(options.device);
+      return run_gpu_supermer_rank(comm, device, mine, options.pipeline,
+                                   table);
+    }
+  }
+  return {};
+}
+
+RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
+                     const DriverOptions& options, WideHostHashTable& table) {
+  return run_cpu_wide_rank(comm, mine, options.pipeline, table);
+}
+
+/// The exact count on persistent per-rank tables: every pulled batch runs
+/// the pipeline against them, so the final state equals the one-shot
+/// run's. Returns the gathered global counts (empty unless
+/// options.collect_counts).
+template <typename KeyTraits>
+typename detail::CountEngine<KeyTraits>::Counts count_exact(
+    io::ReadBatchStream& stream, const DriverOptions& options,
+    CountResult& result) {
+  detail::CountEngine<KeyTraits> engine(options, result);
+  if (options.ooc.enabled()) {
+    detail::count_out_of_core(engine, stream);
+    return engine.gathered_counts();
+  }
+  std::vector<BasicHostHashTable<KeyTraits>> tables(engine.nranks());
+  engine.run_batches(
+      stream, "rank_pipeline",
+      [&](mpisim::Comm& comm, const io::ReadBatch& mine,
+          const detail::BatchInfo& batch) {
+        auto& table = tables[static_cast<std::size_t>(comm.rank())];
+        RankMetrics metrics = run_rank(comm, mine, options, table);
+        // Streamed runs report the footprint (max over batches); the
+        // single-batch path leaves the field 0 and emits no counter, so
+        // in-memory metrics output stays byte-identical to the pre-stream
+        // code.
+        if (!batch.single()) {
+          metrics.peak_resident_bytes = io::resident_read_bytes(mine) +
+                                        metrics.bytes_sent +
+                                        metrics.bytes_received;
+        }
+        return metrics;
+      },
+      [&](mpisim::Comm& comm, const detail::BatchInfo& batch) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        if (!batch.single()) {
+          trace::counter("peak_resident_bytes",
+                         result.ranks[rank].peak_resident_bytes);
+        }
+        if (options.collect_counts) engine.gather(comm, tables[rank]);
+      });
+  return engine.gathered_counts();
+}
+
+}  // namespace
 
 CountResult run_distributed_count(const io::ReadBatch& reads,
                                   const DriverOptions& options) {
@@ -73,121 +134,11 @@ CountResult run_distributed_count(const io::ReadBatch& reads,
 
 CountResult run_distributed_count(io::ReadBatchStream& stream,
                                   const DriverOptions& options) {
-  options.pipeline.validate();
-  DEDUKT_REQUIRE(options.nranks >= 1);
-  if (options.pipeline.sketch) return run_sketch_count(stream, options);
-  if (options.ooc.enabled()) return run_ooc_count(stream, options);
-
-  const auto nranks = static_cast<std::size_t>(options.nranks);
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
+  if (options.pipeline.sketch) {
+    return detail::run_sketch_count(stream, options);
+  }
   CountResult result;
-  result.config = options.pipeline;
-  result.nranks = options.nranks;
-  result.ranks.resize(nranks);
-
-  // Per-rank tables persist across batches: each pulled batch runs the
-  // pipeline against them, so the final state equals the one-shot run's.
-  std::vector<HostHashTable> tables(nranks);
-  std::vector<std::uint64_t> peaks(nranks, 0);
-
-  // Written only by rank 0 inside the run; read after the run returns.
-  std::vector<std::vector<KmerCount>> gathered;
-
-  // Pre-pull one batch ahead so the loop knows when it is processing the
-  // last one (the gather must happen inside that batch's runtime.run).
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();  // empty input: one empty batch
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const bool last = !following;
-    const std::vector<io::ReadBatch> parts =
-        io::partition_by_bases(*batch, options.nranks);
-
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      const io::ReadBatch& mine = parts[rank];
-
-      // Top-level app span: everything this rank does for the batch — the
-      // pipeline's phase spans and collectives nest inside it.
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_pipeline");
-      if (rank_span.active()) {
-        rank_span.arg_u64("reads", mine.size());
-        rank_span.arg_u64("bases", mine.total_bases());
-      }
-
-      HostHashTable& table = tables[rank];
-      RankMetrics metrics;
-      switch (options.pipeline.kind) {
-        case PipelineKind::kCpu:
-          metrics = run_cpu_rank(comm, mine, options.pipeline, table);
-          break;
-        case PipelineKind::kGpuKmer: {
-          gpusim::Device device(options.device);
-          metrics =
-              run_gpu_kmer_rank(comm, device, mine, options.pipeline, table);
-          break;
-        }
-        case PipelineKind::kGpuSupermer: {
-          gpusim::Device device(options.device);
-          metrics = run_gpu_supermer_rank(comm, device, mine,
-                                          options.pipeline, table);
-          break;
-        }
-      }
-      peaks[rank] = std::max(peaks[rank], io::resident_read_bytes(mine) +
-                                              metrics.bytes_sent +
-                                              metrics.bytes_received);
-      if (batch_index == 0) {
-        result.ranks[rank] = metrics;
-      } else {
-        RankMetrics& total = result.ranks[rank];
-        accumulate_round(total, metrics);
-        // Table-derived fields reflect the latest (cumulative) table state,
-        // not a per-batch delta — take the final batch's values.
-        total.unique_kmers = metrics.unique_kmers;
-        total.counted_kmers = metrics.counted_kmers;
-      }
-
-      if (last) {
-        if (batch_index > 0) {
-          // Streamed runs report the footprint; the single-batch path
-          // leaves the field 0 and emits no counter, so in-memory metrics
-          // output stays byte-identical to the pre-stream code.
-          result.ranks[rank].peak_resident_bytes = peaks[rank];
-          trace::counter("peak_resident_bytes", peaks[rank]);
-        }
-        if (options.collect_counts) {
-          std::vector<KmerCount> entries;
-          entries.reserve(table.unique());
-          table.for_each([&](std::uint64_t key, std::uint64_t count) {
-            entries.push_back({key, count});
-          });
-          auto all = comm.gatherv(entries, /*root=*/0);
-          if (comm.rank() == 0) gathered = std::move(all);
-        }
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
-
-  if (options.collect_counts) {
-    std::size_t total = 0;
-    for (const auto& part : gathered) total += part.size();
-    result.global_counts.reserve(total);
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.global_counts.emplace_back(entry.key, entry.count);
-      }
-    }
-    detail::merge_gathered_counts(result.global_counts);
-  }
+  result.global_counts = count_exact<NarrowKeyTraits>(stream, options, result);
   return result;
 }
 
@@ -206,17 +157,6 @@ HostHashTable reference_count(const io::ReadBatch& reads,
   return table;
 }
 
-namespace {
-
-/// Wire format for gathering wide per-rank table entries to rank 0.
-struct WideKmerCount {
-  kmer::WideKey key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<WideKmerCount>);
-
-}  // namespace
-
 WideCountResult run_distributed_count_wide(const io::ReadBatch& reads,
                                            const DriverOptions& options) {
   io::VectorBatchStream stream(reads, options.batch);
@@ -225,84 +165,9 @@ WideCountResult run_distributed_count_wide(const io::ReadBatch& reads,
 
 WideCountResult run_distributed_count_wide(io::ReadBatchStream& stream,
                                            const DriverOptions& options) {
-  options.pipeline.validate();
-  DEDUKT_REQUIRE_MSG(options.pipeline.kind == PipelineKind::kCpu,
-                     "wide-k counting runs on the CPU pipeline");
-  DEDUKT_REQUIRE(options.nranks >= 1);
-  if (options.ooc.enabled()) return run_ooc_count_wide(stream, options);
-
-  const auto nranks = static_cast<std::size_t>(options.nranks);
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
   WideCountResult result;
-  result.base.config = options.pipeline;
-  result.base.nranks = options.nranks;
-  result.base.ranks.resize(nranks);
-
-  std::vector<WideHostHashTable> tables(nranks);
-  std::vector<std::uint64_t> peaks(nranks, 0);
-  std::vector<std::vector<WideKmerCount>> gathered;
-
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const bool last = !following;
-    const std::vector<io::ReadBatch> parts =
-        io::partition_by_bases(*batch, options.nranks);
-
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_pipeline");
-      WideHostHashTable& table = tables[rank];
-      RankMetrics metrics =
-          run_cpu_wide_rank(comm, parts[rank], options.pipeline, table);
-      peaks[rank] =
-          std::max(peaks[rank], io::resident_read_bytes(parts[rank]) +
-                                    metrics.bytes_sent +
-                                    metrics.bytes_received);
-      if (batch_index == 0) {
-        result.base.ranks[rank] = metrics;
-      } else {
-        RankMetrics& total = result.base.ranks[rank];
-        accumulate_round(total, metrics);
-        total.unique_kmers = metrics.unique_kmers;
-        total.counted_kmers = metrics.counted_kmers;
-      }
-
-      if (last) {
-        if (batch_index > 0) {
-          result.base.ranks[rank].peak_resident_bytes = peaks[rank];
-          trace::counter("peak_resident_bytes", peaks[rank]);
-        }
-        if (options.collect_counts) {
-          std::vector<WideKmerCount> entries;
-          entries.reserve(table.unique());
-          table.for_each([&](const kmer::WideKey& key, std::uint64_t count) {
-            entries.push_back({key, count});
-          });
-          auto all = comm.gatherv(entries, /*root=*/0);
-          if (comm.rank() == 0) gathered = std::move(all);
-        }
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
-
-  if (options.collect_counts) {
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.global_counts.emplace_back(entry.key, entry.count);
-      }
-    }
-    detail::merge_gathered_counts_wide(result.global_counts);
-  }
+  result.global_counts =
+      count_exact<WideKeyTraits>(stream, options, result.base);
   return result;
 }
 

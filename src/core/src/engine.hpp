@@ -1,0 +1,222 @@
+// The count engine: the one driver loop behind every counting mode.
+//
+// In-memory, streamed, out-of-core and sketch runs are one dataflow (parse,
+// exchange, count; Fig. 1) and differ only in what a rank does with each
+// batch. CountEngine owns what they share:
+//
+//  * the simulated network and the mpisim::Runtime;
+//  * the batch loop, which pulls batches one ahead, splits each across the
+//    ranks by bases and runs every rank;
+//  * the fold of each batch's ledger into the rank totals;
+//  * the final gather and merge of the (key, count) pairs.
+//
+// It is a template over the key traits of host_hash_table.hpp:
+// NarrowKeyTraits for one-word keys (k <= 31) and WideKeyTraits for
+// two-word keys (31 < k <= 63). Internal to dedukt_core.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "dedukt/core/driver.hpp"
+#include "dedukt/core/host_hash_table.hpp"
+#include "dedukt/core/round_runner.hpp"
+#include "dedukt/io/partition.hpp"
+#include "dedukt/mpisim/runtime.hpp"
+#include "dedukt/trace/trace.hpp"
+
+namespace dedukt::core::detail {
+
+/// Every driver-level rule, checked once per run before any rank starts:
+/// the key width each entry point accepts, the rank count, and which modes
+/// compose with out-of-core spilling and the sketch backend.
+/// PipelineConfig::validate() keeps the rules that concern the pipeline
+/// config alone. Defined in driver.cpp.
+void validate_run(const DriverOptions& options, bool wide_keys);
+
+/// Wire layout of one gathered (key, count) pair.
+template <typename Key>
+struct KeyCount {
+  Key key;
+  std::uint64_t count;
+};
+
+/// Sort gathered (key, count) pairs and sum duplicate keys. Partitioning
+/// normally sends every occurrence of a k-mer to one rank, so keys are
+/// disjoint across parts — but sum duplicates anyway: the
+/// frequency-balanced routing schemes re-sample their assignment per batch
+/// under streamed ingest, so a minimizer may legally land on different
+/// ranks in different batches.
+template <typename Key>
+void merge_gathered_counts(std::vector<std::pair<Key, std::uint64_t>>& counts) {
+  std::sort(counts.begin(), counts.end());
+  std::size_t write = 0;
+  for (std::size_t read = 0; read < counts.size(); ++read) {
+    if (write > 0 && counts[write - 1].first == counts[read].first) {
+      counts[write - 1].second += counts[read].second;
+    } else {
+      counts[write++] = counts[read];
+    }
+  }
+  counts.resize(write);
+}
+
+/// Where a batch sits in its stream.
+struct BatchInfo {
+  std::uint64_t index = 0;
+  bool last = false;
+
+  /// The whole input came as one batch: the historical in-memory run,
+  /// which reports no peak footprint.
+  [[nodiscard]] bool single() const { return index == 0 && last; }
+};
+
+template <typename KeyTraits>
+class CountEngine {
+ public:
+  using Key = typename KeyTraits::Key;
+  using Table = BasicHostHashTable<KeyTraits>;
+  using Counts = std::vector<std::pair<Key, std::uint64_t>>;
+
+  /// Checks the run's rules, then sets up `result` (config, rank count and
+  /// one ledger per rank) and the simulated network.
+  CountEngine(const DriverOptions& options, CountResult& result)
+      : options_(validated(options)),
+        result_(result),
+        runtime_(options.nranks,
+                 options.summit_network
+                     ? summit::network(options.effective_ranks_per_node())
+                     : mpisim::NetworkModel::local()) {
+    result.config = options.pipeline;
+    result.nranks = options.nranks;
+    result.ranks.resize(nranks());
+  }
+
+  CountEngine(const CountEngine&) = delete;
+  CountEngine& operator=(const CountEngine&) = delete;
+
+  [[nodiscard]] const DriverOptions& options() const { return options_; }
+  [[nodiscard]] CountResult& result() { return result_; }
+  [[nodiscard]] std::size_t nranks() const {
+    return static_cast<std::size_t>(options_.nranks);
+  }
+
+  /// The batch loop. Pulls `stream` one batch ahead (an empty input is one
+  /// empty batch), splits each batch across the ranks by bases, and runs
+  /// `RankMetrics run_rank(Comm&, const ReadBatch& mine, const BatchInfo&)`
+  /// on every rank inside an app span named `span_name`. The returned
+  /// ledger folds into the rank's total: the first batch assigns it, later
+  /// batches add to it, and the table-derived fields take the latest
+  /// batch's values. After the last batch's fold, `finish(Comm&, const
+  /// BatchInfo&)` runs in the same span; that is where the gather goes.
+  template <typename RunRank, typename Finish>
+  void run_batches(io::ReadBatchStream& stream, const char* span_name,
+                   RunRank&& run_rank, Finish&& finish) {
+    std::optional<io::ReadBatch> batch = stream.next();
+    if (!batch) batch.emplace();
+    BatchInfo info;
+    while (batch) {
+      // Pulled before the run so the loop knows which batch is the last.
+      std::optional<io::ReadBatch> following = stream.next();
+      info.last = !following;
+      const std::vector<io::ReadBatch> parts =
+          io::partition_by_bases(*batch, options_.nranks);
+
+      runtime_.run([&](mpisim::Comm& comm) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        const io::ReadBatch& mine = parts[rank];
+        // Top-level app span: everything this rank does for the batch.
+        trace::ScopedSpan rank_span(trace::kCategoryApp, span_name);
+        if (rank_span.active()) {
+          rank_span.arg_u64("reads", mine.size());
+          rank_span.arg_u64("bases", mine.total_bases());
+        }
+
+        const RankMetrics metrics = run_rank(comm, mine, info);
+        RankMetrics& total = result_.ranks[rank];
+        if (info.index == 0) {
+          total = metrics;
+        } else {
+          accumulate_round(total, metrics);
+          total.unique_kmers = metrics.unique_kmers;
+          total.counted_kmers = metrics.counted_kmers;
+        }
+        if (info.last) finish(comm, info);
+      });
+      batch = std::move(following);
+      ++info.index;
+    }
+  }
+
+  /// Run `fn(Comm&)` once on every rank inside an app span named
+  /// `span_name` (the out-of-core replay pass).
+  template <typename Fn>
+  void run(const char* span_name, Fn&& fn) {
+    runtime_.run([&](mpisim::Comm& comm) {
+      trace::ScopedSpan rank_span(trace::kCategoryApp, span_name);
+      fn(comm);
+    });
+  }
+
+  /// Collective: send `table`'s (key, count) pairs to rank 0. Called inside
+  /// a rank span, so the gatherv counts toward the rank's core layer.
+  void gather(mpisim::Comm& comm, const Table& table) {
+    std::vector<KeyCount<Key>> entries;
+    entries.reserve(table.unique());
+    table.for_each([&](const Key& key, std::uint64_t count) {
+      entries.push_back({key, count});
+    });
+    auto all = comm.gatherv(entries, /*root=*/0);
+    if (comm.rank() == 0) gathered_ = std::move(all);
+  }
+
+  /// Every gathered pair, sorted by key with duplicates summed; empty when
+  /// nothing was gathered.
+  [[nodiscard]] Counts gathered_counts() const {
+    std::size_t total = 0;
+    for (const auto& part : gathered_) total += part.size();
+    Counts counts;
+    counts.reserve(total);
+    for (const auto& part : gathered_) {
+      for (const auto& entry : part) counts.emplace_back(entry.key, entry.count);
+    }
+    merge_gathered_counts(counts);
+    return counts;
+  }
+
+ private:
+  static const DriverOptions& validated(const DriverOptions& options) {
+    validate_run(options, std::is_same_v<KeyTraits, WideKeyTraits>);
+    return options;
+  }
+
+  const DriverOptions& options_;
+  CountResult& result_;
+  mpisim::Runtime runtime_;
+  /// Written only by rank 0 inside a run; read after the run returns.
+  std::vector<std::vector<KeyCount<Key>>> gathered_;
+};
+
+/// The out-of-core two-pass count (options.ooc.enabled()), defined in
+/// ooc.cpp for both key traits. Gathers the tables when
+/// options.collect_counts is set.
+template <typename KeyTraits>
+void count_out_of_core(CountEngine<KeyTraits>& engine,
+                       io::ReadBatchStream& stream);
+
+/// Sketch-backend driver (pipeline.sketch), defined in sketch_pipeline.cpp:
+/// each rank sketches its own parsed k-mer stream into a count-min sketch —
+/// no k-mers cross the wire — and the per-rank cell arrays merge with one
+/// cell-wise-sum allreduce_vector after the last batch, charged to the
+/// exchange phase. With heavy_threshold > 0 a second pass re-scans the
+/// input (streamed batches are retained for it) and keeps exact counts for
+/// candidates whose global estimate reaches the threshold.
+/// run_distributed_count dispatches here.
+[[nodiscard]] CountResult run_sketch_count(io::ReadBatchStream& stream,
+                                           const DriverOptions& options);
+
+}  // namespace dedukt::core::detail

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "count_stages.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
 #include "dedukt/core/kernels.hpp"
@@ -19,6 +20,37 @@
 #include "dedukt/trace/trace.hpp"
 
 namespace dedukt::core {
+
+namespace detail {
+
+/// Count phase of the main path: build the k-mer counter on the device.
+void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
+                     const mpisim::AlltoallvResult<std::uint64_t>& received,
+                     gpusim::DeviceBuffer<std::uint64_t>& d_recv,
+                     HostHashTable& local_table, RankMetrics& metrics) {
+  PhaseScope phase(metrics, kPhaseCount, device);
+
+  DeviceHashTable table(device, received.data.size(),
+                        config.table_headroom, config.smem_agg);
+  if (config.filter_singletons) {
+    DeviceBloomFilter bloom(device, received.data.size());
+    table.count_kmers_filtered(d_recv, received.data.size(), bloom);
+  } else {
+    table.count_kmers(d_recv, received.data.size());
+  }
+  device.free(d_recv);
+
+  for (const auto& [key, count] : table.to_host()) {
+    local_table.add(key, count);
+  }
+  metrics.kmers_received = received.data.size();
+  phase.set_device_floor_charge(
+      static_cast<double>(metrics.kmers_received) /
+          summit::kGpuCountKmersPerSec,
+      summit::kGpuCountOverheadSec);
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -146,33 +178,6 @@ void count_gpu_pairs(
       summit::kGpuCountOverheadSec);
 }
 
-/// Count phase of the main path: build the k-mer counter on the device.
-void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
-                     const mpisim::AlltoallvResult<std::uint64_t>& received,
-                     gpusim::DeviceBuffer<std::uint64_t>& d_recv,
-                     HostHashTable& local_table, RankMetrics& metrics) {
-  PhaseScope phase(metrics, kPhaseCount, device);
-
-  DeviceHashTable table(device, received.data.size(),
-                        config.table_headroom, config.smem_agg);
-  if (config.filter_singletons) {
-    DeviceBloomFilter bloom(device, received.data.size());
-    table.count_kmers_filtered(d_recv, received.data.size(), bloom);
-  } else {
-    table.count_kmers(d_recv, received.data.size());
-  }
-  device.free(d_recv);
-
-  for (const auto& [key, count] : table.to_host()) {
-    local_table.add(key, count);
-  }
-  metrics.kmers_received = received.data.size();
-  phase.set_device_floor_charge(
-      static_cast<double>(metrics.kmers_received) /
-          summit::kGpuCountKmersPerSec,
-      summit::kGpuCountOverheadSec);
-}
-
 /// One round of the pipeline (the whole job when it fits in memory).
 RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
                                 const io::ReadBatch& reads,
@@ -229,7 +234,8 @@ RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
     phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
   }
 
-  count_gpu_kmers(device, config, received, d_recv, local_table, metrics);
+  detail::count_gpu_kmers(device, config, received, d_recv, local_table,
+                          metrics);
 
   metrics.unique_kmers = local_table.unique();
   metrics.counted_kmers = local_table.total();
@@ -272,8 +278,8 @@ struct GpuKmerOverlapStages {
   }
 
   void count(Received&& received, RankMetrics& metrics) {
-    count_gpu_kmers(device, config, received.result, received.d_recv,
-                    local_table, metrics);
+    detail::count_gpu_kmers(device, config, received.result,
+                            received.d_recv, local_table, metrics);
   }
 };
 

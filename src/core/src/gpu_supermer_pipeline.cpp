@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "count_stages.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
 #include "dedukt/core/kernels.hpp"
@@ -21,6 +22,79 @@
 #include "dedukt/trace/trace.hpp"
 
 namespace dedukt::core {
+
+namespace detail {
+
+/// Count phase: extract k-mers from received supermers and count. Shared
+/// verbatim by the lockstep and overlapped paths and the out-of-core
+/// replay.
+template <typename Word>
+void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
+                         const mpisim::AlltoallvResult<Word>& recv_words,
+                         const mpisim::AlltoallvResult<std::uint8_t>& recv_lens,
+                         gpusim::DeviceBuffer<Word>& d_recv_words,
+                         gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
+                         HostHashTable& local_table, RankMetrics& metrics) {
+  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
+  PhaseScope phase(metrics, kPhaseCount, device);
+
+  metrics.supermers_received = recv_words.data.size();
+  std::uint64_t kmers_to_count = 0;
+  for (const std::uint8_t len : recv_lens.data) {
+    kmers_to_count += static_cast<std::uint64_t>(len) -
+                      static_cast<std::uint64_t>(config.k) + 1;
+  }
+
+  DeviceHashTable table(device, kmers_to_count, config.table_headroom,
+                        config.smem_agg);
+  if (config.filter_singletons) {
+    DeviceBloomFilter bloom(device, kmers_to_count);
+    if constexpr (kWide) {
+      table.count_wide_supermers_filtered(d_recv_words, d_recv_lens,
+                                          recv_words.data.size(),
+                                          config.k, bloom);
+    } else {
+      table.count_supermers_filtered(d_recv_words, d_recv_lens,
+                                     recv_words.data.size(), config.k,
+                                     bloom);
+    }
+  } else {
+    if constexpr (kWide) {
+      table.count_wide_supermers(d_recv_words, d_recv_lens,
+                                 recv_words.data.size(), config.k);
+    } else {
+      table.count_supermers(d_recv_words, d_recv_lens,
+                            recv_words.data.size(), config.k);
+    }
+  }
+  device.free(d_recv_words);
+  device.free(d_recv_lens);
+
+  for (const auto& [key, count] : table.to_host()) {
+    local_table.add(key, count);
+  }
+  metrics.kmers_received = kmers_to_count;
+  // Counting from supermers costs ~27% over direct counting (§V-C).
+  phase.set_device_floor_charge(
+      static_cast<double>(kmers_to_count) /
+          (summit::kGpuCountKmersPerSec / summit::kSupermerCountOverhead),
+      summit::kGpuCountOverheadSec);
+}
+
+template void count_gpu_supermers<std::uint64_t>(
+    gpusim::Device&, const PipelineConfig&,
+    const mpisim::AlltoallvResult<std::uint64_t>&,
+    const mpisim::AlltoallvResult<std::uint8_t>&,
+    gpusim::DeviceBuffer<std::uint64_t>&, gpusim::DeviceBuffer<std::uint8_t>&,
+    HostHashTable&, RankMetrics&);
+template void count_gpu_supermers<kmer::WideKey>(
+    gpusim::Device&, const PipelineConfig&,
+    const mpisim::AlltoallvResult<kmer::WideKey>&,
+    const mpisim::AlltoallvResult<std::uint8_t>&,
+    gpusim::DeviceBuffer<kmer::WideKey>&, gpusim::DeviceBuffer<std::uint8_t>&,
+    HostHashTable&, RankMetrics&);
+
+}  // namespace detail
 
 namespace {
 
@@ -110,61 +184,6 @@ ParsedSupermers<Word> parse_gpu_supermers(
   return parsed;
 }
 
-/// Count phase: extract k-mers from received supermers and count. Shared
-/// verbatim by the lockstep and overlapped paths.
-template <typename Word>
-void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
-                         const mpisim::AlltoallvResult<Word>& recv_words,
-                         const mpisim::AlltoallvResult<std::uint8_t>& recv_lens,
-                         gpusim::DeviceBuffer<Word>& d_recv_words,
-                         gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
-                         HostHashTable& local_table, RankMetrics& metrics) {
-  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
-  PhaseScope phase(metrics, kPhaseCount, device);
-
-  metrics.supermers_received = recv_words.data.size();
-  std::uint64_t kmers_to_count = 0;
-  for (const std::uint8_t len : recv_lens.data) {
-    kmers_to_count += static_cast<std::uint64_t>(len) -
-                      static_cast<std::uint64_t>(config.k) + 1;
-  }
-
-  DeviceHashTable table(device, kmers_to_count, config.table_headroom,
-                        config.smem_agg);
-  if (config.filter_singletons) {
-    DeviceBloomFilter bloom(device, kmers_to_count);
-    if constexpr (kWide) {
-      table.count_wide_supermers_filtered(d_recv_words, d_recv_lens,
-                                          recv_words.data.size(),
-                                          config.k, bloom);
-    } else {
-      table.count_supermers_filtered(d_recv_words, d_recv_lens,
-                                     recv_words.data.size(), config.k,
-                                     bloom);
-    }
-  } else {
-    if constexpr (kWide) {
-      table.count_wide_supermers(d_recv_words, d_recv_lens,
-                                 recv_words.data.size(), config.k);
-    } else {
-      table.count_supermers(d_recv_words, d_recv_lens,
-                            recv_words.data.size(), config.k);
-    }
-  }
-  device.free(d_recv_words);
-  device.free(d_recv_lens);
-
-  for (const auto& [key, count] : table.to_host()) {
-    local_table.add(key, count);
-  }
-  metrics.kmers_received = kmers_to_count;
-  // Counting from supermers costs ~27% over direct counting (§V-C).
-  phase.set_device_floor_charge(
-      static_cast<double>(kmers_to_count) /
-          (summit::kGpuCountKmersPerSec / summit::kSupermerCountOverhead),
-      summit::kGpuCountOverheadSec);
-}
-
 /// One round of the pipeline (the whole job when it fits in memory).
 /// `routing` carries the §VII frequency-balanced table when enabled; it is
 /// built once per job (not per round) so every occurrence of a k-mer
@@ -215,8 +234,9 @@ RankMetrics run_gpu_supermer_single(mpisim::Comm& comm,
     phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
   }
 
-  count_gpu_supermers<Word>(device, config, recv_words, recv_lens,
-                            d_recv_words, d_recv_lens, local_table, metrics);
+  detail::count_gpu_supermers<Word>(device, config, recv_words, recv_lens,
+                                    d_recv_words, d_recv_lens, local_table,
+                                    metrics);
 
   metrics.unique_kmers = local_table.unique();
   metrics.counted_kmers = local_table.total();
@@ -280,9 +300,11 @@ struct GpuSupermerOverlapStages {
   }
 
   void count(Received&& received, RankMetrics& metrics) {
-    count_gpu_supermers<Word>(device, config, received.recv_words,
-                              received.recv_lens, received.d_recv_words,
-                              received.d_recv_lens, local_table, metrics);
+    detail::count_gpu_supermers<Word>(device, config, received.recv_words,
+                                      received.recv_lens,
+                                      received.d_recv_words,
+                                      received.d_recv_lens, local_table,
+                                      metrics);
   }
 };
 

@@ -1,5 +1,14 @@
-// Out-of-core two-pass counting — see ooc.hpp for the dataflow and
+// Out-of-core two-pass counting (--ooc-spill) on the count engine; see
 // docs/out-of-core.md for the design rationale.
+//
+// Pass 1 runs on the engine's batch loop: each rank parses its share of
+// every batch and appends destination-tagged runs of packed payload (k-mer
+// keys or supermers, exactly what the selected pipeline puts on the wire)
+// to per-rank spill-bin files. The bin is a pure function of the k-mer key
+// or supermer minimizer, so pass 2 can process bins independently.
+// Pass 2 replays one bin at a time: it exchanges the bin, then calls the
+// pipeline's own count phase against the persistent per-rank table, which
+// bounds the exchange working set by 1/bins of the dataset.
 //
 // Pass 1 parses on the host (the simulated device kernels operate on whole
 // in-memory batches; the host builders produce the same k-mer/supermer
@@ -8,74 +17,89 @@
 // floor is approximated by the throughput term itself, an equality on
 // every profiled configuration since the modeled kernels are
 // throughput-bound.
-#include "dedukt/core/ooc.hpp"
-
-#include <algorithm>
+//
+// Spectra, global counts and (for hash routing) per-rank tallies are
+// bit-identical to the in-memory path: every occurrence of a key follows
+// the same destination function, only grouped differently in time. Disk
+// traffic is priced by io::DiskModel into the two out-of-core-only phases
+// (kPhaseSpill / kPhaseReload).
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 
-#include "dedukt/core/device_hash_table.hpp"
+#include "count_stages.hpp"
 #include "dedukt/core/partitioner.hpp"
 #include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/gpusim/device.hpp"
-#include "dedukt/io/partition.hpp"
+#include "dedukt/hash/murmur3.hpp"
 #include "dedukt/io/spill.hpp"
 #include "dedukt/kmer/extract.hpp"
 #include "dedukt/kmer/supermer.hpp"
 #include "dedukt/kmer/wide.hpp"
-#include "dedukt/mpisim/runtime.hpp"
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
+#include "engine.hpp"
 
 namespace dedukt::core {
 
 namespace {
 
-/// Wire formats for gathering per-rank table entries to rank 0 (the same
-/// layout driver.cpp uses for the in-memory path).
-struct KmerCountPair {
-  std::uint64_t key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<KmerCountPair>);
+/// Seed of the spill-bin hash — distinct from kDestinationHashSeed (rank
+/// routing) and the tables' probe seed, so bins do not inherit either
+/// partition's structure.
+constexpr std::uint64_t kSpillBinSeed = 0x5B1Du;
 
-struct WideKmerCountPair {
-  kmer::WideKey key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<WideKmerCountPair>);
-
-/// What the selected pipeline spills: exactly its wire payload.
-io::SpillKind spill_kind_of(const PipelineConfig& config, bool wide_keys) {
-  if (wide_keys) return io::SpillKind::kWideKmerKeys;
-  switch (config.kind) {
-    case PipelineKind::kCpu:
-    case PipelineKind::kGpuKmer:
-      return io::SpillKind::kKmerKeys;
-    case PipelineKind::kGpuSupermer:
-      return config.wide_supermers ? io::SpillKind::kWideSupermers
-                                   : io::SpillKind::kSupermers;
-  }
-  return io::SpillKind::kKmerKeys;
+/// Spill bin of a k-mer key or supermer minimizer (stable, independent of
+/// nranks).
+template <typename KeyTraits>
+std::uint32_t spill_bin_of(const typename KeyTraits::Key& key,
+                           std::uint32_t bins) {
+  return hash::to_partition(KeyTraits::hash(key, kSpillBinSeed), bins);
 }
 
-void validate_ooc(const DriverOptions& options) {
-  DEDUKT_REQUIRE_MSG(options.ooc.bins >= 1,
-                     "--ooc-bins must be >= 1, got " << options.ooc.bins);
-  DEDUKT_REQUIRE_MSG(!options.pipeline.overlap_rounds,
-                     "out-of-core mode and --overlap-rounds are mutually "
-                     "exclusive (pass 2 replays bins in lockstep)");
-  DEDUKT_REQUIRE_MSG(options.pipeline.max_kmers_per_round == 0,
-                     "out-of-core bins replace multi-round processing; "
-                     "leave --max-kmers-per-round unset");
-  DEDUKT_REQUIRE_MSG(!options.pipeline.filter_singletons,
-                     "the Bloom pre-filter cannot span spill bins");
-  DEDUKT_REQUIRE_MSG(!options.pipeline.source_consolidation,
-                     "source-side consolidation is incompatible with "
-                     "out-of-core spilling");
+/// What the selected pipeline spills: exactly its wire payload.
+template <typename KeyTraits>
+io::SpillKind spill_kind_of(const PipelineConfig& config) {
+  if constexpr (std::is_same_v<KeyTraits, WideKeyTraits>) {
+    return io::SpillKind::kWideKmerKeys;
+  } else if (config.kind != PipelineKind::kGpuSupermer) {
+    return io::SpillKind::kKmerKeys;
+  }
+  return config.wide_supermers ? io::SpillKind::kWideSupermers
+                               : io::SpillKind::kSupermers;
+}
+
+/// Append one wire item (a key or supermer word) as packed 64-bit words.
+template <typename Word>
+void push_words(std::vector<std::uint64_t>& out, const Word& word) {
+  if constexpr (std::is_same_v<Word, std::uint64_t>) {
+    out.push_back(word);
+  } else {
+    std::uint64_t w[sizeof(Word) / sizeof(std::uint64_t)];
+    std::memcpy(w, &word, sizeof(w));
+    out.insert(out.end(), std::begin(w), std::end(w));
+  }
+}
+
+/// The inverse of push_words over a whole reloaded buffer.
+template <typename Word>
+std::vector<Word> words_as(std::vector<std::uint64_t>&& words) {
+  if constexpr (std::is_same_v<Word, std::uint64_t>) {
+    return std::move(words);
+  } else {
+    std::vector<Word> items(words.size() * sizeof(std::uint64_t) /
+                            sizeof(Word));
+    // An empty bin has no storage, and memcpy from its null data() is
+    // undefined behaviour even for 0 bytes.
+    if (items.empty()) return items;
+    std::memcpy(static_cast<void*>(items.data()), words.data(),
+                items.size() * sizeof(Word));
+    return items;
+  }
 }
 
 /// Per-[bin][dest] staging buffers one pass-1 batch fills before the spill
@@ -103,118 +127,91 @@ struct BinBuckets {
   }
 };
 
-void push_wide_words(std::vector<std::uint64_t>& out,
-                     const kmer::WideKey& key) {
-  std::uint64_t w[2];
-  std::memcpy(w, &key, sizeof(w));
-  out.insert(out.end(), w, w + 2);
-}
-
-std::vector<kmer::WideKey> words_to_wide(
-    const std::vector<std::uint64_t>& words) {
-  std::vector<kmer::WideKey> keys(words.size() / 2);
-  // An empty bin has no storage, and memcpy from its null data() is
-  // undefined behaviour even for 0 bytes.
-  if (keys.empty()) return keys;
-  std::memcpy(static_cast<void*>(keys.data()), words.data(),
-              keys.size() * sizeof(kmer::WideKey));
-  return keys;
+/// Bin one batch's supermers; Word is the supermer packing. Each supermer
+/// goes to the bin of its minimizer and to the pipeline's destination (the
+/// frequency-balanced table's when `assignment` is set).
+template <typename Word>
+void bin_supermers(const io::ReadBatch& mine, const PipelineConfig& config,
+                   std::uint32_t parts, std::uint32_t bins,
+                   const MinimizerAssignment* assignment, BinBuckets& buckets,
+                   RankMetrics& metrics) {
+  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
+  const kmer::SupermerConfig smer_config = config.supermer_config();
+  const kmer::MinimizerPolicy policy = config.minimizer_policy();
+  for (const auto& read : mine.reads) {
+    const auto supermers = [&] {
+      if constexpr (kWide) {
+        return kmer::build_wide_supermers_read(read.bases, smer_config, parts);
+      } else {
+        return kmer::build_supermers_read(read.bases, smer_config, parts);
+      }
+    }();
+    for (const auto& ds : supermers) {
+      const kmer::KmerCode first = [&] {
+        if constexpr (kWide) {
+          return kmer::wide_sub(kmer::from_key(ds.smer.bases), ds.smer.len,
+                                0, config.k);
+        } else {
+          return kmer::sub_code(ds.smer.bases, ds.smer.len, 0, config.k);
+        }
+      }();
+      const kmer::KmerCode mini = kmer::minimizer_of(first, config.k, policy);
+      const std::uint32_t dest =
+          assignment != nullptr ? assignment->rank_of(mini) : ds.dest;
+      const std::uint32_t bin = spill_bin_of<NarrowKeyTraits>(mini, bins);
+      push_words(buckets.words[bin][dest], ds.smer.bases);
+      buckets.lens[bin][dest].push_back(ds.smer.len);
+      ++metrics.supermers_built;
+      metrics.supermer_bases += ds.smer.len;
+      metrics.kmers_parsed += static_cast<std::uint64_t>(ds.smer.len) -
+                              static_cast<std::uint64_t>(config.k) + 1;
+    }
+  }
 }
 
 /// Parse one pass-1 batch into the bin buckets and state the parse charge.
-/// Mirrors each pipeline's parse routing exactly (same destination
-/// function per k-mer occurrence) and its charge formulas.
+/// Routes every occurrence with the pipeline's own destination function
+/// and charges each pipeline kind its own parse rate.
+template <typename KeyTraits>
 void parse_into_bins(const io::ReadBatch& mine, const PipelineConfig& config,
                      std::uint32_t parts, std::uint32_t bins,
                      const MinimizerAssignment* assignment,
                      BinBuckets& buckets, RankMetrics& metrics) {
-  const io::BaseEncoding enc = config.encoding();
   PhaseScope phase(metrics, kPhaseParse);
+  if (config.kind == PipelineKind::kGpuSupermer) {
+    if (config.wide_supermers) {
+      bin_supermers<kmer::WideKey>(mine, config, parts, bins, assignment,
+                                   buckets, metrics);
+    } else {
+      bin_supermers<std::uint64_t>(mine, config, parts, bins, assignment,
+                                   buckets, metrics);
+    }
+    const double work =
+        static_cast<double>(metrics.kmers_parsed) /
+        (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
+    phase.set_charge(work + summit::kGpuParseOverheadSec, work);
+    return;
+  }
 
-  switch (config.kind) {
-    case PipelineKind::kCpu: {
-      for (const auto& read : mine.reads) {
-        for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-          kmer::for_each_kmer(
-              fragment, config.k, enc, [&](kmer::KmerCode code) {
-                if (config.canonical) {
-                  code = kmer::canonical(code, config.k, enc);
-                }
-                const std::uint32_t dest = kmer::kmer_partition(code, parts);
-                buckets.words[spill_bin_of(code, bins)][dest].push_back(code);
-                ++metrics.kmers_parsed;
-              });
-        }
-      }
-      phase.set_uniform_charge(static_cast<double>(metrics.bases) /
-                               summit::kCpuParseBasesPerSec);
-      return;
+  const io::BaseEncoding enc = config.encoding();
+  for (const auto& read : mine.reads) {
+    for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
+      KeyTraits::for_each_routed(
+          fragment, config.k, config.canonical, enc, parts,
+          [&](std::uint32_t dest, const typename KeyTraits::Key& key) {
+            push_words(buckets.words[spill_bin_of<KeyTraits>(key, bins)][dest],
+                       key);
+            ++metrics.kmers_parsed;
+          });
     }
-    case PipelineKind::kGpuKmer: {
-      for (const auto& read : mine.reads) {
-        for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-          kmer::for_each_kmer(
-              fragment, config.k, enc, [&](kmer::KmerCode code) {
-                const std::uint32_t dest = kmer::kmer_partition(code, parts);
-                buckets.words[spill_bin_of(code, bins)][dest].push_back(code);
-                ++metrics.kmers_parsed;
-              });
-        }
-      }
-      const double work = static_cast<double>(metrics.kmers_parsed) /
-                          summit::kGpuParseKmersPerSec;
-      phase.set_charge(work + summit::kGpuParseOverheadSec, work);
-      return;
-    }
-    case PipelineKind::kGpuSupermer: {
-      const kmer::SupermerConfig smer_config = config.supermer_config();
-      const kmer::MinimizerPolicy policy = config.minimizer_policy();
-      if (config.wide_supermers) {
-        for (const auto& read : mine.reads) {
-          for (const kmer::DestinedWideSupermer& ds :
-               kmer::build_wide_supermers_read(read.bases, smer_config,
-                                               parts)) {
-            const kmer::KmerCode first = kmer::wide_sub(
-                kmer::from_key(ds.smer.bases), ds.smer.len, 0, config.k);
-            const kmer::KmerCode mini =
-                kmer::minimizer_of(first, config.k, policy);
-            const std::uint32_t dest =
-                assignment != nullptr ? assignment->rank_of(mini) : ds.dest;
-            const std::uint32_t bin = spill_bin_of(mini, bins);
-            push_wide_words(buckets.words[bin][dest], ds.smer.bases);
-            buckets.lens[bin][dest].push_back(ds.smer.len);
-            ++metrics.supermers_built;
-            metrics.supermer_bases += ds.smer.len;
-            metrics.kmers_parsed += static_cast<std::uint64_t>(ds.smer.len) -
-                                    static_cast<std::uint64_t>(config.k) + 1;
-          }
-        }
-      } else {
-        for (const auto& read : mine.reads) {
-          for (const kmer::DestinedSupermer& ds : kmer::build_supermers_read(
-                   read.bases, smer_config, parts)) {
-            const kmer::KmerCode first =
-                kmer::sub_code(ds.smer.bases, ds.smer.len, 0, config.k);
-            const kmer::KmerCode mini =
-                kmer::minimizer_of(first, config.k, policy);
-            const std::uint32_t dest =
-                assignment != nullptr ? assignment->rank_of(mini) : ds.dest;
-            const std::uint32_t bin = spill_bin_of(mini, bins);
-            buckets.words[bin][dest].push_back(ds.smer.bases);
-            buckets.lens[bin][dest].push_back(ds.smer.len);
-            ++metrics.supermers_built;
-            metrics.supermer_bases += ds.smer.len;
-            metrics.kmers_parsed += static_cast<std::uint64_t>(ds.smer.len) -
-                                    static_cast<std::uint64_t>(config.k) + 1;
-          }
-        }
-      }
-      const double work =
-          static_cast<double>(metrics.kmers_parsed) /
-          (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
-      phase.set_charge(work + summit::kGpuParseOverheadSec, work);
-      return;
-    }
+  }
+  if (config.kind == PipelineKind::kCpu) {
+    phase.set_uniform_charge(static_cast<double>(metrics.bases) /
+                             summit::kCpuParseBasesPerSec);
+  } else {
+    const double work = static_cast<double>(metrics.kmers_parsed) /
+                        summit::kGpuParseKmersPerSec;
+    phase.set_charge(work + summit::kGpuParseOverheadSec, work);
   }
 }
 
@@ -277,33 +274,109 @@ ReloadedBin reload_bin(const std::string& path, io::SpillKind kind, int k,
   return reloaded;
 }
 
+/// One bin after its exchange: the payload words, the supermer lengths
+/// (supermer kinds only) and their device copies (GPU kinds only).
+template <typename Word>
+struct ReceivedBin {
+  mpisim::AlltoallvResult<Word> words;
+  mpisim::AlltoallvResult<std::uint8_t> lens;
+  gpusim::DeviceBuffer<Word> d_words;
+  gpusim::DeviceBuffer<std::uint8_t> d_lens;
+};
+
+/// The exchange phase of one reloaded bin, as the pipeline's in-memory
+/// exchange runs it: k-mer keys, or supermer words plus their lengths.
+template <typename Word>
+ReceivedBin<Word> exchange_bin(mpisim::Comm& comm, gpusim::Device* device,
+                               const PipelineConfig& config,
+                               ReloadedBin& reloaded, RankMetrics& metrics) {
+  const bool supermers = config.kind == PipelineKind::kGpuSupermer;
+  std::vector<std::vector<Word>> out_words(reloaded.words.size());
+  for (std::size_t dest = 0; dest < out_words.size(); ++dest) {
+    out_words[dest] = words_as<Word>(std::move(reloaded.words[dest]));
+  }
+  ReceivedBin<Word> received;
+  {
+    PhaseScope phase(metrics, kPhaseExchange);
+    ExchangePlan plan(comm, device, config.exchange == ExchangeMode::kStaged,
+                      config.hierarchical_exchange);
+    received.words = plan.exchange(out_words);
+    if (supermers) {
+      received.lens = plan.exchange(reloaded.lens);
+      DEDUKT_CHECK(received.words.data.size() == received.lens.data.size());
+    }
+    if (device != nullptr) {
+      received.d_words = plan.stage_in(received.words.data);
+      if (supermers) received.d_lens = plan.stage_in(received.lens.data);
+    }
+    phase.commit_exchange(
+        plan, device != nullptr ? summit::kGpuExchangeOverheadSec : 0.0);
+  }
+  reloaded.words.clear();
+  reloaded.lens.clear();
+  return received;
+}
+
+template <typename Word>
+void count_supermer_bin(mpisim::Comm& comm, gpusim::Device& device,
+                        const PipelineConfig& config, ReloadedBin& reloaded,
+                        HostHashTable& table, RankMetrics& metrics) {
+  ReceivedBin<Word> received =
+      exchange_bin<Word>(comm, &device, config, reloaded, metrics);
+  detail::count_gpu_supermers<Word>(device, config, received.words,
+                                    received.lens, received.d_words,
+                                    received.d_lens, table, metrics);
+}
+
+/// Pass 2 for one bin: exchange it, then count it with the pipeline's own
+/// count phase against the rank's persistent table.
+template <typename KeyTraits>
+void count_bin(mpisim::Comm& comm, gpusim::Device* device,
+               const PipelineConfig& config, ReloadedBin& reloaded,
+               BasicHostHashTable<KeyTraits>& table, RankMetrics& metrics) {
+  using Key = typename KeyTraits::Key;
+  if constexpr (std::is_same_v<KeyTraits, NarrowKeyTraits>) {
+    if (config.kind == PipelineKind::kGpuSupermer) {
+      if (config.wide_supermers) {
+        count_supermer_bin<kmer::WideKey>(comm, *device, config, reloaded,
+                                          table, metrics);
+      } else {
+        count_supermer_bin<std::uint64_t>(comm, *device, config, reloaded,
+                                          table, metrics);
+      }
+      return;
+    }
+    if (config.kind == PipelineKind::kGpuKmer) {
+      ReceivedBin<Key> received =
+          exchange_bin<Key>(comm, device, config, reloaded, metrics);
+      detail::count_gpu_kmers(*device, config, received.words,
+                              received.d_words, table, metrics);
+      return;
+    }
+  }
+  const ReceivedBin<Key> received =
+      exchange_bin<Key>(comm, /*device=*/nullptr, config, reloaded, metrics);
+  detail::count_cpu(received.words, table, metrics);
+}
+
 }  // namespace
 
-CountResult run_ooc_count(io::ReadBatchStream& stream,
-                          const DriverOptions& options) {
-  const PipelineConfig& config = options.pipeline;
-  validate_ooc(options);
+namespace detail {
 
-  const auto nranks = static_cast<std::size_t>(options.nranks);
+template <typename KeyTraits>
+void count_out_of_core(CountEngine<KeyTraits>& engine,
+                       io::ReadBatchStream& stream) {
+  const DriverOptions& options = engine.options();
+  const PipelineConfig& config = options.pipeline;
+  CountResult& result = engine.result();
+  const std::size_t nranks = engine.nranks();
   const auto parts = static_cast<std::uint32_t>(options.nranks);
   const auto bins = static_cast<std::uint32_t>(options.ooc.bins);
-  const io::SpillKind kind = spill_kind_of(config, /*wide_keys=*/false);
+  const io::SpillKind kind = spill_kind_of<KeyTraits>(config);
   const io::DiskModel& disk = options.ooc.disk;
-  const bool gpu = config.kind != PipelineKind::kCpu;
-  const bool supermers = config.kind == PipelineKind::kGpuSupermer;
   const bool need_assignment =
-      supermers && config.partition != PartitionScheme::kMinimizerHash;
-
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
-  CountResult result;
-  result.config = config;
-  result.nranks = options.nranks;
-  result.ranks.resize(nranks);
+      config.kind == PipelineKind::kGpuSupermer &&
+      config.partition != PartitionScheme::kMinimizerHash;
 
   // RAII scratch: removed on return and on exception alike.
   io::SpillDir spill(options.ooc.spill_root);
@@ -327,57 +400,39 @@ CountResult run_ooc_count(io::ReadBatchStream& stream,
   std::vector<std::optional<MinimizerAssignment>> assignments(nranks);
 
   // --- pass 1: stream batches, parse, spill ---
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const std::vector<io::ReadBatch> batch_parts =
-        io::partition_by_bases(*batch, options.nranks);
+  engine.run_batches(
+      stream, "rank_spill_pass",
+      [&](mpisim::Comm& comm, const io::ReadBatch& mine,
+          const BatchInfo& batch) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        RankMetrics metrics;
+        metrics.reads = mine.size();
+        metrics.bases = mine.total_bases();
 
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      const io::ReadBatch& mine = batch_parts[rank];
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_spill_pass");
-      if (rank_span.active()) {
-        rank_span.arg_u64("reads", mine.size());
-        rank_span.arg_u64("bases", mine.total_bases());
-      }
+        if (need_assignment && batch.index == 0) {
+          PhaseScope phase(metrics, kPhaseParse);
+          mpisim::CommCapture capture(comm);
+          assignments[rank] = MinimizerAssignment::build(
+              comm, mine, config.supermer_config(), /*sample_stride=*/4,
+              config.partition == PartitionScheme::kNodeAware);
+          const double sampling =
+              static_cast<double>(mine.total_bases()) / 4.0 /
+              (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
+          phase.set_charge(sampling + capture.modeled_seconds(),
+                           sampling + capture.modeled_volume_seconds());
+        }
 
-      RankMetrics metrics;
-      metrics.reads = mine.size();
-      metrics.bases = mine.total_bases();
-
-      if (need_assignment && batch_index == 0) {
-        PhaseScope phase(metrics, kPhaseParse);
-        mpisim::CommCapture capture(comm);
-        assignments[rank] = MinimizerAssignment::build(
-            comm, mine, config.supermer_config(), /*sample_stride=*/4,
-            config.partition == PartitionScheme::kNodeAware);
-        const double sampling =
-            static_cast<double>(mine.total_bases()) / 4.0 /
-            (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
-        phase.set_charge(sampling + capture.modeled_seconds(),
-                         sampling + capture.modeled_volume_seconds());
-      }
-
-      BinBuckets buckets(bins, parts, io::spill_has_lens(kind));
-      parse_into_bins(mine, config, parts, bins,
-                      assignments[rank] ? &*assignments[rank] : nullptr,
-                      buckets, metrics);
-      metrics.peak_resident_bytes =
-          io::resident_read_bytes(mine) + buckets.resident_bytes();
-      spill_buckets(buckets, writers[rank], kind, disk, metrics);
-
-      if (batch_index == 0) {
-        result.ranks[rank] = metrics;
-      } else {
-        accumulate_round(result.ranks[rank], metrics);
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
+        BinBuckets buckets(bins, parts, io::spill_has_lens(kind));
+        parse_into_bins<KeyTraits>(
+            mine, config, parts, bins,
+            assignments[rank] ? &*assignments[rank] : nullptr, buckets,
+            metrics);
+        metrics.peak_resident_bytes =
+            io::resident_read_bytes(mine) + buckets.resident_bytes();
+        spill_buckets(buckets, writers[rank], kind, disk, metrics);
+        return metrics;
+      },
+      [](mpisim::Comm&, const BatchInfo&) {});
 
   // Flush before pass 2 opens the files for reading; surfaces write errors
   // as exceptions here rather than as ParseError truncations later.
@@ -386,161 +441,24 @@ CountResult run_ooc_count(io::ReadBatchStream& stream,
   }
 
   // --- pass 2: replay each bin through exchange + count ---
-  std::vector<HostHashTable> tables(nranks);
-  std::vector<std::vector<KmerCountPair>> gathered;
-
-  runtime.run([&](mpisim::Comm& comm) {
+  std::vector<BasicHostHashTable<KeyTraits>> tables(nranks);
+  engine.run("rank_replay_pass", [&](mpisim::Comm& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_replay_pass");
     RankMetrics& total = result.ranks[rank];
-    HostHashTable& table = tables[rank];
-    const bool staged = config.exchange == ExchangeMode::kStaged;
+    BasicHostHashTable<KeyTraits>& table = tables[rank];
 
     std::optional<gpusim::Device> device;
-    if (gpu) device.emplace(options.device);
+    if (config.kind != PipelineKind::kCpu) device.emplace(options.device);
 
     for (std::uint32_t bin = 0; bin < bins; ++bin) {
       // Fresh per-bin ledger: commit_exchange ASSIGNS byte counts and
       // alltoallv times, so they must not overwrite earlier bins' values.
       RankMetrics bm;
-
       ReloadedBin reloaded = reload_bin(
           spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
           kind, config.k, parts, disk, bm);
-
-      if (!supermers) {
-        // k-mer keys on the wire, exactly like the in-memory exchange.
-        mpisim::AlltoallvResult<std::uint64_t> received;
-        gpusim::DeviceBuffer<std::uint64_t> d_recv;
-        {
-          PhaseScope phase(bm, kPhaseExchange);
-          ExchangePlan plan(comm, gpu ? &*device : nullptr, staged,
-                            config.hierarchical_exchange);
-          received = plan.exchange(reloaded.words);
-          if (gpu) d_recv = plan.stage_in(received.data);
-          phase.commit_exchange(
-              plan, gpu ? summit::kGpuExchangeOverheadSec : 0.0);
-        }
-        reloaded.words.clear();
-
-        if (gpu) {
-          PhaseScope phase(bm, kPhaseCount, *device);
-          DeviceHashTable bin_table(*device, received.data.size(),
-                                    config.table_headroom, config.smem_agg);
-          bin_table.count_kmers(d_recv, received.data.size());
-          device->free(d_recv);
-          for (const auto& [key, count] : bin_table.to_host()) {
-            table.add(key, count);
-          }
-          bm.kmers_received = received.data.size();
-          phase.set_device_floor_charge(
-              static_cast<double>(bm.kmers_received) /
-                  summit::kGpuCountKmersPerSec,
-              summit::kGpuCountOverheadSec);
-        } else {
-          PhaseScope phase(bm, kPhaseCount);
-          for (const std::uint64_t key : received.data) {
-            table.add(key);
-          }
-          bm.kmers_received = received.data.size();
-          phase.set_uniform_charge(static_cast<double>(bm.kmers_received) /
-                                   summit::kCpuCountKmersPerSec);
-        }
-        bm.peak_resident_bytes = reloaded.bytes + bm.bytes_sent +
-                                 bm.bytes_received;
-        accumulate_round(total, bm);
-        continue;
-      }
-
-      // Supermers on the wire: two exchanges (words + lengths), then the
-      // supermer count kernels — the in-memory §IV dataflow per bin.
-      if (config.wide_supermers) {
-        std::vector<std::vector<kmer::WideKey>> out_words(parts);
-        for (std::uint32_t dest = 0; dest < parts; ++dest) {
-          out_words[dest] = words_to_wide(reloaded.words[dest]);
-        }
-        mpisim::AlltoallvResult<kmer::WideKey> recv_words;
-        mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-        gpusim::DeviceBuffer<kmer::WideKey> d_recv_words;
-        gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-        {
-          PhaseScope phase(bm, kPhaseExchange);
-          ExchangePlan plan(comm, &*device, staged,
-                            config.hierarchical_exchange);
-          recv_words = plan.exchange(out_words);
-          recv_lens = plan.exchange(reloaded.lens);
-          DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
-          d_recv_words = plan.stage_in(recv_words.data);
-          d_recv_lens = plan.stage_in(recv_lens.data);
-          phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-        }
-        reloaded.words.clear();
-        reloaded.lens.clear();
-
-        PhaseScope phase(bm, kPhaseCount, *device);
-        bm.supermers_received = recv_words.data.size();
-        std::uint64_t kmers_to_count = 0;
-        for (const std::uint8_t len : recv_lens.data) {
-          kmers_to_count += static_cast<std::uint64_t>(len) -
-                            static_cast<std::uint64_t>(config.k) + 1;
-        }
-        DeviceHashTable bin_table(*device, kmers_to_count,
-                                  config.table_headroom, config.smem_agg);
-        bin_table.count_wide_supermers(d_recv_words, d_recv_lens,
-                                       recv_words.data.size(), config.k);
-        device->free(d_recv_words);
-        device->free(d_recv_lens);
-        for (const auto& [key, count] : bin_table.to_host()) {
-          table.add(key, count);
-        }
-        bm.kmers_received = kmers_to_count;
-        phase.set_device_floor_charge(
-            static_cast<double>(kmers_to_count) /
-                (summit::kGpuCountKmersPerSec /
-                 summit::kSupermerCountOverhead),
-            summit::kGpuCountOverheadSec);
-      } else {
-        mpisim::AlltoallvResult<std::uint64_t> recv_words;
-        mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-        gpusim::DeviceBuffer<std::uint64_t> d_recv_words;
-        gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-        {
-          PhaseScope phase(bm, kPhaseExchange);
-          ExchangePlan plan(comm, &*device, staged,
-                            config.hierarchical_exchange);
-          recv_words = plan.exchange(reloaded.words);
-          recv_lens = plan.exchange(reloaded.lens);
-          DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
-          d_recv_words = plan.stage_in(recv_words.data);
-          d_recv_lens = plan.stage_in(recv_lens.data);
-          phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-        }
-        reloaded.words.clear();
-        reloaded.lens.clear();
-
-        PhaseScope phase(bm, kPhaseCount, *device);
-        bm.supermers_received = recv_words.data.size();
-        std::uint64_t kmers_to_count = 0;
-        for (const std::uint8_t len : recv_lens.data) {
-          kmers_to_count += static_cast<std::uint64_t>(len) -
-                            static_cast<std::uint64_t>(config.k) + 1;
-        }
-        DeviceHashTable bin_table(*device, kmers_to_count,
-                                  config.table_headroom, config.smem_agg);
-        bin_table.count_supermers(d_recv_words, d_recv_lens,
-                                  recv_words.data.size(), config.k);
-        device->free(d_recv_words);
-        device->free(d_recv_lens);
-        for (const auto& [key, count] : bin_table.to_host()) {
-          table.add(key, count);
-        }
-        bm.kmers_received = kmers_to_count;
-        phase.set_device_floor_charge(
-            static_cast<double>(kmers_to_count) /
-                (summit::kGpuCountKmersPerSec /
-                 summit::kSupermerCountOverhead),
-            summit::kGpuCountOverheadSec);
-      }
+      count_bin(comm, device ? &*device : nullptr, config, reloaded, table,
+                bm);
       bm.peak_resident_bytes =
           reloaded.bytes + bm.bytes_sent + bm.bytes_received;
       accumulate_round(total, bm);
@@ -552,193 +470,15 @@ CountResult run_ooc_count(io::ReadBatchStream& stream,
     trace::counter("spill_bytes_read", total.spill_bytes_read);
     trace::counter("peak_resident_bytes", total.peak_resident_bytes);
 
-    if (options.collect_counts) {
-      std::vector<KmerCountPair> entries;
-      entries.reserve(table.unique());
-      table.for_each([&](std::uint64_t key, std::uint64_t count) {
-        entries.push_back({key, count});
-      });
-      auto all = comm.gatherv(entries, /*root=*/0);
-      if (comm.rank() == 0) gathered = std::move(all);
-    }
+    if (options.collect_counts) engine.gather(comm, table);
   });
-
-  if (options.collect_counts) {
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.global_counts.emplace_back(entry.key, entry.count);
-      }
-    }
-    detail::merge_gathered_counts(result.global_counts);
-  }
-  return result;
 }
 
-WideCountResult run_ooc_count_wide(io::ReadBatchStream& stream,
-                                   const DriverOptions& options) {
-  const PipelineConfig& config = options.pipeline;
-  validate_ooc(options);
+template void count_out_of_core(CountEngine<NarrowKeyTraits>&,
+                                io::ReadBatchStream&);
+template void count_out_of_core(CountEngine<WideKeyTraits>&,
+                                io::ReadBatchStream&);
 
-  const auto nranks = static_cast<std::size_t>(options.nranks);
-  const auto parts = static_cast<std::uint32_t>(options.nranks);
-  const auto bins = static_cast<std::uint32_t>(options.ooc.bins);
-  const io::SpillKind kind = io::SpillKind::kWideKmerKeys;
-  const io::DiskModel& disk = options.ooc.disk;
-  const io::BaseEncoding enc = config.encoding();
-
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
-  WideCountResult result;
-  result.base.config = config;
-  result.base.nranks = options.nranks;
-  result.base.ranks.resize(nranks);
-
-  io::SpillDir spill(options.ooc.spill_root);
-  std::vector<std::vector<std::unique_ptr<io::SpillBinWriter>>> writers(
-      nranks);
-  for (std::size_t rank = 0; rank < nranks; ++rank) {
-    writers[rank].reserve(bins);
-    for (std::uint32_t bin = 0; bin < bins; ++bin) {
-      writers[rank].push_back(std::make_unique<io::SpillBinWriter>(
-          spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
-          kind, config.k, parts));
-    }
-  }
-
-  // --- pass 1 ---
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const std::vector<io::ReadBatch> batch_parts =
-        io::partition_by_bases(*batch, options.nranks);
-
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      const io::ReadBatch& mine = batch_parts[rank];
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_spill_pass");
-
-      RankMetrics metrics;
-      metrics.reads = mine.size();
-      metrics.bases = mine.total_bases();
-
-      BinBuckets buckets(bins, parts, /*has_lens=*/false);
-      {
-        PhaseScope phase(metrics, kPhaseParse);
-        for (const auto& read : mine.reads) {
-          for (std::string_view fragment :
-               kmer::acgt_fragments(read.bases)) {
-            kmer::for_each_wide_kmer(
-                fragment, config.k, enc, [&](kmer::WideCode code) {
-                  if (config.canonical) {
-                    code = kmer::wide_canonical(code, config.k, enc);
-                  }
-                  const kmer::WideKey key = kmer::to_key(code);
-                  const std::uint32_t dest =
-                      kmer::wide_kmer_partition(code, parts);
-                  const std::uint32_t bin = hash::to_partition(
-                      kmer::hash_wide(key, kSpillBinSeed), bins);
-                  push_wide_words(buckets.words[bin][dest], key);
-                  ++metrics.kmers_parsed;
-                });
-          }
-        }
-        phase.set_uniform_charge(static_cast<double>(metrics.bases) /
-                                 summit::kCpuParseBasesPerSec);
-      }
-      metrics.peak_resident_bytes =
-          io::resident_read_bytes(mine) + buckets.resident_bytes();
-      spill_buckets(buckets, writers[rank], kind, disk, metrics);
-
-      if (batch_index == 0) {
-        result.base.ranks[rank] = metrics;
-      } else {
-        accumulate_round(result.base.ranks[rank], metrics);
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
-
-  for (auto& row : writers) {
-    for (auto& writer : row) writer->close();
-  }
-
-  // --- pass 2 ---
-  std::vector<WideHostHashTable> tables(nranks);
-  std::vector<std::vector<WideKmerCountPair>> gathered;
-
-  runtime.run([&](mpisim::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_replay_pass");
-    RankMetrics& total = result.base.ranks[rank];
-    WideHostHashTable& table = tables[rank];
-
-    for (std::uint32_t bin = 0; bin < bins; ++bin) {
-      RankMetrics bm;
-      ReloadedBin reloaded = reload_bin(
-          spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
-          kind, config.k, parts, disk, bm);
-
-      mpisim::AlltoallvResult<kmer::WideKey> received;
-      {
-        PhaseScope phase(bm, kPhaseExchange);
-        ExchangePlan plan(comm, /*device=*/nullptr, /*staged=*/false,
-                          config.hierarchical_exchange);
-        std::vector<std::vector<kmer::WideKey>> out_words(parts);
-        for (std::uint32_t dest = 0; dest < parts; ++dest) {
-          out_words[dest] = words_to_wide(reloaded.words[dest]);
-        }
-        received = plan.exchange(out_words);
-        phase.commit_exchange(plan);
-      }
-      reloaded.words.clear();
-
-      {
-        PhaseScope phase(bm, kPhaseCount);
-        for (const kmer::WideKey& key : received.data) {
-          table.add(key);
-        }
-        bm.kmers_received = received.data.size();
-        phase.set_uniform_charge(static_cast<double>(bm.kmers_received) /
-                                 summit::kCpuCountKmersPerSec);
-      }
-      bm.peak_resident_bytes =
-          reloaded.bytes + bm.bytes_sent + bm.bytes_received;
-      accumulate_round(total, bm);
-    }
-
-    total.unique_kmers = table.unique();
-    total.counted_kmers = table.total();
-    trace::counter("spill_bytes_written", total.spill_bytes_written);
-    trace::counter("spill_bytes_read", total.spill_bytes_read);
-    trace::counter("peak_resident_bytes", total.peak_resident_bytes);
-
-    if (options.collect_counts) {
-      std::vector<WideKmerCountPair> entries;
-      entries.reserve(table.unique());
-      table.for_each([&](const kmer::WideKey& key, std::uint64_t count) {
-        entries.push_back({key, count});
-      });
-      auto all = comm.gatherv(entries, /*root=*/0);
-      if (comm.rank() == 0) gathered = std::move(all);
-    }
-  });
-
-  if (options.collect_counts) {
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.global_counts.emplace_back(entry.key, entry.count);
-      }
-    }
-    detail::merge_gathered_counts_wide(result.global_counts);
-  }
-  return result;
-}
+}  // namespace detail
 
 }  // namespace dedukt::core

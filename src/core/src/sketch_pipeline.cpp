@@ -35,28 +35,18 @@
 
 #include "dedukt/core/driver.hpp"
 #include "dedukt/core/kernels.hpp"
-#include "dedukt/core/ooc.hpp"
 #include "dedukt/core/phase_scope.hpp"
 #include "dedukt/core/round_runner.hpp"
 #include "dedukt/core/sketch.hpp"
 #include "dedukt/gpusim/device.hpp"
-#include "dedukt/io/partition.hpp"
 #include "dedukt/kmer/extract.hpp"
-#include "dedukt/mpisim/runtime.hpp"
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
+#include "engine.hpp"
 
 namespace dedukt::core {
 
 namespace {
-
-/// Wire format for gathering heavy-hitter candidates to rank 0 (same shape
-/// as the exact driver's table gather).
-struct KmerCount {
-  std::uint64_t key;
-  std::uint64_t count;
-};
-static_assert(std::is_trivially_copyable_v<KmerCount>);
 
 SketchParams params_from(const PipelineConfig& config) {
   SketchParams params;
@@ -273,32 +263,18 @@ RankMetrics run_heavy_pass(gpusim::Device* device, const io::ReadBatch& reads,
 
 }  // namespace
 
+namespace detail {
+
 CountResult run_sketch_count(io::ReadBatchStream& stream,
                              const DriverOptions& options) {
+  CountResult result;
+  CountEngine<NarrowKeyTraits> engine(options, result);
   const PipelineConfig& config = options.pipeline;
-  config.validate();
-  DEDUKT_REQUIRE(config.sketch);
-  DEDUKT_REQUIRE(options.nranks >= 1);
-  DEDUKT_REQUIRE_MSG(!options.ooc.enabled(),
-                     "the sketch backend is already one-pass with a fixed "
-                     "footprint; compose --batch-reads/--batch-bytes "
-                     "streaming instead of --ooc-spill");
-  SketchParams params = params_from(config);
-  params.validate();
+  const SketchParams params = params_from(config);
   const bool device_kind = config.kind != PipelineKind::kCpu;
   const bool heavy = config.heavy_threshold > 0;
+  const std::size_t nranks = engine.nranks();
 
-  const auto nranks = static_cast<std::size_t>(options.nranks);
-  const mpisim::NetworkModel network =
-      options.summit_network
-          ? summit::network(options.effective_ranks_per_node())
-          : mpisim::NetworkModel::local();
-  mpisim::Runtime runtime(options.nranks, network);
-
-  CountResult result;
-  result.config = config;
-  result.nranks = options.nranks;
-  result.ranks.resize(nranks);
   result.sketch.enabled = true;
   result.sketch.width = params.width;
   result.sketch.depth = params.depth;
@@ -311,7 +287,6 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
                                            HostCountMinSketch(params));
   // Pass-2 exact counts of heavy-hitter candidates.
   std::vector<HostHashTable> candidate_tables(nranks);
-  std::vector<std::uint64_t> peaks(nranks, 0);
   std::vector<std::uint64_t> retained_bytes(nranks, 0);
 
   // The heavy-hitter second pass must re-scan every batch, so streamed
@@ -319,50 +294,28 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
   // a pure sketch run retains nothing.
   std::vector<std::vector<io::ReadBatch>> retained(nranks);
 
-  // Written only by rank 0 inside the run; read after the run returns.
-  std::vector<std::vector<KmerCount>> gathered;
-
-  std::optional<io::ReadBatch> batch = stream.next();
-  if (!batch) batch.emplace();  // empty input: one empty batch
-  std::uint64_t batch_index = 0;
-  while (batch) {
-    std::optional<io::ReadBatch> following = stream.next();
-    const bool last = !following;
-    const std::vector<io::ReadBatch> parts =
-        io::partition_by_bases(*batch, options.nranks);
-
-    runtime.run([&](mpisim::Comm& comm) {
-      const auto rank = static_cast<std::size_t>(comm.rank());
-      const io::ReadBatch& mine = parts[rank];
-
-      trace::ScopedSpan rank_span(trace::kCategoryApp, "rank_pipeline");
-      if (rank_span.active()) {
-        rank_span.arg_u64("reads", mine.size());
-        rank_span.arg_u64("bases", mine.total_bases());
-      }
-
-      std::optional<gpusim::Device> device;
-      if (device_kind) device.emplace(options.device);
-      RankMetrics metrics = run_sketch_rank(
-          comm, device ? &*device : nullptr, mine, config, sketches[rank]);
-      if (heavy) {
-        retained[rank].push_back(mine);
-        retained_bytes[rank] += io::resident_read_bytes(mine);
-      }
-      peaks[rank] = std::max(
-          peaks[rank], std::max(io::resident_read_bytes(mine),
-                                retained_bytes[rank]) +
-                           params.bytes());
-      if (batch_index == 0) {
-        result.ranks[rank] = metrics;
-      } else {
-        RankMetrics& total = result.ranks[rank];
-        accumulate_round(total, metrics);
-        total.unique_kmers = metrics.unique_kmers;
-        total.counted_kmers = metrics.counted_kmers;
-      }
-
-      if (last) {
+  engine.run_batches(
+      stream, "rank_pipeline",
+      [&](mpisim::Comm& comm, const io::ReadBatch& mine,
+          const BatchInfo& batch) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        std::optional<gpusim::Device> device;
+        if (device_kind) device.emplace(options.device);
+        RankMetrics metrics = run_sketch_rank(
+            comm, device ? &*device : nullptr, mine, config, sketches[rank]);
+        if (heavy) {
+          retained[rank].push_back(mine);
+          retained_bytes[rank] += io::resident_read_bytes(mine);
+        }
+        if (!batch.single()) {
+          metrics.peak_resident_bytes =
+              std::max(io::resident_read_bytes(mine), retained_bytes[rank]) +
+              params.bytes();
+        }
+        return metrics;
+      },
+      [&](mpisim::Comm& comm, const BatchInfo& batch) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
         // Cell-wise-sum merge of the per-rank sketches — the sketch
         // backend's entire exchange, charged to the exchange phase so the
         // Figure 3/7 breakdown keeps its meaning.
@@ -387,8 +340,7 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
         const std::uint64_t global_total = comm.allreduce(
             sketches[rank].total_updates(), mpisim::ReduceOp::kSum);
         DEDUKT_REQUIRE_MSG(
-            global_total <=
-                std::numeric_limits<std::uint32_t>::max(),
+            global_total <= std::numeric_limits<std::uint32_t>::max(),
             "sketch cells are u32; the global k-mer stream ("
                 << global_total << ") would overflow them");
         if (rank == 0) {
@@ -407,39 +359,18 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
                                       candidate_tables[rank]));
           }
           accumulate_round(result.ranks[rank], pass2);
-
-          std::vector<KmerCount> entries;
-          entries.reserve(candidate_tables[rank].unique());
-          candidate_tables[rank].for_each(
-              [&](std::uint64_t key, std::uint64_t count) {
-                entries.push_back({key, count});
-              });
-          auto all = comm.gatherv(entries, /*root=*/0);
-          if (comm.rank() == 0) gathered = std::move(all);
+          engine.gather(comm, candidate_tables[rank]);
         }
 
-        if (batch_index > 0) {
-          result.ranks[rank].peak_resident_bytes = peaks[rank];
-          trace::counter("peak_resident_bytes", peaks[rank]);
+        if (!batch.single()) {
+          trace::counter("peak_resident_bytes",
+                         result.ranks[rank].peak_resident_bytes);
         }
-      }
-    });
-    batch = std::move(following);
-    ++batch_index;
-  }
-
-  if (heavy) {
-    std::size_t total = 0;
-    for (const auto& part : gathered) total += part.size();
-    result.sketch.heavy_hitters.reserve(total);
-    for (const auto& part : gathered) {
-      for (const auto& entry : part) {
-        result.sketch.heavy_hitters.emplace_back(entry.key, entry.count);
-      }
-    }
-    detail::merge_gathered_counts(result.sketch.heavy_hitters);
-  }
+      });
+  result.sketch.heavy_hitters = engine.gathered_counts();
   return result;
 }
+
+}  // namespace detail
 
 }  // namespace dedukt::core

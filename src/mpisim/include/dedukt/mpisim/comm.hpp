@@ -572,15 +572,29 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     trace::ScopedSpan span(trace::kCategoryCollective, "allreduce_vector");
     publish(&value, op_tag(0xB, typeid(T)));
-    std::vector<T> acc = *static_cast<const std::vector<T>*>(board_.ptrs[0]);
-    for (int src = 1; src < nranks_; ++src) {
-      const auto& v = *static_cast<const std::vector<T>*>(board_.ptrs[src]);
-      // Every rank sees the same board, so a mismatch throws on all ranks
-      // before anyone reaches the finish barriers.
-      DEDUKT_REQUIRE_MSG(v.size() == acc.size(),
+    const auto input = [&](int src) -> const std::vector<T>& {
+      return *static_cast<const std::vector<T>*>(
+          board_.ptrs[static_cast<std::size_t>(src)]);
+    };
+    // Every rank sees the same board, so all ranks find the same mismatch.
+    // They meet once more before throwing: a rank that unwinds frees its
+    // vector, which the others may still be reading.
+    int bad = 0;
+    for (int src = 1; src < nranks_ && bad == 0; ++src) {
+      if (input(src).size() != input(0).size()) bad = src;
+    }
+    if (bad != 0) {
+      const std::size_t sent = input(bad).size();
+      const std::size_t root_sent = input(0).size();
+      board_.barrier.arrive_and_wait();
+      DEDUKT_REQUIRE_MSG(sent == root_sent,
                          "allreduce_vector length mismatch: rank "
-                             << src << " sent " << v.size() << " elements, "
-                             << "rank 0 sent " << acc.size());
+                             << bad << " sent " << sent
+                             << " elements, rank 0 sent " << root_sent);
+    }
+    std::vector<T> acc = input(0);
+    for (int src = 1; src < nranks_; ++src) {
+      const std::vector<T>& v = input(src);
       for (std::size_t i = 0; i < acc.size(); ++i) {
         acc[i] = apply(acc[i], v[i], op);
       }

@@ -98,6 +98,17 @@ TEST(AppTest, CountRejectsBadPipeline) {
   EXPECT_NE(result.err.find("--pipeline"), std::string::npos);
 }
 
+TEST(AppTest, CountRejectsKBeyondOneWordKeys) {
+  // The CLI counts one-word keys; k = 33 must fail up front instead of
+  // counting the last 32 bases of every 33-mer.
+  const AppResult result =
+      run({"count", "--synthetic=ecoli30x", "--scale=4000", "--ranks=3",
+           "--pipeline=cpu", "--k=33", "--canonical"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("k=33"), std::string::npos) << result.err;
+  EXPECT_EQ(result.out.find("counted"), std::string::npos) << result.out;
+}
+
 TEST(AppTest, HistoAnalyzesCounts) {
   const std::string path = temp_path("app_histo.bin");
   ASSERT_EQ(run({"count", "--synthetic=ecoli30x", "--scale=4000",

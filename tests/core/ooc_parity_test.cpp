@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "dedukt/core/driver.hpp"
-#include "dedukt/core/ooc.hpp"
 #include "dedukt/io/read_stream.hpp"
 #include "dedukt/io/synthetic.hpp"
 #include "dedukt/trace/trace.hpp"

@@ -15,6 +15,7 @@
 //     --gtest_filter='PipelineFrameworkGolden.*'
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "dedukt/core/driver.hpp"
 #include "dedukt/io/synthetic.hpp"
 #include "dedukt/trace/trace.hpp"
+#include "support/temp_dir.hpp"
 
 #ifndef DEDUKT_TEST_DATA_DIR
 #define DEDUKT_TEST_DATA_DIR "."
@@ -90,9 +92,53 @@ void append_spectrum(std::ostringstream& out,
   out << "\n";
 }
 
+/// 64-bit FNV-1a over the bytes of `values`.
+template <typename T>
+std::uint64_t digest(const std::vector<T>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t i = 0; i < values.size() * sizeof(T); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The ledgers the streamed, out-of-core, sketch and overlap cases pin on
+/// top of append_rank's fields.
+void append_extras(std::ostringstream& out, const CountResult& result) {
+  for (int r = 0; r < result.nranks; ++r) {
+    const RankMetrics& m = result.ranks[static_cast<std::size_t>(r)];
+    out << "rank " << r << " extras: peak_resident=" << m.peak_resident_bytes
+        << " spill_written=" << m.spill_bytes_written
+        << " spill_read=" << m.spill_bytes_read
+        << " overlap_saved=" << hex(m.overlap_saved_seconds) << "\n";
+  }
+  const SketchSummary& sketch = result.sketch;
+  if (sketch.enabled) {
+    out << "sketch: sketched=" << sketch.sketched_kmers
+        << " cells=" << sketch.cells.size()
+        << " cells_digest=" << digest(sketch.cells)
+        << " heavy=" << sketch.heavy_hitters.size()
+        << " heavy_digest=" << digest(sketch.heavy_hitters) << "\n";
+  }
+}
+
+void render(std::ostringstream& out,
+            const std::map<std::uint64_t, std::uint64_t>& spectrum,
+            const CountResult& result, const std::string& metrics_json,
+            bool extras) {
+  append_spectrum(out, spectrum);
+  for (int r = 0; r < result.nranks; ++r) {
+    out << "rank " << r << ":\n";
+    append_rank(out, result.ranks[static_cast<std::size_t>(r)]);
+  }
+  if (extras) append_extras(out, result);
+  out << "trace_metrics: " << metrics_json << "\n";
+}
+
 /// Run one narrow-pipeline scenario under an in-memory trace session and
 /// render everything deterministic about it.
-std::string capture(const DriverOptions& options) {
+std::string capture(const DriverOptions& options, bool extras = false) {
   auto& session = trace::TraceSession::instance();
   session.reset();
   session.enable("");
@@ -102,16 +148,11 @@ std::string capture(const DriverOptions& options) {
   session.disable();
 
   std::ostringstream out;
-  append_spectrum(out, result.spectrum());
-  for (int r = 0; r < result.nranks; ++r) {
-    out << "rank " << r << ":\n";
-    append_rank(out, result.ranks[static_cast<std::size_t>(r)]);
-  }
-  out << "trace_metrics: " << metrics_json << "\n";
+  render(out, result.spectrum(), result, metrics_json, extras);
   return out.str();
 }
 
-std::string capture_wide(const DriverOptions& options) {
+std::string capture_wide(const DriverOptions& options, bool extras = false) {
   auto& session = trace::TraceSession::instance();
   session.reset();
   session.enable("");
@@ -126,12 +167,7 @@ std::string capture_wide(const DriverOptions& options) {
     spectrum[count] += 1;
   }
   std::ostringstream out;
-  append_spectrum(out, spectrum);
-  for (int r = 0; r < result.base.nranks; ++r) {
-    out << "rank " << r << ":\n";
-    append_rank(out, result.base.ranks[static_cast<std::size_t>(r)]);
-  }
-  out << "trace_metrics: " << metrics_json << "\n";
+  render(out, spectrum, result.base, metrics_json, extras);
   return out.str();
 }
 
@@ -158,6 +194,27 @@ DriverOptions base_options(PipelineKind kind) {
   options.pipeline.kind = kind;
   options.pipeline.k = 17;
   options.nranks = 4;
+  return options;
+}
+
+/// base_options pulled in 20-read batches.
+DriverOptions streamed_options(PipelineKind kind) {
+  DriverOptions options = base_options(kind);
+  options.batch.max_reads = 20;
+  return options;
+}
+
+/// streamed_options spilled to out-of-core bins.
+DriverOptions ooc_options(PipelineKind kind) {
+  DriverOptions options = streamed_options(kind);
+  options.ooc.spill_root = test_support::temp_path("golden-spill");
+  return options;
+}
+
+DriverOptions sketch_options(PipelineKind kind) {
+  DriverOptions options = base_options(kind);
+  options.pipeline.sketch = true;
+  options.pipeline.sketch_width = 1u << 12;
   return options;
 }
 
@@ -247,6 +304,71 @@ TEST(PipelineFrameworkGolden, GpuSupermerMultiRound) {
   DriverOptions options = base_options(PipelineKind::kGpuSupermer);
   options.pipeline.max_kmers_per_round = 1'500;
   check_golden("gpu_supermer_multiround", capture(options));
+}
+
+TEST(PipelineFrameworkGolden, OocCpu) {
+  check_golden("ooc_cpu",
+               capture(ooc_options(PipelineKind::kCpu), /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, OocGpuKmer) {
+  check_golden("ooc_gpu_kmer",
+               capture(ooc_options(PipelineKind::kGpuKmer), /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, OocGpuSupermer) {
+  check_golden("ooc_gpu_supermer",
+               capture(ooc_options(PipelineKind::kGpuSupermer),
+                       /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, OocGpuSupermerWide) {
+  DriverOptions options = ooc_options(PipelineKind::kGpuSupermer);
+  options.pipeline.wide_supermers = true;
+  options.pipeline.window = 40;
+  check_golden("ooc_gpu_supermer_wide", capture(options, /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, OocGpuSupermerFreqBalanced) {
+  DriverOptions options = ooc_options(PipelineKind::kGpuSupermer);
+  options.pipeline.partition = PartitionScheme::kFrequencyBalanced;
+  check_golden("ooc_gpu_supermer_freq", capture(options, /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, OocCpuWide) {
+  DriverOptions options = ooc_options(PipelineKind::kCpu);
+  options.pipeline.k = 33;
+  check_golden("ooc_cpu_wide", capture_wide(options, /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, StreamedGpuSupermer) {
+  check_golden("streamed_gpu_supermer",
+               capture(streamed_options(PipelineKind::kGpuSupermer),
+                       /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, StreamedCpuWide) {
+  DriverOptions options = streamed_options(PipelineKind::kCpu);
+  options.pipeline.k = 33;
+  check_golden("streamed_cpu_wide", capture_wide(options, /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, SketchCpu) {
+  check_golden("sketch_cpu",
+               capture(sketch_options(PipelineKind::kCpu), /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, SketchGpuKmerHeavy) {
+  DriverOptions options = sketch_options(PipelineKind::kGpuKmer);
+  options.pipeline.heavy_threshold = 4;
+  check_golden("sketch_gpu_kmer_heavy", capture(options, /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, GpuSupermerOverlapped) {
+  DriverOptions options = base_options(PipelineKind::kGpuSupermer);
+  options.pipeline.overlap_rounds = true;
+  options.pipeline.max_kmers_per_round = 1'500;
+  check_golden("gpu_supermer_overlapped", capture(options, /*extras=*/true));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "dedukt/core/driver.hpp"
 #include "dedukt/io/synthetic.hpp"
+#include "support/temp_dir.hpp"
 
 namespace dedukt::core {
 namespace {
@@ -113,9 +114,27 @@ TEST(WidePipelineTest, RejectsNarrowKAndGpuKinds) {
   options.pipeline.k = 17;  // narrow k must use the narrow entry point
   EXPECT_THROW(run_distributed_count_wide(test_reads(), options), Error);
 
+  // The rule holds in every mode, out of core included.
+  DriverOptions ooc = options;
+  ooc.ooc.spill_root = test_support::temp_path("wide-rejects-narrow-k");
+  EXPECT_THROW(run_distributed_count_wide(test_reads(), ooc),
+               PreconditionError);
+
   options.pipeline.k = 41;
   options.pipeline.kind = PipelineKind::kGpuKmer;
   EXPECT_THROW(run_distributed_count_wide(test_reads(), options),
+               PreconditionError);
+
+  // The sketch backend has no wide keys; it must not fall back to an
+  // exact count.
+  DriverOptions sketch;
+  sketch.pipeline.kind = PipelineKind::kCpu;
+  sketch.pipeline.k = 41;
+  sketch.pipeline.sketch = true;
+  EXPECT_THROW(run_distributed_count_wide(test_reads(), sketch),
+               PreconditionError);
+  sketch.pipeline.heavy_threshold = 2;
+  EXPECT_THROW(run_distributed_count_wide(test_reads(), sketch),
                PreconditionError);
 }
 
@@ -123,6 +142,16 @@ TEST(WidePipelineTest, NarrowDriverRejectsWideK) {
   DriverOptions options;
   options.pipeline.kind = PipelineKind::kGpuSupermer;
   options.pipeline.k = 41;
+  EXPECT_THROW(run_distributed_count(test_reads(), options),
+               PreconditionError);
+
+  // One-word keys hold at most 31 bases; the CPU pipeline must not keep
+  // only the last 32 bases of a 33-mer.
+  options.pipeline.kind = PipelineKind::kCpu;
+  options.pipeline.k = 33;
+  EXPECT_THROW(run_distributed_count(test_reads(), options),
+               PreconditionError);
+  options.pipeline.canonical = true;
   EXPECT_THROW(run_distributed_count(test_reads(), options),
                PreconditionError);
 }
