@@ -11,10 +11,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "dedukt/util/error.hpp"
 #include "dedukt/util/format.hpp"
 #include "dedukt/util/table.hpp"
-#include "dedukt/util/timer.hpp"
 
 namespace {
 
@@ -93,68 +91,7 @@ int main(int argc, char** argv) {
               format_seconds(t_direct).c_str(),
               (1 - t_direct / t_staged) * 100);
 
-  // Ablation: round overlap (--overlap-rounds). Force multi-round
-  // processing and overlap round r's Alltoallv with round r+1's parse;
-  // counts are bit-identical, only modeled time moves.
-  const std::uint64_t limit = bench::round_limit_for(dataset, ranks, 4);
-  std::vector<bench::BenchRecord> records;
-  for (const bool overlap : {false, true}) {
-    bench::BenchRecord record;
-    record.name = overlap ? "fig8.rounds.overlapped" : "fig8.rounds.lockstep";
-    Timer wall;
-    const auto result =
-        bench::run_pipeline(dataset, PipelineKind::kGpuSupermer, ranks, 7,
-                            core::ExchangeMode::kStaged,
-                            kmer::MinimizerOrder::kRandomized, limit, overlap);
-    record.wall_seconds = wall.seconds();
-    record.modeled_seconds = result.modeled_total_seconds();
-    record.overlap_saved_seconds = result.overlap_saved_seconds();
-    records.push_back(std::move(record));
-  }
-  std::printf("ablation (C. elegans 40X, supermer m=7, %d GPUs, ~4 rounds): "
-              "modeled total lockstep %s vs overlapped %s "
-              "(%s of exchange hidden behind the next round's parse)\n",
-              ranks, format_seconds(records[0].modeled_seconds).c_str(),
-              format_seconds(records[1].modeled_seconds).c_str(),
-              format_seconds(records[1].overlap_saved_seconds).c_str());
-
-  // Ablation: flat vs hierarchical exchange (--hierarchical-exchange). At
-  // 384 ranks / 64 modeled nodes the two-level path stages off-node
-  // payload through the node leaders, so the NIC hop runs at full node
-  // injection bandwidth instead of the per-rank share; counts stay
-  // bit-identical, only the modeled exchange drops.
-  std::vector<double> exchange_by_mode;
-  for (const bool hierarchical : {false, true}) {
-    bench::BenchRecord record;
-    record.name =
-        hierarchical ? "fig8.exchange.hierarchical" : "fig8.exchange.flat";
-    Timer wall;
-    const auto result = bench::run_pipeline(
-        dataset, PipelineKind::kGpuSupermer, ranks, 7,
-        core::ExchangeMode::kStaged, kmer::MinimizerOrder::kRandomized, 0,
-        false, hierarchical);
-    record.wall_seconds = wall.seconds();
-    record.modeled_seconds = result.modeled_total_seconds();
-    const core::RankMetrics totals = result.totals();
-    record.intra_node_bytes = totals.intra_node_bytes;
-    record.inter_node_bytes = totals.inter_node_bytes;
-    exchange_by_mode.push_back(
-        result.modeled_breakdown().get(core::kPhaseExchange));
-    records.push_back(std::move(record));
-  }
-  DEDUKT_CHECK_MSG(exchange_by_mode[1] <= exchange_by_mode[0],
-                   "hierarchical exchange must not be slower than flat on a "
-                   "multi-node shape");
-  std::printf("ablation (C. elegans 40X, supermer m=7, %d GPUs / %d nodes): "
-              "modeled exchange flat %s vs hierarchical %s "
-              "(%s stays on NVLink, %s crosses the NIC)\n",
-              ranks, ranks / 6, format_seconds(exchange_by_mode[0]).c_str(),
-              format_seconds(exchange_by_mode[1]).c_str(),
-              format_bytes(records.back().intra_node_bytes).c_str(),
-              format_bytes(records.back().inter_node_bytes).c_str());
   std::printf("paper reference: up to 3x Alltoallv speedup for H. sapien "
               "54X; variance tracks dataset load imbalance.\n");
-
-  bench::maybe_write_bench_json(cli, records);
   return 0;
 }

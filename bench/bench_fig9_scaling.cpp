@@ -25,11 +25,6 @@ int main(int argc, char** argv) {
   const std::vector<int> small_nodes = {4, 16, 32};
   const std::vector<int> large_nodes = {4, 16, 32, 64, 128};
 
-  // --json additionally sweeps the --overlap-rounds ablation at every node
-  // count (one extra multi-round run per cell, so only when asked for).
-  const bool want_json = !cli.get("json").empty();
-  std::vector<bench::BenchRecord> records;
-
   TextTable table(
       "Fig. 9 — k-mer insertion rate, billions/s (projected full-size)");
   table.set_header({"dataset", "4", "16", "32", "64", "128", "64->128"});
@@ -62,21 +57,6 @@ int main(int argc, char** argv) {
       row.push_back(format_fixed(rate / 1e9, 1));
       if (n == 64) rate64 = rate;
       if (n == 128) rate128 = rate;
-
-      if (want_json) {
-        // Overlapped multi-round run at the same node count: how much
-        // exchange time round overlap hides as the machine grows.
-        const std::uint64_t limit = bench::round_limit_for(dataset, gpus, 4);
-        const auto overlapped = bench::run_pipeline(
-            dataset, PipelineKind::kGpuKmer, gpus, 7,
-            core::ExchangeMode::kStaged, kmer::MinimizerOrder::kRandomized,
-            limit, /*overlap_rounds=*/true);
-        bench::BenchRecord record;
-        record.name = "fig9.overlap." + key + ".nodes" + std::to_string(n);
-        record.modeled_seconds = overlapped.modeled_total_seconds();
-        record.overlap_saved_seconds = overlapped.overlap_saved_seconds();
-        records.push_back(std::move(record));
-      }
     }
     while (row.size() < 6) row.push_back("-");
     row.push_back(rate64 > 0 && rate128 > 0
@@ -89,6 +69,5 @@ int main(int argc, char** argv) {
   std::printf("\npaper reference: near-linear scaling; C. elegans 40X and "
               "H. sapien 54X both gain 2.3x from 64 to 128 nodes; "
               "deviations stem from dataset skew.\n");
-  bench::maybe_write_bench_json(cli, records);
   return 0;
 }

@@ -17,7 +17,7 @@ namespace {
 
 /// Node-level byte imbalance: group per-rank received bytes by modeled
 /// node (ranks are node-major) and take max/avg over the node sums — the
-/// unit the hierarchical exchange's NIC hop serializes on.
+/// payload each node's shared NIC has to take in.
 double node_byte_imbalance(const dedukt::core::CountResult& result,
                            int ranks_per_node) {
   const int nranks = static_cast<int>(result.ranks.size());
@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
 
   // §VII future-work extension: frequency-balanced minimizer assignment —
   // rank-only LPT vs the node-aware two-pass LPT, which balances nodes
-  // (the hierarchical exchange's NIC unit) before ranks. Both node-level
-  // columns group per-rank received bytes by modeled node.
+  // (the ranks sharing one NIC) before ranks. Both node-level columns
+  // group per-rank received bytes by modeled node.
   std::printf("\n§VII extension — frequency-balanced minimizer routing "
               "(C. elegans 40X, m=7, %d ranks, %d per node):\n", gpu_ranks,
               ranks_per_node);

@@ -75,17 +75,12 @@ io::ReadBatch chunk_reads(const io::ReadBatch& reads,
 core::CountResult run_pipeline(const BenchDataset& dataset,
                                core::PipelineKind kind, int nranks, int m,
                                core::ExchangeMode exchange,
-                               kmer::MinimizerOrder order,
-                               std::uint64_t max_kmers_per_round,
-                               bool overlap_rounds, bool hierarchical) {
+                               kmer::MinimizerOrder order) {
   core::DriverOptions options;
   options.pipeline.kind = kind;
   options.pipeline.m = m;
   options.pipeline.exchange = exchange;
   options.pipeline.order = order;
-  options.pipeline.max_kmers_per_round = max_kmers_per_round;
-  options.pipeline.overlap_rounds = overlap_rounds;
-  options.pipeline.hierarchical_exchange = hierarchical;
   options.nranks = nranks;
   options.collect_counts = false;  // benchmarks only need the metrics
 
@@ -98,18 +93,6 @@ core::CountResult run_pipeline(const BenchDataset& dataset,
       96, total / (static_cast<std::uint64_t>(nranks) * 24));
   return core::run_distributed_count(chunk_reads(dataset.reads, chunk),
                                      options);
-}
-
-std::uint64_t round_limit_for(const BenchDataset& dataset, int nranks,
-                              int rounds) {
-  // plan_rounds maximizes ceil(local_kmers / limit) over ranks; with
-  // chunked reads the per-rank k-mer load is close to total/nranks, so
-  // this budget lands within one round of the target.
-  DEDUKT_REQUIRE(rounds > 0);
-  const std::uint64_t per_rank = dataset.reads.total_bases() /
-                                 static_cast<std::uint64_t>(nranks);
-  return std::max<std::uint64_t>(
-      1, per_rank / static_cast<std::uint64_t>(rounds));
 }
 
 PhaseTimes projected_breakdown(const core::CountResult& result,
@@ -203,8 +186,6 @@ void write_bench_json(const std::string& path,
          << "\"modeled_seconds\": " << json_double(r.modeled_seconds) << ", "
          << "\"overlap_saved_seconds\": "
          << json_double(r.overlap_saved_seconds) << ", "
-         << "\"intra_node_bytes\": " << r.intra_node_bytes << ", "
-         << "\"inter_node_bytes\": " << r.inter_node_bytes << ", "
          << "\"threads\": " << r.threads << ", "
          << "\"queries\": " << r.queries << ", "
          << "\"qps\": "

@@ -56,23 +56,11 @@ struct BenchDataset {
 
 /// Run one pipeline on a dataset at the paper's rank count. Reads are
 /// chunked (see chunk_reads) so every rank gets many work units.
-/// `max_kmers_per_round` > 0 forces multi-round processing;
-/// `overlap_rounds` additionally overlaps round r's exchange with round
-/// r+1's parse (bit-identical counts, lower modeled time); `hierarchical`
-/// routes the exchange through the two-level topology-aware path
-/// (bit-identical counts, lower modeled exchange on multi-node shapes).
 [[nodiscard]] core::CountResult run_pipeline(
     const BenchDataset& dataset, core::PipelineKind kind, int nranks,
     int m = 7,
     core::ExchangeMode exchange = core::ExchangeMode::kStaged,
-    kmer::MinimizerOrder order = kmer::MinimizerOrder::kRandomized,
-    std::uint64_t max_kmers_per_round = 0, bool overlap_rounds = false,
-    bool hierarchical = false);
-
-/// A per-round k-mer budget that makes `run_pipeline` on this dataset
-/// split into roughly `rounds` rounds at `nranks` ranks.
-[[nodiscard]] std::uint64_t round_limit_for(const BenchDataset& dataset,
-                                            int nranks, int rounds);
+    kmer::MinimizerOrder order = kmer::MinimizerOrder::kRandomized);
 
 /// Modeled per-phase breakdown projected to the full-size input: volume
 /// terms scale by `scale`, latency/overhead terms stay constant.
@@ -126,13 +114,9 @@ struct BenchRecord {
   std::string name;
   double wall_seconds = 0.0;
   double modeled_seconds = 0.0;
-  /// Modeled seconds hidden by round overlap (max over ranks); zero for
-  /// lockstep runs.
+  /// Modeled seconds the pipelined serving schedule (--overlap-batches)
+  /// hid behind lookups; zero for every other record.
   double overlap_saved_seconds = 0.0;
-  /// Topology split of the exchanged payload (summed over ranks); both
-  /// zero for flat-exchange runs.
-  std::uint64_t intra_node_bytes = 0;
-  std::uint64_t inter_node_bytes = 0;
   unsigned threads = 1;  ///< simulation pool size the record was taken at
   /// Query-serving records (bench_qps): batched lookups executed, and the
   /// modeled per-batch latency percentiles. All zero for counting records.

@@ -1,26 +1,30 @@
 #!/usr/bin/env bash
-# Build (if needed) and run the simulator-parallelism benchmark, the
-# Fig. 8 exchange ablations, the serving-store QPS sweep, and the
-# out-of-core batch x spill sweep, writing sequential-vs-pooled numbers to
-# BENCH_micro.json, the round-overlap / flat-vs-hierarchical exchange
-# records to BENCH_fig8.json, the Zipf-traffic query-throughput records to
-# BENCH_qps.json, and the peak-footprint / spill-volume / disk-vs-compute
-# records to BENCH_spill.json, and the count-min sketch error/memory sweep
-# to BENCH_sketch.json at the repo root. bench_qps self-checks with
-# DEDUKT_CHECK that every query answer is bit-identical to the flat counts
-# dump and that the cached configuration beats the uncached modeled QPS at
-# skew >= 1.0; its distributed sweep (ranks x skew x cache discipline,
-# the qps-dist/... records) additionally checks that every tier answers
-# bit-identically to the single-rank engine, that the 8-rank tier reaches
-# >= 4x the single-rank modeled QPS, and that --overlap-batches strictly
-# reduces modeled serve seconds; bench_spill self-checks that every streamed/spilled
-# configuration's counts are bit-identical to the in-memory run, that
-# spilled bytes equal reloaded bytes, and that the streamed peak resident
-# footprint is monotone in batch size; bench_sketch self-checks that every
-# sketch estimate is >= the exact count, that the swept sketches undercut
-# the exact table's memory at equal input, and that heavy-hitter recall is
-# exactly 1.0 — so a serving, out-of-core or approximate-counting
-# regression fails this script.
+# Build (if needed) and run the self-checking benchmark drivers, writing
+# their records to JSON files at the repo root:
+#
+#   BENCH_micro.json   bench_pool: sequential vs pooled simulation wall time.
+#                      Self-checks that modeled seconds are identical across
+#                      pool sizes.
+#   BENCH_qps.json     bench_qps: Zipf-traffic query throughput. Self-checks
+#                      that every answer is bit-identical to the flat counts
+#                      dump and that caching beats the uncached modeled QPS
+#                      at skew >= 1.0. Its distributed sweep (the qps-dist/...
+#                      records) also checks that every tier answers like the
+#                      single-rank engine, that 8 ranks reach >= 4x the
+#                      single-rank modeled QPS, and that --overlap-batches
+#                      strictly lowers modeled serve seconds.
+#   BENCH_spill.json   bench_spill: peak footprint, spill volume and disk vs
+#                      compute time. Self-checks that every streamed or
+#                      spilled run counts like the in-memory run, that
+#                      spilled bytes equal reloaded bytes, and that the
+#                      streamed peak footprint is monotone in batch size.
+#   BENCH_sketch.json  bench_sketch: count-min error and memory. Self-checks
+#                      that every estimate is >= the exact count, that the
+#                      sketches undercut the exact table's memory, and that
+#                      heavy-hitter recall is exactly 1.0.
+#
+# A serving, out-of-core or approximate-counting regression therefore fails
+# this script.
 #
 # Usage: scripts/run_bench.sh [build-dir] [--threads=1,2,4] [--repeats=N]
 # Extra flags are passed through to bench_pool.
@@ -31,23 +35,18 @@ build_dir="${1:-$repo_root/build}"
 if [[ $# -gt 0 && "${1:0:2}" != "--" ]]; then shift; fi
 
 if [[ ! -x "$build_dir/bench/bench_pool" || \
-      ! -x "$build_dir/bench/bench_fig8_alltoallv" || \
       ! -x "$build_dir/bench/bench_qps" || \
       ! -x "$build_dir/bench/bench_spill" || \
       ! -x "$build_dir/bench/bench_sketch" ]]; then
   cmake -B "$build_dir" -S "$repo_root"
   cmake --build "$build_dir" -j \
-    --target bench_pool bench_fig8_alltoallv bench_qps bench_spill \
-             bench_sketch
+    --target bench_pool bench_qps bench_spill bench_sketch
 fi
 
 "$build_dir/bench/bench_pool" \
   --threads=1,2,4 \
   --json="$repo_root/BENCH_micro.json" \
   "$@"
-
-"$build_dir/bench/bench_fig8_alltoallv" \
-  --json="$repo_root/BENCH_fig8.json"
 
 "$build_dir/bench/bench_qps" \
   --json="$repo_root/BENCH_qps.json"
@@ -58,6 +57,5 @@ fi
 "$build_dir/bench/bench_sketch" \
   --json="$repo_root/BENCH_sketch.json"
 
-echo "results: $repo_root/BENCH_micro.json $repo_root/BENCH_fig8.json" \
-  "$repo_root/BENCH_qps.json $repo_root/BENCH_spill.json" \
-  "$repo_root/BENCH_sketch.json"
+echo "results: $repo_root/BENCH_micro.json $repo_root/BENCH_qps.json" \
+  "$repo_root/BENCH_spill.json $repo_root/BENCH_sketch.json"

@@ -82,22 +82,6 @@ struct PipelineConfig {
   /// bytes per supermer for fewer, longer supermers. Supermer pipeline
   /// only.
   bool wide_supermers = false;
-  /// Overlapped multi-round processing (§III-A + §V's Alltoallv headroom):
-  /// while round r's exchange is in flight as a nonblocking ialltoallv,
-  /// round r+1 parses and packs into a second staging buffer. Spectra and
-  /// work counts are bit-identical to the lockstep path; only the modeled
-  /// exchange exposure changes — max(comm, compute) plus the network
-  /// model's non-overlappable fraction, instead of the sum. Off by default.
-  bool overlap_rounds = false;
-  /// Two-level topology-aware exchange (ROADMAP item 3): payloads to
-  /// same-node peers move over the intra-node link while off-node payloads
-  /// stage through the node leaders and cross the NIC once, priced by
-  /// NetworkModel::hierarchical_seconds. Delivered payloads — and therefore
-  /// spectra and CountResult — are bit-identical to the flat exchange; only
-  /// the modeled exchange time and the intra/inter byte split change.
-  /// Composes with overlap_rounds (only the inter-node hop overlaps with
-  /// parse; the intra-node staging stays exposed). Off by default.
-  bool hierarchical_exchange = false;
   /// Two-level counting in the GPU hash-table kernels: each block first
   /// aggregates its k-mers in a shared-memory table, then flushes unique
   /// (key, count) pairs to the global table (§III-B3's on-device counting,
@@ -201,8 +185,7 @@ struct PipelineConfig {
       DEDUKT_REQUIRE_MSG(!filter_singletons,
                          "the Bloom pre-filter applies to the exact "
                          "backends, not the sketch");
-      DEDUKT_REQUIRE_MSG(!source_consolidation && !wide_supermers &&
-                             !overlap_rounds && !hierarchical_exchange,
+      DEDUKT_REQUIRE_MSG(!source_consolidation && !wide_supermers,
                          "the sketch backend exchanges no k-mers; exchange "
                          "shaping options do not apply");
     }

@@ -46,15 +46,8 @@ class ExchangePlan {
  public:
   /// `device` may be null for host-only pipelines (no staging steps, zero
   /// staging charge). `staged` selects priced host staging vs GPUDirect.
-  /// `hierarchical` routes step 3 through the two-level topology-aware
-  /// exchange (Comm::hierarchical_alltoallv) instead of the flat one.
-  ExchangePlan(mpisim::Comm& comm, gpusim::Device* device, bool staged,
-               bool hierarchical = false)
-      : comm_(comm),
-        device_(device),
-        staged_(staged),
-        hierarchical_(hierarchical),
-        comm_capture_(comm) {
+  ExchangePlan(mpisim::Comm& comm, gpusim::Device* device, bool staged)
+      : comm_(comm), device_(device), staged_(staged), comm_capture_(comm) {
     if (device_ != nullptr) device_capture_.emplace(*device_);
   }
 
@@ -94,8 +87,7 @@ class ExchangePlan {
           staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]) +
               counts[dest]);
     }
-    return hierarchical_ ? comm_.hierarchical_alltoallv(outgoing)
-                         : comm_.alltoallv(outgoing);
+    return comm_.alltoallv(outgoing);
   }
 
   /// Step 3 for pipelines that bucket per destination while parsing (the
@@ -103,36 +95,7 @@ class ExchangePlan {
   template <typename T>
   [[nodiscard]] mpisim::AlltoallvResult<T> exchange(
       const std::vector<std::vector<T>>& outgoing) {
-    return hierarchical_ ? comm_.hierarchical_alltoallv(outgoing)
-                         : comm_.alltoallv(outgoing);
-  }
-
-  /// Nonblocking variant of step 3 (overlap_rounds): post the exchange and
-  /// return the request; the payload is copied at post time, so the sliced
-  /// temporary buffers need not outlive this call. Completion — and the
-  /// plan's comm-capture charges — happen at Request::wait().
-  template <typename T>
-  [[nodiscard]] mpisim::Request<T> post(
-      const std::vector<T>& staged_flat,
-      const std::vector<std::uint32_t>& counts,
-      const std::vector<std::uint64_t>& offsets) {
-    const auto parts = static_cast<std::uint32_t>(comm_.size());
-    DEDUKT_CHECK(counts.size() == parts && offsets.size() == parts);
-    std::vector<std::vector<T>> outgoing(parts);
-    for (std::uint32_t dest = 0; dest < parts; ++dest) {
-      outgoing[dest].assign(
-          staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]),
-          staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]) +
-              counts[dest]);
-    }
-    return comm_.ialltoallv(outgoing, hierarchical_);
-  }
-
-  /// Nonblocking step 3 for per-destination-bucketed payloads.
-  template <typename T>
-  [[nodiscard]] mpisim::Request<T> post(
-      const std::vector<std::vector<T>>& outgoing) {
-    return comm_.ialltoallv(outgoing, hierarchical_);
+    return comm_.alltoallv(outgoing);
   }
 
   /// Step 4: move a received payload onto the device (at least one slot so
@@ -157,25 +120,6 @@ class ExchangePlan {
   }
   [[nodiscard]] std::uint64_t bytes_received() const {
     return comm_capture_.bytes_received();
-  }
-
-  /// Topology split of bytes_sent() under the hierarchical exchange: bytes
-  /// whose destination shares the sender's node vs bytes that cross the
-  /// NIC. Their sum equals bytes_sent(); both zero on the flat path.
-  [[nodiscard]] std::uint64_t intra_node_bytes() const {
-    return comm_capture_.intra_node_bytes();
-  }
-  [[nodiscard]] std::uint64_t inter_node_bytes() const {
-    return comm_capture_.inter_node_bytes();
-  }
-
-  /// The intra-node (NVLink) share of alltoallv_seconds() — zero on the
-  /// flat path. RoundRunner overlaps only the inter-node remainder.
-  [[nodiscard]] double hier_intra_seconds() const {
-    return comm_capture_.modeled_intra_seconds();
-  }
-  [[nodiscard]] double hier_intra_volume_seconds() const {
-    return comm_capture_.modeled_intra_volume_seconds();
   }
 
   /// Modeled time of the communication routines alone — no staging copies,
@@ -213,7 +157,6 @@ class ExchangePlan {
   mpisim::Comm& comm_;
   gpusim::Device* device_;
   const bool staged_;
-  const bool hierarchical_ = false;
   mpisim::CommCapture comm_capture_;
   std::optional<gpusim::DeviceCapture> device_capture_;
 };
@@ -222,8 +165,6 @@ inline void PhaseScope::commit_exchange(const ExchangePlan& plan,
                                         double overhead_seconds) {
   metrics_.bytes_sent = plan.bytes_sent();
   metrics_.bytes_received = plan.bytes_received();
-  metrics_.intra_node_bytes = plan.intra_node_bytes();
-  metrics_.inter_node_bytes = plan.inter_node_bytes();
   metrics_.modeled_alltoallv_seconds = plan.alltoallv_seconds();
   metrics_.modeled_alltoallv_volume_seconds = plan.alltoallv_volume_seconds();
   set_charge(plan.charge_seconds(overhead_seconds),

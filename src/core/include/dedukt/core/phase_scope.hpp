@@ -64,11 +64,7 @@ class PhaseScope {
   ~PhaseScope() {
     metrics_.modeled.add(phase_name_, modeled_);
     metrics_.modeled_volume.add(phase_name_, volume_);
-    metrics_.overlap_saved_seconds += overlap_saved_;
     span_.set_modeled(modeled_, volume_);
-    if (overlap_saved_ != 0.0) {
-      span_.set_overlap_saved_seconds(overlap_saved_);
-    }
   }
 
   /// The communication ledger delta since the phase opened.
@@ -104,12 +100,6 @@ class PhaseScope {
         std::max(capture.modeled_volume_seconds(), work_seconds));
   }
 
-  /// Record how much modeled exchange time this phase hid behind
-  /// overlapped compute (overlap_rounds only). Committed to both
-  /// RankMetrics::overlap_saved_seconds and the phase span; the phase's
-  /// modeled charge must already exclude the hidden share.
-  void set_overlap_saved_seconds(double seconds) { overlap_saved_ = seconds; }
-
   /// Commit an exchange phase from its ExchangePlan: exact byte counts,
   /// the Alltoallv-routine time (Fig. 8's metric), and the full exchange
   /// charge (routine + staging copies + constant overhead). Defined in
@@ -126,7 +116,6 @@ class PhaseScope {
   std::optional<gpusim::DeviceCapture> device_;
   double modeled_ = 0.0;
   double volume_ = 0.0;
-  double overlap_saved_ = 0.0;
 };
 
 }  // namespace dedukt::core

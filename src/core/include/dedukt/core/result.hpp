@@ -77,12 +77,6 @@ struct RankMetrics {
   std::uint64_t supermers_received = 0;
   std::uint64_t bytes_sent = 0;          ///< off-rank exchange payload
   std::uint64_t bytes_received = 0;
-  /// Topology split of bytes_sent under --hierarchical-exchange: payload
-  /// whose destination shares the sender's node vs payload that crosses
-  /// the NIC. intra + inter == bytes_sent on that path; both 0 on the flat
-  /// exchange.
-  std::uint64_t intra_node_bytes = 0;
-  std::uint64_t inter_node_bytes = 0;
   std::uint64_t unique_kmers = 0;        ///< distinct keys in the local table
   std::uint64_t counted_kmers = 0;       ///< total count in the local table
   /// Out-of-core ledger: bytes this rank appended to / replayed from spill
@@ -98,17 +92,10 @@ struct RankMetrics {
   PhaseTimes modeled;   ///< modeled Summit time
 
   /// Modeled time of the Alltoallv routine alone (no staging copies, no
-  /// phase overhead) — what the paper's Fig. 8 measures. Overlapped rounds
-  /// keep reporting the full routine time here; the hidden share is
-  /// tracked separately in overlap_saved_seconds.
+  /// phase overhead) — what the paper's Fig. 8 measures.
   double modeled_alltoallv_seconds = 0.0;
   /// Volume-proportional share of modeled_alltoallv_seconds.
   double modeled_alltoallv_volume_seconds = 0.0;
-  /// Modeled exchange time hidden behind overlapped compute
-  /// (overlap_rounds only; 0 in lockstep mode). The exchange phase's
-  /// modeled charge already excludes this — it records what the run saved,
-  /// not an additional cost.
-  double overlap_saved_seconds = 0.0;
   /// The volume-proportional share of `modeled` per phase. When a run on a
   /// 1/scale input is projected to full size, only this share scales; the
   /// remainder (message latencies, launch overheads) stays constant.
@@ -180,11 +167,6 @@ struct CountResult {
 
   /// Sum of the modeled per-phase maxima.
   [[nodiscard]] double modeled_total_seconds() const;
-
-  /// Modeled exchange time hidden behind overlapped compute: max over
-  /// ranks (the bulk-synchronous view, like modeled_breakdown). 0 unless
-  /// the run used overlap_rounds.
-  [[nodiscard]] double overlap_saved_seconds() const;
 
   /// Table III metric: max/avg of counted k-mers per rank.
   [[nodiscard]] double load_imbalance() const;

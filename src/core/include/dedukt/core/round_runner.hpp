@@ -12,15 +12,11 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "dedukt/core/config.hpp"
-#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/result.hpp"
 #include "dedukt/io/partition.hpp"
 #include "dedukt/io/sequence.hpp"
@@ -59,15 +55,12 @@ inline void accumulate_round(RankMetrics& total, const RankMetrics& round) {
   total.supermers_received += round.supermers_received;
   total.bytes_sent += round.bytes_sent;
   total.bytes_received += round.bytes_received;
-  total.intra_node_bytes += round.intra_node_bytes;
-  total.inter_node_bytes += round.inter_node_bytes;
   total.measured.merge(round.measured);
   total.modeled.merge(round.modeled);
   total.modeled_volume.merge(round.modeled_volume);
   total.modeled_alltoallv_seconds += round.modeled_alltoallv_seconds;
   total.modeled_alltoallv_volume_seconds +=
       round.modeled_alltoallv_volume_seconds;
-  total.overlap_saved_seconds += round.overlap_saved_seconds;
   total.spill_bytes_written += round.spill_bytes_written;
   total.spill_bytes_read += round.spill_bytes_read;
   // Peak footprint folds by MAX: the batches/bins were resident one at a
@@ -75,21 +68,6 @@ inline void accumulate_round(RankMetrics& total, const RankMetrics& round) {
   total.peak_resident_bytes =
       std::max(total.peak_resident_bytes, round.peak_resident_bytes);
 }
-
-/// Knobs of the overlapped exchange shared by all pipelines: which device
-/// stages the buffers (null for host-only pipelines), whether staging is
-/// priced (ExchangeMode::kStaged), and the constant exchange-phase
-/// overhead.
-struct OverlapExchangeSpec {
-  gpusim::Device* device = nullptr;
-  bool staged = false;
-  double overhead_seconds = 0.0;
-  /// Route the posted exchanges through the two-level topology-aware path
-  /// (PipelineConfig::hierarchical_exchange). Overlap then prices only the
-  /// inter-node hop against the in-flight parse; the intra-node staging
-  /// stays exposed (it shares the NVLink with the parse's own traffic).
-  bool hierarchical = false;
-};
 
 class RoundRunner {
  public:
@@ -126,134 +104,6 @@ class RoundRunner {
       for (const io::ReadBatch& batch : round_batches) {
         accumulate_round(total, run_single(batch));
       }
-    }
-    total.unique_kmers = table.unique();
-    total.counted_kmers = table.total();
-    return total;
-  }
-
-  /// §III-A round overlap (overlap_rounds / --overlap-rounds): while round
-  /// r's ialltoallv is in flight, round r+1 parses and packs into the
-  /// second slot of a double buffer. `stages` decomposes one round into
-  ///   Parsed parse(const io::ReadBatch&, RankMetrics&) — the parse
-  ///       phase(s), identical operations to the lockstep path;
-  ///   Pending post(Parsed&&, ExchangePlan&, RankMetrics&) — stage_out
-  ///       plus nonblocking ialltoallv post(s);
-  ///   Received receive(Pending&&, ExchangePlan&, RankMetrics&) — wait(s)
-  ///       plus stage_in(s);
-  ///   void count(Received&&, RankMetrics&) — the count phase, identical
-  ///       operations to the lockstep path;
-  /// (the struct must declare those three member types). Because parse and
-  /// count run the exact operations of the lockstep rounds in the same
-  /// round order against the same table, spectra and work counts stay
-  /// bit-identical; only the exchange phase's modeled charge changes — the
-  /// routine's overlappable share hides behind the next round's parse
-  /// (NetworkModel::overlapped_seconds), and the hidden share is recorded
-  /// as RankMetrics::overlap_saved_seconds instead of being spent.
-  template <typename Table, typename Stages>
-  [[nodiscard]] RankMetrics run_overlapped(
-      mpisim::Comm& comm, const OverlapExchangeSpec& spec, Table& table,
-      Stages&& stages, RankMetrics setup = RankMetrics{}) const {
-    using S = std::decay_t<Stages>;
-    struct Slot {
-      RankMetrics metrics;
-      std::optional<typename S::Parsed> parsed;
-      std::optional<typename S::Pending> pending;
-    };
-
-    RankMetrics total = std::move(setup);
-    std::vector<io::ReadBatch> round_batches;
-    if (rounds_ > 1) {
-      round_batches =
-          io::partition_by_bases(reads_, static_cast<int>(rounds_));
-    }
-    const std::size_t nrounds = rounds_ > 1 ? round_batches.size() : 1;
-    auto batch_at = [&](std::size_t i) -> const io::ReadBatch& {
-      return rounds_ > 1 ? round_batches[i] : reads_;
-    };
-
-    auto parse_into = [&](Slot& slot, std::size_t round) {
-      slot.metrics = RankMetrics{};
-      slot.parsed.emplace(stages.parse(batch_at(round), slot.metrics));
-    };
-
-    // Post the slot's parsed payload as nonblocking exchange(s). Only the
-    // stage-out staging cost lands on this side of the exchange phase; the
-    // routine cost is charged at completion in receive_and_count.
-    auto post = [&](Slot& slot) {
-      PhaseScope phase(slot.metrics, kPhaseExchange);
-      ExchangePlan plan(comm, spec.device, spec.staged, spec.hierarchical);
-      slot.pending.emplace(
-          stages.post(std::move(*slot.parsed), plan, slot.metrics));
-      slot.parsed.reset();
-      phase.set_charge(plan.staging_seconds(), plan.staging_volume_seconds());
-    };
-
-    // Complete the slot's exchange, then run its count phase.
-    // `compute_seconds` is the modeled compute that ran while the exchange
-    // was in flight (the next round's parse); the routine's overlappable
-    // share hides behind it.
-    auto receive_and_count = [&](Slot& slot, double compute_seconds) {
-      std::optional<typename S::Received> received;
-      {
-        PhaseScope phase(slot.metrics, kPhaseExchange);
-        ExchangePlan plan(comm, spec.device, spec.staged, spec.hierarchical);
-        received.emplace(
-            stages.receive(std::move(*slot.pending), plan, slot.metrics));
-        slot.pending.reset();
-
-        const double routine = plan.alltoallv_seconds();
-        const double routine_volume = plan.alltoallv_volume_seconds();
-        // Only the inter-node hop hides behind the in-flight parse; the
-        // intra-node staging share (zero on the flat path, where these
-        // expressions reduce bit-for-bit to the pre-hierarchical math)
-        // stays exposed.
-        const double intra = plan.hier_intra_seconds();
-        const double intra_volume = plan.hier_intra_volume_seconds();
-        const double inter = routine - intra;
-        const double inter_volume = routine_volume - intra_volume;
-        const double exposed_inter =
-            comm.network().overlapped_seconds(inter, compute_seconds) -
-            compute_seconds;
-        const double exposed = intra + exposed_inter;
-        const double saved = inter - exposed_inter;
-
-        slot.metrics.bytes_sent = plan.bytes_sent();
-        slot.metrics.bytes_received = plan.bytes_received();
-        slot.metrics.intra_node_bytes = plan.intra_node_bytes();
-        slot.metrics.inter_node_bytes = plan.inter_node_bytes();
-        // Fig. 8's metric keeps seeing the full routine time; only the
-        // phase's exposure shrinks.
-        slot.metrics.modeled_alltoallv_seconds = routine;
-        slot.metrics.modeled_alltoallv_volume_seconds = routine_volume;
-        const double exposed_volume =
-            intra_volume +
-            (inter > 0.0 ? inter_volume * (exposed_inter / inter) : 0.0);
-        phase.set_charge(
-            exposed + plan.staging_seconds() + spec.overhead_seconds,
-            exposed_volume + plan.staging_volume_seconds());
-        phase.set_overlap_saved_seconds(saved);
-      }
-      stages.count(std::move(*received), slot.metrics);
-      received.reset();
-    };
-
-    std::array<Slot, 2> slots;
-    parse_into(slots[0], 0);
-    post(slots[0]);
-    for (std::size_t r = 0; r < nrounds; ++r) {
-      Slot& current = slots[r % 2];
-      Slot& next = slots[(r + 1) % 2];
-      double compute_seconds = 0.0;
-      if (r + 1 < nrounds) {
-        parse_into(next, r + 1);
-        // Read before post(): only the parse charge overlaps the in-flight
-        // exchange of round r.
-        compute_seconds = next.metrics.modeled.total();
-        post(next);
-      }
-      receive_and_count(current, compute_seconds);
-      accumulate_round(total, current.metrics);
     }
     total.unique_kmers = table.unique();
     total.counted_kmers = table.total();

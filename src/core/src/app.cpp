@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <map>
 #include <ostream>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <filesystem>
@@ -44,7 +46,6 @@ commands:
            [--order=randomized|kmc2|lexicographic]
            [--canonical] [--filter-singletons] [--wide-supermers]
            [--freq-balanced] [--node-balanced] [--rounds-limit=N]
-           [--overlap-rounds] [--hierarchical-exchange]
            [--smem-agg] [--no-smem-agg] [--sim-threads=N]
            [--sketch] [--sketch-width=N] [--sketch-depth=N]
            [--sketch-conservative] [--heavy-threshold=N]
@@ -82,6 +83,35 @@ synthetic presets: ecoli30x paeruginosa30x vvulnificus30x abaumannii30x
                    celegans40x hsapiens54x
 )";
 
+/// The flags `command` accepts: every --name in its block of kUsage (the
+/// line that names the command and the indented lines under it), plus the
+/// global --sim-threads. Reading them off the help text keeps the accepted
+/// set and the documentation from drifting apart.
+std::set<std::string> usage_flags(std::string_view command) {
+  std::set<std::string> flags = {"sim-threads"};
+  std::string_view block;  // command whose block the current line is in
+  std::string_view usage = kUsage;
+  while (!usage.empty()) {
+    const std::size_t eol = std::min(usage.find('\n'), usage.size());
+    const std::string_view line = usage.substr(0, eol);
+    usage.remove_prefix(std::min(eol + 1, usage.size()));
+    const std::size_t indent = line.find_first_not_of(' ');
+    if (indent == std::string_view::npos || indent == 0) {
+      block = {};  // blank or unindented: outside every command block
+    } else if (indent == 2) {
+      block = line.substr(2, line.find(' ', 2) - 2);
+    }
+    if (block != command) continue;
+    for (std::size_t at = line.find("--"); at != std::string_view::npos;
+         at = line.find("--", at + 2)) {
+      const std::size_t end =
+          std::min(line.find_first_of(" =]|>/)", at + 2), line.size());
+      flags.emplace(line.substr(at + 2, end - at - 2));
+    }
+  }
+  return flags;
+}
+
 io::ReadBatch load_input(const CliParser& cli, std::ostream& out) {
   const std::string input = cli.get("input");
   if (!input.empty()) {
@@ -96,7 +126,7 @@ io::ReadBatch load_input(const CliParser& cli, std::ostream& out) {
   const auto preset = io::find_preset(preset_key);
   DEDUKT_REQUIRE_MSG(preset.has_value(),
                      "unknown synthetic preset '" << preset_key << "'");
-  const auto scale = static_cast<std::uint64_t>(cli.get_int("scale", 500));
+  const auto scale = cli.get_uint<std::uint64_t>("scale", 500);
   out << "generating " << preset->short_name << " at 1/" << scale
       << " scale\n";
   return io::make_dataset(*preset, scale);
@@ -141,26 +171,21 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
     options.pipeline.partition = PartitionScheme::kNodeAware;
   }
   options.pipeline.max_kmers_per_round =
-      static_cast<std::uint64_t>(cli.get_int("rounds-limit", 0));
-  options.pipeline.overlap_rounds = cli.get_bool("overlap-rounds", false);
-  options.pipeline.hierarchical_exchange =
-      cli.get_bool("hierarchical-exchange", false);
+      cli.get_uint<std::uint64_t>("rounds-limit", 0);
   options.pipeline.smem_agg =
       cli.has("no-smem-agg") ? false : cli.get_bool("smem-agg", true);
   options.pipeline.sketch = cli.get_bool("sketch", false);
   options.pipeline.sketch_width =
-      static_cast<std::uint32_t>(cli.get_int("sketch-width", 1 << 20));
+      cli.get_uint<std::uint32_t>("sketch-width", 1u << 20);
   options.pipeline.sketch_depth =
-      static_cast<std::uint32_t>(cli.get_int("sketch-depth", 4));
+      cli.get_uint<std::uint32_t>("sketch-depth", 4);
   options.pipeline.sketch_conservative =
       cli.get_bool("sketch-conservative", false);
   options.pipeline.heavy_threshold =
-      static_cast<std::uint64_t>(cli.get_int("heavy-threshold", 0));
+      cli.get_uint<std::uint64_t>("heavy-threshold", 0);
   options.nranks = static_cast<int>(cli.get_int("ranks", 6));
-  options.batch.max_reads =
-      static_cast<std::size_t>(cli.get_int("batch-reads", 0));
-  options.batch.max_bytes =
-      static_cast<std::uint64_t>(cli.get_int("batch-bytes", 0));
+  options.batch.max_reads = cli.get_uint<std::size_t>("batch-reads", 0);
+  options.batch.max_bytes = cli.get_uint<std::uint64_t>("batch-bytes", 0);
   options.ooc.spill_root = cli.get("ooc-spill");
   options.ooc.bins = static_cast<int>(cli.get_int("ooc-bins", 8));
 
@@ -359,8 +384,7 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
   DEDUKT_REQUIRE_MSG(!overlap || ranks >= 2,
                      "--overlap-batches needs a distributed tier "
                      "(--ranks>=2)");
-  const auto batch =
-      static_cast<std::size_t>(cli.get_int("batch", 0));
+  const auto batch = cli.get_uint<std::size_t>("batch", 0);
   const bool json = cli.get_bool("json", false);
 
   // Split the key list into batches (0 = serve everything in one round
@@ -381,8 +405,7 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
   if (ranks == 1) {
     gpusim::Device device;
     store::QueryEngineConfig config;
-    config.cache_shards =
-        static_cast<std::uint32_t>(cli.get_int("cache-shards", 0));
+    config.cache_shards = cli.get_uint<std::uint32_t>("cache-shards", 0);
     config.freq_admission = cli.get_bool("freq-admission", false);
     store::QueryEngine engine(kmer_store, device, config);
     for (const auto& b : batches) {
@@ -404,8 +427,7 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
   } else {
     store::DistributedQueryConfig config;
     config.ranks = ranks;
-    config.cache_shards =
-        static_cast<std::uint32_t>(cli.get_int("cache-shards", 0));
+    config.cache_shards = cli.get_uint<std::uint32_t>("cache-shards", 0);
     config.freq_admission = cli.get_bool("freq-admission", false);
     config.overlap_batches = overlap;
     store::DistributedQueryEngine engine(kmer_store, config);
@@ -468,8 +490,7 @@ int cmd_histo(const CliParser& cli, std::ostream& out) {
 
   out << "k-mer frequency spectrum (k=" << file.k << "):\n";
   for (const std::string& row : render_spectrum(
-           spectrum,
-           static_cast<std::size_t>(cli.get_int("max-rows", 25)))) {
+           spectrum, cli.get_uint<std::size_t>("max-rows", 25))) {
     out << "  " << row << "\n";
   }
   const SpectrumAnalysis analysis = analyze_spectrum(spectrum);
@@ -506,8 +527,7 @@ int cmd_graph(const CliParser& cli, std::ostream& out) {
   DEDUKT_REQUIRE_MSG(!path.empty(), "graph needs --counts=<file>");
   const CountsFile file = read_counts_binary_file(path);
 
-  const auto min_count =
-      static_cast<std::uint64_t>(cli.get_int("min-count", 1));
+  const auto min_count = cli.get_uint<std::uint64_t>("min-count", 1);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> kept;
   for (const auto& entry : file.counts) {
     if (entry.second >= min_count) kept.push_back(entry);
@@ -617,6 +637,16 @@ int run_app(int argc, const char* const* argv, std::ostream& out,
     out << kUsage;
     return 0;
   }
+  using Command = int (*)(const CliParser&, std::ostream&);
+  const std::map<std::string, Command> commands = {
+      {"count", cmd_count}, {"histo", cmd_histo}, {"dump", cmd_dump},
+      {"graph", cmd_graph}, {"info", cmd_info}, {"compare", cmd_compare},
+      {"query", cmd_query}};
+  const auto it = commands.find(command);
+  if (it == commands.end()) {
+    err << "unknown command '" << command << "'\n" << kUsage;
+    return 1;
+  }
   // Re-parse flags with the subcommand stripped.
   std::vector<const char*> rest;
   rest.push_back(argv[0]);
@@ -624,21 +654,18 @@ int run_app(int argc, const char* const* argv, std::ostream& out,
   const CliParser cli(static_cast<int>(rest.size()), rest.data());
 
   try {
+    // A misspelled or retired flag must not be silently ignored.
+    const std::vector<std::string> unknown =
+        cli.unknown_flags(usage_flags(command));
+    DEDUKT_REQUIRE_MSG(unknown.empty(), "unknown flag --" << unknown.front()
+                                            << " for dedukt " << command);
     // Host-side simulation parallelism; overrides DEDUKT_SIM_THREADS.
     if (cli.has("sim-threads")) {
       const long threads = cli.get_int("sim-threads", 0);
       DEDUKT_REQUIRE_MSG(threads >= 1, "--sim-threads must be >= 1");
       util::ThreadPool::set_global_threads(static_cast<unsigned>(threads));
     }
-    if (command == "count") return cmd_count(cli, out);
-    if (command == "histo") return cmd_histo(cli, out);
-    if (command == "dump") return cmd_dump(cli, out);
-    if (command == "graph") return cmd_graph(cli, out);
-    if (command == "info") return cmd_info(cli, out);
-    if (command == "compare") return cmd_compare(cli, out);
-    if (command == "query") return cmd_query(cli, out);
-    err << "unknown command '" << command << "'\n" << kUsage;
-    return 1;
+    return it->second(cli, out);
   } catch (const PreconditionError& e) {
     err << "error: " << e.what() << "\n";
     return 1;

@@ -1,9 +1,8 @@
 // The count phases of the three exact pipelines (COUNTKMER of Fig. 1).
 //
-// Internal to dedukt_core: each pipeline's lockstep and overlapped rounds
-// call these, and the out-of-core pass 2 (ooc.cpp) calls them after
-// exchanging one spill bin, so a replayed bin is counted and charged
-// exactly like an in-memory round.
+// Internal to dedukt_core: each pipeline's rounds call these, and the
+// out-of-core pass 2 (ooc.cpp) calls them after exchanging one spill bin,
+// so a replayed bin is counted and charged exactly like an in-memory round.
 #pragma once
 
 #include <cstdint>

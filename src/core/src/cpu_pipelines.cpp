@@ -24,8 +24,7 @@ namespace dedukt::core {
 namespace {
 
 /// PARSEKMER (one full parse phase): extract k-mers and bucket them by
-/// destination processor. Shared verbatim by the lockstep and overlapped
-/// paths so their operations — and the parse charge — cannot drift.
+/// destination processor.
 template <typename KeyTraits>
 std::vector<std::vector<typename KeyTraits::Key>> parse_cpu(
     const io::ReadBatch& reads, const PipelineConfig& config,
@@ -66,8 +65,7 @@ RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
   mpisim::AlltoallvResult<typename KeyTraits::Key> received;
   {
     PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, /*device=*/nullptr, /*staged=*/false,
-                      config.hierarchical_exchange);
+    ExchangePlan plan(comm, /*device=*/nullptr, /*staged=*/false);
     received = plan.exchange(outgoing);
     phase.commit_exchange(plan);
   }
@@ -81,52 +79,11 @@ RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
   return metrics;
 }
 
-/// The round decomposition RoundRunner::run_overlapped drives: parse and
-/// count call the exact helpers of the lockstep path; the exchange is
-/// split into a nonblocking post and a wait-side receive.
-template <typename KeyTraits>
-struct CpuOverlapStages {
-  using Key = typename KeyTraits::Key;
-  using Parsed = std::vector<std::vector<Key>>;
-  using Pending = mpisim::Request<Key>;
-  using Received = mpisim::AlltoallvResult<Key>;
-
-  const PipelineConfig& config;
-  std::uint32_t parts;
-  BasicHostHashTable<KeyTraits>& local_table;
-
-  Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    return parse_cpu<KeyTraits>(reads, config, parts, metrics);
-  }
-
-  Pending post(Parsed&& outgoing, ExchangePlan& plan, RankMetrics&) {
-    return plan.post(outgoing);
-  }
-
-  Received receive(Pending&& request, ExchangePlan&, RankMetrics&) {
-    return request.wait();
-  }
-
-  void count(Received&& received, RankMetrics& metrics) {
-    detail::count_cpu(received, local_table, metrics);
-  }
-};
-
 template <typename KeyTraits>
 RankMetrics run_cpu_pipeline(mpisim::Comm& comm, const io::ReadBatch& reads,
                              const PipelineConfig& config,
                              BasicHostHashTable<KeyTraits>& local_table) {
   const RoundRunner runner(comm, reads, config);
-  if (config.overlap_rounds) {
-    CpuOverlapStages<KeyTraits> stages{
-        config, static_cast<std::uint32_t>(comm.size()), local_table};
-    const OverlapExchangeSpec spec{/*device=*/nullptr, /*staged=*/false,
-                                   /*overhead_seconds=*/0.0,
-                                   config.hierarchical_exchange};
-    return runner.run_overlapped(comm, spec, local_table, stages);
-  }
   return runner.run(local_table, [&](const io::ReadBatch& batch) {
     return run_cpu_single<KeyTraits>(comm, batch, config, local_table);
   });

@@ -35,12 +35,9 @@ void validate_run(const DriverOptions& options, bool wide_keys) {
   if (options.ooc.enabled()) {
     DEDUKT_REQUIRE_MSG(options.ooc.bins >= 1,
                        "--ooc-bins must be >= 1, got " << options.ooc.bins);
-    DEDUKT_REQUIRE_MSG(!config.overlap_rounds,
-                       "out-of-core mode and --overlap-rounds are mutually "
-                       "exclusive (pass 2 replays bins in lockstep)");
     DEDUKT_REQUIRE_MSG(config.max_kmers_per_round == 0,
                        "out-of-core bins replace multi-round processing; "
-                       "leave --max-kmers-per-round unset");
+                       "leave --rounds-limit unset");
     DEDUKT_REQUIRE_MSG(!config.filter_singletons,
                        "the Bloom pre-filter cannot span spill bins");
     DEDUKT_REQUIRE_MSG(!config.source_consolidation,

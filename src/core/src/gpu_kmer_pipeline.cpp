@@ -69,8 +69,7 @@ struct ConsolidatedKmers {
   std::vector<std::vector<std::uint32_t>> out_key_counts;
 };
 
-/// parse & process k-mers on the device (one full parse phase). Shared
-/// verbatim by the lockstep and overlapped paths.
+/// parse & process k-mers on the device (one full parse phase).
 ParsedKmers parse_gpu_kmers(gpusim::Device& device, const io::ReadBatch& reads,
                             const PipelineConfig& config, std::uint32_t parts,
                             RankMetrics& metrics) {
@@ -202,7 +201,7 @@ RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
     gpusim::DeviceBuffer<std::uint32_t> d_recv_key_counts;
     {
       PhaseScope phase(metrics, kPhaseExchange);
-      ExchangePlan plan(comm, &device, staged, config.hierarchical_exchange);
+      ExchangePlan plan(comm, &device, staged);
 
       recv_keys = plan.exchange(buckets.out_keys);
       recv_key_counts = plan.exchange(buckets.out_key_counts);
@@ -225,7 +224,7 @@ RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
   gpusim::DeviceBuffer<std::uint64_t> d_recv;
   {
     PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, &device, staged, config.hierarchical_exchange);
+    ExchangePlan plan(comm, &device, staged);
 
     const std::vector<std::uint64_t> host_out =
         plan.stage_out(parsed.d_out, parsed.total);
@@ -242,102 +241,6 @@ RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
   return metrics;
 }
 
-/// Overlapped-round decomposition of the main (occurrence-on-the-wire)
-/// path; parse and count call the lockstep helpers verbatim.
-struct GpuKmerOverlapStages {
-  using Parsed = ParsedKmers;
-  using Pending = mpisim::Request<std::uint64_t>;
-  struct Received {
-    mpisim::AlltoallvResult<std::uint64_t> result;
-    gpusim::DeviceBuffer<std::uint64_t> d_recv;
-  };
-
-  mpisim::Comm& comm;
-  gpusim::Device& device;
-  const PipelineConfig& config;
-  HostHashTable& local_table;
-
-  Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    return parse_gpu_kmers(device, reads, config,
-                           static_cast<std::uint32_t>(comm.size()), metrics);
-  }
-
-  Pending post(Parsed&& parsed, ExchangePlan& plan, RankMetrics&) {
-    const std::vector<std::uint64_t> host_out =
-        plan.stage_out(parsed.d_out, parsed.total);
-    return plan.post(host_out, parsed.counts, parsed.offsets);
-  }
-
-  Received receive(Pending&& request, ExchangePlan& plan, RankMetrics&) {
-    Received received;
-    received.result = request.wait();
-    received.d_recv = plan.stage_in(received.result.data);
-    return received;
-  }
-
-  void count(Received&& received, RankMetrics& metrics) {
-    detail::count_gpu_kmers(device, config, received.result,
-                            received.d_recv, local_table, metrics);
-  }
-};
-
-/// Overlapped-round decomposition of the source-consolidation path: two
-/// requests (keys + counts) in flight per round, waited in posting order.
-struct GpuKmerConsolidatedOverlapStages {
-  using Parsed = ConsolidatedKmers;
-  struct Pending {
-    mpisim::Request<std::uint64_t> keys;
-    mpisim::Request<std::uint32_t> key_counts;
-  };
-  struct Received {
-    mpisim::AlltoallvResult<std::uint64_t> recv_keys;
-    mpisim::AlltoallvResult<std::uint32_t> recv_key_counts;
-    gpusim::DeviceBuffer<std::uint64_t> d_recv_keys;
-    gpusim::DeviceBuffer<std::uint32_t> d_recv_key_counts;
-  };
-
-  mpisim::Comm& comm;
-  gpusim::Device& device;
-  const PipelineConfig& config;
-  HostHashTable& local_table;
-
-  Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    const auto parts = static_cast<std::uint32_t>(comm.size());
-    ParsedKmers parsed =
-        parse_gpu_kmers(device, reads, config, parts, metrics);
-    return consolidate_gpu_kmers(device, config, std::move(parsed), parts,
-                                 metrics);
-  }
-
-  Pending post(Parsed&& buckets, ExchangePlan& plan, RankMetrics&) {
-    Pending pending;
-    pending.keys = plan.post(buckets.out_keys);
-    pending.key_counts = plan.post(buckets.out_key_counts);
-    return pending;
-  }
-
-  Received receive(Pending&& pending, ExchangePlan& plan, RankMetrics&) {
-    Received received;
-    received.recv_keys = pending.keys.wait();
-    received.recv_key_counts = pending.key_counts.wait();
-    DEDUKT_CHECK(received.recv_keys.data.size() ==
-                 received.recv_key_counts.data.size());
-    received.d_recv_keys = plan.stage_in(received.recv_keys.data);
-    received.d_recv_key_counts = plan.stage_in(received.recv_key_counts.data);
-    return received;
-  }
-
-  void count(Received&& received, RankMetrics& metrics) {
-    count_gpu_pairs(device, config, received.recv_keys,
-                    received.recv_key_counts, received.d_recv_keys,
-                    received.d_recv_key_counts, local_table, metrics);
-  }
-};
-
 }  // namespace
 
 RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
@@ -346,19 +249,6 @@ RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
                               HostHashTable& local_table) {
   config.validate();
   const RoundRunner runner(comm, reads, config);
-  if (config.overlap_rounds) {
-    const bool staged = config.exchange == ExchangeMode::kStaged;
-    const OverlapExchangeSpec spec{&device, staged,
-                                   summit::kGpuExchangeOverheadSec,
-                                   config.hierarchical_exchange};
-    if (config.source_consolidation) {
-      GpuKmerConsolidatedOverlapStages stages{comm, device, config,
-                                              local_table};
-      return runner.run_overlapped(comm, spec, local_table, stages);
-    }
-    GpuKmerOverlapStages stages{comm, device, config, local_table};
-    return runner.run_overlapped(comm, spec, local_table, stages);
-  }
   return runner.run(local_table, [&](const io::ReadBatch& batch) {
     return run_gpu_kmer_single(comm, device, batch, config, local_table);
   });

@@ -26,8 +26,7 @@ namespace dedukt::core {
 namespace detail {
 
 /// Count phase: extract k-mers from received supermers and count. Shared
-/// verbatim by the lockstep and overlapped paths and the out-of-core
-/// replay.
+/// verbatim by the in-memory rounds and the out-of-core replay.
 template <typename Word>
 void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
                          const mpisim::AlltoallvResult<Word>& recv_words,
@@ -110,10 +109,9 @@ struct ParsedSupermers {
 };
 
 /// parse & process: build supermers on the device (one full parse phase).
-/// Shared verbatim by the lockstep and overlapped paths. Word selects the
-/// supermer packing: std::uint64_t for the paper's single-word regime,
-/// kmer::WideKey for the two-word extension that lifts the window cap of
-/// 15.
+/// Word selects the supermer packing: std::uint64_t for the paper's
+/// single-word regime, kmer::WideKey for the two-word extension that lifts
+/// the window cap of 15.
 template <typename Word>
 ParsedSupermers<Word> parse_gpu_supermers(
     gpusim::Device& device, const io::ReadBatch& reads,
@@ -212,7 +210,7 @@ RankMetrics run_gpu_supermer_single(mpisim::Comm& comm,
   gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
   {
     PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, &device, staged, config.hierarchical_exchange);
+    ExchangePlan plan(comm, &device, staged);
 
     const std::vector<Word> host_words =
         plan.stage_out(parsed.d_words, parsed.total_supermers);
@@ -242,71 +240,6 @@ RankMetrics run_gpu_supermer_single(mpisim::Comm& comm,
   metrics.counted_kmers = local_table.total();
   return metrics;
 }
-
-/// Overlapped-round decomposition: two requests (words + lengths) in
-/// flight per round, waited in posting order; parse and count call the
-/// lockstep helpers verbatim.
-template <typename Word>
-struct GpuSupermerOverlapStages {
-  using Parsed = ParsedSupermers<Word>;
-  struct Pending {
-    mpisim::Request<Word> words;
-    mpisim::Request<std::uint8_t> lens;
-  };
-  struct Received {
-    mpisim::AlltoallvResult<Word> recv_words;
-    mpisim::AlltoallvResult<std::uint8_t> recv_lens;
-    gpusim::DeviceBuffer<Word> d_recv_words;
-    gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-  };
-
-  mpisim::Comm& comm;
-  gpusim::Device& device;
-  const PipelineConfig& config;
-  HostHashTable& local_table;
-  const kernels::DestinationTable& routing;
-
-  Parsed parse(const io::ReadBatch& reads, RankMetrics& metrics) {
-    metrics.reads = reads.size();
-    metrics.bases = reads.total_bases();
-    return parse_gpu_supermers<Word>(
-        device, reads, config, static_cast<std::uint32_t>(comm.size()),
-        routing, metrics);
-  }
-
-  Pending post(Parsed&& parsed, ExchangePlan& plan, RankMetrics& metrics) {
-    const std::vector<Word> host_words =
-        plan.stage_out(parsed.d_words, parsed.total_supermers);
-    const std::vector<std::uint8_t> host_lens =
-        plan.stage_out(parsed.d_lens, parsed.total_supermers);
-    for (const std::uint8_t len : host_lens) {
-      metrics.supermer_bases += len;
-    }
-    Pending pending;
-    pending.words = plan.post(host_words, parsed.counts, parsed.offsets);
-    pending.lens = plan.post(host_lens, parsed.counts, parsed.offsets);
-    return pending;
-  }
-
-  Received receive(Pending&& pending, ExchangePlan& plan, RankMetrics&) {
-    Received received;
-    received.recv_words = pending.words.wait();
-    received.recv_lens = pending.lens.wait();
-    DEDUKT_CHECK(received.recv_words.data.size() ==
-                 received.recv_lens.data.size());
-    received.d_recv_words = plan.stage_in(received.recv_words.data);
-    received.d_recv_lens = plan.stage_in(received.recv_lens.data);
-    return received;
-  }
-
-  void count(Received&& received, RankMetrics& metrics) {
-    detail::count_gpu_supermers<Word>(device, config, received.recv_words,
-                                      received.recv_lens,
-                                      received.d_recv_words,
-                                      received.d_recv_lens, local_table,
-                                      metrics);
-  }
-};
 
 }  // namespace
 
@@ -347,22 +280,6 @@ RankMetrics run_gpu_supermer_rank(mpisim::Comm& comm, gpusim::Device& device,
                          phase.device().modeled_volume_seconds());
   }
 
-  if (config.overlap_rounds) {
-    const bool staged = config.exchange == ExchangeMode::kStaged;
-    const OverlapExchangeSpec spec{&device, staged,
-                                   summit::kGpuExchangeOverheadSec,
-                                   config.hierarchical_exchange};
-    if (config.wide_supermers) {
-      GpuSupermerOverlapStages<kmer::WideKey> stages{comm, device, config,
-                                                     local_table, routing};
-      return runner.run_overlapped(comm, spec, local_table, stages,
-                                   std::move(setup));
-    }
-    GpuSupermerOverlapStages<std::uint64_t> stages{comm, device, config,
-                                                   local_table, routing};
-    return runner.run_overlapped(comm, spec, local_table, stages,
-                                 std::move(setup));
-  }
   auto run_single = [&](const io::ReadBatch& batch) {
     if (config.wide_supermers) {
       return run_gpu_supermer_single<kmer::WideKey>(

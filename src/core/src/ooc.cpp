@@ -298,8 +298,7 @@ ReceivedBin<Word> exchange_bin(mpisim::Comm& comm, gpusim::Device* device,
   ReceivedBin<Word> received;
   {
     PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, device, config.exchange == ExchangeMode::kStaged,
-                      config.hierarchical_exchange);
+    ExchangePlan plan(comm, device, config.exchange == ExchangeMode::kStaged);
     received.words = plan.exchange(out_words);
     if (supermers) {
       received.lens = plan.exchange(reloaded.lens);

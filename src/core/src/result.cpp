@@ -16,8 +16,6 @@ RankMetrics CountResult::totals() const {
     total.supermers_received += r.supermers_received;
     total.bytes_sent += r.bytes_sent;
     total.bytes_received += r.bytes_received;
-    total.intra_node_bytes += r.intra_node_bytes;
-    total.inter_node_bytes += r.inter_node_bytes;
     total.unique_kmers += r.unique_kmers;
     total.counted_kmers += r.counted_kmers;
     total.spill_bytes_written += r.spill_bytes_written;
@@ -27,7 +25,6 @@ RankMetrics CountResult::totals() const {
     total.measured.merge(r.measured);
     total.modeled.merge(r.modeled);
     total.modeled_volume.merge(r.modeled_volume);
-    total.overlap_saved_seconds += r.overlap_saved_seconds;
   }
   return total;
 }
@@ -70,14 +67,6 @@ double CountResult::projected_alltoallv_seconds(double scale) const {
 
 double CountResult::modeled_total_seconds() const {
   return modeled_breakdown().total();
-}
-
-double CountResult::overlap_saved_seconds() const {
-  double saved = 0.0;
-  for (const auto& r : ranks) {
-    saved = std::max(saved, r.overlap_saved_seconds);
-  }
-  return saved;
 }
 
 double CountResult::load_imbalance() const {

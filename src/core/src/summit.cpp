@@ -11,9 +11,6 @@ mpisim::NetworkModel network(int ranks_per_node) {
   m.node_injection_bw = 23e9;
   m.ranks_per_node = ranks_per_node;
   m.efficiency = 0.045;
-  // The intra-node hop of the hierarchical exchange runs over each GPU's
-  // own NVLink host links, not the shared NIC.
-  m.intra_node_bw = device().host_link_bandwidth;
   return m;
 }
 

@@ -48,13 +48,6 @@ enum class ReduceOp { kSum, kMin, kMax };
 struct CommStats {
   std::uint64_t bytes_sent = 0;      ///< off-rank payload bytes sent
   std::uint64_t bytes_received = 0;  ///< off-rank payload bytes received
-  /// Topology split of bytes_sent, filled by the hierarchical exchange
-  /// path: payload bytes whose destination shares the sender's node
-  /// (intra) vs crosses nodes (inter). Their sum equals the bytes_sent the
-  /// flat path would charge for the same traffic; both stay zero on the
-  /// flat path, which is untouched by the topology.
-  std::uint64_t intra_node_bytes = 0;
-  std::uint64_t inter_node_bytes = 0;
   std::uint64_t alltoallv_calls = 0;
   std::uint64_t collective_calls = 0;  ///< barriers, reductions, gathers...
   /// Modeled wall time of all communication on the target network. Identical
@@ -65,24 +58,14 @@ struct CommStats {
   /// remainder is per-message latency, which stays constant when a
   /// down-scaled run is projected to a full-size input.
   double modeled_volume_seconds = 0.0;
-  /// The intra-node (NVLink gather/scatter) share of modeled_seconds,
-  /// accrued only by hierarchical exchanges. Round overlap can hide the
-  /// inter-node hop but not this staging, so the runner needs the split.
-  double modeled_intra_seconds = 0.0;
-  /// Volume-proportional part of modeled_intra_seconds.
-  double modeled_intra_volume_seconds = 0.0;
 
   void merge(const CommStats& other) {
     bytes_sent += other.bytes_sent;
     bytes_received += other.bytes_received;
-    intra_node_bytes += other.intra_node_bytes;
-    inter_node_bytes += other.inter_node_bytes;
     alltoallv_calls += other.alltoallv_calls;
     collective_calls += other.collective_calls;
     modeled_seconds += other.modeled_seconds;
     modeled_volume_seconds += other.modeled_volume_seconds;
-    modeled_intra_seconds += other.modeled_intra_seconds;
-    modeled_intra_volume_seconds += other.modeled_intra_volume_seconds;
   }
 };
 
@@ -214,44 +197,11 @@ class Comm {
     return last_round_max_bytes_;
   }
 
-  // --- topology (derived from NetworkModel::ranks_per_node) ---
-  //
-  // Ranks are laid out node-major, like MPI ranks on a block-scheduled
-  // cluster: node i owns ranks [i*ranks_per_node, (i+1)*ranks_per_node).
-  // node_ranks() is the intra-node sub-communicator group; the first rank
-  // of each node acts as its leader in the hierarchical exchange.
-
-  /// Ranks sharing one node (clamped to [1, size()]).
+  /// Ranks sharing one node (NetworkModel::ranks_per_node clamped to
+  /// [1, size()]). Ranks are laid out node-major, like MPI ranks on a
+  /// block-scheduled cluster: node i owns ranks [i*ranks_per_node,
+  /// (i+1)*ranks_per_node).
   [[nodiscard]] int ranks_per_node() const { return ranks_per_node_; }
-
-  /// Number of nodes this communicator spans (the last may be partial).
-  [[nodiscard]] int nodes() const {
-    return (nranks_ + ranks_per_node_ - 1) / ranks_per_node_;
-  }
-
-  /// Node that owns `rank`.
-  [[nodiscard]] int node_of(int rank) const { return rank / ranks_per_node_; }
-
-  /// First rank of `node` — its leader in the hierarchical exchange.
-  [[nodiscard]] int node_leader(int node) const {
-    return node * ranks_per_node_;
-  }
-
-  /// True when this rank is its node's leader.
-  [[nodiscard]] bool is_node_leader() const {
-    return rank_ == node_leader(node_of(rank_));
-  }
-
-  /// The intra-node sub-communicator group: all ranks of `node`, in rank
-  /// order.
-  [[nodiscard]] std::vector<int> node_ranks(int node) const {
-    std::vector<int> out;
-    const int first = node_leader(node);
-    const int last = std::min(first + ranks_per_node_, nranks_);
-    out.reserve(static_cast<std::size_t>(last - first));
-    for (int r = first; r < last; ++r) out.push_back(r);
-    return out;
-  }
 
   /// Synchronize all ranks.
   void barrier() {
@@ -312,86 +262,6 @@ class Comm {
     return result;
   }
 
-  /// Two-level topology-aware alltoallv. Payloads to same-node peers move
-  /// directly over the intra-node link; off-node payloads are gathered
-  /// onto the node leader, exchanged node-to-node over the NIC, and
-  /// scattered by the receiving leader. The delivered result regroups the
-  /// leader-staged slices back into source-rank order, so data, counts and
-  /// offsets are element-identical to the flat alltoallv — only the byte
-  /// ledgers (intra/inter split) and the modeled time (two-hop pricing,
-  /// NetworkModel::hierarchical_seconds) differ. With a single modeled
-  /// node the two-level exchange IS the flat exchange, and this delegates
-  /// so the charge stays bit-identical.
-  template <typename T>
-  [[nodiscard]] AlltoallvResult<T> hierarchical_alltoallv(
-      const std::vector<std::vector<T>>& send) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "alltoallv payload must be trivially copyable");
-    DEDUKT_REQUIRE_MSG(send.size() == static_cast<std::size_t>(nranks_),
-                       "alltoallv needs one send buffer per rank");
-    if (nodes() <= 1) {
-      AlltoallvResult<T> result = alltoallv(send);
-      // One node: every off-rank byte stays on the intra-node link.
-      std::uint64_t out_bytes = 0;
-      for (int dst = 0; dst < nranks_; ++dst) {
-        if (dst != rank_) {
-          out_bytes += send[static_cast<std::size_t>(dst)].size() * sizeof(T);
-        }
-      }
-      stats_.intra_node_bytes += out_bytes;
-      return result;
-    }
-
-    trace::ScopedSpan span(trace::kCategoryCollective,
-                           "hierarchical_alltoallv");
-    publish(&send, op_tag(0x9, typeid(T)));
-
-    // The leader staging is simulated over the shared board: each rank
-    // reads its slices per source (the union of the leader-forwarded
-    // slices, permuted back into deterministic source-rank order), while
-    // the ledger below walks the full traffic matrix to derive the
-    // per-hop loads every rank agrees on.
-    AlltoallvResult<T> result;
-    result.counts.resize(static_cast<std::size_t>(nranks_));
-    std::uint64_t in_bytes = 0;
-    std::size_t total = 0;
-    for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      total += (*srcbufs)[static_cast<std::size_t>(rank_)].size();
-    }
-    result.data.reserve(total);
-    for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      const auto& slice = (*srcbufs)[static_cast<std::size_t>(rank_)];
-      result.counts[static_cast<std::size_t>(src)] = slice.size();
-      result.data.insert(result.data.end(), slice.begin(), slice.end());
-      if (src != rank_) in_bytes += slice.size() * sizeof(T);
-    }
-    result.finalize_offsets();
-
-    // Every rank reads the whole send matrix's sizes off the board, so all
-    // ranks derive identical hop maxima without extra synchronization.
-    const HierLoads loads = hier_loads([&](int src, int dst) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      return static_cast<std::uint64_t>(
-          (*srcbufs)[static_cast<std::size_t>(dst)].size() * sizeof(T));
-    });
-
-    std::uint64_t out_bytes = 0;
-    for (int dst = 0; dst < nranks_; ++dst) {
-      if (dst != rank_) {
-        out_bytes += send[static_cast<std::size_t>(dst)].size() * sizeof(T);
-      }
-    }
-    finish_with_bytes(std::max(in_bytes, out_bytes));
-
-    charge_hierarchical(span, out_bytes, in_bytes, loads);
-    return result;
-  }
-
   /// Nonblocking personalized all-to-all (MPI_Ialltoallv): posts the
   /// exchange and returns a Request immediately. Matching follows MPI
   /// semantics — the n-th ialltoallv posted on one rank matches the n-th
@@ -400,12 +270,8 @@ class Comm {
   /// are reusable as soon as this returns, and mismatched wait orders
   /// across ranks can never deadlock); delivery, byte ledgers and modeled
   /// exchange time are all charged at wait()/test() completion.
-  /// `hierarchical` = true prices the completion as the two-level exchange
-  /// (the nonblocking analogue of hierarchical_alltoallv; identical
-  /// payload delivery, two-hop charge) — all ranks must agree on the flag.
   template <typename T>
-  [[nodiscard]] Request<T> ialltoallv(const std::vector<std::vector<T>>& send,
-                                      bool hierarchical = false);
+  [[nodiscard]] Request<T> ialltoallv(const std::vector<std::vector<T>>& send);
 
   /// Fixed-count all-to-all: element i of `send` goes to rank i
   /// (MPI_Alltoall with one element per peer).
@@ -684,7 +550,7 @@ class Comm {
   /// Ledger and span charging shared by the blocking alltoallv and the
   /// completion point of an ialltoallv — both modes must account the
   /// routine identically so CommStats and trace counters cannot diverge
-  /// between lockstep and overlapped execution.
+  /// between blocking and nonblocking exchanges.
   void charge_alltoallv(trace::ScopedSpan& span, std::uint64_t out_bytes,
                         std::uint64_t in_bytes, std::uint64_t round_max) {
     last_round_max_bytes_ = round_max;
@@ -704,110 +570,6 @@ class Comm {
       span.arg_u64("round_max_bytes", round_max);
       trace::counter("comm.bytes_sent", out_bytes);
       trace::counter("comm.bytes_received", in_bytes);
-    }
-  }
-
-  /// Per-hop byte loads of one hierarchical exchange, derived from the
-  /// full traffic matrix — deterministic and identical on every rank.
-  struct HierLoads {
-    std::uint64_t intra_out = 0;  ///< this rank's same-node payload bytes
-    std::uint64_t inter_out = 0;  ///< this rank's node-crossing payload bytes
-    /// Busiest intra-node link endpoint: direct same-node traffic plus the
-    /// gather/scatter staging through the node leaders.
-    std::uint64_t intra_max_bytes = 0;
-    /// Busiest node's NIC traffic: max over nodes of aggregated off-node
-    /// bytes sent or received.
-    std::uint64_t inter_node_max = 0;
-  };
-
-  /// Walk the traffic matrix (`bytes(src, dst)` = payload bytes src sends
-  /// dst) and derive the hierarchical hop loads. O(P^2), like the round
-  /// maximum the nonblocking completion already computes.
-  template <typename BytesFn>
-  [[nodiscard]] HierLoads hier_loads(BytesFn&& bytes) const {
-    HierLoads loads;
-    std::vector<std::uint64_t> link(static_cast<std::size_t>(nranks_), 0);
-    std::vector<std::uint64_t> node_out(static_cast<std::size_t>(nodes()), 0);
-    std::vector<std::uint64_t> node_in(static_cast<std::size_t>(nodes()), 0);
-    for (int src = 0; src < nranks_; ++src) {
-      const int src_node = node_of(src);
-      const int src_leader = node_leader(src_node);
-      for (int dst = 0; dst < nranks_; ++dst) {
-        if (dst == src) continue;
-        const std::uint64_t b = bytes(src, dst);
-        if (b == 0) continue;
-        const int dst_node = node_of(dst);
-        if (dst_node == src_node) {
-          // Direct intra-node delivery, never staged through a leader.
-          link[static_cast<std::size_t>(src)] += b;
-          link[static_cast<std::size_t>(dst)] += b;
-          if (src == rank_) loads.intra_out += b;
-          continue;
-        }
-        node_out[static_cast<std::size_t>(src_node)] += b;
-        node_in[static_cast<std::size_t>(dst_node)] += b;
-        if (src == rank_) loads.inter_out += b;
-        // Gather leg: src ships the payload to its leader (free when src
-        // IS the leader).
-        if (src != src_leader) {
-          link[static_cast<std::size_t>(src)] += b;
-          link[static_cast<std::size_t>(src_leader)] += b;
-        }
-        // Scatter leg: the receiving leader forwards to dst.
-        const int dst_leader = node_leader(dst_node);
-        if (dst != dst_leader) {
-          link[static_cast<std::size_t>(dst_leader)] += b;
-          link[static_cast<std::size_t>(dst)] += b;
-        }
-      }
-    }
-    for (const std::uint64_t v : link) {
-      loads.intra_max_bytes = std::max(loads.intra_max_bytes, v);
-    }
-    for (std::size_t n = 0; n < node_out.size(); ++n) {
-      loads.inter_node_max = std::max(
-          loads.inter_node_max, std::max(node_out[n], node_in[n]));
-    }
-    return loads;
-  }
-
-  /// Ledger and span charging of the hierarchical exchange, shared by the
-  /// blocking path and the completion of a hierarchical ialltoallv (the
-  /// two-level analogue of charge_alltoallv). Besides the two-hop modeled
-  /// time it records the intra/inter byte split — as span args and
-  /// "comm.intra_node_bytes"/"comm.inter_node_bytes" counters, which only
-  /// exist on this path so flat-path trace output is unchanged byte for
-  /// byte.
-  void charge_hierarchical(trace::ScopedSpan& span, std::uint64_t out_bytes,
-                           std::uint64_t in_bytes, const HierLoads& loads) {
-    stats_.alltoallv_calls += 1;
-    stats_.bytes_sent += out_bytes;
-    stats_.bytes_received += in_bytes;
-    stats_.intra_node_bytes += loads.intra_out;
-    stats_.inter_node_bytes += loads.inter_out;
-    const double modeled = network_.hierarchical_seconds(
-        loads.intra_max_bytes, loads.inter_node_max, nranks_);
-    const double volume = network_.hierarchical_volume_seconds(
-        loads.intra_max_bytes, loads.inter_node_max, nranks_);
-    stats_.modeled_seconds += modeled;
-    stats_.modeled_volume_seconds += volume;
-    stats_.modeled_intra_seconds +=
-        network_.hierarchical_intra_seconds(loads.intra_max_bytes, nranks_);
-    stats_.modeled_intra_volume_seconds +=
-        network_.hierarchical_intra_volume_seconds(loads.intra_max_bytes);
-    if (span.active()) {
-      span.set_modeled_seconds(modeled);
-      span.set_modeled_volume_seconds(volume);
-      span.arg_u64("bytes_sent", out_bytes);
-      span.arg_u64("bytes_received", in_bytes);
-      span.arg_u64("intra_node_bytes", loads.intra_out);
-      span.arg_u64("inter_node_bytes", loads.inter_out);
-      span.arg_u64("intra_max_bytes", loads.intra_max_bytes);
-      span.arg_u64("inter_node_max_bytes", loads.inter_node_max);
-      trace::counter("comm.bytes_sent", out_bytes);
-      trace::counter("comm.bytes_received", in_bytes);
-      trace::counter("comm.intra_node_bytes", loads.intra_out);
-      trace::counter("comm.inter_node_bytes", loads.inter_out);
     }
   }
 
@@ -847,7 +609,6 @@ class Request {
       : comm_(other.comm_),
         seq_(other.seq_),
         out_bytes_(other.out_bytes_),
-        hierarchical_(other.hierarchical_),
         done_(other.done_),
         result_(std::move(other.result_)) {
     other.comm_ = nullptr;
@@ -861,7 +622,6 @@ class Request {
       comm_ = other.comm_;
       seq_ = other.seq_;
       out_bytes_ = other.out_bytes_;
-      hierarchical_ = other.hierarchical_;
       done_ = other.done_;
       result_ = std::move(other.result_);
       other.comm_ = nullptr;
@@ -982,33 +742,13 @@ class Request {
           std::max(round_max, std::max(op->out_bytes[q], in_q));
     }
 
-    // The hierarchical hop loads come from the same immutable traffic
-    // matrix, so the nonblocking completion charges exactly what the
-    // blocking hierarchical_alltoallv would for identical payloads.
-    std::optional<Comm::HierLoads> hier;
-    if (hierarchical_ && comm_->nodes() > 1) {
-      hier = comm_->hier_loads([&](int src, int dst) {
-        return static_cast<std::uint64_t>(
-            op->payload[static_cast<std::size_t>(src)]
-                       [static_cast<std::size_t>(dst)]
-                           .size());
-      });
-    }
-
     {
       std::lock_guard<std::mutex> lock(async.mutex);
       op->consumed += 1;
       if (op->consumed == comm_->nranks_) async.ops.erase(seq_);
     }
 
-    if (hier.has_value()) {
-      comm_->charge_hierarchical(span, out_bytes_, in_bytes, *hier);
-    } else {
-      comm_->charge_alltoallv(span, out_bytes_, in_bytes, round_max);
-      // Degenerate single-node topology of a hierarchical post: the flat
-      // charge applies, and every off-rank byte stays intra-node.
-      if (hierarchical_) comm_->stats_.intra_node_bytes += out_bytes_;
-    }
+    comm_->charge_alltoallv(span, out_bytes_, in_bytes, round_max);
     result_ = std::move(result);
     done_ = true;
     return true;
@@ -1017,15 +757,13 @@ class Request {
   Comm* comm_ = nullptr;  ///< non-null while armed or holding a result
   std::uint64_t seq_ = 0;
   std::uint64_t out_bytes_ = 0;
-  bool hierarchical_ = false;  ///< price completion as the two-level exchange
   bool done_ = false;  ///< completion (and charging) already happened
   std::optional<AlltoallvResult<T>> result_;
   int uncaught_on_arm_ = std::uncaught_exceptions();
 };
 
 template <typename T>
-Request<T> Comm::ialltoallv(const std::vector<std::vector<T>>& send,
-                            bool hierarchical) {
+Request<T> Comm::ialltoallv(const std::vector<std::vector<T>>& send) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "ialltoallv payload must be trivially copyable");
   DEDUKT_REQUIRE_MSG(send.size() == static_cast<std::size_t>(nranks_),
@@ -1035,9 +773,7 @@ Request<T> Comm::ialltoallv(const std::vector<std::vector<T>>& send,
   // wait span at completion.
   span.set_modeled_seconds(0.0);
 
-  // Flat and hierarchical posts must not match each other: they charge
-  // different models, so a split-brain flag is a program error.
-  const std::size_t tag = op_tag(hierarchical ? 0xA : 0x8, typeid(T));
+  const std::size_t tag = op_tag(0x8, typeid(T));
   detail::AsyncState& async = board_.async;
   std::shared_ptr<detail::AsyncOp> op;
   std::uint64_t seq = 0;
@@ -1092,7 +828,6 @@ Request<T> Comm::ialltoallv(const std::vector<std::vector<T>>& send,
   request.comm_ = this;
   request.seq_ = seq;
   request.out_bytes_ = out_bytes;
-  request.hierarchical_ = hierarchical;
   return request;
 }
 
@@ -1116,19 +851,6 @@ class CommCapture {
   [[nodiscard]] double modeled_volume_seconds() const {
     return comm_.stats().modeled_volume_seconds -
            start_.modeled_volume_seconds;
-  }
-  [[nodiscard]] std::uint64_t intra_node_bytes() const {
-    return comm_.stats().intra_node_bytes - start_.intra_node_bytes;
-  }
-  [[nodiscard]] std::uint64_t inter_node_bytes() const {
-    return comm_.stats().inter_node_bytes - start_.inter_node_bytes;
-  }
-  [[nodiscard]] double modeled_intra_seconds() const {
-    return comm_.stats().modeled_intra_seconds - start_.modeled_intra_seconds;
-  }
-  [[nodiscard]] double modeled_intra_volume_seconds() const {
-    return comm_.stats().modeled_intra_volume_seconds -
-           start_.modeled_intra_volume_seconds;
   }
 
  private:

@@ -22,18 +22,11 @@ struct NetworkModel {
   /// Effective fraction of peak bandwidth achieved by large alltoallv
   /// exchanges (protocol + congestion efficiency on a fat tree).
   double efficiency = 0.85;
-  /// Per-rank intra-node link bandwidth (NVLink class), bytes/second. Each
-  /// GPU drives its own links, so this is NOT shared across the node's
-  /// ranks the way node_injection_bw is. summit::network() feeds it from
-  /// DeviceProps::host_link_bandwidth.
-  double intra_node_bw = 25e9;
-  /// Per-message latency of the intra-node link (NVLink hop), seconds.
-  double intra_latency_s = 1e-6;
   /// Fraction of an exchange's modeled time that cannot be hidden behind
-  /// concurrently running compute (§III-A round overlap): sender-side
-  /// packing, MPI progression and completion handling stay on the critical
-  /// path even with a fully asynchronous transport. Calibrated against the
-  /// residual exchange exposure of overlapped Summit runs.
+  /// concurrently running compute: sender-side packing, MPI progression and
+  /// completion handling stay on the critical path even with a fully
+  /// asynchronous transport. Only the serving tier's pipelined batches
+  /// (--overlap-batches) overlap an exchange with compute.
   double nonoverlap_fraction = 0.25;
 
   /// Summit-node defaults (the paper's machine).
@@ -58,39 +51,6 @@ struct NetworkModel {
   /// rescale only this term (latency does not grow with data volume).
   [[nodiscard]] double alltoallv_volume_seconds(
       std::uint64_t max_bytes_per_rank, int nranks) const;
-
-  /// Number of modeled nodes `nranks` ranks occupy (ranks_per_node clamped
-  /// to [1, nranks]).
-  [[nodiscard]] int nodes_for(int nranks) const;
-
-  /// Modeled time of a two-level (hierarchical) alltoallv: non-leader
-  /// ranks stage their off-node payload onto the node leader over the
-  /// intra-node link (gather), leaders exchange node-to-node over the
-  /// shared NIC, and leaders scatter received payload back out.
-  /// `intra_max_bytes` is the busiest intra-node link endpoint's traffic
-  /// (direct same-node payload + leader staging); `inter_node_max_bytes`
-  /// is the busiest node's NIC traffic (max of its aggregated off-node
-  /// sends and receives). Unlike the flat model, the inter-node hop runs
-  /// at the FULL node injection bandwidth — one leader drives the NIC
-  /// instead of ranks_per_node ranks contending for it.
-  [[nodiscard]] double hierarchical_seconds(
-      std::uint64_t intra_max_bytes, std::uint64_t inter_node_max_bytes,
-      int nranks) const;
-
-  /// The volume-proportional (bandwidth, β) part of hierarchical_seconds().
-  [[nodiscard]] double hierarchical_volume_seconds(
-      std::uint64_t intra_max_bytes, std::uint64_t inter_node_max_bytes,
-      int nranks) const;
-
-  /// The intra-node (NVLink) share of hierarchical_seconds() — gather and
-  /// scatter latency plus the staged volume. Round overlap only hides the
-  /// inter-node hop, so callers need this split.
-  [[nodiscard]] double hierarchical_intra_seconds(
-      std::uint64_t intra_max_bytes, int nranks) const;
-
-  /// The volume-proportional part of hierarchical_intra_seconds().
-  [[nodiscard]] double hierarchical_intra_volume_seconds(
-      std::uint64_t intra_max_bytes) const;
 
   /// Modeled time of a latency-bound collective (barrier/small allreduce).
   [[nodiscard]] double collective_latency_seconds(int nranks) const;

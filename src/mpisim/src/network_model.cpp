@@ -32,52 +32,6 @@ double NetworkModel::alltoallv_volume_seconds(
   return static_cast<double>(max_bytes_per_rank) / per_rank_bandwidth();
 }
 
-int NetworkModel::nodes_for(int nranks) const {
-  if (nranks <= 1) return nranks;
-  const int rpn = std::clamp(ranks_per_node, 1, nranks);
-  return (nranks + rpn - 1) / rpn;
-}
-
-double NetworkModel::hierarchical_intra_volume_seconds(
-    std::uint64_t intra_max_bytes) const {
-  return static_cast<double>(intra_max_bytes) / intra_node_bw;
-}
-
-double NetworkModel::hierarchical_intra_seconds(std::uint64_t intra_max_bytes,
-                                                int nranks) const {
-  if (nranks <= 1) return 0.0;
-  const int rpn = std::clamp(ranks_per_node, 1, nranks);
-  // Gather onto the leader and scatter back out: each leg serializes
-  // rpn-1 peer messages on the intra-node link.
-  const double alpha = intra_latency_s * 2.0 * static_cast<double>(rpn - 1);
-  return alpha + hierarchical_intra_volume_seconds(intra_max_bytes);
-}
-
-double NetworkModel::hierarchical_seconds(
-    std::uint64_t intra_max_bytes, std::uint64_t inter_node_max_bytes,
-    int nranks) const {
-  if (nranks <= 1) return 0.0;
-  const int nnodes = nodes_for(nranks);
-  // Inter-node hop: a pairwise exchange between node leaders. Only one
-  // rank per node touches the NIC, so the busiest node's traffic moves at
-  // the full (efficiency-derated) injection bandwidth instead of the flat
-  // model's per_rank_bandwidth() share.
-  const double inter =
-      latency_s * static_cast<double>(nnodes - 1) +
-      static_cast<double>(inter_node_max_bytes) /
-          (node_injection_bw * efficiency);
-  return hierarchical_intra_seconds(intra_max_bytes, nranks) + inter;
-}
-
-double NetworkModel::hierarchical_volume_seconds(
-    std::uint64_t intra_max_bytes, std::uint64_t inter_node_max_bytes,
-    int nranks) const {
-  if (nranks <= 1) return 0.0;
-  return hierarchical_intra_volume_seconds(intra_max_bytes) +
-         static_cast<double>(inter_node_max_bytes) /
-             (node_injection_bw * efficiency);
-}
-
 double NetworkModel::collective_latency_seconds(int nranks) const {
   if (nranks <= 1) return 0.0;
   const int levels = std::bit_width(static_cast<unsigned>(nranks - 1));

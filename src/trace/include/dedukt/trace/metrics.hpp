@@ -21,10 +21,6 @@ struct PhaseMetrics {
   double wall_seconds = 0.0;
   double modeled_seconds = 0.0;
   double modeled_volume_seconds = 0.0;
-  /// Modeled exchange time hidden behind overlapped compute (nonzero only
-  /// when the pipeline ran with overlap_rounds; emitted to JSON only then,
-  /// so lockstep outputs are unchanged byte for byte).
-  double overlap_saved_seconds = 0.0;
   std::uint64_t spans = 0;
 };
 
@@ -69,10 +65,6 @@ struct MetricsReport {
 
   /// Sum of the modeled per-phase maxima.
   [[nodiscard]] double modeled_total_seconds() const;
-
-  /// Maximum over ranks of the per-rank overlap savings (each rank's sum
-  /// over phases) — the bulk-synchronous view, like modeled_breakdown.
-  [[nodiscard]] double overlap_saved_seconds() const;
 
   /// Per-kernel modeled seconds summed over all ranks, keyed by kernel
   /// name (bench_pool --json exports these records).

@@ -71,12 +71,9 @@ class SpanRecorder {
   /// `modeled_seconds` < 0 means "whatever the cursor advanced by while
   /// the span was open"; >= 0 pins the span's modeled duration and moves
   /// the cursor to at least its end. `modeled_volume_seconds` is the
-  /// volume-proportional share (0 when not applicable);
-  /// `overlap_saved_seconds` the exchange time hidden behind overlapped
-  /// compute (0 outside overlapped-round mode).
+  /// volume-proportional share (0 when not applicable).
   void close_span(std::size_t handle, double wall_seconds,
-                  double modeled_seconds, double modeled_volume_seconds,
-                  double overlap_saved_seconds = 0.0);
+                  double modeled_seconds, double modeled_volume_seconds);
 
   /// Advance the rank's modeled clock without a span (rarely needed; leaf
   /// spans advance it through close_span).
@@ -148,9 +145,6 @@ class ScopedSpan {
     modeled_ = seconds;
     volume_ = volume_seconds;
   }
-  /// Record how much modeled exchange time this span hid behind overlapped
-  /// compute (aggregated into per-phase metrics; not part of the clock).
-  void set_overlap_saved_seconds(double seconds) { overlap_saved_ = seconds; }
   /// Record the kernel's shared-memory traffic (per-kernel metrics).
   void set_smem(std::uint64_t read_bytes, std::uint64_t write_bytes,
                 std::uint64_t atomics);
@@ -165,7 +159,6 @@ class ScopedSpan {
   std::size_t handle_ = 0;
   double modeled_ = -1.0;
   double volume_ = 0.0;
-  double overlap_saved_ = 0.0;
   Timer wall_;
 };
 

@@ -57,10 +57,6 @@ struct SpanRecord {
   /// Volume-proportional share of modeled_seconds (see
   /// docs/performance-model.md); used by projected breakdowns.
   double modeled_volume_seconds = 0.0;
-  /// Modeled exchange time this span hid behind overlapped compute
-  /// (overlapped-round mode only; 0 for lockstep spans). Aggregated into
-  /// the per-phase metrics, not added to the modeled clock.
-  double overlap_saved_seconds = 0.0;
   /// Shared-memory traffic of a kernel span (two-level counting path);
   /// zero for kernels that never touch shared memory. Aggregated into
   /// the per-kernel metrics.

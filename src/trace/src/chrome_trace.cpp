@@ -59,10 +59,6 @@ void append_event(std::ostringstream& out, const SpanRecord& span, int pid,
     out << ",\"modeled_volume_seconds\":"
         << json_number(span.modeled_volume_seconds);
   }
-  if (span.overlap_saved_seconds != 0.0) {
-    out << ",\"overlap_saved_seconds\":"
-        << json_number(span.overlap_saved_seconds);
-  }
   out << "}}";
 }
 

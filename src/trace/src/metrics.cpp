@@ -52,18 +52,6 @@ double MetricsReport::modeled_total_seconds() const {
   return modeled_breakdown().total();
 }
 
-double MetricsReport::overlap_saved_seconds() const {
-  double saved = 0.0;
-  for (const auto& r : ranks) {
-    double rank_saved = 0.0;
-    for (const auto& [name, phase] : r.phases) {
-      rank_saved += phase.overlap_saved_seconds;
-    }
-    saved = std::max(saved, rank_saved);
-  }
-  return saved;
-}
-
 std::map<std::string, KernelMetrics> MetricsReport::kernel_totals() const {
   std::map<std::string, KernelMetrics> totals;
   for (const auto& r : ranks) {
@@ -87,12 +75,6 @@ void append_phase(std::ostringstream& out, const PhaseMetrics& phase,
   out << "{\"modeled_seconds\":" << json_number(phase.modeled_seconds)
       << ",\"modeled_volume_seconds\":"
       << json_number(phase.modeled_volume_seconds);
-  // Only overlapped-round runs produce a nonzero value; gating the field
-  // on it keeps every lockstep output byte-identical to before.
-  if (phase.overlap_saved_seconds != 0.0) {
-    out << ",\"overlap_saved_seconds\":"
-        << json_number(phase.overlap_saved_seconds);
-  }
   out << ",\"spans\":" << phase.spans;
   if (include_wall) {
     out << ",\"wall_seconds\":" << json_number(phase.wall_seconds);
@@ -176,10 +158,6 @@ std::string MetricsReport::to_json(bool include_wall) const {
     append_phase_times(out, measured_breakdown());
   }
   out << ",\n\"modeled_total_seconds\":" << json_number(modeled_total_seconds());
-  const double saved = overlap_saved_seconds();
-  if (saved != 0.0) {
-    out << ",\n\"overlap_saved_seconds\":" << json_number(saved);
-  }
   out << "\n}\n";
   return out.str();
 }

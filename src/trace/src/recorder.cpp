@@ -84,8 +84,7 @@ void SpanRecorder::set_smem(std::size_t handle, std::uint64_t read_bytes,
 
 void SpanRecorder::close_span(std::size_t handle, double wall_seconds,
                               double modeled_seconds,
-                              double modeled_volume_seconds,
-                              double overlap_saved_seconds) {
+                              double modeled_volume_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   DEDUKT_CHECK(handle < spans_.size());
   DEDUKT_CHECK_MSG(!open_stack_.empty() && open_stack_.back() == handle,
@@ -108,7 +107,6 @@ void SpanRecorder::close_span(std::size_t handle, double wall_seconds,
     span.modeled_seconds = modeled_now_ - span.modeled_start;
   }
   span.modeled_volume_seconds = modeled_volume_seconds;
-  span.overlap_saved_seconds = overlap_saved_seconds;
 }
 
 void SpanRecorder::advance_modeled(double seconds) {
@@ -158,8 +156,7 @@ ScopedSpan::ScopedSpan(const char* category, const char* name, Track track) {
 
 ScopedSpan::~ScopedSpan() {
   if (recorder_ == nullptr) return;
-  recorder_->close_span(handle_, wall_.seconds(), modeled_, volume_,
-                        overlap_saved_);
+  recorder_->close_span(handle_, wall_.seconds(), modeled_, volume_);
 }
 
 void ScopedSpan::set_smem(std::uint64_t read_bytes, std::uint64_t write_bytes,

@@ -93,7 +93,6 @@ MetricsReport TraceSession::metrics(const SessionMark& since) const {
         slot.wall_seconds += span.wall_seconds;
         slot.modeled_seconds += span.modeled_seconds;
         slot.modeled_volume_seconds += span.modeled_volume_seconds;
-        slot.overlap_saved_seconds += span.overlap_saved_seconds;
         slot.spans += 1;
       } else if (span.category == std::string_view(kCategoryKernel)) {
         KernelMetrics& slot = rr.kernels[span.name];

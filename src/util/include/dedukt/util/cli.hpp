@@ -1,17 +1,25 @@
-// A small command-line flag parser used by the examples and benchmark
-// drivers. Supports --name=value, --name value, and boolean --flag forms.
+// A small command-line flag parser used by the dedukt CLI, the examples and
+// the benchmark drivers. Supports --name=value, --name value, and boolean
+// --flag forms.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "dedukt/util/error.hpp"
 
 namespace dedukt {
 
 /// Parses flags of the form --name=value / --name value / --flag.
-/// Positional arguments are collected in order. Unknown flags are kept and
-/// can be rejected by the caller via unknown_flags().
+/// Positional arguments are collected in order. Every flag is kept, whether
+/// or not the caller reads it: the dedukt CLI rejects the ones its
+/// subcommand does not know via unknown_flags(); the benches and examples
+/// ignore them.
 class CliParser {
  public:
   CliParser(int argc, const char* const* argv);
@@ -27,6 +35,23 @@ class CliParser {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
 
+  /// Count-valued --name as the unsigned type T; throws ParseError on
+  /// malformed input, a negative value, or one T cannot hold (instead of
+  /// letting the cast wrap it around).
+  template <typename T>
+  [[nodiscard]] T get_uint(const std::string& name, T fallback) const {
+    static_assert(std::is_unsigned_v<T>);
+    if (!has(name)) return fallback;
+    const std::int64_t v = get_int(name, 0);
+    if (v < 0 ||
+        static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max()) {
+      throw ParseError("flag --" + name + " expects an integer in [0, " +
+                       std::to_string(std::numeric_limits<T>::max()) +
+                       "], got '" + get(name) + "'");
+    }
+    return static_cast<T>(v);
+  }
+
   /// Double value of --name; throws ParseError on malformed input.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
@@ -39,6 +64,11 @@ class CliParser {
   }
 
   [[nodiscard]] const std::string& program() const { return program_; }
+
+  /// Flags given on the command line that are not in `known`, in name
+  /// order.
+  [[nodiscard]] std::vector<std::string> unknown_flags(
+      const std::set<std::string>& known) const;
 
  private:
   std::string program_;

@@ -70,4 +70,13 @@ bool CliParser::get_bool(const std::string& name, bool fallback) const {
   throw ParseError("flag --" + name + " expects a boolean, got '" + v + "'");
 }
 
+std::vector<std::string> CliParser::unknown_flags(
+    const std::set<std::string>& known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : flags_) {
+    if (known.count(name) == 0) unknown.push_back(name);
+  }
+  return unknown;
+}
+
 }  // namespace dedukt

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dedukt/io/fastq.hpp"
@@ -291,6 +293,62 @@ TEST(AppTest, OutOfCoreRejectsBadBins) {
            "--ooc-spill=" + temp_path("app_badbins"), "--ooc-bins=0"});
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.err.find("--ooc-bins"), std::string::npos);
+}
+
+TEST(AppTest, CountRejectsUnknownFlags) {
+  // Retired flags and misspellings fail before anything is counted.
+  for (const char* flag :
+       {"--overlap-rounds", "--hierarchical-exchange", "--overlap-roundz"}) {
+    const AppResult result = run({"count", "--synthetic=ecoli30x",
+                                  "--scale=8000", "--ranks=2", flag});
+    EXPECT_EQ(result.exit_code, 1) << flag;
+    EXPECT_NE(result.err.find(std::string("unknown flag ") + flag),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out.find("counted"), std::string::npos) << result.out;
+  }
+}
+
+TEST(AppTest, QueryRejectsUnknownFlag) {
+  const std::string dir = temp_path("app_query_store");
+  ASSERT_EQ(run({"count", "--synthetic=ecoli30x", "--scale=8000",
+                 "--ranks=2", "--store-out=" + dir})
+                .exit_code,
+            0);
+  const std::string kmers = "--kmers=ACGTACGTACGTACGTA";
+  ASSERT_EQ(run({"query", "--store=" + dir, kmers}).exit_code, 0);
+  const AppResult result = run({"query", "--store=" + dir, kmers, "--bogus"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("unknown flag --bogus"), std::string::npos)
+      << result.err;
+}
+
+TEST(AppTest, OutOfCoreRejectsRoundsLimit) {
+  const AppResult result =
+      run({"count", "--synthetic=ecoli30x", "--scale=8000", "--ranks=2",
+           "--ooc-spill=" + temp_path("app_ooc_rounds"),
+           "--rounds-limit=1000"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("--rounds-limit"), std::string::npos)
+      << result.err;
+}
+
+TEST(AppTest, CountRejectsNegativeCounts) {
+  // A negative count-valued flag is a parse error, not a value that wraps
+  // around to a huge unsigned one.
+  for (const auto& [name, value] :
+       {std::pair<std::string, std::string>{"scale", "-5"},
+        {"batch-reads", "-1"}}) {
+    const std::string path = temp_path("app_negative.bin");
+    const AppResult result =
+        run({"count", "--synthetic=ecoli30x", "--ranks=2",
+             "--" + name + "=" + value, "--output=" + path});
+    EXPECT_EQ(result.exit_code, 2) << name;
+    EXPECT_NE(result.err.find("--" + name + " expects an integer in [0, "),
+              std::string::npos)
+        << result.err;
+    EXPECT_FALSE(std::filesystem::exists(path)) << name;
+  }
 }
 
 TEST(AppTest, CountWithExtensionsEnabled) {

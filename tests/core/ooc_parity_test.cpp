@@ -365,10 +365,6 @@ TEST(OocValidation, IncompatibleConfigsAreRejected) {
   EXPECT_THROW(run_distributed_count(reads, options), PreconditionError);
 
   options = base;
-  options.pipeline.overlap_rounds = true;
-  EXPECT_THROW(run_distributed_count(reads, options), PreconditionError);
-
-  options = base;
   options.pipeline.max_kmers_per_round = 1'000;
   EXPECT_THROW(run_distributed_count(reads, options), PreconditionError);
 

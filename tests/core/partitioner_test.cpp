@@ -262,20 +262,32 @@ TEST(FrequencyBalancedPipelineTest, CountsStillMatchReference) {
   rspec.min_read_length = 80;
   const io::ReadBatch reads = io::generate_dataset(gspec, rspec);
 
-  DriverOptions options;
-  options.pipeline.kind = PipelineKind::kGpuSupermer;
-  options.pipeline.partition = PartitionScheme::kFrequencyBalanced;
-  options.nranks = 6;
-  const CountResult result = run_distributed_count(reads, options);
+  struct Case {
+    PartitionScheme partition;
+    int nranks;
+    int ranks_per_node;  // 0 = the pipeline's default
+  };
+  // Node-aware routing only departs from rank-only LPT across nodes, so it
+  // runs on two modeled nodes of six ranks.
+  for (const Case& c : {Case{PartitionScheme::kFrequencyBalanced, 6, 0},
+                        Case{PartitionScheme::kNodeAware, 12, 6}}) {
+    SCOPED_TRACE(to_string(c.partition));
+    DriverOptions options;
+    options.pipeline.kind = PipelineKind::kGpuSupermer;
+    options.pipeline.partition = c.partition;
+    options.nranks = c.nranks;
+    options.ranks_per_node = c.ranks_per_node;
+    const CountResult result = run_distributed_count(reads, options);
 
-  std::map<std::uint64_t, std::uint64_t> expected;
-  reference_count(reads, options.pipeline)
-      .for_each([&](std::uint64_t key, std::uint64_t count) {
-        expected[key] = count;
-      });
-  const std::map<std::uint64_t, std::uint64_t> actual(
-      result.global_counts.begin(), result.global_counts.end());
-  EXPECT_EQ(actual, expected);
+    std::map<std::uint64_t, std::uint64_t> expected;
+    reference_count(reads, options.pipeline)
+        .for_each([&](std::uint64_t key, std::uint64_t count) {
+          expected[key] = count;
+        });
+    const std::map<std::uint64_t, std::uint64_t> actual(
+        result.global_counts.begin(), result.global_counts.end());
+    EXPECT_EQ(actual, expected);
+  }
 }
 
 TEST(FrequencyBalancedPipelineTest, ImprovesLoadBalanceOnSkewedInput) {

@@ -103,15 +103,14 @@ std::uint64_t digest(const std::vector<T>& values) {
   return h;
 }
 
-/// The ledgers the streamed, out-of-core, sketch and overlap cases pin on
-/// top of append_rank's fields.
+/// The ledgers the streamed, out-of-core and sketch cases pin on top of
+/// append_rank's fields.
 void append_extras(std::ostringstream& out, const CountResult& result) {
   for (int r = 0; r < result.nranks; ++r) {
     const RankMetrics& m = result.ranks[static_cast<std::size_t>(r)];
     out << "rank " << r << " extras: peak_resident=" << m.peak_resident_bytes
         << " spill_written=" << m.spill_bytes_written
-        << " spill_read=" << m.spill_bytes_read
-        << " overlap_saved=" << hex(m.overlap_saved_seconds) << "\n";
+        << " spill_read=" << m.spill_bytes_read << "\n";
   }
   const SketchSummary& sketch = result.sketch;
   if (sketch.enabled) {
@@ -362,13 +361,6 @@ TEST(PipelineFrameworkGolden, SketchGpuKmerHeavy) {
   DriverOptions options = sketch_options(PipelineKind::kGpuKmer);
   options.pipeline.heavy_threshold = 4;
   check_golden("sketch_gpu_kmer_heavy", capture(options, /*extras=*/true));
-}
-
-TEST(PipelineFrameworkGolden, GpuSupermerOverlapped) {
-  DriverOptions options = base_options(PipelineKind::kGpuSupermer);
-  options.pipeline.overlap_rounds = true;
-  options.pipeline.max_kmers_per_round = 1'500;
-  check_golden("gpu_supermer_overlapped", capture(options, /*extras=*/true));
 }
 
 }  // namespace

@@ -62,59 +62,6 @@ TEST(NetworkModelTest, CollectiveLatencyIsLogarithmic) {
   EXPECT_DOUBLE_EQ(m.collective_latency_seconds(9), 4.0);
 }
 
-TEST(NetworkModelTest, NodesForClampsRanksPerNode) {
-  const NetworkModel m = NetworkModel::summit();  // 6 ranks/node
-  EXPECT_EQ(m.nodes_for(0), 0);
-  EXPECT_EQ(m.nodes_for(1), 1);
-  EXPECT_EQ(m.nodes_for(4), 1);   // fewer ranks than a node: one node
-  EXPECT_EQ(m.nodes_for(6), 1);
-  EXPECT_EQ(m.nodes_for(7), 2);   // partial second node
-  EXPECT_EQ(m.nodes_for(96), 16);
-}
-
-TEST(NetworkModelTest, HierarchicalDegeneratesOnOneRank) {
-  const NetworkModel m = NetworkModel::summit();
-  EXPECT_DOUBLE_EQ(m.hierarchical_seconds(1 << 20, 1 << 20, 1), 0.0);
-  EXPECT_DOUBLE_EQ(m.hierarchical_volume_seconds(1 << 20, 1 << 20, 1), 0.0);
-  EXPECT_DOUBLE_EQ(m.hierarchical_intra_seconds(1 << 20, 1), 0.0);
-}
-
-TEST(NetworkModelTest, HierarchicalInterHopRunsAtFullNodeInjection) {
-  NetworkModel m = NetworkModel::summit();
-  m.latency_s = 0;
-  m.intra_latency_s = 0;  // isolate the beta terms
-  // With no intra-node staging, moving B bytes through the NIC costs
-  // ranks_per_node times less than the flat per-rank share.
-  const std::uint64_t bytes = 1ull << 30;
-  const double flat = m.alltoallv_seconds(bytes, 96);
-  const double hier = m.hierarchical_seconds(0, bytes, 96);
-  EXPECT_NEAR(flat / hier, static_cast<double>(m.ranks_per_node), 1e-9);
-}
-
-TEST(NetworkModelTest, HierarchicalLatencyCountsNodesNotRanks) {
-  NetworkModel m = NetworkModel::summit();  // 6 ranks/node, alpha 5us
-  // Zero payload: the flat exchange pays P-1 message latencies, the
-  // hierarchical one pays (P/6 - 1) NIC latencies plus 2*(6-1) NVLink
-  // latencies — far cheaper at scale.
-  const double flat = m.alltoallv_seconds(0, 96);
-  const double hier = m.hierarchical_seconds(0, 0, 96);
-  EXPECT_DOUBLE_EQ(flat, m.latency_s * 95);
-  EXPECT_DOUBLE_EQ(hier, m.latency_s * 15 + m.intra_latency_s * 10);
-  EXPECT_LT(hier, flat);
-}
-
-TEST(NetworkModelTest, HierarchicalVolumeSplitsIntoIntraAndInter) {
-  const NetworkModel m = NetworkModel::summit();
-  const std::uint64_t intra = 3 << 20, inter = 5 << 20;
-  EXPECT_DOUBLE_EQ(m.hierarchical_volume_seconds(intra, inter, 96),
-                   m.hierarchical_intra_volume_seconds(intra) +
-                       static_cast<double>(inter) /
-                           (m.node_injection_bw * m.efficiency));
-  // The intra share is part of, and strictly below, the full time.
-  EXPECT_LT(m.hierarchical_intra_seconds(intra, 96),
-            m.hierarchical_seconds(intra, inter, 96));
-}
-
 TEST(NetworkModelTest, LocalModelIsCheap) {
   const NetworkModel local = NetworkModel::local();
   const NetworkModel summit = NetworkModel::summit();

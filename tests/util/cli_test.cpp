@@ -88,5 +88,27 @@ TEST(CliTest, NegativeIntegerValue) {
   EXPECT_EQ(cli.get_int("offset", 0), -12);
 }
 
+TEST(CliTest, UnsignedValuesRejectNegativeAndOversized) {
+  auto cli = parse({"--rows=25", "--neg=-1", "--big=4294967296",
+                    "--max=4294967295", "--bad=1x"});
+  EXPECT_EQ(cli.get_uint<std::size_t>("rows", 0), 25u);
+  EXPECT_EQ(cli.get_uint<std::uint32_t>("missing", 7u), 7u);
+  EXPECT_EQ(cli.get_uint<std::uint32_t>("max", 0u), 4294967295u);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("big", 0), 4294967296u);
+  EXPECT_THROW((void)cli.get_uint<std::uint64_t>("neg", 0), ParseError);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("big", 0u), ParseError);
+  EXPECT_THROW((void)cli.get_uint<std::uint32_t>("bad", 0u), ParseError);
+}
+
+TEST(CliTest, UnknownFlagsAreTheOnesOutsideTheKnownSet) {
+  auto cli = parse({"--k=17", "--verbose", "--typo=3", "input.fq"});
+  EXPECT_EQ(cli.unknown_flags({"k", "verbose", "typo"}),
+            std::vector<std::string>{});
+  EXPECT_EQ(cli.unknown_flags({"k", "verbose"}),
+            std::vector<std::string>{"typo"});
+  EXPECT_EQ(cli.unknown_flags({}),
+            (std::vector<std::string>{"k", "typo", "verbose"}));
+}
+
 }  // namespace
 }  // namespace dedukt
