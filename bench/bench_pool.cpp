@@ -80,64 +80,6 @@ BenchRecord run_hash_insert(const std::vector<std::uint64_t>& kmers,
   return record;
 }
 
-/// Deterministic packed supermers over a small word universe, so k-mers
-/// repeat within blocks the way 30x-coverage supermers do.
-struct SupermerWorkload {
-  std::vector<std::uint64_t> words;
-  std::vector<std::uint8_t> lens;
-  std::size_t total_kmers = 0;
-  static constexpr int kK = 17;
-};
-
-SupermerWorkload make_supermers(std::size_t n) {
-  std::mt19937_64 rng(0xAB1E5u);
-  std::vector<std::uint64_t> universe(4096);
-  for (auto& word : universe) word = rng();
-  SupermerWorkload load;
-  load.words.resize(n);
-  load.lens.resize(n);
-  std::uniform_int_distribution<std::size_t> pick(0, universe.size() - 1);
-  std::uniform_int_distribution<int> len(SupermerWorkload::kK, 31);
-  for (std::size_t i = 0; i < n; ++i) {
-    load.words[i] = universe[pick(rng)];
-    load.lens[i] = static_cast<std::uint8_t>(len(rng));
-    load.total_kmers += static_cast<std::size_t>(load.lens[i]) -
-                        SupermerWorkload::kK + 1;
-  }
-  return load;
-}
-
-/// The tentpole ablation: hash_count_supermers with block-local
-/// shared-memory aggregation on vs off, same input, one record pair.
-std::vector<BenchRecord> run_smem_ablation(const SupermerWorkload& load,
-                                           int repeats, unsigned threads) {
-  std::vector<BenchRecord> pair;
-  for (const bool smem_agg : {true, false}) {
-    BenchRecord record;
-    record.name = smem_agg ? "hash_count_supermers_smem_on"
-                           : "hash_count_supermers_smem_off";
-    record.threads = threads;
-    for (int rep = 0; rep < repeats; ++rep) {
-      dedukt::gpusim::Device device;
-      dedukt::core::DeviceHashTable table(device, load.total_kmers / 4, 2.0,
-                                          smem_agg);
-      auto d_words = device.alloc<std::uint64_t>(load.words.size());
-      auto d_lens = device.alloc<std::uint8_t>(load.lens.size());
-      device.copy_to_device(std::span<const std::uint64_t>(load.words),
-                            d_words);
-      device.copy_to_device(std::span<const std::uint8_t>(load.lens),
-                            d_lens);
-      dedukt::Timer wall;
-      const auto stats = table.count_supermers(
-          d_words, d_lens, load.words.size(), SupermerWorkload::kK);
-      record.wall_seconds += wall.seconds();
-      record.modeled_seconds += stats.modeled_seconds;
-    }
-    pair.push_back(std::move(record));
-  }
-  return pair;
-}
-
 /// Load-factor sweep: the same k-mer multiset into tables of shrinking
 /// headroom. Probe charges grow with load but must stay pool-size
 /// invariant (the driver's modeled-identity check covers these records).
@@ -199,7 +141,6 @@ int main(int argc, char** argv) {
   const std::vector<unsigned> threads = parse_threads(cli);
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
   const auto kmers = make_kmers(1u << 20);
-  const auto supermers = make_supermers(1u << 17);
   const auto datasets = dedukt::bench::load_datasets(cli, {"ecoli30x"});
 
   // Record kernel launches so --json can report per-kernel modeled times.
@@ -214,9 +155,6 @@ int main(int argc, char** argv) {
     dedukt::util::ThreadPool::set_global_threads(t);
     const dedukt::trace::SessionMark mark = session.mark();
     records.push_back(run_hash_insert(kmers, repeats, t));
-    for (auto& record : run_smem_ablation(supermers, repeats, t)) {
-      records.push_back(std::move(record));
-    }
     for (auto& record : run_load_sweep(kmers, repeats, t)) {
       records.push_back(std::move(record));
     }
@@ -263,24 +201,6 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("modeled time identical across all pool sizes: OK\n");
-
-  // The ablation's acceptance: block-local aggregation must strictly lower
-  // the modeled counting time on a duplicate-carrying workload.
-  double agg_on = 0.0;
-  double agg_off = 0.0;
-  for (const BenchRecord& record : records) {
-    if (record.name == "hash_count_supermers_smem_on") {
-      agg_on = record.modeled_seconds;
-    } else if (record.name == "hash_count_supermers_smem_off") {
-      agg_off = record.modeled_seconds;
-    }
-  }
-  DEDUKT_CHECK_MSG(agg_on < agg_off,
-                   "shared-memory aggregation did not lower modeled time: "
-                       << agg_on << " vs " << agg_off);
-  std::printf("smem aggregation lowers modeled counting time: OK "
-              "(%.4g s < %.4g s)\n",
-              agg_on, agg_off);
 
   dedukt::bench::maybe_write_bench_json(cli, records);
   return 0;

@@ -6,31 +6,10 @@
 // supermer (minimizer) partitioning raises the imbalance (C. elegans 1.16,
 // H. sapien 2.37 with m=7).
 #include <cstdio>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "dedukt/util/format.hpp"
-#include "dedukt/util/stats.hpp"
 #include "dedukt/util/table.hpp"
-
-namespace {
-
-/// Node-level byte imbalance: group per-rank received bytes by modeled
-/// node (ranks are node-major) and take max/avg over the node sums — the
-/// payload each node's shared NIC has to take in.
-double node_byte_imbalance(const dedukt::core::CountResult& result,
-                           int ranks_per_node) {
-  const int nranks = static_cast<int>(result.ranks.size());
-  const int nnodes = (nranks + ranks_per_node - 1) / ranks_per_node;
-  std::vector<std::uint64_t> node_bytes(static_cast<std::size_t>(nnodes), 0);
-  for (int r = 0; r < nranks; ++r) {
-    node_bytes[static_cast<std::size_t>(r / ranks_per_node)] +=
-        result.ranks[static_cast<std::size_t>(r)].bytes_received;
-  }
-  return dedukt::load_imbalance(node_bytes);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dedukt;
@@ -42,13 +21,10 @@ int main(int argc, char** argv) {
                       "384 partitions.");
 
   const int gpu_ranks = static_cast<int>(cli.get_int("gpu-ranks", 384));
-  const int ranks_per_node = static_cast<int>(cli.get_int("ranks-per-node",
-                                                          6));
 
   TextTable table("Table III — per-partition k-mer loads (384 GPUs)");
   table.set_header({"dataset", "avg", "kmer min", "kmer max", "kmer imbal.",
-                    "smer(m=7) min", "smer(m=7) max", "smer imbal.",
-                    "smer node-byte imbal."});
+                    "smer(m=7) min", "smer(m=7) max", "smer imbal."});
 
   for (const auto& dataset :
        bench::load_datasets(cli, bench::large_dataset_keys())) {
@@ -64,9 +40,7 @@ int main(int argc, char** argv) {
                    format_count(kmin), format_count(kmax),
                    format_fixed(kmer_run.load_imbalance(), 2),
                    format_count(smin), format_count(smax),
-                   format_fixed(smer_run.load_imbalance(), 2),
-                   format_fixed(node_byte_imbalance(smer_run,
-                                                    ranks_per_node), 2)});
+                   format_fixed(smer_run.load_imbalance(), 2)});
   }
   table.print();
 
@@ -87,28 +61,21 @@ int main(int argc, char** argv) {
                 format_count(result.total_supermers()).c_str());
   }
 
-  // §VII future-work extension: frequency-balanced minimizer assignment —
-  // rank-only LPT vs the node-aware two-pass LPT, which balances nodes
-  // (the ranks sharing one NIC) before ranks. Both node-level columns
-  // group per-rank received bytes by modeled node.
+  // §VII future-work extension: frequency-balanced minimizer assignment
+  // (rank-level LPT over sampled minimizer-bucket weights).
   std::printf("\n§VII extension — frequency-balanced minimizer routing "
-              "(C. elegans 40X, m=7, %d ranks, %d per node):\n", gpu_ranks,
-              ranks_per_node);
+              "(C. elegans 40X, m=7, %d ranks):\n", gpu_ranks);
   for (const auto scheme : {core::PartitionScheme::kMinimizerHash,
-                            core::PartitionScheme::kFrequencyBalanced,
-                            core::PartitionScheme::kNodeAware}) {
+                            core::PartitionScheme::kFrequencyBalanced}) {
     core::DriverOptions options;
     options.pipeline.kind = PipelineKind::kGpuSupermer;
     options.pipeline.partition = scheme;
     options.nranks = gpu_ranks;
-    options.ranks_per_node = ranks_per_node;
     options.collect_counts = false;
     const auto result =
         core::run_distributed_count(datasets[0].reads, options);
-    std::printf("  %-14s load imbalance %.2f, node-level byte imbalance "
-                "%.2f\n",
-                core::to_string(scheme).c_str(), result.load_imbalance(),
-                node_byte_imbalance(result, ranks_per_node));
+    std::printf("  %-14s load imbalance %.2f\n",
+                core::to_string(scheme).c_str(), result.load_imbalance());
   }
 
   std::printf("\npaper reference: kmer ~1.13; supermer(m=7) 1.16 "

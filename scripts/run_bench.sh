@@ -2,9 +2,10 @@
 # Build (if needed) and run the self-checking benchmark drivers, writing
 # their records to JSON files at the repo root:
 #
-#   BENCH_micro.json   bench_pool: sequential vs pooled simulation wall time.
-#                      Self-checks that modeled seconds are identical across
-#                      pool sizes.
+#   BENCH_micro.json   bench_pool: sequential vs pooled simulation wall time
+#                      of the per-occurrence hash-table insert, a load-factor
+#                      sweep and the supermer pipeline. Self-checks that
+#                      modeled seconds are identical across pool sizes.
 #   BENCH_qps.json     bench_qps: Zipf-traffic query throughput. Self-checks
 #                      that every answer is bit-identical to the flat counts
 #                      dump and that caching beats the uncached modeled QPS

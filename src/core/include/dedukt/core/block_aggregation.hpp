@@ -1,19 +1,19 @@
-// Block-local shared-memory aggregation for the two-level counting kernels
-// (DeviceHashTable's count_* kernels and the sketch's vanilla update).
+// Block-local shared-memory aggregation for the count-min sketch's vanilla
+// update kernel (DeviceCountMinSketch::update).
 //
-// Each block first funnels its k-mer occurrences, in thread order, through
-// a small open-addressing table in block shared memory (CAS-claim / add on
-// shared slots); an occurrence that cannot be placed within the probe
-// bound falls through to the kernel's per-occurrence global path. After
-// the block barrier the threads cooperatively scan the shared slots —
-// thread t visits slots t, t + block_dim, ... — and commit each distinct
-// key's block-local count with one global update. Global atomics drop by
-// the within-block duplication factor.
+// Each block first funnels its keys, in thread order, through a small
+// open-addressing table in block shared memory (CAS-claim / add on shared
+// slots); a key that cannot be placed within the probe bound falls through
+// to the kernel's per-occurrence global path. After the block barrier the
+// threads cooperatively scan the shared slots — thread t visits slots t,
+// t + block_dim, ... — and commit each distinct key's block-local count
+// with one global update. Global atomics drop by the within-block
+// duplication factor.
 //
-// Block kernels run through gpusim's block-cooperative launch, so the
-// table is plain memory owned by the executing worker and reused across
-// blocks and launches: the flush clears every slot it commits, so each
-// block starts from an empty table without re-initialising it. The fixed
+// The kernel runs through gpusim's block-cooperative launch, so the table
+// is plain memory owned by the executing worker and reused across blocks
+// and launches: the flush clears every slot it commits, so each block
+// starts from an empty table without re-initialising it. The fixed
 // per-block costs — the cooperative init and the flush scan — are charged
 // in closed form; only probes and commits are charged per occurrence. See
 // docs/performance-model.md ("Shared memory").
@@ -29,12 +29,9 @@
 
 namespace dedukt::core {
 
-/// Shared-table sizes: 12 bytes/slot (key + count). The per-k-mer kernels
-/// see one key per thread, so a small table suffices; the supermer kernels
-/// extract many k-mers per thread and get the largest table that fits the
-/// 96 KB V100 budget.
-inline constexpr std::size_t kSmemSlotsKmer = 1024;      // 12 KB
-inline constexpr std::size_t kSmemSlotsSupermer = 4096;  // 48 KB
+/// Shared-table size: 1024 slots of 12 bytes (key + count), 12 KB of the
+/// 96 KB V100 budget. Each thread adds one key.
+inline constexpr std::size_t kSmemSlots = 1024;
 inline constexpr std::uint64_t kSmemSlotBytes = 12;
 
 /// Bounded probing in the shared table: past this, the occurrence
@@ -44,25 +41,22 @@ inline constexpr std::size_t kSmemProbeLimit = 16;
 
 class BlockAggregator {
  public:
-  /// Shared-memory footprint a launch declares for a `slots`-slot table.
-  [[nodiscard]] static constexpr std::uint64_t footprint(std::size_t slots) {
-    return slots * kSmemSlotBytes;
-  }
+  /// Shared-memory footprint a launch declares for the table.
+  static constexpr std::uint64_t kFootprint = kSmemSlots * kSmemSlotBytes;
 
-  /// The calling worker's table, opened empty as a `slots`-slot table
-  /// (a power of two <= kSmemSlotsSupermer) whose probe sequence starts at
-  /// hash_u64(key, seed). Charges the block's cooperative init in closed
-  /// form: every one of the block's threads clears ⌈slots/block_dim⌉
-  /// slots of 12 bytes, whether or not it has input.
+  /// The calling worker's table, opened empty, whose probe sequence
+  /// starts at hash_u64(key, seed). Charges the block's cooperative init
+  /// in closed form: every one of the block's threads clears
+  /// ⌈kSmemSlots/block_dim⌉ slots of 12 bytes, whether or not it has
+  /// input.
   [[nodiscard]] static BlockAggregator& begin(gpusim::BlockCtx& block,
-                                              std::size_t slots,
                                               std::uint64_t seed);
 
   /// Aggregate one occurrence, charging its shared-memory probes and
   /// atomics. Returns false when the probe bound is hit (the caller falls
   /// through to its global path).
   bool add(gpusim::KernelCharges& charges, std::uint64_t key) {
-    const std::size_t mask = slots_ - 1;
+    constexpr std::size_t mask = kSmemSlots - 1;
     std::size_t slot = hash::hash_u64(key, seed_) & mask;
     for (std::size_t probes = 1; probes <= kSmemProbeLimit; ++probes) {
       charges.count_smem_read(sizeof(std::uint64_t));
@@ -90,10 +84,10 @@ class BlockAggregator {
   /// Charges the scan in closed form: every slot is read once, 12 bytes.
   template <typename Commit>
   void flush(gpusim::BlockCtx& block, Commit&& commit) {
-    block.count_smem_read(slots_ * kSmemSlotBytes);
+    block.count_smem_read(kSmemSlots * kSmemSlotBytes);
     const std::size_t stride = block.block_dim();
     for (std::size_t t = 0; t < stride && occupied_ != 0; ++t) {
-      for (std::size_t slot = t; slot < slots_; slot += stride) {
+      for (std::size_t slot = t; slot < kSmemSlots; slot += stride) {
         const std::uint64_t key = keys_[slot];
         if (key == kmer::kInvalidCode) continue;
         keys_[slot] = kmer::kInvalidCode;
@@ -108,7 +102,6 @@ class BlockAggregator {
 
   std::unique_ptr<std::uint64_t[]> keys_;
   std::unique_ptr<std::uint32_t[]> counts_;
-  std::size_t slots_ = 0;
   std::uint64_t seed_ = 0;
   /// Slots holding a key. Nonzero at begin() only when a block was
   /// abandoned by an exception mid-way; begin() then clears the table.

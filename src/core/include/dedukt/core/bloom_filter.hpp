@@ -16,7 +16,7 @@
 // multi-word variant could absorb two simultaneous first occurrences and
 // silently undercount.
 //
-// Filtered counting semantics (see DeviceHashTable::count_kmers_filtered):
+// Filtered counting semantics (DeviceHashTable::count_kmers with a filter):
 // a k-mer enters the counting table on its second observed occurrence, and
 // the claiming insert adds 2 to compensate for the absorbed first
 // occurrence — so surviving k-mers carry their exact multiplicity, and

@@ -39,14 +39,12 @@ enum class ExchangeMode { kStaged, kGpuDirect };
 enum class PartitionScheme {
   kMinimizerHash,      ///< the paper's scheme: hash(minimizer) mod P
   kFrequencyBalanced,  ///< §VII extension: sampled-weight LPT assignment
-  kNodeAware,          ///< two-pass LPT: buckets -> nodes, then within node
 };
 
 [[nodiscard]] inline std::string to_string(PartitionScheme scheme) {
   switch (scheme) {
     case PartitionScheme::kMinimizerHash: return "minimizer-hash";
     case PartitionScheme::kFrequencyBalanced: return "freq-balanced";
-    case PartitionScheme::kNodeAware: return "node-balanced";
   }
   return "?";
 }
@@ -82,12 +80,6 @@ struct PipelineConfig {
   /// bytes per supermer for fewer, longer supermers. Supermer pipeline
   /// only.
   bool wide_supermers = false;
-  /// Two-level counting in the GPU hash-table kernels: each block first
-  /// aggregates its k-mers in a shared-memory table, then flushes unique
-  /// (key, count) pairs to the global table (§III-B3's on-device counting,
-  /// with Gerbil-style block-local pre-aggregation). Pure perf toggle —
-  /// spectra and CountResult are bit-identical either way. On by default.
-  bool smem_agg = true;
   /// Source-side consolidation (the paper's footnote 1, after Georganas):
   /// count k-mers locally on the source rank first and exchange
   /// (k-mer, count) pairs (12 bytes each) instead of one 8-byte word per

@@ -6,14 +6,7 @@
 // a slot and an atomic add to bump the count, with linear probing on
 // collision, exactly as the paper describes. A second kernel variant first
 // extracts the k-mers of each received supermer, then counts them (§IV-B).
-//
-// Two-level counting (smem_agg, on by default): each block first aggregates
-// its k-mers into a small shared-memory open-addressing table, then flushes
-// the unique (key, count) pairs into the global table with one accumulate-
-// style insert per distinct key. Global atomics and probe traffic drop by
-// the within-block duplication factor — the same block-local
-// pre-aggregation Gerbil's GPU counter uses before touching DRAM — while
-// the final table contents stay bit-identical to the per-occurrence path.
+// Every occurrence is one insert into the global table.
 #pragma once
 
 #include <cstdint>
@@ -36,23 +29,33 @@ class DeviceHashTable {
 
   /// Build a table on `device` with capacity for `expected_keys` at the
   /// given headroom factor (capacity is rounded up to a power of two).
-  /// `smem_agg` selects the two-level counting path for the count_*
-  /// kernels (block-local shared-memory aggregation before the global
-  /// insert); spectra are bit-identical either way.
   DeviceHashTable(gpusim::Device& device, std::size_t expected_keys,
-                  double headroom = 2.0, bool smem_agg = true);
+                  double headroom = 2.0);
 
   /// Count kernel: one thread per k-mer in `kmers` (device buffer holding
   /// `n` packed codes). Throws SimulationError if the table fills up.
-  gpusim::LaunchStats count_kmers(const gpusim::DeviceBuffer<std::uint64_t>& kmers,
-                                  std::size_t n);
+  ///
+  /// With a `bloom` filter (BFCounter-style singleton suppression, see
+  /// bloom_filter.hpp) a k-mer enters the table only on its second
+  /// observed occurrence; the claiming insert adds 2 so surviving counts
+  /// equal the true multiplicity (modulo Bloom false positives, which at
+  /// worst admit a singleton or add +1). Filtered launches run in the
+  /// canonical block order, so which occurrence the filter absorbs — and
+  /// every count and charge — is the same at any DEDUKT_SIM_THREADS.
+  gpusim::LaunchStats count_kmers(
+      const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
+      DeviceBloomFilter* bloom = nullptr);
 
   /// Supermer count kernel: one thread per supermer; each extracts its
-  /// k-mers (Algorithm 2 COUNTKMER) and inserts them.
+  /// k-mers (Algorithm 2 COUNTKMER) and inserts them. `Word` is
+  /// std::uint64_t for the paper's single-word supermers or kmer::WideKey
+  /// for the two-word extension (k stays <= 31, so the extracted k-mers
+  /// are narrow). `bloom` filters as in count_kmers.
+  template <typename Word>
   gpusim::LaunchStats count_supermers(
-      const gpusim::DeviceBuffer<std::uint64_t>& supermers,
-      const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n,
-      int k);
+      const gpusim::DeviceBuffer<Word>& supermers,
+      const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n, int k,
+      DeviceBloomFilter* bloom = nullptr);
 
   /// Accumulation kernel for source-side consolidation (paper footnote 1):
   /// one thread per received (k-mer, local-count) pair; adds `counts[i]`
@@ -60,34 +63,6 @@ class DeviceHashTable {
   gpusim::LaunchStats accumulate_pairs(
       const gpusim::DeviceBuffer<std::uint64_t>& keys,
       const gpusim::DeviceBuffer<std::uint32_t>& key_counts, std::size_t n);
-
-  /// Wide-supermer count kernel (two-word packing extension): one thread
-  /// per wide supermer; k stays <= 31 so the extracted k-mers are narrow.
-  gpusim::LaunchStats count_wide_supermers(
-      const gpusim::DeviceBuffer<kmer::WideKey>& supermers,
-      const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n,
-      int k);
-
-  gpusim::LaunchStats count_wide_supermers_filtered(
-      const gpusim::DeviceBuffer<kmer::WideKey>& supermers,
-      const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n,
-      int k, DeviceBloomFilter& bloom);
-
-  /// Bloom-filtered variants (BFCounter-style singleton suppression, see
-  /// bloom_filter.hpp): a k-mer enters the table only on its second
-  /// observed occurrence; the claiming insert adds 2 so surviving counts
-  /// equal the true multiplicity (modulo Bloom false positives, which at
-  /// worst admit a singleton or add +1). They run in the canonical block
-  /// order, so which occurrence the filter absorbs — and every count and
-  /// charge — is the same at any DEDUKT_SIM_THREADS.
-  gpusim::LaunchStats count_kmers_filtered(
-      const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
-      DeviceBloomFilter& bloom);
-
-  gpusim::LaunchStats count_supermers_filtered(
-      const gpusim::DeviceBuffer<std::uint64_t>& supermers,
-      const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n,
-      int k, DeviceBloomFilter& bloom);
 
   [[nodiscard]] std::size_t capacity() const { return keys_.size(); }
 
@@ -110,7 +85,6 @@ class DeviceHashTable {
   gpusim::DeviceBuffer<std::uint64_t> keys_;
   gpusim::DeviceBuffer<std::uint32_t> counts_;
   std::size_t mask_ = 0;
-  bool smem_agg_ = true;
 };
 
 }  // namespace dedukt::core

@@ -91,7 +91,11 @@ struct DestinationTable {
   [[nodiscard]] bool enabled() const { return bucket_to_rank != nullptr; }
 };
 
-/// Pass 1: count the supermers destined to each partition.
+/// Pass 1: count the supermers destined to each partition. `Word` is the
+/// supermer packing: std::uint64_t for the paper's single-word regime, or
+/// kmer::WideKey for the two-word extension (config.wide: 63-base
+/// supermers in thread-private 128-bit registers).
+template <typename Word = std::uint64_t>
 gpusim::LaunchStats supermer_count(
     gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
     const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
@@ -100,33 +104,14 @@ gpusim::LaunchStats supermer_count(
     DestinationTable routing = {});
 
 /// Pass 2: emit packed supermer words and length bytes per partition.
+template <typename Word>
 gpusim::LaunchStats supermer_fill(
     gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
     const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<std::uint64_t>& out_words,
-    gpusim::DeviceBuffer<std::uint8_t>& out_lens,
-    DestinationTable routing = {});
-
-// Wide-supermer variants (two-word packing, config.wide = true): the same
-// two passes with 63-base supermers in thread-private 128-bit registers.
-
-gpusim::LaunchStats supermer_count_wide(
-    gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
-    const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
-    const kmer::SupermerConfig& config, std::uint32_t parts,
-    gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
-    DestinationTable routing = {});
-
-gpusim::LaunchStats supermer_fill_wide(
-    gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
-    const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
-    const kmer::SupermerConfig& config, std::uint32_t parts,
-    const gpusim::DeviceBuffer<std::uint64_t>& offsets,
-    gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<kmer::WideKey>& out_words,
+    gpusim::DeviceBuffer<Word>& out_words,
     gpusim::DeviceBuffer<std::uint8_t>& out_lens,
     DestinationTable routing = {});
 

@@ -41,14 +41,9 @@ class MinimizerAssignment {
 
   /// Collectively build the assignment from each rank's local reads.
   /// `sample_stride` controls sampling (1 = every read, 4 = every 4th...).
-  /// `node_aware` selects the two-pass LPT (lpt_assign_node_aware with the
-  /// comm's ranks_per_node) instead of rank-only LPT, so heavy buckets
-  /// spread across nodes before ranks and every node receives a similar
-  /// share of the sampled k-mers.
   [[nodiscard]] static MinimizerAssignment build(
       mpisim::Comm& comm, const io::ReadBatch& reads,
-      const kmer::SupermerConfig& config, int sample_stride = 4,
-      bool node_aware = false);
+      const kmer::SupermerConfig& config, int sample_stride = 4);
 
   /// Identity-free constructor for tests: explicit bucket table.
   MinimizerAssignment(std::vector<std::uint32_t> bucket_to_rank,
@@ -81,18 +76,5 @@ class MinimizerAssignment {
 /// testing): returns bucket→rank with approximately equal summed weights.
 [[nodiscard]] std::vector<std::uint32_t> lpt_assign(
     const std::vector<std::uint64_t>& bucket_weights, std::uint32_t nranks);
-
-/// Node-aware two-pass LPT (PartitionScheme::kNodeAware): pass 1 runs LPT
-/// over buckets→nodes with capacity-normalized loads (a partial last node
-/// gets proportionally less weight), pass 2 runs plain LPT within each
-/// node over its own ranks. Ranks are node-major, matching
-/// mpisim::Comm::ranks_per_node. Rank-only LPT balances ranks but can still
-/// pile heavy buckets onto one node, whose ranks then share one NIC for
-/// all of that payload; this balances the per-node sums first (Table III's
-/// node-level imbalance). Degenerates to lpt_assign when the topology is
-/// flat (one node, or one rank per node).
-[[nodiscard]] std::vector<std::uint32_t> lpt_assign_node_aware(
-    const std::vector<std::uint64_t>& bucket_weights, std::uint32_t nranks,
-    std::uint32_t ranks_per_node);
 
 }  // namespace dedukt::core

@@ -6,7 +6,7 @@
 // Routing derivation mirrors the pipelines' destination logic:
 //  * kCpu / kGpuKmer       -> whole-k-mer hash routing (Algorithm 1).
 //  * kGpuSupermer + kMinimizerHash -> minimizer-hash routing (§IV-A).
-//  * kGpuSupermer + kFrequencyBalanced / kNodeAware -> the run's routing
+//  * kGpuSupermer + kFrequencyBalanced -> the run's routing
 //    lives in a MinimizerAssignment built collectively inside the
 //    pipeline; pass it via the assignment overload to persist its bucket
 //    table. Without the table (the CLI path, where the assignment is

@@ -45,8 +45,7 @@ commands:
            [--pipeline=gpu-supermer|gpu-kmer|cpu]
            [--order=randomized|kmc2|lexicographic]
            [--canonical] [--filter-singletons] [--wide-supermers]
-           [--freq-balanced] [--node-balanced] [--rounds-limit=N]
-           [--smem-agg] [--no-smem-agg] [--sim-threads=N]
+           [--freq-balanced] [--rounds-limit=N] [--sim-threads=N]
            [--sketch] [--sketch-width=N] [--sketch-depth=N]
            [--sketch-conservative] [--heavy-threshold=N]
                                   (approximate counting: per-rank count-min
@@ -156,9 +155,9 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
 
   DriverOptions options;
   options.pipeline.kind = parse_pipeline(cli.get("pipeline", "gpu-supermer"));
-  options.pipeline.k = static_cast<int>(cli.get_int("k", 17));
-  options.pipeline.m = static_cast<int>(cli.get_int("m", 7));
-  options.pipeline.window = static_cast<int>(cli.get_int("window", 15));
+  options.pipeline.k = cli.get_int_as<int>("k", 17);
+  options.pipeline.m = cli.get_int_as<int>("m", 7);
+  options.pipeline.window = cli.get_int_as<int>("window", 15);
   options.pipeline.order = parse_order(cli.get("order", "randomized"));
   options.pipeline.canonical = cli.get_bool("canonical", false);
   options.pipeline.filter_singletons =
@@ -167,13 +166,8 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
   if (cli.get_bool("freq-balanced", false)) {
     options.pipeline.partition = PartitionScheme::kFrequencyBalanced;
   }
-  if (cli.get_bool("node-balanced", false)) {
-    options.pipeline.partition = PartitionScheme::kNodeAware;
-  }
   options.pipeline.max_kmers_per_round =
       cli.get_uint<std::uint64_t>("rounds-limit", 0);
-  options.pipeline.smem_agg =
-      cli.has("no-smem-agg") ? false : cli.get_bool("smem-agg", true);
   options.pipeline.sketch = cli.get_bool("sketch", false);
   options.pipeline.sketch_width =
       cli.get_uint<std::uint32_t>("sketch-width", 1u << 20);
@@ -183,11 +177,11 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
       cli.get_bool("sketch-conservative", false);
   options.pipeline.heavy_threshold =
       cli.get_uint<std::uint64_t>("heavy-threshold", 0);
-  options.nranks = static_cast<int>(cli.get_int("ranks", 6));
+  options.nranks = cli.get_int_as<int>("ranks", 6);
   options.batch.max_reads = cli.get_uint<std::size_t>("batch-reads", 0);
   options.batch.max_bytes = cli.get_uint<std::uint64_t>("batch-bytes", 0);
   options.ooc.spill_root = cli.get("ooc-spill");
-  options.ooc.bins = static_cast<int>(cli.get_int("ooc-bins", 8));
+  options.ooc.bins = cli.get_int_as<int>("ooc-bins", 8);
 
   // Bounded-batch or out-of-core runs on a FASTQ input stream straight
   // from the file, so the full read set is never resident; everything else
@@ -378,7 +372,7 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
     keys.push_back(kmer::pack(name, kmer_store.encoding()));
   }
 
-  const int ranks = static_cast<int>(cli.get_int("ranks", 1));
+  const int ranks = cli.get_int_as<int>("ranks", 1);
   DEDUKT_REQUIRE_MSG(ranks >= 1, "--ranks must be >= 1");
   const bool overlap = cli.get_bool("overlap-batches", false);
   DEDUKT_REQUIRE_MSG(!overlap || ranks >= 2,
@@ -661,7 +655,7 @@ int run_app(int argc, const char* const* argv, std::ostream& out,
                                             << " for dedukt " << command);
     // Host-side simulation parallelism; overrides DEDUKT_SIM_THREADS.
     if (cli.has("sim-threads")) {
-      const long threads = cli.get_int("sim-threads", 0);
+      const int threads = cli.get_int_as<int>("sim-threads", 0);
       DEDUKT_REQUIRE_MSG(threads >= 1, "--sim-threads must be >= 1");
       util::ThreadPool::set_global_threads(static_cast<unsigned>(threads));
     }

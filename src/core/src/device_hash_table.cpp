@@ -3,8 +3,8 @@
 #include <atomic>
 #include <bit>
 #include <span>
+#include <type_traits>
 
-#include "dedukt/core/block_aggregation.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/hash/murmur3.hpp"
 #include "dedukt/kmer/supermer.hpp"
@@ -67,11 +67,9 @@ struct GlobalTable {
 };
 
 /// One global insert of `count` occurrences of `key` with its traffic
-/// charges: a per-occurrence insert (count 1), a shared-table flush
-/// (count = the block's count), or a consolidated pair. `bonus` is the
-/// Bloom-compensation increment a claiming insert adds on top (1 on the
-/// filtered paths, 0 otherwise): whichever insert claims globally pays it
-/// exactly once.
+/// charges: a per-occurrence insert (count 1) or a consolidated pair.
+/// `bonus` is the Bloom-compensation increment a claiming insert adds on
+/// top (1 on the filtered paths, 0 otherwise).
 void insert_counted(gpusim::KernelCharges& charges, const GlobalTable& g,
                     std::uint64_t key, std::uint32_t count,
                     std::uint32_t bonus) {
@@ -84,66 +82,36 @@ void insert_counted(gpusim::KernelCharges& charges, const GlobalTable& g,
   charges.count_ops(10 + probes * 4);
 }
 
-/// Launch one of the count_* kernels. `for_each_key(charges, i, emit)`
-/// loads input element i (charging its reads and extraction) and calls
-/// emit(code) for every k-mer occurrence the element yields; a non-null
-/// `filter` absorbs each key's first occurrence (claims add 1 + bonus).
+/// Launch one of the count_* kernels, one thread per input element.
+/// `for_each_key(ctx, i, emit)` loads input element i (charging its reads
+/// and extraction) and calls emit(code) for every k-mer occurrence the
+/// element yields; each occurrence is one global insert (§III-B3). A
+/// non-null `filter` absorbs each key's first occurrence (claims add
+/// 1 + bonus).
 ///
-/// With `smem_agg` the kernel is block-cooperative (two-level counting,
-/// see block_aggregation.hpp): each block aggregates its threads'
-/// occurrences in thread order into a `slots`-slot shared table, overflow
-/// goes straight to the global table, and the flush commits each distinct
-/// key once. Because a block always executes on one worker, the shared
-/// table layout — and every shared-memory charge — is a pure function of
-/// the block's input; the global charges follow the same
-/// parking-function claim rule as the per-occurrence path.
-///
-/// Filtered kernels run in the canonical block order on both paths: which
-/// occurrence the filter absorbs — and so which block's shared table sees
-/// a key — would otherwise depend on how blocks interleave.
+/// Filtered kernels run in the canonical block order: which occurrence the
+/// filter absorbs — and so which insert claims a key, and which keys the
+/// filter's false positives admit — would otherwise depend on how blocks
+/// interleave.
 template <typename ForEachKey>
 gpusim::LaunchStats launch_count(gpusim::Device& device, const char* name,
                                  std::size_t n, const GlobalTable& g,
-                                 bool smem_agg, std::size_t slots,
                                  DeviceBloomFilter* filter,
                                  ForEachKey for_each_key) {
   const std::uint32_t bonus = filter != nullptr ? 1 : 0;
   const auto shape = device.shape_for(n);
-  if (!smem_agg) {
-    auto kernel = [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      for_each_key(ctx, static_cast<std::size_t>(i), [&](std::uint64_t key) {
-        if (filter != nullptr && !filter->test_and_set(key, ctx)) return;
-        insert_counted(ctx, g, key, /*count=*/1, bonus);
-      });
-    };
-    return filter != nullptr
-               ? device.launch_ordered(name, shape.grid_dim, shape.block_dim,
-                                       kernel)
-               : device.launch(name, shape.grid_dim, shape.block_dim, kernel);
-  }
-  auto kernel = [=](gpusim::BlockCtx& block) {
-    BlockAggregator& agg =
-        BlockAggregator::begin(block, slots, DeviceHashTable::kProbeSeed);
-    const std::size_t first = block.first_global_id();
-    const std::uint32_t active = block.threads_below(n);
-    for (std::uint32_t t = 0; t < active; ++t) {
-      for_each_key(block, first + t, [&](std::uint64_t key) {
-        if (filter != nullptr && !filter->test_and_set(key, block)) return;
-        if (!agg.add(block, key)) insert_counted(block, g, key, 1, bonus);
-      });
-    }
-    agg.flush(block, [&](std::uint64_t key, std::uint32_t count) {
-      insert_counted(block, g, key, count, bonus);
+  auto kernel = [=](gpusim::ThreadCtx& ctx) {
+    const std::uint64_t i = ctx.global_id();
+    if (i >= n) return;
+    for_each_key(ctx, static_cast<std::size_t>(i), [&](std::uint64_t key) {
+      if (filter != nullptr && !filter->test_and_set(key, ctx)) return;
+      insert_counted(ctx, g, key, /*count=*/1, bonus);
     });
   };
-  const std::uint64_t smem = BlockAggregator::footprint(slots);
   return filter != nullptr
-             ? device.launch_blocks_ordered(name, shape.grid_dim,
-                                            shape.block_dim, smem, kernel)
-             : device.launch_blocks(name, shape.grid_dim, shape.block_dim,
-                                    smem, kernel);
+             ? device.launch_ordered(name, shape.grid_dim, shape.block_dim,
+                                     kernel)
+             : device.launch(name, shape.grid_dim, shape.block_dim, kernel);
 }
 
 /// Input loaders for launch_count: one packed k-mer per thread, or one
@@ -167,8 +135,8 @@ auto supermer_keys(const std::uint64_t* smers, const std::uint8_t* lens,
   };
 }
 
-auto wide_supermer_keys(const kmer::WideKey* smers, const std::uint8_t* lens,
-                        int k) {
+auto supermer_keys(const kmer::WideKey* smers, const std::uint8_t* lens,
+                   int k) {
   return [=](gpusim::KernelCharges& charges, std::size_t i, auto&& emit) {
     charges.count_gmem_read(sizeof(kmer::WideKey) + sizeof(std::uint8_t));
     const kmer::PackedWideSupermer smer{smers[i], lens[i]};
@@ -202,9 +170,8 @@ gpusim::LaunchStats DeviceHashTable::accumulate_pairs(
 }
 
 DeviceHashTable::DeviceHashTable(gpusim::Device& device,
-                                 std::size_t expected_keys, double headroom,
-                                 bool smem_agg)
-    : device_(&device), smem_agg_(smem_agg) {
+                                 std::size_t expected_keys, double headroom)
+    : device_(&device) {
   DEDUKT_REQUIRE(headroom >= 1.0);
   const auto want = static_cast<std::size_t>(
       static_cast<double>(std::max<std::size_t>(expected_keys, 8)) *
@@ -216,77 +183,43 @@ DeviceHashTable::DeviceHashTable(gpusim::Device& device,
 }
 
 gpusim::LaunchStats DeviceHashTable::count_kmers(
-    const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n) {
-  DEDUKT_REQUIRE(n <= kmers.size());
-  return launch_count(*device_, "hash_count_kmers", n,
-                      GlobalTable{keys_.data(), counts_.data(), mask_},
-                      smem_agg_, kSmemSlotsKmer, /*filter=*/nullptr,
-                      kmer_keys(kmers.data()));
-}
-
-gpusim::LaunchStats DeviceHashTable::count_supermers(
-    const gpusim::DeviceBuffer<std::uint64_t>& supermers,
-    const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n,
-    int k) {
-  DEDUKT_REQUIRE(n <= supermers.size());
-  DEDUKT_REQUIRE(n <= lengths.size());
-  DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  return launch_count(*device_, "hash_count_supermers", n,
-                      GlobalTable{keys_.data(), counts_.data(), mask_},
-                      smem_agg_, kSmemSlotsSupermer, /*filter=*/nullptr,
-                      supermer_keys(supermers.data(), lengths.data(), k));
-}
-
-gpusim::LaunchStats DeviceHashTable::count_kmers_filtered(
     const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
-    DeviceBloomFilter& bloom) {
+    DeviceBloomFilter* bloom) {
   DEDUKT_REQUIRE(n <= kmers.size());
-  return launch_count(*device_, "hash_count_kmers_filtered", n,
-                      GlobalTable{keys_.data(), counts_.data(), mask_},
-                      smem_agg_, kSmemSlotsKmer, &bloom,
-                      kmer_keys(kmers.data()));
+  return launch_count(
+      *device_, bloom != nullptr ? "hash_count_kmers_filtered"
+                                 : "hash_count_kmers",
+      n, GlobalTable{keys_.data(), counts_.data(), mask_}, bloom,
+      kmer_keys(kmers.data()));
 }
 
-gpusim::LaunchStats DeviceHashTable::count_supermers_filtered(
-    const gpusim::DeviceBuffer<std::uint64_t>& supermers,
+template <typename Word>
+gpusim::LaunchStats DeviceHashTable::count_supermers(
+    const gpusim::DeviceBuffer<Word>& supermers,
     const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n, int k,
-    DeviceBloomFilter& bloom) {
+    DeviceBloomFilter* bloom) {
   DEDUKT_REQUIRE(n <= supermers.size());
   DEDUKT_REQUIRE(n <= lengths.size());
   DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  return launch_count(*device_, "hash_count_supermers_filtered", n,
-                      GlobalTable{keys_.data(), counts_.data(), mask_},
-                      smem_agg_, kSmemSlotsSupermer, &bloom,
+  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
+  const char* name =
+      bloom != nullptr ? (kWide ? "hash_count_wide_supermers_filtered"
+                                : "hash_count_supermers_filtered")
+                       : (kWide ? "hash_count_wide_supermers"
+                                : "hash_count_supermers");
+  return launch_count(*device_, name, n,
+                      GlobalTable{keys_.data(), counts_.data(), mask_}, bloom,
                       supermer_keys(supermers.data(), lengths.data(), k));
 }
 
-gpusim::LaunchStats DeviceHashTable::count_wide_supermers(
-    const gpusim::DeviceBuffer<kmer::WideKey>& supermers,
-    const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n,
-    int k) {
-  DEDUKT_REQUIRE(n <= supermers.size());
-  DEDUKT_REQUIRE(n <= lengths.size());
-  DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  return launch_count(
-      *device_, "hash_count_wide_supermers", n,
-      GlobalTable{keys_.data(), counts_.data(), mask_}, smem_agg_,
-      kSmemSlotsSupermer, /*filter=*/nullptr,
-      wide_supermer_keys(supermers.data(), lengths.data(), k));
-}
-
-gpusim::LaunchStats DeviceHashTable::count_wide_supermers_filtered(
-    const gpusim::DeviceBuffer<kmer::WideKey>& supermers,
-    const gpusim::DeviceBuffer<std::uint8_t>& lengths, std::size_t n, int k,
-    DeviceBloomFilter& bloom) {
-  DEDUKT_REQUIRE(n <= supermers.size());
-  DEDUKT_REQUIRE(n <= lengths.size());
-  DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  return launch_count(
-      *device_, "hash_count_wide_supermers_filtered", n,
-      GlobalTable{keys_.data(), counts_.data(), mask_}, smem_agg_,
-      kSmemSlotsSupermer, &bloom,
-      wide_supermer_keys(supermers.data(), lengths.data(), k));
-}
+template gpusim::LaunchStats DeviceHashTable::count_supermers<std::uint64_t>(
+    const gpusim::DeviceBuffer<std::uint64_t>&,
+    const gpusim::DeviceBuffer<std::uint8_t>&, std::size_t, int,
+    DeviceBloomFilter*);
+template gpusim::LaunchStats DeviceHashTable::count_supermers<kmer::WideKey>(
+    const gpusim::DeviceBuffer<kmer::WideKey>&,
+    const gpusim::DeviceBuffer<std::uint8_t>&, std::size_t, int,
+    DeviceBloomFilter*);
 
 namespace {
 

@@ -48,9 +48,9 @@ struct KeyCount {
 /// Sort gathered (key, count) pairs and sum duplicate keys. Partitioning
 /// normally sends every occurrence of a k-mer to one rank, so keys are
 /// disjoint across parts — but sum duplicates anyway: the
-/// frequency-balanced routing schemes re-sample their assignment per batch
-/// under streamed ingest, so a minimizer may legally land on different
-/// ranks in different batches.
+/// frequency-balanced routing re-samples its assignment per batch under
+/// streamed ingest, so a minimizer may legally land on different ranks in
+/// different batches.
 template <typename Key>
 void merge_gathered_counts(std::vector<std::pair<Key, std::uint64_t>>& counts) {
   std::sort(counts.begin(), counts.end());

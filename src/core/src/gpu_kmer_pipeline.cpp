@@ -6,6 +6,7 @@
 // H2D) or GPUDirect. count: open-addressing device hash table with atomic
 // CAS/add.
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,14 +31,10 @@ void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
                      HostHashTable& local_table, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  DeviceHashTable table(device, received.data.size(),
-                        config.table_headroom, config.smem_agg);
-  if (config.filter_singletons) {
-    DeviceBloomFilter bloom(device, received.data.size());
-    table.count_kmers_filtered(d_recv, received.data.size(), bloom);
-  } else {
-    table.count_kmers(d_recv, received.data.size());
-  }
+  DeviceHashTable table(device, received.data.size(), config.table_headroom);
+  std::optional<DeviceBloomFilter> bloom;
+  if (config.filter_singletons) bloom.emplace(device, received.data.size());
+  table.count_kmers(d_recv, received.data.size(), bloom ? &*bloom : nullptr);
   device.free(d_recv);
 
   for (const auto& [key, count] : table.to_host()) {
@@ -127,8 +124,7 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   buckets.out_key_counts.resize(parts);
   PhaseScope phase(metrics, kPhaseParse, device);
 
-  DeviceHashTable local(device, parsed.total, config.table_headroom,
-                        config.smem_agg);
+  DeviceHashTable local(device, parsed.total, config.table_headroom);
   local.count_kmers(parsed.d_out, parsed.total);
   device.free(parsed.d_out);
   for (const auto& [key, count] : local.to_host()) {
@@ -160,7 +156,7 @@ void count_gpu_pairs(
     kmers_to_count += count;
   }
   DeviceHashTable table(device, recv_keys.data.size(),
-                        config.table_headroom, config.smem_agg);
+                        config.table_headroom);
   table.accumulate_pairs(d_recv_keys, d_recv_key_counts,
                          recv_keys.data.size());
   device.free(d_recv_keys);

@@ -8,6 +8,7 @@
 // count: the destination extracts each supermer's k-mers and counts them in
 // the device hash table.
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "count_stages.hpp"
@@ -34,7 +35,6 @@ void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
                          gpusim::DeviceBuffer<Word>& d_recv_words,
                          gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
                          HostHashTable& local_table, RankMetrics& metrics) {
-  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   PhaseScope phase(metrics, kPhaseCount, device);
 
   metrics.supermers_received = recv_words.data.size();
@@ -44,28 +44,11 @@ void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
                       static_cast<std::uint64_t>(config.k) + 1;
   }
 
-  DeviceHashTable table(device, kmers_to_count, config.table_headroom,
-                        config.smem_agg);
-  if (config.filter_singletons) {
-    DeviceBloomFilter bloom(device, kmers_to_count);
-    if constexpr (kWide) {
-      table.count_wide_supermers_filtered(d_recv_words, d_recv_lens,
-                                          recv_words.data.size(),
-                                          config.k, bloom);
-    } else {
-      table.count_supermers_filtered(d_recv_words, d_recv_lens,
-                                     recv_words.data.size(), config.k,
-                                     bloom);
-    }
-  } else {
-    if constexpr (kWide) {
-      table.count_wide_supermers(d_recv_words, d_recv_lens,
-                                 recv_words.data.size(), config.k);
-    } else {
-      table.count_supermers(d_recv_words, d_recv_lens,
-                            recv_words.data.size(), config.k);
-    }
-  }
+  DeviceHashTable table(device, kmers_to_count, config.table_headroom);
+  std::optional<DeviceBloomFilter> bloom;
+  if (config.filter_singletons) bloom.emplace(device, kmers_to_count);
+  table.count_supermers(d_recv_words, d_recv_lens, recv_words.data.size(),
+                        config.k, bloom ? &*bloom : nullptr);
   device.free(d_recv_words);
   device.free(d_recv_lens);
 
@@ -117,7 +100,6 @@ ParsedSupermers<Word> parse_gpu_supermers(
     gpusim::Device& device, const io::ReadBatch& reads,
     const PipelineConfig& config, std::uint32_t parts,
     const kernels::DestinationTable& routing, RankMetrics& metrics) {
-  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   const kmer::SupermerConfig smer_config = config.supermer_config();
 
   ParsedSupermers<Word> parsed;
@@ -137,14 +119,8 @@ ParsedSupermers<Word> parse_gpu_supermers(
   device.copy_to_device<kernels::Window>(windows, d_windows);
 
   auto d_counts = device.alloc<std::uint32_t>(parts, 0u);
-  if constexpr (kWide) {
-    kernels::supermer_count_wide(device, d_bases, d_windows,
-                                 windows.size(), smer_config, parts,
-                                 d_counts, routing);
-  } else {
-    kernels::supermer_count(device, d_bases, d_windows, windows.size(),
-                            smer_config, parts, d_counts, routing);
-  }
+  kernels::supermer_count<Word>(device, d_bases, d_windows, windows.size(),
+                                smer_config, parts, d_counts, routing);
   device.copy_to_host(d_counts, std::span<std::uint32_t>(parsed.counts));
 
   parsed.total_supermers = exclusive_prefix(parsed.counts, parsed.offsets);
@@ -156,16 +132,9 @@ ParsedSupermers<Word> parse_gpu_supermers(
       std::max<std::uint64_t>(parsed.total_supermers, 1));
   parsed.d_lens = device.alloc<std::uint8_t>(
       std::max<std::uint64_t>(parsed.total_supermers, 1));
-  if constexpr (kWide) {
-    kernels::supermer_fill_wide(device, d_bases, d_windows,
-                                windows.size(), smer_config, parts,
-                                d_offsets, d_cursors, parsed.d_words,
-                                parsed.d_lens, routing);
-  } else {
-    kernels::supermer_fill(device, d_bases, d_windows, windows.size(),
-                           smer_config, parts, d_offsets, d_cursors,
-                           parsed.d_words, parsed.d_lens, routing);
-  }
+  kernels::supermer_fill(device, d_bases, d_windows, windows.size(),
+                         smer_config, parts, d_offsets, d_cursors,
+                         parsed.d_words, parsed.d_lens, routing);
 
   device.free(d_bases);
   device.free(d_windows);
@@ -263,8 +232,7 @@ RankMetrics run_gpu_supermer_rank(mpisim::Comm& comm, gpusim::Device& device,
     PhaseScope phase(setup, kPhaseParse, comm, device);
 
     const MinimizerAssignment assignment = MinimizerAssignment::build(
-        comm, reads, config.supermer_config(), /*sample_stride=*/4,
-        config.partition == PartitionScheme::kNodeAware);
+        comm, reads, config.supermer_config(), /*sample_stride=*/4);
     d_routing = device.alloc<std::uint32_t>(assignment.buckets());
     device.copy_to_device<std::uint32_t>(assignment.table(), d_routing);
     routing.bucket_to_rank = d_routing.data();

@@ -4,14 +4,16 @@
 // atomic cursor claim before the plain store. The count-only kernels are
 // order-insensitive and run block-parallel. The fill kernels use
 // launch_ordered: their output PLACEMENT follows cursor claim order, and
-// now that the two-level counting kernels price work by which occurrences
-// share a block, a scheduling-dependent append order would make modeled
-// time vary with DEDUKT_SIM_THREADS. Pinning the canonical block order
-// keeps outgoing buffers — and all downstream charges — bit-identical for
-// every pool size.
+// the occurrence order they produce reaches counts downstream — the
+// Bloom-filtered count kernels absorb whichever occurrence of a key comes
+// first (and its false positives depend on that order too), and the
+// conservative sketch update's cells depend on update order. Pinning the
+// canonical block order keeps outgoing buffers — and every count and
+// charge derived from them — bit-identical for every pool size.
 #include "dedukt/core/kernels.hpp"
 
 #include <atomic>
+#include <type_traits>
 
 #include "dedukt/kmer/extract.hpp"
 #include "dedukt/util/error.hpp"
@@ -97,15 +99,15 @@ inline std::uint32_t route(kmer::KmerCode minimizer, std::uint32_t parts,
 /// Algorithm 2's per-window walk: grows supermers in thread-private state
 /// and invokes emit(supermer, minimizer) for each flushed supermer.
 /// Shared by the count and fill kernels so both passes agree exactly.
-/// SupermerState is PackedSupermer (single-word regime, the paper's) or
-/// PackedWideSupermer (two-word extension).
-template <typename SupermerState, typename Emit>
+/// Word is std::uint64_t (single-word regime, the paper's; emits
+/// PackedSupermer) or kmer::WideKey (two-word extension; emits
+/// PackedWideSupermer).
+template <typename Word, typename Emit>
 void walk_window(const char* bases, const Window& w,
                  const kmer::SupermerConfig& config,
                  const kmer::MinimizerPolicy& policy, io::BaseEncoding enc,
                  gpusim::ThreadCtx& ctx, Emit&& emit) {
-  constexpr bool kWide =
-      std::is_same_v<SupermerState, kmer::PackedWideSupermer>;
+  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   const int k = config.k;
   const std::uint64_t first = w.frag_offset + w.kmer_start;
 
@@ -220,13 +222,16 @@ gpusim::LaunchStats parse_fill_kmers(
   });
 }
 
+template <typename Word>
 gpusim::LaunchStats supermer_count(
     gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
     const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
     DestinationTable routing) {
+  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   config.validate();
+  DEDUKT_REQUIRE(!kWide || config.wide);
   DEDUKT_REQUIRE(dest_counts.size() >= parts);
   const char* in = bases.data();
   const Window* wins = windows.data();
@@ -235,98 +240,15 @@ gpusim::LaunchStats supermer_count(
   const io::BaseEncoding enc = policy.encoding();
 
   const auto shape = device.shape_for(nwindows);
-  return device.launch("supermer_count", shape.grid_dim, shape.block_dim,
+  return device.launch(kWide ? "supermer_count_wide" : "supermer_count",
+                       shape.grid_dim, shape.block_dim,
                        [=](gpusim::ThreadCtx& ctx) {
     const std::uint64_t i = ctx.global_id();
     if (i >= nwindows) return;
     ctx.count_gmem_read(sizeof(Window));
-    walk_window<kmer::PackedSupermer>(
+    walk_window<Word>(
         in, wins[i], config, policy, enc, ctx,
-        [&](const kmer::PackedSupermer&, kmer::KmerCode minimizer) {
-                  const std::uint32_t dest =
-                      route(minimizer, parts, routing, ctx);
-                  std::atomic_ref<std::uint32_t>(counters[dest])
-                      .fetch_add(1, std::memory_order_relaxed);
-                  ctx.count_atomic();
-                });
-  });
-}
-
-gpusim::LaunchStats supermer_fill(
-    gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
-    const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
-    const kmer::SupermerConfig& config, std::uint32_t parts,
-    const gpusim::DeviceBuffer<std::uint64_t>& offsets,
-    gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<std::uint64_t>& out_words,
-    gpusim::DeviceBuffer<std::uint8_t>& out_lens,
-    DestinationTable routing) {
-  config.validate();
-  DEDUKT_REQUIRE(offsets.size() >= parts);
-  DEDUKT_REQUIRE(cursors.size() >= parts);
-  DEDUKT_REQUIRE(out_words.size() == out_lens.size());
-  const char* in = bases.data();
-  const Window* wins = windows.data();
-  const std::uint64_t* offs = offsets.data();
-  std::uint32_t* curs = cursors.data();
-  std::uint64_t* words = out_words.data();
-  std::uint8_t* lens = out_lens.data();
-  const std::size_t out_size = out_words.size();
-  const kmer::MinimizerPolicy policy = config.policy();
-  const io::BaseEncoding enc = policy.encoding();
-
-  const auto shape = device.shape_for(nwindows);
-  return device.launch_ordered("supermer_fill", shape.grid_dim,
-                               shape.block_dim, [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= nwindows) return;
-    ctx.count_gmem_read(sizeof(Window));
-    walk_window<kmer::PackedSupermer>(
-        in, wins[i], config, policy, enc, ctx,
-        [&](const kmer::PackedSupermer& smer,
-            kmer::KmerCode minimizer) {
-                  const std::uint32_t dest =
-                      route(minimizer, parts, routing, ctx);
-                  const std::uint32_t idx =
-                      std::atomic_ref<std::uint32_t>(curs[dest])
-                          .fetch_add(1, std::memory_order_relaxed);
-                  ctx.count_atomic();
-                  const std::uint64_t slot = offs[dest] + idx;
-                  DEDUKT_CHECK_MSG(slot < out_size,
-                                   "supermer outgoing buffer overflow");
-                  words[slot] = smer.bases;
-                  lens[slot] = smer.len;
-                  ctx.count_gmem_write(sizeof(std::uint64_t) +
-                                       sizeof(std::uint8_t));
-                });
-  });
-}
-
-
-gpusim::LaunchStats supermer_count_wide(
-    gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
-    const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
-    const kmer::SupermerConfig& config, std::uint32_t parts,
-    gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
-    DestinationTable routing) {
-  config.validate();
-  DEDUKT_REQUIRE(config.wide);
-  DEDUKT_REQUIRE(dest_counts.size() >= parts);
-  const char* in = bases.data();
-  const Window* wins = windows.data();
-  std::uint32_t* counters = dest_counts.data();
-  const kmer::MinimizerPolicy policy = config.policy();
-  const io::BaseEncoding enc = policy.encoding();
-
-  const auto shape = device.shape_for(nwindows);
-  return device.launch("supermer_count_wide", shape.grid_dim, shape.block_dim,
-                       [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= nwindows) return;
-    ctx.count_gmem_read(sizeof(Window));
-    walk_window<kmer::PackedWideSupermer>(
-        in, wins[i], config, policy, enc, ctx,
-        [&](const kmer::PackedWideSupermer&, kmer::KmerCode minimizer) {
+        [&](const auto&, kmer::KmerCode minimizer) {
           const std::uint32_t dest = route(minimizer, parts, routing, ctx);
           std::atomic_ref<std::uint32_t>(counters[dest])
               .fetch_add(1, std::memory_order_relaxed);
@@ -335,17 +257,19 @@ gpusim::LaunchStats supermer_count_wide(
   });
 }
 
-gpusim::LaunchStats supermer_fill_wide(
+template <typename Word>
+gpusim::LaunchStats supermer_fill(
     gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,
     const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<kmer::WideKey>& out_words,
+    gpusim::DeviceBuffer<Word>& out_words,
     gpusim::DeviceBuffer<std::uint8_t>& out_lens,
     DestinationTable routing) {
+  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   config.validate();
-  DEDUKT_REQUIRE(config.wide);
+  DEDUKT_REQUIRE(!kWide || config.wide);
   DEDUKT_REQUIRE(offsets.size() >= parts);
   DEDUKT_REQUIRE(cursors.size() >= parts);
   DEDUKT_REQUIRE(out_words.size() == out_lens.size());
@@ -353,22 +277,22 @@ gpusim::LaunchStats supermer_fill_wide(
   const Window* wins = windows.data();
   const std::uint64_t* offs = offsets.data();
   std::uint32_t* curs = cursors.data();
-  kmer::WideKey* words = out_words.data();
+  Word* words = out_words.data();
   std::uint8_t* lens = out_lens.data();
   const std::size_t out_size = out_words.size();
   const kmer::MinimizerPolicy policy = config.policy();
   const io::BaseEncoding enc = policy.encoding();
 
   const auto shape = device.shape_for(nwindows);
-  return device.launch_ordered("supermer_fill_wide", shape.grid_dim,
-                               shape.block_dim, [=](gpusim::ThreadCtx& ctx) {
+  return device.launch_ordered(kWide ? "supermer_fill_wide" : "supermer_fill",
+                               shape.grid_dim, shape.block_dim,
+                               [=](gpusim::ThreadCtx& ctx) {
     const std::uint64_t i = ctx.global_id();
     if (i >= nwindows) return;
     ctx.count_gmem_read(sizeof(Window));
-    walk_window<kmer::PackedWideSupermer>(
+    walk_window<Word>(
         in, wins[i], config, policy, enc, ctx,
-        [&](const kmer::PackedWideSupermer& smer,
-            kmer::KmerCode minimizer) {
+        [&](const auto& smer, kmer::KmerCode minimizer) {
           const std::uint32_t dest = route(minimizer, parts, routing, ctx);
           const std::uint32_t idx =
               std::atomic_ref<std::uint32_t>(curs[dest])
@@ -376,13 +300,37 @@ gpusim::LaunchStats supermer_fill_wide(
           ctx.count_atomic();
           const std::uint64_t slot = offs[dest] + idx;
           DEDUKT_CHECK_MSG(slot < out_size,
-                           "wide supermer outgoing buffer overflow");
+                           "supermer outgoing buffer overflow");
           words[slot] = smer.bases;
           lens[slot] = smer.len;
-          ctx.count_gmem_write(sizeof(kmer::WideKey) +
-                               sizeof(std::uint8_t));
+          ctx.count_gmem_write(sizeof(Word) + sizeof(std::uint8_t));
         });
   });
 }
+
+template gpusim::LaunchStats supermer_count<std::uint64_t>(
+    gpusim::Device&, const gpusim::DeviceBuffer<char>&,
+    const gpusim::DeviceBuffer<Window>&, std::size_t,
+    const kmer::SupermerConfig&, std::uint32_t,
+    gpusim::DeviceBuffer<std::uint32_t>&, DestinationTable);
+template gpusim::LaunchStats supermer_count<kmer::WideKey>(
+    gpusim::Device&, const gpusim::DeviceBuffer<char>&,
+    const gpusim::DeviceBuffer<Window>&, std::size_t,
+    const kmer::SupermerConfig&, std::uint32_t,
+    gpusim::DeviceBuffer<std::uint32_t>&, DestinationTable);
+template gpusim::LaunchStats supermer_fill<std::uint64_t>(
+    gpusim::Device&, const gpusim::DeviceBuffer<char>&,
+    const gpusim::DeviceBuffer<Window>&, std::size_t,
+    const kmer::SupermerConfig&, std::uint32_t,
+    const gpusim::DeviceBuffer<std::uint64_t>&,
+    gpusim::DeviceBuffer<std::uint32_t>&, gpusim::DeviceBuffer<std::uint64_t>&,
+    gpusim::DeviceBuffer<std::uint8_t>&, DestinationTable);
+template gpusim::LaunchStats supermer_fill<kmer::WideKey>(
+    gpusim::Device&, const gpusim::DeviceBuffer<char>&,
+    const gpusim::DeviceBuffer<Window>&, std::size_t,
+    const kmer::SupermerConfig&, std::uint32_t,
+    const gpusim::DeviceBuffer<std::uint64_t>&,
+    gpusim::DeviceBuffer<std::uint32_t>&, gpusim::DeviceBuffer<kmer::WideKey>&,
+    gpusim::DeviceBuffer<std::uint8_t>&, DestinationTable);
 
 }  // namespace dedukt::core::kernels

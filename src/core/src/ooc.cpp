@@ -412,8 +412,7 @@ void count_out_of_core(CountEngine<KeyTraits>& engine,
           PhaseScope phase(metrics, kPhaseParse);
           mpisim::CommCapture capture(comm);
           assignments[rank] = MinimizerAssignment::build(
-              comm, mine, config.supermer_config(), /*sample_stride=*/4,
-              config.partition == PartitionScheme::kNodeAware);
+              comm, mine, config.supermer_config(), /*sample_stride=*/4);
           const double sampling =
               static_cast<double>(mine.total_bases()) / 4.0 /
               (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);

@@ -47,65 +47,9 @@ std::vector<std::uint32_t> lpt_assign(
   return assignment;
 }
 
-std::vector<std::uint32_t> lpt_assign_node_aware(
-    const std::vector<std::uint64_t>& bucket_weights, std::uint32_t nranks,
-    std::uint32_t ranks_per_node) {
-  DEDUKT_REQUIRE(nranks >= 1);
-  DEDUKT_REQUIRE(ranks_per_node >= 1);
-  DEDUKT_REQUIRE(!bucket_weights.empty());
-  const std::uint32_t rpn = std::min(ranks_per_node, nranks);
-  const std::uint32_t nnodes = (nranks + rpn - 1) / rpn;
-  if (nnodes <= 1 || rpn == 1) return lpt_assign(bucket_weights, nranks);
-
-  std::vector<std::uint32_t> order(bucket_weights.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return bucket_weights[a] > bucket_weights[b];
-            });
-
-  // Pass 1: LPT buckets onto nodes. A partial last node has fewer ranks,
-  // so loads are compared capacity-normalized (load/capacity, evaluated
-  // cross-multiplied in integers to stay exact). A linear argmin keeps the
-  // tie order deterministic: equal normalized loads go to the lower node.
-  std::vector<std::uint32_t> capacity(nnodes, rpn);
-  capacity[nnodes - 1] = nranks - rpn * (nnodes - 1);
-  std::vector<std::uint64_t> node_load(nnodes, 0);
-  std::vector<std::vector<std::uint32_t>> node_buckets(nnodes);
-  for (const std::uint32_t bucket : order) {
-    std::uint32_t target = 0;
-    for (std::uint32_t n = 1; n < nnodes; ++n) {
-      if (node_load[n] * capacity[target] <
-          node_load[target] * capacity[n]) {
-        target = n;
-      }
-    }
-    node_buckets[target].push_back(bucket);
-    node_load[target] += bucket_weights[bucket];
-  }
-
-  // Pass 2: plain LPT within each node over its own ranks. node_buckets
-  // holds each node's buckets in descending weight order already, so a
-  // linear least-loaded argmin IS the LPT pass.
-  std::vector<std::uint32_t> assignment(bucket_weights.size());
-  for (std::uint32_t n = 0; n < nnodes; ++n) {
-    const std::uint32_t first = n * rpn;
-    std::vector<std::uint64_t> rank_load(capacity[n], 0);
-    for (const std::uint32_t bucket : node_buckets[n]) {
-      std::uint32_t target = 0;
-      for (std::uint32_t r = 1; r < capacity[n]; ++r) {
-        if (rank_load[r] < rank_load[target]) target = r;
-      }
-      assignment[bucket] = first + target;
-      rank_load[target] += bucket_weights[bucket];
-    }
-  }
-  return assignment;
-}
-
 MinimizerAssignment MinimizerAssignment::build(
     mpisim::Comm& comm, const io::ReadBatch& reads,
-    const kmer::SupermerConfig& config, int sample_stride, bool node_aware) {
+    const kmer::SupermerConfig& config, int sample_stride) {
   config.validate();
   DEDUKT_REQUIRE(sample_stride >= 1);
   const auto nranks = static_cast<std::uint32_t>(comm.size());
@@ -144,11 +88,7 @@ MinimizerAssignment MinimizerAssignment::build(
     for (auto& w : total) {
       if (w == 0) w = 1;
     }
-    table = node_aware
-                ? lpt_assign_node_aware(
-                      total, nranks,
-                      static_cast<std::uint32_t>(comm.ranks_per_node()))
-                : lpt_assign(total, nranks);
+    table = lpt_assign(total, nranks);
   }
 
   // 3. Broadcast the assignment.

@@ -94,11 +94,10 @@ std::uint64_t sketch_estimate_cells(std::span<const std::uint32_t> cells,
 
 // --- device kernels -----------------------------------------------------
 //
-// The vanilla update reuses the counting kernels' two-level shape
-// (block_aggregation.hpp): each block aggregates its occurrences in a
-// shared-memory key table (same layout, probe bound and charges as the
-// hash kernels, probing from row 0's hash), then flushes every distinct
-// key with `depth` global atomic adds carrying the block-local count. All
+// The vanilla update is two-level (block_aggregation.hpp): each block
+// aggregates its occurrences in a shared-memory key table (probing from
+// row 0's hash), then flushes every distinct key with `depth` global
+// atomic adds carrying the block-local count. All
 // global traffic is commutative adds, so cells are bit-identical at any
 // DEDUKT_SIM_THREADS; the flush charge is a function of the block's
 // distinct-key set alone. Occurrences that overflow the shared probe bound
@@ -116,8 +115,6 @@ namespace {
 /// Per-row hash + index arithmetic: the fmix64 pipeline (~6 ops) plus the
 /// mask/offset (~2 ops).
 constexpr std::uint64_t kRowOps = 8;
-
-constexpr std::size_t kSmemSlotsSketch = kSmemSlotsKmer;  // 12 KB
 
 /// Add `count` to key's cell in every row with global atomic adds.
 void rows_atomic_add(gpusim::KernelCharges& charges, std::uint32_t* cells,
@@ -182,10 +179,9 @@ void DeviceCountMinSketch::update(
   }
   device_->launch_blocks(
       "sketch_update", shape.grid_dim, shape.block_dim,
-      BlockAggregator::footprint(kSmemSlotsSketch),
-      [=](gpusim::BlockCtx& block) {
+      BlockAggregator::kFootprint, [=](gpusim::BlockCtx& block) {
         BlockAggregator& agg =
-            BlockAggregator::begin(block, kSmemSlotsSketch, sketch_row_seed(0));
+            BlockAggregator::begin(block, sketch_row_seed(0));
         const std::size_t first = block.first_global_id();
         const std::uint32_t active = block.threads_below(n);
         for (std::uint32_t t = 0; t < active; ++t) {

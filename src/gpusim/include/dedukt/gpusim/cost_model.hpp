@@ -5,8 +5,9 @@
 // contended atomics, not bandwidth, bound the hash-table build kernel
 // (§III-B3). Shared-memory traffic and SM-local atomics carry their own
 // roofline terms at the much higher on-chip rates, so kernels that
-// pre-aggregate in shared memory (the two-level counting path) see their
-// global atomic term shrink while paying a comparatively tiny smem term.
+// pre-aggregate in shared memory (the sketch update, the value histogram)
+// see their global atomic term shrink while paying a comparatively tiny
+// smem term.
 // Inputs are the exact counters the simulated kernels report.
 #pragma once
 

@@ -164,17 +164,17 @@ class Device {
   /// Order-pinned launch: blocks always execute in the canonical
   /// sequential order 0..grid_dim-1, regardless of DEDUKT_SIM_THREADS.
   ///
-  /// Required for kernels whose output PLACEMENT is claim-ordered — the
-  /// atomic-cursor append pattern (idx = atomicAdd(cursor), out[idx] = x).
-  /// The real GPU produces a scheduling-dependent order there and no
-  /// consumer of the real pipeline cares; the simulation contract is
-  /// stricter (bit-identical buffers and charges across pool sizes), and
-  /// once a downstream kernel's cost depends on which items share a block
-  /// (two-level counting), a scheduling-dependent append order would leak
-  /// into modeled time. Pinning the producer's block order keeps every
-  /// derived buffer — and everything priced from it — reproducible.
-  /// Charges are identical to the parallel launch; only host wall time
-  /// loses the block-level parallelism.
+  /// Required for kernels whose results depend on the order occurrences
+  /// reach shared state: the atomic-cursor append pattern (idx =
+  /// atomicAdd(cursor), out[idx] = x), whose output order feeds later
+  /// kernels, and kernels whose counts depend on which occurrence of a key
+  /// comes first (a Bloom filter that absorbs first occurrences, the
+  /// conservative sketch update). The real GPU produces a
+  /// scheduling-dependent order there; the simulation contract is stricter
+  /// (bit-identical buffers, counts and charges across pool sizes), so the
+  /// producer's block order is pinned. Charges are identical to the
+  /// parallel launch; only host wall time loses the block-level
+  /// parallelism.
   template <typename Kernel>
   LaunchStats launch_ordered(const char* name, std::uint32_t grid_dim,
                              std::uint32_t block_dim, Kernel&& kernel) {
@@ -196,19 +196,6 @@ class Device {
                             Kernel&& kernel) {
     check_smem_footprint(smem_bytes);
     return run_blocks(name, grid_dim, block_dim, /*ordered=*/false,
-                      per_block(grid_dim, block_dim, kernel));
-  }
-
-  /// Block-cooperative launch in the canonical sequential block order (see
-  /// launch_ordered), for block kernels whose side effects depend on the
-  /// order blocks reach shared global state.
-  template <typename Kernel>
-  LaunchStats launch_blocks_ordered(const char* name, std::uint32_t grid_dim,
-                                    std::uint32_t block_dim,
-                                    std::uint64_t smem_bytes,
-                                    Kernel&& kernel) {
-    check_smem_footprint(smem_bytes);
-    return run_blocks(name, grid_dim, block_dim, /*ordered=*/true,
                       per_block(grid_dim, block_dim, kernel));
   }
 

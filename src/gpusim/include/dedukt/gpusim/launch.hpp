@@ -11,7 +11,7 @@
 //  - Per-thread kernels, void(ThreadCtx&), are invoked once per simulated
 //    thread (Device::launch / launch_ordered).
 //  - Block-cooperative kernels, void(BlockCtx&), are invoked once per
-//    block (Device::launch_blocks / launch_blocks_ordered) and step through
+//    block (Device::launch_blocks) and step through
 //    the block's threads themselves, in thread order (thread t handles
 //    global id first_global_id() + t). This is the form for kernels with
 //    __syncthreads()-separated sections over block __shared__ state: the
@@ -26,7 +26,7 @@
 // follow the same discipline as its CUDA counterpart: every write that
 // another simulated block could also perform goes through std::atomic_ref
 // (the simulated atomicCAS/atomicAdd/atomicOr), and nothing may depend on
-// block execution order unless the launch pins it (the *_ordered forms).
+// block execution order unless the launch pins it (launch_ordered).
 // The LaunchCounters& a context carries is private to one contiguous block
 // range — never shared across concurrent workers — and the per-range
 // counters are merged deterministically after the launch joins, so every

@@ -12,8 +12,7 @@
 // All three kernels are read-only on the table arrays and write only their
 // own out[i], so they run race-free under block-parallel execution with no
 // atomics (the histogram kernel aggregates block-locally in shared memory
-// first, like the two-level counting path, and commits per-bin totals with
-// global atomic adds).
+// first and commits per-bin totals with global atomic adds).
 #pragma once
 
 #include <cstdint>
@@ -53,9 +52,9 @@ LaunchStats member_sorted(Device& device, const SortedTableView& table,
                           DeviceBuffer<std::uint8_t>& out_member);
 
 /// Capped value histogram: out_bins[min(values[i], nbins-1)] += 1 for every
-/// stored entry. Two-level like the counting kernels — a block-cooperative
-/// launch bins each block's values in shared memory, then flushes nonzero
-/// bins with one global atomic add apiece. Kernel "value_histogram".
+/// stored entry. Two-level: a block-cooperative launch bins each block's
+/// values in shared memory, then flushes nonzero bins with one global
+/// atomic add apiece. Kernel "value_histogram".
 /// `out_bins` must hold nbins zero-initialized slots; nbins × 4 bytes of
 /// bins must fit the device's per-block shared memory (SimulationError
 /// otherwise).

@@ -128,13 +128,13 @@ LaunchStats value_histogram(Device& device,
   const auto shape = device.shape_for(n);
   const std::uint64_t* vals = values.data();
   std::uint64_t* bins = out_bins.data();
-  // Two-level like the counting kernels: the block's threads bin their
-  // values in shared memory (per-block bin totals fit u32: at most
-  // block_dim contributions per block), then stride over the bins and
-  // flush each nonzero one with one global atomic add. The bin scan's
-  // charges — 4 B smem read and 1 op per bin per block — are stated in
-  // closed form. Per-block charges depend only on the block's slice of
-  // `values`, so totals are pool-size invariant.
+  // Two-level: the block's threads bin their values in shared memory
+  // (per-block bin totals fit u32: at most block_dim contributions per
+  // block), then stride over the bins and flush each nonzero one with one
+  // global atomic add. The bin scan's charges — 4 B smem read and 1 op
+  // per bin per block — are stated in closed form. Per-block charges
+  // depend only on the block's slice of `values`, so totals are pool-size
+  // invariant.
   return device.launch_blocks(
       "value_histogram", shape.grid_dim, shape.block_dim,
       nbins * sizeof(std::uint32_t), [=](BlockCtx& block) {

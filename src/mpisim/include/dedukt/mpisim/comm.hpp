@@ -174,9 +174,6 @@ class Comm {
        const NetworkModel& network, CommStats& stats)
       : rank_(rank),
         nranks_(nranks),
-        ranks_per_node_(nranks < 1 ? 1
-                                   : std::clamp(network.ranks_per_node, 1,
-                                                nranks)),
         board_(board),
         network_(network),
         stats_(stats) {}
@@ -196,12 +193,6 @@ class Comm {
   [[nodiscard]] std::uint64_t last_round_max_bytes() const {
     return last_round_max_bytes_;
   }
-
-  /// Ranks sharing one node (NetworkModel::ranks_per_node clamped to
-  /// [1, size()]). Ranks are laid out node-major, like MPI ranks on a
-  /// block-scheduled cluster: node i owns ranks [i*ranks_per_node,
-  /// (i+1)*ranks_per_node).
-  [[nodiscard]] int ranks_per_node() const { return ranks_per_node_; }
 
   /// Synchronize all ranks.
   void barrier() {
@@ -588,7 +579,6 @@ class Comm {
 
   const int rank_;
   const int nranks_;
-  const int ranks_per_node_;
   detail::CollectiveBoard& board_;
   const NetworkModel& network_;
   CommStats& stats_;

@@ -12,8 +12,8 @@
 //  * kMinimizerHash — hash(minimizer(k-mer)) mod shards; the supermer
 //                     pipeline under PartitionScheme::kMinimizerHash.
 //  * kAssignmentTable — minimizer → bucket → shard through a persisted
-//                     bucket table; the frequency-balanced / node-aware
-//                     schemes (MinimizerAssignment's bucket_of, with the
+//                     bucket table; the frequency-balanced scheme
+//                     (MinimizerAssignment's bucket_of, with the
 //                     bucket→rank table snapshotted into the manifest).
 //
 // The routing lives in src/store (not src/core) so the store library has
@@ -53,7 +53,7 @@ class StoreRouting {
                                                    int k, int m,
                                                    kmer::MinimizerOrder order);
 
-  /// Bucket-table routing (frequency-balanced / node-aware schemes).
+  /// Bucket-table routing (the frequency-balanced scheme).
   /// `bucket_to_shard` is MinimizerAssignment's bucket→rank table; every
   /// entry must be < shards.
   [[nodiscard]] static StoreRouting assignment_table(

@@ -57,7 +57,7 @@ struct SpanRecord {
   /// Volume-proportional share of modeled_seconds (see
   /// docs/performance-model.md); used by projected breakdowns.
   double modeled_volume_seconds = 0.0;
-  /// Shared-memory traffic of a kernel span (two-level counting path);
+  /// Shared-memory traffic of a kernel span (block-cooperative kernels);
   /// zero for kernels that never touch shared memory. Aggregated into
   /// the per-kernel metrics.
   std::uint64_t smem_read_bytes = 0;

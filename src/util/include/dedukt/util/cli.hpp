@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dedukt/util/error.hpp"
@@ -35,21 +36,29 @@ class CliParser {
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
 
-  /// Count-valued --name as the unsigned type T; throws ParseError on
-  /// malformed input, a negative value, or one T cannot hold (instead of
-  /// letting the cast wrap it around).
+  /// Integer --name as the integral type T; throws ParseError on
+  /// malformed input or a value T cannot hold (instead of letting the
+  /// cast wrap it around).
   template <typename T>
-  [[nodiscard]] T get_uint(const std::string& name, T fallback) const {
-    static_assert(std::is_unsigned_v<T>);
+  [[nodiscard]] T get_int_as(const std::string& name, T fallback) const {
+    static_assert(std::is_integral_v<T>);
     if (!has(name)) return fallback;
     const std::int64_t v = get_int(name, 0);
-    if (v < 0 ||
-        static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max()) {
-      throw ParseError("flag --" + name + " expects an integer in [0, " +
+    if (!std::in_range<T>(v)) {
+      throw ParseError("flag --" + name + " expects an integer in [" +
+                       std::to_string(std::numeric_limits<T>::min()) + ", " +
                        std::to_string(std::numeric_limits<T>::max()) +
                        "], got '" + get(name) + "'");
     }
     return static_cast<T>(v);
+  }
+
+  /// Count-valued --name as the unsigned type T (negative values are
+  /// rejected like any other value T cannot hold).
+  template <typename T>
+  [[nodiscard]] T get_uint(const std::string& name, T fallback) const {
+    static_assert(std::is_unsigned_v<T>);
+    return get_int_as<T>(name, fallback);
   }
 
   /// Double value of --name; throws ParseError on malformed input.

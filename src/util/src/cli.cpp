@@ -1,5 +1,6 @@
 #include "dedukt/util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "dedukt/util/error.hpp"
@@ -41,8 +42,9 @@ std::int64_t CliParser::get_int(const std::string& name,
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
+  errno = 0;
   const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
+  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
     throw ParseError("flag --" + name + " expects an integer, got '" +
                      it->second + "'");
   }

@@ -298,7 +298,8 @@ TEST(AppTest, OutOfCoreRejectsBadBins) {
 TEST(AppTest, CountRejectsUnknownFlags) {
   // Retired flags and misspellings fail before anything is counted.
   for (const char* flag :
-       {"--overlap-rounds", "--hierarchical-exchange", "--overlap-roundz"}) {
+       {"--overlap-rounds", "--hierarchical-exchange", "--node-balanced",
+        "--smem-agg", "--no-smem-agg", "--overlap-roundz"}) {
     const AppResult result = run({"count", "--synthetic=ecoli30x",
                                   "--scale=8000", "--ranks=2", flag});
     EXPECT_EQ(result.exit_code, 1) << flag;
@@ -349,6 +350,47 @@ TEST(AppTest, CountRejectsNegativeCounts) {
         << result.err;
     EXPECT_FALSE(std::filesystem::exists(path)) << name;
   }
+}
+
+TEST(AppTest, RejectsIntegerFlagsTheirTypeCannotHold) {
+  // 2^32 plus a small value: a cast to int or unsigned would wrap it to
+  // the small value and run with that. Each is a parse error instead,
+  // raised before anything is counted, spilled (every run is out of core,
+  // so --ooc-bins is read) or written.
+  const std::string path = temp_path("app_oversized.bin");
+  const std::string spill = temp_path("app_oversized_spill");
+  for (const auto& [name, value] :
+       {std::pair<std::string, std::string>{"k", "4294967313"},
+        {"m", "4294967303"},
+        {"window", "4294967311"},
+        {"ranks", "4294967298"},
+        {"ooc-bins", "4294967300"},
+        {"sim-threads", "4294967297"}}) {
+    const AppResult result =
+        run({"count", "--synthetic=ecoli30x", "--scale=8000",
+             "--ooc-spill=" + spill, "--" + name + "=" + value,
+             "--output=" + path});
+    EXPECT_EQ(result.exit_code, 2) << name;
+    EXPECT_NE(result.err.find("--" + name + " expects an integer in ["),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out.find("counted"), std::string::npos) << name;
+    EXPECT_FALSE(std::filesystem::exists(path)) << name;
+    EXPECT_FALSE(std::filesystem::exists(spill)) << name;
+  }
+
+  const std::string dir = temp_path("app_oversized_store");
+  ASSERT_EQ(run({"count", "--synthetic=ecoli30x", "--scale=8000",
+                 "--ranks=2", "--store-out=" + dir})
+                .exit_code,
+            0);
+  const AppResult query = run({"query", "--store=" + dir,
+                               "--kmers=ACGTACGTACGTACGTA",
+                               "--ranks=4294967297"});
+  EXPECT_EQ(query.exit_code, 2);
+  EXPECT_NE(query.err.find("--ranks expects an integer in ["),
+            std::string::npos)
+      << query.err;
 }
 
 TEST(AppTest, CountWithExtensionsEnabled) {

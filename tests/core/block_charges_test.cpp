@@ -1,10 +1,12 @@
-// Closed-form charges of the block-cooperative counting and reduction
-// kernels, checked on hand-sized inputs whose every probe is known: the
-// keys are chosen so no two share a home slot in the shared or the global
-// table, so every claim walks exactly one probe. Per block the kernels
-// state the shared-table init (block_dim × ⌈slots/block_dim⌉ × 12 B), the
-// flush scan (slots × 12 B) and the reduction's fixed costs in closed form;
-// these tests pin those forms together with the per-occurrence charges.
+// Closed-form charges of the counting, reduction and sketch-update kernels,
+// checked on hand-sized inputs whose every probe is known: the keys are
+// chosen so no two share a home slot in the table they probe, so every
+// claim walks exactly one probe. The count kernels charge each occurrence
+// its input load, one probe walk and two global atomics (§III-B3). The
+// block kernels state their per-block fixed costs in closed form — the
+// reduction's partials, and the sketch aggregator's shared-table init
+// (block_dim × ⌈slots/block_dim⌉ × 12 B) and flush scan (slots × 12 B) —
+// and these tests pin those forms together with the per-occurrence charges.
 #include "dedukt/core/device_hash_table.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "dedukt/core/block_aggregation.hpp"
+#include "dedukt/core/sketch.hpp"
 #include "dedukt/hash/murmur3.hpp"
 #include "dedukt/trace/trace.hpp"
 
@@ -23,27 +26,19 @@ namespace {
 
 constexpr std::uint64_t kBlock = 256;  // Device::shape_for's default
 
-std::size_t home(std::uint64_t key, std::size_t slots) {
-  return hash::hash_u64(key, DeviceHashTable::kProbeSeed) & (slots - 1);
-}
-
-/// True when no two keys share a home slot in a `slots`-slot table.
+/// True when no two keys share a home slot in a `slots`-slot table probed
+/// from hash_u64(key, seed).
 bool distinct_homes(const std::vector<std::uint64_t>& keys,
-                    std::size_t slots) {
+                    std::size_t slots,
+                    std::uint64_t seed = DeviceHashTable::kProbeSeed) {
   std::set<std::size_t> homes;
-  for (std::uint64_t key : keys) homes.insert(home(key, slots));
+  for (std::uint64_t key : keys) {
+    homes.insert(hash::hash_u64(key, seed) & (slots - 1));
+  }
   return homes.size() == keys.size();
 }
 
-/// Per-block fixed charges of a two-level count kernel.
-std::uint64_t init_bytes(std::uint64_t slots) {
-  return kBlock * ((slots + kBlock - 1) / kBlock) * kSmemSlotBytes;
-}
-std::uint64_t scan_bytes(std::uint64_t slots) {
-  return slots * kSmemSlotBytes;
-}
-
-/// Charges of one flush commit or global insert that walks one probe.
+/// Charges of one global insert that walks one probe.
 constexpr std::uint64_t kInsertOps = 10 + 4;
 constexpr std::uint64_t kInsertAtomics = 2;
 constexpr std::uint64_t kInsertReadBytes = 8;
@@ -53,17 +48,15 @@ TEST(BlockChargesTest, CountKmersMatchesClosedForm) {
   DeviceHashTable table(device, /*expected_keys=*/32);  // 64 global slots
   ASSERT_EQ(table.capacity(), 64u);
 
-  // Three keys with distinct home slots in both tables.
+  // Three keys with distinct home slots.
   std::vector<std::uint64_t> keys;
   for (std::uint64_t candidate = 1; keys.size() < 3; ++candidate) {
     keys.push_back(candidate);
-    if (!distinct_homes(keys, kSmemSlotsKmer) ||
-        !distinct_homes(keys, table.capacity())) {
-      keys.pop_back();
-    }
+    if (!distinct_homes(keys, table.capacity())) keys.pop_back();
   }
   // 300 occurrences over two blocks: 256 in block 0, 44 in block 1. Each
-  // block claims each key once in shared memory and hits it afterwards.
+  // occurrence is one global insert: a claim walks to its (empty) home
+  // slot, a hit is charged one probe.
   constexpr std::size_t kN = 300;
   std::vector<std::uint64_t> kmers(kN);
   for (std::size_t i = 0; i < kN; ++i) kmers[i] = keys[i % keys.size()];
@@ -74,18 +67,15 @@ TEST(BlockChargesTest, CountKmersMatchesClosedForm) {
   const gpusim::LaunchCounters& c = stats.counters;
 
   constexpr std::uint64_t kBlocks = 2;
-  const std::uint64_t claims = kBlocks * keys.size();  // = flush commits
-  const std::uint64_t hits = kN - claims;
   EXPECT_EQ(c.threads, kBlocks * kBlock);
-  EXPECT_EQ(c.smem_write_bytes, kBlocks * init_bytes(kSmemSlotsKmer));
-  EXPECT_EQ(c.smem_read_bytes,
-            kN * sizeof(std::uint64_t) + kBlocks * scan_bytes(kSmemSlotsKmer));
-  EXPECT_EQ(c.smem_atomics, claims * 2 + hits);
-  EXPECT_EQ(c.ops, claims * 4 + hits * 2 + claims * kInsertOps);
-  EXPECT_EQ(c.atomics, claims * kInsertAtomics);
+  EXPECT_EQ(c.ops, kN * kInsertOps);
+  EXPECT_EQ(c.atomics, kN * kInsertAtomics);
   EXPECT_EQ(c.gmem_read_bytes,
-            kN * sizeof(std::uint64_t) + claims * kInsertReadBytes);
+            kN * (sizeof(std::uint64_t) + kInsertReadBytes));
   EXPECT_EQ(c.gmem_write_bytes, 0u);
+  EXPECT_EQ(c.smem_read_bytes, 0u);
+  EXPECT_EQ(c.smem_write_bytes, 0u);
+  EXPECT_EQ(c.smem_atomics, 0u);
 
   EXPECT_EQ(table.unique(), keys.size());
   EXPECT_EQ(table.total(), kN);
@@ -100,7 +90,6 @@ TEST(BlockChargesTest, CountSupermersMatchesClosedForm) {
   const std::uint64_t all_t = (std::uint64_t{1} << (2 * kLen)) - 1;
   const std::vector<std::uint64_t> keys = {
       0, (std::uint64_t{1} << (2 * kK)) - 1};
-  ASSERT_TRUE(distinct_homes(keys, kSmemSlotsSupermer));
   ASSERT_TRUE(distinct_homes(keys, table.capacity()));
 
   constexpr std::size_t kN = 300;  // supermers: 256 + 44 over two blocks
@@ -116,30 +105,29 @@ TEST(BlockChargesTest, CountSupermersMatchesClosedForm) {
       table.count_supermers(d_words, d_lens, kN, kK);
   const gpusim::LaunchCounters& c = stats.counters;
 
+  // Per supermer: its word + length load. Per extracted k-mer: the
+  // shift+mask extraction (6 ops) and one global insert.
   constexpr std::uint64_t kBlocks = 2;
   constexpr std::uint64_t kKmers = kN * (kLen - kK + 1);
-  const std::uint64_t claims = kBlocks * keys.size();
-  const std::uint64_t hits = kKmers - claims;
   EXPECT_EQ(c.threads, kBlocks * kBlock);
-  EXPECT_EQ(c.smem_write_bytes, kBlocks * init_bytes(kSmemSlotsSupermer));
-  EXPECT_EQ(c.smem_read_bytes, kKmers * sizeof(std::uint64_t) +
-                                   kBlocks * scan_bytes(kSmemSlotsSupermer));
-  EXPECT_EQ(c.smem_atomics, claims * 2 + hits);
-  EXPECT_EQ(c.ops,
-            kKmers * 6 + claims * 4 + hits * 2 + claims * kInsertOps);
-  EXPECT_EQ(c.atomics, claims * kInsertAtomics);
+  EXPECT_EQ(c.ops, kKmers * (6 + kInsertOps));
+  EXPECT_EQ(c.atomics, kKmers * kInsertAtomics);
   EXPECT_EQ(c.gmem_read_bytes,
             kN * (sizeof(std::uint64_t) + sizeof(std::uint8_t)) +
-                claims * kInsertReadBytes);
+                kKmers * kInsertReadBytes);
   EXPECT_EQ(c.gmem_write_bytes, 0u);
+  EXPECT_EQ(c.smem_read_bytes, 0u);
+  EXPECT_EQ(c.smem_write_bytes, 0u);
+  EXPECT_EQ(c.smem_atomics, 0u);
 
   EXPECT_EQ(table.unique(), keys.size());
   EXPECT_EQ(table.total(), kKmers);
 }
 
-/// The hash_reduce_unique kernel spans recorded while `readout` runs.
+/// The spans of kernel `name` recorded while `readout` runs.
 template <typename Readout>
-std::vector<trace::SpanRecord> reduce_spans(Readout&& readout) {
+std::vector<trace::SpanRecord> kernel_spans(const std::string& name,
+                                            Readout&& readout) {
   auto& session = trace::TraceSession::instance();
   session.reset();
   session.enable("");
@@ -147,7 +135,7 @@ std::vector<trace::SpanRecord> reduce_spans(Readout&& readout) {
   std::vector<trace::SpanRecord> spans;
   for (const auto& span :
        session.recorder(trace::SpanRecorder::kMainRank).spans_snapshot()) {
-    if (span.name == "hash_reduce_unique") spans.push_back(span);
+    if (span.name == name) spans.push_back(span);
   }
   session.disable();
   return spans;
@@ -170,7 +158,8 @@ TEST(BlockChargesTest, ReduceUniqueMatchesClosedForm) {
     const std::uint64_t blocks = (cap + kBlock - 1) / kBlock;
     SCOPED_TRACE(testing::Message() << "capacity " << cap);
 
-    const auto spans = reduce_spans([&] { EXPECT_EQ(table.unique(), 0u); });
+    const auto spans = kernel_spans(
+        "hash_reduce_unique", [&] { EXPECT_EQ(table.unique(), 0u); });
     ASSERT_EQ(spans.size(), 1u);
     const trace::SpanRecord& s = spans[0];
     EXPECT_EQ(arg(s, "threads"), blocks * kBlock);
@@ -194,10 +183,11 @@ TEST(BlockChargesTest, ToHostPricesTheSameReductionWithoutRescanning) {
   table.count_kmers(d_kmers, kmers.size());
 
   std::size_t unique = 0;
-  const auto from_unique = reduce_spans([&] { unique = table.unique(); });
+  const auto from_unique =
+      kernel_spans("hash_reduce_unique", [&] { unique = table.unique(); });
   std::size_t entries = 0;
-  const auto from_to_host =
-      reduce_spans([&] { entries = table.to_host().size(); });
+  const auto from_to_host = kernel_spans(
+      "hash_reduce_unique", [&] { entries = table.to_host().size(); });
   EXPECT_EQ(entries, unique);
   EXPECT_EQ(unique, 401u);
   ASSERT_EQ(from_unique.size(), 1u);
@@ -207,6 +197,56 @@ TEST(BlockChargesTest, ToHostPricesTheSameReductionWithoutRescanning) {
   for (std::size_t i = 0; i < from_unique[0].args.size(); ++i) {
     EXPECT_EQ(from_to_host[0].args[i].key, from_unique[0].args[i].key);
     EXPECT_EQ(from_to_host[0].args[i].json, from_unique[0].args[i].json);
+  }
+}
+
+TEST(BlockChargesTest, SketchUpdateAggregatorMatchesClosedForm) {
+  // The vanilla sketch update aggregates each block's keys in the shared
+  // table, then flushes every distinct key with `depth` row atomics.
+  gpusim::Device device;
+  SketchParams params;
+  params.width = 1024;
+  params.depth = 4;
+  DeviceCountMinSketch sketch(device, params);
+
+  // Three keys with distinct home slots in the shared table.
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t candidate = 1; keys.size() < 3; ++candidate) {
+    keys.push_back(candidate);
+    if (!distinct_homes(keys, kSmemSlots, sketch_row_seed(0))) {
+      keys.pop_back();
+    }
+  }
+  constexpr std::size_t kN = 300;  // 256 + 44 over two blocks
+  std::vector<std::uint64_t> kmers(kN);
+  for (std::size_t i = 0; i < kN; ++i) kmers[i] = keys[i % keys.size()];
+  auto d_kmers = device.alloc<std::uint64_t>(kN);
+  device.copy_to_device<std::uint64_t>(kmers, d_kmers);
+
+  const auto spans =
+      kernel_spans("sketch_update", [&] { sketch.update(d_kmers, kN); });
+  ASSERT_EQ(spans.size(), 1u);
+  const trace::SpanRecord& s = spans[0];
+
+  constexpr std::uint64_t kBlocks = 2;
+  const std::uint64_t claims = kBlocks * keys.size();  // = flush commits
+  const std::uint64_t hits = kN - claims;
+  const std::uint64_t init_bytes =
+      kBlock * ((kSmemSlots + kBlock - 1) / kBlock) * kSmemSlotBytes;
+  const std::uint64_t scan_bytes = kSmemSlots * kSmemSlotBytes;
+  EXPECT_EQ(arg(s, "threads"), kBlocks * kBlock);
+  EXPECT_EQ(arg(s, "smem_write_bytes"), kBlocks * init_bytes);
+  EXPECT_EQ(arg(s, "smem_read_bytes"),
+            kN * sizeof(std::uint64_t) + kBlocks * scan_bytes);
+  EXPECT_EQ(arg(s, "smem_atomics"), claims * 2 + hits);
+  EXPECT_EQ(arg(s, "ops"), claims * 4 + hits * 2 + claims * 8 * params.depth);
+  EXPECT_EQ(arg(s, "atomics"), claims * params.depth);
+  EXPECT_EQ(arg(s, "gmem_read_bytes"), kN * sizeof(std::uint64_t));
+  EXPECT_EQ(arg(s, "gmem_write_bytes"), 0u);
+
+  const std::vector<std::uint32_t> cells = sketch.to_host();
+  for (const std::uint64_t key : keys) {
+    EXPECT_EQ(cells[sketch_cell_index(params.width, 0, key)], kN / 3);
   }
 }
 

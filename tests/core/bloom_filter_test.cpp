@@ -92,7 +92,7 @@ TEST(FilteredCountTest, SingletonsSuppressedSurvivorsExact) {
   DeviceHashTable table(device, truth.size());
   // Large filter => negligible false positives in this test.
   DeviceBloomFilter bloom(device, truth.size(), 24.0);
-  table.count_kmers_filtered(d_stream, stream.size(), bloom);
+  table.count_kmers(d_stream, stream.size(), &bloom);
 
   std::map<std::uint64_t, std::uint32_t> counted;
   for (const auto& [key, count] : table.to_host()) counted[key] = count;
@@ -129,7 +129,7 @@ TEST(FilteredCountTest, SupermerPathMatchesKmerPath) {
 
   DeviceHashTable smer_table(device, 16);
   DeviceBloomFilter smer_bloom(device, 16, 24.0);
-  smer_table.count_supermers_filtered(d_words, d_lens, 3, 4, smer_bloom);
+  smer_table.count_supermers(d_words, d_lens, 3, 4, &smer_bloom);
 
   std::vector<std::uint64_t> flat;
   for (int rep = 0; rep < 3; ++rep) {
@@ -142,7 +142,7 @@ TEST(FilteredCountTest, SupermerPathMatchesKmerPath) {
   device.copy_to_device<std::uint64_t>(flat, d_flat);
   DeviceHashTable kmer_table(device, 16);
   DeviceBloomFilter kmer_bloom(device, 16, 24.0);
-  kmer_table.count_kmers_filtered(d_flat, flat.size(), kmer_bloom);
+  kmer_table.count_kmers(d_flat, flat.size(), &kmer_bloom);
 
   std::map<std::uint64_t, std::uint32_t> a, b;
   for (const auto& [key, count] : smer_table.to_host()) a[key] = count;

@@ -148,42 +148,12 @@ TEST(DeviceHashTableTest, InsertionCountsAtomics) {
   std::vector<std::uint64_t> kmers(1000, 7);
   auto d_kmers = device.alloc<std::uint64_t>(kmers.size());
   device.copy_to_device<std::uint64_t>(kmers, d_kmers);
-  DeviceHashTable table(device, 10, 2.0, /*smem_agg=*/false);
+  DeviceHashTable table(device, 10, 2.0);
   const auto stats = table.count_kmers(d_kmers, kmers.size());
-  // Legacy per-occurrence path: each insert does a CAS + an atomic add.
+  // Per-occurrence inserts: each does a CAS + an atomic add.
   EXPECT_EQ(stats.counters.atomics, 2000u);
   EXPECT_EQ(stats.counters.smem_atomics, 0u);
   EXPECT_GT(stats.modeled_seconds, 0.0);
-}
-
-TEST(DeviceHashTableTest, SmemAggregationCollapsesGlobalAtomics) {
-  gpusim::Device device;
-  // 1000 copies of one key at block_dim 256 -> 4 blocks, each aggregating
-  // to a single distinct key flushed with one global insert.
-  std::vector<std::uint64_t> kmers(1000, 7);
-  auto d_kmers = device.alloc<std::uint64_t>(kmers.size());
-  device.copy_to_device<std::uint64_t>(kmers, d_kmers);
-
-  DeviceHashTable legacy(device, 10, 2.0, /*smem_agg=*/false);
-  const auto legacy_stats = legacy.count_kmers(d_kmers, kmers.size());
-  DeviceHashTable agg(device, 10, 2.0, /*smem_agg=*/true);
-  const auto agg_stats = agg.count_kmers(d_kmers, kmers.size());
-
-  // One flush insert per block: 4 CAS+add pairs instead of 2000 atomics.
-  EXPECT_EQ(agg_stats.counters.atomics, 8u);
-  // Shared-memory atomics took the per-occurrence traffic: each block's
-  // first occurrence claims (CAS + add), the rest add once.
-  // 3 full blocks of 256 plus one block of 232: 3 * 257 + 233.
-  EXPECT_EQ(agg_stats.counters.smem_atomics, 1004u);
-  // Global atomics dominate the legacy kernel, so moving the duplicates
-  // onto shared memory must lower the modeled time.
-  EXPECT_LT(agg_stats.modeled_seconds, legacy_stats.modeled_seconds);
-
-  // Identical table contents either way.
-  std::map<std::uint64_t, std::uint32_t> a, b;
-  for (const auto& [key, count] : legacy.to_host()) a[key] = count;
-  for (const auto& [key, count] : agg.to_host()) b[key] = count;
-  EXPECT_EQ(a, b);
 }
 
 TEST(DeviceHashTableTest, EmptyInputIsFine) {

@@ -66,58 +66,6 @@ TEST(LptAssignTest, BeatsHashAssignmentOnSkewedWeights) {
   EXPECT_GT(load_imbalance(hash_loads), load_imbalance(lpt_loads));
 }
 
-TEST(LptAssignNodeAwareTest, DegeneratesToRankOnlyLptOnFlatTopology) {
-  std::vector<std::uint64_t> weights;
-  for (int i = 1; i <= 64; ++i) {
-    weights.push_back(static_cast<std::uint64_t>(10000.0 / i));
-  }
-  // One rank per node and one node covering everything are both flat.
-  EXPECT_EQ(lpt_assign_node_aware(weights, 8, 1), lpt_assign(weights, 8));
-  EXPECT_EQ(lpt_assign_node_aware(weights, 8, 8), lpt_assign(weights, 8));
-  EXPECT_EQ(lpt_assign_node_aware(weights, 8, 16), lpt_assign(weights, 8));
-}
-
-TEST(LptAssignNodeAwareTest, SpreadsHeavyBucketsAcrossNodes) {
-  // Four dominant buckets on 8 ranks / 4 nodes of 2: rank-only LPT gives
-  // each heavy bucket its own *rank* (ranks 0..3 = nodes 0 and 1), piling
-  // two heavy buckets per node; the node-aware pass gives each its own
-  // node.
-  std::vector<std::uint64_t> weights(40, 1);
-  weights[0] = weights[1] = weights[2] = weights[3] = 1000;
-  constexpr std::uint32_t kRanks = 8, kPerNode = 2;
-  const std::uint32_t nnodes = kRanks / kPerNode;
-
-  const auto node_loads = [&](const std::vector<std::uint32_t>& assignment) {
-    std::vector<std::uint64_t> loads(nnodes, 0);
-    for (std::size_t b = 0; b < weights.size(); ++b) {
-      loads[assignment[b] / kPerNode] += weights[b];
-    }
-    return loads;
-  };
-
-  const auto rank_only = node_loads(lpt_assign(weights, kRanks));
-  const auto node_aware =
-      node_loads(lpt_assign_node_aware(weights, kRanks, kPerNode));
-  EXPECT_LT(load_imbalance(node_aware), load_imbalance(rank_only));
-  // Every node holds exactly one heavy bucket, so no node-level load can
-  // reach two heavies' worth.
-  for (const auto load : node_aware) EXPECT_LT(load, 2000u);
-}
-
-TEST(LptAssignNodeAwareTest, PartialLastNodeGetsProportionalShare) {
-  // 5 ranks at 2 per node: nodes of capacity {2, 2, 1}. With uniform
-  // weights the half-size node must receive roughly half a full node's
-  // load, and within-node LPT must keep the per-rank loads balanced.
-  std::vector<std::uint64_t> weights(20, 10);
-  const auto assignment = lpt_assign_node_aware(weights, 5, 2);
-  std::vector<std::uint64_t> rank_loads(5, 0);
-  for (std::size_t b = 0; b < weights.size(); ++b) {
-    ASSERT_LT(assignment[b], 5u);
-    rank_loads[assignment[b]] += weights[b];
-  }
-  for (const auto load : rank_loads) EXPECT_EQ(load, 40u);
-}
-
 TEST(MinimizerAssignmentTest, RejectsOutOfRangeRanks) {
   EXPECT_THROW(MinimizerAssignment({0, 1, 5}, 4), PreconditionError);
   EXPECT_THROW(MinimizerAssignment({}, 4), PreconditionError);
@@ -231,27 +179,6 @@ TEST_F(AssignmentBuildTest, DeterministicAcrossSimThreads) {
   EXPECT_EQ(build_at(8), sequential);
 }
 
-TEST_F(AssignmentBuildTest, NodeAwareTableAgreesAcrossRanks) {
-  constexpr int kRanks = 6;  // two modeled nodes of 3
-  const auto batches = io::partition_by_bases(reads_, kRanks);
-  mpisim::NetworkModel network = mpisim::NetworkModel::summit();
-  network.ranks_per_node = 3;
-  std::vector<std::vector<std::uint32_t>> tables(kRanks);
-  mpisim::Runtime runtime(kRanks, network);
-  runtime.run([&](mpisim::Comm& comm) {
-    const auto assignment = MinimizerAssignment::build(
-        comm, batches[static_cast<std::size_t>(comm.rank())],
-        kmer::SupermerConfig{}, /*sample_stride=*/4, /*node_aware=*/true);
-    tables[static_cast<std::size_t>(comm.rank())] = assignment.table();
-  });
-  for (int r = 1; r < kRanks; ++r) {
-    EXPECT_EQ(tables[static_cast<std::size_t>(r)], tables[0]);
-  }
-  for (const auto rank : tables[0]) {
-    EXPECT_LT(rank, static_cast<std::uint32_t>(kRanks));
-  }
-}
-
 TEST(FrequencyBalancedPipelineTest, CountsStillMatchReference) {
   io::GenomeSpec gspec;
   gspec.length = 8'000;
@@ -262,32 +189,20 @@ TEST(FrequencyBalancedPipelineTest, CountsStillMatchReference) {
   rspec.min_read_length = 80;
   const io::ReadBatch reads = io::generate_dataset(gspec, rspec);
 
-  struct Case {
-    PartitionScheme partition;
-    int nranks;
-    int ranks_per_node;  // 0 = the pipeline's default
-  };
-  // Node-aware routing only departs from rank-only LPT across nodes, so it
-  // runs on two modeled nodes of six ranks.
-  for (const Case& c : {Case{PartitionScheme::kFrequencyBalanced, 6, 0},
-                        Case{PartitionScheme::kNodeAware, 12, 6}}) {
-    SCOPED_TRACE(to_string(c.partition));
-    DriverOptions options;
-    options.pipeline.kind = PipelineKind::kGpuSupermer;
-    options.pipeline.partition = c.partition;
-    options.nranks = c.nranks;
-    options.ranks_per_node = c.ranks_per_node;
-    const CountResult result = run_distributed_count(reads, options);
+  DriverOptions options;
+  options.pipeline.kind = PipelineKind::kGpuSupermer;
+  options.pipeline.partition = PartitionScheme::kFrequencyBalanced;
+  options.nranks = 6;
+  const CountResult result = run_distributed_count(reads, options);
 
-    std::map<std::uint64_t, std::uint64_t> expected;
-    reference_count(reads, options.pipeline)
-        .for_each([&](std::uint64_t key, std::uint64_t count) {
-          expected[key] = count;
-        });
-    const std::map<std::uint64_t, std::uint64_t> actual(
-        result.global_counts.begin(), result.global_counts.end());
-    EXPECT_EQ(actual, expected);
-  }
+  std::map<std::uint64_t, std::uint64_t> expected;
+  reference_count(reads, options.pipeline)
+      .for_each([&](std::uint64_t key, std::uint64_t count) {
+        expected[key] = count;
+      });
+  const std::map<std::uint64_t, std::uint64_t> actual(
+      result.global_counts.begin(), result.global_counts.end());
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(FrequencyBalancedPipelineTest, ImprovesLoadBalanceOnSkewedInput) {
@@ -321,7 +236,6 @@ TEST(FrequencyBalancedPipelineTest, ImprovesLoadBalanceOnSkewedInput) {
 TEST(PartitionSchemeTest, ToString) {
   EXPECT_EQ(to_string(PartitionScheme::kMinimizerHash), "minimizer-hash");
   EXPECT_EQ(to_string(PartitionScheme::kFrequencyBalanced), "freq-balanced");
-  EXPECT_EQ(to_string(PartitionScheme::kNodeAware), "node-balanced");
 }
 
 }  // namespace

@@ -166,19 +166,6 @@ TEST(BlockLaunchTest, ThreadsBelowCountsTheInRangeThreads) {
   });
 }
 
-TEST(BlockLaunchTest, OrderedVariantRunsBlocksInCanonicalOrder) {
-  PoolGuard guard;
-  util::ThreadPool::set_global_threads(4);
-  Device device;
-  std::vector<std::uint32_t> order;
-  device.launch_blocks_ordered("ordered_blocks", 64, 32, 0,
-                               [&](BlockCtx& block) {
-    order.push_back(block.block_idx());
-  });
-  ASSERT_EQ(order.size(), 64u);
-  for (std::uint32_t b = 0; b < 64; ++b) EXPECT_EQ(order[b], b);
-}
-
 TEST(BlockLaunchTest, CountersIdenticalAcrossPoolSizes) {
   // A block kernel whose charges depend on shared-memory contents must
   // report identical counters for every pool size, including sizes above
@@ -236,9 +223,6 @@ TEST(SharedMemoryTest, ExhaustingBlockBudgetThrows) {
   bool ran = false;
   EXPECT_THROW(device.launch_blocks("smem_overflow", 1, 1, budget + 1,
                                     [&](BlockCtx&) { ran = true; }),
-               SimulationError);
-  EXPECT_THROW(device.launch_blocks_ordered("smem_overflow", 1, 1, budget + 1,
-                                            [&](BlockCtx&) { ran = true; }),
                SimulationError);
   EXPECT_FALSE(ran);
   EXPECT_EQ(device.timeline().launches, 0u);

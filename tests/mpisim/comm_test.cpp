@@ -22,14 +22,6 @@ TEST(CommTest, RankAndSize) {
   for (int r = 0; r < 5; ++r) EXPECT_EQ(seen[static_cast<std::size_t>(r)], r);
 }
 
-TEST(CommTest, RanksPerNodeClampedToCommSize) {
-  // A 4-rank world under the 6-per-node Summit model is one node.
-  Runtime small(4, NetworkModel::summit());
-  small.run([&](Comm& comm) { EXPECT_EQ(comm.ranks_per_node(), 4); });
-  Runtime large(8, NetworkModel::summit());
-  large.run([&](Comm& comm) { EXPECT_EQ(comm.ranks_per_node(), 6); });
-}
-
 TEST(CommTest, AlltoallvDeliversToCorrectRank) {
   constexpr int kRanks = 4;
   Runtime runtime(kRanks);

@@ -59,8 +59,10 @@ TEST(CliTest, PositionalArguments) {
 }
 
 TEST(CliTest, MalformedIntegerThrows) {
-  auto cli = parse({"--k=abc"});
+  auto cli = parse({"--k=abc", "--huge=99999999999999999999"});
   EXPECT_THROW(cli.get_int("k", 0), ParseError);
+  // Past 64 bits: strtoll would saturate it to INT64_MAX.
+  EXPECT_THROW(cli.get_int("huge", 0), ParseError);
 }
 
 TEST(CliTest, MalformedDoubleThrows) {
@@ -86,6 +88,7 @@ TEST(CliTest, ProgramName) {
 TEST(CliTest, NegativeIntegerValue) {
   auto cli = parse({"--offset=-12"});
   EXPECT_EQ(cli.get_int("offset", 0), -12);
+  EXPECT_EQ(cli.get_int_as<int>("offset", 0), -12);
 }
 
 TEST(CliTest, UnsignedValuesRejectNegativeAndOversized) {
