@@ -63,17 +63,12 @@ struct PipelineConfig {
   /// Count canonical k-mers (min of k-mer and reverse complement). The
   /// paper does not canonicalize; off by default.
   bool canonical = false;
-  /// Hash-table slots per expected key (1/load-factor).
-  double table_headroom = 2.0;
-  /// Memory-bound multi-round processing (§III-A): a rank parses,
-  /// exchanges and counts at most this many k-mers per round; the rank
-  /// needing the most rounds sets the count for everyone. 0 = one round.
-  std::uint64_t max_kmers_per_round = 0;
   /// BFCounter-style Bloom pre-filter at the counting stage (the diBELLA
   /// lineage's singleton suppression): k-mers seen once never occupy a
   /// table slot; survivors keep exact counts modulo Bloom false positives.
-  /// GPU pipelines only; incompatible with multi-round processing (the
-  /// filter state would not span rounds).
+  /// GPU pipelines only. The filter lives in one count phase, so the run
+  /// must take its input as a single batch (§III-A round): the driver
+  /// rejects a stream that yields a second one.
   bool filter_singletons = false;
   /// Two-word supermer packing (extension): windows up to 63 - k + 1
   /// instead of the single-word cap of 32 - k (§IV-C), trading 17 wire
@@ -143,7 +138,6 @@ struct PipelineConfig {
       DEDUKT_REQUIRE_MSG(m >= 1 && m < k && m <= kmer::kMaxPackedK,
                          "need 1 <= m < k with m <= 31");
     }
-    DEDUKT_REQUIRE(table_headroom >= 1.0);
     // Canonical counting is a CPU-baseline option; the paper's GPU
     // pipelines do not canonicalize (§IV-A).
     DEDUKT_REQUIRE_MSG(!canonical || kind == PipelineKind::kCpu,
@@ -152,9 +146,6 @@ struct PipelineConfig {
     DEDUKT_REQUIRE_MSG(!filter_singletons || kind != PipelineKind::kCpu,
                        "the Bloom pre-filter is implemented for the GPU "
                        "pipelines");
-    DEDUKT_REQUIRE_MSG(!(filter_singletons && max_kmers_per_round != 0),
-                       "the Bloom pre-filter does not span multi-round "
-                       "processing");
     DEDUKT_REQUIRE_MSG(!source_consolidation ||
                            kind == PipelineKind::kGpuKmer,
                        "source-side consolidation applies to the GPU k-mer "

@@ -44,27 +44,23 @@ struct DriverOptions {
   /// Number of MPI ranks (paper: 1 per GPU for GPU runs, 1 per core for
   /// CPU runs).
   int nranks = 6;
-  /// Price communication with the Summit network model (vs. a free local
-  /// transport). On by default so results carry modeled exchange times.
-  bool summit_network = true;
-  /// Ranks sharing one node's injection bandwidth; 0 derives the paper's
-  /// value from the pipeline kind (6 for GPU runs, 42 for CPU runs).
-  int ranks_per_node = 0;
   /// Gather the global (k-mer, count) table to the result. Turn off for
   /// large benchmark runs where only the metrics matter.
   bool collect_counts = true;
   /// Property sheet for each rank's simulated GPU.
   gpusim::DeviceProps device = gpusim::DeviceProps::v100();
-  /// Ingest batching (--batch-reads / --batch-bytes). Unbounded runs the
-  /// whole input as one batch — bit-identical to the historical in-memory
-  /// path. Applied when the driver builds its own stream from a ReadBatch;
-  /// callers handing a ReadBatchStream control batching themselves.
+  /// Ingest batching (--batch-reads / --batch-bytes): each batch is one
+  /// §III-A round, and the bound is the run's memory limit. Unbounded runs
+  /// the whole input as one round. Applied when the driver builds its own
+  /// stream from a ReadBatch; callers handing a ReadBatchStream control
+  /// batching themselves.
   io::BatchBounds batch;
   /// Out-of-core spill mode (--ooc-spill); see OocOptions.
   OocOptions ooc;
 
+  /// Ranks sharing one node's injection bandwidth in the Summit network
+  /// model: the paper's 42 per node for CPU runs, 6 for GPU runs.
   [[nodiscard]] int effective_ranks_per_node() const {
-    if (ranks_per_node > 0) return ranks_per_node;
     return pipeline.kind == PipelineKind::kCpu ? summit::kCoresPerNode
                                                : summit::kGpusPerNode;
   }
@@ -76,11 +72,14 @@ struct DriverOptions {
 [[nodiscard]] CountResult run_distributed_count(const io::ReadBatch& reads,
                                                 const DriverOptions& options);
 
-/// Run a distributed count pulling batches from `stream`. The resident
-/// footprint is one batch plus its exchange buffers; every pulled batch is
-/// partitioned across ranks and pushed through the selected pipeline
-/// against persistent per-rank tables. A single-batch stream executes the
-/// historical in-memory path bit for bit (spectra, CountResult, trace).
+/// Run a distributed count pulling batches from `stream`. Each batch is one
+/// §III-A round: it is partitioned across ranks and pushed through the
+/// selected pipeline against persistent per-rank tables, so the resident
+/// footprint is one batch plus its exchange buffers. A single-batch stream
+/// executes the historical in-memory path bit for bit (spectra,
+/// CountResult, trace). A Bloom-filtered run (filter_singletons) throws
+/// PreconditionError, before any rank parses, if the stream yields a
+/// second batch.
 [[nodiscard]] CountResult run_distributed_count(io::ReadBatchStream& stream,
                                                 const DriverOptions& options);
 

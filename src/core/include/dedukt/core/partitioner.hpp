@@ -72,6 +72,22 @@ class MinimizerAssignment {
   std::vector<std::uint32_t> bucket_to_rank_;
 };
 
+/// A job's assignment as its first round samples it, with the modeled
+/// charge of the sampling: 1/4 of the reads' bases at the supermer parse
+/// rate, plus the collectives that build the table.
+struct SampledAssignment {
+  MinimizerAssignment assignment;
+  double modeled_seconds = 0.0;
+  double modeled_volume_seconds = 0.0;
+};
+
+/// Collectively sample the frequency-balanced assignment from each rank's
+/// `reads`. The in-memory and out-of-core drivers both call this once per
+/// job, on the first batch, and reuse the table for every later batch.
+[[nodiscard]] SampledAssignment sample_assignment(
+    mpisim::Comm& comm, const io::ReadBatch& reads,
+    const PipelineConfig& config);
+
 /// LPT assignment of weighted buckets to `nranks` ranks (exposed for unit
 /// testing): returns bucket→rank with approximately equal summed weights.
 [[nodiscard]] std::vector<std::uint32_t> lpt_assign(

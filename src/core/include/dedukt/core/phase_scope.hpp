@@ -22,7 +22,6 @@
 
 #include "dedukt/core/result.hpp"
 #include "dedukt/gpusim/device.hpp"
-#include "dedukt/mpisim/comm.hpp"
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
 
@@ -46,15 +45,6 @@ class PhaseScope {
     device_.emplace(device);
   }
 
-  /// Phase doing both communication and device work (e.g. the supermer
-  /// pipeline's routing-table setup).
-  PhaseScope(RankMetrics& metrics, const char* phase, mpisim::Comm& comm,
-             gpusim::Device& device)
-      : PhaseScope(metrics, phase) {
-    comm_.emplace(comm);
-    device_.emplace(device);
-  }
-
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
@@ -65,12 +55,6 @@ class PhaseScope {
     metrics_.modeled.add(phase_name_, modeled_);
     metrics_.modeled_volume.add(phase_name_, volume_);
     span_.set_modeled(modeled_, volume_);
-  }
-
-  /// The communication ledger delta since the phase opened.
-  [[nodiscard]] const mpisim::CommCapture& comm() const {
-    DEDUKT_CHECK_MSG(comm_.has_value(), "phase has no comm capture");
-    return *comm_;
   }
 
   /// The device timeline delta since the phase opened.
@@ -112,7 +96,6 @@ class PhaseScope {
   const char* phase_name_;
   trace::ScopedSpan span_;
   ScopedPhase measured_;
-  std::optional<mpisim::CommCapture> comm_;
   std::optional<gpusim::DeviceCapture> device_;
   double modeled_ = 0.0;
   double volume_ = 0.0;

@@ -6,6 +6,7 @@
 // critical path; per-rank counted-k-mer loads = Table III's imbalance).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -101,6 +102,33 @@ struct RankMetrics {
   /// remainder (message latencies, launch overheads) stays constant.
   PhaseTimes modeled_volume;
 };
+
+/// Fold one round's ledger (a batch, or an out-of-core spill bin) into a
+/// running total: work counts and phase times add; the table-derived
+/// unique_kmers and counted_kmers are left for the caller to set.
+inline void accumulate_round(RankMetrics& total, const RankMetrics& round) {
+  total.reads += round.reads;
+  total.bases += round.bases;
+  total.kmers_parsed += round.kmers_parsed;
+  total.supermers_built += round.supermers_built;
+  total.supermer_bases += round.supermer_bases;
+  total.kmers_received += round.kmers_received;
+  total.supermers_received += round.supermers_received;
+  total.bytes_sent += round.bytes_sent;
+  total.bytes_received += round.bytes_received;
+  total.measured.merge(round.measured);
+  total.modeled.merge(round.modeled);
+  total.modeled_volume.merge(round.modeled_volume);
+  total.modeled_alltoallv_seconds += round.modeled_alltoallv_seconds;
+  total.modeled_alltoallv_volume_seconds +=
+      round.modeled_alltoallv_volume_seconds;
+  total.spill_bytes_written += round.spill_bytes_written;
+  total.spill_bytes_read += round.spill_bytes_read;
+  // Peak footprint folds by MAX: the batches/bins were resident one at a
+  // time, not simultaneously.
+  total.peak_resident_bytes =
+      std::max(total.peak_resident_bytes, round.peak_resident_bytes);
+}
 
 /// Result of a sketch-backend run (config.sketch): the merged global
 /// count-min cell array plus the two-pass heavy-hitter extraction.

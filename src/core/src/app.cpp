@@ -45,7 +45,7 @@ commands:
            [--pipeline=gpu-supermer|gpu-kmer|cpu]
            [--order=randomized|kmc2|lexicographic]
            [--canonical] [--filter-singletons] [--wide-supermers]
-           [--freq-balanced] [--rounds-limit=N] [--sim-threads=N]
+           [--freq-balanced] [--sim-threads=N]
            [--sketch] [--sketch-width=N] [--sketch-depth=N]
            [--sketch-conservative] [--heavy-threshold=N]
                                   (approximate counting: per-rank count-min
@@ -53,8 +53,9 @@ commands:
                                   threshold, a second pass extracts exact
                                   counts of the heavy hitters)
            [--batch-reads=N] [--batch-bytes=N]  (stream ingest in bounded
-                                  batches; FASTQ inputs are decoded
-                                  incrementally, never fully resident)
+                                  batches, one §III-A round each; FASTQ
+                                  inputs are decoded incrementally, never
+                                  fully resident)
            [--ooc-spill=<dir>] [--ooc-bins=8]  (out-of-core two-pass run:
                                   spill minimizer-partitioned supermer bins
                                   under <dir>, then replay bin by bin)
@@ -166,8 +167,6 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
   if (cli.get_bool("freq-balanced", false)) {
     options.pipeline.partition = PartitionScheme::kFrequencyBalanced;
   }
-  options.pipeline.max_kmers_per_round =
-      cli.get_uint<std::uint64_t>("rounds-limit", 0);
   options.pipeline.sketch = cli.get_bool("sketch", false);
   options.pipeline.sketch_width =
       cli.get_uint<std::uint32_t>("sketch-width", 1u << 20);

@@ -9,7 +9,7 @@
 
 #include "dedukt/core/config.hpp"
 #include "dedukt/core/host_hash_table.hpp"
-#include "dedukt/core/staged_pipeline.hpp"
+#include "dedukt/core/phase_scope.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/mpisim/comm.hpp"

@@ -9,13 +9,13 @@
 //
 // One translation unit, templated on the key traits of host_hash_table.hpp
 // (mirroring how the supermer pipeline templates on its packing word); each
-// round is the parse -> exchange -> count stage sequence on the staged
-// pipeline framework.
+// round is the parse -> exchange -> count stage sequence on PhaseScope and
+// ExchangePlan.
 #include <vector>
 
 #include "count_stages.hpp"
+#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/pipeline.hpp"
-#include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/kmer/extract.hpp"
 
@@ -49,9 +49,10 @@ std::vector<std::vector<typename KeyTraits::Key>> parse_cpu(
 
 /// One round of Algorithm 1 (the whole job when it fits in memory).
 template <typename KeyTraits>
-RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
-                           const PipelineConfig& config,
-                           BasicHostHashTable<KeyTraits>& local_table) {
+RankMetrics run_cpu(mpisim::Comm& comm, const io::ReadBatch& reads,
+                    const PipelineConfig& config,
+                    BasicHostHashTable<KeyTraits>& local_table) {
+  config.validate();
   const auto parts = static_cast<std::uint32_t>(comm.size());
 
   RankMetrics metrics;
@@ -79,30 +80,18 @@ RankMetrics run_cpu_single(mpisim::Comm& comm, const io::ReadBatch& reads,
   return metrics;
 }
 
-template <typename KeyTraits>
-RankMetrics run_cpu_pipeline(mpisim::Comm& comm, const io::ReadBatch& reads,
-                             const PipelineConfig& config,
-                             BasicHostHashTable<KeyTraits>& local_table) {
-  const RoundRunner runner(comm, reads, config);
-  return runner.run(local_table, [&](const io::ReadBatch& batch) {
-    return run_cpu_single<KeyTraits>(comm, batch, config, local_table);
-  });
-}
-
 }  // namespace
 
 RankMetrics run_cpu_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
                          const PipelineConfig& config,
                          HostHashTable& local_table) {
-  config.validate();
-  return run_cpu_pipeline<NarrowKeyTraits>(comm, reads, config, local_table);
+  return run_cpu<NarrowKeyTraits>(comm, reads, config, local_table);
 }
 
 RankMetrics run_cpu_wide_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
                               const PipelineConfig& config,
                               WideHostHashTable& local_table) {
-  config.validate();
-  return run_cpu_pipeline<WideKeyTraits>(comm, reads, config, local_table);
+  return run_cpu<WideKeyTraits>(comm, reads, config, local_table);
 }
 
 }  // namespace dedukt::core

@@ -1,5 +1,8 @@
 #include "dedukt/core/driver.hpp"
 
+#include <optional>
+
+#include "dedukt/core/partitioner.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/kmer/extract.hpp"
@@ -35,9 +38,6 @@ void validate_run(const DriverOptions& options, bool wide_keys) {
   if (options.ooc.enabled()) {
     DEDUKT_REQUIRE_MSG(options.ooc.bins >= 1,
                        "--ooc-bins must be >= 1, got " << options.ooc.bins);
-    DEDUKT_REQUIRE_MSG(config.max_kmers_per_round == 0,
-                       "out-of-core bins replace multi-round processing; "
-                       "leave --rounds-limit unset");
     DEDUKT_REQUIRE_MSG(!config.filter_singletons,
                        "the Bloom pre-filter cannot span spill bins");
     DEDUKT_REQUIRE_MSG(!config.source_consolidation,
@@ -57,7 +57,8 @@ namespace {
 /// One rank's share of one batch through the selected exact pipeline.
 /// Each GPU rank builds its simulated device per batch.
 RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
-                     const DriverOptions& options, HostHashTable& table) {
+                     const DriverOptions& options, HostHashTable& table,
+                     std::optional<MinimizerAssignment>& assignment) {
   switch (options.pipeline.kind) {
     case PipelineKind::kCpu:
       return run_cpu_rank(comm, mine, options.pipeline, table);
@@ -68,21 +69,23 @@ RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
     case PipelineKind::kGpuSupermer: {
       gpusim::Device device(options.device);
       return run_gpu_supermer_rank(comm, device, mine, options.pipeline,
-                                   table);
+                                   table, assignment);
     }
   }
   return {};
 }
 
 RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
-                     const DriverOptions& options, WideHostHashTable& table) {
+                     const DriverOptions& options, WideHostHashTable& table,
+                     std::optional<MinimizerAssignment>& /*assignment*/) {
   return run_cpu_wide_rank(comm, mine, options.pipeline, table);
 }
 
-/// The exact count on persistent per-rank tables: every pulled batch runs
-/// the pipeline against them, so the final state equals the one-shot
-/// run's. Returns the gathered global counts (empty unless
-/// options.collect_counts).
+/// The exact count on persistent per-rank state: every pulled batch runs
+/// the pipeline against the rank's table and, under frequency-balanced
+/// routing, the assignment sampled from its first batch, so the final
+/// state equals the one-shot run's. Returns the gathered global counts
+/// (empty unless options.collect_counts).
 template <typename KeyTraits>
 typename detail::CountEngine<KeyTraits>::Counts count_exact(
     io::ReadBatchStream& stream, const DriverOptions& options,
@@ -93,12 +96,15 @@ typename detail::CountEngine<KeyTraits>::Counts count_exact(
     return engine.gathered_counts();
   }
   std::vector<BasicHostHashTable<KeyTraits>> tables(engine.nranks());
+  std::vector<std::optional<MinimizerAssignment>> assignments(
+      engine.nranks());
   engine.run_batches(
       stream, "rank_pipeline",
       [&](mpisim::Comm& comm, const io::ReadBatch& mine,
           const detail::BatchInfo& batch) {
-        auto& table = tables[static_cast<std::size_t>(comm.rank())];
-        RankMetrics metrics = run_rank(comm, mine, options, table);
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        RankMetrics metrics =
+            run_rank(comm, mine, options, tables[rank], assignments[rank]);
         // Streamed runs report the footprint (max over batches); the
         // single-batch path leaves the field 0 and emits no counter, so
         // in-memory metrics output stays byte-identical to the pre-stream

@@ -24,10 +24,11 @@
 
 #include "dedukt/core/driver.hpp"
 #include "dedukt/core/host_hash_table.hpp"
-#include "dedukt/core/round_runner.hpp"
+#include "dedukt/core/result.hpp"
 #include "dedukt/io/partition.hpp"
 #include "dedukt/mpisim/runtime.hpp"
 #include "dedukt/trace/trace.hpp"
+#include "dedukt/util/error.hpp"
 
 namespace dedukt::core::detail {
 
@@ -45,12 +46,10 @@ struct KeyCount {
   std::uint64_t count;
 };
 
-/// Sort gathered (key, count) pairs and sum duplicate keys. Partitioning
-/// normally sends every occurrence of a k-mer to one rank, so keys are
-/// disjoint across parts — but sum duplicates anyway: the
-/// frequency-balanced routing re-samples its assignment per batch under
-/// streamed ingest, so a minimizer may legally land on different ranks in
-/// different batches.
+/// Sort gathered (key, count) pairs and sum duplicate keys. The exact
+/// pipelines route every occurrence of a k-mer to one rank for the whole
+/// job, so their parts are disjoint; duplicates come only from the
+/// sketch's heavy-hitter candidates, where each rank counts its own reads.
 template <typename Key>
 void merge_gathered_counts(std::vector<std::pair<Key, std::uint64_t>>& counts) {
   std::sort(counts.begin(), counts.end());
@@ -88,9 +87,7 @@ class CountEngine {
       : options_(validated(options)),
         result_(result),
         runtime_(options.nranks,
-                 options.summit_network
-                     ? summit::network(options.effective_ranks_per_node())
-                     : mpisim::NetworkModel::local()) {
+                 summit::network(options.effective_ranks_per_node())) {
     result.config = options.pipeline;
     result.nranks = options.nranks;
     result.ranks.resize(nranks());
@@ -105,14 +102,17 @@ class CountEngine {
     return static_cast<std::size_t>(options_.nranks);
   }
 
-  /// The batch loop. Pulls `stream` one batch ahead (an empty input is one
-  /// empty batch), splits each batch across the ranks by bases, and runs
-  /// `RankMetrics run_rank(Comm&, const ReadBatch& mine, const BatchInfo&)`
-  /// on every rank inside an app span named `span_name`. The returned
-  /// ledger folds into the rank's total: the first batch assigns it, later
-  /// batches add to it, and the table-derived fields take the latest
-  /// batch's values. After the last batch's fold, `finish(Comm&, const
-  /// BatchInfo&)` runs in the same span; that is where the gather goes.
+  /// The batch loop: the run's only split of its input, so each batch is
+  /// one §III-A round. Pulls `stream` one batch ahead (an empty input is
+  /// one empty batch), splits each batch across the ranks by bases, and
+  /// runs `RankMetrics run_rank(Comm&, const ReadBatch& mine, const
+  /// BatchInfo&)` on every rank inside an app span named `span_name`. The
+  /// returned ledger folds into the rank's total: the first batch assigns
+  /// it, later batches add to it, and the table-derived fields take the
+  /// latest batch's values. After the last batch's fold, `finish(Comm&,
+  /// const BatchInfo&)` runs in the same span; that is where the gather
+  /// goes. A Bloom-filtered run whose stream yields a second batch throws
+  /// PreconditionError before any rank parses.
   template <typename RunRank, typename Finish>
   void run_batches(io::ReadBatchStream& stream, const char* span_name,
                    RunRank&& run_rank, Finish&& finish) {
@@ -123,6 +123,13 @@ class CountEngine {
       // Pulled before the run so the loop knows which batch is the last.
       std::optional<io::ReadBatch> following = stream.next();
       info.last = !following;
+      // The Bloom filter lives in one count phase, so it cannot span
+      // rounds; the lookahead knows at batch 0 whether there is a second.
+      DEDUKT_REQUIRE_MSG(info.last || !options_.pipeline.filter_singletons,
+                         "the Bloom pre-filter (--filter-singletons) needs "
+                         "the whole input in one batch, and this input "
+                         "yields a second; raise or drop "
+                         "--batch-reads/--batch-bytes");
       const std::vector<io::ReadBatch> parts =
           io::partition_by_bases(*batch, options_.nranks);
 

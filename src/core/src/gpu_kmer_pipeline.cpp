@@ -13,9 +13,9 @@
 #include "count_stages.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
+#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/kernels.hpp"
 #include "dedukt/core/pipeline.hpp"
-#include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/io/partition.hpp"
 #include "dedukt/trace/trace.hpp"
@@ -31,7 +31,7 @@ void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
                      HostHashTable& local_table, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  DeviceHashTable table(device, received.data.size(), config.table_headroom);
+  DeviceHashTable table(device, received.data.size());
   std::optional<DeviceBloomFilter> bloom;
   if (config.filter_singletons) bloom.emplace(device, received.data.size());
   table.count_kmers(d_recv, received.data.size(), bloom ? &*bloom : nullptr);
@@ -115,7 +115,6 @@ ParsedKmers parse_gpu_kmers(gpusim::Device& device, const io::ReadBatch& reads,
 /// first and bucket (k-mer, count) pairs per destination. A second parse
 /// phase in the ledger.
 ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
-                                        const PipelineConfig& config,
                                         ParsedKmers&& parsed,
                                         std::uint32_t parts,
                                         RankMetrics& metrics) {
@@ -124,7 +123,7 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   buckets.out_key_counts.resize(parts);
   PhaseScope phase(metrics, kPhaseParse, device);
 
-  DeviceHashTable local(device, parsed.total, config.table_headroom);
+  DeviceHashTable local(device, parsed.total);
   local.count_kmers(parsed.d_out, parsed.total);
   device.free(parsed.d_out);
   for (const auto& [key, count] : local.to_host()) {
@@ -143,7 +142,7 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
 /// Count phase of the consolidated path: accumulate the received (key,
 /// count) pairs into the local partition of the global table.
 void count_gpu_pairs(
-    gpusim::Device& device, const PipelineConfig& config,
+    gpusim::Device& device,
     const mpisim::AlltoallvResult<std::uint64_t>& recv_keys,
     const mpisim::AlltoallvResult<std::uint32_t>& recv_key_counts,
     gpusim::DeviceBuffer<std::uint64_t>& d_recv_keys,
@@ -155,8 +154,7 @@ void count_gpu_pairs(
   for (const std::uint32_t count : recv_key_counts.data) {
     kmers_to_count += count;
   }
-  DeviceHashTable table(device, recv_keys.data.size(),
-                        config.table_headroom);
+  DeviceHashTable table(device, recv_keys.data.size());
   table.accumulate_pairs(d_recv_keys, d_recv_key_counts,
                          recv_keys.data.size());
   device.free(d_recv_keys);
@@ -173,11 +171,13 @@ void count_gpu_pairs(
       summit::kGpuCountOverheadSec);
 }
 
-/// One round of the pipeline (the whole job when it fits in memory).
-RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
-                                const io::ReadBatch& reads,
-                                const PipelineConfig& config,
-                                HostHashTable& local_table) {
+}  // namespace
+
+RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
+                              const io::ReadBatch& reads,
+                              const PipelineConfig& config,
+                              HostHashTable& local_table) {
+  config.validate();
   const auto parts = static_cast<std::uint32_t>(comm.size());
   const bool staged = config.exchange == ExchangeMode::kStaged;
 
@@ -188,8 +188,8 @@ RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
   ParsedKmers parsed = parse_gpu_kmers(device, reads, config, parts, metrics);
 
   if (config.source_consolidation) {
-    ConsolidatedKmers buckets = consolidate_gpu_kmers(
-        device, config, std::move(parsed), parts, metrics);
+    ConsolidatedKmers buckets =
+        consolidate_gpu_kmers(device, std::move(parsed), parts, metrics);
 
     mpisim::AlltoallvResult<std::uint64_t> recv_keys;
     mpisim::AlltoallvResult<std::uint32_t> recv_key_counts;
@@ -208,7 +208,7 @@ RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
       phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
     }
 
-    count_gpu_pairs(device, config, recv_keys, recv_key_counts, d_recv_keys,
+    count_gpu_pairs(device, recv_keys, recv_key_counts, d_recv_keys,
                     d_recv_key_counts, local_table, metrics);
     metrics.unique_kmers = local_table.unique();
     metrics.counted_kmers = local_table.total();
@@ -235,19 +235,6 @@ RankMetrics run_gpu_kmer_single(mpisim::Comm& comm, gpusim::Device& device,
   metrics.unique_kmers = local_table.unique();
   metrics.counted_kmers = local_table.total();
   return metrics;
-}
-
-}  // namespace
-
-RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
-                              const io::ReadBatch& reads,
-                              const PipelineConfig& config,
-                              HostHashTable& local_table) {
-  config.validate();
-  const RoundRunner runner(comm, reads, config);
-  return runner.run(local_table, [&](const io::ReadBatch& batch) {
-    return run_gpu_kmer_single(comm, device, batch, config, local_table);
-  });
 }
 
 }  // namespace dedukt::core

@@ -14,10 +14,10 @@
 #include "count_stages.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
+#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/kernels.hpp"
 #include "dedukt/core/partitioner.hpp"
 #include "dedukt/core/pipeline.hpp"
-#include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/io/partition.hpp"
 #include "dedukt/trace/trace.hpp"
@@ -44,7 +44,7 @@ void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
                       static_cast<std::uint64_t>(config.k) + 1;
   }
 
-  DeviceHashTable table(device, kmers_to_count, config.table_headroom);
+  DeviceHashTable table(device, kmers_to_count);
   std::optional<DeviceBloomFilter> bloom;
   if (config.filter_singletons) bloom.emplace(device, kmers_to_count);
   table.count_supermers(d_recv_words, d_recv_lens, recv_words.data.size(),
@@ -151,21 +151,19 @@ ParsedSupermers<Word> parse_gpu_supermers(
   return parsed;
 }
 
-/// One round of the pipeline (the whole job when it fits in memory).
-/// `routing` carries the §VII frequency-balanced table when enabled; it is
-/// built once per job (not per round) so every occurrence of a k-mer
-/// routes to the same rank across rounds.
+/// Parse, exchange and count one round with supermers packed in Word,
+/// adding to `metrics` (which may already hold the routing setup's parse
+/// charge).
 template <typename Word>
-RankMetrics run_gpu_supermer_single(mpisim::Comm& comm,
-                                    gpusim::Device& device,
-                                    const io::ReadBatch& reads,
-                                    const PipelineConfig& config,
-                                    HostHashTable& local_table,
-                                    kernels::DestinationTable routing) {
+void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
+                        const io::ReadBatch& reads,
+                        const PipelineConfig& config,
+                        HostHashTable& local_table,
+                        const kernels::DestinationTable& routing,
+                        RankMetrics& metrics) {
   const auto parts = static_cast<std::uint32_t>(comm.size());
   const bool staged = config.exchange == ExchangeMode::kStaged;
 
-  RankMetrics metrics;
   metrics.reads = reads.size();
   metrics.bases = reads.total_bases();
 
@@ -204,59 +202,52 @@ RankMetrics run_gpu_supermer_single(mpisim::Comm& comm,
   detail::count_gpu_supermers<Word>(device, config, recv_words, recv_lens,
                                     d_recv_words, d_recv_lens, local_table,
                                     metrics);
-
-  metrics.unique_kmers = local_table.unique();
-  metrics.counted_kmers = local_table.total();
-  return metrics;
 }
 
 }  // namespace
 
-RankMetrics run_gpu_supermer_rank(mpisim::Comm& comm, gpusim::Device& device,
-                                  const io::ReadBatch& reads,
-                                  const PipelineConfig& config,
-                                  HostHashTable& local_table) {
+RankMetrics run_gpu_supermer_rank(
+    mpisim::Comm& comm, gpusim::Device& device, const io::ReadBatch& reads,
+    const PipelineConfig& config, HostHashTable& local_table,
+    std::optional<MinimizerAssignment>& assignment) {
   config.validate();
-  // Round planning is collective and must precede the routing-table
-  // collectives below — RoundRunner's constructor does it.
-  const RoundRunner runner(comm, reads, config);
+  RankMetrics metrics;
 
-  // §VII extension: build the frequency-balanced routing table ONCE for
-  // the whole job — per-round tables would route the same k-mer to
-  // different ranks in different rounds and break table locality. Its
-  // sampling work and collectives are charged to the parse phase.
-  RankMetrics setup;
+  // §VII extension: the frequency-balanced routing table is sampled once
+  // per job, from the first round — per-round tables would route the same
+  // k-mer to different ranks in different rounds and break table locality.
+  // The sampling work and collectives, and each round's copy of the table
+  // to its device, are charged to the parse phase.
   kernels::DestinationTable routing;
   gpusim::DeviceBuffer<std::uint32_t> d_routing;
   if (config.partition != PartitionScheme::kMinimizerHash) {
-    PhaseScope phase(setup, kPhaseParse, comm, device);
-
-    const MinimizerAssignment assignment = MinimizerAssignment::build(
-        comm, reads, config.supermer_config(), /*sample_stride=*/4);
-    d_routing = device.alloc<std::uint32_t>(assignment.buckets());
-    device.copy_to_device<std::uint32_t>(assignment.table(), d_routing);
+    PhaseScope phase(metrics, kPhaseParse, device);
+    double sample_seconds = 0.0;
+    double sample_volume = 0.0;
+    if (!assignment) {
+      SampledAssignment sample = sample_assignment(comm, reads, config);
+      assignment.emplace(std::move(sample.assignment));
+      sample_seconds = sample.modeled_seconds;
+      sample_volume = sample.modeled_volume_seconds;
+    }
+    d_routing = device.alloc<std::uint32_t>(assignment->buckets());
+    device.copy_to_device<std::uint32_t>(assignment->table(), d_routing);
     routing.bucket_to_rank = d_routing.data();
-    routing.nbuckets = assignment.buckets();
-
-    // Sampling touches 1/stride of the k-mers at the supermer parse rate.
-    const double sampling = static_cast<double>(reads.total_bases()) / 4.0 /
-                            (summit::kGpuParseKmersPerSec /
-                             summit::kSupermerParseOverhead);
-    phase.set_charge(sampling + phase.comm().modeled_seconds() +
-                         phase.device().modeled_seconds(),
-                     sampling + phase.comm().modeled_volume_seconds() +
-                         phase.device().modeled_volume_seconds());
+    routing.nbuckets = assignment->buckets();
+    phase.set_charge(sample_seconds + phase.device().modeled_seconds(),
+                     sample_volume + phase.device().modeled_volume_seconds());
   }
 
-  auto run_single = [&](const io::ReadBatch& batch) {
-    if (config.wide_supermers) {
-      return run_gpu_supermer_single<kmer::WideKey>(
-          comm, device, batch, config, local_table, routing);
-    }
-    return run_gpu_supermer_single<std::uint64_t>(
-        comm, device, batch, config, local_table, routing);
-  };
-  return runner.run(local_table, run_single, std::move(setup));
+  if (config.wide_supermers) {
+    run_supermer_round<kmer::WideKey>(comm, device, reads, config,
+                                      local_table, routing, metrics);
+  } else {
+    run_supermer_round<std::uint64_t>(comm, device, reads, config,
+                                      local_table, routing, metrics);
+  }
+  metrics.unique_kmers = local_table.unique();
+  metrics.counted_kmers = local_table.total();
+  return metrics;
 }
 
 }  // namespace dedukt::core

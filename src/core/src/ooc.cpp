@@ -31,8 +31,8 @@
 #include <type_traits>
 
 #include "count_stages.hpp"
+#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/partitioner.hpp"
-#include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/hash/murmur3.hpp"
@@ -394,8 +394,7 @@ void count_out_of_core(CountEngine<KeyTraits>& engine,
   }
 
   // Frequency-balanced routing is sampled collectively from the FIRST
-  // batch and reused for the whole job, mirroring the in-memory pipeline's
-  // once-per-job routing table.
+  // batch and reused for the whole job, as in the in-memory driver.
   std::vector<std::optional<MinimizerAssignment>> assignments(nranks);
 
   // --- pass 1: stream batches, parse, spill ---
@@ -410,14 +409,10 @@ void count_out_of_core(CountEngine<KeyTraits>& engine,
 
         if (need_assignment && batch.index == 0) {
           PhaseScope phase(metrics, kPhaseParse);
-          mpisim::CommCapture capture(comm);
-          assignments[rank] = MinimizerAssignment::build(
-              comm, mine, config.supermer_config(), /*sample_stride=*/4);
-          const double sampling =
-              static_cast<double>(mine.total_bases()) / 4.0 /
-              (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
-          phase.set_charge(sampling + capture.modeled_seconds(),
-                           sampling + capture.modeled_volume_seconds());
+          SampledAssignment sample = sample_assignment(comm, mine, config);
+          assignments[rank].emplace(std::move(sample.assignment));
+          phase.set_charge(sample.modeled_seconds,
+                           sample.modeled_volume_seconds);
         }
 
         BinBuckets buckets(bins, parts, io::spill_has_lens(kind));

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <queue>
 
+#include "dedukt/core/summit.hpp"
 #include "dedukt/kmer/extract.hpp"
 #include "dedukt/util/error.hpp"
 
@@ -94,6 +95,21 @@ MinimizerAssignment MinimizerAssignment::build(
   // 3. Broadcast the assignment.
   table = comm.bcast_vector(table, /*root=*/0);
   return MinimizerAssignment(std::move(table), nranks);
+}
+
+SampledAssignment sample_assignment(mpisim::Comm& comm,
+                                    const io::ReadBatch& reads,
+                                    const PipelineConfig& config) {
+  constexpr int kSampleStride = 4;
+  const mpisim::CommCapture capture(comm);
+  MinimizerAssignment assignment = MinimizerAssignment::build(
+      comm, reads, config.supermer_config(), kSampleStride);
+  // Sampling touches 1/stride of the k-mers at the supermer parse rate.
+  const double sampling =
+      static_cast<double>(reads.total_bases()) / kSampleStride /
+      (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
+  return {std::move(assignment), sampling + capture.modeled_seconds(),
+          sampling + capture.modeled_volume_seconds()};
 }
 
 }  // namespace dedukt::core

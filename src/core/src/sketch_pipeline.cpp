@@ -36,7 +36,6 @@
 #include "dedukt/core/driver.hpp"
 #include "dedukt/core/kernels.hpp"
 #include "dedukt/core/phase_scope.hpp"
-#include "dedukt/core/round_runner.hpp"
 #include "dedukt/core/sketch.hpp"
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/kmer/extract.hpp"
@@ -113,12 +112,13 @@ gpusim::DeviceBuffer<std::uint64_t> parse_device_keys(
   return d_out;
 }
 
-/// One round of the sketch pipeline: parse the batch, absorb it into the
-/// rank's persistent sketch.
-RankMetrics run_sketch_single(gpusim::Device* device,
-                              const io::ReadBatch& reads,
-                              const PipelineConfig& config,
-                              HostCountMinSketch& sketch) {
+/// One round of the sketch pipeline: parse the rank's share of a batch and
+/// absorb it into the rank's persistent sketch. The sketch has no
+/// distinct-key count; the counted total is the stream length it absorbed.
+RankMetrics run_sketch_round(gpusim::Device* device,
+                             const io::ReadBatch& reads,
+                             const PipelineConfig& config,
+                             HostCountMinSketch& sketch) {
   RankMetrics metrics;
   metrics.reads = reads.size();
   metrics.bases = reads.total_bases();
@@ -139,6 +139,7 @@ RankMetrics run_sketch_single(gpusim::Device* device,
       phase.set_uniform_charge(static_cast<double>(keys.size()) /
                                summit::kCpuCountKmersPerSec);
     }
+    metrics.counted_kmers = sketch.total_updates();
     return metrics;
   }
 
@@ -166,30 +167,8 @@ RankMetrics run_sketch_single(gpusim::Device* device,
         static_cast<double>(total) / summit::kGpuSketchKmersPerSec,
         summit::kGpuCountOverheadSec);
   }
+  metrics.counted_kmers = sketch.total_updates();
   return metrics;
-}
-
-/// RoundRunner table adapter: the sketch has no distinct-key count; the
-/// counted total is the stream length it absorbed.
-struct SketchTableView {
-  const HostCountMinSketch& sketch;
-  [[nodiscard]] std::uint64_t unique() const { return 0; }
-  [[nodiscard]] std::uint64_t total() const {
-    return sketch.total_updates();
-  }
-};
-
-/// One rank's share of one pulled batch, through the staged RoundRunner
-/// framework (max_kmers_per_round splits the batch like the exact paths).
-RankMetrics run_sketch_rank(mpisim::Comm& comm, gpusim::Device* device,
-                            const io::ReadBatch& reads,
-                            const PipelineConfig& config,
-                            HostCountMinSketch& sketch) {
-  const RoundRunner runner(comm, reads, config);
-  SketchTableView view{sketch};
-  return runner.run(view, [&](const io::ReadBatch& batch) {
-    return run_sketch_single(device, batch, config, sketch);
-  });
 }
 
 /// Heavy-hitter pass 2 over one retained batch: re-parse, estimate every
@@ -301,8 +280,8 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
         const auto rank = static_cast<std::size_t>(comm.rank());
         std::optional<gpusim::Device> device;
         if (device_kind) device.emplace(options.device);
-        RankMetrics metrics = run_sketch_rank(
-            comm, device ? &*device : nullptr, mine, config, sketches[rank]);
+        RankMetrics metrics = run_sketch_round(
+            device ? &*device : nullptr, mine, config, sketches[rank]);
         if (heavy) {
           retained[rank].push_back(mine);
           retained_bytes[rank] += io::resident_read_bytes(mine);

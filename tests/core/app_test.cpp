@@ -299,7 +299,8 @@ TEST(AppTest, CountRejectsUnknownFlags) {
   // Retired flags and misspellings fail before anything is counted.
   for (const char* flag :
        {"--overlap-rounds", "--hierarchical-exchange", "--node-balanced",
-        "--smem-agg", "--no-smem-agg", "--overlap-roundz"}) {
+        "--smem-agg", "--no-smem-agg", "--rounds-limit",
+        "--overlap-roundz"}) {
     const AppResult result = run({"count", "--synthetic=ecoli30x",
                                   "--scale=8000", "--ranks=2", flag});
     EXPECT_EQ(result.exit_code, 1) << flag;
@@ -324,14 +325,19 @@ TEST(AppTest, QueryRejectsUnknownFlag) {
       << result.err;
 }
 
-TEST(AppTest, OutOfCoreRejectsRoundsLimit) {
+TEST(AppTest, BloomFilterRejectsBoundedBatches) {
+  // The Bloom filter lives in one count phase: a batched run that would
+  // see a second batch fails before counting, and writes nothing.
+  const std::string path = temp_path("app_bloom_batches.bin");
   const AppResult result =
       run({"count", "--synthetic=ecoli30x", "--scale=8000", "--ranks=2",
-           "--ooc-spill=" + temp_path("app_ooc_rounds"),
-           "--rounds-limit=1000"});
+           "--filter-singletons", "--batch-reads=10", "--output=" + path});
   EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.err.find("--rounds-limit"), std::string::npos)
+  EXPECT_NE(result.err.find("--filter-singletons"), std::string::npos)
       << result.err;
+  EXPECT_NE(result.err.find("one batch"), std::string::npos) << result.err;
+  EXPECT_EQ(result.out.find("counted"), std::string::npos) << result.out;
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(AppTest, CountRejectsNegativeCounts) {

@@ -199,9 +199,6 @@ TEST(FilteredPipelineTest, ConfigRejectsUnsupportedCombos) {
   config.kind = PipelineKind::kCpu;
   EXPECT_THROW(config.validate(), PreconditionError);
   config.kind = PipelineKind::kGpuKmer;
-  config.max_kmers_per_round = 100;
-  EXPECT_THROW(config.validate(), PreconditionError);
-  config.max_kmers_per_round = 0;
   EXPECT_NO_THROW(config.validate());
 }
 

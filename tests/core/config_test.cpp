@@ -67,11 +67,5 @@ TEST(ConfigTest, ToStringNames) {
   EXPECT_EQ(to_string(ExchangeMode::kGpuDirect), "gpudirect");
 }
 
-TEST(ConfigTest, RejectsBadTableHeadroom) {
-  PipelineConfig config;
-  config.table_headroom = 0.5;
-  EXPECT_THROW(config.validate(), PreconditionError);
-}
-
 }  // namespace
 }  // namespace dedukt::core

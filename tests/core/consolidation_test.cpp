@@ -90,11 +90,11 @@ TEST(ConsolidationTest, ComposesWithMultiRound) {
   DriverOptions options;
   options.pipeline.kind = PipelineKind::kGpuKmer;
   options.pipeline.source_consolidation = true;
-  options.pipeline.max_kmers_per_round = 4'000;
+  options.batch.max_reads = 40;
   options.nranks = 4;
   const CountResult multi = run_distributed_count(reads, options);
 
-  options.pipeline.max_kmers_per_round = 0;
+  options.batch.max_reads = 0;
   const CountResult single = run_distributed_count(reads, options);
   EXPECT_EQ(as_map(multi), as_map(single));
 }

@@ -142,8 +142,6 @@ TEST(DriverTest, RanksPerNodeDefaultsFollowPipelineKind) {
   EXPECT_EQ(options.effective_ranks_per_node(), summit::kCoresPerNode);
   options.pipeline.kind = PipelineKind::kGpuSupermer;
   EXPECT_EQ(options.effective_ranks_per_node(), summit::kGpusPerNode);
-  options.ranks_per_node = 3;
-  EXPECT_EQ(options.effective_ranks_per_node(), 3);
 }
 
 TEST(DriverTest, GpuModeledTimeFarBelowCpuModeledTime) {

@@ -56,10 +56,8 @@ TEST(FailureInjectionTest, DeviceOomDoesNotDeadlockOtherRanks) {
 TEST(FailureInjectionTest, UndersizedDeviceTableSurfaces) {
   DriverOptions options;
   options.pipeline.kind = PipelineKind::kGpuSupermer;
-  options.pipeline.table_headroom = 1.0;
   options.nranks = 3;
-  // headroom 1.0 still rounds up to a power of two, so this usually
-  // succeeds; shrink the device instead to force the failure path.
+  // A 64 KiB device forces the out-of-memory path.
   options.device.memory_bytes = 64 << 10;
   EXPECT_THROW(run_distributed_count(test_reads(), options), Error);
 }

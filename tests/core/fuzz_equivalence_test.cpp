@@ -71,7 +71,7 @@ TEST_P(FuzzEquivalence, RandomConfigMatchesReference) {
   options.pipeline.canonical =
       options.pipeline.kind == PipelineKind::kCpu && rng.below(2) == 1;
   if (rng.below(3) == 0) {
-    options.pipeline.max_kmers_per_round = 500 + rng.below(3'000);
+    options.batch.max_reads = 1 + rng.below(30);
   }
   options.nranks = 1 + static_cast<int>(rng.below(9));
   options.pipeline.exchange = rng.below(2) == 1
@@ -129,7 +129,7 @@ TEST_P(WideFuzzEquivalence, RandomWideConfigMatchesReference) {
   options.pipeline.canonical = rng.below(2) == 1;
   options.nranks = 1 + static_cast<int>(rng.below(7));
   if (rng.below(2) == 0) {
-    options.pipeline.max_kmers_per_round = 400 + rng.below(2'000);
+    options.batch.max_reads = 1 + rng.below(20);
   }
 
   SCOPED_TRACE("seed=" + std::to_string(seed) +

@@ -99,9 +99,9 @@ std::string rank_identity(const CountResult& result) {
 struct Scenario {
   const char* name;
   /// Destinations are a pure key/minimizer hash: per-rank tallies must be
-  /// invariant across every ingest shape. Frequency-balanced schemes
-  /// re-sample their routing from the first batch, so only the global
-  /// outcome is pinned for them.
+  /// invariant across every ingest shape. Frequency-balanced schemes sample
+  /// their routing once, from the first batch, and the first batch differs
+  /// by shape, so only the global outcome is pinned for them.
   bool hash_routing;
   void (*configure)(DriverOptions&);
 };
@@ -175,6 +175,9 @@ TEST_P(OocParity, EveryIngestShapeMatchesTheInMemoryRun) {
   const CountResult shaped = run_shape(scenario, shape);
 
   EXPECT_EQ(global_identity(baseline), global_identity(shaped))
+      << scenario.name << " / " << shape.name;
+  // Every key lives on exactly one rank: routing holds for the whole job.
+  EXPECT_EQ(shaped.total_unique(), shaped.global_counts.size())
       << scenario.name << " / " << shape.name;
   if (scenario.hash_routing) {
     EXPECT_EQ(rank_identity(baseline), rank_identity(shaped))
@@ -365,10 +368,6 @@ TEST(OocValidation, IncompatibleConfigsAreRejected) {
   EXPECT_THROW(run_distributed_count(reads, options), PreconditionError);
 
   options = base;
-  options.pipeline.max_kmers_per_round = 1'000;
-  EXPECT_THROW(run_distributed_count(reads, options), PreconditionError);
-
-  options = base;
   options.pipeline.filter_singletons = true;
   EXPECT_THROW(run_distributed_count(reads, options), PreconditionError);
 
@@ -376,6 +375,26 @@ TEST(OocValidation, IncompatibleConfigsAreRejected) {
   options.pipeline.kind = PipelineKind::kGpuKmer;
   options.pipeline.source_consolidation = true;
   EXPECT_THROW(run_distributed_count(reads, options), PreconditionError);
+}
+
+TEST(OocValidation, BloomFilterRejectsASecondBatch) {
+  // The filter lives in one count phase, so a filtered run takes its input
+  // as one batch; a stream that yields a second fails before any rank
+  // parses, whatever built the stream.
+  const io::ReadBatch reads = parity_reads();
+  DriverOptions options;
+  options.pipeline.kind = PipelineKind::kGpuKmer;
+  options.pipeline.filter_singletons = true;
+  options.nranks = 2;
+  io::BatchBounds halves;
+  halves.max_reads = reads.size() / 2 + 1;
+  io::VectorBatchStream two_batches(reads, halves);
+  EXPECT_THROW(run_distributed_count(two_batches, options),
+               PreconditionError);
+
+  io::VectorBatchStream one_batch(reads);
+  EXPECT_EQ(run_distributed_count(one_batch, options).totals().reads,
+            reads.size());
 }
 
 // --- host-thread invariance ---------------------------------------------

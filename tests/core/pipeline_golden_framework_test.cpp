@@ -1,14 +1,15 @@
 // Pre/post-refactor golden check for the staged pipeline framework.
 //
 // Runs every pipeline (CPU narrow/wide, GPU k-mer, GPU supermer) across the
-// exchange modes, routing schemes, filters and round limits, and serializes
-// everything the framework is required to keep bit-identical: the k-mer
-// spectrum, the deterministic fields of every RankMetrics (doubles rendered
-// as hexfloats, so a one-ULP drift fails), and the trace metrics JSON on
+// exchange modes, routing schemes, filters and ingest shapes (one batch,
+// bounded batches, out-of-core, sketch), and serializes everything the
+// framework is required to keep bit-identical: the k-mer spectrum, the
+// deterministic fields of every RankMetrics (doubles rendered as
+// hexfloats, so a one-ULP drift fails), and the trace metrics JSON on
 // the modeled clock. The golden files were captured from the hand-rolled
-// pipelines before the PhaseScope/ExchangePlan/RoundRunner refactor; any
-// change to modeled charges, exchange accounting or span structure shows up
-// as a byte diff.
+// pipelines before the PhaseScope/ExchangePlan refactor, or when their case
+// was added; any change to modeled charges, exchange accounting or span
+// structure shows up as a byte diff.
 //
 // Regenerate (only when a change to observable accounting is intended):
 //   DEDUKT_UPDATE_GOLDEN=1 ./dedukt_core_tests
@@ -221,24 +222,11 @@ TEST(PipelineFrameworkGolden, Cpu) {
   check_golden("cpu", capture(base_options(PipelineKind::kCpu)));
 }
 
-TEST(PipelineFrameworkGolden, CpuMultiRound) {
-  DriverOptions options = base_options(PipelineKind::kCpu);
-  options.pipeline.max_kmers_per_round = 1'500;
-  check_golden("cpu_multiround", capture(options));
-}
-
 TEST(PipelineFrameworkGolden, CpuWide) {
   DriverOptions options = base_options(PipelineKind::kCpu);
   options.pipeline.k = 33;
   options.nranks = 3;
   check_golden("cpu_wide", capture_wide(options));
-}
-
-TEST(PipelineFrameworkGolden, CpuWideMultiRound) {
-  DriverOptions options = base_options(PipelineKind::kCpu);
-  options.pipeline.k = 33;
-  options.pipeline.max_kmers_per_round = 1'500;
-  check_golden("cpu_wide_multiround", capture_wide(options));
 }
 
 TEST(PipelineFrameworkGolden, GpuKmerStaged) {
@@ -261,12 +249,6 @@ TEST(PipelineFrameworkGolden, GpuKmerFiltered) {
   DriverOptions options = base_options(PipelineKind::kGpuKmer);
   options.pipeline.filter_singletons = true;
   check_golden("gpu_kmer_filtered", capture(options));
-}
-
-TEST(PipelineFrameworkGolden, GpuKmerMultiRound) {
-  DriverOptions options = base_options(PipelineKind::kGpuKmer);
-  options.pipeline.max_kmers_per_round = 1'500;
-  check_golden("gpu_kmer_multiround", capture(options));
 }
 
 TEST(PipelineFrameworkGolden, GpuSupermerStaged) {
@@ -297,12 +279,6 @@ TEST(PipelineFrameworkGolden, GpuSupermerFiltered) {
   DriverOptions options = base_options(PipelineKind::kGpuSupermer);
   options.pipeline.filter_singletons = true;
   check_golden("gpu_supermer_filtered", capture(options));
-}
-
-TEST(PipelineFrameworkGolden, GpuSupermerMultiRound) {
-  DriverOptions options = base_options(PipelineKind::kGpuSupermer);
-  options.pipeline.max_kmers_per_round = 1'500;
-  check_golden("gpu_supermer_multiround", capture(options));
 }
 
 TEST(PipelineFrameworkGolden, OocCpu) {
@@ -344,6 +320,23 @@ TEST(PipelineFrameworkGolden, StreamedGpuSupermer) {
   check_golden("streamed_gpu_supermer",
                capture(streamed_options(PipelineKind::kGpuSupermer),
                        /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, StreamedCpu) {
+  check_golden("streamed_cpu",
+               capture(streamed_options(PipelineKind::kCpu), /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, StreamedGpuKmer) {
+  check_golden("streamed_gpu_kmer",
+               capture(streamed_options(PipelineKind::kGpuKmer),
+                       /*extras=*/true));
+}
+
+TEST(PipelineFrameworkGolden, StreamedGpuSupermerFreqBalanced) {
+  DriverOptions options = streamed_options(PipelineKind::kGpuSupermer);
+  options.pipeline.partition = PartitionScheme::kFrequencyBalanced;
+  check_golden("streamed_gpu_supermer_freq", capture(options, /*extras=*/true));
 }
 
 TEST(PipelineFrameworkGolden, StreamedCpuWide) {

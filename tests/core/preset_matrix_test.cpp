@@ -55,21 +55,5 @@ INSTANTIATE_TEST_SUITE_P(AllTable1Presets, PresetMatrix,
                                            "abaumannii30x", "celegans40x",
                                            "hsapiens54x"));
 
-class HeadroomSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(HeadroomSweep, DeviceTableCorrectAcrossLoadFactors) {
-  const double headroom = GetParam();
-  const io::ReadBatch reads =
-      io::make_dataset(*io::find_preset("ecoli30x"), 4000, 9);
-  DriverOptions options;
-  options.pipeline.table_headroom = headroom;
-  options.nranks = 4;
-  const CountResult result = run_distributed_count(reads, options);
-  EXPECT_EQ(result.totals().counted_kmers, reads.total_kmers(17));
-}
-
-INSTANTIATE_TEST_SUITE_P(Headrooms, HeadroomSweep,
-                         ::testing::Values(1.05, 1.5, 2.0, 4.0));
-
 }  // namespace
 }  // namespace dedukt::core

@@ -1,19 +1,17 @@
 // Unit tests for the staged pipeline framework in isolation: PhaseScope
 // commits exactly what a hand-rolled phase block would (bit-for-bit),
 // ExchangePlan moves the same data staged and direct while pricing only the
-// staged copies, and RoundRunner's round planning is a collective every
-// rank agrees on. The end-to-end bit-identity of whole pipelines built on
-// these pieces is covered by pipeline_golden_framework_test.cpp.
+// staged copies, and accumulate_round folds one round's ledger into a
+// total. The end-to-end bit-identity of whole pipelines built on these
+// pieces is covered by pipeline_golden_framework_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "dedukt/core/host_hash_table.hpp"
+#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/result.hpp"
-#include "dedukt/core/staged_pipeline.hpp"
 #include "dedukt/gpusim/device.hpp"
-#include "dedukt/io/sequence.hpp"
 #include "dedukt/mpisim/runtime.hpp"
 
 namespace dedukt::core {
@@ -56,7 +54,7 @@ TEST(AccumulateRoundTest, WorkCountsAndTimesAdd) {
   EXPECT_EQ(total.modeled_volume.get(kPhaseParse), 0.25);
   EXPECT_EQ(total.modeled_alltoallv_seconds, 1.0);
   EXPECT_EQ(total.modeled_alltoallv_volume_seconds, 0.75);
-  // Table-derived fields are NOT accumulated; RoundRunner sets them once.
+  // Table-derived fields are NOT accumulated; the caller sets them.
   EXPECT_EQ(total.unique_kmers, 0u);
 }
 
@@ -255,93 +253,6 @@ TEST(ExchangePlanTest, CommitExchangeMatchesHandRolledReference) {
     EXPECT_EQ(framework[i].modeled_alltoallv_volume_seconds,
               reference[i].modeled_alltoallv_volume_seconds);
   }
-}
-
-io::ReadBatch make_batch(int reads, int bases_per_read) {
-  io::ReadBatch batch;
-  for (int i = 0; i < reads; ++i) {
-    io::Read read;
-    read.id = "r" + std::to_string(i);
-    read.bases.assign(static_cast<std::size_t>(bases_per_read), 'A');
-    batch.reads.push_back(std::move(read));
-  }
-  return batch;
-}
-
-/// Round planning is an allreduce-max: the rank with the most k-mers
-/// dictates the round count, and every rank sees the same value.
-TEST(RoundRunnerTest, RoundCountIsCollectiveMaximum) {
-  constexpr int kRanks = 4;
-  mpisim::Runtime runtime(kRanks);
-  std::vector<std::uint64_t> rounds(kRanks);
-  runtime.run([&](mpisim::Comm& comm) {
-    PipelineConfig config;
-    config.k = 17;
-    config.max_kmers_per_round = 100;
-    // Rank 3 holds 10x the data of everyone else.
-    const io::ReadBatch reads =
-        make_batch(comm.rank() == 3 ? 10 : 1, /*bases_per_read=*/116);
-    const RoundRunner runner(comm, reads, config);
-    rounds[static_cast<std::size_t>(comm.rank())] = runner.rounds();
-  });
-  for (int r = 0; r < kRanks; ++r) {
-    // Rank 3 parses 10 * (116 - 17 + 1) = 1000 k-mers -> 10 rounds of 100;
-    // the collective max binds everyone.
-    EXPECT_EQ(rounds[static_cast<std::size_t>(r)], 10u) << "rank " << r;
-  }
-}
-
-TEST(RoundRunnerTest, UnlimitedMemoryMeansOneRound) {
-  mpisim::Runtime runtime(2);
-  runtime.run([&](mpisim::Comm& comm) {
-    PipelineConfig config;
-    config.k = 17;
-    config.max_kmers_per_round = 0;
-    const io::ReadBatch reads = make_batch(50, 200);
-    const RoundRunner runner(comm, reads, config);
-    EXPECT_EQ(runner.rounds(), 1u);
-  });
-}
-
-/// run() feeds every read through run_single exactly once across the
-/// rounds, folds the per-round ledgers on top of `setup`, and derives the
-/// table totals once at the end.
-TEST(RoundRunnerTest, RunAccumulatesRoundsOntoSetup) {
-  mpisim::Runtime runtime(1);
-  runtime.run([&](mpisim::Comm& comm) {
-    PipelineConfig config;
-    config.k = 17;
-    config.max_kmers_per_round = 150;
-    const io::ReadBatch reads = make_batch(4, 166);  // 600 k-mers, 4 rounds
-    const RoundRunner runner(comm, reads, config);
-    ASSERT_EQ(runner.rounds(), 4u);
-
-    RankMetrics setup;
-    setup.modeled.add(kPhaseParse, 1.0);
-
-    HostHashTable table;
-    std::uint64_t calls = 0;
-    std::uint64_t reads_seen = 0;
-    const RankMetrics total = runner.run(
-        table,
-        [&](const io::ReadBatch& batch) {
-          ++calls;
-          reads_seen += batch.size();
-          table.add(0x2A);  // same key every round
-          RankMetrics round;
-          round.reads = batch.size();
-          round.modeled.add(kPhaseParse, 0.5);
-          return round;
-        },
-        std::move(setup));
-    EXPECT_EQ(calls, 4u);
-    EXPECT_EQ(reads_seen, reads.size());
-    EXPECT_EQ(total.reads, reads.size());
-    // setup 1.0 + 4 rounds x 0.5.
-    EXPECT_EQ(total.modeled.get(kPhaseParse), 3.0);
-    EXPECT_EQ(total.unique_kmers, 1u);
-    EXPECT_EQ(total.counted_kmers, 4u);
-  });
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(WidePipelineTest, MultiRoundWideCounting) {
   single.pipeline.k = multi.pipeline.k = 47;
   single.pipeline.m = multi.pipeline.m = 15;
   single.nranks = multi.nranks = 4;
-  multi.pipeline.max_kmers_per_round = 1'000;
+  multi.batch.max_reads = 10;
   const auto a = run_distributed_count_wide(reads, single);
   const auto b = run_distributed_count_wide(reads, multi);
   EXPECT_EQ(a.global_counts, b.global_counts);

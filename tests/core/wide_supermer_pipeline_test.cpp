@@ -125,11 +125,11 @@ TEST(WideSupermerPipelineTest, ComposesWithMultiRound) {
   options.pipeline.kind = PipelineKind::kGpuSupermer;
   options.pipeline.wide_supermers = true;
   options.pipeline.window = 47;
-  options.pipeline.max_kmers_per_round = 2'000;
+  options.batch.max_reads = 16;
   options.nranks = 4;
   const CountResult multi = run_distributed_count(reads, options);
 
-  options.pipeline.max_kmers_per_round = 0;
+  options.batch.max_reads = 0;
   const CountResult single = run_distributed_count(reads, options);
   EXPECT_EQ(as_map(multi), as_map(single));
 }
