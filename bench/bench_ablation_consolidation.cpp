@@ -16,13 +16,11 @@
 int main(int argc, char** argv) {
   using namespace dedukt;
   using core::PipelineKind;
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner("Footnote 1 ablation",
-                      "Source-side vs destination-side k-mer "
-                      "consolidation (after Georganas).");
+  bench::start(argc, argv, "Footnote 1 ablation",
+               "Source-side vs destination-side k-mer consolidation "
+               "(after Georganas).");
 
-  const auto datasets = bench::load_datasets(cli, {"hsapiens54x"});
+  const auto datasets = bench::load_datasets({"hsapiens54x"});
   const auto& dataset = datasets[0];
   std::printf("input: %s bases (1/%llu of H. sapien 54X), k=17\n\n",
               format_count(dataset.reads.total_bases()).c_str(),

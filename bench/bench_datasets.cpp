@@ -13,19 +13,16 @@
 
 int main(int argc, char** argv) {
   using namespace dedukt;
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner("Table I",
-                      "Datasets used for performance evaluation (synthetic "
-                      "stand-ins for the paper's six inputs).");
+  bench::start(argc, argv, "Table I",
+               "Datasets used for performance evaluation (synthetic "
+               "stand-ins for the paper's six inputs).");
 
   TextTable table("Table I — datasets (k = 17)");
   table.set_header({"Short Name", "Species and Strain", "Paper Fastq",
                     "Scale", "Synthetic bases", "Synthetic Fastq",
                     "k-mers (measured)", "k-mers (scaled est.)"});
 
-  for (const auto& dataset :
-       bench::load_datasets(cli, bench::all_dataset_keys())) {
+  for (const auto& dataset : bench::load_datasets(bench::all_dataset_keys())) {
     const std::uint64_t kmers = dataset.reads.total_kmers(17);
     table.add_row({
         dataset.preset.short_name,

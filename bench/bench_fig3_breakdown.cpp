@@ -18,35 +18,30 @@
 int main(int argc, char** argv) {
   using namespace dedukt;
   using core::PipelineKind;
-  const CliParser cli(argc, argv);
-  bench::print_banner(
-      "Figure 3",
-      "Runtime breakdown, CPU (2688 cores) vs GPU (384 GPUs), H. sapien "
-      "54X, 64 nodes.");
-  bench::maybe_enable_trace(cli);
+  bench::start(argc, argv, "Figure 3",
+               "Runtime breakdown, CPU (2688 cores) vs GPU (384 GPUs), "
+               "H. sapien 54X, 64 nodes.");
 
-  const int cpu_ranks = static_cast<int>(cli.get_int("cpu-ranks", 2688));
-  const int gpu_ranks = static_cast<int>(cli.get_int("gpu-ranks", 384));
-
-  const auto datasets = bench::load_datasets(cli, {"hsapiens54x"});
+  const auto datasets = bench::load_datasets({"hsapiens54x"});
   const auto& dataset = datasets[0];
   std::printf("input: %s bases (1/%llu of H. sapien 54X), k=17\n\n",
               format_count(dataset.reads.total_bases()).c_str(),
               static_cast<unsigned long long>(dataset.scale));
 
-  // Phase times come from the trace subsystem's metrics aggregation
-  // (TracedRun::projected_breakdown), not CountResult's private sums.
   struct Row {
     const char* label;
-    bench::TracedRun run;
+    PhaseTimes breakdown;  ///< projected to the full-size input
   };
-  std::vector<Row> rows;
-  rows.push_back({"(a) CPU 2688 cores",
-                  bench::run_pipeline_traced(dataset, PipelineKind::kCpu,
-                                             cpu_ranks)});
-  rows.push_back({"(b) GPU 384 GPUs (kmer)",
-                  bench::run_pipeline_traced(dataset, PipelineKind::kGpuKmer,
-                                             gpu_ranks)});
+  const std::vector<Row> rows = {
+      {"(a) CPU 2688 cores",
+       bench::projected_breakdown(
+           bench::run_pipeline(dataset, PipelineKind::kCpu, 2688),
+           dataset.scale)},
+      {"(b) GPU 384 GPUs (kmer)",
+       bench::projected_breakdown(
+           bench::run_pipeline(dataset, PipelineKind::kGpuKmer, 384),
+           dataset.scale)},
+  };
 
   TextTable table(
       "Fig. 3 — projected full-size Summit time per phase (seconds)");
@@ -56,7 +51,7 @@ int main(int argc, char** argv) {
   header.push_back("exchange share");
   table.set_header(header);
   for (const auto& row : rows) {
-    const PhaseTimes breakdown = row.run.projected_breakdown(dataset.scale);
+    const PhaseTimes& breakdown = row.breakdown;
     std::vector<std::string> cells = {row.label};
     double total = 0.0;
     for (const auto& entry : core::kPhaseLegend) {
@@ -73,14 +68,10 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  const double cpu_total =
-      rows[0].run.projected_breakdown(dataset.scale).total();
-  const double gpu_total =
-      rows[1].run.projected_breakdown(dataset.scale).total();
-  const double cpu_exchange = rows[0].run.projected_breakdown(dataset.scale)
-                                  .get(core::kPhaseExchange);
-  const double gpu_exchange = rows[1].run.projected_breakdown(dataset.scale)
-                                  .get(core::kPhaseExchange);
+  const double cpu_total = rows[0].breakdown.total();
+  const double gpu_total = rows[1].breakdown.total();
+  const double cpu_exchange = rows[0].breakdown.get(core::kPhaseExchange);
+  const double gpu_exchange = rows[1].breakdown.get(core::kPhaseExchange);
 
   std::printf("\noverall GPU speedup over CPU baseline: %s  (paper: ~100x, "
               "\"50 minutes to 30 seconds\")\n",
@@ -89,11 +80,5 @@ int main(int argc, char** argv) {
               "same across (a) and (b)\")\n",
               format_seconds(cpu_exchange).c_str(),
               format_seconds(gpu_exchange).c_str());
-  std::printf("measured (host) wall time of the functional simulation: "
-              "CPU %s, GPU %s\n",
-              format_seconds(rows[0].run.measured_breakdown().total())
-                  .c_str(),
-              format_seconds(rows[1].run.measured_breakdown().total())
-                  .c_str());
   return 0;
 }

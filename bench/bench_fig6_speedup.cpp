@@ -58,21 +58,16 @@ void run_panel(const char* panel, const std::vector<bench::BenchDataset>& datase
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner("Figure 6",
-                      "Overall speedup (excl. I/O) of the GPU counters over "
-                      "the CPU baseline.");
+  bench::start(argc, argv, "Figure 6",
+               "Overall speedup (excl. I/O) of the GPU counters over the "
+               "CPU baseline.");
 
   // (a) 16 nodes: 96 GPUs vs 672 cores, small datasets.
-  run_panel("a", bench::load_datasets(cli, bench::small_dataset_keys()),
-            static_cast<int>(cli.get_int("cpu-ranks-small", 672)),
-            static_cast<int>(cli.get_int("gpu-ranks-small", 96)));
+  run_panel("a", bench::load_datasets(bench::small_dataset_keys()), 672, 96);
 
   // (b) 64 nodes: 384 GPUs vs 2688 cores, large datasets.
-  run_panel("b", bench::load_datasets(cli, bench::large_dataset_keys()),
-            static_cast<int>(cli.get_int("cpu-ranks-large", 2688)),
-            static_cast<int>(cli.get_int("gpu-ranks-large", 384)));
+  run_panel("b", bench::load_datasets(bench::large_dataset_keys()), 2688,
+            384);
 
   std::printf("paper reference: (a) ~11x kmer / ~13x supermer average; "
               "(b) up to 150x for H. sapien 54X with supermers.\n");

@@ -14,34 +14,26 @@
 int main(int argc, char** argv) {
   using namespace dedukt;
   using core::PipelineKind;
-  const CliParser cli(argc, argv);
-  bench::print_banner("Figure 7",
-                      "GPU runtime breakdown, kmer vs supermer (m=7, m=9), "
-                      "64 nodes / 384 GPUs.");
-  bench::maybe_enable_trace(cli);
+  bench::start(argc, argv, "Figure 7",
+               "GPU runtime breakdown, kmer vs supermer (m=7, m=9), "
+               "64 nodes / 384 GPUs.");
 
-  const int gpu_ranks = static_cast<int>(cli.get_int("gpu-ranks", 384));
-
+  const int gpu_ranks = 384;
   for (const auto& dataset :
-       bench::load_datasets(cli, bench::large_dataset_keys())) {
-    // Breakdowns are aggregated from trace spans (TracedRun), not from
-    // CountResult's private accumulation.
+       bench::load_datasets(bench::large_dataset_keys())) {
     struct Variant {
       std::string label;
-      bench::TracedRun run;
+      PhaseTimes breakdown;  ///< projected to the full-size input
     };
-    std::vector<Variant> variants;
-    variants.push_back({"kmer", bench::run_pipeline_traced(
-                                    dataset, PipelineKind::kGpuKmer,
-                                    gpu_ranks)});
-    variants.push_back(
-        {"supermer (m=7)", bench::run_pipeline_traced(
-                               dataset, PipelineKind::kGpuSupermer,
-                               gpu_ranks, 7)});
-    variants.push_back(
-        {"supermer (m=9)", bench::run_pipeline_traced(
-                               dataset, PipelineKind::kGpuSupermer,
-                               gpu_ranks, 9)});
+    const auto projected = [&](PipelineKind kind, int m) {
+      return bench::projected_breakdown(
+          bench::run_pipeline(dataset, kind, gpu_ranks, m), dataset.scale);
+    };
+    const std::vector<Variant> variants = {
+        {"kmer", projected(PipelineKind::kGpuKmer, 7)},
+        {"supermer (m=7)", projected(PipelineKind::kGpuSupermer, 7)},
+        {"supermer (m=9)", projected(PipelineKind::kGpuSupermer, 9)},
+    };
 
     TextTable table("Fig. 7 — " + dataset.preset.short_name +
                     " projected full-size Summit seconds per phase");
@@ -52,7 +44,7 @@ int main(int argc, char** argv) {
     header.push_back("total");
     table.set_header(header);
     for (const auto& v : variants) {
-      const PhaseTimes b = v.run.projected_breakdown(dataset.scale);
+      const PhaseTimes& b = v.breakdown;
       std::vector<std::string> cells = {v.label};
       for (const auto& entry : core::kPhaseLegend) {
         cells.push_back(format_fixed(b.get(entry.name), 2));
@@ -62,8 +54,8 @@ int main(int argc, char** argv) {
     }
     table.print();
 
-    const PhaseTimes kb = variants[0].run.projected_breakdown(dataset.scale);
-    const PhaseTimes sb = variants[1].run.projected_breakdown(dataset.scale);
+    const PhaseTimes& kb = variants[0].breakdown;
+    const PhaseTimes& sb = variants[1].breakdown;
     std::printf("supermer(m=7) vs kmer: parse %+.0f%%, count %+.0f%%, "
                 "exchange %+.0f%%, overall %s\n\n",
                 (sb.get(core::kPhaseParse) / kb.get(core::kPhaseParse) - 1) *

@@ -56,21 +56,17 @@ void run_panel(const char* panel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner("Figure 8",
-                      "Speedup of the Alltoallv exchange using supermers "
-                      "instead of k-mers.");
+  bench::start(argc, argv, "Figure 8",
+               "Speedup of the Alltoallv exchange using supermers instead "
+               "of k-mers.");
 
-  run_panel("a", bench::load_datasets(cli, bench::small_dataset_keys()),
-            static_cast<int>(cli.get_int("gpu-ranks-small", 96)));
-  run_panel("b", bench::load_datasets(cli, bench::large_dataset_keys()),
-            static_cast<int>(cli.get_int("gpu-ranks-large", 384)));
+  run_panel("a", bench::load_datasets(bench::small_dataset_keys()), 96);
+  run_panel("b", bench::load_datasets(bench::large_dataset_keys()), 384);
 
   // Ablation: exchange mode (staged through CPU vs GPUDirect, §III-B2).
-  const auto datasets = bench::load_datasets(cli, {"celegans40x"});
+  const auto datasets = bench::load_datasets({"celegans40x"});
   const auto& dataset = datasets[0];
-  const int ranks = static_cast<int>(cli.get_int("gpu-ranks-large", 384));
+  const int ranks = 384;
   const auto staged =
       bench::run_pipeline(dataset, PipelineKind::kGpuSupermer, ranks, 7,
                           core::ExchangeMode::kStaged);

@@ -16,11 +16,9 @@
 int main(int argc, char** argv) {
   using namespace dedukt;
   using core::PipelineKind;
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner("Figure 9",
-                      "Strong scaling of the GPU compute kernels "
-                      "(k-mers/s, excluding exchange), 4-128 nodes.");
+  bench::start(argc, argv, "Figure 9",
+               "Strong scaling of the GPU compute kernels (k-mers/s, "
+               "excluding exchange), 4-128 nodes.");
 
   const std::vector<int> small_nodes = {4, 16, 32};
   const std::vector<int> large_nodes = {4, 16, 32, 64, 128};
@@ -30,7 +28,7 @@ int main(int argc, char** argv) {
   table.set_header({"dataset", "4", "16", "32", "64", "128", "64->128"});
 
   for (const std::string& key : bench::all_dataset_keys()) {
-    const auto datasets = bench::load_datasets(cli, {key});
+    const auto datasets = bench::load_datasets({key});
     const auto& dataset = datasets[0];
     const bool large =
         key == "celegans40x" || key == "hsapiens54x";

@@ -19,7 +19,7 @@
 // (store::DistributedQueryEngine): the same traffic served by P ranks with
 // shard i pinned to rank i mod P, across ranks x skew x cache discipline,
 // lockstep and pipelined. The store is built from a 32-rank counting run
-// (--gpu-ranks) so every tier size places multiple shards per rank.
+// so every tier size places multiple shards per rank.
 // Tier self-checks: answers bit-identical to the single-rank engine (and
 // therefore to the flat dump) at every rank count, 8-rank aggregate QPS
 // >= 4x the single-rank engine on skewed traffic, and --overlap-batches
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -158,21 +157,17 @@ SweepResult run_sweep(const store::KmerStore& kstore,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner(
-      "Serving QPS",
-      "Modeled query throughput of the sharded k-mer store under\n"
-      "Zipf-skewed batched point lookups (not a paper figure).");
+  bench::start(argc, argv, "Serving QPS",
+               "Modeled query throughput of the sharded k-mer store under\n"
+               "Zipf-skewed batched point lookups (not a paper figure).");
 
-  const int nranks = static_cast<int>(cli.get_int("gpu-ranks", 32));
-  const auto queries_total =
-      static_cast<std::size_t>(cli.get_int("queries", 32768));
+  const int nranks = 32;
+  const std::size_t queries_total = 32768;
 
   // Build the store from a real counting run. bench::run_pipeline drops
   // the counts (benchmarks usually only need metrics), so set the driver
   // up directly with the same chunking policy but counts collected.
-  const auto datasets = bench::load_datasets(cli, {"ecoli30x"});
+  const auto datasets = bench::load_datasets({"ecoli30x"});
   core::DriverOptions options;
   options.pipeline.kind = core::PipelineKind::kGpuSupermer;
   options.nranks = nranks;
@@ -183,13 +178,9 @@ int main(int argc, char** argv) {
       bench::chunk_reads(datasets[0].reads, chunk), options);
   DEDUKT_CHECK_MSG(!counted.global_counts.empty(),
                    "counting run produced no k-mers");
-  const std::string store_dir =
-      (std::filesystem::temp_directory_path() / "dedukt_bench_qps_store")
-          .string();
-  std::filesystem::remove_all(store_dir);
-  std::filesystem::create_directories(store_dir);
-  (void)core::write_store_from_result(store_dir, counted);
-  const store::KmerStore kstore = store::KmerStore::open(store_dir);
+  const bench::ScratchDir store_dir("dedukt-bench-qps");
+  (void)core::write_store_from_result(store_dir.path(), counted);
+  const store::KmerStore kstore = store::KmerStore::open(store_dir.path());
 
   // Host-side reference: the flat dump as a map, for bit-exact checking.
   const auto flat = kstore.scan_all();
@@ -232,7 +223,6 @@ int main(int argc, char** argv) {
                                                   full_cache};
   const std::vector<std::size_t> batches = {1024, 8192};
 
-  std::vector<bench::BenchRecord> records;
   TextTable table("Serving QPS — modeled, Zipf traffic over " +
                   datasets[0].preset.short_name);
   table.set_header({"skew", "cache", "batch", "modeled QPS", "p50 batch",
@@ -270,16 +260,6 @@ int main(int argc, char** argv) {
                        format_count(static_cast<std::uint64_t>(qps)),
                        format_seconds(sweep.p50),
                        format_seconds(sweep.p99), hit_buf});
-
-        bench::BenchRecord record;
-        record.name = "qps/skew=" + std::string(skew_buf) +
-                      "/cache=" + std::to_string(cache) +
-                      "/batch=" + std::to_string(batch);
-        record.modeled_seconds = sweep.stats.modeled_seconds;
-        record.queries = sweep.stats.queries;
-        record.p50_seconds = sweep.p50;
-        record.p99_seconds = sweep.p99;
-        records.push_back(record);
       }
     }
   }
@@ -407,18 +387,6 @@ int main(int argc, char** argv) {
                format_seconds(st.serve_seconds),
                format_seconds(st.exchange_seconds), speedup_buf});
 
-          bench::BenchRecord record;
-          record.name = "qps-dist/skew=" + std::string(skew_buf) +
-                        "/disc=" + (freq ? "freq" : "lru") +
-                        "/ranks=" + std::to_string(tier) +
-                        (overlap ? "/overlap" : "");
-          record.modeled_seconds = st.serve_seconds;
-          record.overlap_saved_seconds = st.overlap_saved_seconds;
-          record.queries = st.queries;
-          record.ranks = static_cast<std::uint64_t>(tier);
-          record.exchange_seconds = st.exchange_seconds;
-          records.push_back(record);
-
           // The tentpole claim: pinning shards across 8 ranks must serve
           // skewed traffic at >= 4x the single-rank engine's QPS.
           if (tier == 8 && !overlap) {
@@ -436,8 +404,5 @@ int main(int argc, char** argv) {
       "\ncheck: tier answers bit-identical to the single-rank engine at "
       "every rank count; 8-rank QPS >= 4x single-rank; pipelining "
       "strictly reduces modeled serve time\n");
-
-  bench::maybe_write_bench_json(cli, records);
-  std::filesystem::remove_all(store_dir);
   return 0;
 }

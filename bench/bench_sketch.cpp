@@ -27,7 +27,6 @@
 #include "dedukt/util/error.hpp"
 #include "dedukt/util/format.hpp"
 #include "dedukt/util/table.hpp"
-#include "dedukt/util/timer.hpp"
 
 namespace {
 
@@ -60,16 +59,12 @@ ErrorStats measure_errors(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner(
-      "Approximate counting",
-      "Error vs memory and exact-vs-sketch modeled throughput of the\n"
-      "count-min sketch backend (not a paper figure).");
+  bench::start(argc, argv, "Approximate counting",
+               "Error vs memory and exact-vs-sketch modeled throughput of "
+               "the\ncount-min sketch backend (not a paper figure).");
 
-  const std::uint64_t scale = static_cast<std::uint64_t>(
-      cli.get_int("scale", static_cast<int>(bench::default_scale("ecoli30x"))));
-  const int nranks = static_cast<int>(cli.get_int("gpu-ranks", 8));
+  const std::uint64_t scale = bench::default_scale("ecoli30x");
+  const int nranks = 8;
   const auto preset = io::find_preset("ecoli30x");
   DEDUKT_REQUIRE(preset.has_value());
   const io::ReadBatch reads = io::make_dataset(*preset, scale, /*seed=*/42);
@@ -78,7 +73,6 @@ int main(int argc, char** argv) {
   base.pipeline.kind = core::PipelineKind::kGpuKmer;
   base.nranks = nranks;
 
-  std::vector<bench::BenchRecord> records;
   TextTable table("Sketch sweep — ecoli30x at 1/" + std::to_string(scale) +
                   ", " + std::to_string(nranks) + " GPU ranks");
   table.set_header({"configuration", "memory", "max err", "mean err",
@@ -86,23 +80,14 @@ int main(int argc, char** argv) {
 
   // Reference: the exact backend on the same pipeline kind. Its table
   // memory is the gathered global spectrum at 16 bytes/entry (key+count).
-  Timer exact_wall;
   const core::CountResult exact = core::run_distributed_count(reads, base);
-  const double exact_wall_seconds = exact_wall.seconds();
   DEDUKT_CHECK_MSG(!exact.global_counts.empty(),
                    "exact run produced no k-mers");
   const std::uint64_t exact_bytes =
       exact.global_counts.size() * 2 * sizeof(std::uint64_t);
-  {
-    bench::BenchRecord record;
-    record.name = "exact/gpu-kmer";
-    record.wall_seconds = exact_wall_seconds;
-    record.modeled_seconds = exact.modeled_total_seconds();
-    records.push_back(record);
-    table.add_row({record.name, format_bytes(exact_bytes), "0", "0",
-                   format_bytes(exact.totals().bytes_sent),
-                   format_seconds(record.modeled_seconds)});
-  }
+  table.add_row({"exact/gpu-kmer", format_bytes(exact_bytes), "0", "0",
+                 format_bytes(exact.totals().bytes_sent),
+                 format_seconds(exact.modeled_total_seconds())});
 
   struct Shape {
     std::uint32_t width, depth;
@@ -119,27 +104,18 @@ int main(int argc, char** argv) {
     options.pipeline.sketch_depth = shape.depth;
     options.pipeline.sketch_conservative = shape.conservative;
 
-    Timer wall;
     const core::CountResult result =
         core::run_distributed_count(reads, options);
-    bench::BenchRecord record;
-    record.name = "sketch/w=" + std::to_string(shape.width) +
-                  ",d=" + std::to_string(shape.depth) +
-                  (shape.conservative ? ",conservative" : "");
-    record.wall_seconds = wall.seconds();
-    record.modeled_seconds = result.modeled_total_seconds();
-    record.sketch_bytes = result.sketch.sketch_bytes;
-
     const ErrorStats errors =
         measure_errors(result.sketch, exact.global_counts);
-    record.max_error = errors.max_error;
-    record.mean_error = errors.mean_error;
-    records.push_back(record);
-    table.add_row({record.name, format_bytes(record.sketch_bytes),
-                   std::to_string(record.max_error),
-                   format_fixed(record.mean_error, 3),
+    table.add_row({"sketch/w=" + std::to_string(shape.width) +
+                       ",d=" + std::to_string(shape.depth) +
+                       (shape.conservative ? ",conservative" : ""),
+                   format_bytes(result.sketch.sketch_bytes),
+                   std::to_string(errors.max_error),
+                   format_fixed(errors.mean_error, 3),
                    format_bytes(result.totals().bytes_sent),
-                   format_seconds(record.modeled_seconds)});
+                   format_seconds(result.modeled_total_seconds())});
 
     // Conservative update must only tighten the default-shape estimates.
     if (shape.width == (1u << 14) && shape.depth == 4) {
@@ -179,7 +155,6 @@ int main(int argc, char** argv) {
     options.pipeline.sketch_width = 1u << 16;
     options.pipeline.sketch_depth = 4;
     options.pipeline.heavy_threshold = threshold;
-    Timer wall;
     const core::CountResult result =
         core::run_distributed_count(reads, options);
     const std::map<std::uint64_t, std::uint64_t> extracted(
@@ -195,16 +170,10 @@ int main(int argc, char** argv) {
       DEDUKT_CHECK_MSG(it->second == count,
                        "extracted count diverged for key " << key);
     }
-    bench::BenchRecord record;
-    record.name = "heavy/w=65536,d=4,T=" + std::to_string(threshold);
-    record.wall_seconds = wall.seconds();
-    record.modeled_seconds = result.modeled_total_seconds();
-    record.sketch_bytes = result.sketch.sketch_bytes;
-    record.heavy_hitters = result.sketch.heavy_hitters.size();
-    records.push_back(record);
-    table.add_row({record.name, format_bytes(record.sketch_bytes),
-                   "-", "-", format_bytes(result.totals().bytes_sent),
-                   format_seconds(record.modeled_seconds)});
+    table.add_row({"heavy/w=65536,d=4,T=" + std::to_string(threshold),
+                   format_bytes(result.sketch.sketch_bytes), "-", "-",
+                   format_bytes(result.totals().bytes_sent),
+                   format_seconds(result.modeled_total_seconds())});
     std::printf("heavy hitters at T=%llu: %llu extracted, %llu true, "
                 "%llu sketch false positives\n",
                 static_cast<unsigned long long>(threshold),
@@ -215,6 +184,5 @@ int main(int argc, char** argv) {
   }
 
   table.print();
-  bench::maybe_write_bench_json(cli, records);
   return 0;
 }

@@ -16,7 +16,6 @@
 // non-decreasing in batch size, and every spilled configuration's peak
 // stays under the whole-input resident footprint.
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,6 @@
 #include "dedukt/util/error.hpp"
 #include "dedukt/util/format.hpp"
 #include "dedukt/util/table.hpp"
-#include "dedukt/util/timer.hpp"
 
 namespace {
 
@@ -40,26 +38,21 @@ double disk_seconds_of(const core::CountResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner(
-      "Out-of-core spill",
-      "Peak resident footprint and modeled disk cost of streamed ingest\n"
-      "with disk-spilled supermer bins (not a paper figure).");
+  bench::start(argc, argv, "Out-of-core spill",
+               "Peak resident footprint and modeled disk cost of streamed "
+               "ingest\nwith disk-spilled supermer bins (not a paper "
+               "figure).");
 
   // 10x the Table-I benches' ecoli30x down-scale so batch sweeps span
   // genuinely multi-batch shapes.
-  const std::uint64_t scale = static_cast<std::uint64_t>(cli.get_int(
-      "scale", static_cast<int>(bench::default_scale("ecoli30x") / 10)));
-  const int nranks = static_cast<int>(cli.get_int("gpu-ranks", 8));
-  const int bins = static_cast<int>(cli.get_int("bins", 8));
+  const std::uint64_t scale = bench::default_scale("ecoli30x") / 10;
+  const int nranks = 8;
+  const int bins = 8;
   const auto preset = io::find_preset("ecoli30x");
   DEDUKT_REQUIRE(preset.has_value());
   const io::ReadBatch reads = io::make_dataset(*preset, scale, /*seed=*/42);
 
-  const std::string spill_root =
-      (std::filesystem::temp_directory_path() / "dedukt_bench_spill")
-          .string();
+  const bench::ScratchDir spill_root("dedukt-bench-spill");
 
   core::DriverOptions base;
   base.pipeline.kind = core::PipelineKind::kGpuSupermer;
@@ -90,7 +83,6 @@ int main(int argc, char** argv) {
     shapes.push_back({"spill/batch=" + std::to_string(b), b, true});
   }
 
-  std::vector<bench::BenchRecord> records;
   TextTable table("Out-of-core sweep — ecoli30x at 1/" +
                   std::to_string(scale) + ", " + std::to_string(nranks) +
                   " GPU ranks, " + std::to_string(bins) + " bins");
@@ -104,15 +96,13 @@ int main(int argc, char** argv) {
     core::DriverOptions options = base;
     options.batch.max_reads = shape.batch_reads;
     if (shape.spill) {
-      options.ooc.spill_root = spill_root;
+      options.ooc.spill_root = spill_root.path();
       options.ooc.bins = bins;
     }
-    Timer wall;
     const core::CountResult result =
         shape.batch_reads == 0 && !shape.spill
             ? in_memory
             : core::run_distributed_count(reads, options);
-    const double wall_seconds = wall.seconds();
 
     DEDUKT_CHECK_MSG(result.global_counts == in_memory.global_counts,
                      shape.name << " counts diverged from the in-memory run");
@@ -149,16 +139,6 @@ int main(int argc, char** argv) {
                    format_bytes(totals.spill_bytes_written),
                    format_seconds(disk), format_seconds(total - disk),
                    format_seconds(total)});
-
-    bench::BenchRecord record;
-    record.name = "spill/" + shape.name;
-    record.wall_seconds = wall_seconds;
-    record.modeled_seconds = total;
-    record.spill_bytes = totals.spill_bytes_written;
-    record.peak_resident_bytes = totals.peak_resident_bytes;
-    record.disk_seconds = disk;
-    record.compute_seconds = total - disk;
-    records.push_back(record);
   }
   table.print();
   std::printf("\n");
@@ -167,9 +147,5 @@ int main(int argc, char** argv) {
               "monotone in batch size; spilled peaks bounded below the %s "
               "whole-input footprint\n",
               shapes.size(), format_bytes(resident_total).c_str());
-
-  bench::maybe_write_bench_json(cli, records);
-  std::error_code ec;
-  std::filesystem::remove_all(spill_root, ec);
   return 0;
 }

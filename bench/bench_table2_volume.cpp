@@ -47,11 +47,9 @@ SupermerStats build_stats(const io::ReadBatch& reads, int m, int window) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner("Table II",
-                      "Total k-mers and supermers exchanged (m=9 and m=7), "
-                      "k=17, window=15.");
+  bench::start(argc, argv, "Table II",
+               "Total k-mers and supermers exchanged (m=9 and m=7), k=17, "
+               "window=15.");
 
   TextTable table("Table II — exchanged units (measured, with full-size "
                   "scaled estimates)");
@@ -65,8 +63,7 @@ int main(int argc, char** argv) {
                           "S = K/(s-k+1)", "paper est. (s-k)x",
                           "exact base reduction"});
 
-  for (const auto& dataset :
-       bench::load_datasets(cli, bench::all_dataset_keys())) {
+  for (const auto& dataset : bench::load_datasets(bench::all_dataset_keys())) {
     const std::uint64_t kmers = dataset.reads.total_kmers(17);
     const SupermerStats s9 = build_stats(dataset.reads, 9, 15);
     const SupermerStats s7 = build_stats(dataset.reads, 7, 15);
@@ -110,7 +107,7 @@ int main(int argc, char** argv) {
   // allow longer supermers until the 64-bit packing cap at w=15; beyond it
   // the wide (two-word, 17-byte) packing extension takes over.
   std::printf("\nwindow-length ablation (E. coli 30X, m=7):\n");
-  const auto datasets = bench::load_datasets(cli, {"ecoli30x"});
+  const auto datasets = bench::load_datasets({"ecoli30x"});
   const std::uint64_t kmers = datasets[0].reads.total_kmers(17);
   for (const int window : {1, 3, 7, 11, 15}) {
     const SupermerStats stats = build_stats(datasets[0].reads, 7, window);

@@ -14,20 +14,18 @@
 int main(int argc, char** argv) {
   using namespace dedukt;
   using core::PipelineKind;
-  const CliParser cli(argc, argv);
-  bench::maybe_enable_trace(cli);
-  bench::print_banner("Table III",
-                      "Load imbalance (max/avg counted k-mers per rank), "
-                      "384 partitions.");
+  bench::start(argc, argv, "Table III",
+               "Load imbalance (max/avg counted k-mers per rank), 384 "
+               "partitions.");
 
-  const int gpu_ranks = static_cast<int>(cli.get_int("gpu-ranks", 384));
+  const int gpu_ranks = 384;
 
   TextTable table("Table III — per-partition k-mer loads (384 GPUs)");
   table.set_header({"dataset", "avg", "kmer min", "kmer max", "kmer imbal.",
                     "smer(m=7) min", "smer(m=7) max", "smer imbal."});
 
   for (const auto& dataset :
-       bench::load_datasets(cli, bench::large_dataset_keys())) {
+       bench::load_datasets(bench::large_dataset_keys())) {
     const auto kmer_run =
         bench::run_pipeline(dataset, PipelineKind::kGpuKmer, gpu_ranks);
     const auto smer_run = bench::run_pipeline(
@@ -48,7 +46,7 @@ int main(int argc, char** argv) {
   // the randomized encoding beats plain lexicographic ordering).
   std::printf("\nminimizer-ordering ablation (C. elegans 40X, supermers "
               "m=7, %d ranks):\n", gpu_ranks);
-  const auto datasets = bench::load_datasets(cli, {"celegans40x"});
+  const auto datasets = bench::load_datasets({"celegans40x"});
   for (const auto order : {kmer::MinimizerOrder::kLexicographic,
                            kmer::MinimizerOrder::kKmc2,
                            kmer::MinimizerOrder::kRandomized}) {

@@ -44,7 +44,9 @@ for b in build/bench/bench_*; do
 done
 
 echo
-echo "Done. Compare reproduction/*.txt against EXPERIMENTS.md."
+echo "Done. The ctest run above already checked every table: its 'figures'"
+echo "cases compare each driver's stdout with tests/figures/<driver>.txt"
+echo "(ctest --test-dir build -L figures), and EXPERIMENTS.md quotes them."
 if [[ -n "${trace_dir}" ]]; then
   echo "Per-benchmark traces are in ${trace_dir}/ — load the .trace.json"
   echo "files in https://ui.perfetto.dev (one track per simulated rank and"

@@ -181,9 +181,6 @@ struct CountResult {
   /// bulk-synchronous run — what the paper's stacked bars show.
   [[nodiscard]] PhaseTimes modeled_breakdown() const;
 
-  /// Per-phase maximum over ranks of measured host time.
-  [[nodiscard]] PhaseTimes measured_breakdown() const;
-
   /// Modeled breakdown projected to a `scale`-times-larger input: per rank
   /// and phase, constant terms stay fixed and volume terms scale linearly;
   /// the per-phase maximum over ranks is then taken as usual.

@@ -35,12 +35,6 @@ PhaseTimes CountResult::modeled_breakdown() const {
   return breakdown;
 }
 
-PhaseTimes CountResult::measured_breakdown() const {
-  PhaseTimes breakdown;
-  for (const auto& r : ranks) breakdown.max_merge(r.measured);
-  return breakdown;
-}
-
 PhaseTimes CountResult::projected_breakdown(double scale) const {
   PhaseTimes breakdown;
   for (const auto& r : ranks) {

@@ -57,18 +57,8 @@ struct MetricsReport {
   /// Per-phase maximum over ranks of measured host time.
   [[nodiscard]] PhaseTimes measured_breakdown() const;
 
-  /// Modeled breakdown projected to a `scale`-times-larger input: per rank
-  /// and phase, constant terms stay fixed and volume terms scale linearly;
-  /// the per-phase maximum over ranks is then taken as usual. Matches
-  /// core::CountResult::projected_breakdown bit for bit.
-  [[nodiscard]] PhaseTimes projected_breakdown(double scale) const;
-
   /// Sum of the modeled per-phase maxima.
   [[nodiscard]] double modeled_total_seconds() const;
-
-  /// Per-kernel modeled seconds summed over all ranks, keyed by kernel
-  /// name (bench_pool --json exports these records).
-  [[nodiscard]] std::map<std::string, KernelMetrics> kernel_totals() const;
 
   /// Render as JSON. `include_wall` = false drops every wall-clock field,
   /// making the output byte-identical across runs.

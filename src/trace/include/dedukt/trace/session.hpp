@@ -25,14 +25,6 @@
 
 namespace dedukt::trace {
 
-/// A position in the session's buffers; metrics(mark) aggregates only what
-/// was recorded after it. Lets callers (e.g. the figure benches) take
-/// per-run windows out of one long session.
-struct SessionMark {
-  std::map<int, std::size_t> span_counts;             ///< rank -> #spans
-  std::map<int, std::map<std::string, std::uint64_t>> counters;
-};
-
 class TraceSession {
  public:
   /// The process-wide session (created on first use; reads DEDUKT_TRACE
@@ -57,12 +49,8 @@ class TraceSession {
   /// if a RankTraceScope is active, else the main recorder.
   SpanRecorder& current_or_main();
 
-  /// Current buffer position, for windowed metrics.
-  [[nodiscard]] SessionMark mark() const;
-
-  /// Aggregate everything recorded so far (or since `since`).
+  /// Aggregate everything recorded since the last reset().
   [[nodiscard]] MetricsReport metrics() const;
-  [[nodiscard]] MetricsReport metrics(const SessionMark& since) const;
 
   /// Render the merged Chrome trace-event JSON. Deterministic on the
   /// modeled clock; the wall clock is for humans chasing simulator time.

@@ -31,41 +31,8 @@ PhaseTimes MetricsReport::measured_breakdown() const {
   return breakdown;
 }
 
-PhaseTimes MetricsReport::projected_breakdown(double scale) const {
-  // Same split as core::CountResult::projected_breakdown: per rank and
-  // phase, constant terms stay fixed and volume terms scale linearly; then
-  // the bulk-synchronous per-phase maximum over ranks.
-  PhaseTimes breakdown;
-  for (const auto& r : ranks) {
-    PhaseTimes projected;
-    for (const auto& [name, phase] : r.phases) {
-      const double total = phase.modeled_seconds;
-      const double volume = phase.modeled_volume_seconds;
-      projected.add(name, (total - volume) + volume * scale);
-    }
-    breakdown.max_merge(projected);
-  }
-  return breakdown;
-}
-
 double MetricsReport::modeled_total_seconds() const {
   return modeled_breakdown().total();
-}
-
-std::map<std::string, KernelMetrics> MetricsReport::kernel_totals() const {
-  std::map<std::string, KernelMetrics> totals;
-  for (const auto& r : ranks) {
-    for (const auto& [name, kernel] : r.kernels) {
-      KernelMetrics& slot = totals[name];
-      slot.launches += kernel.launches;
-      slot.modeled_seconds += kernel.modeled_seconds;
-      slot.wall_seconds += kernel.wall_seconds;
-      slot.smem_read_bytes += kernel.smem_read_bytes;
-      slot.smem_write_bytes += kernel.smem_write_bytes;
-      slot.smem_atomics += kernel.smem_atomics;
-    }
-  }
-  return totals;
 }
 
 namespace {

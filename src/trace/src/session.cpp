@@ -61,32 +61,14 @@ SpanRecorder& TraceSession::current_or_main() {
   return recorder(SpanRecorder::kMainRank);
 }
 
-SessionMark TraceSession::mark() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SessionMark mark;
-  for (const auto& [rank, recorder] : recorders_) {
-    mark.span_counts[rank] = recorder->span_count();
-    mark.counters[rank] = recorder->counters_snapshot();
-  }
-  return mark;
-}
-
-MetricsReport TraceSession::metrics() const { return metrics(SessionMark{}); }
-
-MetricsReport TraceSession::metrics(const SessionMark& since) const {
+MetricsReport TraceSession::metrics() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsReport report;
   // std::map iteration: ranks ascending, main recorder (-1) first.
   for (const auto& [rank, recorder] : recorders_) {
-    const auto skip_it = since.span_counts.find(rank);
-    const std::size_t skip =
-        skip_it == since.span_counts.end() ? 0 : skip_it->second;
-
     RankMetricsReport rr;
     rr.rank = rank;
-    const std::vector<SpanRecord> spans = recorder->spans_snapshot();
-    for (std::size_t i = skip; i < spans.size(); ++i) {
-      const SpanRecord& span = spans[i];
+    for (const SpanRecord& span : recorder->spans_snapshot()) {
       ++rr.total_spans;
       if (span.category == std::string_view(kCategoryPhase)) {
         PhaseMetrics& slot = rr.phases[span.name];
@@ -106,13 +88,6 @@ MetricsReport TraceSession::metrics(const SessionMark& since) const {
     }
 
     rr.counters = recorder->counters_snapshot();
-    const auto base_it = since.counters.find(rank);
-    if (base_it != since.counters.end()) {
-      for (const auto& [name, base] : base_it->second) {
-        auto it = rr.counters.find(name);
-        if (it != rr.counters.end()) it->second -= base;
-      }
-    }
 
     if (rr.total_spans > 0 || !rr.counters.empty()) {
       report.ranks.push_back(std::move(rr));

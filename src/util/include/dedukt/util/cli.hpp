@@ -19,8 +19,8 @@ namespace dedukt {
 /// Parses flags of the form --name=value / --name value / --flag.
 /// Positional arguments are collected in order. Every flag is kept, whether
 /// or not the caller reads it: the dedukt CLI rejects the ones its
-/// subcommand does not know via unknown_flags(); the benches and examples
-/// ignore them.
+/// subcommand does not know via unknown_flags(), and the bench drivers
+/// reject every flag but --trace the same way; the examples ignore them.
 class CliParser {
  public:
   CliParser(int argc, const char* const* argv);

@@ -64,7 +64,7 @@ TEST(DisabledTracing, EntryPointsAllocateNothing) {
   EXPECT_EQ(g_alloc_count.load(), 0u);
 }
 
-TEST(DisabledTracing, TracedRunMatchesUntracedRunBitForBit) {
+TEST(DisabledTracing, TracingOnMatchesTracingOffBitForBit) {
   const io::ReadBatch reads = io::make_dataset(
       *io::find_preset("ecoli30x"), /*scale=*/4000, /*seed=*/7);
   core::DriverOptions options;

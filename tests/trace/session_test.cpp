@@ -1,6 +1,6 @@
 // TraceSession integration tests: deterministic multi-rank merge of the
-// Chrome trace, metrics windows, and bit-equality of the trace-derived
-// breakdowns against CountResult's private accumulation.
+// Chrome trace, and bit-equality of the trace-derived breakdowns against
+// CountResult's private accumulation.
 #include "dedukt/trace/session.hpp"
 
 #include <gtest/gtest.h>
@@ -100,71 +100,20 @@ TEST_F(SessionTest, MetricsBreakdownsMatchCountResultBitForBit) {
                           core::PipelineKind::kGpuSupermer}) {
     SCOPED_TRACE(testing::Message()
                  << "pipeline " << static_cast<int>(kind));
-    const SessionMark mark = session.mark();
+    session.reset();
     const core::CountResult result = run_driver(reads, kind);
-    const MetricsReport metrics = session.metrics(mark);
+    const MetricsReport metrics = session.metrics();
 
     // The trace subsystem subsumes CountResult's breakdown logic: the
-    // per-phase maxima and the volume-scaled projection must be *bit*
-    // identical, not merely close.
+    // per-phase maxima must be *bit* identical, not merely close.
     const PhaseTimes from_result = result.modeled_breakdown();
     const PhaseTimes from_trace = metrics.modeled_breakdown();
     for (const char* phase : core::kPhaseOrder) {
       EXPECT_EQ(from_result.get(phase), from_trace.get(phase)) << phase;
     }
-    const PhaseTimes projected_result = result.projected_breakdown(400.0);
-    const PhaseTimes projected_trace = metrics.projected_breakdown(400.0);
-    for (const char* phase : core::kPhaseOrder) {
-      EXPECT_EQ(projected_result.get(phase), projected_trace.get(phase))
-          << phase;
-    }
     EXPECT_EQ(result.modeled_total_seconds(),
               metrics.modeled_total_seconds());
   }
-}
-
-TEST_F(SessionTest, MarksWindowMetricsToOneRun) {
-  const io::ReadBatch reads = preset_reads();
-  auto& session = TraceSession::instance();
-
-  (void)run_driver(reads, core::PipelineKind::kGpuKmer);
-  const MetricsReport whole_first = session.metrics();
-
-  const SessionMark mark = session.mark();
-  const core::CountResult second =
-      run_driver(reads, core::PipelineKind::kGpuKmer);
-  const MetricsReport window = session.metrics(mark);
-
-  // The window sees exactly the second run: same breakdown as the first
-  // (identical input), and counter deltas for one run, not two.
-  for (const char* phase : core::kPhaseOrder) {
-    EXPECT_EQ(window.modeled_breakdown().get(phase),
-              second.modeled_breakdown().get(phase))
-        << phase;
-  }
-  std::uint64_t whole_bytes = 0, window_bytes = 0;
-  for (const auto& rank : whole_first.ranks) {
-    auto it = rank.counters.find("comm.bytes_sent");
-    if (it != rank.counters.end()) whole_bytes += it->second;
-  }
-  for (const auto& rank : window.ranks) {
-    auto it = rank.counters.find("comm.bytes_sent");
-    if (it != rank.counters.end()) window_bytes += it->second;
-  }
-  EXPECT_GT(window_bytes, 0u);
-  EXPECT_EQ(window_bytes, whole_bytes);
-}
-
-TEST_F(SessionTest, KernelTotalsCoverTheLaunchedKernels) {
-  const io::ReadBatch reads = preset_reads();
-  auto& session = TraceSession::instance();
-  const SessionMark mark = session.mark();
-  (void)run_driver(reads, core::PipelineKind::kGpuSupermer);
-  const auto kernels = session.metrics(mark).kernel_totals();
-  ASSERT_TRUE(kernels.contains("supermer_count"));
-  ASSERT_TRUE(kernels.contains("hash_count_supermers"));
-  EXPECT_GT(kernels.at("supermer_count").launches, 0u);
-  EXPECT_GT(kernels.at("supermer_count").modeled_seconds, 0.0);
 }
 
 TEST(TraceSessionPaths, MetricsPathDerivesFromChromePath) {
