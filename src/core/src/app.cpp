@@ -74,8 +74,6 @@ commands:
                                 the simulated network; 1 = single rank)
            [--batch=N]         (split the key list into N-key batches;
                                 0 = one batch)
-           [--overlap-batches] (pipeline batch b's answer exchange behind
-                                batch b+1's lookup kernels; needs --ranks>=2)
            [--json]            (machine-readable results + serve stats on
                                 stdout instead of the human summary)
 
@@ -310,7 +308,7 @@ struct QueryRunSummary {
 };
 
 void write_query_json(std::ostream& out, const std::string& dir, int ranks,
-                      bool overlap, const QueryRunSummary& s,
+                      const QueryRunSummary& s,
                       const std::vector<std::string>& names,
                       const std::vector<std::uint64_t>& counts) {
   const auto d = [](double v) {
@@ -321,7 +319,6 @@ void write_query_json(std::ostream& out, const std::string& dir, int ranks,
   out << "{\n";
   out << "  \"store\": \"" << dir << "\",\n";
   out << "  \"ranks\": " << ranks << ",\n";
-  out << "  \"overlap_batches\": " << (overlap ? "true" : "false") << ",\n";
   out << "  \"queries\": " << s.queries << ",\n";
   out << "  \"found\": " << s.found << ",\n";
   out << "  \"dedup_saved\": " << s.dedup_saved << ",\n";
@@ -373,15 +370,11 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
 
   const int ranks = cli.get_int_as<int>("ranks", 1);
   DEDUKT_REQUIRE_MSG(ranks >= 1, "--ranks must be >= 1");
-  const bool overlap = cli.get_bool("overlap-batches", false);
-  DEDUKT_REQUIRE_MSG(!overlap || ranks >= 2,
-                     "--overlap-batches needs a distributed tier "
-                     "(--ranks>=2)");
   const auto batch = cli.get_uint<std::size_t>("batch", 0);
   const bool json = cli.get_bool("json", false);
 
   // Split the key list into batches (0 = serve everything in one round
-  // trip). Batches are the unit --overlap-batches pipelines across.
+  // trip). A distributed tier prices the batches as a pipeline.
   std::vector<std::vector<std::uint64_t>> batches;
   if (batch == 0 || batch >= keys.size()) {
     batches.push_back(keys);
@@ -422,7 +415,6 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
     config.ranks = ranks;
     config.cache_shards = cli.get_uint<std::uint32_t>("cache-shards", 0);
     config.freq_admission = cli.get_bool("freq-admission", false);
-    config.overlap_batches = overlap;
     store::DistributedQueryEngine engine(kmer_store, config);
     const std::vector<std::vector<std::uint64_t>> answers =
         engine.lookup_batches(batches);
@@ -450,7 +442,7 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
   }
 
   if (json) {
-    write_query_json(out, dir, ranks, overlap, summary, names, counts);
+    write_query_json(out, dir, ranks, summary, names, counts);
     return 0;
   }
   for (std::size_t i = 0; i < names.size(); ++i) {
@@ -462,7 +454,7 @@ int cmd_query(const CliParser& cli, std::ostream& out) {
     out << " on " << ranks << " ranks, modeled serve "
         << format_seconds(summary.serve_seconds) << " (exchange "
         << format_seconds(summary.exchange_seconds) << ")";
-    if (overlap) {
+    if (summary.overlap_saved_seconds != 0.0) {
       out << ", overlap saved "
           << format_seconds(summary.overlap_saved_seconds);
     }

@@ -25,8 +25,8 @@ struct NetworkModel {
   /// Fraction of an exchange's modeled time that cannot be hidden behind
   /// concurrently running compute: sender-side packing, MPI progression and
   /// completion handling stay on the critical path even with a fully
-  /// asynchronous transport. Only the serving tier's pipelined batches
-  /// (--overlap-batches) overlap an exchange with compute.
+  /// asynchronous transport. Only the serving tier's pipelined batch
+  /// schedule overlaps an exchange with compute.
   double nonoverlap_fraction = 0.25;
 
   /// Summit-node defaults (the paper's machine).

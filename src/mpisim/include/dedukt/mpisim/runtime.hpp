@@ -2,8 +2,9 @@
 //
 // run(f) spawns one OS thread per rank, each with its own Comm bound to the
 // shared collective board, and joins them all (single-rank runs execute
-// inline on the caller). An exception on any rank aborts all barriers (so
-// no rank deadlocks) and is rethrown from run() on the caller's thread.
+// inline on the caller). An exception on any rank aborts the collective
+// board's barrier (so no rank deadlocks) and is rethrown from run() on the
+// caller's thread.
 //
 // Rank threads share the process-wide util::ThreadPool used for
 // block-parallel kernel execution: each rank executes its own kernels'
@@ -43,9 +44,6 @@ class Runtime {
   /// Aggregate of all ranks' ledgers; modeled_seconds is the max across
   /// ranks (they agree for bulk-synchronous programs).
   [[nodiscard]] CommStats total_stats() const;
-
-  /// Reset all per-rank ledgers to zero.
-  void reset_stats();
 
  private:
   int nranks_;

@@ -60,9 +60,9 @@ void Runtime::run(const std::function<void(Comm&)>& f) {
           std::lock_guard<std::mutex> lock(error_mutex);
           if (!first_error) first_error = std::current_exception();
         }
-        // Wake ranks parked in barrier phases *and* ranks blocked in
-        // nonblocking-request waits; either could otherwise deadlock.
-        board.abort();
+        // Wake the ranks parked in a collective's barrier phases, which
+        // would otherwise wait forever for this one.
+        board.barrier.abort();
       }
     });
   }
@@ -82,10 +82,6 @@ CommStats Runtime::total_stats() const {
   }
   total.modeled_seconds = max_modeled;
   return total;
-}
-
-void Runtime::reset_stats() {
-  for (auto& s : stats_) s = CommStats{};
 }
 
 }  // namespace dedukt::mpisim

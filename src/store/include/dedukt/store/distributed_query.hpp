@@ -23,18 +23,15 @@
 //
 // Everything is priced: NIC bytes and exchange time through the rank
 // communicator's NetworkModel ledger, shard staging over the host link and
-// lookup kernel time through each rank's Device. The aggregate serve-time
-// model charges, per batch, the query exchange + the slowest rank's device
-// time + the answer exchange (ranks run bulk-synchronous, so the busiest
-// rank paces the round).
-//
-// --overlap-batches turns on two-slot pipelining: batch b's answer
-// exchange is posted as an ialltoallv and waited only after batch b+1's
-// lookup kernels run, so the gather hop hides behind compute. The model
-// prices each overlapped pair with NetworkModel::overlapped_seconds —
-// max(comm·(1−f), compute) + comm·f — and reports the saving against the
-// lockstep sum. Answers are bit-identical in both modes; only the modeled
-// schedule differs.
+// lookup kernel time through each rank's Device. Ranks run every batch
+// lockstep on blocking exchanges, and the serve-time model prices a call's
+// batches as a two-slot pipeline: batch b's answer exchange runs behind
+// batch b+1's slowest-rank lookup, each such pair priced with
+// NetworkModel::overlapped_seconds — max(comm·(1−f), compute) + comm·f.
+// The stats also report the lockstep sum (query exchange + slowest rank's
+// device time + answer exchange, per batch) and the saving against it. A
+// one-batch call has nothing to overlap: its price is the lockstep sum,
+// bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +57,6 @@ struct DistributedQueryConfig {
   std::uint32_t histogram_bins = 256;
   /// Per-rank frequency-aware admission (QueryEngineConfig::freq_admission).
   bool freq_admission = false;
-  /// Two-slot pipelining: batch b's answer exchange overlaps batch b+1's
-  /// lookup kernels. Needs >= 2 batches in a lookup_batches call to save
-  /// anything; answers are identical either way.
-  bool overlap_batches = false;
   mpisim::NetworkModel network = mpisim::NetworkModel::summit();
 };
 
@@ -85,14 +78,14 @@ struct DistributedQueryStats {
   std::uint64_t nic_bytes = 0;
   double exchange_seconds = 0.0;  ///< modeled query + answer exchange time
   double lookup_seconds = 0.0;    ///< sum of per-batch max-rank device time
-  /// End-to-end modeled serve time (the QPS denominator): lockstep sum, or
-  /// the pipelined schedule when overlap_batches is on.
+  /// End-to-end modeled serve time (the QPS denominator): the pipelined
+  /// schedule of each call's batches.
   double serve_seconds = 0.0;
   /// What the same batches would cost without pipelining. Equal to
-  /// serve_seconds when overlap_batches is off.
+  /// serve_seconds for one-batch calls.
   double lockstep_seconds = 0.0;
-  /// lockstep_seconds - serve_seconds; > 0 whenever an overlapped round
-  /// had both nonzero exchange and nonzero compute.
+  /// lockstep_seconds - serve_seconds; > 0 whenever an overlapped pair
+  /// had both nonzero exchange and nonzero compute, 0 for one-batch calls.
   double overlap_saved_seconds = 0.0;
 };
 
@@ -115,7 +108,7 @@ class DistributedQueryEngine {
       std::span<const std::uint64_t> keys);
 
   /// Serve a sequence of batches in one simulated session — the unit the
-  /// pipelined mode overlaps across. Returns per-batch answers.
+  /// pipelined price overlaps across. Returns per-batch answers.
   [[nodiscard]] std::vector<std::vector<std::uint64_t>> lookup_batches(
       const std::vector<std::vector<std::uint64_t>>& batches);
 

@@ -32,16 +32,6 @@ Slice slice_of(int rank, int ranks, std::size_t n) {
   return Slice{n * r / p, n * (r + 1) / p};
 }
 
-/// Frontend routing state a rank must keep alive until the batch's answers
-/// arrive — under pipelining that is one batch later than it was built.
-struct RoutedBatch {
-  Slice slice{0, 0};
-  QueryEngine::BatchPlan plan;
-  /// Per distinct key: owner rank and position in the bucket sent to it.
-  std::vector<std::pair<int, std::size_t>> route;
-  std::size_t batch = 0;
-};
-
 }  // namespace
 
 DistributedQueryEngine::DistributedQueryEngine(const KmerStore& store,
@@ -120,7 +110,7 @@ std::vector<std::vector<std::uint64_t>> DistributedQueryEngine::run_batches(
 
   // Per-batch timing components the serve-time model aggregates on the
   // host after the run. The comm seconds of one exchange are identical on
-  // every rank (round-max pricing), so rank 0's deltas are authoritative;
+  // every rank (round-max pricing), so rank 0's values are authoritative;
   // device seconds differ per rank and land in rank-indexed slots.
   std::vector<double> query_comm(B, 0.0);
   std::vector<double> answer_comm(B, 0.0);
@@ -138,152 +128,109 @@ std::vector<std::vector<std::uint64_t>> DistributedQueryEngine::run_batches(
     auto& engine = *engines_[static_cast<std::size_t>(rank)];
     auto& device = *devices_[static_cast<std::size_t>(rank)];
 
-    // Fan answers of a completed round back into the shared results array
-    // (each rank owns a disjoint slice, so the writes never race).
-    const auto fan_out = [&](const RoutedBatch& routed_batch,
-                             const mpisim::AlltoallvResult<KeyAnswer>& ans) {
-      trace::ScopedSpan span(trace::kCategoryApp, "serve_fanout");
-      std::vector<std::uint64_t> unique_vals(
-          routed_batch.plan.unique_keys.size(), 0);
-      for (std::size_t i = 0; i < routed_batch.plan.unique_keys.size(); ++i) {
-        const auto [owner, idx] = routed_batch.route[i];
-        const KeyAnswer a = ans.from(owner)[idx];
-        // Positional matching contract: owners answer in received order,
-        // per-source order is preserved both ways.
-        DEDUKT_CHECK(a.key == routed_batch.plan.unique_keys[i]);
-        unique_vals[i] = a.count;
-      }
-      std::vector<std::uint64_t>& out = results[routed_batch.batch];
-      const std::size_t n_slice =
-          routed_batch.slice.end - routed_batch.slice.begin;
-      std::uint64_t hits = 0;
-      for (std::size_t i = 0; i < n_slice; ++i) {
-        const std::uint64_t v = unique_vals[routed_batch.plan.dup_of[i]];
-        out[routed_batch.slice.begin + i] = v;
-        if (v != 0) ++hits;
-      }
-      if (!membership) found[static_cast<std::size_t>(rank)] += hits;
-      if (span.active()) {
-        span.arg_u64("answers", n_slice);
-      }
-    };
-
-    // Route one batch's slice: dedupe, bucket distinct keys by owner.
-    const auto route_batch = [&](std::size_t b) {
-      trace::ScopedSpan span(trace::kCategoryApp, "serve_route");
-      RoutedBatch rb;
-      rb.batch = b;
-      rb.slice = slice_of(rank, P, batches[b].size());
-      const std::span<const std::uint64_t> slice(
-          batches[b].data() + rb.slice.begin, rb.slice.end - rb.slice.begin);
-      rb.plan = QueryEngine::dedupe_batch(slice);
-      rb.route.reserve(rb.plan.unique_keys.size());
-      std::vector<std::vector<std::uint64_t>> buckets(
-          static_cast<std::size_t>(P));
-      for (const std::uint64_t key : rb.plan.unique_keys) {
-        const int owner = owner_of(store_.routing().shard_of(key), P);
-        auto& bucket = buckets[static_cast<std::size_t>(owner)];
-        rb.route.emplace_back(owner, bucket.size());
-        bucket.push_back(key);
-      }
-      deduped[static_cast<std::size_t>(rank)] +=
-          slice.size() - rb.plan.unique_keys.size();
-      routed[static_cast<std::size_t>(rank)] += rb.plan.unique_keys.size();
-      if (span.active()) {
-        span.arg_u64("queries", slice.size());
-        span.arg_u64("routed", rb.plan.unique_keys.size());
-        trace::counter("serve.queries_routed", rb.plan.unique_keys.size());
-        trace::counter("serve.dedup_saved",
-                       slice.size() - rb.plan.unique_keys.size());
-      }
-      return std::pair<RoutedBatch, std::vector<std::vector<std::uint64_t>>>(
-          std::move(rb), std::move(buckets));
-    };
-
-    // Serve the keys this rank owns: its engine only ever touches its
-    // resident shards (routing sent every key to its owner). Answers go
-    // back in received order, bucketed by source.
-    const auto serve = [&](std::size_t b,
-                           const mpisim::AlltoallvResult<std::uint64_t>& q) {
-      trace::ScopedSpan span(trace::kCategoryApp, "serve_lookup");
-      gpusim::DeviceCapture capture(device);
-      std::vector<std::uint64_t> counts;
-      if (membership) {
-        const std::vector<std::uint8_t> member = engine.contains(q.data);
-        counts.assign(member.begin(), member.end());
-      } else {
-        counts = engine.lookup(q.data);
-      }
-      dev[b][static_cast<std::size_t>(rank)] = capture.modeled_seconds();
-      if (span.active()) {
-        span.set_modeled_seconds(capture.modeled_seconds());
-        span.arg_u64("served", q.data.size());
-      }
-      std::vector<std::vector<KeyAnswer>> answers(static_cast<std::size_t>(P));
-      for (int src = 0; src < P; ++src) {
-        const std::span<const std::uint64_t> from = q.from(src);
-        auto& bucket = answers[static_cast<std::size_t>(src)];
-        bucket.reserve(from.size());
-        const std::size_t base = q.offsets[static_cast<std::size_t>(src)];
-        for (std::size_t j = 0; j < from.size(); ++j) {
-          bucket.push_back(KeyAnswer{from[j], counts[base + j]});
-        }
-      }
-      return answers;
-    };
-
-    // Reprice the exchange that just charged from its round-max bytes —
-    // a pure function of the traffic, so a batch's recorded comm seconds
-    // are bit-identical between the lockstep and pipelined schedules
-    // (a ledger delta would pick up rounding from the accumulator's
-    // prior contents, which differ between the two interleavings).
+    // Reprice the exchange that just charged from its round-max bytes: a
+    // pure function of the traffic. A ledger delta would pick up rounding
+    // from the accumulator's prior contents and move the recorded seconds.
     const auto last_exchange_seconds = [&comm, P] {
       return comm.network().alltoallv_seconds(comm.last_round_max_bytes(),
                                               P);
     };
 
-    if (!config_.overlap_batches) {
-      // Lockstep: each batch's gather completes before the next scatter.
-      for (std::size_t b = 0; b < B; ++b) {
-        auto [rb, buckets] = route_batch(b);
-        const auto q = comm.alltoallv(buckets);
-        if (rank == 0) query_comm[b] = last_exchange_seconds();
-        const auto answers = serve(b, q);
-        const auto ans = comm.alltoallv(answers);
-        if (rank == 0) answer_comm[b] = last_exchange_seconds();
-        fan_out(rb, ans);
-      }
-    } else {
-      // Two-slot pipeline: post batch b's answer exchange nonblocking,
-      // run batch b+1's scatter + lookup, then wait b's answers. The
-      // gather hop of every batch but the last hides behind the next
-      // batch's kernels; the model prices exactly that pairing.
-      mpisim::Request<KeyAnswer> pending;
-      RoutedBatch pending_rb;
-      for (std::size_t b = 0; b < B; ++b) {
-        auto [rb, buckets] = route_batch(b);
-        const auto q = comm.alltoallv(buckets);
-        if (rank == 0) query_comm[b] = last_exchange_seconds();
-        const auto answers = serve(b, q);
-        if (pending.valid()) {
-          const auto ans = pending.wait();
-          if (rank == 0) {
-            answer_comm[pending_rb.batch] = last_exchange_seconds();
-          }
-          fan_out(pending_rb, ans);
+    for (std::size_t b = 0; b < B; ++b) {
+      // Route this rank's slice: dedupe, bucket distinct keys by owner.
+      const Slice slice = slice_of(rank, P, batches[b].size());
+      const std::span<const std::uint64_t> keys(
+          batches[b].data() + slice.begin, slice.end - slice.begin);
+      QueryEngine::BatchPlan plan;
+      // Per distinct key: owner rank and position in the bucket sent to it.
+      std::vector<std::pair<int, std::size_t>> route;
+      std::vector<std::vector<std::uint64_t>> buckets(
+          static_cast<std::size_t>(P));
+      {
+        trace::ScopedSpan span(trace::kCategoryApp, "serve_route");
+        plan = QueryEngine::dedupe_batch(keys);
+        route.reserve(plan.unique_keys.size());
+        for (const std::uint64_t key : plan.unique_keys) {
+          const int owner = owner_of(store_.routing().shard_of(key), P);
+          auto& bucket = buckets[static_cast<std::size_t>(owner)];
+          route.emplace_back(owner, bucket.size());
+          bucket.push_back(key);
         }
-        pending = comm.ialltoallv(answers);
-        pending_rb = std::move(rb);
+        deduped[static_cast<std::size_t>(rank)] +=
+            keys.size() - plan.unique_keys.size();
+        routed[static_cast<std::size_t>(rank)] += plan.unique_keys.size();
+        if (span.active()) {
+          span.arg_u64("queries", keys.size());
+          span.arg_u64("routed", plan.unique_keys.size());
+          trace::counter("serve.queries_routed", plan.unique_keys.size());
+          trace::counter("serve.dedup_saved",
+                         keys.size() - plan.unique_keys.size());
+        }
       }
-      const auto ans = pending.wait();
-      if (rank == 0) answer_comm[pending_rb.batch] = last_exchange_seconds();
-      fan_out(pending_rb, ans);
+
+      const auto q = comm.alltoallv(buckets);
+      if (rank == 0) query_comm[b] = last_exchange_seconds();
+
+      // Serve the keys this rank owns: its engine only ever touches its
+      // resident shards (routing sent every key to its owner). Answers go
+      // back in received order, bucketed by source.
+      std::vector<std::vector<KeyAnswer>> answers(static_cast<std::size_t>(P));
+      {
+        trace::ScopedSpan span(trace::kCategoryApp, "serve_lookup");
+        gpusim::DeviceCapture capture(device);
+        std::vector<std::uint64_t> counts;
+        if (membership) {
+          const std::vector<std::uint8_t> member = engine.contains(q.data);
+          counts.assign(member.begin(), member.end());
+        } else {
+          counts = engine.lookup(q.data);
+        }
+        dev[b][static_cast<std::size_t>(rank)] = capture.modeled_seconds();
+        if (span.active()) {
+          span.set_modeled_seconds(capture.modeled_seconds());
+          span.arg_u64("served", q.data.size());
+        }
+        for (int src = 0; src < P; ++src) {
+          const std::span<const std::uint64_t> from = q.from(src);
+          auto& bucket = answers[static_cast<std::size_t>(src)];
+          bucket.reserve(from.size());
+          const std::size_t base = q.offsets[static_cast<std::size_t>(src)];
+          for (std::size_t j = 0; j < from.size(); ++j) {
+            bucket.push_back(KeyAnswer{from[j], counts[base + j]});
+          }
+        }
+      }
+
+      const auto ans = comm.alltoallv(answers);
+      if (rank == 0) answer_comm[b] = last_exchange_seconds();
+
+      // Fan the answers back into the shared results array (each rank owns
+      // a disjoint slice, so the writes never race).
+      trace::ScopedSpan span(trace::kCategoryApp, "serve_fanout");
+      std::vector<std::uint64_t> unique_vals(plan.unique_keys.size(), 0);
+      for (std::size_t i = 0; i < plan.unique_keys.size(); ++i) {
+        const auto [owner, idx] = route[i];
+        const KeyAnswer a = ans.from(owner)[idx];
+        // Positional matching contract: owners answer in received order,
+        // per-source order is preserved both ways.
+        DEDUKT_CHECK(a.key == plan.unique_keys[i]);
+        unique_vals[i] = a.count;
+      }
+      std::uint64_t hits = 0;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::uint64_t v = unique_vals[plan.dup_of[i]];
+        results[b][slice.begin + i] = v;
+        if (v != 0) ++hits;
+      }
+      if (!membership) found[static_cast<std::size_t>(rank)] += hits;
+      if (span.active()) span.arg_u64("answers", keys.size());
     }
   });
 
-  // Host-side aggregation into the serve-time model. Lockstep charges the
-  // bulk-synchronous sum per batch; the pipelined schedule overlaps batch
-  // b-1's answer exchange with batch b's slowest-rank lookup.
+  // Host-side aggregation into the serve-time model: the pipelined
+  // schedule overlaps batch b-1's answer exchange with batch b's
+  // slowest-rank lookup; the lockstep sum is its counterfactual. With one
+  // batch both sum the same three terms, so they agree bit for bit.
   double lockstep = 0.0;
   std::vector<double> max_dev(B, 0.0);
   for (std::size_t b = 0; b < B; ++b) {
@@ -292,16 +239,13 @@ std::vector<std::vector<std::uint64_t>> DistributedQueryEngine::run_batches(
     stats_.exchange_seconds += query_comm[b] + answer_comm[b];
     stats_.lookup_seconds += max_dev[b];
   }
-  double serve_time = lockstep;
-  if (config_.overlap_batches) {
-    serve_time = max_dev[0];
-    for (std::size_t b = 0; b < B; ++b) serve_time += query_comm[b];
-    for (std::size_t b = 1; b < B; ++b) {
-      serve_time +=
-          config_.network.overlapped_seconds(answer_comm[b - 1], max_dev[b]);
-    }
-    serve_time += answer_comm[B - 1];
+  double serve_time = max_dev[0];
+  for (std::size_t b = 0; b < B; ++b) serve_time += query_comm[b];
+  for (std::size_t b = 1; b < B; ++b) {
+    serve_time +=
+        config_.network.overlapped_seconds(answer_comm[b - 1], max_dev[b]);
   }
+  serve_time += answer_comm[B - 1];
   stats_.batches += B;
   for (std::size_t b = 0; b < B; ++b) stats_.queries += batches[b].size();
   for (int r = 0; r < P; ++r) {

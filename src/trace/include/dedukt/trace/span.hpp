@@ -29,8 +29,8 @@ enum class Clock : std::uint8_t {
 // static strings so that recording them never allocates.
 inline constexpr const char* kCategoryPhase = "phase";            // core
 inline constexpr const char* kCategoryCollective = "collective";  // mpisim
-// Nonblocking collectives (mpisim): "ialltoallv.post" / "ialltoallv.wait"
-// sub-spans of one logical exchange.
+// Records nothing: mpisim's collectives are all blocking. Kept only while
+// perfbench's layer accounting (perfbench/src/layers.cpp) still names it.
 inline constexpr const char* kCategoryCollectiveAsync = "collective.async";
 inline constexpr const char* kCategoryKernel = "kernel";          // gpusim
 inline constexpr const char* kCategoryTransfer = "transfer";      // gpusim

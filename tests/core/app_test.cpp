@@ -319,10 +319,17 @@ TEST(AppTest, QueryRejectsUnknownFlag) {
             0);
   const std::string kmers = "--kmers=ACGTACGTACGTACGTA";
   ASSERT_EQ(run({"query", "--store=" + dir, kmers}).exit_code, 0);
-  const AppResult result = run({"query", "--store=" + dir, kmers, "--bogus"});
-  EXPECT_EQ(result.exit_code, 1);
-  EXPECT_NE(result.err.find("unknown flag --bogus"), std::string::npos)
-      << result.err;
+  // Retired flags and misspellings fail before anything is queried.
+  for (const char* flag : {"--bogus", "--overlap-batches"}) {
+    const AppResult result =
+        run({"query", "--store=" + dir, kmers, "--ranks=2", flag});
+    EXPECT_EQ(result.exit_code, 1) << flag;
+    EXPECT_NE(result.err.find(std::string("unknown flag ") + flag +
+                              " for dedukt query"),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out, "") << result.out;
+  }
 }
 
 TEST(AppTest, BloomFilterRejectsBoundedBatches) {

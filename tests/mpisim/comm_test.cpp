@@ -118,23 +118,6 @@ TEST(CommTest, AlltoallvRandomizedMultisetPreserved) {
             std::accumulate(recv_sum.begin(), recv_sum.end(), 0ull));
 }
 
-TEST(CommTest, AlltoallFixedCounts) {
-  constexpr int kRanks = 4;
-  Runtime runtime(kRanks);
-  runtime.run([&](Comm& comm) {
-    std::vector<int> send(kRanks);
-    for (int dst = 0; dst < kRanks; ++dst) {
-      send[static_cast<std::size_t>(dst)] = comm.rank() * 10 + dst;
-    }
-    const auto recv = comm.alltoall(send);
-    ASSERT_EQ(recv.size(), static_cast<std::size_t>(kRanks));
-    for (int src = 0; src < kRanks; ++src) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(src)],
-                src * 10 + comm.rank());
-    }
-  });
-}
-
 TEST(CommTest, AllreduceSum) {
   Runtime runtime(7);
   runtime.run([&](Comm& comm) {
@@ -160,17 +143,6 @@ TEST(CommTest, AllreduceDouble) {
   });
 }
 
-TEST(CommTest, Allgather) {
-  Runtime runtime(6);
-  runtime.run([&](Comm& comm) {
-    const auto all = comm.allgather(comm.rank() * comm.rank());
-    ASSERT_EQ(all.size(), 6u);
-    for (int r = 0; r < 6; ++r) {
-      EXPECT_EQ(all[static_cast<std::size_t>(r)], r * r);
-    }
-  });
-}
-
 TEST(CommTest, GathervCollectsAtRootOnly) {
   Runtime runtime(4);
   runtime.run([&](Comm& comm) {
@@ -187,14 +159,6 @@ TEST(CommTest, GathervCollectsAtRootOnly) {
     } else {
       EXPECT_TRUE(gathered.empty());
     }
-  });
-}
-
-TEST(CommTest, Bcast) {
-  Runtime runtime(5);
-  runtime.run([&](Comm& comm) {
-    const std::uint64_t value = comm.rank() == 3 ? 0xDEADBEEFull : 0;
-    EXPECT_EQ(comm.bcast(value, /*root=*/3), 0xDEADBEEFull);
   });
 }
 
@@ -236,19 +200,10 @@ TEST(CommTest, VolumeShareNeverExceedsTotalModeled) {
     std::vector<std::vector<std::uint64_t>> send(
         3, std::vector<std::uint64_t>(500, 1));
     (void)comm.alltoallv(send);
-    comm.barrier();
+    (void)comm.allreduce(1, ReduceOp::kSum);
     const auto& stats = comm.stats();
     EXPECT_GT(stats.modeled_volume_seconds, 0.0);
     EXPECT_LE(stats.modeled_volume_seconds, stats.modeled_seconds);
-  });
-}
-
-TEST(CommTest, BarrierCountsAsCollective) {
-  Runtime runtime(3);
-  runtime.run([&](Comm& comm) {
-    comm.barrier();
-    comm.barrier();
-    EXPECT_EQ(comm.stats().collective_calls, 2u);
   });
 }
 

@@ -26,7 +26,8 @@ TEST(RuntimeTest, ExceptionOnOneRankPropagates) {
                  if (comm.rank() == 2) {
                    throw ParseError("rank 2 exploded");
                  }
-                 comm.barrier();  // would deadlock without abort support
+                 // would deadlock without abort support
+                 (void)comm.allreduce(1, ReduceOp::kSum);
                }),
                ParseError);
 }
@@ -36,7 +37,7 @@ TEST(RuntimeTest, ExceptionMessageSurvives) {
   try {
     runtime.run([&](Comm& comm) {
       if (comm.rank() == 0) throw Error("specific failure detail");
-      comm.barrier();
+      (void)comm.allreduce(1, ReduceOp::kSum);
     });
     FAIL() << "should have thrown";
   } catch (const Error& e) {
@@ -55,22 +56,26 @@ TEST(RuntimeTest, ExceptionMessageSurvives) {
 TEST(RuntimeTest, ReusableAcrossRuns) {
   Runtime runtime(4);
   for (int round = 0; round < 3; ++round) {
-    runtime.run([&](Comm& comm) { comm.barrier(); });
+    runtime.run([&](Comm& comm) {
+      EXPECT_EQ(comm.allreduce(1, ReduceOp::kSum), 4);
+    });
   }
   EXPECT_EQ(runtime.total_stats().collective_calls, 3u * 4u);
 }
 
-TEST(RuntimeTest, StatsAccumulateAndReset) {
+TEST(RuntimeTest, StatsAccumulateAcrossRuns) {
   Runtime runtime(2);
-  runtime.run([&](Comm& comm) {
+  const auto exchange = [](Comm& comm) {
     std::vector<std::vector<std::uint64_t>> send(
         2, std::vector<std::uint64_t>(4, 1));
     (void)comm.alltoallv(send);
-  });
-  EXPECT_GT(runtime.total_stats().bytes_sent, 0u);
-  runtime.reset_stats();
-  EXPECT_EQ(runtime.total_stats().bytes_sent, 0u);
-  EXPECT_EQ(runtime.total_stats().alltoallv_calls, 0u);
+  };
+  runtime.run(exchange);
+  // Each rank ships 4 u64 to its one peer.
+  EXPECT_EQ(runtime.total_stats().bytes_sent, 2u * 4u * 8u);
+  runtime.run(exchange);
+  EXPECT_EQ(runtime.total_stats().bytes_sent, 2u * 2u * 4u * 8u);
+  EXPECT_EQ(runtime.total_stats().alltoallv_calls, 2u * 2u);
 }
 
 TEST(RuntimeTest, ManyRanksOnOneHost) {
@@ -78,7 +83,7 @@ TEST(RuntimeTest, ManyRanksOnOneHost) {
   Runtime runtime(256);
   std::atomic<int> executions{0};
   runtime.run([&](Comm& comm) {
-    comm.barrier();
+    (void)comm.allreduce(1, ReduceOp::kSum);
     executions.fetch_add(1);
     const int sum = comm.allreduce(1, ReduceOp::kSum);
     EXPECT_EQ(sum, 256);
@@ -88,7 +93,7 @@ TEST(RuntimeTest, ManyRanksOnOneHost) {
 
 TEST(RuntimeTest, TotalStatsTakesMaxModeledSeconds) {
   Runtime runtime(3, NetworkModel::summit());
-  runtime.run([&](Comm& comm) { comm.barrier(); });
+  runtime.run([&](Comm& comm) { (void)comm.allreduce(1, ReduceOp::kSum); });
   double max_modeled = 0;
   for (const auto& s : runtime.stats()) {
     max_modeled = std::max(max_modeled, s.modeled_seconds);

@@ -1,7 +1,7 @@
 // Distributed serving-tier tests: scatter/gather answers bit-identical to
 // the single-rank engine (and the flat dump) at every rank count, frontend
 // dedup as a pure traffic optimization, histogram invariance under rank
-// partitioning and frequency-aware admission, the pipelined mode's strict
+// partitioning and frequency-aware admission, the pipelined price's strict
 // modeled win, and pool-size determinism of the whole tier.
 #include <gtest/gtest.h>
 
@@ -279,26 +279,28 @@ TEST(DistributedQueryTest, OverlapStrictlyReducesModeledServeTime) {
   const auto batches = split_batches(keys, 256);
   ASSERT_GE(batches.size(), 2u);
 
-  auto run = [&](bool overlap) {
-    DistributedQueryConfig config;
-    config.ranks = 3;
-    config.cache_shards = 2;
-    config.overlap_batches = overlap;
-    DistributedQueryEngine engine(store, config);
-    const auto answers = engine.lookup_batches(batches);
-    return std::make_pair(answers, engine.stats());
-  };
+  DistributedQueryConfig config;
+  config.ranks = 3;
+  config.cache_shards = 2;
+  DistributedQueryEngine pipelined(store, config);
+  const auto answers = pipelined.lookup_batches(batches);
+  const DistributedQueryStats overlapped = pipelined.stats();
 
-  const auto [lockstep_answers, lockstep] = run(false);
-  const auto [overlap_answers, overlapped] = run(true);
+  // The same batches one call each: a one-batch call has nothing to
+  // overlap, so its serve time is its lockstep sum.
+  DistributedQueryEngine one_by_one(store, config);
+  std::vector<std::vector<std::uint64_t>> single_answers;
+  for (const auto& b : batches) single_answers.push_back(one_by_one.lookup(b));
+  const DistributedQueryStats lockstep = one_by_one.stats();
 
-  // Pipelining is a schedule change, never a result change.
-  EXPECT_EQ(overlap_answers, lockstep_answers);
+  // Pipelining is a price, never a result.
+  EXPECT_EQ(answers, single_answers);
   EXPECT_EQ(lockstep.overlap_saved_seconds, 0.0);
   EXPECT_EQ(lockstep.serve_seconds, lockstep.lockstep_seconds);
 
   // Both exchange and lookups cost something here, so the overlapped
-  // schedule must be strictly cheaper — by exactly the saved share.
+  // schedule must be strictly cheaper than its lockstep counterfactual —
+  // by exactly the saved share.
   ASSERT_GT(overlapped.exchange_seconds, 0.0);
   ASSERT_GT(overlapped.lookup_seconds, 0.0);
   EXPECT_EQ(overlapped.lockstep_seconds, lockstep.serve_seconds);
@@ -307,6 +309,27 @@ TEST(DistributedQueryTest, OverlapStrictlyReducesModeledServeTime) {
   EXPECT_DOUBLE_EQ(
       overlapped.lockstep_seconds - overlapped.serve_seconds,
       overlapped.overlap_saved_seconds);
+}
+
+TEST(DistributedQueryTest, OneBatchCallIsPricedAtItsLockstepSum) {
+  // Callers that serve one batch per call (lookup, contains) must see the
+  // lockstep price bit for bit: the pipelined schedule of one batch adds
+  // the same three terms.
+  const KmerStore store = KmerStore::open(pipeline_store_dir());
+  const std::vector<std::uint64_t> keys = query_stream(store, 512, 0x1BA7);
+  for (const int ranks : {1, 2, 4}) {
+    DistributedQueryConfig config;
+    config.ranks = ranks;
+    config.cache_shards = 1;
+    DistributedQueryEngine engine(store, config);
+    (void)engine.lookup(keys);
+    (void)engine.contains(keys);
+    (void)engine.lookup(keys);
+    const DistributedQueryStats& st = engine.stats();
+    EXPECT_GT(st.serve_seconds, 0.0) << "ranks=" << ranks;
+    EXPECT_EQ(st.serve_seconds, st.lockstep_seconds) << "ranks=" << ranks;
+    EXPECT_EQ(st.overlap_saved_seconds, 0.0) << "ranks=" << ranks;
+  }
 }
 
 TEST(DistributedQueryTest, DeterministicAcrossSimThreads) {
@@ -319,7 +342,6 @@ TEST(DistributedQueryTest, DeterministicAcrossSimThreads) {
     DistributedQueryConfig config;
     config.ranks = 3;
     config.cache_shards = 2;
-    config.overlap_batches = true;
     DistributedQueryEngine engine(store, config);
     const auto answers = engine.lookup_batches(batches);
     const auto histogram = engine.histogram();
@@ -341,10 +363,11 @@ TEST(DistributedQueryTest, DeterministicAcrossSimThreads) {
   EXPECT_EQ(stats1.exchange_seconds, stats4.exchange_seconds);
   EXPECT_EQ(stats1.lookup_seconds, stats4.lookup_seconds);
   EXPECT_EQ(stats1.serve_seconds, stats4.serve_seconds);
+  EXPECT_EQ(stats1.lockstep_seconds, stats4.lockstep_seconds);
   EXPECT_EQ(stats1.overlap_saved_seconds, stats4.overlap_saved_seconds);
 }
 
-// --- CLI integration: query --ranks / --overlap-batches / --json ---
+// --- CLI integration: query --ranks / --batch / --json ---
 
 struct AppResult {
   int exit_code;
@@ -398,31 +421,25 @@ TEST(DistributedQueryCliTest, RanksFlagAnswersLikeSingleRank) {
   const AppResult tiered = run_cli(
       {"query", "--store=" + f.dir, "--kmers=" + kmers, "--ranks=3"});
   ASSERT_EQ(tiered.exit_code, 0) << tiered.err;
+  const AppResult batched =
+      run_cli({"query", "--store=" + f.dir, "--kmers=" + kmers, "--ranks=3",
+               "--batch=1"});
+  ASSERT_EQ(batched.exit_code, 0) << batched.err;
 
   // Identical per-kmer answer lines (the summary lines differ).
   const std::string line0 = f.kmer0 + "\t" + std::to_string(f.count0);
   const std::string line1 = f.kmer1 + "\t" + std::to_string(f.count1);
-  for (const AppResult* r : {&single, &tiered}) {
+  for (const AppResult* r : {&single, &tiered, &batched}) {
     EXPECT_NE(r->out.find(line0), std::string::npos) << r->out;
     EXPECT_NE(r->out.find(line1), std::string::npos) << r->out;
   }
   EXPECT_NE(tiered.out.find("3 ranks"), std::string::npos) << tiered.out;
-}
-
-TEST(DistributedQueryCliTest, OverlapBatchesRequiresDistributedTier) {
-  const CliStore& f = cli_store();
-  const AppResult bad = run_cli({"query", "--store=" + f.dir,
-                                 "--kmers=" + f.kmer0, "--overlap-batches"});
-  EXPECT_NE(bad.exit_code, 0);
-  EXPECT_NE(bad.err.find("--ranks"), std::string::npos) << bad.err;
-
-  const AppResult good =
-      run_cli({"query", "--store=" + f.dir,
-               "--kmers=" + f.kmer0 + "," + f.kmer1, "--ranks=2",
-               "--batch=1", "--overlap-batches"});
-  ASSERT_EQ(good.exit_code, 0) << good.err;
-  EXPECT_NE(good.out.find(f.kmer0 + "\t" + std::to_string(f.count0)),
-            std::string::npos);
+  // The summary names a pipelining saving only when there is one: one
+  // batch has none, three one-key batches on three ranks do.
+  EXPECT_EQ(tiered.out.find("overlap saved"), std::string::npos)
+      << tiered.out;
+  EXPECT_NE(batched.out.find("overlap saved"), std::string::npos)
+      << batched.out;
 }
 
 TEST(DistributedQueryCliTest, JsonStatsReportTheServeSurface) {
