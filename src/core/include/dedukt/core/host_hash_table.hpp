@@ -86,26 +86,27 @@ class BasicHostHashTable {
   }
 
   /// Add `count` occurrences of `key` (Algorithm 1: INSERT or INCREMENT).
-  void add(const Key& key, std::uint64_t count = 1) {
+  /// Returns true when the key was new to the table (an INSERT).
+  bool add(const Key& key, std::uint64_t count = 1) {
     DEDUKT_REQUIRE_MSG(
         !(key == Traits::invalid()),
         "the all-ones key is reserved as the empty-slot sentinel");
     if ((size_ + 1) * 2 > keys_.size()) grow();
+    total_ += count;
     std::size_t slot = slot_of(key);
     while (true) {
       if (keys_[slot] == key) {
         counts_[slot] += count;
-        break;
+        return false;
       }
       if (keys_[slot] == Traits::invalid()) {
         keys_[slot] = key;
         counts_[slot] = count;
         ++size_;
-        break;
+        return true;
       }
       slot = (slot + 1) & (keys_.size() - 1);  // linear probing (§III-B3)
     }
-    total_ += count;
   }
 
   /// Count of `key` (0 if absent).

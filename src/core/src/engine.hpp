@@ -46,22 +46,45 @@ struct KeyCount {
   std::uint64_t count;
 };
 
-/// Sort gathered (key, count) pairs and sum duplicate keys. The exact
+/// Merge gathered (key, count) runs, each sorted by key, into one list
+/// sorted by key, in one pass that sums duplicate keys. The exact
 /// pipelines route every occurrence of a k-mer to one rank for the whole
-/// job, so their parts are disjoint; duplicates come only from the
+/// job, so their runs are disjoint; duplicates come only from the
 /// sketch's heavy-hitter candidates, where each rank counts its own reads.
 template <typename Key>
-void merge_gathered_counts(std::vector<std::pair<Key, std::uint64_t>>& counts) {
-  std::sort(counts.begin(), counts.end());
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < counts.size(); ++read) {
-    if (write > 0 && counts[write - 1].first == counts[read].first) {
-      counts[write - 1].second += counts[read].second;
+std::vector<std::pair<Key, std::uint64_t>> merge_gathered_counts(
+    const std::vector<std::vector<KeyCount<Key>>>& runs) {
+  std::size_t total = 0;
+  for (const auto& run : runs) total += run.size();
+  std::vector<std::pair<Key, std::uint64_t>> counts;
+  counts.reserve(total);
+
+  // Heap of each run's next unmerged entry, smallest key on top.
+  using Head = std::pair<std::size_t, std::size_t>;  // (run, index)
+  const auto later = [&runs](const Head& a, const Head& b) {
+    return runs[b.first][b.second].key < runs[a.first][a.second].key;
+  };
+  std::vector<Head> heads;
+  for (std::size_t run = 0; run < runs.size(); ++run) {
+    if (!runs[run].empty()) heads.emplace_back(run, 0);
+  }
+  std::make_heap(heads.begin(), heads.end(), later);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    Head& head = heads.back();
+    const KeyCount<Key>& entry = runs[head.first][head.second];
+    if (!counts.empty() && counts.back().first == entry.key) {
+      counts.back().second += entry.count;
     } else {
-      counts[write++] = counts[read];
+      counts.emplace_back(entry.key, entry.count);
+    }
+    if (++head.second < runs[head.first].size()) {
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
     }
   }
-  counts.resize(write);
+  return counts;
 }
 
 /// Where a batch sits in its stream.
@@ -169,14 +192,20 @@ class CountEngine {
     });
   }
 
-  /// Collective: send `table`'s (key, count) pairs to rank 0. Called inside
-  /// a rank span, so the gatherv counts toward the rank's core layer.
+  /// Collective: send `table`'s (key, count) pairs to rank 0, sorted by
+  /// key, so the ranks sort in parallel and rank 0 only merges. Called
+  /// inside a rank span, so the sort and the gatherv count toward the
+  /// rank's core layer.
   void gather(mpisim::Comm& comm, const Table& table) {
     std::vector<KeyCount<Key>> entries;
     entries.reserve(table.unique());
     table.for_each([&](const Key& key, std::uint64_t count) {
       entries.push_back({key, count});
     });
+    std::sort(entries.begin(), entries.end(),
+              [](const KeyCount<Key>& a, const KeyCount<Key>& b) {
+                return a.key < b.key;
+              });
     auto all = comm.gatherv(entries, /*root=*/0);
     if (comm.rank() == 0) gathered_ = std::move(all);
   }
@@ -184,15 +213,7 @@ class CountEngine {
   /// Every gathered pair, sorted by key with duplicates summed; empty when
   /// nothing was gathered.
   [[nodiscard]] Counts gathered_counts() const {
-    std::size_t total = 0;
-    for (const auto& part : gathered_) total += part.size();
-    Counts counts;
-    counts.reserve(total);
-    for (const auto& part : gathered_) {
-      for (const auto& entry : part) counts.emplace_back(entry.key, entry.count);
-    }
-    merge_gathered_counts(counts);
-    return counts;
+    return merge_gathered_counts(gathered_);
   }
 
  private:

@@ -80,9 +80,27 @@ class Device {
   /// Release accounting for a buffer (its storage dies with the object).
   template <typename T>
   void free(DeviceBuffer<T>& buffer) {
-    DEDUKT_CHECK(allocated_ >= buffer.bytes());
-    allocated_ -= buffer.bytes();
+    release(buffer.bytes());
     buffer = DeviceBuffer<T>();
+  }
+
+  /// Account `bytes` of device memory without host storage, for a
+  /// structure whose functional state lives elsewhere but whose modeled
+  /// footprint must still count; throws SimulationError if the device
+  /// memory would overflow. Pair with release().
+  void reserve(std::uint64_t bytes) {
+    if (allocated_ + bytes > props_.memory_bytes) {
+      throw SimulationError("device out of memory: " +
+                            std::to_string(allocated_ + bytes) + " > " +
+                            std::to_string(props_.memory_bytes) + " bytes");
+    }
+    allocated_ += bytes;
+  }
+
+  /// Return `bytes` taken by reserve().
+  void release(std::uint64_t bytes) {
+    DEDUKT_CHECK(allocated_ >= bytes);
+    allocated_ -= bytes;
   }
 
   /// Copy host -> device, priced at host-link bandwidth.
@@ -199,6 +217,26 @@ class Device {
                       per_block(grid_dim, block_dim, kernel));
   }
 
+  /// Host-evaluated launch: `body(KernelCharges&)` runs once, on the
+  /// calling thread, produces the whole grid's result and charges the
+  /// grid's traffic itself, in closed form. For kernels whose result and
+  /// charges the host computes more cheaply than thread by thread; both
+  /// must be what any block interleaving would give. Priced and recorded
+  /// exactly like the other forms: the same span, LaunchStats, timeline
+  /// and launch count, with `threads` set to grid_dim × block_dim.
+  template <typename Body>
+  LaunchStats launch_host(const char* name, std::uint32_t grid_dim,
+                          std::uint32_t block_dim, Body&& body) {
+    check_shape(grid_dim, block_dim);
+    trace::ScopedSpan span(trace::kCategoryKernel, name,
+                           trace::Track::kDevice);
+    Timer wall;
+    LaunchCounters counters;
+    KernelCharges charges(counters);
+    body(charges);
+    return record_launch(span, wall, grid_dim, block_dim, counters);
+  }
+
  private:
   /// Block body of a per-thread kernel: its threads in order.
   template <typename Kernel>
@@ -233,17 +271,21 @@ class Device {
     }
   }
 
+  void check_shape(std::uint32_t grid_dim, std::uint32_t block_dim) const {
+    DEDUKT_REQUIRE_MSG(block_dim > 0 && grid_dim > 0,
+                       "empty launch configuration");
+    DEDUKT_REQUIRE_MSG(
+        block_dim <= static_cast<std::uint32_t>(props_.max_threads_per_block),
+        "block_dim " << block_dim << " exceeds device limit");
+  }
+
   /// Run `block_body(b, counters)` for every block b, merge the counters,
   /// price the launch and record it on the timeline and the trace.
   template <typename BlockBody>
   LaunchStats run_blocks(const char* name, std::uint32_t grid_dim,
                          std::uint32_t block_dim, bool ordered,
                          BlockBody&& block_body) {
-    DEDUKT_REQUIRE_MSG(block_dim > 0 && grid_dim > 0,
-                       "empty launch configuration");
-    DEDUKT_REQUIRE_MSG(
-        block_dim <= static_cast<std::uint32_t>(props_.max_threads_per_block),
-        "block_dim " << block_dim << " exceeds device limit");
+    check_shape(grid_dim, block_dim);
 
     trace::ScopedSpan span(trace::kCategoryKernel, name,
                            trace::Track::kDevice);
@@ -275,6 +317,14 @@ class Device {
     for (const LaunchCounters& range : range_counters) {
       counters.merge(range);
     }
+    return record_launch(span, wall, grid_dim, block_dim, counters);
+  }
+
+  /// Price a finished launch from its counters and record it on the
+  /// timeline and on its open kernel span.
+  LaunchStats record_launch(trace::ScopedSpan& span, const Timer& wall,
+                            std::uint32_t grid_dim, std::uint32_t block_dim,
+                            LaunchCounters counters) {
     counters.threads = static_cast<std::uint64_t>(grid_dim) * block_dim;
 
     LaunchStats stats;
@@ -323,15 +373,6 @@ class Device {
   }
 
  private:
-  void reserve(std::uint64_t bytes) {
-    if (allocated_ + bytes > props_.memory_bytes) {
-      throw SimulationError("device out of memory: " +
-                            std::to_string(allocated_ + bytes) + " > " +
-                            std::to_string(props_.memory_bytes) + " bytes");
-    }
-    allocated_ += bytes;
-  }
-
   DeviceProps props_;
   GpuCostModel cost_model_;
   DeviceTimeline timeline_;

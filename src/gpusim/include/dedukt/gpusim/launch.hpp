@@ -7,7 +7,7 @@
 // through a counter context; the Device aggregates them into LaunchStats
 // and prices the launch with the analytic cost model.
 //
-// Two launch forms exist (see Device):
+// Three launch forms exist (see Device):
 //  - Per-thread kernels, void(ThreadCtx&), are invoked once per simulated
 //    thread (Device::launch / launch_ordered).
 //  - Block-cooperative kernels, void(BlockCtx&), are invoked once per
@@ -21,6 +21,11 @@
 //    strided scans — in closed form on the BlockCtx. Each launch declares
 //    its per-block shared-memory footprint, which the Device checks against
 //    DeviceProps::smem_bytes_per_block before any block runs.
+//  - Host-evaluated kernels, void(KernelCharges&), are invoked once per
+//    launch on the calling thread (Device::launch_host): the body
+//    computes the grid's result by a host algorithm and charges the
+//    grid's traffic in closed form, for kernels whose result and charges
+//    do not depend on how blocks interleave.
 //
 // Blocks may execute concurrently on host worker threads, so a kernel must
 // follow the same discipline as its CUDA counterpart: every write that

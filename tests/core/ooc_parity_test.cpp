@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "dedukt/core/driver.hpp"
+#include "dedukt/io/datasets.hpp"
 #include "dedukt/io/read_stream.hpp"
 #include "dedukt/io/synthetic.hpp"
 #include "dedukt/trace/trace.hpp"
@@ -321,6 +322,28 @@ TEST(OocFootprint, ScratchDirectoryIsRemovedAfterTheRun) {
   if (fs::exists(options.ooc.spill_root)) {
     EXPECT_TRUE(fs::is_empty(options.ooc.spill_root));
   }
+}
+
+TEST(OocFootprint, SpilledBinsFitADeviceTheInMemoryRunOverflows) {
+  // Pass 2 counts every bin on the rank's one device, and each bin's
+  // table returns its device memory when the bin is done, so the spilled
+  // run needs room for one bin's table, not for all of them together.
+  const std::optional<io::DatasetPreset> preset = io::find_preset("ecoli30x");
+  ASSERT_TRUE(preset.has_value());
+  const io::ReadBatch reads = io::make_dataset(*preset, /*scale=*/200);
+  DriverOptions options;
+  options.pipeline.kind = PipelineKind::kGpuSupermer;
+  options.nranks = 4;
+  const CountResult in_memory = run_distributed_count(reads, options);
+  ASSERT_FALSE(in_memory.global_counts.empty());
+
+  options.device.memory_bytes = std::uint64_t{8} << 20;
+  EXPECT_THROW((void)run_distributed_count(reads, options), SimulationError);
+
+  options.ooc.spill_root = spill_root();
+  options.ooc.bins = 8;
+  const CountResult spilled = run_distributed_count(reads, options);
+  EXPECT_EQ(global_identity(in_memory), global_identity(spilled));
 }
 
 // --- degenerate inputs and validation -----------------------------------

@@ -1,7 +1,9 @@
 // Block-cooperative launches (Device::launch_blocks): a kernel run once per
 // block must price, time and trace exactly like the same work run once per
 // thread; its declared shared-memory footprint is checked against the
-// device; and its counters must not depend on the host pool size.
+// device; and its counters must not depend on the host pool size. A
+// host-evaluated launch (Device::launch_host) of the same work, its charges
+// summed in closed form, must price, time and trace the same way too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -74,6 +76,22 @@ LaunchStats block_run(Device& device, const std::uint32_t* in,
       });
 }
 
+/// Host form: the whole grid as one loop, the fixed costs summed over all
+/// threads and blocks.
+LaunchStats host_run(Device& device, const std::uint32_t* in,
+                     std::vector<std::uint32_t>& bins) {
+  return device.launch_host(
+      "block_form_probe", kGrid, kBlock, [&](KernelCharges& charges) {
+        charges.count_smem_write(std::uint64_t{kGrid} * kBlock *
+                                 sizeof(std::uint32_t) * (kBins / kBlock + 1));
+        charges.count_smem_read(std::uint64_t{kGrid} * kBins *
+                                sizeof(std::uint32_t));
+        for (std::size_t i = 0; i < kN; ++i) {
+          bin_value(charges, in[i], &bins[(i / kBlock) * kBins]);
+        }
+      });
+}
+
 void expect_same_counters(const LaunchCounters& a, const LaunchCounters& b) {
   EXPECT_EQ(a.threads, b.threads);
   EXPECT_EQ(a.gmem_read_bytes, b.gmem_read_bytes);
@@ -85,7 +103,11 @@ void expect_same_counters(const LaunchCounters& a, const LaunchCounters& b) {
   EXPECT_EQ(a.smem_atomics, b.smem_atomics);
 }
 
-TEST(BlockLaunchTest, MatchesTheSameWorkRunPerThread) {
+/// Run `form` (block_run or host_run) and per_thread_run, each on its own
+/// device with tracing on, and check that the form's result, price,
+/// timeline and span equal the per-thread form's.
+template <typename Form>
+void expect_same_as_per_thread(Form&& form) {
   const std::vector<std::uint32_t> in = inputs();
   trace::TraceSession& session = trace::TraceSession::instance();
   session.enable("");
@@ -101,7 +123,7 @@ TEST(BlockLaunchTest, MatchesTheSameWorkRunPerThread) {
   session.reset();
   Device block_device;
   std::vector<std::uint32_t> block_bins(kGrid * kBins, 0u);
-  const LaunchStats block = block_run(block_device, in.data(), block_bins);
+  const LaunchStats block = form(block_device, in.data(), block_bins);
   const auto block_spans =
       session.recorder(trace::SpanRecorder::kMainRank).spans_snapshot();
   session.disable();
@@ -132,6 +154,14 @@ TEST(BlockLaunchTest, MatchesTheSameWorkRunPerThread) {
     EXPECT_EQ(b.args[i].key, p.args[i].key);
     EXPECT_EQ(b.args[i].json, p.args[i].json);
   }
+}
+
+TEST(BlockLaunchTest, MatchesTheSameWorkRunPerThread) {
+  expect_same_as_per_thread(block_run);
+}
+
+TEST(HostLaunchTest, MatchesTheSameWorkRunPerThread) {
+  expect_same_as_per_thread(host_run);
 }
 
 TEST(BlockLaunchTest, BodyRunsOncePerBlock) {
