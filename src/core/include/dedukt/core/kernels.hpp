@@ -16,6 +16,10 @@
 //    (Fig. 5); the thread grows supermers in private registers and flushes
 //    one packed 64-bit word + length byte per supermer (Algorithm 2).
 //    Destinations come from the minimizer hash.
+//
+// Each launch is priced as that grid but evaluated once on the host
+// (Device::launch_host) with the kmer library's walkers, its charges in
+// closed form (docs/performance-model.md, "GPU kernels").
 #pragma once
 
 #include <cstdint>
@@ -94,7 +98,8 @@ struct DestinationTable {
 /// Pass 1: count the supermers destined to each partition. `Word` is the
 /// supermer packing: std::uint64_t for the paper's single-word regime, or
 /// kmer::WideKey for the two-word extension (config.wide: 63-base
-/// supermers in thread-private 128-bit registers).
+/// supermers in thread-private 128-bit registers). `windows` must tile
+/// each fragment at config.window, as build_windows lays them out.
 template <typename Word = std::uint64_t>
 gpusim::LaunchStats supermer_count(
     gpusim::Device& device, const gpusim::DeviceBuffer<char>& bases,

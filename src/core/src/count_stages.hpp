@@ -1,4 +1,5 @@
-// The count phases of the three exact pipelines (COUNTKMER of Fig. 1).
+// The count phases of the three exact pipelines (COUNTKMER of Fig. 1),
+// and the device k-mer parse the gpu-kmer rounds and the sketch share.
 //
 // Internal to dedukt_core: each pipeline's rounds call these, and the
 // out-of-core pass 2 (ooc.cpp) calls them after exchanging one spill bin,
@@ -6,15 +7,34 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "dedukt/core/config.hpp"
 #include "dedukt/core/host_hash_table.hpp"
 #include "dedukt/core/phase_scope.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/gpusim/device.hpp"
+#include "dedukt/io/sequence.hpp"
 #include "dedukt/mpisim/comm.hpp"
 
 namespace dedukt::core::detail {
+
+/// The k-mer parse's device-resident output: per-destination counts and
+/// offsets and the packed k-mers awaiting the exchange.
+struct ParsedKmers {
+  std::vector<std::uint32_t> counts;
+  std::vector<std::uint64_t> offsets;
+  gpusim::DeviceBuffer<std::uint64_t> d_out;
+  std::uint64_t total = 0;
+};
+
+/// Stage `reads` on the device and run the two k-mer parse launches
+/// (§III-B1) into `parts` destinations; with one, the k-mers stay in input
+/// order. The callers open the parse phase and state its charge.
+ParsedKmers parse_device_kmers(gpusim::Device& device,
+                               const io::ReadBatch& reads,
+                               const PipelineConfig& config,
+                               std::uint32_t parts);
 
 /// CPU baseline (Algorithm 1 lines 10-15): fold the received keys into the
 /// local partition of the global hash table.

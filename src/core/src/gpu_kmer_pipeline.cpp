@@ -47,33 +47,13 @@ void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
       summit::kGpuCountOverheadSec);
 }
 
-}  // namespace detail
-
-namespace {
-
-/// The device-resident parse output: per-destination counts/offsets and the
-/// packed k-mer buffer awaiting the exchange.
-struct ParsedKmers {
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint64_t> offsets;
-  gpusim::DeviceBuffer<std::uint64_t> d_out;
-  std::uint64_t total = 0;
-};
-
-/// Per-destination (key, count) buckets after source-side consolidation.
-struct ConsolidatedKmers {
-  std::vector<std::vector<std::uint64_t>> out_keys;
-  std::vector<std::vector<std::uint32_t>> out_key_counts;
-};
-
-/// parse & process k-mers on the device (one full parse phase).
-ParsedKmers parse_gpu_kmers(gpusim::Device& device, const io::ReadBatch& reads,
-                            const PipelineConfig& config, std::uint32_t parts,
-                            RankMetrics& metrics) {
+ParsedKmers parse_device_kmers(gpusim::Device& device,
+                               const io::ReadBatch& reads,
+                               const PipelineConfig& config,
+                               std::uint32_t parts) {
   const io::BaseEncoding enc = config.encoding();
   ParsedKmers parsed;
   parsed.counts.resize(parts);
-  PhaseScope phase(metrics, kPhaseParse, device);
 
   kernels::EncodedReads staging = kernels::EncodedReads::build(reads,
                                                                config.k);
@@ -103,7 +83,27 @@ ParsedKmers parse_gpu_kmers(gpusim::Device& device, const io::ReadBatch& reads,
   device.free(d_counts);
   device.free(d_offsets);
   device.free(d_cursors);
+  return parsed;
+}
 
+}  // namespace detail
+
+namespace {
+
+using detail::ParsedKmers;
+
+/// Per-destination (key, count) buckets after source-side consolidation.
+struct ConsolidatedKmers {
+  std::vector<std::vector<std::uint64_t>> out_keys;
+  std::vector<std::vector<std::uint32_t>> out_key_counts;
+};
+
+/// parse & process k-mers on the device (one full parse phase).
+ParsedKmers parse_gpu_kmers(gpusim::Device& device, const io::ReadBatch& reads,
+                            const PipelineConfig& config, std::uint32_t parts,
+                            RankMetrics& metrics) {
+  PhaseScope phase(metrics, kPhaseParse, device);
+  ParsedKmers parsed = detail::parse_device_kmers(device, reads, config, parts);
   metrics.kmers_parsed = parsed.total;
   phase.set_device_floor_charge(
       static_cast<double>(parsed.total) / summit::kGpuParseKmersPerSec,

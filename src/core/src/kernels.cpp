@@ -1,20 +1,17 @@
-// Concurrency contract (audited for block-parallel Device::launch): every
-// cross-thread write in these kernels is a std::atomic_ref CAS/add on the
-// destination counters/cursors, and output slots are made exclusive by the
-// atomic cursor claim before the plain store. The count-only kernels are
-// order-insensitive and run block-parallel. The fill kernels use
-// launch_ordered: their output PLACEMENT follows cursor claim order, and
-// the occurrence order they produce reaches counts downstream — the
-// Bloom-filtered count kernels absorb whichever occurrence of a key comes
-// first (and its false positives depend on that order too), and the
-// conservative sketch update's cells depend on update order. Pinning the
-// canonical block order keeps outgoing buffers — and every count and
-// charge derived from them — bit-identical for every pool size.
+// The parse-stage launches. Each runs once on the host (Device::launch_host)
+// and walks the staged fragments in order with the kmer library's walkers:
+// kmer::for_each_kmer for the k-mer launches, the sliding-minimizer
+// builders for the supermer launches. It writes the same buffers, in the
+// same order, as the per-thread kernel in the canonical block order, so the
+// outgoing buffers are identical at every DEDUKT_SIM_THREADS, and charges
+// that kernel's traffic in closed form.
 #include "dedukt/core/kernels.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <string_view>
 #include <type_traits>
 
+#include "dedukt/hash/murmur3.hpp"
 #include "dedukt/kmer/extract.hpp"
 #include "dedukt/util/error.hpp"
 
@@ -65,100 +62,114 @@ std::vector<Window> build_windows(const EncodedReads& reads, int k,
 
 namespace {
 
-/// Pack the k-mer starting at `p`; returns false if the window crosses a
-/// separator (or other non-ACGT byte).
-inline bool pack_at(const char* bases, std::uint64_t p, int k,
-                    io::BaseEncoding enc, kmer::KmerCode& code) {
-  kmer::KmerCode c = 0;
-  for (int j = 0; j < k; ++j) {
-    const std::int8_t b = io::encode_base_or_invalid(bases[p + j], enc);
-    if (b < 0) return false;
-    c = kmer::append_base(c, static_cast<io::BaseCode>(b));
-  }
-  code = c;
-  return true;
+/// Run the k-mer launch `name` over the one-thread-per-base grid (Fig. 2).
+/// It visits, in position order, the k-mer of every position p <
+/// total_len whose k bytes from p all encode as bases, which are the
+/// k-mers of the maximal base runs between separators, as fn(code, dest).
+/// Every thread loads k bytes; each k-mer is packed and hashed (2k + 8
+/// ops), claims its destination with one atomic and writes `bytes_out`.
+template <typename Fn>
+gpusim::LaunchStats kmer_launch(const char* name, gpusim::Device& device,
+                                const gpusim::DeviceBuffer<char>& bases,
+                                std::size_t total_len, int k,
+                                io::BaseEncoding enc, std::uint32_t parts,
+                                std::uint64_t bytes_out, Fn&& fn) {
+  DEDUKT_REQUIRE(total_len <= bases.size());
+  const auto shape = device.shape_for(total_len);
+  return device.launch_host(name, shape.grid_dim, shape.block_dim,
+                            [&](gpusim::KernelCharges& charges) {
+    const auto kk = static_cast<std::uint64_t>(k);
+    const std::size_t end = std::min(bases.size(), total_len + kk - 1);
+    std::uint64_t kmers = 0;
+    for (std::size_t p = 0; p < end; ++p) {
+      const std::size_t run = p;
+      while (p < end && io::encode_base_or_invalid(bases[p], enc) >= 0) ++p;
+      kmer::for_each_kmer(std::string_view(bases.data() + run, p - run), k,
+                          enc, [&](kmer::KmerCode code) {
+                            fn(code, kmer::kmer_partition(code, parts));
+                            ++kmers;
+                          });
+    }
+    charges.count_gmem_read(total_len * kk);
+    charges.count_ops(kmers * (2 * kk + 8));
+    charges.count_atomic(kmers);
+    charges.count_gmem_write(kmers * bytes_out);
+  });
 }
 
-/// Route a minimizer to its destination rank: the §VII frequency-balanced
-/// table when present, the paper's hash otherwise.
-inline std::uint32_t route(kmer::KmerCode minimizer, std::uint32_t parts,
-                           const DestinationTable& routing,
-                           gpusim::ThreadCtx& ctx) {
-  if (!routing.enabled()) {
-    ctx.count_ops(4);
-    return kmer::minimizer_partition(minimizer, parts);
-  }
-  const std::uint32_t bucket = hash::to_partition(
-      hash::hash_u64(minimizer, kmer::kDestinationHashSeed),
-      routing.nbuckets);
-  ctx.count_gmem_read(sizeof(std::uint32_t));  // table lookup
-  ctx.count_ops(6);
-  return routing.bucket_to_rank[bucket];
-}
-
-/// Algorithm 2's per-window walk: grows supermers in thread-private state
-/// and invokes emit(supermer, minimizer) for each flushed supermer.
-/// Shared by the count and fill kernels so both passes agree exactly.
-/// Word is std::uint64_t (single-word regime, the paper's; emits
-/// PackedSupermer) or kmer::WideKey (two-word extension; emits
-/// PackedWideSupermer).
-template <typename Word, typename Emit>
-void walk_window(const char* bases, const Window& w,
-                 const kmer::SupermerConfig& config,
-                 const kmer::MinimizerPolicy& policy, io::BaseEncoding enc,
-                 gpusim::ThreadCtx& ctx, Emit&& emit) {
+/// Run the supermer launch `name` over the one-thread-per-window grid of
+/// Algorithm 2. The windows must tile each fragment in order at
+/// config.window, as build_windows lays them out, so each fragment is one
+/// builder walk; it visits every supermer in window order as fn(smer,
+/// dest), routed by the §VII frequency-balanced table when `routing` is
+/// enabled and by the minimizer hash otherwise. Per window the thread
+/// loads the Window and k bytes and packs them (2k ops), every later
+/// k-mer loads 1 byte, every k-mer scans its k − m + 1 m-mers (3 ops
+/// each), and every supermer routes (4 ops; 6 ops and a 4 B read with the
+/// table), claims its destination with one atomic and writes `bytes_out`.
+template <typename Word, typename Fn>
+gpusim::LaunchStats supermer_launch(
+    const char* name, gpusim::Device& device,
+    const gpusim::DeviceBuffer<char>& bases,
+    const gpusim::DeviceBuffer<Window>& windows, std::size_t nwindows,
+    const kmer::SupermerConfig& config, std::uint32_t parts,
+    DestinationTable routing, std::uint64_t bytes_out, Fn&& fn) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
-  const int k = config.k;
-  const std::uint64_t first = w.frag_offset + w.kmer_start;
-
-  // Seed with the window's first k-mer (fragment bases are pure ACGT).
-  kmer::KmerCode code = 0;
-  [[maybe_unused]] const bool ok = pack_at(bases, first, k, enc, code);
-  DEDUKT_CHECK(ok);
-  ctx.count_gmem_read(static_cast<std::uint64_t>(k));
-  ctx.count_ops(static_cast<std::uint64_t>(2 * k));
-
-  // The supermer accumulator lives in thread-private registers: a single
-  // word in the paper's regime, two words for the wide extension.
-  kmer::WideCode accumulator = code;
-  std::uint8_t len = static_cast<std::uint8_t>(k);
-  kmer::KmerCode prev_min = kmer::minimizer_of(code, k, policy);
-  ctx.count_ops(static_cast<std::uint64_t>(3 * (k - policy.m() + 1)));
-
-  auto flush = [&] {
-    if constexpr (kWide) {
-      emit(kmer::PackedWideSupermer{kmer::to_key(accumulator), len},
-           prev_min);
-    } else {
-      emit(kmer::PackedSupermer{static_cast<kmer::KmerCode>(accumulator),
-                                len},
-           prev_min);
+  config.validate();
+  DEDUKT_REQUIRE(!kWide || config.wide);
+  DEDUKT_REQUIRE(nwindows <= windows.size());
+  const auto shape = device.shape_for(nwindows);
+  return device.launch_host(name, shape.grid_dim, shape.block_dim,
+                            [&](gpusim::KernelCharges& charges) {
+    const auto k = static_cast<std::uint32_t>(config.k);
+    const auto window = static_cast<std::uint32_t>(config.window);
+    std::conditional_t<kWide, std::vector<kmer::DestinedWideSupermer>,
+                       std::vector<kmer::DestinedSupermer>>
+        smers;
+    std::uint64_t kmers = 0;
+    std::uint64_t supermers = 0;
+    for (std::size_t i = 0; i < nwindows;) {
+      const Window head = windows[i];
+      DEDUKT_REQUIRE(head.frag_len >= k &&
+                     head.frag_offset + head.frag_len <= bases.size());
+      const std::uint32_t nkmers = head.frag_len - k + 1;
+      for (std::uint32_t start = 0; start < nkmers; start += window, ++i) {
+        DEDUKT_REQUIRE_MSG(
+            i < nwindows && windows[i].frag_offset == head.frag_offset &&
+                windows[i].kmer_start == start &&
+                windows[i].kmer_count == std::min(window, nkmers - start),
+            "windows must tile each fragment at config.window");
+      }
+      const std::string_view fragment(bases.data() + head.frag_offset,
+                                      head.frag_len);
+      smers.clear();
+      if constexpr (kWide) {
+        kmer::build_wide_supermers(fragment, config, parts, smers);
+      } else {
+        kmer::build_supermers(fragment, config, parts, smers);
+      }
+      for (const auto& ds : smers) {
+        fn(ds.smer, routing.enabled()
+                        ? routing.bucket_to_rank[hash::to_partition(
+                              hash::hash_u64(ds.minimizer,
+                                             kmer::kDestinationHashSeed),
+                              routing.nbuckets)]
+                        : ds.dest);
+      }
+      kmers += nkmers;
+      supermers += smers.size();
     }
-  };
-
-  const kmer::KmerCode mask = kmer::code_mask(k);
-  for (std::uint32_t j = 1; j < w.kmer_count; ++j) {
-    // Roll in the next base.
-    const char next = bases[first + j + static_cast<std::uint32_t>(k) - 1];
-    const std::int8_t b = io::encode_base_or_invalid(next, enc);
-    DEDUKT_CHECK(b >= 0);
-    code = kmer::append_base(code, static_cast<io::BaseCode>(b)) & mask;
-    ctx.count_gmem_read(1);
-
-    const kmer::KmerCode minimizer = kmer::minimizer_of(code, k, policy);
-    ctx.count_ops(static_cast<std::uint64_t>(3 * (k - policy.m() + 1)));
-    if (minimizer == prev_min) {
-      accumulator = kmer::wide_append(accumulator,
-                                      static_cast<io::BaseCode>(code & 3));
-      len += 1;
-    } else {
-      flush();
-      accumulator = code;
-      len = static_cast<std::uint8_t>(k);
-      prev_min = minimizer;
+    const std::uint64_t w = nwindows;
+    const auto span = static_cast<std::uint64_t>(config.k - config.m + 1);
+    charges.count_gmem_read(w * (sizeof(Window) + k) + (kmers - w));
+    charges.count_ops(2 * k * w + 3 * span * kmers);
+    if (routing.enabled()) {
+      charges.count_gmem_read(sizeof(std::uint32_t) * supermers);
     }
-  }
-  flush();
+    charges.count_ops((routing.enabled() ? 6 : 4) * supermers);
+    charges.count_atomic(supermers);
+    charges.count_gmem_write(supermers * bytes_out);
+  });
 }
 
 }  // namespace
@@ -168,23 +179,10 @@ gpusim::LaunchStats parse_count_kmers(
     std::size_t total_len, int k, io::BaseEncoding enc, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts) {
   DEDUKT_REQUIRE(dest_counts.size() >= parts);
-  const char* in = bases.data();
-  std::uint32_t* counters = dest_counts.data();
-
-  const auto shape = device.shape_for(total_len);
-  return device.launch("parse_count_kmers", shape.grid_dim, shape.block_dim,
-                       [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= total_len) return;
-    kmer::KmerCode code;
-    ctx.count_gmem_read(static_cast<std::uint64_t>(k));
-    if (!pack_at(in, i, k, enc, code)) return;
-    ctx.count_ops(static_cast<std::uint64_t>(2 * k) + 8);
-    const std::uint32_t dest = kmer::kmer_partition(code, parts);
-    std::atomic_ref<std::uint32_t>(counters[dest])
-        .fetch_add(1, std::memory_order_relaxed);
-    ctx.count_atomic();
-  });
+  return kmer_launch("parse_count_kmers", device, bases, total_len, k, enc,
+                     parts, 0, [&](kmer::KmerCode, std::uint32_t dest) {
+                       ++dest_counts[dest];
+                     });
 }
 
 gpusim::LaunchStats parse_fill_kmers(
@@ -195,30 +193,12 @@ gpusim::LaunchStats parse_fill_kmers(
     gpusim::DeviceBuffer<std::uint64_t>& out_kmers) {
   DEDUKT_REQUIRE(offsets.size() >= parts);
   DEDUKT_REQUIRE(cursors.size() >= parts);
-  const char* in = bases.data();
-  const std::uint64_t* offs = offsets.data();
-  std::uint32_t* curs = cursors.data();
-  std::uint64_t* out = out_kmers.data();
-  const std::size_t out_size = out_kmers.size();
-
-  const auto shape = device.shape_for(total_len);
-  return device.launch_ordered("parse_fill_kmers", shape.grid_dim,
-                               shape.block_dim, [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= total_len) return;
-    kmer::KmerCode code;
-    ctx.count_gmem_read(static_cast<std::uint64_t>(k));
-    if (!pack_at(in, i, k, enc, code)) return;
-    ctx.count_ops(static_cast<std::uint64_t>(2 * k) + 8);
-    const std::uint32_t dest = kmer::kmer_partition(code, parts);
-    const std::uint32_t idx =
-        std::atomic_ref<std::uint32_t>(curs[dest])
-            .fetch_add(1, std::memory_order_relaxed);
-    ctx.count_atomic();
-    const std::uint64_t slot = offs[dest] + idx;
-    DEDUKT_CHECK_MSG(slot < out_size, "outgoing buffer overflow");
-    out[slot] = code;
-    ctx.count_gmem_write(sizeof(std::uint64_t));
+  return kmer_launch("parse_fill_kmers", device, bases, total_len, k, enc,
+                     parts, sizeof(std::uint64_t),
+                     [&](kmer::KmerCode code, std::uint32_t dest) {
+    const std::uint64_t slot = offsets[dest] + cursors[dest]++;
+    DEDUKT_CHECK_MSG(slot < out_kmers.size(), "outgoing buffer overflow");
+    out_kmers[slot] = code;
   });
 }
 
@@ -230,31 +210,11 @@ gpusim::LaunchStats supermer_count(
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
     DestinationTable routing) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
-  config.validate();
-  DEDUKT_REQUIRE(!kWide || config.wide);
   DEDUKT_REQUIRE(dest_counts.size() >= parts);
-  const char* in = bases.data();
-  const Window* wins = windows.data();
-  std::uint32_t* counters = dest_counts.data();
-  const kmer::MinimizerPolicy policy = config.policy();
-  const io::BaseEncoding enc = policy.encoding();
-
-  const auto shape = device.shape_for(nwindows);
-  return device.launch(kWide ? "supermer_count_wide" : "supermer_count",
-                       shape.grid_dim, shape.block_dim,
-                       [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= nwindows) return;
-    ctx.count_gmem_read(sizeof(Window));
-    walk_window<Word>(
-        in, wins[i], config, policy, enc, ctx,
-        [&](const auto&, kmer::KmerCode minimizer) {
-          const std::uint32_t dest = route(minimizer, parts, routing, ctx);
-          std::atomic_ref<std::uint32_t>(counters[dest])
-              .fetch_add(1, std::memory_order_relaxed);
-          ctx.count_atomic();
-        });
-  });
+  return supermer_launch<Word>(
+      kWide ? "supermer_count_wide" : "supermer_count", device, bases,
+      windows, nwindows, config, parts, routing, 0,
+      [&](const auto&, std::uint32_t dest) { ++dest_counts[dest]; });
 }
 
 template <typename Word>
@@ -268,44 +228,19 @@ gpusim::LaunchStats supermer_fill(
     gpusim::DeviceBuffer<std::uint8_t>& out_lens,
     DestinationTable routing) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
-  config.validate();
-  DEDUKT_REQUIRE(!kWide || config.wide);
   DEDUKT_REQUIRE(offsets.size() >= parts);
   DEDUKT_REQUIRE(cursors.size() >= parts);
   DEDUKT_REQUIRE(out_words.size() == out_lens.size());
-  const char* in = bases.data();
-  const Window* wins = windows.data();
-  const std::uint64_t* offs = offsets.data();
-  std::uint32_t* curs = cursors.data();
-  Word* words = out_words.data();
-  std::uint8_t* lens = out_lens.data();
-  const std::size_t out_size = out_words.size();
-  const kmer::MinimizerPolicy policy = config.policy();
-  const io::BaseEncoding enc = policy.encoding();
-
-  const auto shape = device.shape_for(nwindows);
-  return device.launch_ordered(kWide ? "supermer_fill_wide" : "supermer_fill",
-                               shape.grid_dim, shape.block_dim,
-                               [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= nwindows) return;
-    ctx.count_gmem_read(sizeof(Window));
-    walk_window<Word>(
-        in, wins[i], config, policy, enc, ctx,
-        [&](const auto& smer, kmer::KmerCode minimizer) {
-          const std::uint32_t dest = route(minimizer, parts, routing, ctx);
-          const std::uint32_t idx =
-              std::atomic_ref<std::uint32_t>(curs[dest])
-                  .fetch_add(1, std::memory_order_relaxed);
-          ctx.count_atomic();
-          const std::uint64_t slot = offs[dest] + idx;
-          DEDUKT_CHECK_MSG(slot < out_size,
-                           "supermer outgoing buffer overflow");
-          words[slot] = smer.bases;
-          lens[slot] = smer.len;
-          ctx.count_gmem_write(sizeof(Word) + sizeof(std::uint8_t));
-        });
-  });
+  return supermer_launch<Word>(
+      kWide ? "supermer_fill_wide" : "supermer_fill", device, bases, windows,
+      nwindows, config, parts, routing, sizeof(Word) + sizeof(std::uint8_t),
+      [&](const auto& smer, std::uint32_t dest) {
+        const std::uint64_t slot = offsets[dest] + cursors[dest]++;
+        DEDUKT_CHECK_MSG(slot < out_words.size(),
+                         "supermer outgoing buffer overflow");
+        out_words[slot] = smer.bases;
+        out_lens[slot] = smer.len;
+      });
 }
 
 template gpusim::LaunchStats supermer_count<std::uint64_t>(

@@ -10,13 +10,15 @@
 // pipeline's own count phase against the persistent per-rank table, which
 // bounds the exchange working set by 1/bins of the dataset.
 //
-// Pass 1 parses on the host (the simulated device kernels operate on whole
-// in-memory batches; the host builders produce the same k-mer/supermer
-// multiset per destination, which is all pass 2 consumes). Its parse
-// charges use each pipeline's calibrated throughput terms; the GPU device
-// floor is approximated by the throughput term itself, an equality on
-// every profiled configuration since the modeled kernels are
-// throughput-bound.
+// Pass 1 parses on the host with the kmer library's walkers, the same
+// k-mer walk and sliding-minimizer supermer builders the device parse
+// launches evaluate, but without staging each batch on the device: the
+// builders produce the same k-mer/supermer multiset per destination, which
+// is all pass 2 consumes, and each supermer carries the minimizer that
+// picks its bin. Its parse charges use each pipeline's calibrated
+// throughput terms; the GPU device floor is approximated by the
+// throughput term itself, an equality on every profiled configuration
+// since the modeled kernels are throughput-bound.
 //
 // Spectra, global counts and (for hash routing) per-rank tallies are
 // bit-identical to the in-memory path: every occurrence of a key follows
@@ -137,7 +139,6 @@ void bin_supermers(const io::ReadBatch& mine, const PipelineConfig& config,
                    RankMetrics& metrics) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   const kmer::SupermerConfig smer_config = config.supermer_config();
-  const kmer::MinimizerPolicy policy = config.minimizer_policy();
   for (const auto& read : mine.reads) {
     const auto supermers = [&] {
       if constexpr (kWide) {
@@ -147,18 +148,10 @@ void bin_supermers(const io::ReadBatch& mine, const PipelineConfig& config,
       }
     }();
     for (const auto& ds : supermers) {
-      const kmer::KmerCode first = [&] {
-        if constexpr (kWide) {
-          return kmer::wide_sub(kmer::from_key(ds.smer.bases), ds.smer.len,
-                                0, config.k);
-        } else {
-          return kmer::sub_code(ds.smer.bases, ds.smer.len, 0, config.k);
-        }
-      }();
-      const kmer::KmerCode mini = kmer::minimizer_of(first, config.k, policy);
       const std::uint32_t dest =
-          assignment != nullptr ? assignment->rank_of(mini) : ds.dest;
-      const std::uint32_t bin = spill_bin_of<NarrowKeyTraits>(mini, bins);
+          assignment != nullptr ? assignment->rank_of(ds.minimizer) : ds.dest;
+      const std::uint32_t bin =
+          spill_bin_of<NarrowKeyTraits>(ds.minimizer, bins);
       push_words(buckets.words[bin][dest], ds.smer.bases);
       buckets.lens[bin][dest].push_back(ds.smer.len);
       ++metrics.supermers_built;

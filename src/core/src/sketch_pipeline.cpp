@@ -10,11 +10,12 @@
 // counting at scale.
 //
 // Pipeline kinds: the CPU kind parses on the host and updates the host
-// sketch; both GPU kinds share the k-mer parse kernels with parts=1 (all
-// k-mers stay device-resident — supermers exist only to compress the
-// exchange, and there is no exchange here) and run the priced device
-// update kernel against the rank's persistent cells (H2D-loaded per batch,
-// D2H'd back — honest streaming cost).
+// sketch; both GPU kinds run the gpu-kmer pipeline's device parse with
+// parts=1 (all k-mers stay device-resident, in the input order the
+// order-pinned conservative update relies on — supermers exist only to
+// compress the exchange, and there is no exchange here) and run the
+// priced device update kernel against the rank's persistent cells
+// (H2D-loaded per batch, D2H'd back — honest streaming cost).
 //
 // Heavy hitters (heavy_threshold > 0): after the merge, a second pass
 // re-parses the retained input, point-queries the merged global sketch,
@@ -33,8 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "count_stages.hpp"
 #include "dedukt/core/driver.hpp"
-#include "dedukt/core/kernels.hpp"
 #include "dedukt/core/phase_scope.hpp"
 #include "dedukt/core/sketch.hpp"
 #include "dedukt/gpusim/device.hpp"
@@ -73,45 +74,6 @@ std::vector<std::uint64_t> parse_host_keys(const io::ReadBatch& reads,
   return keys;
 }
 
-/// Device parse of one batch with parts=1: the rank's whole k-mer stream,
-/// device-resident. The same two-pass kernels as the GPU k-mer pipeline;
-/// with one partition the fill pass preserves input order, which the
-/// order-pinned conservative kernel relies on.
-gpusim::DeviceBuffer<std::uint64_t> parse_device_keys(
-    gpusim::Device& device, const io::ReadBatch& reads,
-    const PipelineConfig& config, std::uint64_t& total) {
-  const io::BaseEncoding enc = config.encoding();
-  kernels::EncodedReads staging =
-      kernels::EncodedReads::build(reads, config.k);
-  auto d_bases = device.alloc<char>(staging.bases.size());
-  device.copy_to_device<char>(staging.bases, d_bases);
-
-  auto d_counts = device.alloc<std::uint32_t>(1, 0u);
-  kernels::parse_count_kmers(device, d_bases, staging.bases.size(), config.k,
-                             enc, /*parts=*/1, d_counts);
-  std::vector<std::uint32_t> counts(1);
-  device.copy_to_host(d_counts, std::span<std::uint32_t>(counts));
-  total = counts[0];
-  DEDUKT_CHECK_MSG(total == staging.total_kmers,
-                   "sketch parse lost k-mers: " << total << " vs "
-                                                << staging.total_kmers);
-
-  std::vector<std::uint64_t> offsets{0};
-  auto d_offsets = device.alloc<std::uint64_t>(1);
-  device.copy_to_device<std::uint64_t>(offsets, d_offsets);
-  auto d_cursors = device.alloc<std::uint32_t>(1, 0u);
-  auto d_out =
-      device.alloc<std::uint64_t>(std::max<std::uint64_t>(total, 1));
-  kernels::parse_fill_kmers(device, d_bases, staging.bases.size(), config.k,
-                            enc, /*parts=*/1, d_offsets, d_cursors, d_out);
-
-  device.free(d_bases);
-  device.free(d_counts);
-  device.free(d_offsets);
-  device.free(d_cursors);
-  return d_out;
-}
-
 /// One round of the sketch pipeline: parse the rank's share of a batch and
 /// absorb it into the rank's persistent sketch. The sketch has no
 /// distinct-key count; the counted total is the stream length it absorbed.
@@ -148,7 +110,10 @@ RankMetrics run_sketch_round(gpusim::Device* device,
   std::uint64_t total = 0;
   {
     PhaseScope phase(metrics, kPhaseParse, *device);
-    d_kmers = parse_device_keys(*device, reads, config, total);
+    detail::ParsedKmers parsed =
+        detail::parse_device_kmers(*device, reads, config, /*parts=*/1);
+    d_kmers = std::move(parsed.d_out);
+    total = parsed.total;
     metrics.kmers_parsed = total;
     phase.set_device_floor_charge(
         static_cast<double>(total) / summit::kGpuParseKmersPerSec,
@@ -210,7 +175,10 @@ RankMetrics run_heavy_pass(gpusim::Device* device, const io::ReadBatch& reads,
   std::uint64_t total = 0;
   {
     PhaseScope phase(metrics, kPhaseParse, *device);
-    d_kmers = parse_device_keys(*device, reads, config, total);
+    detail::ParsedKmers parsed =
+        detail::parse_device_kmers(*device, reads, config, /*parts=*/1);
+    d_kmers = std::move(parsed.d_out);
+    total = parsed.total;
     phase.set_device_floor_charge(
         static_cast<double>(total) / summit::kGpuParseKmersPerSec,
         summit::kGpuParseOverheadSec);

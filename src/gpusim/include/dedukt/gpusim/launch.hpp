@@ -24,8 +24,9 @@
 //  - Host-evaluated kernels, void(KernelCharges&), are invoked once per
 //    launch on the calling thread (Device::launch_host): the body
 //    computes the grid's result by a host algorithm and charges the
-//    grid's traffic in closed form, for kernels whose result and charges
-//    do not depend on how blocks interleave.
+//    grid's traffic in closed form. The parse launches and the hash-table
+//    count launches and reductions take this form; each produces what the
+//    per-thread kernel gives in the canonical block order.
 //
 // Blocks may execute concurrently on host worker threads, so a kernel must
 // follow the same discipline as its CUDA counterpart: every write that

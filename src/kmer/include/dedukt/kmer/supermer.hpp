@@ -15,7 +15,8 @@
 //
 // Invariants (property-tested):
 //  - every k-mer of the input appears in exactly one supermer;
-//  - a supermer's k-mers all share its minimizer;
+//  - a supermer's k-mers all share its minimizer, which the windowed
+//    builders report with it;
 //  - the destination is a function of the minimizer alone, so every
 //    occurrence of a k-mer routes to the same partition (§IV-A).
 #pragma once
@@ -66,10 +67,12 @@ struct PackedSupermer {
                          const PackedSupermer&) = default;
 };
 
-/// A packed supermer together with its destination partition.
+/// A packed supermer together with its destination partition and the
+/// minimizer all of its k-mers share.
 struct DestinedSupermer {
   PackedSupermer smer;
   std::uint32_t dest = 0;
+  KmerCode minimizer = 0;
 };
 
 /// Invoke fn(kmer_code) for each k-mer of a packed supermer, in order.
@@ -106,10 +109,11 @@ struct PackedWideSupermer {
                          const PackedWideSupermer&) = default;
 };
 
-/// A wide packed supermer with its destination partition.
+/// A wide packed supermer with its destination partition and minimizer.
 struct DestinedWideSupermer {
   PackedWideSupermer smer;
   std::uint32_t dest = 0;
+  KmerCode minimizer = 0;
 };
 
 /// Invoke fn(kmer_code) for each (narrow, k <= 31) k-mer of a wide

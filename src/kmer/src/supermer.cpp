@@ -61,12 +61,13 @@ void build_supermers(std::string_view fragment, const SupermerConfig& config,
         current.len += 1;
       } else {
         // New minimizer: flush and restart (lines 14-18).
-        out.push_back({current, minimizer_partition(prev_min, parts)});
+        out.push_back(
+            {current, minimizer_partition(prev_min, parts), prev_min});
         current = PackedSupermer{codes[p], static_cast<std::uint8_t>(k)};
         prev_min = minimizer;
       }
     }
-    out.push_back({current, minimizer_partition(prev_min, parts)});
+    out.push_back({current, minimizer_partition(prev_min, parts), prev_min});
   }
 }
 
@@ -109,7 +110,7 @@ void build_wide_supermers(std::string_view fragment,
 
     auto flush = [&] {
       out.push_back({PackedWideSupermer{to_key(current), len},
-                     minimizer_partition(prev_min, parts)});
+                     minimizer_partition(prev_min, parts), prev_min});
     };
     for (std::size_t p = wstart + 1; p < wend; ++p) {
       const KmerCode minimizer = sliding.push(codes[p]);
@@ -175,7 +176,6 @@ std::vector<MaximalSupermer> build_supermers_maximal(
   last.minimizer = prev_min;
   last.dest = minimizer_partition(prev_min, parts);
   out.push_back(std::move(last));
-  (void)enc;
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "dedukt/mpisim/barrier.hpp"
 
+#include <utility>
+
 #include "dedukt/util/error.hpp"
 
 namespace dedukt::mpisim {
@@ -10,7 +12,7 @@ Barrier::Barrier(int participants) : participants_(participants) {
 
 void Barrier::arrive_and_wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (aborted_) throw SimulationError("barrier aborted (a rank failed)");
+  if (!abort_reason_.empty()) throw SimulationError(abort_reason_);
   const std::uint64_t my_generation = generation_;
   if (++waiting_ == participants_) {
     waiting_ = 0;
@@ -18,21 +20,28 @@ void Barrier::arrive_and_wait() {
     cv_.notify_all();
     return;
   }
-  cv_.wait(lock, [&] { return generation_ != my_generation || aborted_; });
-  if (aborted_ && generation_ == my_generation) {
-    throw SimulationError("barrier aborted (a rank failed)");
-  }
+  cv_.wait(lock, [&] {
+    return generation_ != my_generation || !abort_reason_.empty();
+  });
+  if (generation_ == my_generation) throw SimulationError(abort_reason_);
 }
 
-void Barrier::abort() {
+void Barrier::abort() { abort_with("barrier aborted (a rank failed)"); }
+
+void Barrier::leave(int rank) {
+  abort_with("rank " + std::to_string(rank) +
+             " returned while its peers wait in a collective");
+}
+
+void Barrier::abort_with(std::string reason) {
   std::lock_guard<std::mutex> lock(mutex_);
-  aborted_ = true;
+  if (abort_reason_.empty()) abort_reason_ = std::move(reason);
   cv_.notify_all();
 }
 
 bool Barrier::aborted() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return aborted_;
+  return !abort_reason_.empty();
 }
 
 }  // namespace dedukt::mpisim

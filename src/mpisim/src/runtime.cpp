@@ -55,6 +55,9 @@ void Runtime::run(const std::function<void(Comm&)>& f) {
                 stats_[static_cast<std::size_t>(r)]);
       try {
         f(comm);
+        // A peer parked in a collective, or entering one later, would
+        // wait for this rank forever: make it fail instead.
+        board.barrier.leave(r);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(error_mutex);

@@ -7,6 +7,7 @@
 
 #include "dedukt/io/synthetic.hpp"
 #include "dedukt/kmer/extract.hpp"
+#include "dedukt/util/error.hpp"
 #include "dedukt/util/rng.hpp"
 
 namespace dedukt::core::kernels {
@@ -173,6 +174,24 @@ TEST(SupermerKernelsTest, TwoPhaseMatchesHostBuilder) {
     }
     EXPECT_EQ(got, expected[p]) << "partition " << p;
   }
+}
+
+TEST(SupermerKernelsTest, RejectsWindowsThatDoNotTileAtConfigWindow) {
+  // The launches walk whole fragments, so windows cut at another width
+  // than config.window are refused rather than walked as something else.
+  const io::ReadBatch batch = small_batch();
+  kmer::SupermerConfig cfg;  // window 15
+  gpusim::Device device;
+  const EncodedReads staged = EncodedReads::build(batch, cfg.k);
+  const auto windows = build_windows(staged, cfg.k, 7);
+  auto d_bases = device.alloc<char>(staged.bases.size());
+  device.copy_to_device<char>(staged.bases, d_bases);
+  auto d_windows = device.alloc<Window>(windows.size());
+  device.copy_to_device<Window>(windows, d_windows);
+  auto d_counts = device.alloc<std::uint32_t>(4, 0u);
+  EXPECT_THROW(supermer_count(device, d_bases, d_windows, windows.size(), cfg,
+                              4, d_counts),
+               PreconditionError);
 }
 
 TEST(ParseKernelsTest, TraffickersReportTraffic) {

@@ -99,6 +99,7 @@ TEST_P(SupermerSweep, AllKmersInASupermerShareItsMinimizerAndDest) {
     for (const auto& d : build_supermers_read(read, cfg, kParts)) {
       for_each_kmer_in_supermer(d.smer, cfg.k, [&](KmerCode code) {
         const KmerCode minimizer = minimizer_of(code, cfg.k, policy);
+        EXPECT_EQ(minimizer, d.minimizer);
         EXPECT_EQ(minimizer_partition(minimizer, kParts), d.dest);
       });
     }

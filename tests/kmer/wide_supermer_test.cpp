@@ -102,6 +102,20 @@ TEST(WideSupermerTest, DestMatchesMinimizerPartition) {
   }
 }
 
+TEST(WideSupermerTest, ReportsTheMinimizerOfEveryKmer) {
+  Xoshiro256 rng(95);
+  for (const int window : {1, 7, 20, 40}) {
+    const SupermerConfig cfg = wide_config(window);
+    const MinimizerPolicy policy = cfg.policy();
+    const std::string read = random_seq(rng, 300);
+    for (const auto& d : build_wide_supermers_read(read, cfg, 13)) {
+      for_each_kmer_in_wide_supermer(d.smer, cfg.k, [&](KmerCode code) {
+        EXPECT_EQ(minimizer_of(code, cfg.k, policy), d.minimizer);
+      });
+    }
+  }
+}
+
 TEST(WideSupermerTest, RequiresWideFlag) {
   std::vector<DestinedWideSupermer> out;
   SupermerConfig narrow;  // wide = false

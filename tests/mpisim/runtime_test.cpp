@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
+#include <thread>
 
 #include "dedukt/util/error.hpp"
 
@@ -51,6 +54,40 @@ TEST(RuntimeTest, ExceptionMessageSurvives) {
     // an Error is thrown; most of the time the original survives.
     EXPECT_TRUE(original || abort_side);
   }
+}
+
+/// Run two ranks where rank 0 returns, after `rank0_delay`, and rank 1
+/// calls allreduce after `rank1_delay`; returns what run() threw.
+std::string run_with_departed_rank(std::chrono::milliseconds rank0_delay,
+                                   std::chrono::milliseconds rank1_delay) {
+  Runtime runtime(2);
+  try {
+    runtime.run([&](Comm& comm) {
+      if (comm.rank() == 0) {
+        std::this_thread::sleep_for(rank0_delay);
+        return;
+      }
+      std::this_thread::sleep_for(rank1_delay);
+      (void)comm.allreduce(1, ReduceOp::kSum);
+    });
+  } catch (const SimulationError& e) {
+    return e.what();
+  }
+  return "run() returned";
+}
+
+TEST(RuntimeTest, RankReturningBeforeAPeersCollectiveFailsTheRun) {
+  // Rank 0 is gone by the time rank 1 arrives.
+  const std::string what = run_with_departed_rank(
+      std::chrono::milliseconds(0), std::chrono::milliseconds(50));
+  EXPECT_NE(what.find("rank 0 returned"), std::string::npos) << what;
+}
+
+TEST(RuntimeTest, RankReturningWhileAPeerIsParkedFailsTheRun) {
+  // Rank 1 is parked in the allreduce when rank 0 returns.
+  const std::string what = run_with_departed_rank(
+      std::chrono::milliseconds(50), std::chrono::milliseconds(0));
+  EXPECT_NE(what.find("rank 0 returned"), std::string::npos) << what;
 }
 
 TEST(RuntimeTest, ReusableAcrossRuns) {
