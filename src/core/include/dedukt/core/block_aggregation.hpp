@@ -5,23 +5,21 @@
 // open-addressing table in block shared memory (CAS-claim / add on shared
 // slots); a key that cannot be placed within the probe bound falls through
 // to the kernel's per-occurrence global path. After the block barrier the
-// threads cooperatively scan the shared slots — thread t visits slots t,
-// t + block_dim, ... — and commit each distinct key's block-local count
-// with one global update. Global atomics drop by the within-block
-// duplication factor.
+// threads cooperatively scan the shared slots and commit each distinct
+// key's block-local count with one global update. Global atomics drop by
+// the within-block duplication factor.
 //
-// The kernel runs through gpusim's block-cooperative launch, so the table
-// is plain memory owned by the executing worker and reused across blocks
-// and launches: the flush clears every slot it commits, so each block
-// starts from an empty table without re-initialising it. The fixed
-// per-block costs — the cooperative init and the flush scan — are charged
-// in closed form; only probes and commits are charged per occurrence. See
+// The launch walks its blocks one after another through one table: the
+// flush clears every slot it commits, so each block starts from an empty
+// table without re-initialising it. The fixed per-block costs — the
+// cooperative init and the flush scan — are charged in closed form; only
+// probes and commits are charged per occurrence. See
 // docs/performance-model.md ("Shared memory").
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "dedukt/gpusim/launch.hpp"
 #include "dedukt/hash/murmur3.hpp"
@@ -44,13 +42,22 @@ class BlockAggregator {
   /// Shared-memory footprint a launch declares for the table.
   static constexpr std::uint64_t kFootprint = kSmemSlots * kSmemSlotBytes;
 
-  /// The calling worker's table, opened empty, whose probe sequence
-  /// starts at hash_u64(key, seed). Charges the block's cooperative init
-  /// in closed form: every one of the block's threads clears
+  /// An empty table whose probe sequence starts at hash_u64(key, seed).
+  explicit BlockAggregator(std::uint64_t seed)
+      : keys_(kSmemSlots, kmer::kInvalidCode),
+        counts_(kSmemSlots, 0u),
+        seed_(seed) {}
+
+  /// Charge the cooperative init of a block of `block_dim` threads in
+  /// closed form, at the block's start: every one of its threads clears
   /// ⌈kSmemSlots/block_dim⌉ slots of 12 bytes, whether or not it has
-  /// input.
-  [[nodiscard]] static BlockAggregator& begin(gpusim::BlockCtx& block,
-                                              std::uint64_t seed);
+  /// input. The table itself is already empty (see flush).
+  static void begin_block(gpusim::KernelCharges& charges,
+                          std::uint32_t block_dim) {
+    const std::uint64_t per_thread = (kSmemSlots + block_dim - 1) / block_dim;
+    charges.count_smem_write(std::uint64_t{block_dim} * per_thread *
+                             kSmemSlotBytes);
+  }
 
   /// Aggregate one occurrence, charging its shared-memory probes and
   /// atomics. Returns false when the probe bound is hit (the caller falls
@@ -79,33 +86,27 @@ class BlockAggregator {
     return false;
   }
 
-  /// Commit every occupied slot as commit(key, block_count), in the
-  /// block's thread-then-stride scan order, clearing each slot first.
+  /// Commit every occupied slot as commit(key, block_count), clearing each
+  /// slot first. Commits are commutative global adds, so the slot order
+  /// the host visits gives what any thread-stride scan order gives.
   /// Charges the scan in closed form: every slot is read once, 12 bytes.
   template <typename Commit>
-  void flush(gpusim::BlockCtx& block, Commit&& commit) {
-    block.count_smem_read(kSmemSlots * kSmemSlotBytes);
-    const std::size_t stride = block.block_dim();
-    for (std::size_t t = 0; t < stride && occupied_ != 0; ++t) {
-      for (std::size_t slot = t; slot < kSmemSlots; slot += stride) {
-        const std::uint64_t key = keys_[slot];
-        if (key == kmer::kInvalidCode) continue;
-        keys_[slot] = kmer::kInvalidCode;
-        --occupied_;
-        commit(key, counts_[slot]);
-      }
+  void flush(gpusim::KernelCharges& charges, Commit&& commit) {
+    charges.count_smem_read(kSmemSlots * kSmemSlotBytes);
+    for (std::size_t slot = 0; slot < kSmemSlots && occupied_ != 0; ++slot) {
+      const std::uint64_t key = keys_[slot];
+      if (key == kmer::kInvalidCode) continue;
+      keys_[slot] = kmer::kInvalidCode;
+      --occupied_;
+      commit(key, counts_[slot]);
     }
   }
 
  private:
-  BlockAggregator();
-
-  std::unique_ptr<std::uint64_t[]> keys_;
-  std::unique_ptr<std::uint32_t[]> counts_;
-  std::uint64_t seed_ = 0;
-  /// Slots holding a key. Nonzero at begin() only when a block was
-  /// abandoned by an exception mid-way; begin() then clears the table.
-  std::size_t occupied_ = 0;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> counts_;
+  std::uint64_t seed_;
+  std::size_t occupied_ = 0;  ///< slots holding a key
 };
 
 }  // namespace dedukt::core

@@ -8,13 +8,12 @@
 // style): all kHashes bits of a key live in one 64-bit word, chosen by a
 // first hash, with the in-word bit positions drawn from a second hash.
 //
-// Blocking is not just a cache/traffic optimization here — it is what
-// makes the filter safe under block-parallel kernel execution. Testing and
-// setting all of a key's bits is ONE atomic fetch_or, so the "was this key
-// seen before?" decision is totally ordered: of all concurrent occurrences
-// of the same key, exactly one observes incomplete bits. The scattered
-// multi-word variant could absorb two simultaneous first occurrences and
-// silently undercount.
+// Blocking is not just a cache/traffic optimization: on the GPU, testing
+// and setting all of a key's bits is ONE atomicOr, so the "was this key
+// seen before?" decision is totally ordered — of all concurrent
+// occurrences of the same key, exactly one observes incomplete bits. The
+// scattered multi-word variant could absorb two simultaneous first
+// occurrences and silently undercount.
 //
 // Filtered counting semantics (DeviceHashTable::count_kmers with a filter):
 // a k-mer enters the counting table on its second observed occurrence, and
@@ -41,17 +40,10 @@ class DeviceBloomFilter {
   DeviceBloomFilter(gpusim::Device& device, std::uint64_t expected_keys,
                     double bits_per_key = 12.0);
 
-  /// Kernel: for each of the `n` packed k-mers, atomically set its bits
-  /// and write 1 to out_seen[i] iff every bit was already set (the key was
-  /// — probably — seen before). out_seen must hold at least n bytes.
-  gpusim::LaunchStats test_and_insert(
-      const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
-      gpusim::DeviceBuffer<std::uint8_t>& out_seen);
-
   /// Device-side test-and-set of a single key; returns true if all bits
-  /// were already set. One atomic fetch_or on the key's block, so for
-  /// concurrent occurrences of the same key exactly one caller sees
-  /// "unseen". Exposed for fused kernels (count_supermers).
+  /// were already set (the key was — probably — seen before). Charged as
+  /// one atomicOr on the key's block. Called by the filtered count
+  /// launches (DeviceHashTable) for each occurrence, in index order.
   [[nodiscard]] bool test_and_set(std::uint64_t key,
                                   gpusim::KernelCharges& charges);
 

@@ -61,7 +61,7 @@ class DeviceHashTable {
   /// equal the true multiplicity (modulo Bloom false positives, which at
   /// worst admit a singleton or add +1). Occurrences reach the filter in
   /// index order, so which occurrence the filter absorbs — and every
-  /// count and charge — is the same at any DEDUKT_SIM_THREADS.
+  /// count and charge — is that of the canonical block order.
   gpusim::LaunchStats count_kmers(
       const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
       DeviceBloomFilter* bloom = nullptr);

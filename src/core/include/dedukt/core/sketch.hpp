@@ -125,16 +125,19 @@ class DeviceCountMinSketch {
 
   /// Absorb `n` packed k-mers. Vanilla runs the two-level shared-memory-
   /// aggregated kernel (block-local key aggregation, then `depth` global
-  /// atomic adds per distinct key — commutative, so any pool size and
-  /// block schedule produce identical cells). Conservative runs a
-  /// per-occurrence kernel under launch_ordered: the canonical sequential
-  /// block order equals input order, keeping it bit-identical to the host
-  /// reference.
-  void update(const gpusim::DeviceBuffer<std::uint64_t>& keys, std::size_t n);
+  /// atomic adds per distinct key — commutative, so any block schedule
+  /// produces identical cells). Conservative runs a per-occurrence kernel
+  /// in input order, the canonical block order, keeping it bit-identical
+  /// to the host reference. A device whose per-block shared memory cannot
+  /// hold the vanilla kernel's table throws SimulationError. Returns the
+  /// launch's stats (empty when n == 0: nothing is launched).
+  gpusim::LaunchStats update(const gpusim::DeviceBuffer<std::uint64_t>& keys,
+                             std::size_t n);
 
   /// Point-query kernel: out[i] = min over rows of the cell of keys[i].
-  void estimate(const gpusim::DeviceBuffer<std::uint64_t>& keys,
-                std::size_t n, gpusim::DeviceBuffer<std::uint32_t>& out);
+  gpusim::LaunchStats estimate(const gpusim::DeviceBuffer<std::uint64_t>& keys,
+                               std::size_t n,
+                               gpusim::DeviceBuffer<std::uint32_t>& out);
 
   /// D2H the cell array (priced transfer) and release the device buffer.
   [[nodiscard]] std::vector<std::uint32_t> to_host();

@@ -28,7 +28,6 @@
 #include "dedukt/util/cli.hpp"
 #include "dedukt/util/error.hpp"
 #include "dedukt/util/format.hpp"
-#include "dedukt/util/thread_pool.hpp"
 
 namespace dedukt::core {
 
@@ -45,7 +44,7 @@ commands:
            [--pipeline=gpu-supermer|gpu-kmer|cpu]
            [--order=randomized|kmc2|lexicographic]
            [--canonical] [--filter-singletons] [--wide-supermers]
-           [--freq-balanced] [--sim-threads=N]
+           [--freq-balanced]
            [--sketch] [--sketch-width=N] [--sketch-depth=N]
            [--sketch-conservative] [--heavy-threshold=N]
                                   (approximate counting: per-rank count-min
@@ -82,11 +81,11 @@ synthetic presets: ecoli30x paeruginosa30x vvulnificus30x abaumannii30x
 )";
 
 /// The flags `command` accepts: every --name in its block of kUsage (the
-/// line that names the command and the indented lines under it), plus the
-/// global --sim-threads. Reading them off the help text keeps the accepted
-/// set and the documentation from drifting apart.
+/// line that names the command and the indented lines under it). Reading
+/// them off the help text keeps the accepted set and the documentation
+/// from drifting apart.
 std::set<std::string> usage_flags(std::string_view command) {
-  std::set<std::string> flags = {"sim-threads"};
+  std::set<std::string> flags;
   std::string_view block;  // command whose block the current line is in
   std::string_view usage = kUsage;
   while (!usage.empty()) {
@@ -644,12 +643,6 @@ int run_app(int argc, const char* const* argv, std::ostream& out,
         cli.unknown_flags(usage_flags(command));
     DEDUKT_REQUIRE_MSG(unknown.empty(), "unknown flag --" << unknown.front()
                                             << " for dedukt " << command);
-    // Host-side simulation parallelism; overrides DEDUKT_SIM_THREADS.
-    if (cli.has("sim-threads")) {
-      const int threads = cli.get_int_as<int>("sim-threads", 0);
-      DEDUKT_REQUIRE_MSG(threads >= 1, "--sim-threads must be >= 1");
-      util::ThreadPool::set_global_threads(static_cast<unsigned>(threads));
-    }
     return it->second(cli, out);
   } catch (const PreconditionError& e) {
     err << "error: " << e.what() << "\n";

@@ -2,9 +2,8 @@
 // and walks the staged fragments in order with the kmer library's walkers:
 // kmer::for_each_kmer for the k-mer launches, the sliding-minimizer
 // builders for the supermer launches. It writes the same buffers, in the
-// same order, as the per-thread kernel in the canonical block order, so the
-// outgoing buffers are identical at every DEDUKT_SIM_THREADS, and charges
-// that kernel's traffic in closed form.
+// same order, as the per-thread kernel in the canonical block order, and
+// charges that kernel's traffic in closed form.
 #include "dedukt/core/kernels.hpp"
 
 #include <algorithm>

@@ -61,16 +61,17 @@ MinimizerAssignment MinimizerAssignment::build(
   // A temporary hash-only table just to reuse bucket_of().
   MinimizerAssignment hashing(std::vector<std::uint32_t>(nbuckets, 0), 1);
 
-  // 1. Sample local reads: per-bucket k-mer weights.
+  // 1. Sample local reads: per-bucket k-mer weights, each k-mer's
+  // minimizer from one sliding scan per fragment.
   std::vector<std::uint64_t> weights(nbuckets, 0);
+  kmer::SlidingMinimizer sliding(policy, config.k);
   for (std::size_t i = 0; i < reads.reads.size();
        i += static_cast<std::size_t>(sample_stride)) {
     for (std::string_view fragment :
          kmer::acgt_fragments(reads.reads[i].bases)) {
+      sliding.reset();
       kmer::for_each_kmer(fragment, config.k, enc, [&](kmer::KmerCode code) {
-        const kmer::KmerCode minimizer =
-            kmer::minimizer_of(code, config.k, policy);
-        ++weights[hashing.bucket_of(minimizer)];
+        ++weights[hashing.bucket_of(sliding.push(code))];
       });
     }
   }

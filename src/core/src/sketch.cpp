@@ -1,7 +1,6 @@
 #include "dedukt/core/sketch.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 
@@ -94,21 +93,19 @@ std::uint64_t sketch_estimate_cells(std::span<const std::uint32_t> cells,
 
 // --- device kernels -----------------------------------------------------
 //
-// The vanilla update is two-level (block_aggregation.hpp): each block
-// aggregates its occurrences in a shared-memory key table (probing from
-// row 0's hash), then flushes every distinct key with `depth` global
-// atomic adds carrying the block-local count. All
-// global traffic is commutative adds, so cells are bit-identical at any
-// DEDUKT_SIM_THREADS; the flush charge is a function of the block's
-// distinct-key set alone. Occurrences that overflow the shared probe bound
-// fall through to a direct per-occurrence row update.
+// Each kernel runs as one host-evaluated launch (Device::launch_host) that
+// walks its keys in index order and charges the per-thread kernel's
+// traffic in closed form. The vanilla update is two-level
+// (block_aggregation.hpp): each block aggregates its occurrences in a
+// shared-memory key table (probing from row 0's hash), then flushes every
+// distinct key with `depth` global atomic adds carrying the block-local
+// count, so it walks its keys block by block. Occurrences that overflow the
+// shared probe bound fall through to a direct per-occurrence row update.
 //
-// The conservative update is inherently order-dependent (a cell write
-// depends on the current minimum), so it runs per-occurrence under
-// launch_ordered: the canonical sequential block order makes the execution
-// order equal the input order, bit-identical to the host reference at any
-// pool size — trading the aggregation win for reproducibility. See
-// docs/performance-model.md ("Sketch kernels").
+// The conservative update is order-dependent (a cell write depends on the
+// current minimum): it runs per occurrence, in input order, which is the
+// canonical block order and keeps it bit-identical to the host reference.
+// See docs/performance-model.md ("Sketch kernels").
 
 namespace {
 
@@ -116,14 +113,12 @@ namespace {
 /// mask/offset (~2 ops).
 constexpr std::uint64_t kRowOps = 8;
 
-/// Add `count` to key's cell in every row with global atomic adds.
+/// Add `count` to key's cell in every row, one global atomic add per row.
 void rows_atomic_add(gpusim::KernelCharges& charges, std::uint32_t* cells,
                      std::uint32_t width, std::uint32_t depth,
                      std::uint64_t key, std::uint32_t count) {
   for (std::uint32_t r = 0; r < depth; ++r) {
-    std::atomic_ref<std::uint32_t>(
-        cells[sketch_cell_index(width, r, key)])
-        .fetch_add(count, std::memory_order_relaxed);
+    cells[sketch_cell_index(width, r, key)] += count;
   }
   charges.count_atomic(depth);
   charges.count_ops(kRowOps * depth);
@@ -143,10 +138,10 @@ void DeviceCountMinSketch::load(std::span<const std::uint32_t> cells) {
   device_->copy_to_device(cells, cells_);
 }
 
-void DeviceCountMinSketch::update(
+gpusim::LaunchStats DeviceCountMinSketch::update(
     const gpusim::DeviceBuffer<std::uint64_t>& keys, std::size_t n) {
   DEDUKT_REQUIRE(n <= keys.size());
-  if (n == 0) return;
+  if (n == 0) return {};
   auto* cells = cells_.data();
   const std::uint32_t width = params_.width;
   const std::uint32_t depth = params_.depth;
@@ -154,55 +149,61 @@ void DeviceCountMinSketch::update(
 
   const auto shape = device_->shape_for(n);
   if (params_.conservative) {
-    device_->launch_ordered("sketch_update_conservative", shape.grid_dim,
-                            shape.block_dim, [=](gpusim::ThreadCtx& ctx) {
-      const std::uint64_t i = ctx.global_id();
-      if (i >= n) return;
-      ctx.count_gmem_read(sizeof(std::uint64_t));  // load the k-mer
-      const std::uint64_t key = in[i];
-      std::uint32_t floor = std::numeric_limits<std::uint32_t>::max();
-      for (std::uint32_t r = 0; r < depth; ++r) {
-        floor = std::min(floor, cells[sketch_cell_index(width, r, key)]);
-      }
-      ctx.count_gmem_read(depth * sizeof(std::uint32_t));
-      ctx.count_ops(kRowOps * depth + depth);
-      const std::uint32_t target = floor + 1;
-      for (std::uint32_t r = 0; r < depth; ++r) {
-        std::uint32_t& cell = cells[sketch_cell_index(width, r, key)];
-        if (cell < target) {
-          cell = target;  // atomicMax on the row cell
-          ctx.count_atomic(1);
-        }
-      }
-    });
-    return;
-  }
-  device_->launch_blocks(
-      "sketch_update", shape.grid_dim, shape.block_dim,
-      BlockAggregator::kFootprint, [=](gpusim::BlockCtx& block) {
-        BlockAggregator& agg =
-            BlockAggregator::begin(block, sketch_row_seed(0));
-        const std::size_t first = block.first_global_id();
-        const std::uint32_t active = block.threads_below(n);
-        for (std::uint32_t t = 0; t < active; ++t) {
-          block.count_gmem_read(sizeof(std::uint64_t));  // load the k-mer
-          const std::uint64_t key = in[first + t];
-          if (!agg.add(block, key)) {
-            rows_atomic_add(block, cells, width, depth, key, 1);  // overflow
+    return device_->launch_host(
+        "sketch_update_conservative", shape.grid_dim, shape.block_dim,
+        [&](gpusim::KernelCharges& charges) {
+          std::uint64_t raised = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t key = in[i];
+            std::uint32_t floor = std::numeric_limits<std::uint32_t>::max();
+            for (std::uint32_t r = 0; r < depth; ++r) {
+              floor = std::min(floor, cells[sketch_cell_index(width, r, key)]);
+            }
+            const std::uint32_t target = floor + 1;
+            for (std::uint32_t r = 0; r < depth; ++r) {
+              std::uint32_t& cell = cells[sketch_cell_index(width, r, key)];
+              if (cell < target) {
+                cell = target;  // atomicMax on the row cell
+                ++raised;
+              }
+            }
           }
-        }
-        agg.flush(block, [&](std::uint64_t key, std::uint32_t count) {
-          rows_atomic_add(block, cells, width, depth, key, count);
+          // Per occurrence: its k-mer and its `depth` row cells, and the
+          // row hashes plus a compare per row.
+          charges.count_gmem_read(
+              n * (sizeof(std::uint64_t) + depth * sizeof(std::uint32_t)));
+          charges.count_ops(n * (kRowOps * depth + depth));
+          charges.count_atomic(raised);
         });
+  }
+  device_->check_smem_footprint(BlockAggregator::kFootprint);
+  return device_->launch_host(
+      "sketch_update", shape.grid_dim, shape.block_dim,
+      [&](gpusim::KernelCharges& charges) {
+        BlockAggregator agg(sketch_row_seed(0));
+        for (std::size_t first = 0; first < n; first += shape.block_dim) {
+          BlockAggregator::begin_block(charges, shape.block_dim);
+          const std::size_t end =
+              std::min<std::size_t>(n, first + shape.block_dim);
+          for (std::size_t i = first; i < end; ++i) {
+            if (!agg.add(charges, in[i])) {
+              rows_atomic_add(charges, cells, width, depth, in[i], 1);
+            }
+          }
+          agg.flush(charges, [&](std::uint64_t key, std::uint32_t count) {
+            rows_atomic_add(charges, cells, width, depth, key, count);
+          });
+        }
+        charges.count_gmem_read(n * sizeof(std::uint64_t));  // the k-mers
       });
 }
 
-void DeviceCountMinSketch::estimate(
+gpusim::LaunchStats DeviceCountMinSketch::estimate(
     const gpusim::DeviceBuffer<std::uint64_t>& keys, std::size_t n,
     gpusim::DeviceBuffer<std::uint32_t>& out) {
   DEDUKT_REQUIRE(n <= keys.size());
   DEDUKT_REQUIRE(n <= out.size());
-  if (n == 0) return;
+  if (n == 0) return {};
   auto* cells = cells_.data();
   auto* results = out.data();
   const std::uint32_t width = params_.width;
@@ -210,21 +211,21 @@ void DeviceCountMinSketch::estimate(
   const std::uint64_t* in = keys.data();
 
   const auto shape = device_->shape_for(n);
-  device_->launch("sketch_estimate", shape.grid_dim, shape.block_dim,
-                  [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= n) return;
-    ctx.count_gmem_read(sizeof(std::uint64_t));  // load the query key
-    const std::uint64_t key = in[i];
-    std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-    for (std::uint32_t r = 0; r < depth; ++r) {
-      best = std::min(best, cells[sketch_cell_index(width, r, key)]);
-    }
-    ctx.count_gmem_read(depth * sizeof(std::uint32_t));
-    ctx.count_ops(kRowOps * depth + depth);
-    results[i] = best;
-    ctx.count_gmem_write(sizeof(std::uint32_t));
-  });
+  return device_->launch_host(
+      "sketch_estimate", shape.grid_dim, shape.block_dim,
+      [&](gpusim::KernelCharges& charges) {
+        const std::span<const std::uint32_t> all(cells, cells_.size());
+        for (std::size_t i = 0; i < n; ++i) {
+          results[i] = static_cast<std::uint32_t>(
+              sketch_estimate_cells(all, width, depth, in[i]));
+        }
+        // Per query: its key, its `depth` row cells, the row hashes plus a
+        // compare per row, and its 4 B result.
+        charges.count_gmem_read(
+            n * (sizeof(std::uint64_t) + depth * sizeof(std::uint32_t)));
+        charges.count_ops(n * (kRowOps * depth + depth));
+        charges.count_gmem_write(n * sizeof(std::uint32_t));
+      });
 }
 
 std::vector<std::uint32_t> DeviceCountMinSketch::to_host() {

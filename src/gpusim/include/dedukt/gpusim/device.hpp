@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "dedukt/gpusim/cost_model.hpp"
 #include "dedukt/gpusim/device_buffer.hpp"
@@ -14,7 +12,6 @@
 #include "dedukt/gpusim/launch.hpp"
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
-#include "dedukt/util/thread_pool.hpp"
 #include "dedukt/util/timer.hpp"
 
 namespace dedukt::gpusim {
@@ -39,16 +36,6 @@ struct DeviceTimeline {
   [[nodiscard]] double total_seconds() const {
     return kernel_seconds + transfer_seconds();
   }
-
-  void merge(const DeviceTimeline& other) {
-    kernel_seconds += other.kernel_seconds;
-    h2d_seconds += other.h2d_seconds;
-    d2h_seconds += other.d2h_seconds;
-    volume_seconds += other.volume_seconds;
-    h2d_bytes += other.h2d_bytes;
-    d2h_bytes += other.d2h_bytes;
-    launches += other.launches;
-  }
 };
 
 class Device {
@@ -59,8 +46,6 @@ class Device {
   [[nodiscard]] const DeviceProps& props() const { return props_; }
   [[nodiscard]] const DeviceTimeline& timeline() const { return timeline_; }
   [[nodiscard]] std::uint64_t allocated_bytes() const { return allocated_; }
-
-  void reset_timeline() { timeline_ = DeviceTimeline{}; }
 
   /// Allocate an uninitialized (value-initialized) device buffer of n
   /// elements; throws SimulationError if the device memory would overflow.
@@ -147,83 +132,14 @@ class Device {
     }
   }
 
-  /// Launch a kernel over `grid_dim` blocks of `block_dim` threads.
-  /// The kernel callable is invoked once per thread with a ThreadCtx.
-  /// Returns per-launch stats; modeled time also accumulates on the
-  /// timeline.
-  ///
-  /// Blocks are dispatched as contiguous ranges to the process-wide
-  /// util::ThreadPool (sized by DEDUKT_SIM_THREADS, default hardware
-  /// concurrency; 1 = exact legacy sequential block order). This is valid
-  /// for the data-parallel, atomics-only kernels this library uses (all
-  /// cross-thread writes go through std::atomic_ref, no __syncthreads
-  /// dependencies); threads within a block still execute in warp order,
-  /// matching the coalescing assumptions of the paper's kernels. Each
-  /// block range accumulates into private LaunchCounters merged
-  /// deterministically after the join, so counter totals — and everything
-  /// priced from them — are identical for every pool size.
-  template <typename Kernel>
-  LaunchStats launch(std::uint32_t grid_dim, std::uint32_t block_dim,
-                     Kernel&& kernel) {
-    return launch("kernel", grid_dim, block_dim,
-                  std::forward<Kernel>(kernel));
-  }
-
-  /// Named launch: identical semantics, but the kernel's trace span and
-  /// per-kernel metrics carry `name` (a static string, e.g. the real
-  /// kernel's identifier) instead of the generic "kernel".
-  template <typename Kernel>
-  LaunchStats launch(const char* name, std::uint32_t grid_dim,
-                     std::uint32_t block_dim, Kernel&& kernel) {
-    return run_blocks(name, grid_dim, block_dim, /*ordered=*/false,
-                      per_thread(grid_dim, block_dim, kernel));
-  }
-
-  /// Order-pinned launch: blocks always execute in the canonical
-  /// sequential order 0..grid_dim-1, regardless of DEDUKT_SIM_THREADS.
-  ///
-  /// Required for kernels whose results depend on the order occurrences
-  /// reach shared state: the atomic-cursor append pattern (idx =
-  /// atomicAdd(cursor), out[idx] = x), whose output order feeds later
-  /// kernels, and kernels whose counts depend on which occurrence of a key
-  /// comes first (a Bloom filter that absorbs first occurrences, the
-  /// conservative sketch update). The real GPU produces a
-  /// scheduling-dependent order there; the simulation contract is stricter
-  /// (bit-identical buffers, counts and charges across pool sizes), so the
-  /// producer's block order is pinned. Charges are identical to the
-  /// parallel launch; only host wall time loses the block-level
-  /// parallelism.
-  template <typename Kernel>
-  LaunchStats launch_ordered(const char* name, std::uint32_t grid_dim,
-                             std::uint32_t block_dim, Kernel&& kernel) {
-    return run_blocks(name, grid_dim, block_dim, /*ordered=*/true,
-                      per_thread(grid_dim, block_dim, kernel));
-  }
-
-  /// Block-cooperative launch: the kernel callable is invoked once per
-  /// block with a BlockCtx, on one pool worker, and steps through the
-  /// block's threads itself, in thread order. `smem_bytes` is the
-  /// block's declared __shared__ footprint; a footprint above
-  /// DeviceProps::smem_bytes_per_block throws SimulationError before any
-  /// block runs. Counters, LaunchStats, timeline and trace span are merged
-  /// exactly as for the per-thread form, so a kernel ported between the
-  /// two forms with the same charges prices identically.
-  template <typename Kernel>
-  LaunchStats launch_blocks(const char* name, std::uint32_t grid_dim,
-                            std::uint32_t block_dim, std::uint64_t smem_bytes,
-                            Kernel&& kernel) {
-    check_smem_footprint(smem_bytes);
-    return run_blocks(name, grid_dim, block_dim, /*ordered=*/false,
-                      per_block(grid_dim, block_dim, kernel));
-  }
-
-  /// Host-evaluated launch: `body(KernelCharges&)` runs once, on the
+  /// Run one kernel launch: `body(KernelCharges&)` runs once, on the
   /// calling thread, produces the whole grid's result and charges the
-  /// grid's traffic itself, in closed form. For kernels whose result and
-  /// charges the host computes more cheaply than thread by thread; both
-  /// must be what any block interleaving would give. Priced and recorded
-  /// exactly like the other forms: the same span, LaunchStats, timeline
-  /// and launch count, with `threads` set to grid_dim × block_dim.
+  /// grid's traffic itself, in closed form. Both must be what the paper's
+  /// per-thread kernel gives in the canonical block order. Returns the
+  /// launch's counters, with `threads` set to grid_dim × block_dim, and
+  /// its modeled and wall times; the modeled time also accumulates on the
+  /// timeline, and a traced launch records a kernel span named `name` (a
+  /// static string, e.g. the real kernel's identifier).
   template <typename Body>
   LaunchStats launch_host(const char* name, std::uint32_t grid_dim,
                           std::uint32_t block_dim, Body&& body) {
@@ -237,31 +153,9 @@ class Device {
     return record_launch(span, wall, grid_dim, block_dim, counters);
   }
 
- private:
-  /// Block body of a per-thread kernel: its threads in order.
-  template <typename Kernel>
-  static auto per_thread(std::uint32_t grid_dim, std::uint32_t block_dim,
-                         Kernel& kernel) {
-    return [grid_dim, block_dim, &kernel](std::uint32_t b,
-                                          LaunchCounters& local) {
-      for (std::uint32_t t = 0; t < block_dim; ++t) {
-        ThreadCtx ctx(b, t, block_dim, grid_dim, local);
-        kernel(ctx);
-      }
-    };
-  }
-
-  /// Block body of a block-cooperative kernel: one call per block.
-  template <typename Kernel>
-  static auto per_block(std::uint32_t grid_dim, std::uint32_t block_dim,
-                        Kernel& kernel) {
-    return [grid_dim, block_dim, &kernel](std::uint32_t b,
-                                          LaunchCounters& local) {
-      BlockCtx ctx(b, block_dim, grid_dim, local);
-      kernel(ctx);
-    };
-  }
-
+  /// Throws SimulationError when a block's declared __shared__ footprint
+  /// exceeds DeviceProps::smem_bytes_per_block. A launch with block
+  /// shared state calls this before launch_host.
   void check_smem_footprint(std::uint64_t smem_bytes) const {
     if (smem_bytes > props_.smem_bytes_per_block) {
       throw SimulationError(
@@ -271,53 +165,13 @@ class Device {
     }
   }
 
+ private:
   void check_shape(std::uint32_t grid_dim, std::uint32_t block_dim) const {
     DEDUKT_REQUIRE_MSG(block_dim > 0 && grid_dim > 0,
                        "empty launch configuration");
     DEDUKT_REQUIRE_MSG(
         block_dim <= static_cast<std::uint32_t>(props_.max_threads_per_block),
         "block_dim " << block_dim << " exceeds device limit");
-  }
-
-  /// Run `block_body(b, counters)` for every block b, merge the counters,
-  /// price the launch and record it on the timeline and the trace.
-  template <typename BlockBody>
-  LaunchStats run_blocks(const char* name, std::uint32_t grid_dim,
-                         std::uint32_t block_dim, bool ordered,
-                         BlockBody&& block_body) {
-    check_shape(grid_dim, block_dim);
-
-    trace::ScopedSpan span(trace::kCategoryKernel, name,
-                           trace::Track::kDevice);
-    Timer wall;
-    util::ThreadPool& pool = util::ThreadPool::global();
-
-    // ~4 ranges per pool thread so an uneven kernel load-balances without
-    // shrinking ranges below useful sizes; one range when sequential or
-    // when the launch pins the canonical block order.
-    std::uint32_t nranges = 1;
-    if (!ordered && pool.threads() > 1) {
-      nranges = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          grid_dim, static_cast<std::uint64_t>(pool.threads()) * 4));
-    }
-    const std::uint32_t range_blocks = (grid_dim + nranges - 1) / nranges;
-    nranges = (grid_dim + range_blocks - 1) / range_blocks;
-
-    std::vector<LaunchCounters> range_counters(nranges);
-    pool.run_chunks(nranges, [&](std::uint64_t range) {
-      LaunchCounters local;  // worker-private: no cross-range sharing
-      const std::uint32_t begin =
-          static_cast<std::uint32_t>(range) * range_blocks;
-      const std::uint32_t end = std::min(grid_dim, begin + range_blocks);
-      for (std::uint32_t b = begin; b < end; ++b) block_body(b, local);
-      range_counters[range] = local;
-    });
-
-    LaunchCounters counters;
-    for (const LaunchCounters& range : range_counters) {
-      counters.merge(range);
-    }
-    return record_launch(span, wall, grid_dim, block_dim, counters);
   }
 
   /// Price a finished launch from its counters and record it on the

@@ -9,10 +9,11 @@
 // per-probe traffic so the roofline model prices a batch the way it prices
 // the counting kernels.
 //
-// All three kernels are read-only on the table arrays and write only their
-// own out[i], so they run race-free under block-parallel execution with no
-// atomics (the histogram kernel aggregates block-locally in shared memory
-// first and commits per-bin totals with global atomic adds).
+// Each runs as one host-evaluated launch (Device::launch_host) that walks
+// its input in index order and charges the per-thread kernel's traffic in
+// closed form. The two searches are read-only on the table arrays and
+// write only their own out[i]; the histogram aggregates block by block in
+// shared memory first and commits per-bin totals with global atomic adds.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +53,9 @@ LaunchStats member_sorted(Device& device, const SortedTableView& table,
                           DeviceBuffer<std::uint8_t>& out_member);
 
 /// Capped value histogram: out_bins[min(values[i], nbins-1)] += 1 for every
-/// stored entry. Two-level: a block-cooperative launch bins each block's
-/// values in shared memory, then flushes nonzero bins with one global
-/// atomic add apiece. Kernel "value_histogram".
+/// stored entry. Two-level: each block's values are binned in shared
+/// memory, then its nonzero bins are flushed with one global atomic add
+/// apiece. Kernel "value_histogram".
 /// `out_bins` must hold nbins zero-initialized slots; nbins × 4 bytes of
 /// bins must fit the device's per-block shared memory (SimulationError
 /// otherwise).

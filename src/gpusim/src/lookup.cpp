@@ -1,6 +1,6 @@
 #include "dedukt/gpusim/lookup.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <vector>
 
 #include "dedukt/util/error.hpp"
@@ -9,19 +9,16 @@ namespace dedukt::gpusim {
 
 namespace {
 
-/// Binary search of keys[lo, hi) for `key`, charging one 8 B read plus a
-/// handful of index ops per probe. Returns the slot index, or `npos` when
-/// absent. Identical probe sequence for every pool size: the search is a
-/// pure function of (key, lo, hi).
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
-inline std::size_t bsearch_slot(ThreadCtx& ctx, const std::uint64_t* keys,
-                                std::size_t lo, std::size_t hi,
-                                std::uint64_t key) {
+/// Binary search of keys[lo, hi) for `key`, adding the key slots it read
+/// to `steps`. Returns the slot index, or `npos` when absent.
+inline std::size_t bsearch_slot(const std::uint64_t* keys, std::size_t lo,
+                                std::size_t hi, std::uint64_t key,
+                                std::uint64_t& steps) {
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    ctx.count_gmem_read(sizeof(std::uint64_t));
-    ctx.count_ops(4);  // mid arithmetic + compare + branch
+    ++steps;
     const std::uint64_t probe = keys[mid];
     if (probe == key) return mid;
     if (probe < key) {
@@ -45,6 +42,30 @@ inline void check_table(const SortedTableView& table) {
                      "bad prefix shift " << table.prefix_shift);
 }
 
+/// One thread per query, in index order: found(i, slot) gets each query's
+/// slot, or npos when absent. Charges each query its key load (8 B), its
+/// bucket bounds (16 B) and 2 ops of shift and address math, and each
+/// binary-search step one 8 B key read and 4 ops (mid arithmetic, compare,
+/// branch).
+template <typename Found>
+void search_queries(KernelCharges& charges, const SortedTableView& table,
+                    const std::uint64_t* queries, std::size_t n,
+                    Found&& found) {
+  const std::uint64_t* keys = table.keys->data();
+  const std::uint64_t* offsets = table.offsets->data();
+  std::uint64_t steps = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = queries[i];
+    const std::uint64_t bucket = key >> table.prefix_shift;
+    found(i, bsearch_slot(keys, static_cast<std::size_t>(offsets[bucket]),
+                          static_cast<std::size_t>(offsets[bucket + 1]), key,
+                          steps));
+  }
+  charges.count_gmem_read(n * 3 * sizeof(std::uint64_t) +
+                          steps * sizeof(std::uint64_t));
+  charges.count_ops(n * 2 + steps * 4);
+}
+
 }  // namespace
 
 LaunchStats lookup_sorted(Device& device, const SortedTableView& table,
@@ -57,32 +78,19 @@ LaunchStats lookup_sorted(Device& device, const SortedTableView& table,
   DEDUKT_REQUIRE_MSG(n <= queries.size() && n <= out_values.size(),
                      "lookup batch larger than query/result buffers");
   const auto shape = device.shape_for(n);
-  const std::uint64_t* keys = table.keys->data();
   const std::uint64_t* values = table.values->data();
-  const std::uint64_t* offsets = table.offsets->data();
-  const std::uint64_t* q = queries.data();
   std::uint64_t* out = out_values.data();
-  const int shift = table.prefix_shift;
-  return device.launch(
+  return device.launch_host(
       "lookup_bsearch", shape.grid_dim, shape.block_dim,
-      [=](ThreadCtx& ctx) {
-        const std::uint64_t i = ctx.global_id();
-        if (i >= n) return;
-        ctx.count_gmem_read(sizeof(std::uint64_t));  // the query key
-        const std::uint64_t key = q[i];
-        const std::uint64_t bucket = key >> shift;
-        ctx.count_gmem_read(2 * sizeof(std::uint64_t));  // bucket bounds
-        ctx.count_ops(2);  // shift + offset address math
-        const std::size_t slot = bsearch_slot(
-            ctx, keys, static_cast<std::size_t>(offsets[bucket]),
-            static_cast<std::size_t>(offsets[bucket + 1]), key);
-        std::uint64_t value = 0;
-        if (slot != kNpos) {
-          ctx.count_gmem_read(sizeof(std::uint64_t));
-          value = values[slot];
-        }
-        ctx.count_gmem_write(sizeof(std::uint64_t));
-        out[i] = value;
+      [&](KernelCharges& charges) {
+        std::uint64_t hits = 0;
+        search_queries(charges, table, queries.data(), n,
+                       [&](std::size_t i, std::size_t slot) {
+                         out[i] = slot != kNpos ? values[slot] : 0;
+                         hits += slot != kNpos ? 1 : 0;
+                       });
+        charges.count_gmem_read(hits * sizeof(std::uint64_t));  // values
+        charges.count_gmem_write(n * sizeof(std::uint64_t));
       });
 }
 
@@ -94,26 +102,15 @@ LaunchStats member_sorted(Device& device, const SortedTableView& table,
   DEDUKT_REQUIRE_MSG(n <= queries.size() && n <= out_member.size(),
                      "membership batch larger than query/result buffers");
   const auto shape = device.shape_for(n);
-  const std::uint64_t* keys = table.keys->data();
-  const std::uint64_t* offsets = table.offsets->data();
-  const std::uint64_t* q = queries.data();
   std::uint8_t* out = out_member.data();
-  const int shift = table.prefix_shift;
-  return device.launch(
+  return device.launch_host(
       "member_bsearch", shape.grid_dim, shape.block_dim,
-      [=](ThreadCtx& ctx) {
-        const std::uint64_t i = ctx.global_id();
-        if (i >= n) return;
-        ctx.count_gmem_read(sizeof(std::uint64_t));
-        const std::uint64_t key = q[i];
-        const std::uint64_t bucket = key >> shift;
-        ctx.count_gmem_read(2 * sizeof(std::uint64_t));
-        ctx.count_ops(2);
-        const std::size_t slot = bsearch_slot(
-            ctx, keys, static_cast<std::size_t>(offsets[bucket]),
-            static_cast<std::size_t>(offsets[bucket + 1]), key);
-        ctx.count_gmem_write(sizeof(std::uint8_t));
-        out[i] = slot != kNpos ? 1 : 0;
+      [&](KernelCharges& charges) {
+        search_queries(charges, table, queries.data(), n,
+                       [&](std::size_t i, std::size_t slot) {
+                         out[i] = slot != kNpos ? 1 : 0;
+                       });
+        charges.count_gmem_write(n * sizeof(std::uint8_t));
       });
 }
 
@@ -125,49 +122,49 @@ LaunchStats value_histogram(Device& device,
                      "histogram bin buffer smaller than nbins");
   DEDUKT_REQUIRE_MSG(n <= values.size(),
                      "histogram input larger than value buffer");
+  device.check_smem_footprint(nbins * sizeof(std::uint32_t));
   const auto shape = device.shape_for(n);
   const std::uint64_t* vals = values.data();
   std::uint64_t* bins = out_bins.data();
-  // Two-level: the block's threads bin their values in shared memory
+  // Two-level: each block's threads bin their values in shared memory
   // (per-block bin totals fit u32: at most block_dim contributions per
   // block), then stride over the bins and flush each nonzero one with one
-  // global atomic add. The bin scan's charges — 4 B smem read and 1 op
-  // per bin per block — are stated in closed form. Per-block charges
-  // depend only on the block's slice of `values`, so totals are pool-size
-  // invariant.
-  return device.launch_blocks(
+  // global atomic add. Per value: an 8 B load, 2 ops (clamp + bin address
+  // math), one shared atomic and a 4 B shared write. Per block: the bin
+  // scan, a 4 B shared read and 1 op per bin. Per flushed bin: one global
+  // atomic and an 8 B write.
+  return device.launch_host(
       "value_histogram", shape.grid_dim, shape.block_dim,
-      nbins * sizeof(std::uint32_t), [=](BlockCtx& block) {
-        // The executing worker's bins, all zero between blocks: the flush
+      [&](KernelCharges& charges) {
+        // The block's shared bins, all zero between blocks: the flush
         // re-zeroes every bin it commits.
-        thread_local std::vector<std::uint32_t> smem_bins;
-        if (smem_bins.size() < nbins) smem_bins.assign(nbins, 0u);
-        const std::size_t first = block.first_global_id();
-        const std::uint32_t active = block.threads_below(n);
-        for (std::uint32_t t = 0; t < active; ++t) {
-          block.count_gmem_read(sizeof(std::uint64_t));
-          const std::uint64_t v = vals[first + t];
-          const std::size_t bin =
-              v < nbins ? static_cast<std::size_t>(v) : nbins - 1;
-          block.count_ops(2);  // clamp + bin address math
-          smem_bins[bin] += 1;
-          block.count_smem_atomic(1);
-          block.count_smem_write(sizeof(std::uint32_t));
-        }
-        block.count_smem_read(nbins * sizeof(std::uint32_t));
-        block.count_ops(nbins);
-        // Only bins this block actually touched pay a global atomic.
-        for (std::size_t t = 0; t < block.block_dim(); ++t) {
-          for (std::size_t b = t; b < nbins; b += block.block_dim()) {
-            const std::uint32_t count = smem_bins[b];
-            if (count == 0) continue;
-            smem_bins[b] = 0;
-            std::atomic_ref<std::uint64_t> slot(bins[b]);
-            slot.fetch_add(count, std::memory_order_relaxed);
-            block.count_atomic(1);
-            block.count_gmem_write(sizeof(std::uint64_t));
+        std::vector<std::uint32_t> smem_bins(nbins, 0u);
+        std::vector<std::size_t> touched;
+        std::uint64_t flushes = 0;
+        for (std::size_t first = 0; first < n; first += shape.block_dim) {
+          const std::size_t end =
+              std::min<std::size_t>(n, first + shape.block_dim);
+          for (std::size_t i = first; i < end; ++i) {
+            const std::uint64_t v = vals[i];
+            const std::size_t bin =
+                v < nbins ? static_cast<std::size_t>(v) : nbins - 1;
+            if (smem_bins[bin]++ == 0) touched.push_back(bin);
           }
+          for (const std::size_t bin : touched) {
+            bins[bin] += smem_bins[bin];
+            smem_bins[bin] = 0;
+          }
+          flushes += touched.size();
+          touched.clear();
         }
+        charges.count_gmem_read(n * sizeof(std::uint64_t));
+        charges.count_ops(n * 2 + std::uint64_t{shape.grid_dim} * nbins);
+        charges.count_smem_atomic(n);
+        charges.count_smem_write(n * sizeof(std::uint32_t));
+        charges.count_smem_read(std::uint64_t{shape.grid_dim} * nbins *
+                                sizeof(std::uint32_t));
+        charges.count_atomic(flushes);
+        charges.count_gmem_write(flushes * sizeof(std::uint64_t));
       });
 }
 

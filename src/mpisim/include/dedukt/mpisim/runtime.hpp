@@ -6,11 +6,8 @@
 // board's barrier (so no rank deadlocks) and is rethrown from run() on the
 // caller's thread.
 //
-// Rank threads share the process-wide util::ThreadPool used for
-// block-parallel kernel execution: each rank executes its own kernels'
-// block ranges itself and pool workers only assist within the pool's total
-// budget (DEDUKT_SIM_THREADS), so simulated rank counts far above the host
-// core count stay well-behaved.
+// Each rank runs its own kernel launches on its own thread, so the rank
+// threads are the simulation's only host parallelism.
 //
 // When tracing is enabled, run() binds every rank body to its per-rank
 // trace::SpanRecorder (trace::RankTraceScope), so spans recorded anywhere

@@ -6,7 +6,6 @@
 
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
-#include "dedukt/util/thread_pool.hpp"
 
 namespace dedukt::mpisim {
 
@@ -18,22 +17,12 @@ Runtime::Runtime(int nranks, NetworkModel network)
 }
 
 void Runtime::run(const std::function<void(Comm&)>& f) {
-  // All ranks share the process-wide kernel worker pool: a rank thread
-  // that launches a kernel becomes the primary executor of its own block
-  // ranges and pool workers assist only while the pool's total budget has
-  // headroom, so rank count times pool size never multiplies into
-  // oversubscription (and a rank blocked in a collective frees its core
-  // for another rank's kernel work). Warm the pool before the ranks start
-  // so worker spawn cost never lands inside a measured phase.
-  util::ThreadPool& pool = util::ThreadPool::global();
-  (void)pool;
-
   detail::CollectiveBoard board(nranks_);
 
   if (nranks_ == 1) {
-    // Single-rank runs execute inline: no rank thread to spawn, and the
-    // caller yields fully into pool-parallel kernel work. Collectives are
-    // trivially satisfied at size 1, so no barrier can block.
+    // Single-rank runs execute inline: no rank thread to spawn.
+    // Collectives are trivially satisfied at size 1, so no barrier can
+    // block.
     trace::RankTraceScope trace_scope(0);
     Comm comm(0, 1, board, network_, stats_[0]);
     f(comm);

@@ -15,8 +15,8 @@
 // NVLink-class reuse. cache_shards == 0 disables caching: every touched
 // shard is staged, used, and freed within the batch. The LRU clock is a
 // logical touch counter — deterministic, and per-shard charges depend only
-// on the query stream, so stats and modeled times are bit-identical across
-// DEDUKT_SIM_THREADS.
+// on the query stream, so stats and modeled times are bit-identical from
+// run to run.
 #pragma once
 
 #include <cstdint>

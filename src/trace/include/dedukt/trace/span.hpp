@@ -5,8 +5,7 @@
 // functional simulation took here) and the modeled Summit clock (what the
 // cost models priced the same work at on the target machine). Only the
 // modeled clock is deterministic — it is derived purely from counters and
-// byte counts, so it is bit-identical across runs and across
-// DEDUKT_SIM_THREADS settings; exports default to it.
+// byte counts, so it is bit-identical across runs; exports default to it.
 #pragma once
 
 #include <cstdint>

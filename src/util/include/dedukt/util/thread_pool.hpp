@@ -1,21 +1,21 @@
-// Process-wide worker pool for block-parallel execution of simulated GPU
-// kernels (and any other chunked host-side work).
+// Process-wide worker pool for chunked host-side work. Nothing in the
+// library uses it: every kernel launch runs on its rank's thread. Its one
+// caller is the benchmark harness (perfbench), which sizes it with its
+// --sim-threads flag or DEDUKT_SIM_THREADS; the pool goes when the
+// harness stops calling it.
 //
 // Design goals, in order:
 //  1. Determinism of results: the pool runs *chunks* (contiguous index
 //     ranges chosen by the caller); it never reorders work inside a chunk,
-//     and with one configured thread it executes chunks inline, in order —
-//     bit-exact legacy sequential behavior.
-//  2. Re-entrancy: a chunk body may itself call run_chunks (nested kernel
-//     launches, mpisim rank threads launching concurrently). The calling
-//     thread always participates in its own job, so progress never depends
-//     on a free worker and nested submission cannot deadlock.
+//     and with one configured thread it executes chunks inline, in order.
+//  2. Re-entrancy: a chunk body may itself call run_chunks, and many
+//     threads may submit at once. The calling thread always participates
+//     in its own job, so progress never depends on a free worker and
+//     nested submission cannot deadlock.
 //  3. Bounded total parallelism: one shared pool per process. Workers only
 //     assist while the number of actively-executing threads (callers +
-//     workers) is below the configured budget, so many mpisim rank threads
-//     launching kernels at once do not multiply into threads^2
-//     oversubscription — rank threads cooperatively become the executors of
-//     their own kernels and workers soak up whatever budget is left.
+//     workers) is below the configured budget, so many submitting threads
+//     do not multiply into threads^2 oversubscription.
 #pragma once
 
 #include <atomic>

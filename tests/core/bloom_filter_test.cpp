@@ -20,16 +20,17 @@ TEST(BloomFilterTest, NoFalseNegatives) {
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 5'000; ++i) keys.push_back(rng());
 
-  auto d_keys = device.alloc<std::uint64_t>(keys.size());
-  device.copy_to_device<std::uint64_t>(keys, d_keys);
-  auto d_seen = device.alloc<std::uint8_t>(keys.size(), std::uint8_t{0});
-
   // First pass inserts everything; second pass must report all present.
-  bloom.test_and_insert(d_keys, keys.size(), d_seen);
-  bloom.test_and_insert(d_keys, keys.size(), d_seen);
+  gpusim::LaunchCounters counters;
+  gpusim::KernelCharges charges(counters);
+  for (const std::uint64_t key : keys) (void)bloom.test_and_set(key, charges);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(d_seen[i], 1) << "false negative at " << i;
+    ASSERT_TRUE(bloom.test_and_set(keys[i], charges))
+        << "false negative at " << i;
   }
+  // One atomicOr and one 8 B block read per test-and-set.
+  EXPECT_EQ(counters.atomics, 2 * keys.size());
+  EXPECT_EQ(counters.gmem_read_bytes, 2 * keys.size() * 8);
 }
 
 TEST(BloomFilterTest, FirstInsertionReportsUnseenMostly) {
@@ -42,14 +43,11 @@ TEST(BloomFilterTest, FirstInsertionReportsUnseenMostly) {
     const std::uint64_t key = rng();
     if (distinct.insert(key).second) keys.push_back(key);
   }
-  auto d_keys = device.alloc<std::uint64_t>(keys.size());
-  device.copy_to_device<std::uint64_t>(keys, d_keys);
-  auto d_seen = device.alloc<std::uint8_t>(keys.size(), std::uint8_t{0});
-  bloom.test_and_insert(d_keys, keys.size(), d_seen);
-
+  gpusim::LaunchCounters counters;
+  gpusim::KernelCharges charges(counters);
   std::size_t false_positives = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (d_seen[i]) ++false_positives;
+  for (const std::uint64_t key : keys) {
+    if (bloom.test_and_set(key, charges)) ++false_positives;
   }
   const double rate =
       static_cast<double>(false_positives) / static_cast<double>(keys.size());

@@ -5,9 +5,10 @@
 // thread by thread on full-capacity device arrays: one thread per input
 // element, an atomic CAS to claim a slot, an atomic add on its count, and
 // linear probing. A claim is charged the probes it walked and a hit one
-// probe; Bloom-filtered launches run in the canonical block order. In
-// every case the two must agree on each LaunchCounters field of each
-// launch and on the sorted (key, count) list, at pool sizes 1, 4 and 16.
+// probe. The reference runs thread by thread in the canonical block order
+// (support/kernel_runner.hpp). In every case the two must agree on each
+// LaunchCounters field of each launch and on the sorted (key, count) list.
+// The suite runs at pool sizes 1, 4 and 16, which no launch may read.
 #include "dedukt/core/device_hash_table.hpp"
 
 #include <gtest/gtest.h>
@@ -25,11 +26,14 @@
 #include "dedukt/kmer/supermer.hpp"
 #include "dedukt/util/rng.hpp"
 #include "dedukt/util/thread_pool.hpp"
+#include "support/kernel_runner.hpp"
 
 namespace dedukt::core {
 namespace {
 
 using Entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+using test_support::expect_same_launch;
+using test_support::upload;
 
 // --- The reference: the per-thread CAS kernel on full-capacity arrays ---
 
@@ -81,26 +85,27 @@ void insert_counted(gpusim::KernelCharges& charges, const SlotTable& t,
 
 /// One thread per input element; `for_each_key(ctx, i, emit)` loads
 /// element i and emits its k-mer occurrences, each one global insert after
-/// the filter (if any). Filtered launches pin the canonical block order.
+/// the filter (if any).
 template <typename ForEachKey>
 gpusim::LaunchStats launch_count(gpusim::Device& device, std::size_t n,
                                  const SlotTable& t, DeviceBloomFilter* filter,
                                  ForEachKey for_each_key) {
   const std::uint32_t bonus = filter != nullptr ? 1 : 0;
   const auto shape = device.shape_for(n);
-  auto kernel = [=](gpusim::ThreadCtx& ctx) {
-    const std::uint64_t i = ctx.global_id();
-    if (i >= n) return;
-    for_each_key(ctx, static_cast<std::size_t>(i), [&](std::uint64_t key) {
-      if (filter != nullptr && !filter->test_and_set(key, ctx)) return;
-      insert_counted(ctx, t, key, /*count=*/1, bonus);
-    });
-  };
-  return filter != nullptr
-             ? device.launch_ordered("reference_count", shape.grid_dim,
-                                     shape.block_dim, kernel)
-             : device.launch("reference_count", shape.grid_dim,
-                             shape.block_dim, kernel);
+  return test_support::launch_per_thread(
+      device, "reference_count", shape.grid_dim, shape.block_dim,
+      [=](test_support::ThreadCtx& ctx) {
+        const std::uint64_t i = ctx.global_id();
+        if (i >= n) return;
+        for_each_key(ctx, static_cast<std::size_t>(i),
+                     [&](std::uint64_t key) {
+                       if (filter != nullptr &&
+                           !filter->test_and_set(key, ctx)) {
+                         return;
+                       }
+                       insert_counted(ctx, t, key, /*count=*/1, bonus);
+                     });
+      });
 }
 
 auto kmer_keys(const std::uint64_t* in) {
@@ -135,29 +140,6 @@ auto supermer_keys(const kmer::WideKey* smers, const std::uint8_t* lens,
 }
 
 // --- The harness ---
-
-template <typename T>
-gpusim::DeviceBuffer<T> upload(gpusim::Device& device,
-                               const std::vector<T>& host) {
-  auto buffer = device.alloc<T>(std::max<std::size_t>(host.size(), 1));
-  device.copy_to_device<T>(host, buffer);
-  return buffer;
-}
-
-void expect_same_launch(const gpusim::LaunchStats& table,
-                        const gpusim::LaunchStats& reference) {
-  const gpusim::LaunchCounters& a = table.counters;
-  const gpusim::LaunchCounters& b = reference.counters;
-  EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.gmem_read_bytes, b.gmem_read_bytes);
-  EXPECT_EQ(a.gmem_write_bytes, b.gmem_write_bytes);
-  EXPECT_EQ(a.atomics, b.atomics);
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.smem_read_bytes, b.smem_read_bytes);
-  EXPECT_EQ(a.smem_write_bytes, b.smem_write_bytes);
-  EXPECT_EQ(a.smem_atomics, b.smem_atomics);
-  EXPECT_EQ(table.modeled_seconds, reference.modeled_seconds);
-}
 
 /// A DeviceHashTable and the reference, each on its own device with its
 /// own Bloom filter (when filtered), fed the same launches.
@@ -210,14 +192,16 @@ class Twin {
     const std::size_t n = keys.size();
     const auto shape = ref_device_.shape_for(n);
     expect_same_launch(
-        stats, ref_device_.launch("reference_accumulate", shape.grid_dim,
-                                  shape.block_dim,
-                                  [=](gpusim::ThreadCtx& ctx) {
-          const std::uint64_t i = ctx.global_id();
-          if (i >= n) return;
-          ctx.count_gmem_read(sizeof(std::uint64_t) + sizeof(std::uint32_t));
-          insert_counted(ctx, t, in_keys[i], in_counts[i], /*bonus=*/0);
-        }));
+        stats, test_support::launch_per_thread(
+                   ref_device_, "reference_accumulate", shape.grid_dim,
+                   shape.block_dim, [=](test_support::ThreadCtx& ctx) {
+                     const std::uint64_t i = ctx.global_id();
+                     if (i >= n) return;
+                     ctx.count_gmem_read(sizeof(std::uint64_t) +
+                                         sizeof(std::uint32_t));
+                     insert_counted(ctx, t, in_keys[i], in_counts[i],
+                                    /*bonus=*/0);
+                   }));
   }
 
   /// The table's (key, count) list, unique() and total() against the

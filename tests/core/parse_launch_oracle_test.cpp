@@ -6,11 +6,12 @@
 // one thread per base position packs its k bytes (pack_at) for the k-mer
 // kernels, and one thread per window walks Algorithm 2 with a minimizer_of
 // rescan per k-mer (walk_window) for the supermer kernels; both claim
-// destination counters and cursors with device atomics, and the fill
-// kernels run in the canonical block order. Each launch and its reference
-// must agree on every LaunchCounters field, the modeled time, the
-// destination counts and cursors, and the filled key, word and length
-// buffers byte for byte, at pool sizes 1, 4 and 16.
+// destination counters and cursors with device atomics. The references run
+// thread by thread in the canonical block order (support/kernel_runner.hpp).
+// Each launch and its reference must agree on every LaunchCounters field,
+// the modeled time, the destination counts and cursors, and the filled key,
+// word and length buffers byte for byte. The suite runs at pool sizes 1, 4
+// and 16, which no launch may read.
 #include "dedukt/core/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -26,9 +27,13 @@
 #include "dedukt/io/synthetic.hpp"
 #include "dedukt/util/rng.hpp"
 #include "dedukt/util/thread_pool.hpp"
+#include "support/kernel_runner.hpp"
 
 namespace dedukt::core::kernels {
 namespace {
+
+using test_support::expect_same_launch;
+using test_support::upload;
 
 // --- The reference: the per-thread parse kernels ---
 
@@ -52,7 +57,7 @@ inline bool pack_at(const char* bases, std::uint64_t p, int k,
 /// table when present, the paper's hash otherwise.
 inline std::uint32_t route(kmer::KmerCode minimizer, std::uint32_t parts,
                            const DestinationTable& routing,
-                           gpusim::ThreadCtx& ctx) {
+                           test_support::ThreadCtx& ctx) {
   if (!routing.enabled()) {
     ctx.count_ops(4);
     return kmer::minimizer_partition(minimizer, parts);
@@ -75,7 +80,7 @@ template <typename Word, typename Emit>
 void walk_window(const char* bases, const Window& w,
                  const kmer::SupermerConfig& config,
                  const kmer::MinimizerPolicy& policy, io::BaseEncoding enc,
-                 gpusim::ThreadCtx& ctx, Emit&& emit) {
+                 test_support::ThreadCtx& ctx, Emit&& emit) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
   const int k = config.k;
   const std::uint64_t first = w.frag_offset + w.kmer_start;
@@ -139,8 +144,9 @@ gpusim::LaunchStats parse_count_kmers(
   std::uint32_t* counters = dest_counts.data();
 
   const auto shape = device.shape_for(total_len);
-  return device.launch("parse_count_kmers", shape.grid_dim, shape.block_dim,
-                       [=](gpusim::ThreadCtx& ctx) {
+  return test_support::launch_per_thread(
+      device, "parse_count_kmers", shape.grid_dim, shape.block_dim,
+      [=](test_support::ThreadCtx& ctx) {
     const std::uint64_t i = ctx.global_id();
     if (i >= total_len) return;
     kmer::KmerCode code;
@@ -169,8 +175,9 @@ gpusim::LaunchStats parse_fill_kmers(
   const std::size_t out_size = out_kmers.size();
 
   const auto shape = device.shape_for(total_len);
-  return device.launch_ordered("parse_fill_kmers", shape.grid_dim,
-                               shape.block_dim, [=](gpusim::ThreadCtx& ctx) {
+  return test_support::launch_per_thread(
+      device, "parse_fill_kmers", shape.grid_dim, shape.block_dim,
+      [=](test_support::ThreadCtx& ctx) {
     const std::uint64_t i = ctx.global_id();
     if (i >= total_len) return;
     kmer::KmerCode code;
@@ -207,9 +214,9 @@ gpusim::LaunchStats supermer_count(
   const io::BaseEncoding enc = policy.encoding();
 
   const auto shape = device.shape_for(nwindows);
-  return device.launch(kWide ? "supermer_count_wide" : "supermer_count",
-                       shape.grid_dim, shape.block_dim,
-                       [=](gpusim::ThreadCtx& ctx) {
+  return test_support::launch_per_thread(
+      device, kWide ? "supermer_count_wide" : "supermer_count",
+      shape.grid_dim, shape.block_dim, [=](test_support::ThreadCtx& ctx) {
     const std::uint64_t i = ctx.global_id();
     if (i >= nwindows) return;
     ctx.count_gmem_read(sizeof(Window));
@@ -251,9 +258,9 @@ gpusim::LaunchStats supermer_fill(
   const io::BaseEncoding enc = policy.encoding();
 
   const auto shape = device.shape_for(nwindows);
-  return device.launch_ordered(kWide ? "supermer_fill_wide" : "supermer_fill",
-                               shape.grid_dim, shape.block_dim,
-                               [=](gpusim::ThreadCtx& ctx) {
+  return test_support::launch_per_thread(
+      device, kWide ? "supermer_fill_wide" : "supermer_fill",
+      shape.grid_dim, shape.block_dim, [=](test_support::ThreadCtx& ctx) {
     const std::uint64_t i = ctx.global_id();
     if (i >= nwindows) return;
     ctx.count_gmem_read(sizeof(Window));
@@ -278,29 +285,6 @@ gpusim::LaunchStats supermer_fill(
 }  // namespace reference
 
 // --- The harness ---
-
-template <typename T>
-gpusim::DeviceBuffer<T> upload(gpusim::Device& device,
-                               const std::vector<T>& host) {
-  auto buffer = device.alloc<T>(std::max<std::size_t>(host.size(), 1));
-  device.copy_to_device<T>(host, buffer);
-  return buffer;
-}
-
-void expect_same_launch(const gpusim::LaunchStats& launch,
-                        const gpusim::LaunchStats& reference) {
-  const gpusim::LaunchCounters& a = launch.counters;
-  const gpusim::LaunchCounters& b = reference.counters;
-  EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.gmem_read_bytes, b.gmem_read_bytes);
-  EXPECT_EQ(a.gmem_write_bytes, b.gmem_write_bytes);
-  EXPECT_EQ(a.atomics, b.atomics);
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.smem_read_bytes, b.smem_read_bytes);
-  EXPECT_EQ(a.smem_write_bytes, b.smem_write_bytes);
-  EXPECT_EQ(a.smem_atomics, b.smem_atomics);
-  EXPECT_EQ(launch.modeled_seconds, reference.modeled_seconds);
-}
 
 template <typename T>
 void expect_same_bytes(const gpusim::DeviceBuffer<T>& a,

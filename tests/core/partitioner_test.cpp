@@ -179,6 +179,47 @@ TEST_F(AssignmentBuildTest, DeterministicAcrossSimThreads) {
   EXPECT_EQ(build_at(8), sequential);
 }
 
+TEST_F(AssignmentBuildTest, MatchesPerKmerMinimizerReference) {
+  // build() takes each sampled k-mer's minimizer from one sliding scan per
+  // fragment. The reference rescans every sampled k-mer with minimizer_of,
+  // sums the per-bucket weights over the ranks, gives unseen buckets
+  // weight 1 and assigns them with LPT.
+  const kmer::SupermerConfig config;
+  const kmer::MinimizerPolicy policy = config.policy();
+  constexpr int kStride = 4;
+  for (const int ranks : {2, 3}) {
+    SCOPED_TRACE(testing::Message() << ranks << " ranks");
+    const auto batches = io::partition_by_bases(reads_, ranks);
+    const auto nranks = static_cast<std::uint32_t>(ranks);
+    const std::uint32_t nbuckets = MinimizerAssignment::kBucketsPerRank * nranks;
+    const MinimizerAssignment hashing(std::vector<std::uint32_t>(nbuckets, 0),
+                                      1);
+    std::vector<std::uint64_t> weights(nbuckets, 0);
+    for (const io::ReadBatch& batch : batches) {
+      for (std::size_t i = 0; i < batch.reads.size(); i += kStride) {
+        for (const kmer::KmerCode code : kmer::extract_kmers(
+                 batch.reads[i].bases, config.k, policy.encoding())) {
+          ++weights[hashing.bucket_of(
+              kmer::minimizer_of(code, config.k, policy))];
+        }
+      }
+    }
+    for (auto& w : weights) {
+      if (w == 0) w = 1;
+    }
+
+    std::vector<std::uint32_t> table;
+    mpisim::Runtime runtime(ranks);
+    runtime.run([&](mpisim::Comm& comm) {
+      const auto assignment = MinimizerAssignment::build(
+          comm, batches[static_cast<std::size_t>(comm.rank())], config,
+          kStride);
+      if (comm.rank() == 0) table = assignment.table();
+    });
+    EXPECT_EQ(table, lpt_assign(weights, nranks));
+  }
+}
+
 TEST(FrequencyBalancedPipelineTest, CountsStillMatchReference) {
   io::GenomeSpec gspec;
   gspec.length = 8'000;

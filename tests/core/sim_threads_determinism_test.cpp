@@ -1,9 +1,10 @@
-// End-to-end determinism across DEDUKT_SIM_THREADS: the full k-mer and
-// supermer pipelines must produce bit-identical spectra, work counts, and
-// modeled times whether the simulated kernels run sequentially or on a
-// pool of host workers. The Bloom-filtered pipelines are held to the same
-// contract: their count kernels run in the canonical block order, so the
-// filter fills in the same order at every pool size (see
+// End-to-end determinism across DEDUKT_SIM_THREADS. Every kernel launch
+// runs on its rank's thread, and the pool the variable sizes (still set by
+// the benchmark harness) must reach no launch: the full k-mer and supermer
+// pipelines must produce bit-identical spectra, work counts, and modeled
+// times at every pool size. The Bloom-filtered pipelines are held to the
+// same contract: their count kernels walk their input in index order, so
+// the filter fills in the same order on every run (see
 // docs/performance-model.md). Pool sizes are set in-process, so the
 // contract is checked beyond the core count of the machine running it.
 #include "dedukt/core/driver.hpp"

@@ -218,7 +218,7 @@ TEST(SketchPropertyTest, VanillaKernelMatchesHostCellForCell) {
 }
 
 TEST(SketchPropertyTest, ConservativeKernelMatchesHostCellForCell) {
-  // launch_ordered pins the conservative kernel to input order, making it
+  // The conservative kernel updates in input order, making it
   // bit-identical to the sequential host reference.
   Xoshiro256 rng(606);
   for (int trial = 0; trial < 10; ++trial) {

@@ -1,26 +1,27 @@
-// Block-cooperative launches (Device::launch_blocks): a kernel run once per
-// block must price, time and trace exactly like the same work run once per
-// thread; its declared shared-memory footprint is checked against the
-// device; and its counters must not depend on the host pool size. A
-// host-evaluated launch (Device::launch_host) of the same work, its charges
-// summed in closed form, must price, time and trace the same way too.
+// A host-evaluated launch (Device::launch_host), its charges summed in
+// closed form, must price, time and trace exactly like the same work run
+// thread by thread, and so must the same work run block by block through
+// the oracle tests' per-block runner (support/kernel_runner.hpp). Shared
+// memory: its charges reach the roofline, and a launch whose declared
+// per-block footprint exceeds the device's budget throws before it runs.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "dedukt/gpusim/device.hpp"
+#include "dedukt/gpusim/lookup.hpp"
 #include "dedukt/trace/session.hpp"
 #include "dedukt/util/error.hpp"
-#include "dedukt/util/thread_pool.hpp"
+#include "support/kernel_runner.hpp"
 
 namespace dedukt::gpusim {
 namespace {
 
-struct PoolGuard {
-  ~PoolGuard() { util::ThreadPool::set_global_threads(1); }
-};
+using test_support::BlockCtx;
+using test_support::launch_per_block;
+using test_support::launch_per_thread;
+using test_support::ThreadCtx;
 
 constexpr std::uint32_t kGrid = 13;
 constexpr std::uint32_t kBlock = 64;
@@ -50,8 +51,8 @@ void bin_value(KernelCharges& charges, std::uint32_t value,
 /// __shared__ memory.
 LaunchStats per_thread_run(Device& device, const std::uint32_t* in,
                            std::vector<std::uint32_t>& bins) {
-  return device.launch("block_form_probe", kGrid, kBlock,
-                       [&](ThreadCtx& ctx) {
+  return launch_per_thread(device, "block_form_probe", kGrid, kBlock,
+                           [&](ThreadCtx& ctx) {
     ctx.count_smem_write(sizeof(std::uint32_t) * (kBins / kBlock + 1));
     ctx.count_smem_read(ctx.thread_idx() < kBins ? sizeof(std::uint32_t) : 0);
     const std::uint64_t i = ctx.global_id();
@@ -63,8 +64,8 @@ LaunchStats per_thread_run(Device& device, const std::uint32_t* in,
 /// Block form: the same work with the fixed costs in closed form.
 LaunchStats block_run(Device& device, const std::uint32_t* in,
                       std::vector<std::uint32_t>& bins) {
-  return device.launch_blocks(
-      "block_form_probe", kGrid, kBlock, kBins * sizeof(std::uint32_t),
+  return launch_per_block(
+      device, "block_form_probe", kGrid, kBlock, kBins * sizeof(std::uint32_t),
       [&](BlockCtx& block) {
         block.count_smem_write(std::uint64_t{kBlock} * sizeof(std::uint32_t) *
                                (kBins / kBlock + 1));
@@ -90,17 +91,6 @@ LaunchStats host_run(Device& device, const std::uint32_t* in,
           bin_value(charges, in[i], &bins[(i / kBlock) * kBins]);
         }
       });
-}
-
-void expect_same_counters(const LaunchCounters& a, const LaunchCounters& b) {
-  EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.gmem_read_bytes, b.gmem_read_bytes);
-  EXPECT_EQ(a.gmem_write_bytes, b.gmem_write_bytes);
-  EXPECT_EQ(a.atomics, b.atomics);
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.smem_read_bytes, b.smem_read_bytes);
-  EXPECT_EQ(a.smem_write_bytes, b.smem_write_bytes);
-  EXPECT_EQ(a.smem_atomics, b.smem_atomics);
 }
 
 /// Run `form` (block_run or host_run) and per_thread_run, each on its own
@@ -130,8 +120,7 @@ void expect_same_as_per_thread(Form&& form) {
 
   EXPECT_EQ(block_bins, per_thread_bins);
   EXPECT_GT(block.counters.smem_read_bytes, 0u);
-  expect_same_counters(block.counters, per_thread.counters);
-  EXPECT_EQ(block.modeled_seconds, per_thread.modeled_seconds);
+  test_support::expect_same_launch(block, per_thread);
   EXPECT_EQ(block_device.timeline().kernel_seconds,
             per_thread_device.timeline().kernel_seconds);
   EXPECT_EQ(block_device.timeline().volume_seconds,
@@ -167,8 +156,8 @@ TEST(HostLaunchTest, MatchesTheSameWorkRunPerThread) {
 TEST(BlockLaunchTest, BodyRunsOncePerBlock) {
   Device device;
   std::vector<std::uint32_t> calls(kGrid, 0u);
-  const LaunchStats stats = device.launch_blocks(
-      "once_per_block", kGrid, kBlock, /*smem_bytes=*/0,
+  const LaunchStats stats = launch_per_block(
+      device, "once_per_block", kGrid, kBlock, /*smem_bytes=*/0,
       [&](BlockCtx& block) {
         EXPECT_EQ(block.block_dim(), kBlock);
         EXPECT_EQ(block.grid_dim(), kGrid);
@@ -183,54 +172,27 @@ TEST(BlockLaunchTest, BodyRunsOncePerBlock) {
 TEST(BlockLaunchTest, ThreadsBelowCountsTheInRangeThreads) {
   Device device;
   std::vector<std::uint32_t> active(kGrid, 0u);
-  device.launch_blocks("threads_below", kGrid, kBlock, 0,
-                       [&](BlockCtx& block) {
-    active[block.block_idx()] = block.threads_below(kN);
-  });
+  launch_per_block(device, "threads_below", kGrid, kBlock, 0,
+                   [&](BlockCtx& block) {
+                     active[block.block_idx()] = block.threads_below(kN);
+                   });
   for (std::uint32_t b = 0; b + 1 < kGrid; ++b) EXPECT_EQ(active[b], kBlock);
   EXPECT_EQ(active[kGrid - 1], kBlock - 17);
-  device.launch_blocks("threads_below", 2, kBlock, 0, [&](BlockCtx& block) {
-    if (block.block_idx() == 1) {
-      EXPECT_EQ(block.threads_below(kBlock), 0u);
-    }
-  });
-}
-
-TEST(BlockLaunchTest, CountersIdenticalAcrossPoolSizes) {
-  // A block kernel whose charges depend on shared-memory contents must
-  // report identical counters for every pool size, including sizes above
-  // the host's core count: blocks run whole on one worker and merge
-  // deterministically.
-  PoolGuard guard;
-  const std::vector<std::uint32_t> in = inputs();
-  struct Run {
-    LaunchStats stats;
-    std::vector<std::uint32_t> bins;
-  };
-  auto run = [&](unsigned pool_threads) {
-    util::ThreadPool::set_global_threads(pool_threads);
-    Device device;
-    Run r{LaunchStats{}, std::vector<std::uint32_t>(kGrid * kBins, 0u)};
-    r.stats = block_run(device, in.data(), r.bins);
-    return r;
-  };
-  const Run base = run(1);
-  for (const unsigned threads : {2u, 4u, 8u, 16u}) {
-    SCOPED_TRACE(testing::Message() << "pool size " << threads);
-    const Run r = run(threads);
-    EXPECT_EQ(r.bins, base.bins);
-    expect_same_counters(r.stats.counters, base.stats.counters);
-    EXPECT_EQ(r.stats.modeled_seconds, base.stats.modeled_seconds);
-  }
+  launch_per_block(device, "threads_below", 2, kBlock, 0,
+                   [&](BlockCtx& block) {
+                     if (block.block_idx() == 1) {
+                       EXPECT_EQ(block.threads_below(kBlock), 0u);
+                     }
+                   });
 }
 
 TEST(SharedMemoryTest, ChargesFlowIntoCountersAndRoofline) {
   Device device;
-  const auto stats = device.launch_blocks(
-      "smem_traffic", 4, 64, /*smem_bytes=*/64, [](BlockCtx& block) {
-        block.count_smem_write(64 * 64);
-        block.count_smem_read(64 * 128);
-        block.count_smem_atomic(64 * 3);
+  const auto stats =
+      device.launch_host("smem_traffic", 4, 64, [](KernelCharges& charges) {
+        charges.count_smem_write(4 * 64 * 64);
+        charges.count_smem_read(4 * 64 * 128);
+        charges.count_smem_atomic(4 * 64 * 3);
       });
   const std::uint64_t threads = 4ull * 64;
   EXPECT_EQ(stats.counters.smem_write_bytes, threads * 64);
@@ -247,20 +209,31 @@ TEST(SharedMemoryTest, ChargesFlowIntoCountersAndRoofline) {
 }
 
 TEST(SharedMemoryTest, ExhaustingBlockBudgetThrows) {
+  // value_histogram declares 4 B of shared memory per bin: one bin past
+  // the budget throws before anything is written or launched, and exactly
+  // the budget fits.
   Device device;
   const std::uint64_t budget = device.props().smem_bytes_per_block;
   ASSERT_EQ(budget, 96u << 10);
-  bool ran = false;
-  EXPECT_THROW(device.launch_blocks("smem_overflow", 1, 1, budget + 1,
-                                    [&](BlockCtx&) { ran = true; }),
+  const std::size_t fit = budget / sizeof(std::uint32_t);
+  const std::vector<std::uint64_t> values = {0, 1, 1, 7, fit + 5};
+  auto d_values = device.alloc<std::uint64_t>(values.size());
+  device.copy_to_device<std::uint64_t>(values, d_values);
+
+  auto bins = device.alloc<std::uint64_t>(fit + 1, std::uint64_t{5});
+  EXPECT_THROW(value_histogram(device, d_values, values.size(), fit + 1, bins),
                SimulationError);
-  EXPECT_FALSE(ran);
+  EXPECT_EQ(std::vector<std::uint64_t>(bins.data(), bins.data() + fit + 1),
+            std::vector<std::uint64_t>(fit + 1, 5));
   EXPECT_EQ(device.timeline().launches, 0u);
-  // Exactly the budget fits.
-  device.launch_blocks("smem_full", 1, 1, budget, [&](BlockCtx&) {
-    ran = true;
-  });
-  EXPECT_TRUE(ran);
+
+  auto fitting = device.alloc<std::uint64_t>(fit, std::uint64_t{0});
+  value_histogram(device, d_values, values.size(), fit, fitting);
+  EXPECT_EQ(device.timeline().launches, 1u);
+  EXPECT_EQ(fitting[0], 1u);
+  EXPECT_EQ(fitting[1], 2u);
+  EXPECT_EQ(fitting[7], 1u);
+  EXPECT_EQ(fitting[fit - 1], 1u);  // clamped into the last bin
 }
 
 }  // namespace

@@ -62,16 +62,6 @@ TEST(DeviceTest, BufferAtChecksBounds) {
   EXPECT_THROW(buf.at(4), Error);
 }
 
-TEST(DeviceTest, ResetTimelineClears) {
-  Device device;
-  auto buf = device.alloc<int>(64);
-  std::vector<int> host(64, 1);
-  device.copy_to_device<int>(host, buf);
-  device.reset_timeline();
-  EXPECT_DOUBLE_EQ(device.timeline().total_seconds(), 0.0);
-  EXPECT_EQ(device.timeline().h2d_bytes, 0u);
-}
-
 TEST(DeviceTest, ShapeForCoversAllItems) {
   Device device;
   for (std::uint64_t items : {0ull, 1ull, 255ull, 256ull, 257ull, 100'000ull}) {
@@ -92,13 +82,13 @@ TEST(DeviceTest, V100PropsMatchSummitSheet) {
 TEST(DeviceTimelineTest, VolumeExcludesFixedOverheads) {
   Device device;
   // An empty kernel has only launch overhead: zero volume time.
-  device.launch(1, 1, [](ThreadCtx&) {});
+  device.launch_host("empty", 1, 1, [](KernelCharges&) {});
   EXPECT_DOUBLE_EQ(device.timeline().volume_seconds, 0.0);
   EXPECT_GT(device.timeline().kernel_seconds, 0.0);
 
   // A traffic-heavy kernel accrues volume time below its total time.
-  device.launch(1, 1, [](ThreadCtx& ctx) {
-    ctx.count_gmem_read(1'000'000'000);
+  device.launch_host("read", 1, 1, [](KernelCharges& charges) {
+    charges.count_gmem_read(1'000'000'000);
   });
   EXPECT_GT(device.timeline().volume_seconds, 0.0);
   EXPECT_LT(device.timeline().volume_seconds,
@@ -114,20 +104,6 @@ TEST(DeviceTimelineTest, TransfersContributeVolume) {
   EXPECT_GT(after_h2d, 0.0);
   device.copy_to_host(buf, std::span<std::uint8_t>(host));
   EXPECT_GT(device.timeline().volume_seconds, after_h2d);
-}
-
-TEST(DeviceTimelineTest, MergeSums) {
-  DeviceTimeline a, b;
-  a.kernel_seconds = 1;
-  a.h2d_seconds = 2;
-  b.kernel_seconds = 3;
-  b.d2h_seconds = 4;
-  b.launches = 5;
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.kernel_seconds, 4.0);
-  EXPECT_DOUBLE_EQ(a.transfer_seconds(), 6.0);
-  EXPECT_DOUBLE_EQ(a.total_seconds(), 10.0);
-  EXPECT_EQ(a.launches, 5u);
 }
 
 }  // namespace
