@@ -12,20 +12,19 @@
 // keys it holds. The capacity is what the model sees: the device reserves
 // 12 bytes per slot for the table's lifetime, the reductions are priced
 // over every slot, and claims are charged the probes they walk in a table
-// of that many slots. The (key, count) pairs live in a host table that grows with
-// its keys. Each launch is evaluated on the host (Device::launch_host): it
-// walks its input in index order and prices itself in closed form. Every
-// insert is charged one probe, a CAS and an add. The claims are charged
-// the linear-probing displacement they add. That total depends only on
-// the multiset of the held keys' home slots (the parking-function
-// property), so it comes from their sorted home slots, with no slot
-// array. The per-thread CAS kernel that this evaluates is the hash
-// battery's oracle (tests/core/device_hash_table_oracle_test.cpp).
+// of that many slots. The (key, count) pairs live in a host table that
+// grows with its keys, and the readout hands that table to the rank's
+// table instead of copying it. Each launch is evaluated on the host
+// (Device::launch_host): it walks its input in index order and prices
+// itself in closed form. Every insert is charged one probe, a CAS and an
+// add. The claims are charged the linear-probing displacement they add.
+// That total depends only on the multiset of the held keys' home slots
+// (the parking-function property), so it comes from their sorted home
+// slots, with no slot array. The per-thread CAS kernel that this evaluates
+// is the hash battery's oracle (tests/core/device_hash_table_oracle_test.cpp).
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "dedukt/core/host_hash_table.hpp"
 #include "dedukt/gpusim/device.hpp"
@@ -95,11 +94,12 @@ class DeviceHashTable {
   /// Sum of all counts. Priced like unique(): reduction kernel + D2H.
   [[nodiscard]] std::uint64_t total();
 
-  /// Copy all (key, count) pairs to the host. Priced like a device
-  /// readout: the unique() reduction kernel sizing the output, then a D2H
-  /// transfer of 12 bytes per entry.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint32_t>>
-  to_host();
+  /// Read the (key, count) pairs back (§III-B3), priced as the device
+  /// does it: the unique() reduction sizing the output, then a D2H of 12
+  /// bytes per entry into reserved scratch. The held pairs are handed to
+  /// `into`, moved when it is empty and merged otherwise (a rank table
+  /// earlier batches or spill bins filled), leaving this table empty.
+  void read_out(HostHashTable& into) &&;
 
  private:
   template <typename Body>

@@ -28,6 +28,7 @@
 #include "dedukt/util/cli.hpp"
 #include "dedukt/util/error.hpp"
 #include "dedukt/util/format.hpp"
+#include "engine.hpp"
 
 namespace dedukt::core {
 
@@ -178,6 +179,9 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
   options.batch.max_bytes = cli.get_uint<std::uint64_t>("batch-bytes", 0);
   options.ooc.spill_root = cli.get("ooc-spill");
   options.ooc.bins = cli.get_int_as<int>("ooc-bins", 8);
+
+  // Checked before any input is generated or read.
+  detail::validate_run(options, /*wide_keys=*/false);
 
   // Bounded-batch or out-of-core runs on a FASTQ input stream straight
   // from the file, so the full read set is never resident; everything else

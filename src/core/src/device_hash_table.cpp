@@ -4,6 +4,8 @@
 #include <bit>
 #include <span>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/hash/murmur3.hpp"
@@ -242,26 +244,23 @@ std::uint64_t DeviceHashTable::total() {
                       sizeof(std::uint32_t), held_.total());
 }
 
-std::vector<std::pair<std::uint64_t, std::uint32_t>>
-DeviceHashTable::to_host() {
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
-  out.reserve(held_.unique());
-  held_.for_each([&](std::uint64_t key, std::uint64_t count) {
-    out.emplace_back(key, static_cast<std::uint32_t>(count));
-  });
-  // Price the readout as the device performs it: the hash_reduce_unique
-  // launch that sizes the output, then a D2H transfer of the occupied
-  // (key, count) pairs — 12 bytes per entry.
+void DeviceHashTable::read_out(HostHashTable& into) && {
+  const std::uint64_t entries = held_.unique();
   reduce_slots(*device_, "hash_reduce_unique", capacity_,
-               sizeof(std::uint64_t), out.size());
-  if (!out.empty()) {
-    const std::size_t bytes = out.size() * 12;
-    std::vector<std::uint8_t> scratch(bytes);
-    auto tmp = device_->alloc<std::uint8_t>(bytes);
-    device_->copy_to_host(tmp, std::span<std::uint8_t>(scratch));
-    device_->free(tmp);
+               sizeof(std::uint64_t), entries);
+  if (entries > 0) {
+    const std::uint64_t bytes = entries * kSlotBytes;
+    device_->reserve(bytes);
+    device_->price_transfer(gpusim::Device::Link::kToHost, bytes);
+    device_->release(bytes);
   }
-  return out;
+  if (into.unique() == 0) {
+    std::swap(into, held_);
+  } else {
+    into.merge(held_);
+  }
+  held_ = HostHashTable();
+  displacement_ = 0;
 }
 
 }  // namespace dedukt::core

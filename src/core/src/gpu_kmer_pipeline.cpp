@@ -1,10 +1,10 @@
 // GPU pipeline with k-mers on the wire (§III-B).
 //
-// parse & process: reads concatenated and copied to the device; one thread
-// per base position parses and routes k-mers (two-phase outgoing-buffer
-// population). exchange: staged through the CPU (D2H -> MPI_Alltoallv ->
-// H2D) or GPUDirect. count: open-addressing device hash table with atomic
-// CAS/add.
+// parse & process: reads staged on the device as one concatenated base
+// array (priced, read in place); one thread per base position parses and
+// routes k-mers (two-phase outgoing-buffer population). exchange: staged
+// through the CPU (D2H -> MPI_Alltoallv -> H2D) or GPUDirect. count:
+// open-addressing device hash table with atomic CAS/add.
 #include <algorithm>
 #include <optional>
 #include <utility>
@@ -36,10 +36,8 @@ void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
   if (config.filter_singletons) bloom.emplace(device, received.data.size());
   table.count_kmers(d_recv, received.data.size(), bloom ? &*bloom : nullptr);
   device.free(d_recv);
+  std::move(table).read_out(local_table);
 
-  for (const auto& [key, count] : table.to_host()) {
-    local_table.add(key, count);
-  }
   metrics.kmers_received = received.data.size();
   phase.set_device_floor_charge(
       static_cast<double>(metrics.kmers_received) /
@@ -55,31 +53,30 @@ ParsedKmers parse_device_kmers(gpusim::Device& device,
   ParsedKmers parsed;
   parsed.counts.resize(parts);
 
-  kernels::EncodedReads staging = kernels::EncodedReads::build(reads,
-                                                               config.k);
-  auto d_bases = device.alloc<char>(staging.bases.size());
-  device.copy_to_device<char>(staging.bases, d_bases);
+  // The staged base array (§III-B1): priced and held on the device while
+  // the launches read the reads in place.
+  const kernels::Staging staging = kernels::staging_of(reads, config.k);
+  device.reserve(staging.bases);
+  device.price_transfer(gpusim::Device::Link::kToDevice, staging.bases);
 
   auto d_counts = device.alloc<std::uint32_t>(parts, 0u);
-  kernels::parse_count_kmers(device, d_bases, staging.bases.size(),
-                             config.k, enc, parts, d_counts);
+  kernels::parse_count_kmers(device, reads, config.k, enc, parts, d_counts);
   device.copy_to_host(d_counts, std::span<std::uint32_t>(parsed.counts));
 
   parsed.total = exclusive_prefix(parsed.counts, parsed.offsets);
-  DEDUKT_CHECK_MSG(parsed.total == staging.total_kmers,
+  DEDUKT_CHECK_MSG(parsed.total == staging.kmers,
                    "parse kernel lost k-mers: " << parsed.total << " vs "
-                                                << staging.total_kmers);
+                                                << staging.kmers);
 
   auto d_offsets = device.alloc<std::uint64_t>(parts);
   device.copy_to_device<std::uint64_t>(parsed.offsets, d_offsets);
   auto d_cursors = device.alloc<std::uint32_t>(parts, 0u);
   parsed.d_out = device.alloc<std::uint64_t>(
       std::max<std::uint64_t>(parsed.total, 1));
-  kernels::parse_fill_kmers(device, d_bases, staging.bases.size(),
-                            config.k, enc, parts, d_offsets, d_cursors,
-                            parsed.d_out);
+  kernels::parse_fill_kmers(device, reads, config.k, enc, parts, d_offsets,
+                            d_cursors, parsed.d_out);
 
-  device.free(d_bases);
+  device.release(staging.bases);
   device.free(d_counts);
   device.free(d_offsets);
   device.free(d_cursors);
@@ -126,11 +123,13 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   DeviceHashTable local(device, parsed.total);
   local.count_kmers(parsed.d_out, parsed.total);
   device.free(parsed.d_out);
-  for (const auto& [key, count] : local.to_host()) {
+  HostHashTable counted;
+  std::move(local).read_out(counted);
+  counted.for_each([&](std::uint64_t key, std::uint64_t count) {
     const std::uint32_t dest = kmer::kmer_partition(key, parts);
     buckets.out_keys[dest].push_back(key);
-    buckets.out_key_counts[dest].push_back(count);
-  }
+    buckets.out_key_counts[dest].push_back(static_cast<std::uint32_t>(count));
+  });
   // Local pre-counting runs at the count rate; no extra launch overhead is
   // charged for the fused pass.
   phase.set_device_floor_charge(
@@ -159,10 +158,8 @@ void count_gpu_pairs(
                          recv_keys.data.size());
   device.free(d_recv_keys);
   device.free(d_recv_key_counts);
+  std::move(table).read_out(local_table);
 
-  for (const auto& [key, count] : table.to_host()) {
-    local_table.add(key, count);
-  }
   metrics.kmers_received = kmers_to_count;
   // Accumulation touches one pair per locally-distinct k-mer.
   phase.set_device_floor_charge(

@@ -51,10 +51,8 @@ void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
                         config.k, bloom ? &*bloom : nullptr);
   device.free(d_recv_words);
   device.free(d_recv_lens);
+  std::move(table).read_out(local_table);
 
-  for (const auto& [key, count] : table.to_host()) {
-    local_table.add(key, count);
-  }
   metrics.kmers_received = kmers_to_count;
   // Counting from supermers costs ~27% over direct counting (§V-C).
   phase.set_device_floor_charge(
@@ -99,28 +97,29 @@ template <typename Word>
 ParsedSupermers<Word> parse_gpu_supermers(
     gpusim::Device& device, const io::ReadBatch& reads,
     const PipelineConfig& config, std::uint32_t parts,
-    const kernels::DestinationTable& routing, RankMetrics& metrics) {
+    const MinimizerAssignment* assignment, RankMetrics& metrics) {
   const kmer::SupermerConfig smer_config = config.supermer_config();
 
   ParsedSupermers<Word> parsed;
   parsed.counts.resize(parts);
   PhaseScope phase(metrics, kPhaseParse, device);
 
-  kernels::EncodedReads staging = kernels::EncodedReads::build(reads,
-                                                               config.k);
-  metrics.kmers_parsed = staging.total_kmers;
-  const std::vector<kernels::Window> windows =
-      kernels::build_windows(staging, config.k, config.window);
-
-  auto d_bases = device.alloc<char>(staging.bases.size());
-  device.copy_to_device<char>(staging.bases, d_bases);
-  auto d_windows = device.alloc<kernels::Window>(
-      std::max<std::size_t>(windows.size(), 1));
-  device.copy_to_device<kernels::Window>(windows, d_windows);
+  // The staged base array and its window list (§III-B1, §IV-B): priced and
+  // held on the device while the launches read the reads in place.
+  const kernels::Staging staging =
+      kernels::staging_of(reads, config.k, config.window);
+  metrics.kmers_parsed = staging.kmers;
+  const std::uint64_t window_bytes = staging.windows * kernels::kWindowBytes;
+  const std::uint64_t window_reserved =
+      std::max<std::uint64_t>(staging.windows, 1) * kernels::kWindowBytes;
+  device.reserve(staging.bases);
+  device.price_transfer(gpusim::Device::Link::kToDevice, staging.bases);
+  device.reserve(window_reserved);
+  device.price_transfer(gpusim::Device::Link::kToDevice, window_bytes);
 
   auto d_counts = device.alloc<std::uint32_t>(parts, 0u);
-  kernels::supermer_count<Word>(device, d_bases, d_windows, windows.size(),
-                                smer_config, parts, d_counts, routing);
+  kernels::supermer_count<Word>(device, reads, smer_config, parts, d_counts,
+                                assignment);
   device.copy_to_host(d_counts, std::span<std::uint32_t>(parsed.counts));
 
   parsed.total_supermers = exclusive_prefix(parsed.counts, parsed.offsets);
@@ -132,12 +131,12 @@ ParsedSupermers<Word> parse_gpu_supermers(
       std::max<std::uint64_t>(parsed.total_supermers, 1));
   parsed.d_lens = device.alloc<std::uint8_t>(
       std::max<std::uint64_t>(parsed.total_supermers, 1));
-  kernels::supermer_fill(device, d_bases, d_windows, windows.size(),
-                         smer_config, parts, d_offsets, d_cursors,
-                         parsed.d_words, parsed.d_lens, routing);
+  kernels::supermer_fill(device, reads, smer_config, parts, d_offsets,
+                         d_cursors, parsed.d_words, parsed.d_lens,
+                         assignment);
 
-  device.free(d_bases);
-  device.free(d_windows);
+  device.release(staging.bases);
+  device.release(window_reserved);
   device.free(d_counts);
   device.free(d_offsets);
   device.free(d_cursors);
@@ -159,7 +158,7 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
                         const io::ReadBatch& reads,
                         const PipelineConfig& config,
                         HostHashTable& local_table,
-                        const kernels::DestinationTable& routing,
+                        const MinimizerAssignment* assignment,
                         RankMetrics& metrics) {
   const auto parts = static_cast<std::uint32_t>(comm.size());
   const bool staged = config.exchange == ExchangeMode::kStaged;
@@ -168,7 +167,7 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
   metrics.bases = reads.total_bases();
 
   ParsedSupermers<Word> parsed = parse_gpu_supermers<Word>(
-      device, reads, config, parts, routing, metrics);
+      device, reads, config, parts, assignment, metrics);
 
   // --- exchange supermer words and lengths ---
   mpisim::AlltoallvResult<Word> recv_words;
@@ -217,9 +216,11 @@ RankMetrics run_gpu_supermer_rank(
   // per job, from the first round — per-round tables would route the same
   // k-mer to different ranks in different rounds and break table locality.
   // The sampling work and collectives, and each round's copy of the table
-  // to its device, are charged to the parse phase.
-  kernels::DestinationTable routing;
-  gpusim::DeviceBuffer<std::uint32_t> d_routing;
+  // to its device, are charged to the parse phase. The launches read the
+  // host table in place; its device copy is priced and held for the
+  // round.
+  const MinimizerAssignment* routing = nullptr;
+  std::uint64_t routing_bytes = 0;
   if (config.partition != PartitionScheme::kMinimizerHash) {
     PhaseScope phase(metrics, kPhaseParse, device);
     double sample_seconds = 0.0;
@@ -230,10 +231,10 @@ RankMetrics run_gpu_supermer_rank(
       sample_seconds = sample.modeled_seconds;
       sample_volume = sample.modeled_volume_seconds;
     }
-    d_routing = device.alloc<std::uint32_t>(assignment->buckets());
-    device.copy_to_device<std::uint32_t>(assignment->table(), d_routing);
-    routing.bucket_to_rank = d_routing.data();
-    routing.nbuckets = assignment->buckets();
+    routing = &*assignment;
+    routing_bytes = sizeof(std::uint32_t) * std::uint64_t{routing->buckets()};
+    device.reserve(routing_bytes);
+    device.price_transfer(gpusim::Device::Link::kToDevice, routing_bytes);
     phase.set_charge(sample_seconds + phase.device().modeled_seconds(),
                      sample_volume + phase.device().modeled_volume_seconds());
   }
@@ -245,6 +246,7 @@ RankMetrics run_gpu_supermer_rank(
     run_supermer_round<std::uint64_t>(comm, device, reads, config,
                                       local_table, routing, metrics);
   }
+  device.release(routing_bytes);
   metrics.unique_kmers = local_table.unique();
   metrics.counted_kmers = local_table.total();
   return metrics;

@@ -10,15 +10,15 @@
 // pipeline's own count phase against the persistent per-rank table, which
 // bounds the exchange working set by 1/bins of the dataset.
 //
-// Pass 1 parses on the host with the kmer library's walkers, the same
-// k-mer walk and sliding-minimizer supermer builders the device parse
-// launches evaluate, but without staging each batch on the device: the
-// builders produce the same k-mer/supermer multiset per destination, which
-// is all pass 2 consumes, and each supermer carries the minimizer that
-// picks its bin. Its parse charges use each pipeline's calibrated
-// throughput terms; the GPU device floor is approximated by the
-// throughput term itself, an equality on every profiled configuration
-// since the modeled kernels are throughput-bound.
+// Pass 1 reads what the in-memory parse launches read, each rank's reads
+// in place, with the same k-mer walk and sliding-minimizer supermer
+// builders; it differs only in what it prices. It launches nothing and
+// prices no staging: its parse charges use each pipeline's calibrated
+// throughput terms, the GPU device floor approximated by the throughput
+// term itself, an equality on every profiled configuration since the
+// modeled kernels are throughput-bound. The builders produce the same
+// k-mer/supermer multiset per destination, which is all pass 2 consumes,
+// and each supermer carries the minimizer that picks its bin.
 //
 // Spectra, global counts and (for hash routing) per-rank tallies are
 // bit-identical to the in-memory path: every occurrence of a key follows

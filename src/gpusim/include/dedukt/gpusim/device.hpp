@@ -88,26 +88,16 @@ class Device {
     allocated_ -= bytes;
   }
 
+  /// Direction of a host-link transfer.
+  enum class Link { kToDevice, kToHost };
+
   /// Copy host -> device, priced at host-link bandwidth.
   template <typename T>
   void copy_to_device(std::span<const T> host, DeviceBuffer<T>& dst) {
     DEDUKT_REQUIRE_MSG(host.size() <= dst.size(),
                        "H2D copy larger than destination buffer");
-    trace::ScopedSpan span(trace::kCategoryTransfer, "h2d",
-                           trace::Track::kDevice);
-    std::copy(host.begin(), host.end(), dst.data());
-    const std::uint64_t bytes = host.size() * sizeof(T);
-    const double modeled = cost_model_.transfer_seconds(bytes);
-    const double volume = cost_model_.transfer_volume_seconds(bytes);
-    timeline_.h2d_bytes += bytes;
-    timeline_.h2d_seconds += modeled;
-    timeline_.volume_seconds += volume;
-    if (span.active()) {
-      span.set_modeled_seconds(modeled);
-      span.set_modeled_volume_seconds(volume);
-      span.arg_u64("bytes", bytes);
-      trace::counter("device.h2d_bytes", bytes);
-    }
+    transfer(Link::kToDevice, host.size() * sizeof(T),
+             [&] { std::copy(host.begin(), host.end(), dst.data()); });
   }
 
   /// Copy device -> host, priced at host-link bandwidth.
@@ -115,21 +105,17 @@ class Device {
   void copy_to_host(const DeviceBuffer<T>& src, std::span<T> host) {
     DEDUKT_REQUIRE_MSG(host.size() <= src.size(),
                        "D2H copy larger than source buffer");
-    trace::ScopedSpan span(trace::kCategoryTransfer, "d2h",
-                           trace::Track::kDevice);
-    std::copy(src.data(), src.data() + host.size(), host.begin());
-    const std::uint64_t bytes = host.size() * sizeof(T);
-    const double modeled = cost_model_.transfer_seconds(bytes);
-    const double volume = cost_model_.transfer_volume_seconds(bytes);
-    timeline_.d2h_bytes += bytes;
-    timeline_.d2h_seconds += modeled;
-    timeline_.volume_seconds += volume;
-    if (span.active()) {
-      span.set_modeled_seconds(modeled);
-      span.set_modeled_volume_seconds(volume);
-      span.arg_u64("bytes", bytes);
-      trace::counter("device.d2h_bytes", bytes);
-    }
+    transfer(Link::kToHost, host.size() * sizeof(T), [&] {
+      std::copy(src.data(), src.data() + host.size(), host.begin());
+    });
+  }
+
+  /// Price a host-link transfer of `bytes` that the simulation does not
+  /// perform because the host already holds the data (a rank's staged
+  /// reads, a count table's readout): the span, timeline entry and counter
+  /// of a copy that size. The caller reserves the device footprint.
+  void price_transfer(Link link, std::uint64_t bytes) {
+    transfer(link, bytes, [] {});
   }
 
   /// Run one kernel launch: `body(KernelCharges&)` runs once, on the
@@ -166,6 +152,27 @@ class Device {
   }
 
  private:
+  /// The one pricing path for host-link transfers: runs `copy` inside an
+  /// `h2d` or `d2h` span and charges `bytes` at host-link bandwidth.
+  template <typename Copy>
+  void transfer(Link link, std::uint64_t bytes, Copy&& copy) {
+    const bool h2d = link == Link::kToDevice;
+    trace::ScopedSpan span(trace::kCategoryTransfer, h2d ? "h2d" : "d2h",
+                           trace::Track::kDevice);
+    copy();
+    const double modeled = cost_model_.transfer_seconds(bytes);
+    const double volume = cost_model_.transfer_volume_seconds(bytes);
+    (h2d ? timeline_.h2d_bytes : timeline_.d2h_bytes) += bytes;
+    (h2d ? timeline_.h2d_seconds : timeline_.d2h_seconds) += modeled;
+    timeline_.volume_seconds += volume;
+    if (span.active()) {
+      span.set_modeled_seconds(modeled);
+      span.set_modeled_volume_seconds(volume);
+      span.arg_u64("bytes", bytes);
+      trace::counter(h2d ? "device.h2d_bytes" : "device.d2h_bytes", bytes);
+    }
+  }
+
   void check_shape(std::uint32_t grid_dim, std::uint32_t block_dim) const {
     DEDUKT_REQUIRE_MSG(block_dim > 0 && grid_dim > 0,
                        "empty launch configuration");

@@ -4,12 +4,12 @@
 // payload to per-rank per-bin files; pass 2 replays each bin through the
 // exchange/count machinery with a working set of one bin. The format is a
 // fixed header (magic, version, payload kind, k, rank count) followed by
-// length-prefixed runs. Readers validate everything before allocating —
-// wrong magic/version/kind/k/rank-count, out-of-range destinations and
-// truncated runs all raise typed ParseError, and a run's declared size is
-// checked against the bytes actually remaining in the file so a corrupt
-// count can never drive a huge reserve (the counts_io hardening
-// precedent).
+// length-prefixed runs. Readers validate everything — wrong
+// magic/version/kind/k/rank-count, out-of-range destinations, truncated
+// runs and supermer lengths outside [k, 31] (two words: [k, 63]) all raise
+// typed ParseError — and check a run's declared size against the bytes
+// actually remaining in the file before allocating, so a corrupt count can
+// never drive a huge reserve (the counts_io hardening precedent).
 #pragma once
 
 #include <cstdint>
@@ -135,8 +135,9 @@ class SpillBinReader {
   SpillBinReader& operator=(const SpillBinReader&) = delete;
 
   /// Read the next run into `run`. Returns false at a clean end of file;
-  /// throws ParseError on truncation, bad destinations, or a run whose
-  /// declared size exceeds the bytes remaining.
+  /// throws ParseError on truncation, bad destinations, a run whose
+  /// declared size exceeds the bytes remaining, or a supermer length
+  /// outside [k, 31] (kSupermers) or [k, 63] (kWideSupermers).
   bool next(SpillRun& run);
 
   /// Run payload bytes replayed so far (header excluded; mirrors
@@ -148,6 +149,7 @@ class SpillBinReader {
   std::ifstream in_;
   std::string path_;
   SpillKind kind_;
+  std::uint32_t k_;
   std::uint32_t nranks_;
   std::uint64_t remaining_ = 0;  ///< payload bytes left after the header
   std::uint64_t bytes_ = 0;

@@ -129,7 +129,8 @@ SpillBinWriter::~SpillBinWriter() {
 
 SpillBinReader::SpillBinReader(const std::string& path, SpillKind kind, int k,
                                std::uint32_t nranks)
-    : in_(path, std::ios::binary), path_(path), kind_(kind), nranks_(nranks) {
+    : in_(path, std::ios::binary), path_(path), kind_(kind),
+      k_(static_cast<std::uint32_t>(k)), nranks_(nranks) {
   if (!in_) throw ParseError("cannot open spill bin: " + path);
   std::uint64_t file_bytes = 0;
   {
@@ -204,6 +205,15 @@ bool SpillBinReader::next(SpillRun& run) {
         !in_.read(reinterpret_cast<char*>(run.lens.data()),
                   static_cast<std::streamsize>(count))) {
       throw ParseError("truncated spill run lengths in " + path_);
+    }
+    // Pass 2 extracts len - k + 1 k-mers from each supermer; one word
+    // packs 31 bases, two pack 63.
+    const std::uint32_t max_len = 32 * spill_words_per_item(kind_) - 1;
+    for (const std::uint8_t len : run.lens) {
+      if (len < k_ || len > max_len) {
+        throw ParseError("spill run supermer length " + std::to_string(len) +
+                         " out of range in " + path_);
+      }
     }
   } else {
     run.lens.clear();

@@ -111,6 +111,25 @@ TEST(AppTest, CountRejectsKBeyondOneWordKeys) {
   EXPECT_EQ(result.out.find("counted"), std::string::npos) << result.out;
 }
 
+TEST(AppTest, CountRejectsABadRunBeforeLoadingItsInput) {
+  // detail::validate_run's rules are checked before the input is generated.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--ranks=0"}, "need at least one rank, got 0"},
+       {{"--ooc-spill=" + temp_path("app_early_bins"), "--ooc-bins=0"},
+        "--ooc-bins must be >= 1, got 0"},
+       {{"--k=40"}, "k out of range: 40"}};
+  for (const auto& [flags, message] : cases) {
+    std::vector<std::string> args = {"count", "--synthetic=ecoli30x",
+                                     "--scale=8000"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const AppResult result = run(args);
+    EXPECT_EQ(result.exit_code, 1) << flags[0];
+    EXPECT_NE(result.err.find(message), std::string::npos) << result.err;
+    EXPECT_EQ(result.out.find("generating"), std::string::npos) << result.out;
+    EXPECT_EQ(result.out.find("counting"), std::string::npos) << result.out;
+  }
+}
+
 TEST(AppTest, HistoAnalyzesCounts) {
   const std::string path = temp_path("app_histo.bin");
   ASSERT_EQ(run({"count", "--synthetic=ecoli30x", "--scale=4000",

@@ -186,8 +186,11 @@ TEST(BlockChargesTest, ToHostPricesTheSameReductionWithoutRescanning) {
   const auto from_unique =
       kernel_spans("hash_reduce_unique", [&] { unique = table.unique(); });
   std::size_t entries = 0;
-  const auto from_to_host = kernel_spans(
-      "hash_reduce_unique", [&] { entries = table.to_host().size(); });
+  const auto from_to_host = kernel_spans("hash_reduce_unique", [&] {
+    HostHashTable host;
+    std::move(table).read_out(host);
+    entries = host.unique();
+  });
   EXPECT_EQ(entries, unique);
   EXPECT_EQ(unique, 401u);
   ASSERT_EQ(from_unique.size(), 1u);

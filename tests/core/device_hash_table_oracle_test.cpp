@@ -204,8 +204,8 @@ class Twin {
                    }));
   }
 
-  /// The table's (key, count) list, unique() and total() against the
-  /// reference's occupied slots.
+  /// The table's unique(), total() and (key, count) list against the
+  /// reference's occupied slots. Reads the table out, so it comes last.
   void expect_same_entries() {
     Entries reference;
     std::uint64_t reference_total = 0;
@@ -215,14 +215,16 @@ class Twin {
       reference_total += counts_[slot];
     }
     std::sort(reference.begin(), reference.end());
-    Entries table;
-    for (const auto& [key, count] : table_.to_host()) {
-      table.emplace_back(key, count);
-    }
-    std::sort(table.begin(), table.end());
-    EXPECT_EQ(table, reference);
     EXPECT_EQ(table_.unique(), reference.size());
     EXPECT_EQ(table_.total(), reference_total);
+    HostHashTable host;
+    std::move(table_).read_out(host);
+    Entries table;
+    host.for_each([&](std::uint64_t key, std::uint64_t count) {
+      table.emplace_back(key, count);
+    });
+    std::sort(table.begin(), table.end());
+    EXPECT_EQ(table, reference);
   }
 
   [[nodiscard]] std::size_t capacity() const { return table_.capacity(); }

@@ -6,10 +6,25 @@
 #include <unordered_map>
 
 #include "dedukt/kmer/supermer.hpp"
+#include "dedukt/util/error.hpp"
 #include "dedukt/util/rng.hpp"
+#include "support/kernel_runner.hpp"
 
 namespace dedukt::core {
 namespace {
+
+using test_support::upload;
+
+/// The table's (key, count) pairs, read out into an empty host table.
+std::map<std::uint64_t, std::uint64_t> read_out(DeviceHashTable& table) {
+  HostHashTable host;
+  std::move(table).read_out(host);
+  std::map<std::uint64_t, std::uint64_t> entries;
+  host.for_each([&](std::uint64_t key, std::uint64_t count) {
+    entries[key] = count;
+  });
+  return entries;
+}
 
 TEST(DeviceHashTableTest, CountsKmersExactly) {
   gpusim::Device device;
@@ -22,8 +37,7 @@ TEST(DeviceHashTableTest, CountsKmersExactly) {
 
   EXPECT_EQ(table.unique(), 3u);
   EXPECT_EQ(table.total(), 6u);
-  std::map<std::uint64_t, std::uint32_t> entries;
-  for (const auto& [key, count] : table.to_host()) entries[key] = count;
+  std::map<std::uint64_t, std::uint64_t> entries = read_out(table);
   EXPECT_EQ(entries[5], 3u);
   EXPECT_EQ(entries[9], 2u);
   EXPECT_EQ(entries[12], 1u);
@@ -46,7 +60,7 @@ TEST(DeviceHashTableTest, MatchesOracleUnderRandomWorkload) {
   table.count_kmers(d_kmers, kmers.size());
 
   EXPECT_EQ(table.unique(), oracle.size());
-  for (const auto& [key, count] : table.to_host()) {
+  for (const auto& [key, count] : read_out(table)) {
     ASSERT_EQ(count, oracle.at(key));
   }
 }
@@ -68,8 +82,7 @@ TEST(DeviceHashTableTest, CountsFromSupermers) {
 
   EXPECT_EQ(table.unique(), 3u);
   EXPECT_EQ(table.total(), 6u);
-  std::map<std::uint64_t, std::uint32_t> entries;
-  for (const auto& [key, count] : table.to_host()) entries[key] = count;
+  std::map<std::uint64_t, std::uint64_t> entries = read_out(table);
   EXPECT_EQ(entries[kmer::pack("ACG", io::BaseEncoding::kStandard)], 2u);
   EXPECT_EQ(entries[kmer::pack("CGT", io::BaseEncoding::kStandard)], 2u);
   EXPECT_EQ(entries[kmer::pack("GTA", io::BaseEncoding::kStandard)], 2u);
@@ -108,10 +121,7 @@ TEST(DeviceHashTableTest, SupermerAndKmerPathsAgree) {
   DeviceHashTable by_kmer(device, flat_kmers.size());
   by_kmer.count_kmers(d_kmers, flat_kmers.size());
 
-  std::map<std::uint64_t, std::uint32_t> a, b;
-  for (const auto& [key, count] : by_supermer.to_host()) a[key] = count;
-  for (const auto& [key, count] : by_kmer.to_host()) b[key] = count;
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(read_out(by_supermer), read_out(by_kmer));
 }
 
 TEST(DeviceHashTableTest, CapacityIsPowerOfTwoWithHeadroom) {
@@ -163,7 +173,95 @@ TEST(DeviceHashTableTest, EmptyInputIsFine) {
   table.count_kmers(d_kmers, 0);
   EXPECT_EQ(table.unique(), 0u);
   EXPECT_EQ(table.total(), 0u);
-  EXPECT_TRUE(table.to_host().empty());
+  EXPECT_TRUE(read_out(table).empty());
+}
+
+TEST(DeviceHashTableTest, ReadoutOfAnEmptyTableCopiesNoEntries) {
+  // The hash_reduce_unique launch sizes the output; its 8-byte result is
+  // the only D2H.
+  gpusim::Device device;
+  DeviceHashTable table(device, 100);
+  const gpusim::DeviceTimeline before = device.timeline();
+  const std::uint64_t allocated = device.allocated_bytes();
+  HostHashTable host;
+  std::move(table).read_out(host);
+  EXPECT_EQ(device.timeline().launches, before.launches + 1);
+  EXPECT_EQ(device.timeline().d2h_bytes, before.d2h_bytes + 8);
+  EXPECT_EQ(device.timeline().h2d_bytes, before.h2d_bytes);
+  EXPECT_EQ(device.allocated_bytes(), allocated);
+  EXPECT_EQ(host.unique(), 0u);
+}
+
+TEST(DeviceHashTableTest, ReadoutCopiesTwelveBytesPerKey) {
+  std::vector<std::uint64_t> kmers;
+  for (std::uint64_t i = 0; i < 300; ++i) kmers.push_back(i % 70);
+  const gpusim::GpuCostModel cost(gpusim::DeviceProps::v100());
+  {
+    gpusim::Device device;
+    DeviceHashTable table(device, 70);
+    table.count_kmers(upload(device, kmers), kmers.size());
+    const gpusim::DeviceTimeline before = device.timeline();
+    const std::uint64_t allocated = device.allocated_bytes();
+    HostHashTable host;
+    std::move(table).read_out(host);
+    // The reduction's 8-byte result, then one D2H of the 70 entries.
+    EXPECT_EQ(device.timeline().launches, before.launches + 1);
+    EXPECT_EQ(device.timeline().d2h_bytes, before.d2h_bytes + 8 + 70 * 12);
+    EXPECT_EQ(device.timeline().d2h_seconds,
+              before.d2h_seconds + cost.transfer_seconds(8) +
+                  cost.transfer_seconds(70 * 12));
+    EXPECT_EQ(device.allocated_bytes(), allocated);
+    EXPECT_EQ(host.unique(), 70u);
+    EXPECT_EQ(host.total(), 300u);
+  }
+  {
+    // The copy's scratch is reserved: a device that holds the table, the
+    // input and the reduction's result but not the 840 bytes beside the
+    // first two fails the readout.
+    gpusim::DeviceProps props = gpusim::DeviceProps::v100();
+    props.memory_bytes = 256 * 12 + 300 * 8 + 70 * 12 - 1;
+    gpusim::Device device(props);
+    DeviceHashTable table(device, 70);
+    ASSERT_EQ(table.capacity(), 256u);
+    table.count_kmers(upload(device, kmers), kmers.size());
+    HostHashTable host;
+    EXPECT_THROW(std::move(table).read_out(host), SimulationError);
+  }
+}
+
+TEST(DeviceHashTableTest, ReadoutHandsOverOrMerges) {
+  // Two launches' tables read out into one rank table: the first moves
+  // into it while it is empty, the second merges into it.
+  Xoshiro256 rng(68);
+  std::vector<std::uint64_t> first;
+  std::vector<std::uint64_t> second;
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  for (int i = 0; i < 4'000; ++i) {
+    const std::uint64_t key = rng.below(900);
+    (i % 3 == 0 ? first : second).push_back(key);
+    ++oracle[key];
+  }
+  gpusim::Device device;
+  DeviceHashTable a(device, 900);
+  a.count_kmers(upload(device, first), first.size());
+  DeviceHashTable b(device, 900);
+  b.count_kmers(upload(device, second), second.size());
+
+  HostHashTable rank_table;
+  std::move(a).read_out(rank_table);
+  std::map<std::uint64_t, std::uint64_t> first_counts;
+  for (const std::uint64_t key : first) ++first_counts[key];
+  EXPECT_EQ(rank_table.unique(), first_counts.size());
+  for (const auto& [key, count] : first_counts) {
+    EXPECT_EQ(rank_table.count(key), count);
+  }
+
+  std::move(b).read_out(rank_table);
+  EXPECT_EQ(rank_table.unique(), oracle.size());
+  EXPECT_EQ(rank_table.total(), 4'000u);
+  for (const auto& [key, count] : oracle) {
+    EXPECT_EQ(rank_table.count(key), count);
+  }
 }
 
 }  // namespace

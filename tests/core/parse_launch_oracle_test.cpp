@@ -1,17 +1,22 @@
 // The parse launches against the per-thread kernels they evaluate.
 //
 // src/core/src/kernels.cpp evaluates each parse launch once on the host,
-// with the kmer library's walkers, and prices it in closed form. The
-// reference here is the per-thread form of those kernels, kept verbatim:
-// one thread per base position packs its k bytes (pack_at) for the k-mer
-// kernels, and one thread per window walks Algorithm 2 with a minimizer_of
-// rescan per k-mer (walk_window) for the supermer kernels; both claim
-// destination counters and cursors with device atomics. The references run
-// thread by thread in the canonical block order (support/kernel_runner.hpp).
-// Each launch and its reference must agree on every LaunchCounters field,
-// the modeled time, the destination counts and cursors, and the filled key,
-// word and length buffers byte for byte. The suite runs at pool sizes 1, 4
-// and 16, which no launch may read.
+// walking the rank's reads in place with the kmer library's walkers, and
+// prices it in closed form. The reference here is the per-thread form of
+// those kernels over the staged device arrays, kept verbatim: the reads
+// concatenated into one separator-delimited base array (EncodedReads) and
+// cut into windows (build_windows); one thread per base position packs its
+// k bytes (pack_at) for the k-mer kernels, and one thread per window walks
+// Algorithm 2 with a minimizer_of rescan per k-mer (walk_window) for the
+// supermer kernels, routed through a device-resident bucket table
+// (DestinationTable) or by hash; both claim destination counters and
+// cursors with device atomics. The references run thread by thread in the
+// canonical block order (support/kernel_runner.hpp). Each launch and its
+// reference must agree on every LaunchCounters field, the modeled time,
+// the destination counts and cursors, and the filled key, word and length
+// buffers byte for byte, and the closed-form staging must equal the
+// reference staging's size. The suite runs at pool sizes 1, 4 and 16,
+// which no launch may read.
 #include "dedukt/core/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -19,12 +24,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "dedukt/core/partitioner.hpp"
 #include "dedukt/hash/murmur3.hpp"
 #include "dedukt/io/synthetic.hpp"
+#include "dedukt/kmer/extract.hpp"
 #include "dedukt/util/rng.hpp"
 #include "dedukt/util/thread_pool.hpp"
 #include "support/kernel_runner.hpp"
@@ -38,6 +48,90 @@ using test_support::upload;
 // --- The reference: the per-thread parse kernels ---
 
 namespace reference {
+
+/// Separator byte between fragments in the concatenated base array; never a
+/// valid base, so any k-mer window containing it is rejected by the encode
+/// table.
+inline constexpr char kSeparator = '\xFF';
+
+/// Host-side staging of a rank's reads: concatenated ACGT fragments with
+/// separators, ready for one H2D copy.
+struct EncodedReads {
+  std::vector<char> bases;  ///< fragments + separators (+ trailing pad)
+  /// (offset into `bases`, fragment length) for each ACGT fragment that is
+  /// long enough to yield at least one k-mer.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> fragments;
+  std::uint64_t total_kmers = 0;
+
+  /// Build from a read batch for a given k (shorter fragments dropped).
+  [[nodiscard]] static EncodedReads build(const io::ReadBatch& reads, int k) {
+    DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
+    EncodedReads out;
+    std::uint64_t bases_needed = 0;
+    for (const auto& read : reads.reads) {
+      bases_needed += read.bases.size() + 1;
+    }
+    out.bases.reserve(bases_needed + static_cast<std::uint64_t>(k));
+
+    for (const auto& read : reads.reads) {
+      for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
+        if (fragment.size() < static_cast<std::size_t>(k)) continue;
+        out.fragments.emplace_back(
+            out.bases.size(), static_cast<std::uint32_t>(fragment.size()));
+        out.bases.insert(out.bases.end(), fragment.begin(), fragment.end());
+        out.bases.push_back(kSeparator);
+        out.total_kmers += fragment.size() - static_cast<std::size_t>(k) + 1;
+      }
+    }
+    // Trailing pad so a thread at the last base can always read k bytes.
+    out.bases.insert(out.bases.end(), static_cast<std::size_t>(k),
+                     kSeparator);
+    return out;
+  }
+};
+
+/// One supermer-kernel work item: a window of k-mer starts inside one
+/// fragment (§IV-B: "we partition reads into smaller windows and assign one
+/// thread to process all the k-mers in that window").
+struct Window {
+  std::uint64_t frag_offset;  ///< fragment start in the base array
+  std::uint32_t frag_len;     ///< fragment length in bases
+  std::uint32_t kmer_start;   ///< first k-mer index of this window
+  std::uint32_t kmer_count;   ///< number of k-mer starts in this window
+};
+static_assert(sizeof(Window) == kWindowBytes);
+
+/// Enumerate all windows of an EncodedReads staging area.
+[[nodiscard]] std::vector<Window> build_windows(const EncodedReads& reads,
+                                                int k, int window) {
+  DEDUKT_REQUIRE(window >= 1);
+  std::vector<Window> windows;
+  for (const auto& [offset, len] : reads.fragments) {
+    const auto nkmers =
+        static_cast<std::uint32_t>(len - static_cast<std::uint32_t>(k) + 1);
+    for (std::uint32_t start = 0; start < nkmers;
+         start += static_cast<std::uint32_t>(window)) {
+      Window w;
+      w.frag_offset = offset;
+      w.frag_len = len;
+      w.kmer_start = start;
+      w.kmer_count =
+          std::min(static_cast<std::uint32_t>(window), nkmers - start);
+      windows.push_back(w);
+    }
+  }
+  return windows;
+}
+
+/// Optional device-resident minimizer-bucket routing table (the §VII
+/// frequency-balanced extension). With a null pointer the kernels fall
+/// back to the paper's hash routing.
+struct DestinationTable {
+  const std::uint32_t* bucket_to_rank = nullptr;
+  std::uint32_t nbuckets = 0;
+
+  [[nodiscard]] bool enabled() const { return bucket_to_rank != nullptr; }
+};
 
 /// Pack the k-mer starting at `p`; returns false if the window crosses a
 /// separator (or other non-ACGT byte).
@@ -305,19 +399,22 @@ std::vector<std::uint64_t> offsets_of(
   return offsets;
 }
 
-/// Both k-mer launches and their references over one staged base array.
-void check_kmer_launches(const std::vector<char>& bases,
-                         std::size_t total_len, int k, io::BaseEncoding enc,
-                         std::uint32_t parts) {
+/// Both k-mer launches over `reads` and their references over the staged
+/// base array.
+void check_kmer_launches(const io::ReadBatch& reads, int k,
+                         io::BaseEncoding enc, std::uint32_t parts) {
   gpusim::Device device;
-  const auto d_bases = upload(device, bases);
+  const reference::EncodedReads staged =
+      reference::EncodedReads::build(reads, k);
+  const auto d_bases = upload(device, staged.bases);
+  const std::size_t total_len = staged.bases.size();
 
   auto counts = device.alloc<std::uint32_t>(parts, 0u);
   auto ref_counts = device.alloc<std::uint32_t>(parts, 0u);
   {
     SCOPED_TRACE("parse_count_kmers");
     expect_same_launch(
-        parse_count_kmers(device, d_bases, total_len, k, enc, parts, counts),
+        parse_count_kmers(device, reads, k, enc, parts, counts),
         reference::parse_count_kmers(device, d_bases, total_len, k, enc,
                                      parts, ref_counts));
     expect_same_bytes(counts, ref_counts, "destination counts");
@@ -333,8 +430,8 @@ void check_kmer_launches(const std::vector<char>& bases,
   {
     SCOPED_TRACE("parse_fill_kmers");
     expect_same_launch(
-        parse_fill_kmers(device, d_bases, total_len, k, enc, parts,
-                         d_offsets, cursors, out),
+        parse_fill_kmers(device, reads, k, enc, parts, d_offsets, cursors,
+                         out),
         reference::parse_fill_kmers(device, d_bases, total_len, k, enc,
                                     parts, d_offsets, ref_cursors, ref_out));
     expect_same_bytes(cursors, ref_cursors, "cursors");
@@ -342,32 +439,38 @@ void check_kmer_launches(const std::vector<char>& bases,
   }
 }
 
-/// Both supermer launches and their references over one staging area,
-/// windowed at config.window, routed by `table` (hash routing when empty).
+/// Both supermer launches over `reads` and their references over the
+/// staged base array windowed at config.window, routed by `table` (hash
+/// routing when empty): the launches through a MinimizerAssignment over
+/// it, the references through the device-resident table.
 template <typename Word>
-void check_supermer_launches(const EncodedReads& staged,
+void check_supermer_launches(const io::ReadBatch& reads,
                              const kmer::SupermerConfig& config,
                              std::uint32_t parts,
                              const std::vector<std::uint32_t>& table) {
   gpusim::Device device;
+  const reference::EncodedReads staged =
+      reference::EncodedReads::build(reads, config.k);
   const auto d_bases = upload(device, staged.bases);
-  const std::vector<Window> windows =
-      build_windows(staged, config.k, config.window);
+  const std::vector<reference::Window> windows =
+      reference::build_windows(staged, config.k, config.window);
   const auto d_windows = upload(device, windows);
   const auto d_table = upload(device, table);
-  DestinationTable routing;
+  reference::DestinationTable routing;
+  std::optional<MinimizerAssignment> assignment;
   if (!table.empty()) {
     routing.bucket_to_rank = d_table.data();
     routing.nbuckets = static_cast<std::uint32_t>(table.size());
+    assignment.emplace(table, parts);
   }
+  const MinimizerAssignment* route = assignment ? &*assignment : nullptr;
 
   auto counts = device.alloc<std::uint32_t>(parts, 0u);
   auto ref_counts = device.alloc<std::uint32_t>(parts, 0u);
   {
     SCOPED_TRACE("supermer_count");
     expect_same_launch(
-        supermer_count<Word>(device, d_bases, d_windows, windows.size(),
-                             config, parts, counts, routing),
+        supermer_count<Word>(device, reads, config, parts, counts, route),
         reference::supermer_count<Word>(device, d_bases, d_windows,
                                         windows.size(), config, parts,
                                         ref_counts, routing));
@@ -386,9 +489,8 @@ void check_supermer_launches(const EncodedReads& staged,
   {
     SCOPED_TRACE("supermer_fill");
     expect_same_launch(
-        supermer_fill<Word>(device, d_bases, d_windows, windows.size(),
-                            config, parts, d_offsets, cursors, words, lens,
-                            routing),
+        supermer_fill<Word>(device, reads, config, parts, d_offsets, cursors,
+                            words, lens, route),
         reference::supermer_fill<Word>(device, d_bases, d_windows,
                                        windows.size(), config, parts,
                                        d_offsets, ref_cursors, ref_words,
@@ -438,35 +540,34 @@ class ParseLaunchOracleTest : public testing::TestWithParam<unsigned> {
   void TearDown() override { util::ThreadPool::set_global_threads(1); }
 };
 
+/// Runs shorter than k, exactly k and longer, split by N bytes and by
+/// read ends, and an empty read.
+io::ReadBatch short_runs() {
+  io::ReadBatch reads;
+  for (const char* bases : {"ACGTA", "ACGTACGTA", "ACGTNACGTACGTACGTTT", "",
+                            "GATTACAGATTACA", "NNACG"}) {
+    reads.reads.push_back({"run", bases, ""});
+  }
+  return reads;
+}
+
 TEST_P(ParseLaunchOracleTest, KmerLaunches) {
   constexpr int kK = 17;
-  const EncodedReads staged = EncodedReads::build(batch(), kK);
+  const io::ReadBatch reads = batch();
   for (const auto enc :
        {io::BaseEncoding::kStandard, io::BaseEncoding::kRandomized}) {
     for (const std::uint32_t parts : {1u, 5u}) {
       SCOPED_TRACE(testing::Message() << "parts=" << parts << " randomized="
                                       << (enc != io::BaseEncoding::kStandard));
-      check_kmer_launches(staged.bases, staged.bases.size(), kK, enc, parts);
+      check_kmer_launches(reads, kK, enc, parts);
     }
   }
 }
 
 TEST_P(ParseLaunchOracleTest, KmerLaunchesOverShortRuns) {
-  // Runs shorter than k, exactly k and longer, between separators and
-  // N bytes; then the same array launched over a prefix that ends inside
-  // a run, so the last threads read past total_len.
-  constexpr int kK = 9;
-  const std::string text = "ACGTA\xFF" "ACGTACGTA\xFF" "ACGTNACGTACGTACGTTT"
-                           "\xFF\xFF" "GATTACAGATTACA" "NNACG\xFF";
-  std::vector<char> bases(text.begin(), text.end());
-  bases.insert(bases.end(), kK, kSeparator);
   for (const std::uint32_t parts : {1u, 5u}) {
     SCOPED_TRACE(testing::Message() << "parts=" << parts);
-    check_kmer_launches(bases, bases.size(), kK, io::BaseEncoding::kStandard,
-                        parts);
-    const std::size_t inside = text.find("GATTACA") + 3;
-    check_kmer_launches(bases, inside, kK, io::BaseEncoding::kStandard,
-                        parts);
+    check_kmer_launches(short_runs(), 9, io::BaseEncoding::kStandard, parts);
   }
 }
 
@@ -480,7 +581,7 @@ TEST_P(ParseLaunchOracleTest, NarrowSupermerLaunches) {
       kmer::SupermerConfig config;  // k=17, m=7, randomized order
       config.window = window;
       check_supermer_launches<std::uint64_t>(
-          EncodedReads::build(reads, config.k), config, kParts,
+          reads, config, kParts,
           table ? bucket_table(kParts) : std::vector<std::uint32_t>{});
     }
   }
@@ -497,7 +598,7 @@ TEST_P(ParseLaunchOracleTest, WideSupermerLaunches) {
       config.wide = true;
       config.window = window;
       check_supermer_launches<kmer::WideKey>(
-          EncodedReads::build(reads, config.k), config, kParts,
+          reads, config, kParts,
           table ? bucket_table(kParts) : std::vector<std::uint32_t>{});
     }
   }
@@ -513,21 +614,125 @@ TEST_P(ParseLaunchOracleTest, OtherMinimizerOrders) {
     config.m = 9;
     config.window = 11;
     config.order = order;
-    check_supermer_launches<std::uint64_t>(
-        EncodedReads::build(reads, config.k), config, 4, bucket_table(4));
+    check_supermer_launches<std::uint64_t>(reads, config, 4,
+                                           bucket_table(4));
   }
 }
 
 TEST_P(ParseLaunchOracleTest, EmptyBatch) {
   kmer::SupermerConfig config;
-  const EncodedReads staged = EncodedReads::build(io::ReadBatch{}, config.k);
-  check_kmer_launches(staged.bases, staged.bases.size(), config.k,
-                      io::BaseEncoding::kStandard, 5);
-  check_supermer_launches<std::uint64_t>(staged, config, 4, {});
+  const io::ReadBatch empty;
+  check_kmer_launches(empty, config.k, io::BaseEncoding::kStandard, 5);
+  check_supermer_launches<std::uint64_t>(empty, config, 4, {});
   config.wide = true;
   config.window = 20;
-  check_supermer_launches<kmer::WideKey>(staged, config, 4,
-                                         bucket_table(4));
+  check_supermer_launches<kmer::WideKey>(empty, config, 4, bucket_table(4));
+}
+
+TEST(StagingTest, ClosedFormMatchesReferenceStaging) {
+  // The staged bytes, windows and k-mers the pipelines price, against the
+  // arrays the reference stages; the windows tile every k-mer once.
+  for (const io::ReadBatch& reads : {batch(), short_runs(), io::ReadBatch{}}) {
+    for (const int k : {5, 9, 17}) {
+      const reference::EncodedReads staged =
+          reference::EncodedReads::build(reads, k);
+      const Staging unwindowed = staging_of(reads, k);
+      EXPECT_EQ(unwindowed.bases, staged.bases.size());
+      EXPECT_EQ(unwindowed.kmers, staged.total_kmers);
+      EXPECT_EQ(unwindowed.windows, 0u);
+      for (const int window : {1, 7, 15}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k << " window=" << window
+                                        << " reads=" << reads.size());
+        const auto windows = reference::build_windows(staged, k, window);
+        std::uint64_t covered = 0;
+        for (const auto& w : windows) {
+          EXPECT_GE(w.kmer_count, 1u);
+          EXPECT_LE(w.kmer_count, static_cast<std::uint32_t>(window));
+          covered += w.kmer_count;
+        }
+        EXPECT_EQ(covered, staged.total_kmers);
+        const Staging staging = staging_of(reads, k, window);
+        EXPECT_EQ(staging.windows, windows.size());
+        EXPECT_EQ(staging.bases, staged.bases.size());
+        EXPECT_EQ(staging.kmers, staged.total_kmers);
+      }
+    }
+  }
+}
+
+// The reference staging on small examples, and the closed form beside it.
+
+TEST(EncodedReadsTest, CountsKmersAndSeparates) {
+  io::ReadBatch batch;
+  batch.reads.push_back({"a", "ACGTACGT", ""});  // 8 bases
+  batch.reads.push_back({"b", "TTTTT", ""});     // 5 bases
+  const reference::EncodedReads staged =
+      reference::EncodedReads::build(batch, 5);
+  EXPECT_EQ(staged.total_kmers, 4u + 1u);
+  EXPECT_EQ(staged.fragments.size(), 2u);
+  // Separator between fragments and a k-length pad at the end.
+  EXPECT_EQ(staged.bases[8], reference::kSeparator);
+  EXPECT_EQ(staged.bases.size(), 8u + 1 + 5 + 1 + 5);
+  // 4 + 1 k-mers in 2 + 1 windows of 2.
+  const Staging staging = staging_of(batch, 5, 2);
+  EXPECT_EQ(staging.bases, 8u + 1 + 5 + 1 + 5);
+  EXPECT_EQ(staging.kmers, 5u);
+  EXPECT_EQ(staging.windows, 3u);
+}
+
+TEST(EncodedReadsTest, DropsShortAndSplitsOnN) {
+  io::ReadBatch batch;
+  batch.reads.push_back({"a", "ACGNNACGTA", ""});  // frags: ACG(3), ACGTA(5)
+  const reference::EncodedReads staged =
+      reference::EncodedReads::build(batch, 4);
+  ASSERT_EQ(staged.fragments.size(), 1u);  // ACG too short for k=4
+  EXPECT_EQ(staged.fragments[0].second, 5u);
+  EXPECT_EQ(staged.total_kmers, 2u);
+  // Only ACGTA and its separator are staged, then the 4-byte pad.
+  const Staging staging = staging_of(batch, 4, 1);
+  EXPECT_EQ(staging.bases, 5u + 1 + 4);
+  EXPECT_EQ(staging.kmers, 2u);
+  EXPECT_EQ(staging.windows, 2u);
+}
+
+TEST(EncodedReadsTest, EmptyBatch) {
+  const reference::EncodedReads staged =
+      reference::EncodedReads::build(io::ReadBatch{}, 7);
+  EXPECT_EQ(staged.total_kmers, 0u);
+  EXPECT_TRUE(staged.fragments.empty());
+  EXPECT_EQ(staged.bases.size(), 7u);  // just the pad
+  const Staging staging = staging_of(io::ReadBatch{}, 7, 3);
+  EXPECT_EQ(staging.bases, 7u);
+  EXPECT_EQ(staging.kmers, 0u);
+  EXPECT_EQ(staging.windows, 0u);
+}
+
+TEST(WindowsTest, CoverEveryKmerExactlyOnce) {
+  io::GenomeSpec gspec;
+  gspec.length = 4'000;
+  gspec.seed = 3;
+  io::ReadSpec rspec;
+  rspec.coverage = 3.0;
+  rspec.mean_read_length = 400;
+  rspec.min_read_length = 60;
+  const io::ReadBatch batch = io::generate_dataset(gspec, rspec);
+  const int k = 17;
+  const reference::EncodedReads staged =
+      reference::EncodedReads::build(batch, k);
+  for (int window : {1, 7, 15}) {
+    SCOPED_TRACE(testing::Message() << "window=" << window);
+    const auto windows = reference::build_windows(staged, k, window);
+    std::uint64_t covered = 0;
+    for (const auto& w : windows) {
+      EXPECT_GE(w.kmer_count, 1u);
+      EXPECT_LE(w.kmer_count, static_cast<std::uint32_t>(window));
+      covered += w.kmer_count;
+    }
+    EXPECT_EQ(covered, staged.total_kmers);
+    const Staging staging = staging_of(batch, k, window);
+    EXPECT_EQ(staging.windows, windows.size());
+    EXPECT_EQ(staging.kmers, covered);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ParseLaunchOracleTest,

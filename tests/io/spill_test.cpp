@@ -134,7 +134,7 @@ TEST_P(SpillRoundTrip, RunsSurviveRoundTrip) {
     words[0].push_back(0x4444);  // make item counts whole
   }
   std::vector<std::vector<std::uint8_t>> lens = {{21, 22, 23, 24},
-                                                 {31, 32}};
+                                                 {30, 31}};
 
   std::uint64_t expected_bytes = 0;
   {
@@ -256,6 +256,50 @@ TEST_F(SpillValidationTest, OversizedCountThrowsBeforeAllocating) {
   SpillBinReader reader(path_, SpillKind::kSupermers, 17, 4);
   SpillRun run;
   EXPECT_THROW(reader.next(run), ParseError);
+}
+
+TEST_F(SpillValidationTest, OutOfRangeSupermerLengthThrowsParseError) {
+  // Pass 2 extracts len - k + 1 k-mers from each supermer, so a length
+  // below k, or past the 31 (two words: 63) bases the words pack, is
+  // rejected; k itself and the packing limit read back.
+  struct Case {
+    SpillKind kind;
+    std::uint8_t len;
+    bool valid;
+  };
+  for (const Case c : {Case{SpillKind::kSupermers, 3, false},
+                       Case{SpillKind::kSupermers, 16, false},
+                       Case{SpillKind::kSupermers, 17, true},
+                       Case{SpillKind::kSupermers, 31, true},
+                       Case{SpillKind::kSupermers, 32, false},
+                       Case{SpillKind::kSupermers, 200, false},
+                       Case{SpillKind::kWideSupermers, 3, false},
+                       Case{SpillKind::kWideSupermers, 16, false},
+                       Case{SpillKind::kWideSupermers, 17, true},
+                       Case{SpillKind::kWideSupermers, 63, true},
+                       Case{SpillKind::kWideSupermers, 64, false},
+                       Case{SpillKind::kWideSupermers, 200, false}}) {
+    SCOPED_TRACE(testing::Message() << to_string(c.kind) << " length "
+                                    << int{c.len});
+    const std::string path = dir_->bin_path(1, 0);
+    {
+      // Two items: a valid 20-base supermer, then the length under test.
+      SpillBinWriter writer(path, c.kind, 17, 4);
+      const std::uint64_t words[] = {0x1234, 0x5678, 0x9ABC, 0xDEF0};
+      const std::uint8_t lens[] = {20, c.len};
+      writer.append_run(2, words, 2, lens);
+      writer.close();
+    }
+    SpillBinReader reader(path, c.kind, 17, 4);
+    SpillRun run;
+    if (c.valid) {
+      ASSERT_TRUE(reader.next(run));
+      EXPECT_EQ(run.lens, std::vector<std::uint8_t>({20, c.len}));
+      EXPECT_FALSE(reader.next(run));
+    } else {
+      EXPECT_THROW(reader.next(run), ParseError);
+    }
+  }
 }
 
 TEST_F(SpillValidationTest, EveryTruncationThrowsParseErrorOrEndsCleanly) {
