@@ -2,9 +2,8 @@
 //
 // Every pipeline's exchange phase does some subset of the same five steps:
 //   1. stage the packed outgoing buffer off the device (priced D2H when
-//      ExchangeMode::kStaged, a free memcpy under GPUDirect),
-//   2. slice it into per-destination buffers from the parse stage's
-//      counts/offsets,
+//      ExchangeMode::kStaged, free under GPUDirect),
+//   2. slice it by destination from the parse stage's counts/offsets,
 //   3. Alltoallv,
 //   4. stage the received payload back onto the device (priced H2D when
 //      staged), and
@@ -17,10 +16,20 @@
 // the steps the pipeline needs — multi-buffer exchanges like the supermer
 // pipeline's words+lengths simply call them twice — and finish with
 // PhaseScope::commit_exchange.
+//
+// The payload moves rather than being copied: stage_out hands the device
+// buffer's storage to the host (Device::disown), the Alltoallv reads each
+// destination's slice of it in place, and stage_in hands the received
+// vector to the device (Device::adopt). A staged copy is priced by its
+// bytes through Device::price_transfer, exactly as the copy was, so every
+// span, counter and charge is unchanged; the only copy left is the one
+// the receive makes, the data crossing between ranks.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dedukt/core/phase_scope.hpp"
@@ -55,24 +64,23 @@ class ExchangePlan {
   ExchangePlan& operator=(const ExchangePlan&) = delete;
 
   /// Step 1: move `n` packed elements off the device and release the device
-  /// buffer. Priced as a D2H transfer when staged; GPUDirect hands the
-  /// wire the device buffer for free.
+  /// buffer. Priced as a D2H transfer of n elements when staged; GPUDirect
+  /// hands the wire the device buffer for free.
   template <typename T>
   [[nodiscard]] std::vector<T> stage_out(gpusim::DeviceBuffer<T>& buffer,
                                          std::uint64_t n) {
     DEDUKT_CHECK_MSG(device_ != nullptr, "stage_out needs a device");
-    std::vector<T> host(n);
+    DEDUKT_CHECK_MSG(n <= buffer.size(), "D2H copy larger than source buffer");
     if (staged_) {
-      device_->copy_to_host(buffer, std::span<T>(host));
-    } else {
-      std::copy(buffer.data(), buffer.data() + n, host.begin());
+      device_->price_transfer(gpusim::Device::Link::kToHost, n * sizeof(T));
     }
-    device_->free(buffer);
+    std::vector<T> host = device_->disown(buffer);
+    host.resize(n);
     return host;
   }
 
-  /// Steps 2+3: slice a staged buffer by the parse stage's per-destination
-  /// counts/offsets and run the Alltoallv.
+  /// Steps 2+3: run the Alltoallv over a staged buffer, each destination
+  /// reading its slice (the parse stage's counts/offsets) in place.
   template <typename T>
   [[nodiscard]] mpisim::AlltoallvResult<T> exchange(
       const std::vector<T>& staged_flat,
@@ -80,18 +88,16 @@ class ExchangePlan {
       const std::vector<std::uint64_t>& offsets) {
     const auto parts = static_cast<std::uint32_t>(comm_.size());
     DEDUKT_CHECK(counts.size() == parts && offsets.size() == parts);
-    std::vector<std::vector<T>> outgoing(parts);
+    const std::span<const T> flat(staged_flat);
+    std::vector<std::span<const T>> slices(parts);
     for (std::uint32_t dest = 0; dest < parts; ++dest) {
-      outgoing[dest].assign(
-          staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]),
-          staged_flat.begin() + static_cast<std::ptrdiff_t>(offsets[dest]) +
-              counts[dest]);
+      slices[dest] = flat.subspan(offsets[dest], counts[dest]);
     }
-    return comm_.alltoallv(outgoing);
+    return comm_.alltoallv(slices);
   }
 
   /// Step 3 for pipelines that bucket per destination while parsing (the
-  /// CPU pipelines, source-side consolidation).
+  /// CPU pipelines, source-side consolidation, the out-of-core replay).
   template <typename T>
   [[nodiscard]] mpisim::AlltoallvResult<T> exchange(
       const std::vector<std::vector<T>>& outgoing) {
@@ -99,15 +105,16 @@ class ExchangePlan {
   }
 
   /// Step 4: move a received payload onto the device (at least one slot so
-  /// kernels can take a pointer). Priced as an H2D transfer when staged.
+  /// kernels can take a pointer). Priced as an H2D transfer of its elements
+  /// when staged. Read what the host needs from `data` first: the device
+  /// takes its storage.
   template <typename T>
-  [[nodiscard]] gpusim::DeviceBuffer<T> stage_in(const std::vector<T>& data) {
+  [[nodiscard]] gpusim::DeviceBuffer<T> stage_in(std::vector<T>&& data) {
     DEDUKT_CHECK_MSG(device_ != nullptr, "stage_in needs a device");
-    auto buffer = device_->alloc<T>(std::max<std::size_t>(data.size(), 1));
+    const std::uint64_t bytes = data.size() * sizeof(T);
+    gpusim::DeviceBuffer<T> buffer = device_->adopt(std::move(data));
     if (staged_) {
-      device_->copy_to_device<T>(data, buffer);
-    } else {
-      std::copy(data.begin(), data.end(), buffer.data());
+      device_->price_transfer(gpusim::Device::Link::kToDevice, bytes);
     }
     return buffer;
   }

@@ -61,7 +61,7 @@ struct Staging {
 
 /// Stage `reads` for k-mers of length k, cut into windows of `window`
 /// k-mer starts when `window` >= 1 (the supermer kernels).
-[[nodiscard]] Staging staging_of(const io::ReadBatch& reads, int k,
+[[nodiscard]] Staging staging_of(io::ReadView reads, int k,
                                  int window = 0);
 
 // --- k-mer kernels (§III-B1) ---
@@ -69,7 +69,7 @@ struct Staging {
 /// Pass 1: count the k-mers of `reads` destined to each partition.
 /// `dest_counts` must hold `parts` zeroed counters.
 gpusim::LaunchStats parse_count_kmers(
-    gpusim::Device& device, const io::ReadBatch& reads, int k,
+    gpusim::Device& device, io::ReadView reads, int k,
     io::BaseEncoding enc, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts);
 
@@ -77,7 +77,7 @@ gpusim::LaunchStats parse_count_kmers(
 /// `offsets` holds the exclusive prefix sums of the pass-1 counts;
 /// `cursors` must hold `parts` zeroed atomics.
 gpusim::LaunchStats parse_fill_kmers(
-    gpusim::Device& device, const io::ReadBatch& reads, int k,
+    gpusim::Device& device, io::ReadView reads, int k,
     io::BaseEncoding enc, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,
@@ -94,7 +94,7 @@ gpusim::LaunchStats parse_fill_kmers(
 /// minimizer hash.
 template <typename Word = std::uint64_t>
 gpusim::LaunchStats supermer_count(
-    gpusim::Device& device, const io::ReadBatch& reads,
+    gpusim::Device& device, io::ReadView reads,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
     const MinimizerAssignment* assignment = nullptr);
@@ -102,7 +102,7 @@ gpusim::LaunchStats supermer_count(
 /// Pass 2: emit packed supermer words and length bytes per partition.
 template <typename Word>
 gpusim::LaunchStats supermer_fill(
-    gpusim::Device& device, const io::ReadBatch& reads,
+    gpusim::Device& device, io::ReadView reads,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,

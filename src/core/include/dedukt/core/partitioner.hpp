@@ -42,7 +42,7 @@ class MinimizerAssignment {
   /// Collectively build the assignment from each rank's local reads.
   /// `sample_stride` controls sampling (1 = every read, 4 = every 4th...).
   [[nodiscard]] static MinimizerAssignment build(
-      mpisim::Comm& comm, const io::ReadBatch& reads,
+      mpisim::Comm& comm, io::ReadView reads,
       const kmer::SupermerConfig& config, int sample_stride = 4);
 
   /// Identity-free constructor for tests: explicit bucket table.
@@ -85,7 +85,7 @@ struct SampledAssignment {
 /// `reads`. The in-memory and out-of-core drivers both call this once per
 /// job, on the first batch, and reuse the table for every later batch.
 [[nodiscard]] SampledAssignment sample_assignment(
-    mpisim::Comm& comm, const io::ReadBatch& reads,
+    mpisim::Comm& comm, io::ReadView reads,
     const PipelineConfig& config);
 
 /// LPT assignment of weighted buckets to `nranks` ranks (exposed for unit

@@ -25,21 +25,21 @@ namespace dedukt::core {
 
 /// CPU baseline (Algorithm 1; derived from diBELLA's k-mer analysis).
 [[nodiscard]] RankMetrics run_cpu_rank(mpisim::Comm& comm,
-                                       const io::ReadBatch& reads,
+                                       io::ReadView reads,
                                        const PipelineConfig& config,
                                        HostHashTable& local_table);
 
 /// Wide-k CPU pipeline: Algorithm 1 with two-word packed k-mers
 /// (31 < k <= 63), for long-read analyses beyond the single-word regime.
 [[nodiscard]] RankMetrics run_cpu_wide_rank(mpisim::Comm& comm,
-                                            const io::ReadBatch& reads,
+                                            io::ReadView reads,
                                             const PipelineConfig& config,
                                             WideHostHashTable& local_table);
 
 /// GPU pipeline, k-mers on the wire (§III).
 [[nodiscard]] RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm,
                                             gpusim::Device& device,
-                                            const io::ReadBatch& reads,
+                                            io::ReadView reads,
                                             const PipelineConfig& config,
                                             HostHashTable& local_table);
 
@@ -50,7 +50,7 @@ namespace dedukt::core {
 /// each k-mer to the same rank. Each call copies the table to `device`.
 /// Unused under minimizer-hash routing.
 [[nodiscard]] RankMetrics run_gpu_supermer_rank(
-    mpisim::Comm& comm, gpusim::Device& device, const io::ReadBatch& reads,
+    mpisim::Comm& comm, gpusim::Device& device, io::ReadView reads,
     const PipelineConfig& config, HostHashTable& local_table,
     std::optional<MinimizerAssignment>& assignment);
 

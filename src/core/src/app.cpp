@@ -649,7 +649,10 @@ int run_app(int argc, const char* const* argv, std::ostream& out,
                                             << " for dedukt " << command);
     return it->second(cli, out);
   } catch (const PreconditionError& e) {
-    err << "error: " << e.what() << "\n";
+    // A failed check's own message is what a user can act on; the failed
+    // expression and source location stay in what().
+    err << "error: " << (e.message().empty() ? e.what() : e.message())
+        << "\n";
     return 1;
   } catch (const Error& e) {
     err << "error: " << e.what() << "\n";

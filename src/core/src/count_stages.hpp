@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dedukt/core/config.hpp"
@@ -31,8 +32,7 @@ struct ParsedKmers {
 /// Stage `reads` on the device and run the two k-mer parse launches
 /// (§III-B1) into `parts` destinations; with one, the k-mers stay in input
 /// order. The callers open the parse phase and state its charge.
-ParsedKmers parse_device_kmers(gpusim::Device& device,
-                               const io::ReadBatch& reads,
+ParsedKmers parse_device_kmers(gpusim::Device& device, io::ReadView reads,
                                const PipelineConfig& config,
                                std::uint32_t parts);
 
@@ -51,23 +51,28 @@ void count_cpu(
                            summit::kCpuCountKmersPerSec);
 }
 
-/// GPU k-mer pipeline (§III-B3): count the received k-mers in a device
-/// hash table and merge it into `local_table`. Frees `d_recv`.
+/// GPU k-mer pipeline (§III-B3): count the `kmers` received k-mers that
+/// `d_recv` holds in a device hash table and merge it into `local_table`.
+/// Frees `d_recv`.
 void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
-                     const mpisim::AlltoallvResult<std::uint64_t>& received,
                      gpusim::DeviceBuffer<std::uint64_t>& d_recv,
-                     HostHashTable& local_table, RankMetrics& metrics);
+                     std::uint64_t kmers, HostHashTable& local_table,
+                     RankMetrics& metrics);
 
-/// GPU supermer pipeline (§IV): extract the k-mers of the received
-/// supermers on the device, count them, and merge into `local_table`.
-/// Frees the device buffers. Word is the supermer packing: std::uint64_t
-/// or kmer::WideKey.
+/// The k-mers a run of supermers of lengths `lens` holds.
+[[nodiscard]] std::uint64_t supermer_kmers(std::span<const std::uint8_t> lens,
+                                           int k);
+
+/// GPU supermer pipeline (§IV): extract the k-mers of the `supermers`
+/// received supermers, `kmers` in all, from their packed words and length
+/// bytes on the device, count them, and merge into `local_table`. Frees
+/// the device buffers. Word is the supermer packing: std::uint64_t or
+/// kmer::WideKey.
 template <typename Word>
 void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
-                         const mpisim::AlltoallvResult<Word>& recv_words,
-                         const mpisim::AlltoallvResult<std::uint8_t>& recv_lens,
                          gpusim::DeviceBuffer<Word>& d_recv_words,
                          gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
+                         std::uint64_t supermers, std::uint64_t kmers,
                          HostHashTable& local_table, RankMetrics& metrics);
 
 }  // namespace dedukt::core::detail

@@ -27,7 +27,7 @@ namespace {
 /// destination processor.
 template <typename KeyTraits>
 std::vector<std::vector<typename KeyTraits::Key>> parse_cpu(
-    const io::ReadBatch& reads, const PipelineConfig& config,
+    io::ReadView reads, const PipelineConfig& config,
     std::uint32_t parts, RankMetrics& metrics) {
   const io::BaseEncoding enc = config.encoding();
   std::vector<std::vector<typename KeyTraits::Key>> outgoing(parts);
@@ -49,7 +49,7 @@ std::vector<std::vector<typename KeyTraits::Key>> parse_cpu(
 
 /// One round of Algorithm 1 (the whole job when it fits in memory).
 template <typename KeyTraits>
-RankMetrics run_cpu(mpisim::Comm& comm, const io::ReadBatch& reads,
+RankMetrics run_cpu(mpisim::Comm& comm, io::ReadView reads,
                     const PipelineConfig& config,
                     BasicHostHashTable<KeyTraits>& local_table) {
   config.validate();
@@ -82,13 +82,13 @@ RankMetrics run_cpu(mpisim::Comm& comm, const io::ReadBatch& reads,
 
 }  // namespace
 
-RankMetrics run_cpu_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
+RankMetrics run_cpu_rank(mpisim::Comm& comm, io::ReadView reads,
                          const PipelineConfig& config,
                          HostHashTable& local_table) {
   return run_cpu<NarrowKeyTraits>(comm, reads, config, local_table);
 }
 
-RankMetrics run_cpu_wide_rank(mpisim::Comm& comm, const io::ReadBatch& reads,
+RankMetrics run_cpu_wide_rank(mpisim::Comm& comm, io::ReadView reads,
                               const PipelineConfig& config,
                               WideHostHashTable& local_table) {
   return run_cpu<WideKeyTraits>(comm, reads, config, local_table);

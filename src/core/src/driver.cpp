@@ -35,9 +35,9 @@ void validate_run(const DriverOptions& options, bool wide_keys) {
                            << "; 31 < k <= 63 counts through "
                               "run_distributed_count_wide");
   }
+  DEDUKT_REQUIRE_MSG(options.ooc.bins >= 1,
+                     "--ooc-bins must be >= 1, got " << options.ooc.bins);
   if (options.ooc.enabled()) {
-    DEDUKT_REQUIRE_MSG(options.ooc.bins >= 1,
-                       "--ooc-bins must be >= 1, got " << options.ooc.bins);
     DEDUKT_REQUIRE_MSG(!config.filter_singletons,
                        "the Bloom pre-filter cannot span spill bins");
     DEDUKT_REQUIRE_MSG(!config.source_consolidation,
@@ -56,7 +56,7 @@ namespace {
 
 /// One rank's share of one batch through the selected exact pipeline.
 /// Each GPU rank builds its simulated device per batch.
-RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
+RankMetrics run_rank(mpisim::Comm& comm, io::ReadView mine,
                      const DriverOptions& options, HostHashTable& table,
                      std::optional<MinimizerAssignment>& assignment) {
   switch (options.pipeline.kind) {
@@ -75,7 +75,7 @@ RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
   return {};
 }
 
-RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
+RankMetrics run_rank(mpisim::Comm& comm, io::ReadView mine,
                      const DriverOptions& options, WideHostHashTable& table,
                      std::optional<MinimizerAssignment>& /*assignment*/) {
   return run_cpu_wide_rank(comm, mine, options.pipeline, table);
@@ -88,19 +88,19 @@ RankMetrics run_rank(mpisim::Comm& comm, const io::ReadBatch& mine,
 /// (empty unless options.collect_counts).
 template <typename KeyTraits>
 typename detail::CountEngine<KeyTraits>::Counts count_exact(
-    io::ReadBatchStream& stream, const DriverOptions& options,
+    detail::BatchSource& source, const DriverOptions& options,
     CountResult& result) {
   detail::CountEngine<KeyTraits> engine(options, result);
   if (options.ooc.enabled()) {
-    detail::count_out_of_core(engine, stream);
+    detail::count_out_of_core(engine, source);
     return engine.gathered_counts();
   }
   std::vector<BasicHostHashTable<KeyTraits>> tables(engine.nranks());
   std::vector<std::optional<MinimizerAssignment>> assignments(
       engine.nranks());
   engine.run_batches(
-      stream, "rank_pipeline",
-      [&](mpisim::Comm& comm, const io::ReadBatch& mine,
+      source, "rank_pipeline",
+      [&](mpisim::Comm& comm, io::ReadView mine,
           const detail::BatchInfo& batch) {
         const auto rank = static_cast<std::size_t>(comm.rank());
         RankMetrics metrics =
@@ -127,28 +127,41 @@ typename detail::CountEngine<KeyTraits>::Counts count_exact(
   return engine.gathered_counts();
 }
 
+CountResult count(detail::BatchSource& source, const DriverOptions& options) {
+  if (options.pipeline.sketch) return detail::run_sketch_count(source, options);
+  CountResult result;
+  result.global_counts = count_exact<NarrowKeyTraits>(source, options, result);
+  return result;
+}
+
+WideCountResult count_wide(detail::BatchSource& source,
+                           const DriverOptions& options) {
+  WideCountResult result;
+  result.global_counts =
+      count_exact<WideKeyTraits>(source, options, result.base);
+  return result;
+}
+
 }  // namespace
 
 CountResult run_distributed_count(const io::ReadBatch& reads,
                                   const DriverOptions& options) {
-  io::VectorBatchStream stream(reads, options.batch);
-  return run_distributed_count(stream, options);
+  detail::BatchSource source(reads, options.batch);
+  return count(source, options);
 }
 
 CountResult run_distributed_count(io::ReadBatchStream& stream,
                                   const DriverOptions& options) {
-  if (options.pipeline.sketch) {
-    return detail::run_sketch_count(stream, options);
-  }
-  CountResult result;
-  result.global_counts = count_exact<NarrowKeyTraits>(stream, options, result);
-  return result;
+  detail::BatchSource source(stream);
+  return count(source, options);
 }
 
 HostHashTable reference_count(const io::ReadBatch& reads,
                               const PipelineConfig& config) {
   const io::BaseEncoding enc = config.encoding();
-  HostHashTable table(reads.total_kmers(config.k));
+  // Grown as keys arrive: sized by occurrences, a large input's table
+  // would reserve several times the memory its keys need.
+  HostHashTable table;
   for (const auto& read : reads.reads) {
     for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
       kmer::for_each_kmer(fragment, config.k, enc, [&](kmer::KmerCode code) {
@@ -162,22 +175,20 @@ HostHashTable reference_count(const io::ReadBatch& reads,
 
 WideCountResult run_distributed_count_wide(const io::ReadBatch& reads,
                                            const DriverOptions& options) {
-  io::VectorBatchStream stream(reads, options.batch);
-  return run_distributed_count_wide(stream, options);
+  detail::BatchSource source(reads, options.batch);
+  return count_wide(source, options);
 }
 
 WideCountResult run_distributed_count_wide(io::ReadBatchStream& stream,
                                            const DriverOptions& options) {
-  WideCountResult result;
-  result.global_counts =
-      count_exact<WideKeyTraits>(stream, options, result.base);
-  return result;
+  detail::BatchSource source(stream);
+  return count_wide(source, options);
 }
 
 WideHostHashTable reference_count_wide(const io::ReadBatch& reads,
                                        const PipelineConfig& config) {
   const io::BaseEncoding enc = config.encoding();
-  WideHostHashTable table(reads.total_kmers(config.k));
+  WideHostHashTable table;  // grown as keys arrive, as in reference_count
   for (const auto& read : reads.reads) {
     for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
       kmer::for_each_wide_kmer(

@@ -5,8 +5,9 @@
 // batch. CountEngine owns what they share:
 //
 //  * the simulated network and the mpisim::Runtime;
-//  * the batch loop, which pulls batches one ahead, splits each across the
-//    ranks by bases and runs every rank;
+//  * the batch loop, which pulls batches one ahead from a BatchSource,
+//    splits each across the ranks by bases and runs every rank on a view
+//    of its share: no rank's reads are copied;
 //  * the fold of each batch's ledger into the rank totals;
 //  * the final gather and merge of the (key, count) pairs.
 //
@@ -26,6 +27,7 @@
 #include "dedukt/core/host_hash_table.hpp"
 #include "dedukt/core/result.hpp"
 #include "dedukt/io/partition.hpp"
+#include "dedukt/io/read_stream.hpp"
 #include "dedukt/mpisim/runtime.hpp"
 #include "dedukt/trace/trace.hpp"
 #include "dedukt/util/error.hpp"
@@ -87,6 +89,52 @@ std::vector<std::pair<Key, std::uint64_t>> merge_gathered_counts(
   return counts;
 }
 
+/// The batch loop's input: slices of the caller's batch, or the batches a
+/// stream decodes.
+///
+/// An in-memory run (run_distributed_count over a ReadBatch) cuts the
+/// caller's batch in place by io::BatchBounds::slice — the rule the
+/// streams close their batches by — so its batches are views of reads the
+/// caller keeps alive for the whole run; unbounded, the one batch is all of
+/// it. A streamed run moves each batch out of ReadBatchStream::next(), and
+/// the Batch owns it: the loop keeps a streamed batch only while it is the
+/// current batch or the lookahead, so a view of it must not outlive its
+/// round.
+class BatchSource {
+ public:
+  /// One batch: a slice of the caller's reads, or a streamed batch.
+  struct Batch {
+    io::ReadView slice;   ///< in-memory runs
+    io::ReadBatch owned;  ///< streamed runs
+    [[nodiscard]] io::ReadView reads() const {
+      return owned.empty() ? slice : io::ReadView(owned);
+    }
+  };
+
+  BatchSource(const io::ReadBatch& reads, io::BatchBounds bounds)
+      : reads_(&reads), bounds_(bounds) {}
+  explicit BatchSource(io::ReadBatchStream& stream) : stream_(&stream) {}
+
+  /// The next non-empty batch; nullopt once the input is exhausted.
+  [[nodiscard]] std::optional<Batch> next() {
+    if (stream_ != nullptr) {
+      std::optional<io::ReadBatch> pulled = stream_->next();
+      if (!pulled) return std::nullopt;
+      return Batch{{}, std::move(*pulled)};
+    }
+    if (cursor_ >= reads_->size()) return std::nullopt;
+    const io::ReadView slice = bounds_.slice(*reads_, cursor_);
+    cursor_ += slice.size();
+    return Batch{slice, {}};
+  }
+
+ private:
+  const io::ReadBatch* reads_ = nullptr;
+  io::BatchBounds bounds_;
+  std::size_t cursor_ = 0;
+  io::ReadBatchStream* stream_ = nullptr;
+};
+
 /// Where a batch sits in its stream.
 struct BatchInfo {
   std::uint64_t index = 0;
@@ -126,25 +174,26 @@ class CountEngine {
   }
 
   /// The batch loop: the run's only split of its input, so each batch is
-  /// one §III-A round. Pulls `stream` one batch ahead (an empty input is
+  /// one §III-A round. Pulls `source` one batch ahead (an empty input is
   /// one empty batch), splits each batch across the ranks by bases, and
-  /// runs `RankMetrics run_rank(Comm&, const ReadBatch& mine, const
-  /// BatchInfo&)` on every rank inside an app span named `span_name`. The
-  /// returned ledger folds into the rank's total: the first batch assigns
-  /// it, later batches add to it, and the table-derived fields take the
-  /// latest batch's values. After the last batch's fold, `finish(Comm&,
+  /// runs `RankMetrics run_rank(Comm&, io::ReadView mine, const
+  /// BatchInfo&)` on every rank inside an app span named `span_name`; `mine`
+  /// views the rank's share of the batch and lives as long as the round.
+  /// The returned ledger folds into the rank's total: the first batch
+  /// assigns it, later batches add to it, and the table-derived fields take
+  /// the latest batch's values. After the last batch's fold, `finish(Comm&,
   /// const BatchInfo&)` runs in the same span; that is where the gather
-  /// goes. A Bloom-filtered run whose stream yields a second batch throws
+  /// goes. A Bloom-filtered run whose input yields a second batch throws
   /// PreconditionError before any rank parses.
   template <typename RunRank, typename Finish>
-  void run_batches(io::ReadBatchStream& stream, const char* span_name,
+  void run_batches(BatchSource& source, const char* span_name,
                    RunRank&& run_rank, Finish&& finish) {
-    std::optional<io::ReadBatch> batch = stream.next();
+    std::optional<BatchSource::Batch> batch = source.next();
     if (!batch) batch.emplace();
     BatchInfo info;
     while (batch) {
       // Pulled before the run so the loop knows which batch is the last.
-      std::optional<io::ReadBatch> following = stream.next();
+      std::optional<BatchSource::Batch> following = source.next();
       info.last = !following;
       // The Bloom filter lives in one count phase, so it cannot span
       // rounds; the lookahead knows at batch 0 whether there is a second.
@@ -153,12 +202,12 @@ class CountEngine {
                          "the whole input in one batch, and this input "
                          "yields a second; raise or drop "
                          "--batch-reads/--batch-bytes");
-      const std::vector<io::ReadBatch> parts =
-          io::partition_by_bases(*batch, options_.nranks);
+      const std::vector<io::ReadView> parts =
+          io::partition_by_bases(batch->reads(), options_.nranks);
 
       runtime_.run([&](mpisim::Comm& comm) {
         const auto rank = static_cast<std::size_t>(comm.rank());
-        const io::ReadBatch& mine = parts[rank];
+        const io::ReadView mine = parts[rank];
         // Top-level app span: everything this rank does for the batch.
         trace::ScopedSpan rank_span(trace::kCategoryApp, span_name);
         if (rank_span.active()) {
@@ -233,18 +282,17 @@ class CountEngine {
 /// ooc.cpp for both key traits. Gathers the tables when
 /// options.collect_counts is set.
 template <typename KeyTraits>
-void count_out_of_core(CountEngine<KeyTraits>& engine,
-                       io::ReadBatchStream& stream);
+void count_out_of_core(CountEngine<KeyTraits>& engine, BatchSource& source);
 
 /// Sketch-backend driver (pipeline.sketch), defined in sketch_pipeline.cpp:
 /// each rank sketches its own parsed k-mer stream into a count-min sketch —
 /// no k-mers cross the wire — and the per-rank cell arrays merge with one
 /// cell-wise-sum allreduce_vector after the last batch, charged to the
 /// exchange phase. With heavy_threshold > 0 a second pass re-scans the
-/// input (streamed batches are retained for it) and keeps exact counts for
-/// candidates whose global estimate reaches the threshold.
+/// input (each rank retains a copy of its reads for it) and keeps exact
+/// counts for candidates whose global estimate reaches the threshold.
 /// run_distributed_count dispatches here.
-[[nodiscard]] CountResult run_sketch_count(io::ReadBatchStream& stream,
+[[nodiscard]] CountResult run_sketch_count(BatchSource& source,
                                            const DriverOptions& options);
 
 }  // namespace dedukt::core::detail

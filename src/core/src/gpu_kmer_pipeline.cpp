@@ -17,7 +17,6 @@
 #include "dedukt/core/kernels.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/core/summit.hpp"
-#include "dedukt/io/partition.hpp"
 #include "dedukt/trace/trace.hpp"
 
 namespace dedukt::core {
@@ -26,27 +25,26 @@ namespace detail {
 
 /// Count phase of the main path: build the k-mer counter on the device.
 void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
-                     const mpisim::AlltoallvResult<std::uint64_t>& received,
                      gpusim::DeviceBuffer<std::uint64_t>& d_recv,
-                     HostHashTable& local_table, RankMetrics& metrics) {
+                     std::uint64_t kmers, HostHashTable& local_table,
+                     RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  DeviceHashTable table(device, received.data.size());
+  DeviceHashTable table(device, kmers);
   std::optional<DeviceBloomFilter> bloom;
-  if (config.filter_singletons) bloom.emplace(device, received.data.size());
-  table.count_kmers(d_recv, received.data.size(), bloom ? &*bloom : nullptr);
+  if (config.filter_singletons) bloom.emplace(device, kmers);
+  table.count_kmers(d_recv, kmers, bloom ? &*bloom : nullptr);
   device.free(d_recv);
   std::move(table).read_out(local_table);
 
-  metrics.kmers_received = received.data.size();
+  metrics.kmers_received = kmers;
   phase.set_device_floor_charge(
       static_cast<double>(metrics.kmers_received) /
           summit::kGpuCountKmersPerSec,
       summit::kGpuCountOverheadSec);
 }
 
-ParsedKmers parse_device_kmers(gpusim::Device& device,
-                               const io::ReadBatch& reads,
+ParsedKmers parse_device_kmers(gpusim::Device& device, io::ReadView reads,
                                const PipelineConfig& config,
                                std::uint32_t parts) {
   const io::BaseEncoding enc = config.encoding();
@@ -96,7 +94,7 @@ struct ConsolidatedKmers {
 };
 
 /// parse & process k-mers on the device (one full parse phase).
-ParsedKmers parse_gpu_kmers(gpusim::Device& device, const io::ReadBatch& reads,
+ParsedKmers parse_gpu_kmers(gpusim::Device& device, io::ReadView reads,
                             const PipelineConfig& config, std::uint32_t parts,
                             RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseParse, device);
@@ -138,40 +136,33 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   return buckets;
 }
 
-/// Count phase of the consolidated path: accumulate the received (key,
-/// count) pairs into the local partition of the global table.
-void count_gpu_pairs(
-    gpusim::Device& device,
-    const mpisim::AlltoallvResult<std::uint64_t>& recv_keys,
-    const mpisim::AlltoallvResult<std::uint32_t>& recv_key_counts,
-    gpusim::DeviceBuffer<std::uint64_t>& d_recv_keys,
-    gpusim::DeviceBuffer<std::uint32_t>& d_recv_key_counts,
-    HostHashTable& local_table, RankMetrics& metrics) {
+/// Count phase of the consolidated path: accumulate the `pairs` received
+/// (key, count) pairs, `kmers` occurrences in all, into the local
+/// partition of the global table.
+void count_gpu_pairs(gpusim::Device& device,
+                     gpusim::DeviceBuffer<std::uint64_t>& d_recv_keys,
+                     gpusim::DeviceBuffer<std::uint32_t>& d_recv_key_counts,
+                     std::uint64_t pairs, std::uint64_t kmers,
+                     HostHashTable& local_table, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  std::uint64_t kmers_to_count = 0;
-  for (const std::uint32_t count : recv_key_counts.data) {
-    kmers_to_count += count;
-  }
-  DeviceHashTable table(device, recv_keys.data.size());
-  table.accumulate_pairs(d_recv_keys, d_recv_key_counts,
-                         recv_keys.data.size());
+  DeviceHashTable table(device, pairs);
+  table.accumulate_pairs(d_recv_keys, d_recv_key_counts, pairs);
   device.free(d_recv_keys);
   device.free(d_recv_key_counts);
   std::move(table).read_out(local_table);
 
-  metrics.kmers_received = kmers_to_count;
+  metrics.kmers_received = kmers;
   // Accumulation touches one pair per locally-distinct k-mer.
   phase.set_device_floor_charge(
-      static_cast<double>(recv_keys.data.size()) /
-          summit::kGpuCountKmersPerSec,
+      static_cast<double>(pairs) / summit::kGpuCountKmersPerSec,
       summit::kGpuCountOverheadSec);
 }
 
 }  // namespace
 
 RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
-                              const io::ReadBatch& reads,
+                              io::ReadView reads,
                               const PipelineConfig& config,
                               HostHashTable& local_table) {
   config.validate();
@@ -188,45 +179,51 @@ RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
     ConsolidatedKmers buckets =
         consolidate_gpu_kmers(device, std::move(parsed), parts, metrics);
 
-    mpisim::AlltoallvResult<std::uint64_t> recv_keys;
-    mpisim::AlltoallvResult<std::uint32_t> recv_key_counts;
     gpusim::DeviceBuffer<std::uint64_t> d_recv_keys;
     gpusim::DeviceBuffer<std::uint32_t> d_recv_key_counts;
+    std::uint64_t pairs = 0;
+    std::uint64_t kmers = 0;
     {
       PhaseScope phase(metrics, kPhaseExchange);
       ExchangePlan plan(comm, &device, staged);
 
-      recv_keys = plan.exchange(buckets.out_keys);
-      recv_key_counts = plan.exchange(buckets.out_key_counts);
+      mpisim::AlltoallvResult<std::uint64_t> recv_keys =
+          plan.exchange(buckets.out_keys);
+      mpisim::AlltoallvResult<std::uint32_t> recv_key_counts =
+          plan.exchange(buckets.out_key_counts);
       DEDUKT_CHECK(recv_keys.data.size() == recv_key_counts.data.size());
+      pairs = recv_keys.data.size();
+      for (const std::uint32_t count : recv_key_counts.data) kmers += count;
 
-      d_recv_keys = plan.stage_in(recv_keys.data);
-      d_recv_key_counts = plan.stage_in(recv_key_counts.data);
+      d_recv_keys = plan.stage_in(std::move(recv_keys.data));
+      d_recv_key_counts = plan.stage_in(std::move(recv_key_counts.data));
       phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
     }
 
-    count_gpu_pairs(device, recv_keys, recv_key_counts, d_recv_keys,
-                    d_recv_key_counts, local_table, metrics);
+    count_gpu_pairs(device, d_recv_keys, d_recv_key_counts, pairs, kmers,
+                    local_table, metrics);
     metrics.unique_kmers = local_table.unique();
     metrics.counted_kmers = local_table.total();
     return metrics;
   }
 
   // --- exchange ---
-  mpisim::AlltoallvResult<std::uint64_t> received;
   gpusim::DeviceBuffer<std::uint64_t> d_recv;
+  std::uint64_t kmers = 0;
   {
     PhaseScope phase(metrics, kPhaseExchange);
     ExchangePlan plan(comm, &device, staged);
 
     const std::vector<std::uint64_t> host_out =
         plan.stage_out(parsed.d_out, parsed.total);
-    received = plan.exchange(host_out, parsed.counts, parsed.offsets);
-    d_recv = plan.stage_in(received.data);
+    mpisim::AlltoallvResult<std::uint64_t> received =
+        plan.exchange(host_out, parsed.counts, parsed.offsets);
+    kmers = received.data.size();
+    d_recv = plan.stage_in(std::move(received.data));
     phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
   }
 
-  detail::count_gpu_kmers(device, config, received, d_recv, local_table,
+  detail::count_gpu_kmers(device, config, d_recv, kmers, local_table,
                           metrics);
 
   metrics.unique_kmers = local_table.unique();

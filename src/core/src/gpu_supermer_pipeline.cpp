@@ -9,6 +9,8 @@
 // the device hash table.
 #include <algorithm>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "count_stages.hpp"
@@ -19,60 +21,57 @@
 #include "dedukt/core/partitioner.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/core/summit.hpp"
-#include "dedukt/io/partition.hpp"
 #include "dedukt/trace/trace.hpp"
 
 namespace dedukt::core {
 
 namespace detail {
 
+std::uint64_t supermer_kmers(std::span<const std::uint8_t> lens, int k) {
+  std::uint64_t kmers = 0;
+  for (const std::uint8_t len : lens) {
+    kmers += static_cast<std::uint64_t>(len) - static_cast<std::uint64_t>(k) +
+             1;
+  }
+  return kmers;
+}
+
 /// Count phase: extract k-mers from received supermers and count. Shared
 /// verbatim by the in-memory rounds and the out-of-core replay.
 template <typename Word>
 void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
-                         const mpisim::AlltoallvResult<Word>& recv_words,
-                         const mpisim::AlltoallvResult<std::uint8_t>& recv_lens,
                          gpusim::DeviceBuffer<Word>& d_recv_words,
                          gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
+                         std::uint64_t supermers, std::uint64_t kmers,
                          HostHashTable& local_table, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  metrics.supermers_received = recv_words.data.size();
-  std::uint64_t kmers_to_count = 0;
-  for (const std::uint8_t len : recv_lens.data) {
-    kmers_to_count += static_cast<std::uint64_t>(len) -
-                      static_cast<std::uint64_t>(config.k) + 1;
-  }
-
-  DeviceHashTable table(device, kmers_to_count);
+  metrics.supermers_received = supermers;
+  DeviceHashTable table(device, kmers);
   std::optional<DeviceBloomFilter> bloom;
-  if (config.filter_singletons) bloom.emplace(device, kmers_to_count);
-  table.count_supermers(d_recv_words, d_recv_lens, recv_words.data.size(),
-                        config.k, bloom ? &*bloom : nullptr);
+  if (config.filter_singletons) bloom.emplace(device, kmers);
+  table.count_supermers(d_recv_words, d_recv_lens, supermers, config.k,
+                        bloom ? &*bloom : nullptr);
   device.free(d_recv_words);
   device.free(d_recv_lens);
   std::move(table).read_out(local_table);
 
-  metrics.kmers_received = kmers_to_count;
+  metrics.kmers_received = kmers;
   // Counting from supermers costs ~27% over direct counting (§V-C).
   phase.set_device_floor_charge(
-      static_cast<double>(kmers_to_count) /
+      static_cast<double>(kmers) /
           (summit::kGpuCountKmersPerSec / summit::kSupermerCountOverhead),
       summit::kGpuCountOverheadSec);
 }
 
 template void count_gpu_supermers<std::uint64_t>(
     gpusim::Device&, const PipelineConfig&,
-    const mpisim::AlltoallvResult<std::uint64_t>&,
-    const mpisim::AlltoallvResult<std::uint8_t>&,
     gpusim::DeviceBuffer<std::uint64_t>&, gpusim::DeviceBuffer<std::uint8_t>&,
-    HostHashTable&, RankMetrics&);
+    std::uint64_t, std::uint64_t, HostHashTable&, RankMetrics&);
 template void count_gpu_supermers<kmer::WideKey>(
     gpusim::Device&, const PipelineConfig&,
-    const mpisim::AlltoallvResult<kmer::WideKey>&,
-    const mpisim::AlltoallvResult<std::uint8_t>&,
     gpusim::DeviceBuffer<kmer::WideKey>&, gpusim::DeviceBuffer<std::uint8_t>&,
-    HostHashTable&, RankMetrics&);
+    std::uint64_t, std::uint64_t, HostHashTable&, RankMetrics&);
 
 }  // namespace detail
 
@@ -95,7 +94,7 @@ struct ParsedSupermers {
 /// the window cap of 15.
 template <typename Word>
 ParsedSupermers<Word> parse_gpu_supermers(
-    gpusim::Device& device, const io::ReadBatch& reads,
+    gpusim::Device& device, io::ReadView reads,
     const PipelineConfig& config, std::uint32_t parts,
     const MinimizerAssignment* assignment, RankMetrics& metrics) {
   const kmer::SupermerConfig smer_config = config.supermer_config();
@@ -155,7 +154,7 @@ ParsedSupermers<Word> parse_gpu_supermers(
 /// charge).
 template <typename Word>
 void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
-                        const io::ReadBatch& reads,
+                        io::ReadView reads,
                         const PipelineConfig& config,
                         HostHashTable& local_table,
                         const MinimizerAssignment* assignment,
@@ -170,10 +169,10 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
       device, reads, config, parts, assignment, metrics);
 
   // --- exchange supermer words and lengths ---
-  mpisim::AlltoallvResult<Word> recv_words;
-  mpisim::AlltoallvResult<std::uint8_t> recv_lens;
   gpusim::DeviceBuffer<Word> d_recv_words;
   gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
+  std::uint64_t supermers = 0;
+  std::uint64_t kmers = 0;
   {
     PhaseScope phase(metrics, kPhaseExchange);
     ExchangePlan plan(comm, &device, staged);
@@ -183,30 +182,33 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
     const std::vector<std::uint8_t> host_lens =
         plan.stage_out(parsed.d_lens, parsed.total_supermers);
     // Total supermer payload bases (§IV-C compression metric), summed from
-    // the host copy of the length buffer — never element-by-element from
-    // device memory.
+    // the staged-out length buffer on the host — never element-by-element
+    // from device memory.
     for (const std::uint8_t len : host_lens) {
       metrics.supermer_bases += len;
     }
 
-    recv_words = plan.exchange(host_words, parsed.counts, parsed.offsets);
-    recv_lens = plan.exchange(host_lens, parsed.counts, parsed.offsets);
+    mpisim::AlltoallvResult<Word> recv_words =
+        plan.exchange(host_words, parsed.counts, parsed.offsets);
+    mpisim::AlltoallvResult<std::uint8_t> recv_lens =
+        plan.exchange(host_lens, parsed.counts, parsed.offsets);
     DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
+    supermers = recv_lens.data.size();
+    kmers = detail::supermer_kmers(recv_lens.data, config.k);
 
-    d_recv_words = plan.stage_in(recv_words.data);
-    d_recv_lens = plan.stage_in(recv_lens.data);
+    d_recv_words = plan.stage_in(std::move(recv_words.data));
+    d_recv_lens = plan.stage_in(std::move(recv_lens.data));
     phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
   }
 
-  detail::count_gpu_supermers<Word>(device, config, recv_words, recv_lens,
-                                    d_recv_words, d_recv_lens, local_table,
-                                    metrics);
+  detail::count_gpu_supermers<Word>(device, config, d_recv_words, d_recv_lens,
+                                    supermers, kmers, local_table, metrics);
 }
 
 }  // namespace
 
 RankMetrics run_gpu_supermer_rank(
-    mpisim::Comm& comm, gpusim::Device& device, const io::ReadBatch& reads,
+    mpisim::Comm& comm, gpusim::Device& device, io::ReadView reads,
     const PipelineConfig& config, HostHashTable& local_table,
     std::optional<MinimizerAssignment>& assignment) {
   config.validate();

@@ -21,7 +21,7 @@ namespace {
 
 /// The fragments the staged base array lays out, in read order: every
 /// ACGT fragment of `reads` with at least k bases.
-std::vector<std::string_view> staged_fragments(const io::ReadBatch& reads,
+std::vector<std::string_view> staged_fragments(io::ReadView reads,
                                                int k) {
   DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
   std::vector<std::string_view> fragments;
@@ -61,7 +61,7 @@ Staging stage(const std::vector<std::string_view>& fragments, int k,
 /// and writes `bytes_out`.
 template <typename Fn>
 gpusim::LaunchStats kmer_launch(const char* name, gpusim::Device& device,
-                                const io::ReadBatch& reads, int k,
+                                io::ReadView reads, int k,
                                 io::BaseEncoding enc, std::uint32_t parts,
                                 std::uint64_t bytes_out, Fn&& fn) {
   const std::vector<std::string_view> fragments = staged_fragments(reads, k);
@@ -93,7 +93,7 @@ gpusim::LaunchStats kmer_launch(const char* name, gpusim::Device& device,
 /// destination with one atomic and writes `bytes_out`.
 template <typename Word, typename Fn>
 gpusim::LaunchStats supermer_launch(const char* name, gpusim::Device& device,
-                                    const io::ReadBatch& reads,
+                                    io::ReadView reads,
                                     const kmer::SupermerConfig& config,
                                     std::uint32_t parts,
                                     const MinimizerAssignment* assignment,
@@ -140,12 +140,12 @@ gpusim::LaunchStats supermer_launch(const char* name, gpusim::Device& device,
 
 }  // namespace
 
-Staging staging_of(const io::ReadBatch& reads, int k, int window) {
+Staging staging_of(io::ReadView reads, int k, int window) {
   return stage(staged_fragments(reads, k), k, window);
 }
 
 gpusim::LaunchStats parse_count_kmers(
-    gpusim::Device& device, const io::ReadBatch& reads, int k,
+    gpusim::Device& device, io::ReadView reads, int k,
     io::BaseEncoding enc, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts) {
   DEDUKT_REQUIRE(dest_counts.size() >= parts);
@@ -155,7 +155,7 @@ gpusim::LaunchStats parse_count_kmers(
 }
 
 gpusim::LaunchStats parse_fill_kmers(
-    gpusim::Device& device, const io::ReadBatch& reads, int k,
+    gpusim::Device& device, io::ReadView reads, int k,
     io::BaseEncoding enc, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,
@@ -173,7 +173,7 @@ gpusim::LaunchStats parse_fill_kmers(
 
 template <typename Word>
 gpusim::LaunchStats supermer_count(
-    gpusim::Device& device, const io::ReadBatch& reads,
+    gpusim::Device& device, io::ReadView reads,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
     const MinimizerAssignment* assignment) {
@@ -187,7 +187,7 @@ gpusim::LaunchStats supermer_count(
 
 template <typename Word>
 gpusim::LaunchStats supermer_fill(
-    gpusim::Device& device, const io::ReadBatch& reads,
+    gpusim::Device& device, io::ReadView reads,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,
@@ -211,20 +211,20 @@ gpusim::LaunchStats supermer_fill(
 }
 
 template gpusim::LaunchStats supermer_count<std::uint64_t>(
-    gpusim::Device&, const io::ReadBatch&, const kmer::SupermerConfig&,
+    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
     std::uint32_t, gpusim::DeviceBuffer<std::uint32_t>&,
     const MinimizerAssignment*);
 template gpusim::LaunchStats supermer_count<kmer::WideKey>(
-    gpusim::Device&, const io::ReadBatch&, const kmer::SupermerConfig&,
+    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
     std::uint32_t, gpusim::DeviceBuffer<std::uint32_t>&,
     const MinimizerAssignment*);
 template gpusim::LaunchStats supermer_fill<std::uint64_t>(
-    gpusim::Device&, const io::ReadBatch&, const kmer::SupermerConfig&,
+    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
     std::uint32_t, const gpusim::DeviceBuffer<std::uint64_t>&,
     gpusim::DeviceBuffer<std::uint32_t>&, gpusim::DeviceBuffer<std::uint64_t>&,
     gpusim::DeviceBuffer<std::uint8_t>&, const MinimizerAssignment*);
 template gpusim::LaunchStats supermer_fill<kmer::WideKey>(
-    gpusim::Device&, const io::ReadBatch&, const kmer::SupermerConfig&,
+    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
     std::uint32_t, const gpusim::DeviceBuffer<std::uint64_t>&,
     gpusim::DeviceBuffer<std::uint32_t>&, gpusim::DeviceBuffer<kmer::WideKey>&,
     gpusim::DeviceBuffer<std::uint8_t>&, const MinimizerAssignment*);

@@ -133,7 +133,7 @@ struct BinBuckets {
 /// goes to the bin of its minimizer and to the pipeline's destination (the
 /// frequency-balanced table's when `assignment` is set).
 template <typename Word>
-void bin_supermers(const io::ReadBatch& mine, const PipelineConfig& config,
+void bin_supermers(io::ReadView mine, const PipelineConfig& config,
                    std::uint32_t parts, std::uint32_t bins,
                    const MinimizerAssignment* assignment, BinBuckets& buckets,
                    RankMetrics& metrics) {
@@ -166,7 +166,7 @@ void bin_supermers(const io::ReadBatch& mine, const PipelineConfig& config,
 /// Routes every occurrence with the pipeline's own destination function
 /// and charges each pipeline kind its own parse rate.
 template <typename KeyTraits>
-void parse_into_bins(const io::ReadBatch& mine, const PipelineConfig& config,
+void parse_into_bins(io::ReadView mine, const PipelineConfig& config,
                      std::uint32_t parts, std::uint32_t bins,
                      const MinimizerAssignment* assignment,
                      BinBuckets& buckets, RankMetrics& metrics) {
@@ -267,14 +267,17 @@ ReloadedBin reload_bin(const std::string& path, io::SpillKind kind, int k,
   return reloaded;
 }
 
-/// One bin after its exchange: the payload words, the supermer lengths
-/// (supermer kinds only) and their device copies (GPU kinds only).
+/// One bin after its exchange. The host-only CPU kinds count `words`; the
+/// GPU kinds count what the device took: `d_words` holds the `items` keys
+/// or supermers received and, for supermers, `d_lens` their lengths,
+/// `kmers` k-mers in all.
 template <typename Word>
 struct ReceivedBin {
   mpisim::AlltoallvResult<Word> words;
-  mpisim::AlltoallvResult<std::uint8_t> lens;
   gpusim::DeviceBuffer<Word> d_words;
   gpusim::DeviceBuffer<std::uint8_t> d_lens;
+  std::uint64_t items = 0;
+  std::uint64_t kmers = 0;
 };
 
 /// The exchange phase of one reloaded bin, as the pipeline's in-memory
@@ -293,13 +296,16 @@ ReceivedBin<Word> exchange_bin(mpisim::Comm& comm, gpusim::Device* device,
     PhaseScope phase(metrics, kPhaseExchange);
     ExchangePlan plan(comm, device, config.exchange == ExchangeMode::kStaged);
     received.words = plan.exchange(out_words);
+    received.items = received.words.data.size();
+    mpisim::AlltoallvResult<std::uint8_t> lens;
     if (supermers) {
-      received.lens = plan.exchange(reloaded.lens);
-      DEDUKT_CHECK(received.words.data.size() == received.lens.data.size());
+      lens = plan.exchange(reloaded.lens);
+      DEDUKT_CHECK(received.items == lens.data.size());
+      received.kmers = detail::supermer_kmers(lens.data, config.k);
     }
     if (device != nullptr) {
-      received.d_words = plan.stage_in(received.words.data);
-      if (supermers) received.d_lens = plan.stage_in(received.lens.data);
+      received.d_words = plan.stage_in(std::move(received.words.data));
+      if (supermers) received.d_lens = plan.stage_in(std::move(lens.data));
     }
     phase.commit_exchange(
         plan, device != nullptr ? summit::kGpuExchangeOverheadSec : 0.0);
@@ -315,9 +321,9 @@ void count_supermer_bin(mpisim::Comm& comm, gpusim::Device& device,
                         HostHashTable& table, RankMetrics& metrics) {
   ReceivedBin<Word> received =
       exchange_bin<Word>(comm, &device, config, reloaded, metrics);
-  detail::count_gpu_supermers<Word>(device, config, received.words,
-                                    received.lens, received.d_words,
-                                    received.d_lens, table, metrics);
+  detail::count_gpu_supermers<Word>(device, config, received.d_words,
+                                    received.d_lens, received.items,
+                                    received.kmers, table, metrics);
 }
 
 /// Pass 2 for one bin: exchange it, then count it with the pipeline's own
@@ -341,8 +347,8 @@ void count_bin(mpisim::Comm& comm, gpusim::Device* device,
     if (config.kind == PipelineKind::kGpuKmer) {
       ReceivedBin<Key> received =
           exchange_bin<Key>(comm, device, config, reloaded, metrics);
-      detail::count_gpu_kmers(*device, config, received.words,
-                              received.d_words, table, metrics);
+      detail::count_gpu_kmers(*device, config, received.d_words,
+                              received.items, table, metrics);
       return;
     }
   }
@@ -356,8 +362,7 @@ void count_bin(mpisim::Comm& comm, gpusim::Device* device,
 namespace detail {
 
 template <typename KeyTraits>
-void count_out_of_core(CountEngine<KeyTraits>& engine,
-                       io::ReadBatchStream& stream) {
+void count_out_of_core(CountEngine<KeyTraits>& engine, BatchSource& source) {
   const DriverOptions& options = engine.options();
   const PipelineConfig& config = options.pipeline;
   CountResult& result = engine.result();
@@ -392,8 +397,8 @@ void count_out_of_core(CountEngine<KeyTraits>& engine,
 
   // --- pass 1: stream batches, parse, spill ---
   engine.run_batches(
-      stream, "rank_spill_pass",
-      [&](mpisim::Comm& comm, const io::ReadBatch& mine,
+      source, "rank_spill_pass",
+      [&](mpisim::Comm& comm, io::ReadView mine,
           const BatchInfo& batch) {
         const auto rank = static_cast<std::size_t>(comm.rank());
         RankMetrics metrics;
@@ -461,9 +466,8 @@ void count_out_of_core(CountEngine<KeyTraits>& engine,
 }
 
 template void count_out_of_core(CountEngine<NarrowKeyTraits>&,
-                                io::ReadBatchStream&);
-template void count_out_of_core(CountEngine<WideKeyTraits>&,
-                                io::ReadBatchStream&);
+                                BatchSource&);
+template void count_out_of_core(CountEngine<WideKeyTraits>&, BatchSource&);
 
 }  // namespace detail
 

@@ -49,7 +49,7 @@ std::vector<std::uint32_t> lpt_assign(
 }
 
 MinimizerAssignment MinimizerAssignment::build(
-    mpisim::Comm& comm, const io::ReadBatch& reads,
+    mpisim::Comm& comm, io::ReadView reads,
     const kmer::SupermerConfig& config, int sample_stride) {
   config.validate();
   DEDUKT_REQUIRE(sample_stride >= 1);
@@ -99,7 +99,7 @@ MinimizerAssignment MinimizerAssignment::build(
 }
 
 SampledAssignment sample_assignment(mpisim::Comm& comm,
-                                    const io::ReadBatch& reads,
+                                    io::ReadView reads,
                                     const PipelineConfig& config) {
   constexpr int kSampleStride = 4;
   const mpisim::CommCapture capture(comm);

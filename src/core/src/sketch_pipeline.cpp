@@ -25,9 +25,9 @@
 // are keys whose over-counted estimate cleared the bar. The candidates'
 // exact counts gather to rank 0 like the exact backend's tables do. This
 // generalizes the Bloom two-pass machinery: the sketch is the first-pass
-// filter, the exact table exists only for survivors. Streamed runs retain
-// their batches for the second pass (the bounded-memory claim holds only
-// for pure sketching; the footprint test runs without a threshold).
+// filter, the exact table exists only for survivors. Each rank retains a
+// copy of its reads for the second pass (the bounded-memory claim holds
+// only for pure sketching; the footprint test runs without a threshold).
 #include <algorithm>
 #include <limits>
 #include <optional>
@@ -58,7 +58,7 @@ SketchParams params_from(const PipelineConfig& config) {
 
 /// Host parse of one batch: every k-mer key, in read order (the order the
 /// conservative discipline is defined over).
-std::vector<std::uint64_t> parse_host_keys(const io::ReadBatch& reads,
+std::vector<std::uint64_t> parse_host_keys(io::ReadView reads,
                                            const PipelineConfig& config) {
   const io::BaseEncoding enc = config.encoding();
   std::vector<std::uint64_t> keys;
@@ -78,7 +78,7 @@ std::vector<std::uint64_t> parse_host_keys(const io::ReadBatch& reads,
 /// absorb it into the rank's persistent sketch. The sketch has no
 /// distinct-key count; the counted total is the stream length it absorbed.
 RankMetrics run_sketch_round(gpusim::Device* device,
-                             const io::ReadBatch& reads,
+                             io::ReadView reads,
                              const PipelineConfig& config,
                              HostCountMinSketch& sketch) {
   RankMetrics metrics;
@@ -141,7 +141,7 @@ RankMetrics run_sketch_round(gpusim::Device* device,
 /// in `candidates`. Work counters stay zero — the occurrences were already
 /// counted in pass 1 — but the parse/estimate time is charged in full (the
 /// two-pass cost is real).
-RankMetrics run_heavy_pass(gpusim::Device* device, const io::ReadBatch& reads,
+RankMetrics run_heavy_pass(gpusim::Device* device, io::ReadView reads,
                            const PipelineConfig& config,
                            const std::vector<std::uint32_t>& merged,
                            HostHashTable& candidates) {
@@ -212,7 +212,7 @@ RankMetrics run_heavy_pass(gpusim::Device* device, const io::ReadBatch& reads,
 
 namespace detail {
 
-CountResult run_sketch_count(io::ReadBatchStream& stream,
+CountResult run_sketch_count(BatchSource& source,
                              const DriverOptions& options) {
   CountResult result;
   CountEngine<NarrowKeyTraits> engine(options, result);
@@ -236,14 +236,15 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
   std::vector<HostHashTable> candidate_tables(nranks);
   std::vector<std::uint64_t> retained_bytes(nranks, 0);
 
-  // The heavy-hitter second pass must re-scan every batch, so streamed
-  // input is retained per rank (and honestly added to the peak footprint);
-  // a pure sketch run retains nothing.
+  // The heavy-hitter second pass must re-scan every batch, so each rank
+  // keeps a copy of its reads: a streamed batch is gone once the loop
+  // moves past it. The copies count toward the peak footprint; a pure
+  // sketch run retains nothing.
   std::vector<std::vector<io::ReadBatch>> retained(nranks);
 
   engine.run_batches(
-      stream, "rank_pipeline",
-      [&](mpisim::Comm& comm, const io::ReadBatch& mine,
+      source, "rank_pipeline",
+      [&](mpisim::Comm& comm, io::ReadView mine,
           const BatchInfo& batch) {
         const auto rank = static_cast<std::size_t>(comm.rank());
         std::optional<gpusim::Device> device;
@@ -251,7 +252,8 @@ CountResult run_sketch_count(io::ReadBatchStream& stream,
         RankMetrics metrics = run_sketch_round(
             device ? &*device : nullptr, mine, config, sketches[rank]);
         if (heavy) {
-          retained[rank].push_back(mine);
+          retained[rank].push_back(
+              io::ReadBatch{{mine.reads.begin(), mine.reads.end()}});
           retained_bytes[rank] += io::resident_read_bytes(mine);
         }
         if (!batch.single()) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dedukt/gpusim/cost_model.hpp"
 #include "dedukt/gpusim/device_buffer.hpp"
@@ -69,6 +71,30 @@ class Device {
     buffer = DeviceBuffer<T>();
   }
 
+  /// The storage-adopting counterpart of alloc(): a device buffer over
+  /// `host`'s storage, which it keeps (same data() pointer), reserving
+  /// what alloc() of its size reserves. An empty vector still takes one
+  /// value-initialized slot, so kernels can take a pointer. Copies and
+  /// prices nothing; a transfer the buffer stands for is priced with
+  /// price_transfer().
+  template <typename T>
+  [[nodiscard]] DeviceBuffer<T> adopt(std::vector<T>&& host) {
+    reserve(std::max<std::size_t>(host.size(), 1) * sizeof(T));
+    if (host.empty()) host.resize(1);
+    return DeviceBuffer<T>(std::move(host));
+  }
+
+  /// The storage-handing counterpart of free(): releases what free()
+  /// releases and returns the buffer's storage (same data() pointer),
+  /// leaving `buffer` empty.
+  template <typename T>
+  [[nodiscard]] std::vector<T> disown(DeviceBuffer<T>& buffer) {
+    release(buffer.bytes());
+    std::vector<T> storage = std::move(buffer.data_);
+    buffer = DeviceBuffer<T>();
+    return storage;
+  }
+
   /// Account `bytes` of device memory without host storage, for a
   /// structure whose functional state lives elsewhere but whose modeled
   /// footprint must still count; throws SimulationError if the device
@@ -112,8 +138,9 @@ class Device {
 
   /// Price a host-link transfer of `bytes` that the simulation does not
   /// perform because the host already holds the data (a rank's staged
-  /// reads, a count table's readout): the span, timeline entry and counter
-  /// of a copy that size. The caller reserves the device footprint.
+  /// reads, a count table's readout, a buffer moved across with adopt() or
+  /// disown()): the span, timeline entry and counter of a copy that size.
+  /// The caller reserves the device footprint.
   void price_transfer(Link link, std::uint64_t bytes) {
     transfer(link, bytes, [] {});
   }

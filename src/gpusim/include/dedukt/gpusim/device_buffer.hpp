@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dedukt/util/error.hpp"
@@ -57,6 +58,8 @@ class DeviceBuffer {
   friend class Device;
   explicit DeviceBuffer(std::size_t n) : data_(n) {}
   explicit DeviceBuffer(std::size_t n, const T& fill) : data_(n, fill) {}
+  explicit DeviceBuffer(std::vector<T>&& storage)
+      : data_(std::move(storage)) {}
 
   std::vector<T> data_;
 };

@@ -9,16 +9,12 @@
 
 namespace dedukt::io {
 
-/// Split a batch into `parts` sub-batches balanced by base count (greedy
-/// contiguous blocks, matching how parallel FASTQ readers split by byte
-/// ranges). Every read lands in exactly one part; parts may be empty if
-/// there are fewer reads than parts.
-[[nodiscard]] std::vector<ReadBatch> partition_by_bases(const ReadBatch& batch,
-                                                        int parts);
-
-/// Split round-robin by read index — a simpler, well-balanced-by-count
-/// alternative used in tests.
-[[nodiscard]] std::vector<ReadBatch> partition_round_robin(
-    const ReadBatch& batch, int parts);
+/// Split a batch into `parts` contiguous ranges balanced by base count
+/// (greedy blocks, matching how parallel FASTQ readers split by byte
+/// ranges). Each range is a view into `batch`, and each starts where the
+/// one before it ends: every read lands in exactly one, and ranges may be
+/// empty if there are fewer reads than parts.
+[[nodiscard]] std::vector<ReadView> partition_by_bases(ReadView batch,
+                                                       int parts);
 
 }  // namespace dedukt::io

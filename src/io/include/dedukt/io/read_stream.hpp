@@ -1,12 +1,12 @@
 // Pull-based read ingestion — the stream-not-vector boundary the pipelines
-// consume (ROADMAP item 1).
+// consume.
 //
 // A ReadBatchStream yields bounded ReadBatches one at a time, so a counting
 // job's resident footprint is one batch plus its exchange buffers instead
-// of the whole dataset. The in-memory path is the one-batch degenerate
-// case: an unbounded VectorBatchStream yields the full input once, and the
-// driver's single-batch execution is structurally identical to the
-// pre-stream code (bit-identical spectra, CountResult and trace output).
+// of the whole dataset. The in-memory path needs no stream: the driver
+// cuts the caller's batch into slices by the same BatchBounds rule
+// (BatchBounds::slice), in place, and an unbounded run is one slice of the
+// whole input.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +37,12 @@ struct BatchBounds {
     if (max_bytes != 0 && bytes >= max_bytes) return true;
     return false;
   }
+
+  /// The batch that starts at `reads[first]`: it admits reads, counting
+  /// their fastq_record_bytes, until it is full() or `reads` ends — the
+  /// rule FastqBatchStream applies as it decodes. A view into `reads`;
+  /// unbounded, the whole rest.
+  [[nodiscard]] ReadView slice(ReadView reads, std::size_t first) const;
 };
 
 /// FASTQ-bytes footprint of one read (Table I's size metric) — the unit
@@ -44,9 +50,9 @@ struct BatchBounds {
 /// over the batch.
 [[nodiscard]] std::uint64_t fastq_record_bytes(const Read& read);
 
-/// In-memory footprint of a batch's reads (id + bases + quality payload) —
-/// the ingest share of a streamed run's peak_resident_bytes ledger.
-[[nodiscard]] std::uint64_t resident_read_bytes(const ReadBatch& batch);
+/// In-memory footprint of some reads (id + bases + quality payload) — the
+/// ingest share of a streamed run's peak_resident_bytes ledger.
+[[nodiscard]] std::uint64_t resident_read_bytes(ReadView reads);
 
 /// Abstract pull-based source of read batches.
 class ReadBatchStream {
@@ -58,10 +64,10 @@ class ReadBatchStream {
   [[nodiscard]] virtual std::optional<ReadBatch> next() = 0;
 };
 
-/// Stream over an already-materialized batch (synthetic datasets, FASTA
-/// inputs, tests). Holds a reference — the batch must outlive the stream.
-/// Unbounded, it yields the whole input as one batch: the degenerate case
-/// the in-memory driver path reduces to.
+/// Stream over an already-materialized batch, for callers that need the
+/// streamed path over reads they hold (tests). Holds a reference — the
+/// batch must outlive the stream — and yields a copy of each
+/// BatchBounds::slice; unbounded, the whole input once.
 class VectorBatchStream final : public ReadBatchStream {
  public:
   explicit VectorBatchStream(const ReadBatch& reads, BatchBounds bounds = {})

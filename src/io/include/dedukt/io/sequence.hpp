@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,9 +15,10 @@ struct Read {
   std::string quality;  ///< phred+33 string, empty for FASTA records
 };
 
-/// A batch of reads, the unit the pipelines consume.
-struct ReadBatch {
-  std::vector<Read> reads;
+/// A contiguous run of reads that a ReadBatch owns: what a rank reads. It
+/// copies nothing and must not outlive the batch it views.
+struct ReadView {
+  std::span<const Read> reads;
 
   [[nodiscard]] std::size_t size() const { return reads.size(); }
   [[nodiscard]] bool empty() const { return reads.empty(); }
@@ -29,7 +30,7 @@ struct ReadBatch {
     return n;
   }
 
-  /// Number of k-mers this batch yields for a given k
+  /// Number of k-mers these reads yield for a given k
   /// (reads shorter than k contribute none).
   [[nodiscard]] std::uint64_t total_kmers(int k) const {
     std::uint64_t n = 0;
@@ -39,6 +40,23 @@ struct ReadBatch {
       }
     }
     return n;
+  }
+};
+
+/// A batch of reads: the unit the readers produce and the streams yield.
+/// It converts to a ReadView of all its reads.
+struct ReadBatch {
+  std::vector<Read> reads;
+
+  operator ReadView() const { return ReadView{reads}; }  // NOLINT(*-explicit-*)
+
+  [[nodiscard]] std::size_t size() const { return reads.size(); }
+  [[nodiscard]] bool empty() const { return reads.empty(); }
+  [[nodiscard]] std::uint64_t total_bases() const {
+    return ReadView(*this).total_bases();
+  }
+  [[nodiscard]] std::uint64_t total_kmers(int k) const {
+    return ReadView(*this).total_kmers(k);
   }
 };
 

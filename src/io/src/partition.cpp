@@ -4,34 +4,28 @@
 
 namespace dedukt::io {
 
-std::vector<ReadBatch> partition_by_bases(const ReadBatch& batch, int parts) {
+std::vector<ReadView> partition_by_bases(ReadView batch, int parts) {
   DEDUKT_REQUIRE(parts > 0);
-  std::vector<ReadBatch> out(static_cast<std::size_t>(parts));
-  const std::uint64_t total = batch.total_bases();
-  const std::uint64_t target = total / static_cast<std::uint64_t>(parts);
+  // Parts past the last filled one are empty ranges at the batch's end.
+  std::vector<ReadView> out(static_cast<std::size_t>(parts),
+                            ReadView{batch.reads.last(0)});
+  const std::uint64_t target =
+      batch.total_bases() / static_cast<std::uint64_t>(parts);
 
   std::size_t part = 0;
+  std::size_t first = 0;
   std::uint64_t in_part = 0;
-  for (const auto& read : batch.reads) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     // Advance to the next part once this one has met its target, keeping
     // the last part as the catch-all for rounding slack.
     if (in_part >= target && part + 1 < out.size()) {
-      ++part;
+      out[part++].reads = batch.reads.subspan(first, i - first);
+      first = i;
       in_part = 0;
     }
-    in_part += read.bases.size();
-    out[part].reads.push_back(read);
+    in_part += batch.reads[i].bases.size();
   }
-  return out;
-}
-
-std::vector<ReadBatch> partition_round_robin(const ReadBatch& batch,
-                                             int parts) {
-  DEDUKT_REQUIRE(parts > 0);
-  std::vector<ReadBatch> out(static_cast<std::size_t>(parts));
-  for (std::size_t i = 0; i < batch.reads.size(); ++i) {
-    out[i % static_cast<std::size_t>(parts)].reads.push_back(batch.reads[i]);
-  }
+  out[part].reads = batch.reads.subspan(first);
   return out;
 }
 

@@ -10,9 +10,18 @@ std::uint64_t fastq_record_bytes(const Read& read) {
          read.bases.size() + 1;
 }
 
-std::uint64_t resident_read_bytes(const ReadBatch& batch) {
+ReadView BatchBounds::slice(ReadView reads, std::size_t first) const {
+  std::size_t end = first;
   std::uint64_t bytes = 0;
-  for (const Read& read : batch.reads) {
+  while (end < reads.size() && !full(end - first, bytes)) {
+    bytes += fastq_record_bytes(reads.reads[end++]);
+  }
+  return ReadView{reads.reads.subspan(first, end - first)};
+}
+
+std::uint64_t resident_read_bytes(ReadView reads) {
+  std::uint64_t bytes = 0;
+  for (const Read& read : reads.reads) {
     bytes += read.id.size() + read.bases.size() + read.quality.size();
   }
   return bytes;
@@ -20,19 +29,9 @@ std::uint64_t resident_read_bytes(const ReadBatch& batch) {
 
 std::optional<ReadBatch> VectorBatchStream::next() {
   if (cursor_ >= reads_.reads.size()) return std::nullopt;
-  if (bounds_.unbounded()) {
-    cursor_ = reads_.reads.size();
-    return reads_;
-  }
-  ReadBatch batch;
-  std::uint64_t bytes = 0;
-  while (cursor_ < reads_.reads.size() &&
-         !bounds_.full(batch.reads.size(), bytes)) {
-    const Read& read = reads_.reads[cursor_++];
-    bytes += fastq_record_bytes(read);
-    batch.reads.push_back(read);
-  }
-  return batch;
+  const ReadView slice = bounds_.slice(reads_, cursor_);
+  cursor_ += slice.size();
+  return ReadBatch{{slice.reads.begin(), slice.reads.end()}};
 }
 
 FastqBatchStream::FastqBatchStream(const std::string& path,

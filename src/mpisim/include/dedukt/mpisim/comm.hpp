@@ -118,34 +118,34 @@ class Comm {
 
   /// Personalized all-to-all with variable counts: send[dst] goes to rank
   /// dst. Equivalent to MPI_Alltoallv preceded by the count exchange
-  /// (MPI_Alltoall) the paper's pipeline performs.
+  /// (MPI_Alltoall) the paper's pipeline performs. Every destination reads
+  /// its slice where the sender holds it (one slice of a staged buffer
+  /// each, say), so the sender copies nothing.
   template <typename T>
   [[nodiscard]] AlltoallvResult<T> alltoallv(
-      const std::vector<std::vector<T>>& send) {
+      const std::vector<std::span<const T>>& send) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "alltoallv payload must be trivially copyable");
     DEDUKT_REQUIRE_MSG(send.size() == static_cast<std::size_t>(nranks_),
                        "alltoallv needs one send buffer per rank");
 
     trace::ScopedSpan span(trace::kCategoryCollective, "alltoallv");
-    publish(&send, op_tag(0x2, typeid(T)));
+    publish(send.data(), op_tag(0x2, typeid(T)));
 
     // Read every source's slice destined to this rank.
+    const auto slice_from = [&](int src) {
+      return static_cast<const std::span<const T>*>(
+          board_.ptrs[static_cast<std::size_t>(src)])[rank_];
+    };
     AlltoallvResult<T> result;
     result.counts.resize(static_cast<std::size_t>(nranks_));
     result.offsets.resize(static_cast<std::size_t>(nranks_));
     std::uint64_t in_bytes = 0;
     std::size_t total = 0;
-    for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      total += (*srcbufs)[static_cast<std::size_t>(rank_)].size();
-    }
+    for (int src = 0; src < nranks_; ++src) total += slice_from(src).size();
     result.data.reserve(total);
     for (int src = 0; src < nranks_; ++src) {
-      const auto* srcbufs =
-          static_cast<const std::vector<std::vector<T>>*>(board_.ptrs[src]);
-      const auto& slice = (*srcbufs)[static_cast<std::size_t>(rank_)];
+      const std::span<const T> slice = slice_from(src);
       result.counts[static_cast<std::size_t>(src)] = slice.size();
       result.offsets[static_cast<std::size_t>(src)] = result.data.size();
       result.data.insert(result.data.end(), slice.begin(), slice.end());
@@ -179,6 +179,13 @@ class Comm {
       trace::counter("comm.bytes_received", in_bytes);
     }
     return result;
+  }
+
+  /// alltoallv over one vector per destination.
+  template <typename T>
+  [[nodiscard]] AlltoallvResult<T> alltoallv(
+      const std::vector<std::vector<T>>& send) {
+    return alltoallv(std::vector<std::span<const T>>(send.begin(), send.end()));
   }
 
   /// Reduce a value across all ranks; every rank receives the result.

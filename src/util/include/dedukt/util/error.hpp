@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace dedukt {
 
@@ -22,7 +23,16 @@ class Error : public std::runtime_error {
 /// Thrown when a caller violates a documented precondition.
 class PreconditionError : public Error {
  public:
-  explicit PreconditionError(const std::string& what) : Error(what) {}
+  /// `message` is the check's own text for a user, without the expression
+  /// and source location `what` carries; empty when the check has none.
+  explicit PreconditionError(const std::string& what,
+                             std::string message = {})
+      : Error(what), message_(std::move(message)) {}
+
+  [[nodiscard]] const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 /// Thrown when an input file or stream is malformed.
@@ -45,7 +55,9 @@ namespace detail {
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  if (std::string(kind) == "DEDUKT_REQUIRE") throw PreconditionError(os.str());
+  if (std::string(kind) == "DEDUKT_REQUIRE") {
+    throw PreconditionError(os.str(), msg);
+  }
   throw Error(os.str());
 }
 }  // namespace detail

@@ -113,10 +113,13 @@ TEST(AppTest, CountRejectsKBeyondOneWordKeys) {
 
 TEST(AppTest, CountRejectsABadRunBeforeLoadingItsInput) {
   // detail::validate_run's rules are checked before the input is generated.
+  // A bin count below 1 is rejected whether or not the run spills.
   const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
       {{{"--ranks=0"}, "need at least one rank, got 0"},
        {{"--ooc-spill=" + temp_path("app_early_bins"), "--ooc-bins=0"},
         "--ooc-bins must be >= 1, got 0"},
+       {{"--ooc-bins=0"}, "--ooc-bins must be >= 1, got 0"},
+       {{"--ooc-bins=-3"}, "--ooc-bins must be >= 1, got -3"},
        {{"--k=40"}, "k out of range: 40"}};
   for (const auto& [flags, message] : cases) {
     std::vector<std::string> args = {"count", "--synthetic=ecoli30x",
@@ -128,6 +131,15 @@ TEST(AppTest, CountRejectsABadRunBeforeLoadingItsInput) {
     EXPECT_EQ(result.out.find("generating"), std::string::npos) << result.out;
     EXPECT_EQ(result.out.find("counting"), std::string::npos) << result.out;
   }
+}
+
+TEST(AppTest, PreconditionErrorsPrintTheirMessageAlone) {
+  // The user reads the check's message, not the failed C++ expression or
+  // the source path it sits at.
+  const AppResult result =
+      run({"count", "--synthetic=ecoli30x", "--scale=8000", "--ranks=0"});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_EQ(result.err, "error: need at least one rank, got 0\n");
 }
 
 TEST(AppTest, HistoAnalyzesCounts) {

@@ -195,7 +195,7 @@ TEST_F(AssignmentBuildTest, MatchesPerKmerMinimizerReference) {
     const MinimizerAssignment hashing(std::vector<std::uint32_t>(nbuckets, 0),
                                       1);
     std::vector<std::uint64_t> weights(nbuckets, 0);
-    for (const io::ReadBatch& batch : batches) {
+    for (const io::ReadView batch : batches) {
       for (std::size_t i = 0; i < batch.reads.size(); i += kStride) {
         for (const kmer::KmerCode code : kmer::extract_kmers(
                  batch.reads[i].bases, config.k, policy.encoding())) {

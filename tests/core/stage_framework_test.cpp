@@ -1,18 +1,25 @@
 // Unit tests for the staged pipeline framework in isolation: PhaseScope
 // commits exactly what a hand-rolled phase block would (bit-for-bit),
 // ExchangePlan moves the same data staged and direct while pricing only the
-// staged copies, and accumulate_round folds one round's ledger into a
-// total. The end-to-end bit-identity of whole pipelines built on these
-// pieces is covered by pipeline_golden_framework_test.cpp.
+// staged copies, its moving staging prices exactly what the copies did, and
+// accumulate_round folds one round's ledger into a total. The end-to-end
+// bit-identity of whole pipelines built on these pieces is covered by
+// pipeline_golden_framework_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/result.hpp"
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/mpisim/runtime.hpp"
+#include "dedukt/trace/session.hpp"
 
 namespace dedukt::core {
 namespace {
@@ -145,11 +152,12 @@ TEST(ExchangePlanTest, StagedAndDirectDeliverIdenticalData) {
           plan.stage_out(d_out, total);
       EXPECT_EQ(host_out, flat);
       auto received = plan.exchange(host_out, counts, offsets);
-      auto d_recv = plan.stage_in(received.data);
+      const std::size_t n = received.data.size();
+      auto d_recv = plan.stage_in(std::move(received.data));
       const auto r = static_cast<std::size_t>(comm.rank());
       // The staged-in device buffer holds the received payload either way.
-      (staged ? staged_data : direct_data)[r].assign(
-          d_recv.data(), d_recv.data() + received.data.size());
+      (staged ? staged_data : direct_data)[r].assign(d_recv.data(),
+                                                     d_recv.data() + n);
       (staged ? staged_a2a : direct_a2a)[r] = plan.alltoallv_seconds();
       (staged ? staged_staging : direct_staging)[r] =
           plan.staging_seconds();
@@ -169,6 +177,88 @@ TEST(ExchangePlanTest, StagedAndDirectDeliverIdenticalData) {
     EXPECT_GT(staged_staging[i], 0.0) << "rank " << r;
     EXPECT_EQ(direct_staging[i], 0.0) << "rank " << r;
   }
+}
+
+/// Field-by-field equality of two device timelines.
+void expect_same_timeline(const gpusim::DeviceTimeline& a,
+                          const gpusim::DeviceTimeline& b) {
+  EXPECT_EQ(a.kernel_seconds, b.kernel_seconds);
+  EXPECT_EQ(a.h2d_seconds, b.h2d_seconds);
+  EXPECT_EQ(a.d2h_seconds, b.d2h_seconds);
+  EXPECT_EQ(a.volume_seconds, b.volume_seconds);
+  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+  EXPECT_EQ(a.launches, b.launches);
+}
+
+/// A staged stage_out / stage_in moves the payload's storage across
+/// instead of copying it, and leaves the device exactly where the copies
+/// it stands for leave it — copy_to_host into a fresh vector, then
+/// copy_to_device into a fresh one-slot-at-least buffer: the timeline, the
+/// reserved bytes and the traced h2d/d2h spans, the empty payload's one
+/// slot included.
+TEST(ExchangePlanTest, StagingMovesStorageAndPricesLikeTheCopies) {
+  trace::TraceSession& session = trace::TraceSession::instance();
+  session.enable("");
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{777}}) {
+    SCOPED_TRACE(testing::Message() << n << " elements");
+    const std::size_t slots = std::max<std::size_t>(n, 1);
+    struct Step {
+      gpusim::DeviceTimeline timeline;
+      std::uint64_t allocated = 0;
+    };
+
+    session.reset();
+    gpusim::Device copied;
+    Step copied_out, copied_in;
+    mpisim::Runtime(1).run([&](mpisim::Comm&) {
+      auto d_out = copied.alloc<std::uint64_t>(slots);
+      std::vector<std::uint64_t> host(n);
+      copied.copy_to_host(d_out, std::span<std::uint64_t>(host));
+      copied.free(d_out);
+      copied_out = {copied.timeline(), copied.allocated_bytes()};
+      auto d_in = copied.alloc<std::uint64_t>(slots);
+      copied.copy_to_device<std::uint64_t>(host, d_in);
+      copied_in = {copied.timeline(), copied.allocated_bytes()};
+    });
+    const std::string copied_trace = session.chrome_json();
+    EXPECT_NE(copied_trace.find("\"d2h\""), std::string::npos);
+    EXPECT_NE(copied_trace.find("\"h2d\""), std::string::npos);
+
+    session.reset();
+    gpusim::Device moved;
+    Step moved_out, moved_in;
+    mpisim::Runtime(1).run([&](mpisim::Comm& comm) {
+      ExchangePlan plan(comm, &moved, /*staged=*/true);
+      auto d_out = moved.alloc<std::uint64_t>(slots);
+      std::iota(d_out.data(), d_out.data() + slots, 5u);
+      const std::uint64_t* device_storage = d_out.data();
+      std::vector<std::uint64_t> host = plan.stage_out(d_out, n);
+      moved_out = {moved.timeline(), moved.allocated_bytes()};
+      ASSERT_EQ(host.size(), n);
+      EXPECT_TRUE(d_out.empty());
+      if (n > 0) {
+        EXPECT_EQ(host.data(), device_storage);
+        EXPECT_EQ(host.back(), 5u + n - 1);
+      }
+      const std::uint64_t* host_storage = host.data();
+      auto d_in = plan.stage_in(std::move(host));
+      moved_in = {moved.timeline(), moved.allocated_bytes()};
+      ASSERT_EQ(d_in.size(), slots);
+      if (n > 0) {
+        EXPECT_EQ(d_in.data(), host_storage);
+      }
+    });
+    EXPECT_EQ(session.chrome_json(), copied_trace);
+    expect_same_timeline(moved_out.timeline, copied_out.timeline);
+    expect_same_timeline(moved_in.timeline, copied_in.timeline);
+    EXPECT_EQ(moved_out.allocated, copied_out.allocated);
+    EXPECT_EQ(moved_in.allocated, copied_in.allocated);
+    EXPECT_EQ(moved_in.allocated, slots * sizeof(std::uint64_t));
+  }
+  session.disable();
+  session.reset();
 }
 
 /// commit_exchange must write the exact fields the hand-rolled exchange
@@ -234,7 +324,7 @@ TEST(ExchangePlanTest, CommitExchangeMatchesHandRolledReference) {
       PhaseScope phase(metrics, kPhaseExchange);
       ExchangePlan plan(comm, &device, /*staged=*/true);
       auto received = plan.exchange(outgoing);
-      auto d_recv = plan.stage_in(received.data);
+      auto d_recv = plan.stage_in(std::move(received.data));
       device.free(d_recv);
       phase.commit_exchange(plan, overhead);
     });

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "dedukt/util/error.hpp"
 
@@ -44,6 +46,50 @@ TEST(DeviceTest, TransfersMoveDataAndAreTimed) {
   device.copy_to_host(buf, std::span<int>(back));
   EXPECT_EQ(back, host);
   EXPECT_GT(device.timeline().d2h_seconds, 0.0);
+}
+
+TEST(DeviceTest, AdoptKeepsTheStorageAndReservesLikeAlloc) {
+  Device device;
+  std::vector<std::uint64_t> host(300);
+  std::iota(host.begin(), host.end(), 7u);
+  const std::uint64_t* storage = host.data();
+
+  auto buf = device.adopt(std::move(host));
+  EXPECT_EQ(buf.data(), storage);
+  EXPECT_EQ(buf.size(), 300u);
+  EXPECT_EQ(buf[299], 306u);
+  EXPECT_EQ(device.allocated_bytes(), 300u * sizeof(std::uint64_t));
+  // Adopting prices nothing: a transfer it stands for is priced apart.
+  EXPECT_EQ(device.timeline().h2d_bytes, 0u);
+  EXPECT_EQ(device.timeline().total_seconds(), 0.0);
+
+  const std::vector<std::uint64_t> back = device.disown(buf);
+  EXPECT_EQ(back.data(), storage);
+  EXPECT_EQ(back.size(), 300u);
+  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(device.allocated_bytes(), 0u);
+  EXPECT_EQ(device.timeline().d2h_bytes, 0u);
+}
+
+TEST(DeviceTest, AdoptingAnEmptyVectorTakesOneSlot) {
+  Device device;
+  auto buf = device.adopt(std::vector<std::uint32_t>{});
+  ASSERT_EQ(buf.size(), 1u);
+  EXPECT_EQ(buf[0], 0u);
+  EXPECT_EQ(device.allocated_bytes(), sizeof(std::uint32_t));
+  // disown releases exactly what free() would.
+  const std::vector<std::uint32_t> back = device.disown(buf);
+  EXPECT_EQ(back.size(), 1u);
+  EXPECT_EQ(device.allocated_bytes(), 0u);
+}
+
+TEST(DeviceTest, AdoptBeyondCapacityThrows) {
+  DeviceProps props;
+  props.memory_bytes = 1024;
+  Device device(props);
+  EXPECT_THROW((void)device.adopt(std::vector<std::uint64_t>(1000)),
+               SimulationError);
+  EXPECT_EQ(device.allocated_bytes(), 0u);
 }
 
 TEST(DeviceTest, OversizedCopyThrows) {

@@ -1,10 +1,14 @@
 // Randomized collective sequences: every rank executes the same randomly
 // generated program of collectives; each operation is self-verifying
 // against a sequentially computed oracle. Catches ordering, reuse, and
-// synchronization bugs that single-collective tests cannot.
+// synchronization bugs that single-collective tests cannot. Each alltoallv
+// also runs over slices of one flat buffer and must match the
+// vector-per-destination form in data, counts and ledger.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "dedukt/mpisim/runtime.hpp"
@@ -84,15 +88,35 @@ TEST_P(CollectiveFuzz, RandomProgramSelfVerifies) {
           break;
         }
         case 2: {
-          // Rank r sends (r*size + dst + arg) exactly (dst % 3 + 1) times.
+          // Rank r sends (r*size + dst + arg) exactly (dst % 3 + 1) times,
+          // once from one vector per destination and once more from
+          // slices of one flat buffer; both forms must deliver the same
+          // data and add the same ledger entry.
           std::vector<std::vector<std::uint64_t>> send(
               static_cast<std::size_t>(size));
+          std::vector<std::uint64_t> flat;
           for (int dst = 0; dst < size; ++dst) {
-            send[static_cast<std::size_t>(dst)].assign(
-                static_cast<std::size_t>(dst % 3 + 1),
-                static_cast<std::uint64_t>(rank) * size + dst + op.arg);
+            auto& buf = send[static_cast<std::size_t>(dst)];
+            buf.assign(static_cast<std::size_t>(dst % 3 + 1),
+                       static_cast<std::uint64_t>(rank) * size + dst + op.arg);
+            flat.insert(flat.end(), buf.begin(), buf.end());
           }
+          std::vector<std::span<const std::uint64_t>> slices;
+          std::size_t offset = 0;
+          for (const auto& buf : send) {
+            slices.push_back(
+                std::span<const std::uint64_t>(flat).subspan(offset,
+                                                             buf.size()));
+            offset += buf.size();
+          }
+          // Each form's ledger entry, from a zeroed ledger so the modeled
+          // seconds compare bit for bit.
+          CommStats& stats = comm.stats();
+          const CommStats saved = std::exchange(stats, CommStats{});
           const auto result = comm.alltoallv(send);
+          const CommStats by_vectors = std::exchange(stats, CommStats{});
+          const auto sliced = comm.alltoallv(slices);
+          const CommStats by_slices = std::exchange(stats, saved);
           for (int src = 0; src < size; ++src) {
             const auto slice = result.from(src);
             ASSERT_EQ(slice.size(),
@@ -103,6 +127,17 @@ TEST_P(CollectiveFuzz, RandomProgramSelfVerifies) {
                   << "step " << step;
             }
           }
+          ASSERT_EQ(sliced.data, result.data) << "step " << step;
+          ASSERT_EQ(sliced.counts, result.counts) << "step " << step;
+          ASSERT_EQ(sliced.offsets, result.offsets) << "step " << step;
+          ASSERT_EQ(by_slices.bytes_sent, by_vectors.bytes_sent);
+          ASSERT_EQ(by_slices.bytes_received, by_vectors.bytes_received);
+          ASSERT_EQ(by_slices.alltoallv_calls, 1u);
+          ASSERT_EQ(by_vectors.alltoallv_calls, 1u);
+          ASSERT_EQ(by_slices.collective_calls, by_vectors.collective_calls);
+          ASSERT_EQ(by_slices.modeled_seconds, by_vectors.modeled_seconds);
+          ASSERT_EQ(by_slices.modeled_volume_seconds,
+                    by_vectors.modeled_volume_seconds);
           break;
         }
         case 3: {
