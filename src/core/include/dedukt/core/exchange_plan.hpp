@@ -20,10 +20,13 @@
 // The payload moves rather than being copied: stage_out hands the device
 // buffer's storage to the host (Device::disown), the Alltoallv reads each
 // destination's slice of it in place, and stage_in hands the received
-// vector to the device (Device::adopt). A staged copy is priced by its
-// bytes through Device::price_transfer, exactly as the copy was, so every
-// span, counter and charge is unchanged; the only copy left is the one
-// the receive makes, the data crossing between ranks.
+// vector to the device (Device::adopt). The supermer pipeline's payload
+// is already on the host, one run per destination: price_stage_out
+// prices its D2H, and the per-destination exchange reads the runs. A
+// staged copy is priced by its bytes through Device::price_transfer,
+// exactly as the copy was, so every span, counter and charge is
+// unchanged; the only copy left is the one the receive makes, the data
+// crossing between ranks.
 #pragma once
 
 #include <cstdint>
@@ -69,14 +72,22 @@ class ExchangePlan {
   template <typename T>
   [[nodiscard]] std::vector<T> stage_out(gpusim::DeviceBuffer<T>& buffer,
                                          std::uint64_t n) {
-    DEDUKT_CHECK_MSG(device_ != nullptr, "stage_out needs a device");
     DEDUKT_CHECK_MSG(n <= buffer.size(), "D2H copy larger than source buffer");
-    if (staged_) {
-      device_->price_transfer(gpusim::Device::Link::kToHost, n * sizeof(T));
-    }
+    price_stage_out(n * sizeof(T));
     std::vector<T> host = device_->disown(buffer);
     host.resize(n);
     return host;
+  }
+
+  /// Step 1 for a payload the host already holds, in per-destination runs
+  /// (the supermer count launch's): price the D2H of `bytes` exactly as
+  /// stage_out() prices it. The caller releases the device reservation
+  /// that stood for the buffer.
+  void price_stage_out(std::uint64_t bytes) {
+    DEDUKT_CHECK_MSG(device_ != nullptr, "stage_out needs a device");
+    if (staged_) {
+      device_->price_transfer(gpusim::Device::Link::kToHost, bytes);
+    }
   }
 
   /// Steps 2+3: run the Alltoallv over a staged buffer, each destination
@@ -97,7 +108,8 @@ class ExchangePlan {
   }
 
   /// Step 3 for pipelines that bucket per destination while parsing (the
-  /// CPU pipelines, source-side consolidation, the out-of-core replay).
+  /// CPU pipelines, source-side consolidation, the supermer count launch's
+  /// runs, the out-of-core replay).
   template <typename T>
   [[nodiscard]] mpisim::AlltoallvResult<T> exchange(
       const std::vector<std::vector<T>>& outgoing) {

@@ -6,8 +6,9 @@
 // into per-thread windows. The simulation does not build that array. The
 // launches read the rank's reads in place, walking kmer::acgt_fragments,
 // and the callers price the staging from the fragment lengths
-// (staging_of): one H2D of its bytes, with a device reservation held as
-// long as the array would live. Two kernel families:
+// (staging_of, computed once per parse and passed to every launch): one
+// H2D of its bytes, with a device reservation held as long as the array
+// would live. Two kernel families:
 //
 //  * k-mer kernels — one thread per staged base position; a thread emits
 //    the k-mer starting at its position if the window does not cross a
@@ -21,7 +22,11 @@
 //    (Fig. 5); the thread grows supermers in private registers and flushes
 //    one packed 64-bit word + length byte per supermer (Algorithm 2).
 //    Destinations come from the minimizer hash, or from the §VII
-//    frequency-balanced table.
+//    frequency-balanced table. They are priced as the same two phases, but
+//    the host walks each window once: the count launch appends every
+//    supermer, in walk order, to its destination's run (SupermerRuns), and
+//    the fill launch, whose per-destination slices those runs are, is
+//    priced and places nothing. The exchange sends the runs as they are.
 //
 // Each launch is priced as that grid but evaluated once on the host
 // (Device::launch_host) with the kmer library's walkers, its charges in
@@ -29,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/io/sequence.hpp"
@@ -65,49 +71,64 @@ struct Staging {
                                  int window = 0);
 
 // --- k-mer kernels (§III-B1) ---
+//
+// `staging` must be staging_of(reads, k).
 
 /// Pass 1: count the k-mers of `reads` destined to each partition.
 /// `dest_counts` must hold `parts` zeroed counters.
 gpusim::LaunchStats parse_count_kmers(
-    gpusim::Device& device, io::ReadView reads, int k,
-    io::BaseEncoding enc, std::uint32_t parts,
+    gpusim::Device& device, io::ReadView reads, const Staging& staging,
+    int k, io::BaseEncoding enc, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts);
 
 /// Pass 2: write each k-mer into its partition's slice of `out_kmers`.
 /// `offsets` holds the exclusive prefix sums of the pass-1 counts;
 /// `cursors` must hold `parts` zeroed atomics.
 gpusim::LaunchStats parse_fill_kmers(
-    gpusim::Device& device, io::ReadView reads, int k,
-    io::BaseEncoding enc, std::uint32_t parts,
+    gpusim::Device& device, io::ReadView reads, const Staging& staging,
+    int k, io::BaseEncoding enc, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,
     gpusim::DeviceBuffer<std::uint64_t>& out_kmers);
 
 // --- supermer kernels (§IV-B, Algorithm 2) ---
+//
+// `Word` is the supermer packing: std::uint64_t for the paper's
+// single-word regime, or kmer::WideKey for the two-word extension
+// (config.wide: 63-base supermers in thread-private 128-bit registers).
+// `staging` must be staging_of(reads, config.k, config.window). With an
+// `assignment` (the §VII frequency-balanced table, resident on the device)
+// supermers route through it; without one, by the paper's minimizer hash.
 
-/// Pass 1: count the supermers of `reads` destined to each partition.
-/// `Word` is the supermer packing: std::uint64_t for the paper's
-/// single-word regime, or kmer::WideKey for the two-word extension
-/// (config.wide: 63-base supermers in thread-private 128-bit registers).
-/// With an `assignment` (the §VII frequency-balanced table, resident on
-/// the device) supermers route through it; without one, by the paper's
-/// minimizer hash.
+/// What the fill launch places: each destination's supermers in walk
+/// order, as a run of packed words and a run of length bytes (its slice
+/// of the outgoing buffers).
+template <typename Word>
+struct SupermerRuns {
+  std::vector<std::vector<Word>> words;
+  std::vector<std::vector<std::uint8_t>> lens;
+};
+
+/// Pass 1: count the supermers of `reads` destined to each partition into
+/// `dest_counts`, which must hold `parts` counters, and keep them: `runs`
+/// gets one run per partition, in walk order, whose sizes are the counts.
 template <typename Word = std::uint64_t>
 gpusim::LaunchStats supermer_count(
-    gpusim::Device& device, io::ReadView reads,
+    gpusim::Device& device, io::ReadView reads, const Staging& staging,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
+    SupermerRuns<Word>& runs,
     const MinimizerAssignment* assignment = nullptr);
 
-/// Pass 2: emit packed supermer words and length bytes per partition.
+/// Pass 2: the fill that writes the count launch's `supermers` runs into
+/// the per-partition slices of the outgoing word and length buffers,
+/// through per-destination atomic cursors. The runs already are those
+/// slices, so the launch is priced (the same walk, plus each supermer's
+/// write) and places nothing.
 template <typename Word>
 gpusim::LaunchStats supermer_fill(
-    gpusim::Device& device, io::ReadView reads,
-    const kmer::SupermerConfig& config, std::uint32_t parts,
-    const gpusim::DeviceBuffer<std::uint64_t>& offsets,
-    gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<Word>& out_words,
-    gpusim::DeviceBuffer<std::uint8_t>& out_lens,
+    gpusim::Device& device, const Staging& staging,
+    const kmer::SupermerConfig& config, std::uint64_t supermers,
     const MinimizerAssignment* assignment = nullptr);
 
 }  // namespace kernels

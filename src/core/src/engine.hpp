@@ -289,8 +289,9 @@ void count_out_of_core(CountEngine<KeyTraits>& engine, BatchSource& source);
 /// no k-mers cross the wire — and the per-rank cell arrays merge with one
 /// cell-wise-sum allreduce_vector after the last batch, charged to the
 /// exchange phase. With heavy_threshold > 0 a second pass re-scans the
-/// input (each rank retains a copy of its reads for it) and keeps exact
-/// counts for candidates whose global estimate reaches the threshold.
+/// input (a single batch in place; of a streamed run, each rank retains a
+/// copy of its reads for it) and keeps exact counts for candidates whose
+/// global estimate reaches the threshold.
 /// run_distributed_count dispatches here.
 [[nodiscard]] CountResult run_sketch_count(BatchSource& source,
                                            const DriverOptions& options);

@@ -58,7 +58,8 @@ ParsedKmers parse_device_kmers(gpusim::Device& device, io::ReadView reads,
   device.price_transfer(gpusim::Device::Link::kToDevice, staging.bases);
 
   auto d_counts = device.alloc<std::uint32_t>(parts, 0u);
-  kernels::parse_count_kmers(device, reads, config.k, enc, parts, d_counts);
+  kernels::parse_count_kmers(device, reads, staging, config.k, enc, parts,
+                             d_counts);
   device.copy_to_host(d_counts, std::span<std::uint32_t>(parsed.counts));
 
   parsed.total = exclusive_prefix(parsed.counts, parsed.offsets);
@@ -71,8 +72,8 @@ ParsedKmers parse_device_kmers(gpusim::Device& device, io::ReadView reads,
   auto d_cursors = device.alloc<std::uint32_t>(parts, 0u);
   parsed.d_out = device.alloc<std::uint64_t>(
       std::max<std::uint64_t>(parsed.total, 1));
-  kernels::parse_fill_kmers(device, reads, config.k, enc, parts, d_offsets,
-                            d_cursors, parsed.d_out);
+  kernels::parse_fill_kmers(device, reads, staging, config.k, enc, parts,
+                            d_offsets, d_cursors, parsed.d_out);
 
   device.release(staging.bases);
   device.free(d_counts);

@@ -8,6 +8,7 @@
 // count: the destination extracts each supermer's k-mers and counts them in
 // the device hash table.
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -77,15 +78,16 @@ template void count_gpu_supermers<kmer::WideKey>(
 
 namespace {
 
-/// The device-resident parse output: per-destination counts/offsets and the
-/// packed supermer word/length buffers awaiting the exchange.
+/// The parse output awaiting the exchange: the count launch's runs, which
+/// stand for the packed supermer word and length buffers the fill launch
+/// places on the device.
 template <typename Word>
 struct ParsedSupermers {
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint64_t> offsets;
-  gpusim::DeviceBuffer<Word> d_words;
-  gpusim::DeviceBuffer<std::uint8_t> d_lens;
+  kernels::SupermerRuns<Word> runs;
   std::uint64_t total_supermers = 0;
+  /// Device bytes reserved for the word and length buffers until the
+  /// exchange stages them out.
+  std::uint64_t reserved = 0;
 };
 
 /// parse & process: build supermers on the device (one full parse phase).
@@ -100,7 +102,6 @@ ParsedSupermers<Word> parse_gpu_supermers(
   const kmer::SupermerConfig smer_config = config.supermer_config();
 
   ParsedSupermers<Word> parsed;
-  parsed.counts.resize(parts);
   PhaseScope phase(metrics, kPhaseParse, device);
 
   // The staged base array and its window list (§III-B1, §IV-B): priced and
@@ -117,28 +118,32 @@ ParsedSupermers<Word> parse_gpu_supermers(
   device.price_transfer(gpusim::Device::Link::kToDevice, window_bytes);
 
   auto d_counts = device.alloc<std::uint32_t>(parts, 0u);
-  kernels::supermer_count<Word>(device, reads, smer_config, parts, d_counts,
-                                assignment);
-  device.copy_to_host(d_counts, std::span<std::uint32_t>(parsed.counts));
+  kernels::supermer_count<Word>(device, reads, staging, smer_config, parts,
+                                d_counts, parsed.runs, assignment);
+  std::vector<std::uint32_t> counts(parts);
+  device.copy_to_host(d_counts, std::span<std::uint32_t>(counts));
+  parsed.total_supermers =
+      std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
 
-  parsed.total_supermers = exclusive_prefix(parsed.counts, parsed.offsets);
-
-  auto d_offsets = device.alloc<std::uint64_t>(parts);
-  device.copy_to_device<std::uint64_t>(parsed.offsets, d_offsets);
-  auto d_cursors = device.alloc<std::uint32_t>(parts, 0u);
-  parsed.d_words = device.alloc<Word>(
-      std::max<std::uint64_t>(parsed.total_supermers, 1));
-  parsed.d_lens = device.alloc<std::uint8_t>(
-      std::max<std::uint64_t>(parsed.total_supermers, 1));
-  kernels::supermer_fill(device, reads, smer_config, parts, d_offsets,
-                         d_cursors, parsed.d_words, parsed.d_lens,
-                         assignment);
+  // The fill launch's offsets (copied to the device), its zeroed cursors
+  // and the word and length buffers it fills: priced and held as the
+  // device would hold them. The runs are what it would place.
+  const std::uint64_t offsets_bytes = sizeof(std::uint64_t) * parts;
+  const std::uint64_t cursors_bytes = sizeof(std::uint32_t) * parts;
+  device.reserve(offsets_bytes);
+  device.price_transfer(gpusim::Device::Link::kToDevice, offsets_bytes);
+  device.reserve(cursors_bytes);
+  parsed.reserved = std::max<std::uint64_t>(parsed.total_supermers, 1) *
+                    (sizeof(Word) + sizeof(std::uint8_t));
+  device.reserve(parsed.reserved);
+  kernels::supermer_fill<Word>(device, staging, smer_config,
+                               parsed.total_supermers, assignment);
 
   device.release(staging.bases);
   device.release(window_reserved);
   device.free(d_counts);
-  device.free(d_offsets);
-  device.free(d_cursors);
+  device.release(offsets_bytes);
+  device.release(cursors_bytes);
 
   metrics.supermers_built = parsed.total_supermers;
   // Supermer construction costs ~33% over plain k-mer parsing (§V-C).
@@ -177,21 +182,24 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
     PhaseScope phase(metrics, kPhaseExchange);
     ExchangePlan plan(comm, &device, staged);
 
-    const std::vector<Word> host_words =
-        plan.stage_out(parsed.d_words, parsed.total_supermers);
-    const std::vector<std::uint8_t> host_lens =
-        plan.stage_out(parsed.d_lens, parsed.total_supermers);
+    // The word and then the length buffer leave the device (priced by
+    // their bytes, as stage_out prices them); the count launch's runs
+    // are their per-destination slices, and each Alltoallv reads them in
+    // place.
+    const kernels::SupermerRuns<Word> runs = std::move(parsed.runs);
+    plan.price_stage_out(parsed.total_supermers * sizeof(Word));
+    plan.price_stage_out(parsed.total_supermers * sizeof(std::uint8_t));
+    device.release(parsed.reserved);
     // Total supermer payload bases (§IV-C compression metric), summed from
-    // the staged-out length buffer on the host — never element-by-element
+    // the staged-out length runs on the host — never element-by-element
     // from device memory.
-    for (const std::uint8_t len : host_lens) {
-      metrics.supermer_bases += len;
+    for (const auto& lens : runs.lens) {
+      for (const std::uint8_t len : lens) metrics.supermer_bases += len;
     }
 
-    mpisim::AlltoallvResult<Word> recv_words =
-        plan.exchange(host_words, parsed.counts, parsed.offsets);
+    mpisim::AlltoallvResult<Word> recv_words = plan.exchange(runs.words);
     mpisim::AlltoallvResult<std::uint8_t> recv_lens =
-        plan.exchange(host_lens, parsed.counts, parsed.offsets);
+        plan.exchange(runs.lens);
     DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
     supermers = recv_lens.data.size();
     kmers = detail::supermer_kmers(recv_lens.data, config.k);

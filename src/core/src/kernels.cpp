@@ -1,12 +1,16 @@
 // The parse-stage launches. Each runs once on the host (Device::launch_host)
-// and walks the rank's reads in place, fragment by fragment, with the kmer
-// library's walkers: kmer::for_each_kmer for the k-mer launches, the
-// sliding-minimizer builders for the supermer launches. It writes the same
-// buffers, in the same order, as the per-thread kernel over the staged
-// base array in the canonical block order, and charges that kernel's
-// traffic in closed form.
+// and prices the per-thread kernel over the staged base array in closed
+// form, from the caller's Staging. The k-mer launches and the supermer
+// count launch walk the rank's reads in place, fragment by fragment, with
+// the kmer library's walkers: kmer::for_each_kmer for the k-mer launches,
+// the supermer builders (one block sliding minimum per fragment) for the
+// count launch. They write the same counters and buffers, in the same
+// order, as that kernel in the canonical block order; the count launch
+// keeps the supermers it built as the per-destination runs the fill
+// launch would place, so the fill launch walks nothing.
 #include "dedukt/core/kernels.hpp"
 
+#include <algorithm>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -19,38 +23,20 @@ namespace dedukt::core::kernels {
 
 namespace {
 
-/// The fragments the staged base array lays out, in read order: every
-/// ACGT fragment of `reads` with at least k bases.
-std::vector<std::string_view> staged_fragments(io::ReadView reads,
-                                               int k) {
-  DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
-  std::vector<std::string_view> fragments;
+/// Visit the fragments the staged base array lays out, in read order:
+/// every ACGT fragment of `reads` with at least k bases.
+template <typename Fn>
+void for_each_staged_fragment(io::ReadView reads, int k, Fn&& fn) {
   for (const auto& read : reads.reads) {
     for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-      if (fragment.size() >= static_cast<std::size_t>(k)) {
-        fragments.push_back(fragment);
-      }
+      if (fragment.size() >= static_cast<std::size_t>(k)) fn(fragment);
     }
   }
-  return fragments;
 }
 
-/// The staging of `fragments`, windowed when `window` >= 1.
-Staging stage(const std::vector<std::string_view>& fragments, int k,
-              int window) {
-  Staging staging;
-  staging.bases = static_cast<std::uint64_t>(k);  // the pad
-  for (std::string_view fragment : fragments) {
-    const std::uint64_t kmers =
-        fragment.size() - static_cast<std::size_t>(k) + 1;
-    staging.bases += fragment.size() + 1;
-    staging.kmers += kmers;
-    if (window >= 1) {
-      staging.windows += (kmers + static_cast<std::uint64_t>(window) - 1) /
-                         static_cast<std::uint64_t>(window);
-    }
-  }
-  return staging;
+/// The k-mers of a staged fragment.
+std::uint64_t kmers_of(std::string_view fragment, int k) {
+  return fragment.size() - static_cast<std::size_t>(k) + 1;
 }
 
 /// Run the k-mer launch `name` over the one-thread-per-staged-base grid
@@ -61,19 +47,25 @@ Staging stage(const std::vector<std::string_view>& fragments, int k,
 /// and writes `bytes_out`.
 template <typename Fn>
 gpusim::LaunchStats kmer_launch(const char* name, gpusim::Device& device,
-                                io::ReadView reads, int k,
-                                io::BaseEncoding enc, std::uint32_t parts,
-                                std::uint64_t bytes_out, Fn&& fn) {
-  const std::vector<std::string_view> fragments = staged_fragments(reads, k);
-  const Staging staging = stage(fragments, k, 0);
+                                io::ReadView reads, const Staging& staging,
+                                int k, io::BaseEncoding enc,
+                                std::uint32_t parts, std::uint64_t bytes_out,
+                                Fn&& fn) {
+  DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
   const auto shape = device.shape_for(staging.bases);
   return device.launch_host(name, shape.grid_dim, shape.block_dim,
                             [&](gpusim::KernelCharges& charges) {
-    for (std::string_view fragment : fragments) {
+    std::uint64_t kmers = 0;
+    for_each_staged_fragment(reads, k, [&](std::string_view fragment) {
       kmer::for_each_kmer(fragment, k, enc, [&](kmer::KmerCode code) {
         fn(code, kmer::kmer_partition(code, parts));
       });
-    }
+      kmers += kmers_of(fragment, k);
+    });
+    DEDUKT_REQUIRE_MSG(kmers == staging.kmers,
+                       "staging of " << staging.kmers
+                                     << " k-mers does not match the reads' "
+                                     << kmers);
     const auto kk = static_cast<std::uint64_t>(k);
     charges.count_gmem_read(staging.bases * kk);
     charges.count_ops(staging.kmers * (2 * kk + 8));
@@ -83,56 +75,32 @@ gpusim::LaunchStats kmer_launch(const char* name, gpusim::Device& device,
 }
 
 /// Run the supermer launch `name` over the one-thread-per-window grid of
-/// Algorithm 2. Each staged fragment is one builder walk; it visits every
-/// supermer in window order as fn(smer, dest), routed by the §VII
-/// frequency-balanced table when `assignment` is given and by the
-/// minimizer hash otherwise. Per window the thread loads its window entry
+/// Algorithm 2, routing `supermers` supermers. `body()` runs first and
+/// returns that count. Per window the thread loads its window entry
 /// and k bytes and packs them (2k ops), every later k-mer loads 1 byte,
 /// every k-mer scans its k − m + 1 m-mers (3 ops each), and every supermer
-/// routes (4 ops; 6 ops and a 4 B read with the table), claims its
+/// routes (4 ops; 6 ops and a 4 B read with the §VII table), claims its
 /// destination with one atomic and writes `bytes_out`.
-template <typename Word, typename Fn>
+template <typename Body>
 gpusim::LaunchStats supermer_launch(const char* name, gpusim::Device& device,
-                                    io::ReadView reads,
+                                    const Staging& staging,
                                     const kmer::SupermerConfig& config,
-                                    std::uint32_t parts,
-                                    const MinimizerAssignment* assignment,
-                                    std::uint64_t bytes_out, Fn&& fn) {
-  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
+                                    bool table_routed,
+                                    std::uint64_t bytes_out, Body&& body) {
   config.validate();
-  DEDUKT_REQUIRE(!kWide || config.wide);
-  const std::vector<std::string_view> fragments =
-      staged_fragments(reads, config.k);
-  const Staging staging = stage(fragments, config.k, config.window);
   const auto shape = device.shape_for(staging.windows);
   return device.launch_host(name, shape.grid_dim, shape.block_dim,
                             [&](gpusim::KernelCharges& charges) {
-    std::conditional_t<kWide, std::vector<kmer::DestinedWideSupermer>,
-                       std::vector<kmer::DestinedSupermer>>
-        smers;
-    std::uint64_t supermers = 0;
-    for (std::string_view fragment : fragments) {
-      smers.clear();
-      if constexpr (kWide) {
-        kmer::build_wide_supermers(fragment, config, parts, smers);
-      } else {
-        kmer::build_supermers(fragment, config, parts, smers);
-      }
-      for (const auto& ds : smers) {
-        fn(ds.smer, assignment != nullptr ? assignment->rank_of(ds.minimizer)
-                                          : ds.dest);
-      }
-      supermers += smers.size();
-    }
+    const std::uint64_t supermers = body();
     const auto k = static_cast<std::uint64_t>(config.k);
     const auto span = static_cast<std::uint64_t>(config.k - config.m + 1);
     const std::uint64_t w = staging.windows;
     charges.count_gmem_read(w * (kWindowBytes + k) + (staging.kmers - w));
     charges.count_ops(2 * k * w + 3 * span * staging.kmers);
-    if (assignment != nullptr) {
+    if (table_routed) {
       charges.count_gmem_read(sizeof(std::uint32_t) * supermers);
     }
-    charges.count_ops((assignment != nullptr ? 6 : 4) * supermers);
+    charges.count_ops((table_routed ? 6 : 4) * supermers);
     charges.count_atomic(supermers);
     charges.count_gmem_write(supermers * bytes_out);
   });
@@ -141,29 +109,41 @@ gpusim::LaunchStats supermer_launch(const char* name, gpusim::Device& device,
 }  // namespace
 
 Staging staging_of(io::ReadView reads, int k, int window) {
-  return stage(staged_fragments(reads, k), k, window);
+  DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
+  Staging staging;
+  staging.bases = static_cast<std::uint64_t>(k);  // the pad
+  for_each_staged_fragment(reads, k, [&](std::string_view fragment) {
+    const std::uint64_t kmers = kmers_of(fragment, k);
+    staging.bases += fragment.size() + 1;
+    staging.kmers += kmers;
+    if (window >= 1) {
+      staging.windows += (kmers + static_cast<std::uint64_t>(window) - 1) /
+                         static_cast<std::uint64_t>(window);
+    }
+  });
+  return staging;
 }
 
 gpusim::LaunchStats parse_count_kmers(
-    gpusim::Device& device, io::ReadView reads, int k,
-    io::BaseEncoding enc, std::uint32_t parts,
+    gpusim::Device& device, io::ReadView reads, const Staging& staging,
+    int k, io::BaseEncoding enc, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts) {
   DEDUKT_REQUIRE(dest_counts.size() >= parts);
   return kmer_launch(
-      "parse_count_kmers", device, reads, k, enc, parts, 0,
+      "parse_count_kmers", device, reads, staging, k, enc, parts, 0,
       [&](kmer::KmerCode, std::uint32_t dest) { ++dest_counts[dest]; });
 }
 
 gpusim::LaunchStats parse_fill_kmers(
-    gpusim::Device& device, io::ReadView reads, int k,
-    io::BaseEncoding enc, std::uint32_t parts,
+    gpusim::Device& device, io::ReadView reads, const Staging& staging,
+    int k, io::BaseEncoding enc, std::uint32_t parts,
     const gpusim::DeviceBuffer<std::uint64_t>& offsets,
     gpusim::DeviceBuffer<std::uint32_t>& cursors,
     gpusim::DeviceBuffer<std::uint64_t>& out_kmers) {
   DEDUKT_REQUIRE(offsets.size() >= parts);
   DEDUKT_REQUIRE(cursors.size() >= parts);
-  return kmer_launch("parse_fill_kmers", device, reads, k, enc, parts,
-                     sizeof(std::uint64_t),
+  return kmer_launch("parse_fill_kmers", device, reads, staging, k, enc,
+                     parts, sizeof(std::uint64_t),
                      [&](kmer::KmerCode code, std::uint32_t dest) {
     const std::uint64_t slot = offsets[dest] + cursors[dest]++;
     DEDUKT_CHECK_MSG(slot < out_kmers.size(), "outgoing buffer overflow");
@@ -173,60 +153,96 @@ gpusim::LaunchStats parse_fill_kmers(
 
 template <typename Word>
 gpusim::LaunchStats supermer_count(
-    gpusim::Device& device, io::ReadView reads,
+    gpusim::Device& device, io::ReadView reads, const Staging& staging,
     const kmer::SupermerConfig& config, std::uint32_t parts,
     gpusim::DeviceBuffer<std::uint32_t>& dest_counts,
-    const MinimizerAssignment* assignment) {
+    SupermerRuns<Word>& runs, const MinimizerAssignment* assignment) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
+  DEDUKT_REQUIRE(!kWide || config.wide);
   DEDUKT_REQUIRE(dest_counts.size() >= parts);
-  return supermer_launch<Word>(
-      kWide ? "supermer_count_wide" : "supermer_count", device, reads,
-      config, parts, assignment, 0,
-      [&](const auto&, std::uint32_t dest) { ++dest_counts[dest]; });
+  return supermer_launch(
+      kWide ? "supermer_count_wide" : "supermer_count", device, staging,
+      config, assignment != nullptr, 0, [&] {
+    runs.words.assign(parts, {});
+    runs.lens.assign(parts, {});
+    std::conditional_t<kWide, std::vector<kmer::DestinedWideSupermer>,
+                       std::vector<kmer::DestinedSupermer>>
+        smers;
+    std::uint64_t kmers = 0;
+    for_each_staged_fragment(reads, config.k, [&](std::string_view fragment) {
+      smers.clear();
+      if constexpr (kWide) {
+        kmer::build_wide_supermers(fragment, config, parts, smers);
+      } else {
+        kmer::build_supermers(fragment, config, parts, smers);
+      }
+      kmers += kmers_of(fragment, config.k);
+      for (const auto& ds : smers) {
+        const std::uint32_t dest = assignment != nullptr
+                                       ? assignment->rank_of(ds.minimizer)
+                                       : ds.dest;
+        DEDUKT_CHECK_MSG(dest < parts, "supermer routed to partition "
+                                           << dest << " of " << parts);
+        std::vector<Word>& words = runs.words[dest];
+        if (words.size() == words.capacity()) {
+          // A full run grows to its projected final size: its length
+          // scaled by the staged k-mers over those walked so far, plus an
+          // eighth. A few reallocations per run, instead of one per
+          // doubling, leave the heap far less fragmented.
+          const auto projected = static_cast<std::size_t>(
+              static_cast<double>(words.size()) *
+                  static_cast<double>(std::max(staging.kmers, kmers)) /
+                  static_cast<double>(kmers) * 1.125 +
+              64);
+          words.reserve(projected);
+          runs.lens[dest].reserve(projected);
+        }
+        words.push_back(ds.smer.bases);
+        runs.lens[dest].push_back(ds.smer.len);
+      }
+    });
+    DEDUKT_REQUIRE_MSG(kmers == staging.kmers,
+                       "staging of " << staging.kmers
+                                     << " k-mers does not match the reads' "
+                                     << kmers);
+    std::uint64_t supermers = 0;
+    for (std::uint32_t dest = 0; dest < parts; ++dest) {
+      dest_counts[dest] = static_cast<std::uint32_t>(runs.lens[dest].size());
+      supermers += runs.lens[dest].size();
+    }
+    return supermers;
+  });
 }
 
 template <typename Word>
-gpusim::LaunchStats supermer_fill(
-    gpusim::Device& device, io::ReadView reads,
-    const kmer::SupermerConfig& config, std::uint32_t parts,
-    const gpusim::DeviceBuffer<std::uint64_t>& offsets,
-    gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<Word>& out_words,
-    gpusim::DeviceBuffer<std::uint8_t>& out_lens,
-    const MinimizerAssignment* assignment) {
+gpusim::LaunchStats supermer_fill(gpusim::Device& device,
+                                  const Staging& staging,
+                                  const kmer::SupermerConfig& config,
+                                  std::uint64_t supermers,
+                                  const MinimizerAssignment* assignment) {
   constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
-  DEDUKT_REQUIRE(offsets.size() >= parts);
-  DEDUKT_REQUIRE(cursors.size() >= parts);
-  DEDUKT_REQUIRE(out_words.size() == out_lens.size());
-  return supermer_launch<Word>(
-      kWide ? "supermer_fill_wide" : "supermer_fill", device, reads, config,
-      parts, assignment, sizeof(Word) + sizeof(std::uint8_t),
-      [&](const auto& smer, std::uint32_t dest) {
-        const std::uint64_t slot = offsets[dest] + cursors[dest]++;
-        DEDUKT_CHECK_MSG(slot < out_words.size(),
-                         "supermer outgoing buffer overflow");
-        out_words[slot] = smer.bases;
-        out_lens[slot] = smer.len;
-      });
+  DEDUKT_REQUIRE(!kWide || config.wide);
+  return supermer_launch(kWide ? "supermer_fill_wide" : "supermer_fill",
+                         device, staging, config, assignment != nullptr,
+                         sizeof(Word) + sizeof(std::uint8_t),
+                         [&] { return supermers; });
 }
 
 template gpusim::LaunchStats supermer_count<std::uint64_t>(
-    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
-    std::uint32_t, gpusim::DeviceBuffer<std::uint32_t>&,
+    gpusim::Device&, io::ReadView, const Staging&,
+    const kmer::SupermerConfig&, std::uint32_t,
+    gpusim::DeviceBuffer<std::uint32_t>&, SupermerRuns<std::uint64_t>&,
     const MinimizerAssignment*);
 template gpusim::LaunchStats supermer_count<kmer::WideKey>(
-    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
-    std::uint32_t, gpusim::DeviceBuffer<std::uint32_t>&,
+    gpusim::Device&, io::ReadView, const Staging&,
+    const kmer::SupermerConfig&, std::uint32_t,
+    gpusim::DeviceBuffer<std::uint32_t>&, SupermerRuns<kmer::WideKey>&,
     const MinimizerAssignment*);
 template gpusim::LaunchStats supermer_fill<std::uint64_t>(
-    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
-    std::uint32_t, const gpusim::DeviceBuffer<std::uint64_t>&,
-    gpusim::DeviceBuffer<std::uint32_t>&, gpusim::DeviceBuffer<std::uint64_t>&,
-    gpusim::DeviceBuffer<std::uint8_t>&, const MinimizerAssignment*);
+    gpusim::Device&, const Staging&, const kmer::SupermerConfig&,
+    std::uint64_t, const MinimizerAssignment*);
 template gpusim::LaunchStats supermer_fill<kmer::WideKey>(
-    gpusim::Device&, io::ReadView, const kmer::SupermerConfig&,
-    std::uint32_t, const gpusim::DeviceBuffer<std::uint64_t>&,
-    gpusim::DeviceBuffer<std::uint32_t>&, gpusim::DeviceBuffer<kmer::WideKey>&,
-    gpusim::DeviceBuffer<std::uint8_t>&, const MinimizerAssignment*);
+    gpusim::Device&, const Staging&, const kmer::SupermerConfig&,
+    std::uint64_t, const MinimizerAssignment*);
 
 }  // namespace dedukt::core::kernels

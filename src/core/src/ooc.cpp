@@ -11,8 +11,9 @@
 // bounds the exchange working set by 1/bins of the dataset.
 //
 // Pass 1 reads what the in-memory parse launches read, each rank's reads
-// in place, with the same k-mer walk and sliding-minimizer supermer
-// builders; it differs only in what it prices. It launches nothing and
+// in place, with the same k-mer walk and supermer builders (one block
+// sliding minimum per fragment, kmer::minimizers_of, then one walk of its
+// windows); it differs only in what it prices. It launches nothing and
 // prices no staging: its parse charges use each pipeline's calibrated
 // throughput terms, the GPU device floor approximated by the throughput
 // term itself, an equality on every profiled configuration since the

@@ -62,17 +62,23 @@ MinimizerAssignment MinimizerAssignment::build(
   MinimizerAssignment hashing(std::vector<std::uint32_t>(nbuckets, 0), 1);
 
   // 1. Sample local reads: per-bucket k-mer weights, each k-mer's
-  // minimizer from one sliding scan per fragment.
+  // minimizer from one block sliding minimum per fragment.
   std::vector<std::uint64_t> weights(nbuckets, 0);
-  kmer::SlidingMinimizer sliding(policy, config.k);
+  std::vector<kmer::KmerCode> codes;
+  std::vector<kmer::KmerCode> minimizers;
   for (std::size_t i = 0; i < reads.reads.size();
        i += static_cast<std::size_t>(sample_stride)) {
     for (std::string_view fragment :
          kmer::acgt_fragments(reads.reads[i].bases)) {
-      sliding.reset();
+      codes.clear();
       kmer::for_each_kmer(fragment, config.k, enc, [&](kmer::KmerCode code) {
-        ++weights[hashing.bucket_of(sliding.push(code))];
+        codes.push_back(code);
       });
+      minimizers.resize(codes.size());
+      kmer::minimizers_of(codes, config.k, policy, minimizers);
+      for (const kmer::KmerCode minimizer : minimizers) {
+        ++weights[hashing.bucket_of(minimizer)];
+      }
     }
   }
 

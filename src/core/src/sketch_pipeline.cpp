@@ -25,9 +25,11 @@
 // are keys whose over-counted estimate cleared the bar. The candidates'
 // exact counts gather to rank 0 like the exact backend's tables do. This
 // generalizes the Bloom two-pass machinery: the sketch is the first-pass
-// filter, the exact table exists only for survivors. Each rank retains a
-// copy of its reads for the second pass (the bounded-memory claim holds
-// only for pure sketching; the footprint test runs without a threshold).
+// filter, the exact table exists only for survivors. A single-batch run's
+// second pass reads each rank's view of the input in place; a streamed run
+// retains a copy of each rank's reads for it (the bounded-memory claim
+// holds only for pure sketching; the footprint test runs without a
+// threshold).
 #include <algorithm>
 #include <limits>
 #include <optional>
@@ -136,7 +138,7 @@ RankMetrics run_sketch_round(gpusim::Device* device,
   return metrics;
 }
 
-/// Heavy-hitter pass 2 over one retained batch: re-parse, estimate every
+/// Heavy-hitter pass 2 over one batch's reads: re-parse, estimate every
 /// occurrence against the merged global cells, and count survivors exactly
 /// in `candidates`. Work counters stay zero — the occurrences were already
 /// counted in pass 1 — but the parse/estimate time is charged in full (the
@@ -190,17 +192,18 @@ RankMetrics run_heavy_pass(gpusim::Device* device, io::ReadView reads,
     auto d_estimates =
         device->alloc<std::uint32_t>(std::max<std::uint64_t>(total, 1));
     device_sketch.estimate(d_kmers, total, d_estimates);
-    std::vector<std::uint32_t> estimates(total);
-    device->copy_to_host(d_estimates,
-                         std::span<std::uint32_t>(estimates));
-    std::vector<std::uint64_t> keys(total);
-    device->copy_to_host(d_kmers, std::span<std::uint64_t>(keys));
+    // The estimates and then the keys come back to the host, priced as
+    // D2H copies of their bytes; the host reads them in place.
+    device->price_transfer(gpusim::Device::Link::kToHost,
+                           total * sizeof(std::uint32_t));
+    device->price_transfer(gpusim::Device::Link::kToHost,
+                           total * sizeof(std::uint64_t));
+    for (std::uint64_t i = 0; i < total; ++i) {
+      if (d_estimates[i] >= threshold) candidates.add(d_kmers[i]);
+    }
     device->free(d_estimates);
     device->free(d_kmers);
     device_sketch.release();
-    for (std::uint64_t i = 0; i < total; ++i) {
-      if (estimates[i] >= threshold) candidates.add(keys[i]);
-    }
     phase.set_device_floor_charge(
         static_cast<double>(total) / summit::kGpuSketchEstimateKeysPerSec,
         summit::kGpuCountOverheadSec);
@@ -236,10 +239,12 @@ CountResult run_sketch_count(BatchSource& source,
   std::vector<HostHashTable> candidate_tables(nranks);
   std::vector<std::uint64_t> retained_bytes(nranks, 0);
 
-  // The heavy-hitter second pass must re-scan every batch, so each rank
-  // keeps a copy of its reads: a streamed batch is gone once the loop
-  // moves past it. The copies count toward the peak footprint; a pure
-  // sketch run retains nothing.
+  // The heavy-hitter second pass must re-scan every batch. A single
+  // batch's views live until finish returns, so pass 2 reads them in
+  // place. A streamed batch is gone once the loop moves past it, so each
+  // rank keeps a copy of its reads; the copies count toward the peak
+  // footprint. A pure sketch run retains nothing.
+  std::vector<io::ReadView> single(nranks);
   std::vector<std::vector<io::ReadBatch>> retained(nranks);
 
   engine.run_batches(
@@ -251,7 +256,9 @@ CountResult run_sketch_count(BatchSource& source,
         if (device_kind) device.emplace(options.device);
         RankMetrics metrics = run_sketch_round(
             device ? &*device : nullptr, mine, config, sketches[rank]);
-        if (heavy) {
+        if (heavy && batch.single()) {
+          single[rank] = mine;
+        } else if (heavy) {
           retained[rank].push_back(
               io::ReadBatch{{mine.reads.begin(), mine.reads.end()}});
           retained_bytes[rank] += io::resident_read_bytes(mine);
@@ -299,13 +306,18 @@ CountResult run_sketch_count(BatchSource& source,
 
         if (heavy) {
           RankMetrics pass2;
-          for (const io::ReadBatch& kept : retained[rank]) {
+          const auto heavy_pass = [&](io::ReadView reads) {
             std::optional<gpusim::Device> device;
             if (device_kind) device.emplace(options.device);
             accumulate_round(
-                pass2, run_heavy_pass(device ? &*device : nullptr, kept,
+                pass2, run_heavy_pass(device ? &*device : nullptr, reads,
                                       config, merged,
                                       candidate_tables[rank]));
+          };
+          if (batch.single()) {
+            heavy_pass(single[rank]);
+          } else {
+            for (const io::ReadBatch& kept : retained[rank]) heavy_pass(kept);
           }
           accumulate_round(result.ranks[rank], pass2);
           engine.gather(comm, candidate_tables[rank]);

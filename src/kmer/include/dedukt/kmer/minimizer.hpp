@@ -13,13 +13,15 @@
 //    pseudo-random ordering (as in Squeakr). This is the default policy.
 //
 // A policy fixes both the BaseEncoding in which the pipeline packs codes
-// and the score function that ranks m-mers; smaller score wins, ties break
-// toward the leftmost position (the standard minimizer convention).
+// and the score function that ranks m-mers; smaller score wins. The score
+// is injective, so the smallest score names exactly one m-mer and no tie
+// break is needed: minimizer_of (one k-mer) and minimizers_of (every
+// k-mer of a fragment, by a block sliding minimum) agree bit for bit.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "dedukt/hash/murmur3.hpp"
 #include "dedukt/io/dna.hpp"
@@ -53,6 +55,9 @@ class MinimizerPolicy {
   }
 
   /// Rank of an m-mer code (packed under encoding()); smaller is preferred.
+  /// Injective, and `score(mmer) & code_mask(m())` is `mmer` again: the
+  /// identity for the lexicographic and randomized orders, and the KMC2
+  /// penalty adds 4^m, above every unpenalized code (m <= 30).
   [[nodiscard]] std::uint64_t score(KmerCode mmer) const {
     if (order_ == MinimizerOrder::kKmc2) {
       // Penalize m-mers starting with AAA or ACA (standard encoding:
@@ -74,104 +79,30 @@ class MinimizerPolicy {
 /// holding `k` bases). Returns the m-mer code, not its score.
 ///
 /// Rescans all k-m+1 m-mers of the k-mer — O(k) per call. Fine for a
-/// single k-mer; for consecutive k-mers of a fragment use
-/// SlidingMinimizer, which amortizes to O(1) per k-mer.
+/// single k-mer; for the consecutive k-mers of a fragment use
+/// minimizers_of, which is O(1) per k-mer.
 [[nodiscard]] KmerCode minimizer_of(KmerCode code, int k,
                                     const MinimizerPolicy& policy);
 
-/// Streaming minimizer over the consecutive k-mers of one fragment.
+/// The minimizer of every k-mer of one fragment: `out[i]` is
+/// minimizer_of(codes[i], k, policy), where `codes` are the fragment's
+/// consecutive k-mer codes, left to right (each one base after the
+/// previous). `out` must have codes.size() elements and must not alias
+/// `codes`.
 ///
-/// minimizer_of rescans every m-mer of every k-mer — O(n·k) over a
-/// fragment of n k-mers. Consecutive k-mers overlap in all but one m-mer,
-/// so the classic monotone-deque sliding-window minimum applies: each
-/// m-mer enters the deque once and leaves at most once, O(n) amortized.
-/// The deque is kept score-ascending front to back; pop-back uses a
-/// STRICT comparison so an earlier m-mer outlives an equal-scored later
-/// one, reproducing minimizer_of's leftmost-wins tie break exactly —
-/// push() returns bit-identical minimizers to minimizer_of on every
-/// k-mer.
-///
-/// Feed the fragment's k-mer codes left to right, one push() per k-mer.
-/// reset() rewinds for the next fragment (capacity is retained).
-class SlidingMinimizer {
- public:
-  SlidingMinimizer(const MinimizerPolicy& policy, int k)
-      : policy_(policy),
-        k_(k),
-        span_(k - policy.m() + 1),
-        mmer_mask_(code_mask(policy.m())),
-        ring_(static_cast<std::size_t>(span_)) {
-    DEDUKT_REQUIRE_MSG(policy.m() < k, "minimizer length must be < k");
-  }
-
-  /// Minimizer of the next k-mer. `code` must be the k-mer starting one
-  /// base after the previous push's (or the fragment's first k-mer after
-  /// construction / reset()).
-  [[nodiscard]] KmerCode push(KmerCode code) {
-    const int m = policy_.m();
-    if (next_kmer_ == 0) {
-      // First k-mer seeds the deque with all of its m-mers.
-      for (int j = 0; j < span_; ++j) {
-        admit(sub_code(code, k_, j, m), static_cast<std::uint64_t>(j));
-      }
-    } else {
-      // Sliding one base: the m-mer starting before the new k-mer falls
-      // out of range, the m-mer ending at its last base enters.
-      if (ring_[head_].pos < next_kmer_) pop_front();
-      admit(code & mmer_mask_, next_kmer_ + span_ - 1);
-    }
-    ++next_kmer_;
-    return ring_[head_].mmer;
-  }
-
-  /// Rewind for a new fragment.
-  void reset() {
-    head_ = tail_ = 0;
-    size_ = 0;
-    next_kmer_ = 0;
-  }
-
- private:
-  struct Entry {
-    std::uint64_t score;
-    KmerCode mmer;
-    std::uint64_t pos;  // m-mer position == first k-mer that contains it
-  };
-
-  void admit(KmerCode mmer, std::uint64_t pos) {
-    const std::uint64_t score = policy_.score(mmer);
-    // Strict >: an equal-scored earlier entry stays ahead (leftmost wins).
-    while (size_ > 0 && ring_[prev(tail_)].score > score) {
-      tail_ = prev(tail_);
-      --size_;
-    }
-    ring_[tail_] = Entry{score, mmer, pos};
-    tail_ = step(tail_);
-    ++size_;
-  }
-
-  void pop_front() {
-    head_ = step(head_);
-    --size_;
-  }
-
-  [[nodiscard]] std::size_t step(std::size_t i) const {
-    return i + 1 == ring_.size() ? 0 : i + 1;
-  }
-  [[nodiscard]] std::size_t prev(std::size_t i) const {
-    return i == 0 ? ring_.size() - 1 : i - 1;
-  }
-
-  MinimizerPolicy policy_;
-  int k_;
-  int span_;  // m-mers per k-mer = k - m + 1 (the window size)
-  KmerCode mmer_mask_;
-  std::vector<Entry> ring_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t next_kmer_ = 0;
-};
+/// A block sliding minimum (van Herk / Gil-Werman): the fragment's m-mers
+/// are cut into blocks of w = k − m + 1, the m-mers of one k-mer. Each
+/// k-mer's w m-mers span at most two adjacent blocks, so its minimum
+/// score is the smaller of the suffix minimum of the first block from its
+/// first m-mer and the prefix minimum of the next block up to its last.
+/// One backward pass writes the suffix minima into `out`, one forward
+/// pass folds in the prefix minima: about three comparisons per k-mer
+/// whatever w is, with no scratch beyond `out` and the scores of the
+/// last k-mer's w − 1 trailing m-mers (on the stack). Because the score
+/// is injective, the minimum score masks back to the one m-mer
+/// minimizer_of returns.
+void minimizers_of(std::span<const KmerCode> codes, int k,
+                   const MinimizerPolicy& policy, std::span<KmerCode> out);
 
 /// Seed separating the destination hash from the table-probing hash.
 inline constexpr std::uint64_t kDestinationHashSeed = 0xD35Cu;

@@ -13,6 +13,10 @@
 //    producing maximal supermers. Used by tests (the windowed output must
 //    be a refinement of it) and by the compression-potential analyses.
 //
+// Every builder, the wide one included, packs a fragment's k-mer codes
+// once and takes every k-mer's minimizer from one block sliding minimum
+// over them (minimizers_of), O(1) per k-mer.
+//
 // Invariants (property-tested):
 //  - every k-mer of the input appears in exactly one supermer;
 //  - a supermer's k-mers all share its minimizer, which the windowed

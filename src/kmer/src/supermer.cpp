@@ -1,8 +1,38 @@
 #include "dedukt/kmer/supermer.hpp"
 
+#include <span>
+
 #include "dedukt/util/error.hpp"
 
 namespace dedukt::kmer {
+
+namespace {
+
+/// The k-mer codes of one fragment of at least k bases and each k-mer's
+/// minimizer (minimizers_of), in one allocation: the builders' one walk.
+class KmerScan {
+ public:
+  KmerScan(std::string_view fragment, int k, const MinimizerPolicy& policy)
+      : n_(fragment.size() - static_cast<std::size_t>(k) + 1), data_(2 * n_) {
+    std::size_t i = 0;
+    for_each_kmer(fragment, k, policy.encoding(),
+                  [&](KmerCode code) { data_[i++] = code; });
+    const std::span<KmerCode> all(data_);
+    minimizers_of(all.first(n_), k, policy, all.subspan(n_));
+  }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] KmerCode code(std::size_t i) const { return data_[i]; }
+  [[nodiscard]] KmerCode minimizer(std::size_t i) const {
+    return data_[n_ + i];
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<KmerCode> data_;  // n_ codes, then their n_ minimizers
+};
+
+}  // namespace
 
 void SupermerConfig::validate() const {
   DEDUKT_REQUIRE_MSG(k >= 2 && k <= kMaxPackedK, "k out of range: " << k);
@@ -30,40 +60,32 @@ void build_supermers(std::string_view fragment, const SupermerConfig& config,
   const int k = config.k;
   if (fragment.size() < static_cast<std::size_t>(k)) return;
 
-  const MinimizerPolicy policy = config.policy();
-  const io::BaseEncoding enc = policy.encoding();
-
-  // Pre-compute the rolling k-mer codes once; each window's "thread" then
-  // walks its k-mer starts exactly as Algorithm 2 does. Windows advance
-  // left to right over consecutive positions, so one sliding scan serves
-  // every window's minimizer queries in O(1) amortized per k-mer.
-  const std::size_t nkmers = fragment.size() - static_cast<std::size_t>(k) + 1;
-  std::vector<KmerCode> codes;
-  codes.reserve(nkmers);
-  for_each_kmer(fragment, k, enc, [&](KmerCode c) { codes.push_back(c); });
-  SlidingMinimizer sliding(policy, k);
-
+  // One walk over the fragment gives every k-mer's code and minimizer;
+  // each window's "thread" then walks its k-mer starts exactly as
+  // Algorithm 2 does.
+  const KmerScan scan(fragment, k, config.policy());
+  const std::size_t nkmers = scan.size();
   const auto window = static_cast<std::size_t>(config.window);
   for (std::size_t wstart = 0; wstart < nkmers; wstart += window) {
     const std::size_t wend = std::min(wstart + window, nkmers);
 
     // First k-mer of the window seeds the supermer (Algorithm 2 lines 4-10).
-    PackedSupermer current{codes[wstart], static_cast<std::uint8_t>(k)};
-    KmerCode prev_min = sliding.push(codes[wstart]);
+    PackedSupermer current{scan.code(wstart), static_cast<std::uint8_t>(k)};
+    KmerCode prev_min = scan.minimizer(wstart);
 
     for (std::size_t p = wstart + 1; p < wend; ++p) {
-      const KmerCode minimizer = sliding.push(codes[p]);
+      const KmerCode minimizer = scan.minimizer(p);
       if (minimizer == prev_min) {
         // Same minimizer: extend with the k-mer's last base
         // (Algorithm 2 lines 20-21).
-        current.bases = append_base(current.bases,
-                                    static_cast<io::BaseCode>(codes[p] & 3));
+        current.bases = append_base(
+            current.bases, static_cast<io::BaseCode>(scan.code(p) & 3));
         current.len += 1;
       } else {
         // New minimizer: flush and restart (lines 14-18).
         out.push_back(
             {current, minimizer_partition(prev_min, parts), prev_min});
-        current = PackedSupermer{codes[p], static_cast<std::uint8_t>(k)};
+        current = PackedSupermer{scan.code(p), static_cast<std::uint8_t>(k)};
         prev_min = minimizer;
       }
     }
@@ -91,36 +113,29 @@ void build_wide_supermers(std::string_view fragment,
   const int k = config.k;
   if (fragment.size() < static_cast<std::size_t>(k)) return;
 
-  const MinimizerPolicy policy = config.policy();
-  const io::BaseEncoding enc = policy.encoding();
-
-  const std::size_t nkmers = fragment.size() - static_cast<std::size_t>(k) + 1;
-  std::vector<KmerCode> codes;
-  codes.reserve(nkmers);
-  for_each_kmer(fragment, k, enc, [&](KmerCode c) { codes.push_back(c); });
-  SlidingMinimizer sliding(policy, k);
-
+  const KmerScan scan(fragment, k, config.policy());
+  const std::size_t nkmers = scan.size();
   const auto window = static_cast<std::size_t>(config.window);
   for (std::size_t wstart = 0; wstart < nkmers; wstart += window) {
     const std::size_t wend = std::min(wstart + window, nkmers);
 
-    WideCode current = codes[wstart];
+    WideCode current = scan.code(wstart);
     std::uint8_t len = static_cast<std::uint8_t>(k);
-    KmerCode prev_min = sliding.push(codes[wstart]);
+    KmerCode prev_min = scan.minimizer(wstart);
 
     auto flush = [&] {
       out.push_back({PackedWideSupermer{to_key(current), len},
                      minimizer_partition(prev_min, parts), prev_min});
     };
     for (std::size_t p = wstart + 1; p < wend; ++p) {
-      const KmerCode minimizer = sliding.push(codes[p]);
+      const KmerCode minimizer = scan.minimizer(p);
       if (minimizer == prev_min) {
         current = wide_append(current,
-                              static_cast<io::BaseCode>(codes[p] & 3));
+                              static_cast<io::BaseCode>(scan.code(p) & 3));
         len += 1;
       } else {
         flush();
-        current = codes[p];
+        current = scan.code(p);
         len = static_cast<std::uint8_t>(k);
         prev_min = minimizer;
       }
@@ -147,17 +162,12 @@ std::vector<MaximalSupermer> build_supermers_maximal(
   std::vector<MaximalSupermer> out;
   if (fragment.size() < static_cast<std::size_t>(k)) return out;
 
-  const io::BaseEncoding enc = policy.encoding();
-  const std::size_t nkmers = fragment.size() - static_cast<std::size_t>(k) + 1;
-  std::vector<KmerCode> codes;
-  codes.reserve(nkmers);
-  for_each_kmer(fragment, k, enc, [&](KmerCode c) { codes.push_back(c); });
-  SlidingMinimizer sliding(policy, k);
-
+  const KmerScan scan(fragment, k, policy);
+  const std::size_t nkmers = scan.size();
   std::size_t start = 0;  // base index where the current supermer starts
-  KmerCode prev_min = sliding.push(codes[0]);
+  KmerCode prev_min = scan.minimizer(0);
   for (std::size_t p = 1; p < nkmers; ++p) {
-    const KmerCode minimizer = sliding.push(codes[p]);
+    const KmerCode minimizer = scan.minimizer(p);
     if (minimizer != prev_min) {
       MaximalSupermer smer;
       // Supermer spans base `start` through the last base of k-mer p-1.

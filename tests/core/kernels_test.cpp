@@ -30,14 +30,15 @@ TEST(ParseKernelsTest, TwoPhaseProducesExactKmerMultiset) {
   constexpr std::uint32_t kParts = 5;
 
   gpusim::Device device;
+  const Staging staging = staging_of(batch, k);
   auto d_counts = device.alloc<std::uint32_t>(kParts, 0u);
-  parse_count_kmers(device, batch, k, enc, kParts, d_counts);
+  parse_count_kmers(device, batch, staging, k, enc, kParts, d_counts);
 
   std::vector<std::uint32_t> counts(kParts);
   device.copy_to_host(d_counts, std::span<std::uint32_t>(counts));
   const std::uint64_t total =
       std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
-  EXPECT_EQ(total, staging_of(batch, k).kmers);
+  EXPECT_EQ(total, staging.kmers);
 
   std::vector<std::uint64_t> offsets(kParts);
   std::uint64_t running = 0;
@@ -49,8 +50,8 @@ TEST(ParseKernelsTest, TwoPhaseProducesExactKmerMultiset) {
   device.copy_to_device<std::uint64_t>(offsets, d_offsets);
   auto d_cursors = device.alloc<std::uint32_t>(kParts, 0u);
   auto d_out = device.alloc<std::uint64_t>(total);
-  parse_fill_kmers(device, batch, k, enc, kParts, d_offsets, d_cursors,
-                   d_out);
+  parse_fill_kmers(device, batch, staging, k, enc, kParts, d_offsets,
+                   d_cursors, d_out);
 
   // The filled buffer must be the exact k-mer multiset of the input,
   // with every k-mer in its hash-selected partition.
@@ -76,8 +77,10 @@ TEST(SupermerKernelsTest, TwoPhaseMatchesHostBuilder) {
   constexpr std::uint32_t kParts = 4;
 
   gpusim::Device device;
+  const Staging staging = staging_of(batch, cfg.k, cfg.window);
   auto d_counts = device.alloc<std::uint32_t>(kParts, 0u);
-  supermer_count(device, batch, cfg, kParts, d_counts);
+  SupermerRuns<std::uint64_t> runs;
+  supermer_count(device, batch, staging, cfg, kParts, d_counts, runs);
   std::vector<std::uint32_t> counts(kParts);
   device.copy_to_host(d_counts, std::span<std::uint32_t>(counts));
   const std::uint64_t total =
@@ -95,27 +98,22 @@ TEST(SupermerKernelsTest, TwoPhaseMatchesHostBuilder) {
   }
   EXPECT_EQ(total, expected_total);
 
-  std::vector<std::uint64_t> offsets(kParts);
-  std::uint64_t running = 0;
+  // The count launch keeps each destination's supermers as its run; the
+  // fill launch is priced over them and places nothing.
+  ASSERT_EQ(runs.words.size(), kParts);
+  ASSERT_EQ(runs.lens.size(), kParts);
   for (std::uint32_t p = 0; p < kParts; ++p) {
-    offsets[p] = running;
-    running += counts[p];
-  }
-  auto d_offsets = device.alloc<std::uint64_t>(kParts);
-  device.copy_to_device<std::uint64_t>(offsets, d_offsets);
-  auto d_cursors = device.alloc<std::uint32_t>(kParts, 0u);
-  auto d_words = device.alloc<std::uint64_t>(total);
-  auto d_lens = device.alloc<std::uint8_t>(total);
-  supermer_fill(device, batch, cfg, kParts, d_offsets, d_cursors, d_words,
-                d_lens);
-
-  for (std::uint32_t p = 0; p < kParts; ++p) {
+    ASSERT_EQ(runs.words[p].size(), counts[p]);
+    ASSERT_EQ(runs.lens[p].size(), counts[p]);
     std::map<std::pair<std::uint64_t, int>, int> got;
-    for (std::uint64_t i = offsets[p]; i < offsets[p] + counts[p]; ++i) {
-      ++got[{d_words[i], d_lens[i]}];
+    for (std::size_t i = 0; i < runs.words[p].size(); ++i) {
+      ++got[{runs.words[p][i], runs.lens[p][i]}];
     }
     EXPECT_EQ(got, expected[p]) << "partition " << p;
   }
+  const auto fill = supermer_fill<std::uint64_t>(device, staging, cfg, total);
+  EXPECT_EQ(fill.counters.atomics, total);
+  EXPECT_EQ(fill.counters.gmem_write_bytes, total * 9);
 }
 
 TEST(ParseKernelsTest, TraffickersReportTraffic) {
@@ -123,7 +121,7 @@ TEST(ParseKernelsTest, TraffickersReportTraffic) {
   gpusim::Device device;
   const Staging staging = staging_of(batch, 17);
   auto d_counts = device.alloc<std::uint32_t>(4, 0u);
-  const auto stats = parse_count_kmers(device, batch, 17,
+  const auto stats = parse_count_kmers(device, batch, staging, 17,
                                        io::BaseEncoding::kStandard, 4,
                                        d_counts);
   EXPECT_GT(stats.counters.gmem_read_bytes, staging.bases);

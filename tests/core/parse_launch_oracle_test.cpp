@@ -12,11 +12,14 @@
 // (DestinationTable) or by hash; both claim destination counters and
 // cursors with device atomics. The references run thread by thread in the
 // canonical block order (support/kernel_runner.hpp). Each launch and its
-// reference must agree on every LaunchCounters field, the modeled time,
-// the destination counts and cursors, and the filled key, word and length
-// buffers byte for byte, and the closed-form staging must equal the
-// reference staging's size. The suite runs at pool sizes 1, 4 and 16,
-// which no launch may read.
+// reference must agree on every LaunchCounters field and the modeled time;
+// the k-mer launches on the destination counts, cursors and filled keys
+// byte for byte. The supermer count launch must agree on the destination
+// counts, and its per-destination runs must equal, byte for byte, the
+// slices of the word and length buffers that the reference fill kernel
+// fills; the supermer fill launch places nothing. The closed-form staging
+// must equal the reference staging's size. The suite runs at pool sizes
+// 1, 4 and 16, which no launch may read.
 #include "dedukt/core/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -408,13 +411,14 @@ void check_kmer_launches(const io::ReadBatch& reads, int k,
       reference::EncodedReads::build(reads, k);
   const auto d_bases = upload(device, staged.bases);
   const std::size_t total_len = staged.bases.size();
+  const Staging staging = staging_of(reads, k);
 
   auto counts = device.alloc<std::uint32_t>(parts, 0u);
   auto ref_counts = device.alloc<std::uint32_t>(parts, 0u);
   {
     SCOPED_TRACE("parse_count_kmers");
     expect_same_launch(
-        parse_count_kmers(device, reads, k, enc, parts, counts),
+        parse_count_kmers(device, reads, staging, k, enc, parts, counts),
         reference::parse_count_kmers(device, d_bases, total_len, k, enc,
                                      parts, ref_counts));
     expect_same_bytes(counts, ref_counts, "destination counts");
@@ -430,13 +434,29 @@ void check_kmer_launches(const io::ReadBatch& reads, int k,
   {
     SCOPED_TRACE("parse_fill_kmers");
     expect_same_launch(
-        parse_fill_kmers(device, reads, k, enc, parts, d_offsets, cursors,
-                         out),
+        parse_fill_kmers(device, reads, staging, k, enc, parts, d_offsets,
+                         cursors, out),
         reference::parse_fill_kmers(device, d_bases, total_len, k, enc,
                                     parts, d_offsets, ref_cursors, ref_out));
     expect_same_bytes(cursors, ref_cursors, "cursors");
     expect_same_bytes(out, ref_out, "k-mers");
   }
+}
+
+/// `run` must hold exactly the `count` elements of `buffer` from `offset`,
+/// byte for byte.
+template <typename T>
+void expect_run_is_slice(const std::vector<T>& run,
+                         const gpusim::DeviceBuffer<T>& buffer,
+                         std::uint64_t offset, std::uint32_t count,
+                         const char* what) {
+  ASSERT_EQ(run.size(), count) << what;
+  ASSERT_LE(offset + count, buffer.size()) << what;
+  if (count == 0) return;
+  EXPECT_EQ(std::memcmp(run.data(), buffer.data() + offset,
+                        count * sizeof(T)),
+            0)
+      << what;
 }
 
 /// Both supermer launches over `reads` and their references over the
@@ -464,13 +484,16 @@ void check_supermer_launches(const io::ReadBatch& reads,
     assignment.emplace(table, parts);
   }
   const MinimizerAssignment* route = assignment ? &*assignment : nullptr;
+  const Staging staging = staging_of(reads, config.k, config.window);
 
   auto counts = device.alloc<std::uint32_t>(parts, 0u);
   auto ref_counts = device.alloc<std::uint32_t>(parts, 0u);
+  SupermerRuns<Word> runs;
   {
     SCOPED_TRACE("supermer_count");
     expect_same_launch(
-        supermer_count<Word>(device, reads, config, parts, counts, route),
+        supermer_count<Word>(device, reads, staging, config, parts, counts,
+                             runs, route),
         reference::supermer_count<Word>(device, d_bases, d_windows,
                                         windows.size(), config, parts,
                                         ref_counts, routing));
@@ -478,26 +501,33 @@ void check_supermer_launches(const io::ReadBatch& reads,
   }
 
   std::uint64_t total = 0;
-  const auto d_offsets = upload(device, offsets_of(ref_counts, total));
+  const std::vector<std::uint64_t> offsets = offsets_of(ref_counts, total);
+  const auto d_offsets = upload(device, offsets);
   const std::uint64_t slots = std::max<std::uint64_t>(total, 1);
-  auto cursors = device.alloc<std::uint32_t>(parts, 0u);
   auto ref_cursors = device.alloc<std::uint32_t>(parts, 0u);
-  auto words = device.alloc<Word>(slots);
   auto ref_words = device.alloc<Word>(slots);
-  auto lens = device.alloc<std::uint8_t>(slots);
   auto ref_lens = device.alloc<std::uint8_t>(slots);
   {
     SCOPED_TRACE("supermer_fill");
     expect_same_launch(
-        supermer_fill<Word>(device, reads, config, parts, d_offsets, cursors,
-                            words, lens, route),
+        supermer_fill<Word>(device, staging, config, total, route),
         reference::supermer_fill<Word>(device, d_bases, d_windows,
                                        windows.size(), config, parts,
                                        d_offsets, ref_cursors, ref_words,
                                        ref_lens, routing));
-    expect_same_bytes(cursors, ref_cursors, "cursors");
-    expect_same_bytes(words, ref_words, "supermer words");
-    expect_same_bytes(lens, ref_lens, "supermer lengths");
+    expect_same_bytes(ref_cursors, ref_counts, "cursors");
+  }
+
+  // The count launch's runs are the reference fill's per-destination
+  // slices, in the reference's placement order.
+  ASSERT_EQ(runs.words.size(), parts);
+  ASSERT_EQ(runs.lens.size(), parts);
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    SCOPED_TRACE(testing::Message() << "destination " << p);
+    expect_run_is_slice(runs.words[p], ref_words, offsets[p], ref_counts[p],
+                        "supermer words");
+    expect_run_is_slice(runs.lens[p], ref_lens, offsets[p], ref_counts[p],
+                        "supermer lengths");
   }
 }
 

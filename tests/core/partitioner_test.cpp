@@ -180,8 +180,8 @@ TEST_F(AssignmentBuildTest, DeterministicAcrossSimThreads) {
 }
 
 TEST_F(AssignmentBuildTest, MatchesPerKmerMinimizerReference) {
-  // build() takes each sampled k-mer's minimizer from one sliding scan per
-  // fragment. The reference rescans every sampled k-mer with minimizer_of,
+  // build() takes each sampled k-mer's minimizer from one block sliding
+  // minimum (kmer::minimizers_of) per fragment. The reference rescans every sampled k-mer with minimizer_of,
   // sums the per-bucket weights over the ranks, gives unseen buckets
   // weight 1 and assigns them with LPT.
   const kmer::SupermerConfig config;

@@ -261,6 +261,60 @@ TEST(ExchangePlanTest, StagingMovesStorageAndPricesLikeTheCopies) {
   session.reset();
 }
 
+/// The supermer pipeline's payload is already on the host, one run per
+/// destination. Pricing its words and then its lengths with
+/// price_stage_out, and releasing the one reservation that stood for both
+/// buffers, must leave the device and the trace exactly where stage_out of
+/// the two device buffers leaves them, staged or under GPUDirect.
+TEST(ExchangePlanTest, PriceStageOutPricesLikeStageOut) {
+  trace::TraceSession& session = trace::TraceSession::instance();
+  session.enable("");
+  for (const bool staged : {true, false}) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{777}}) {
+      SCOPED_TRACE(testing::Message() << n << " supermers, staged=" << staged);
+      const std::size_t slots = std::max<std::size_t>(n, 1);
+
+      session.reset();
+      gpusim::Device moved;
+      gpusim::DeviceTimeline moved_timeline;
+      mpisim::Runtime(1).run([&](mpisim::Comm& comm) {
+        ExchangePlan plan(comm, &moved, staged);
+        auto d_words = moved.alloc<std::uint64_t>(slots);
+        auto d_lens = moved.alloc<std::uint8_t>(slots);
+        const std::vector<std::uint64_t> words = plan.stage_out(d_words, n);
+        const std::vector<std::uint8_t> lens = plan.stage_out(d_lens, n);
+        EXPECT_EQ(words.size(), n);
+        EXPECT_EQ(lens.size(), n);
+        moved_timeline = moved.timeline();
+      });
+      const std::string moved_trace = session.chrome_json();
+      EXPECT_EQ(moved.allocated_bytes(), 0u);
+
+      session.reset();
+      gpusim::Device priced;
+      gpusim::DeviceTimeline priced_timeline;
+      mpisim::Runtime(1).run([&](mpisim::Comm& comm) {
+        ExchangePlan plan(comm, &priced, staged);
+        const std::uint64_t reserved =
+            slots * (sizeof(std::uint64_t) + sizeof(std::uint8_t));
+        priced.reserve(reserved);
+        plan.price_stage_out(n * sizeof(std::uint64_t));
+        plan.price_stage_out(n * sizeof(std::uint8_t));
+        priced.release(reserved);
+        priced_timeline = priced.timeline();
+      });
+      EXPECT_EQ(session.chrome_json(), moved_trace);
+      expect_same_timeline(priced_timeline, moved_timeline);
+      EXPECT_EQ(priced.allocated_bytes(), 0u);
+      EXPECT_EQ(priced_timeline.d2h_bytes,
+                staged ? n * (sizeof(std::uint64_t) + 1) : 0u);
+    }
+  }
+  session.disable();
+  session.reset();
+}
+
 /// commit_exchange must write the exact fields the hand-rolled exchange
 /// blocks wrote: assignment (not +=) of byte counts and routine times, and
 /// a charge of routine + staging + overhead.
