@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "dedukt/core/host_hash_table.hpp"
 #include "dedukt/gpusim/device.hpp"
@@ -63,6 +64,13 @@ class DeviceHashTable {
   /// count and charge — is that of the canonical block order.
   gpusim::LaunchStats count_kmers(
       const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
+      DeviceBloomFilter* bloom = nullptr);
+
+  /// The count kernel over k-mers the device holds as consecutive runs
+  /// (the k-mer parse's per-destination runs): one thread per k-mer, in
+  /// run order.
+  gpusim::LaunchStats count_kmers(
+      std::span<const std::span<const std::uint64_t>> runs,
       DeviceBloomFilter* bloom = nullptr);
 
   /// Supermer count kernel: one thread per supermer; each extracts its

@@ -13,20 +13,23 @@
 //  * k-mer kernels — one thread per staged base position; a thread emits
 //    the k-mer starting at its position if the window does not cross a
 //    separator (Fig. 2). Destinations come from MurmurHash3 on the packed
-//    k-mer. Outgoing buffers are per-destination; population is two-phase
-//    (count, then fill through per-destination atomic cursors), the
-//    standard formulation of the paper's "atomically update the outgoing
-//    buffer".
+//    k-mer.
 //
 //  * supermer kernels — one thread per window of `window` k-mer starts
 //    (Fig. 5); the thread grows supermers in private registers and flushes
 //    one packed 64-bit word + length byte per supermer (Algorithm 2).
 //    Destinations come from the minimizer hash, or from the §VII
-//    frequency-balanced table. They are priced as the same two phases, but
-//    the host walks each window once: the count launch appends every
-//    supermer, in walk order, to its destination's run (SupermerRuns), and
-//    the fill launch, whose per-destination slices those runs are, is
-//    priced and places nothing. The exchange sends the runs as they are.
+//    frequency-balanced table.
+//
+// Both families populate per-destination outgoing buffers in two phases
+// (count, then fill through per-destination atomic cursors), the standard
+// formulation of the paper's "atomically update the outgoing buffer", and
+// are priced as those two phases. The host walks the reads once: the
+// count launch appends every item, in walk order, to its destination's
+// run (KmerRuns, SupermerRuns), and the fill launch, whose per-destination
+// slices those runs are, is priced and places nothing. The runs are the
+// parse's one output: the exchange sends them as they are, the sketch
+// adopts its one run, and out-of-core pass 1 spills them.
 //
 // Each launch is priced as that grid but evaluated once on the host
 // (Device::launch_host) with the kmer library's walkers, its charges in
@@ -74,22 +77,24 @@ struct Staging {
 //
 // `staging` must be staging_of(reads, k).
 
-/// Pass 1: count the k-mers of `reads` destined to each partition.
-/// `dest_counts` must hold `parts` zeroed counters.
+/// What the k-mer fill launch places: each destination's packed k-mers in
+/// walk order (its slice of the outgoing buffer).
+using KmerRuns = std::vector<std::vector<std::uint64_t>>;
+
+/// Pass 1: count the k-mers of `reads` destined to each partition into
+/// `dest_counts`, which must hold `parts` counters, and keep them: `runs`
+/// gets one run per partition, in walk order, whose sizes are the counts.
 gpusim::LaunchStats parse_count_kmers(
     gpusim::Device& device, io::ReadView reads, const Staging& staging,
     int k, io::BaseEncoding enc, std::uint32_t parts,
-    gpusim::DeviceBuffer<std::uint32_t>& dest_counts);
+    gpusim::DeviceBuffer<std::uint32_t>& dest_counts, KmerRuns& runs);
 
-/// Pass 2: write each k-mer into its partition's slice of `out_kmers`.
-/// `offsets` holds the exclusive prefix sums of the pass-1 counts;
-/// `cursors` must hold `parts` zeroed atomics.
-gpusim::LaunchStats parse_fill_kmers(
-    gpusim::Device& device, io::ReadView reads, const Staging& staging,
-    int k, io::BaseEncoding enc, std::uint32_t parts,
-    const gpusim::DeviceBuffer<std::uint64_t>& offsets,
-    gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<std::uint64_t>& out_kmers);
+/// Pass 2: the fill that writes the count launch's runs into the
+/// per-partition slices of the outgoing buffer, through per-destination
+/// atomic cursors. The runs already are those slices, so the launch is
+/// priced (the same walk, plus each k-mer's write) and places nothing.
+gpusim::LaunchStats parse_fill_kmers(gpusim::Device& device,
+                                     const Staging& staging, int k);
 
 // --- supermer kernels (§IV-B, Algorithm 2) ---
 //

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <ostream>
 #include <set>
 #include <string>
@@ -224,6 +225,19 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
                           result.sketch.false_positives())
           << " true, " << format_count(result.sketch.false_positives())
           << " sketch false positives\n";
+      // A key's estimate is the least of its cells, so once the mean cell
+      // reaches the threshold, nearly every key clears it.
+      const std::vector<std::uint32_t>& cells = result.sketch.cells;
+      const std::uint64_t cell_sum =
+          std::accumulate(cells.begin(), cells.end(), std::uint64_t{0});
+      if (!cells.empty() &&
+          cell_sum >= result.sketch.heavy_threshold * cells.size()) {
+        out << "sketch saturated: mean cell value "
+            << cell_sum / cells.size() << " >= threshold "
+            << result.sketch.heavy_threshold
+            << ", so pass 2 counts nearly every key exactly; raise "
+               "--sketch-width\n";
+      }
     }
   } else {
     out << "counted " << format_count(result.totals().counted_kmers)

@@ -17,35 +17,10 @@
 #include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/core/summit.hpp"
-#include "dedukt/kmer/extract.hpp"
 
 namespace dedukt::core {
 
 namespace {
-
-/// PARSEKMER (one full parse phase): extract k-mers and bucket them by
-/// destination processor.
-template <typename KeyTraits>
-std::vector<std::vector<typename KeyTraits::Key>> parse_cpu(
-    io::ReadView reads, const PipelineConfig& config,
-    std::uint32_t parts, RankMetrics& metrics) {
-  const io::BaseEncoding enc = config.encoding();
-  std::vector<std::vector<typename KeyTraits::Key>> outgoing(parts);
-  PhaseScope phase(metrics, kPhaseParse);
-  for (const auto& read : reads.reads) {
-    for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-      KeyTraits::for_each_routed(
-          fragment, config.k, config.canonical, enc, parts,
-          [&](std::uint32_t dest, const typename KeyTraits::Key& key) {
-            outgoing[dest].push_back(key);
-            ++metrics.kmers_parsed;
-          });
-    }
-  }
-  phase.set_uniform_charge(static_cast<double>(metrics.bases) /
-                           summit::kCpuParseBasesPerSec);
-  return outgoing;
-}
 
 /// One round of Algorithm 1 (the whole job when it fits in memory).
 template <typename KeyTraits>
@@ -60,7 +35,7 @@ RankMetrics run_cpu(mpisim::Comm& comm, io::ReadView reads,
   metrics.bases = reads.total_bases();
 
   std::vector<std::vector<typename KeyTraits::Key>> outgoing =
-      parse_cpu<KeyTraits>(reads, config, parts, metrics);
+      detail::parse_cpu<KeyTraits>(reads, config, parts, metrics);
 
   // --- EXCHANGEKMER: Alltoallv of packed k-mers ---
   mpisim::AlltoallvResult<typename KeyTraits::Key> received;

@@ -156,13 +156,23 @@ gpusim::LaunchStats DeviceHashTable::count_kmers(
     const gpusim::DeviceBuffer<std::uint64_t>& kmers, std::size_t n,
     DeviceBloomFilter* bloom) {
   DEDUKT_REQUIRE(n <= kmers.size());
-  const std::uint64_t* in = kmers.data();
+  const std::span<const std::uint64_t> run = kmers.span().first(n);
+  return count_kmers({&run, 1}, bloom);
+}
+
+gpusim::LaunchStats DeviceHashTable::count_kmers(
+    std::span<const std::span<const std::uint64_t>> runs,
+    DeviceBloomFilter* bloom) {
+  std::size_t n = 0;
+  for (const auto run : runs) n += run.size();
   return launch(
       bloom != nullptr ? "hash_count_kmers_filtered" : "hash_count_kmers", n,
       sizeof(std::uint64_t), [&](gpusim::KernelCharges& charges) {
         std::uint64_t inserts = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          inserts += insert(charges, in[i], 1, bloom) ? 1 : 0;
+        for (const auto run : runs) {
+          for (const std::uint64_t key : run) {
+            inserts += insert(charges, key, 1, bloom) ? 1 : 0;
+          }
         }
         return inserts;
       });

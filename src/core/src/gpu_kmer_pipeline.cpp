@@ -5,8 +5,8 @@
 // routes k-mers (two-phase outgoing-buffer population). exchange: staged
 // through the CPU (D2H -> MPI_Alltoallv -> H2D) or GPUDirect. count:
 // open-addressing device hash table with atomic CAS/add.
-#include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,12 +44,11 @@ void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
       summit::kGpuCountOverheadSec);
 }
 
-ParsedKmers parse_device_kmers(gpusim::Device& device, io::ReadView reads,
-                               const PipelineConfig& config,
-                               std::uint32_t parts) {
-  const io::BaseEncoding enc = config.encoding();
+ParsedKmers parse_gpu_kmers(gpusim::Device& device, io::ReadView reads,
+                            const PipelineConfig& config, std::uint32_t parts,
+                            RankMetrics& metrics) {
+  PhaseScope phase(metrics, kPhaseParse, device);
   ParsedKmers parsed;
-  parsed.counts.resize(parts);
 
   // The staged base array (§III-B1): priced and held on the device while
   // the launches read the reads in place.
@@ -57,28 +56,23 @@ ParsedKmers parse_device_kmers(gpusim::Device& device, io::ReadView reads,
   device.reserve(staging.bases);
   device.price_transfer(gpusim::Device::Link::kToDevice, staging.bases);
 
-  auto d_counts = device.alloc<std::uint32_t>(parts, 0u);
-  kernels::parse_count_kmers(device, reads, staging, config.k, enc, parts,
-                             d_counts);
-  device.copy_to_host(d_counts, std::span<std::uint32_t>(parsed.counts));
-
-  parsed.total = exclusive_prefix(parsed.counts, parsed.offsets);
-  DEDUKT_CHECK_MSG(parsed.total == staging.kmers,
-                   "parse kernel lost k-mers: " << parsed.total << " vs "
-                                                << staging.kmers);
-
-  auto d_offsets = device.alloc<std::uint64_t>(parts);
-  device.copy_to_device<std::uint64_t>(parsed.offsets, d_offsets);
-  auto d_cursors = device.alloc<std::uint32_t>(parts, 0u);
-  parsed.d_out = device.alloc<std::uint64_t>(
-      std::max<std::uint64_t>(parsed.total, 1));
-  kernels::parse_fill_kmers(device, reads, staging, config.k, enc, parts,
-                            d_offsets, d_cursors, parsed.d_out);
-
+  // The runs are what the fill launch would place.
+  parsed.total = populate_outgoing(
+      device, parts, sizeof(std::uint64_t), parsed.reserved,
+      [&](gpusim::DeviceBuffer<std::uint32_t>& d_counts) {
+        kernels::parse_count_kmers(device, reads, staging, config.k,
+                                   config.encoding(), parts, d_counts,
+                                   parsed.runs);
+      },
+      [&](std::uint64_t) {
+        kernels::parse_fill_kmers(device, staging, config.k);
+      });
   device.release(staging.bases);
-  device.free(d_counts);
-  device.free(d_offsets);
-  device.free(d_cursors);
+
+  metrics.kmers_parsed = parsed.total;
+  phase.set_device_floor_charge(
+      static_cast<double>(parsed.total) / summit::kGpuParseKmersPerSec,
+      summit::kGpuParseOverheadSec);
   return parsed;
 }
 
@@ -94,19 +88,6 @@ struct ConsolidatedKmers {
   std::vector<std::vector<std::uint32_t>> out_key_counts;
 };
 
-/// parse & process k-mers on the device (one full parse phase).
-ParsedKmers parse_gpu_kmers(gpusim::Device& device, io::ReadView reads,
-                            const PipelineConfig& config, std::uint32_t parts,
-                            RankMetrics& metrics) {
-  PhaseScope phase(metrics, kPhaseParse, device);
-  ParsedKmers parsed = detail::parse_device_kmers(device, reads, config, parts);
-  metrics.kmers_parsed = parsed.total;
-  phase.set_device_floor_charge(
-      static_cast<double>(parsed.total) / summit::kGpuParseKmersPerSec,
-      summit::kGpuParseOverheadSec);
-  return parsed;
-}
-
 /// Source-side consolidation (footnote 1, after Georganas): count locally
 /// first and bucket (k-mer, count) pairs per destination. A second parse
 /// phase in the ledger.
@@ -119,9 +100,13 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   buckets.out_key_counts.resize(parts);
   PhaseScope phase(metrics, kPhaseParse, device);
 
+  // The runs in destination order, the order the outgoing buffer holds
+  // them.
   DeviceHashTable local(device, parsed.total);
-  local.count_kmers(parsed.d_out, parsed.total);
-  device.free(parsed.d_out);
+  local.count_kmers(std::vector<std::span<const std::uint64_t>>(
+      parsed.runs.begin(), parsed.runs.end()));
+  parsed.runs.clear();
+  device.release(parsed.reserved);
   HostHashTable counted;
   std::move(local).read_out(counted);
   counted.for_each([&](std::uint64_t key, std::uint64_t count) {
@@ -174,7 +159,8 @@ RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
   metrics.reads = reads.size();
   metrics.bases = reads.total_bases();
 
-  ParsedKmers parsed = parse_gpu_kmers(device, reads, config, parts, metrics);
+  ParsedKmers parsed =
+      detail::parse_gpu_kmers(device, reads, config, parts, metrics);
 
   if (config.source_consolidation) {
     ConsolidatedKmers buckets =
@@ -215,10 +201,13 @@ RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
     PhaseScope phase(metrics, kPhaseExchange);
     ExchangePlan plan(comm, &device, staged);
 
-    const std::vector<std::uint64_t> host_out =
-        plan.stage_out(parsed.d_out, parsed.total);
-    mpisim::AlltoallvResult<std::uint64_t> received =
-        plan.exchange(host_out, parsed.counts, parsed.offsets);
+    // The outgoing buffer leaves the device (priced by its bytes); the
+    // count launch's runs are its per-destination slices, and the
+    // Alltoallv reads them in place.
+    const kernels::KmerRuns runs = std::move(parsed.runs);
+    plan.price_stage_out(parsed.total * sizeof(std::uint64_t));
+    device.release(parsed.reserved);
+    mpisim::AlltoallvResult<std::uint64_t> received = plan.exchange(runs);
     kmers = received.data.size();
     d_recv = plan.stage_in(std::move(received.data));
     phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);

@@ -8,7 +8,6 @@
 // count: the destination extracts each supermer's k-mers and counts them in
 // the device hash table.
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -74,31 +73,46 @@ template void count_gpu_supermers<kmer::WideKey>(
     gpusim::DeviceBuffer<kmer::WideKey>&, gpusim::DeviceBuffer<std::uint8_t>&,
     std::uint64_t, std::uint64_t, HostHashTable&, RankMetrics&);
 
-}  // namespace detail
+SupermerRouting route_supermers(mpisim::Comm& comm, gpusim::Device& device,
+                                io::ReadView reads,
+                                const PipelineConfig& config,
+                                std::optional<MinimizerAssignment>& assignment,
+                                RankMetrics& metrics) {
+  // §VII extension: the frequency-balanced routing table is sampled once
+  // per job, from the first round — per-round tables would route the same
+  // k-mer to different ranks in different rounds and break table locality.
+  // The sampling work and collectives, and each round's copy of the table
+  // to its device, are charged to the parse phase. The launches read the
+  // host table in place; its device copy is priced and held for the
+  // round.
+  SupermerRouting routing;
+  if (config.partition == PartitionScheme::kMinimizerHash) return routing;
+  PhaseScope phase(metrics, kPhaseParse, device);
+  double sample_seconds = 0.0;
+  double sample_volume = 0.0;
+  if (!assignment) {
+    SampledAssignment sample = sample_assignment(comm, reads, config);
+    assignment.emplace(std::move(sample.assignment));
+    sample_seconds = sample.modeled_seconds;
+    sample_volume = sample.modeled_volume_seconds;
+  }
+  routing.table = &*assignment;
+  routing.reserved =
+      sizeof(std::uint32_t) * std::uint64_t{routing.table->buckets()};
+  device.reserve(routing.reserved);
+  device.price_transfer(gpusim::Device::Link::kToDevice, routing.reserved);
+  phase.set_charge(sample_seconds + phase.device().modeled_seconds(),
+                   sample_volume + phase.device().modeled_volume_seconds());
+  return routing;
+}
 
-namespace {
-
-/// The parse output awaiting the exchange: the count launch's runs, which
-/// stand for the packed supermer word and length buffers the fill launch
-/// places on the device.
 template <typename Word>
-struct ParsedSupermers {
-  kernels::SupermerRuns<Word> runs;
-  std::uint64_t total_supermers = 0;
-  /// Device bytes reserved for the word and length buffers until the
-  /// exchange stages them out.
-  std::uint64_t reserved = 0;
-};
-
-/// parse & process: build supermers on the device (one full parse phase).
-/// Word selects the supermer packing: std::uint64_t for the paper's
-/// single-word regime, kmer::WideKey for the two-word extension that lifts
-/// the window cap of 15.
-template <typename Word>
-ParsedSupermers<Word> parse_gpu_supermers(
-    gpusim::Device& device, io::ReadView reads,
-    const PipelineConfig& config, std::uint32_t parts,
-    const MinimizerAssignment* assignment, RankMetrics& metrics) {
+ParsedSupermers<Word> parse_gpu_supermers(gpusim::Device& device,
+                                          io::ReadView reads,
+                                          const PipelineConfig& config,
+                                          std::uint32_t parts,
+                                          const MinimizerAssignment* routing,
+                                          RankMetrics& metrics) {
   const kmer::SupermerConfig smer_config = config.supermer_config();
 
   ParsedSupermers<Word> parsed;
@@ -117,35 +131,27 @@ ParsedSupermers<Word> parse_gpu_supermers(
   device.reserve(window_reserved);
   device.price_transfer(gpusim::Device::Link::kToDevice, window_bytes);
 
-  auto d_counts = device.alloc<std::uint32_t>(parts, 0u);
-  kernels::supermer_count<Word>(device, reads, staging, smer_config, parts,
-                                d_counts, parsed.runs, assignment);
-  std::vector<std::uint32_t> counts(parts);
-  device.copy_to_host(d_counts, std::span<std::uint32_t>(counts));
-  parsed.total_supermers =
-      std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
-
-  // The fill launch's offsets (copied to the device), its zeroed cursors
-  // and the word and length buffers it fills: priced and held as the
-  // device would hold them. The runs are what it would place.
-  const std::uint64_t offsets_bytes = sizeof(std::uint64_t) * parts;
-  const std::uint64_t cursors_bytes = sizeof(std::uint32_t) * parts;
-  device.reserve(offsets_bytes);
-  device.price_transfer(gpusim::Device::Link::kToDevice, offsets_bytes);
-  device.reserve(cursors_bytes);
-  parsed.reserved = std::max<std::uint64_t>(parsed.total_supermers, 1) *
-                    (sizeof(Word) + sizeof(std::uint8_t));
-  device.reserve(parsed.reserved);
-  kernels::supermer_fill<Word>(device, staging, smer_config,
-                               parsed.total_supermers, assignment);
-
+  // The runs are what the fill launch would place.
+  parsed.total_supermers = populate_outgoing(
+      device, parts, sizeof(Word) + sizeof(std::uint8_t), parsed.reserved,
+      [&](gpusim::DeviceBuffer<std::uint32_t>& d_counts) {
+        kernels::supermer_count<Word>(device, reads, staging, smer_config,
+                                      parts, d_counts, parsed.runs, routing);
+      },
+      [&](std::uint64_t supermers) {
+        kernels::supermer_fill<Word>(device, staging, smer_config, supermers,
+                                     routing);
+      });
   device.release(staging.bases);
   device.release(window_reserved);
-  device.free(d_counts);
-  device.release(offsets_bytes);
-  device.release(cursors_bytes);
 
   metrics.supermers_built = parsed.total_supermers;
+  // Total supermer payload bases (§IV-C compression metric), summed from
+  // the length runs on the host — never element-by-element from device
+  // memory.
+  for (const auto& lens : parsed.runs.lens) {
+    for (const std::uint8_t len : lens) metrics.supermer_bases += len;
+  }
   // Supermer construction costs ~33% over plain k-mer parsing (§V-C).
   phase.set_device_floor_charge(
       static_cast<double>(metrics.kmers_parsed) /
@@ -153,6 +159,17 @@ ParsedSupermers<Word> parse_gpu_supermers(
       summit::kGpuParseOverheadSec);
   return parsed;
 }
+
+template ParsedSupermers<std::uint64_t> parse_gpu_supermers<std::uint64_t>(
+    gpusim::Device&, io::ReadView, const PipelineConfig&, std::uint32_t,
+    const MinimizerAssignment*, RankMetrics&);
+template ParsedSupermers<kmer::WideKey> parse_gpu_supermers<kmer::WideKey>(
+    gpusim::Device&, io::ReadView, const PipelineConfig&, std::uint32_t,
+    const MinimizerAssignment*, RankMetrics&);
+
+}  // namespace detail
+
+namespace {
 
 /// Parse, exchange and count one round with supermers packed in Word,
 /// adding to `metrics` (which may already hold the routing setup's parse
@@ -162,7 +179,7 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
                         io::ReadView reads,
                         const PipelineConfig& config,
                         HostHashTable& local_table,
-                        const MinimizerAssignment* assignment,
+                        const MinimizerAssignment* routing,
                         RankMetrics& metrics) {
   const auto parts = static_cast<std::uint32_t>(comm.size());
   const bool staged = config.exchange == ExchangeMode::kStaged;
@@ -170,8 +187,8 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
   metrics.reads = reads.size();
   metrics.bases = reads.total_bases();
 
-  ParsedSupermers<Word> parsed = parse_gpu_supermers<Word>(
-      device, reads, config, parts, assignment, metrics);
+  detail::ParsedSupermers<Word> parsed = detail::parse_gpu_supermers<Word>(
+      device, reads, config, parts, routing, metrics);
 
   // --- exchange supermer words and lengths ---
   gpusim::DeviceBuffer<Word> d_recv_words;
@@ -183,19 +200,12 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
     ExchangePlan plan(comm, &device, staged);
 
     // The word and then the length buffer leave the device (priced by
-    // their bytes, as stage_out prices them); the count launch's runs
-    // are their per-destination slices, and each Alltoallv reads them in
-    // place.
+    // their bytes); the count launch's runs are their per-destination
+    // slices, and each Alltoallv reads them in place.
     const kernels::SupermerRuns<Word> runs = std::move(parsed.runs);
     plan.price_stage_out(parsed.total_supermers * sizeof(Word));
     plan.price_stage_out(parsed.total_supermers * sizeof(std::uint8_t));
     device.release(parsed.reserved);
-    // Total supermer payload bases (§IV-C compression metric), summed from
-    // the staged-out length runs on the host — never element-by-element
-    // from device memory.
-    for (const auto& lens : runs.lens) {
-      for (const std::uint8_t len : lens) metrics.supermer_bases += len;
-    }
 
     mpisim::AlltoallvResult<Word> recv_words = plan.exchange(runs.words);
     mpisim::AlltoallvResult<std::uint8_t> recv_lens =
@@ -222,41 +232,16 @@ RankMetrics run_gpu_supermer_rank(
   config.validate();
   RankMetrics metrics;
 
-  // §VII extension: the frequency-balanced routing table is sampled once
-  // per job, from the first round — per-round tables would route the same
-  // k-mer to different ranks in different rounds and break table locality.
-  // The sampling work and collectives, and each round's copy of the table
-  // to its device, are charged to the parse phase. The launches read the
-  // host table in place; its device copy is priced and held for the
-  // round.
-  const MinimizerAssignment* routing = nullptr;
-  std::uint64_t routing_bytes = 0;
-  if (config.partition != PartitionScheme::kMinimizerHash) {
-    PhaseScope phase(metrics, kPhaseParse, device);
-    double sample_seconds = 0.0;
-    double sample_volume = 0.0;
-    if (!assignment) {
-      SampledAssignment sample = sample_assignment(comm, reads, config);
-      assignment.emplace(std::move(sample.assignment));
-      sample_seconds = sample.modeled_seconds;
-      sample_volume = sample.modeled_volume_seconds;
-    }
-    routing = &*assignment;
-    routing_bytes = sizeof(std::uint32_t) * std::uint64_t{routing->buckets()};
-    device.reserve(routing_bytes);
-    device.price_transfer(gpusim::Device::Link::kToDevice, routing_bytes);
-    phase.set_charge(sample_seconds + phase.device().modeled_seconds(),
-                     sample_volume + phase.device().modeled_volume_seconds());
-  }
-
+  const detail::SupermerRouting routing =
+      detail::route_supermers(comm, device, reads, config, assignment, metrics);
   if (config.wide_supermers) {
     run_supermer_round<kmer::WideKey>(comm, device, reads, config,
-                                      local_table, routing, metrics);
+                                      local_table, routing.table, metrics);
   } else {
     run_supermer_round<std::uint64_t>(comm, device, reads, config,
-                                      local_table, routing, metrics);
+                                      local_table, routing.table, metrics);
   }
-  device.release(routing_bytes);
+  device.release(routing.reserved);
   metrics.unique_kmers = local_table.unique();
   metrics.counted_kmers = local_table.total();
   return metrics;

@@ -1,13 +1,12 @@
 // The parse-stage launches. Each runs once on the host (Device::launch_host)
 // and prices the per-thread kernel over the staged base array in closed
-// form, from the caller's Staging. The k-mer launches and the supermer
-// count launch walk the rank's reads in place, fragment by fragment, with
-// the kmer library's walkers: kmer::for_each_kmer for the k-mer launches,
-// the supermer builders (one block sliding minimum per fragment) for the
-// count launch. They write the same counters and buffers, in the same
-// order, as that kernel in the canonical block order; the count launch
-// keeps the supermers it built as the per-destination runs the fill
-// launch would place, so the fill launch walks nothing.
+// form, from the caller's Staging. The two count launches walk the rank's
+// reads in place, fragment by fragment, with the kmer library's walkers:
+// kmer::for_each_kmer for the k-mer launch, the supermer builders (one
+// block sliding minimum per fragment) for the supermer launch. They write
+// the same counters, in the same order, as that kernel in the canonical
+// block order, and keep what they route as the per-destination runs the
+// fill launches would place, so the fill launches walk nothing.
 #include "dedukt/core/kernels.hpp"
 
 #include <algorithm>
@@ -39,33 +38,42 @@ std::uint64_t kmers_of(std::string_view fragment, int k) {
   return fragment.size() - static_cast<std::size_t>(k) + 1;
 }
 
+/// Check that a launch walked the k-mers its staging holds.
+void expect_staged(const Staging& staging, std::uint64_t walked) {
+  DEDUKT_REQUIRE_MSG(walked == staging.kmers,
+                     "staging of " << staging.kmers
+                                   << " k-mers does not match the reads' "
+                                   << walked);
+}
+
+/// The capacity a full run of `size` items grows to, once its launch has
+/// walked `walked` of the staging's `kmers` k-mers: its projected final
+/// size (the run scaled by kmers / walked), plus an eighth. A few
+/// reallocations per run, instead of one per doubling, leave the heap far
+/// less fragmented.
+std::size_t projected_capacity(std::size_t size, std::uint64_t kmers,
+                               std::uint64_t walked) {
+  return static_cast<std::size_t>(
+      static_cast<double>(size) *
+          static_cast<double>(std::max(kmers, walked)) /
+          static_cast<double>(walked) * 1.125 +
+      64);
+}
+
 /// Run the k-mer launch `name` over the one-thread-per-staged-base grid
-/// (Fig. 2). It visits the k-mers of the staged fragments in order, which
-/// are exactly the k-mers of the positions whose k staged bytes hold no
-/// separator, as fn(code, dest). Every thread loads k bytes; each k-mer is
-/// packed and hashed (2k + 8 ops), claims its destination with one atomic
-/// and writes `bytes_out`.
-template <typename Fn>
+/// (Fig. 2), whose threads emit the k-mers of the staged fragments: the
+/// positions whose k staged bytes hold no separator. `body()` runs first.
+/// Every thread loads k bytes; each k-mer is packed and hashed (2k + 8
+/// ops), claims its destination with one atomic and writes `bytes_out`.
+template <typename Body>
 gpusim::LaunchStats kmer_launch(const char* name, gpusim::Device& device,
-                                io::ReadView reads, const Staging& staging,
-                                int k, io::BaseEncoding enc,
-                                std::uint32_t parts, std::uint64_t bytes_out,
-                                Fn&& fn) {
+                                const Staging& staging, int k,
+                                std::uint64_t bytes_out, Body&& body) {
   DEDUKT_REQUIRE(k >= 2 && k <= kmer::kMaxPackedK);
   const auto shape = device.shape_for(staging.bases);
   return device.launch_host(name, shape.grid_dim, shape.block_dim,
                             [&](gpusim::KernelCharges& charges) {
-    std::uint64_t kmers = 0;
-    for_each_staged_fragment(reads, k, [&](std::string_view fragment) {
-      kmer::for_each_kmer(fragment, k, enc, [&](kmer::KmerCode code) {
-        fn(code, kmer::kmer_partition(code, parts));
-      });
-      kmers += kmers_of(fragment, k);
-    });
-    DEDUKT_REQUIRE_MSG(kmers == staging.kmers,
-                       "staging of " << staging.kmers
-                                     << " k-mers does not match the reads' "
-                                     << kmers);
+    body();
     const auto kk = static_cast<std::uint64_t>(k);
     charges.count_gmem_read(staging.bases * kk);
     charges.count_ops(staging.kmers * (2 * kk + 8));
@@ -127,28 +135,35 @@ Staging staging_of(io::ReadView reads, int k, int window) {
 gpusim::LaunchStats parse_count_kmers(
     gpusim::Device& device, io::ReadView reads, const Staging& staging,
     int k, io::BaseEncoding enc, std::uint32_t parts,
-    gpusim::DeviceBuffer<std::uint32_t>& dest_counts) {
+    gpusim::DeviceBuffer<std::uint32_t>& dest_counts, KmerRuns& runs) {
   DEDUKT_REQUIRE(dest_counts.size() >= parts);
-  return kmer_launch(
-      "parse_count_kmers", device, reads, staging, k, enc, parts, 0,
-      [&](kmer::KmerCode, std::uint32_t dest) { ++dest_counts[dest]; });
+  return kmer_launch("parse_count_kmers", device, staging, k, 0, [&] {
+    runs.assign(parts, {});
+    // One destination's run holds every k-mer.
+    if (parts == 1) runs[0].reserve(staging.kmers);
+    std::uint64_t walked = 0;
+    for_each_staged_fragment(reads, k, [&](std::string_view fragment) {
+      walked += kmers_of(fragment, k);
+      kmer::for_each_kmer(fragment, k, enc, [&](kmer::KmerCode code) {
+        std::vector<std::uint64_t>& run =
+            runs[kmer::kmer_partition(code, parts)];
+        if (run.size() == run.capacity()) {
+          run.reserve(projected_capacity(run.size(), staging.kmers, walked));
+        }
+        run.push_back(code);
+      });
+    });
+    expect_staged(staging, walked);
+    for (std::uint32_t dest = 0; dest < parts; ++dest) {
+      dest_counts[dest] = static_cast<std::uint32_t>(runs[dest].size());
+    }
+  });
 }
 
-gpusim::LaunchStats parse_fill_kmers(
-    gpusim::Device& device, io::ReadView reads, const Staging& staging,
-    int k, io::BaseEncoding enc, std::uint32_t parts,
-    const gpusim::DeviceBuffer<std::uint64_t>& offsets,
-    gpusim::DeviceBuffer<std::uint32_t>& cursors,
-    gpusim::DeviceBuffer<std::uint64_t>& out_kmers) {
-  DEDUKT_REQUIRE(offsets.size() >= parts);
-  DEDUKT_REQUIRE(cursors.size() >= parts);
-  return kmer_launch("parse_fill_kmers", device, reads, staging, k, enc,
-                     parts, sizeof(std::uint64_t),
-                     [&](kmer::KmerCode code, std::uint32_t dest) {
-    const std::uint64_t slot = offsets[dest] + cursors[dest]++;
-    DEDUKT_CHECK_MSG(slot < out_kmers.size(), "outgoing buffer overflow");
-    out_kmers[slot] = code;
-  });
+gpusim::LaunchStats parse_fill_kmers(gpusim::Device& device,
+                                     const Staging& staging, int k) {
+  return kmer_launch("parse_fill_kmers", device, staging, k,
+                     sizeof(std::uint64_t), [] {});
 }
 
 template <typename Word>
@@ -185,15 +200,8 @@ gpusim::LaunchStats supermer_count(
                                            << dest << " of " << parts);
         std::vector<Word>& words = runs.words[dest];
         if (words.size() == words.capacity()) {
-          // A full run grows to its projected final size: its length
-          // scaled by the staged k-mers over those walked so far, plus an
-          // eighth. A few reallocations per run, instead of one per
-          // doubling, leave the heap far less fragmented.
-          const auto projected = static_cast<std::size_t>(
-              static_cast<double>(words.size()) *
-                  static_cast<double>(std::max(staging.kmers, kmers)) /
-                  static_cast<double>(kmers) * 1.125 +
-              64);
+          const std::size_t projected =
+              projected_capacity(words.size(), staging.kmers, kmers);
           words.reserve(projected);
           runs.lens[dest].reserve(projected);
         }
@@ -201,10 +209,7 @@ gpusim::LaunchStats supermer_count(
         runs.lens[dest].push_back(ds.smer.len);
       }
     });
-    DEDUKT_REQUIRE_MSG(kmers == staging.kmers,
-                       "staging of " << staging.kmers
-                                     << " k-mers does not match the reads' "
-                                     << kmers);
+    expect_staged(staging, kmers);
     std::uint64_t supermers = 0;
     for (std::uint32_t dest = 0; dest < parts; ++dest) {
       dest_counts[dest] = static_cast<std::uint32_t>(runs.lens[dest].size());

@@ -1,37 +1,34 @@
 // Out-of-core two-pass counting (--ooc-spill) on the count engine; see
 // docs/out-of-core.md for the design rationale.
 //
-// Pass 1 runs on the engine's batch loop: each rank parses its share of
-// every batch and appends destination-tagged runs of packed payload (k-mer
-// keys or supermers, exactly what the selected pipeline puts on the wire)
-// to per-rank spill-bin files. The bin is a pure function of the k-mer key
-// or supermer minimizer, so pass 2 can process bins independently.
-// Pass 2 replays one bin at a time: it exchanges the bin, then calls the
-// pipeline's own count phase against the persistent per-rank table, which
-// bounds the exchange working set by 1/bins of the dataset.
-//
-// Pass 1 reads what the in-memory parse launches read, each rank's reads
-// in place, with the same k-mer walk and supermer builders (one block
-// sliding minimum per fragment, kmer::minimizers_of, then one walk of its
-// windows); it differs only in what it prices. It launches nothing and
-// prices no staging: its parse charges use each pipeline's calibrated
-// throughput terms, the GPU device floor approximated by the throughput
-// term itself, an equality on every profiled configuration since the
-// modeled kernels are throughput-bound. The builders produce the same
-// k-mer/supermer multiset per destination, which is all pass 2 consumes,
-// and each supermer carries the minimizer that picks its bin.
+// Pass 1 runs on the engine's batch loop: each rank runs its pipeline's
+// own parse phase on its share of every batch (count_stages.hpp: the CPU
+// parse, or the GPU k-mer or supermer launches on a per-batch device,
+// §VII routing setup included), so it prices exactly what an in-memory
+// round's parse phase prices. The spill phase then appends each
+// destination's run — exactly what the pipeline puts on the wire — to the
+// rank's spill-bin files, one run per bin that holds any of its items, in
+// walk order. The payload's D2H to the host, where the files are written,
+// is not priced. The bin is a pure function of the k-mer key or of the
+// supermer's minimizer (its first k-mer's, recomputed from its bases), so
+// pass 2 can process bins independently. Pass 2 replays one bin at a
+// time: it exchanges the bin, then calls the pipeline's own count phase
+// against the persistent per-rank table, which bounds the exchange working
+// set by 1/bins of the dataset.
 //
 // Spectra, global counts and (for hash routing) per-rank tallies are
 // bit-identical to the in-memory path: every occurrence of a key follows
 // the same destination function, only grouped differently in time. Disk
 // traffic is priced by io::DiskModel into the two out-of-core-only phases
 // (kPhaseSpill / kPhaseReload).
+#include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <string_view>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "count_stages.hpp"
 #include "dedukt/core/exchange_plan.hpp"
@@ -40,7 +37,6 @@
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/hash/murmur3.hpp"
 #include "dedukt/io/spill.hpp"
-#include "dedukt/kmer/extract.hpp"
 #include "dedukt/kmer/supermer.hpp"
 #include "dedukt/kmer/wide.hpp"
 #include "dedukt/trace/trace.hpp"
@@ -76,19 +72,15 @@ io::SpillKind spill_kind_of(const PipelineConfig& config) {
                                : io::SpillKind::kSupermers;
 }
 
-/// Append one wire item (a key or supermer word) as packed 64-bit words.
+/// Wire items (keys or supermer words) as the packed 64-bit words the bin
+/// files hold: one or two per item.
 template <typename Word>
-void push_words(std::vector<std::uint64_t>& out, const Word& word) {
-  if constexpr (std::is_same_v<Word, std::uint64_t>) {
-    out.push_back(word);
-  } else {
-    std::uint64_t w[sizeof(Word) / sizeof(std::uint64_t)];
-    std::memcpy(w, &word, sizeof(w));
-    out.insert(out.end(), std::begin(w), std::end(w));
-  }
+const std::uint64_t* as_words(const Word* items) {
+  static_assert(sizeof(Word) % sizeof(std::uint64_t) == 0);
+  return reinterpret_cast<const std::uint64_t*>(items);
 }
 
-/// The inverse of push_words over a whole reloaded buffer.
+/// The inverse of as_words over a whole reloaded buffer.
 template <typename Word>
 std::vector<Word> words_as(std::vector<std::uint64_t>&& words) {
   if constexpr (std::is_same_v<Word, std::uint64_t>) {
@@ -105,137 +97,135 @@ std::vector<Word> words_as(std::vector<std::uint64_t>&& words) {
   }
 }
 
-/// Per-[bin][dest] staging buffers one pass-1 batch fills before the spill
-/// phase appends them as runs.
-struct BinBuckets {
-  std::vector<std::vector<std::vector<std::uint64_t>>> words;
-  std::vector<std::vector<std::vector<std::uint8_t>>> lens;
-
-  BinBuckets(std::uint32_t bins, std::uint32_t parts, bool has_lens) {
-    words.assign(bins, std::vector<std::vector<std::uint64_t>>(parts));
-    if (has_lens) {
-      lens.assign(bins, std::vector<std::vector<std::uint8_t>>(parts));
-    }
-  }
-
-  [[nodiscard]] std::uint64_t resident_bytes() const {
-    std::uint64_t bytes = 0;
-    for (const auto& per_bin : words) {
-      for (const auto& buf : per_bin) bytes += buf.size() * sizeof(buf[0]);
-    }
-    for (const auto& per_bin : lens) {
-      for (const auto& buf : per_bin) bytes += buf.size();
-    }
-    return bytes;
-  }
-};
-
-/// Bin one batch's supermers; Word is the supermer packing. Each supermer
-/// goes to the bin of its minimizer and to the pipeline's destination (the
-/// frequency-balanced table's when `assignment` is set).
+/// The minimizer a packed supermer's k-mers share: its first k-mer's.
 template <typename Word>
-void bin_supermers(io::ReadView mine, const PipelineConfig& config,
-                   std::uint32_t parts, std::uint32_t bins,
-                   const MinimizerAssignment* assignment, BinBuckets& buckets,
-                   RankMetrics& metrics) {
-  constexpr bool kWide = std::is_same_v<Word, kmer::WideKey>;
-  const kmer::SupermerConfig smer_config = config.supermer_config();
-  for (const auto& read : mine.reads) {
-    const auto supermers = [&] {
-      if constexpr (kWide) {
-        return kmer::build_wide_supermers_read(read.bases, smer_config, parts);
-      } else {
-        return kmer::build_supermers_read(read.bases, smer_config, parts);
-      }
-    }();
-    for (const auto& ds : supermers) {
-      const std::uint32_t dest =
-          assignment != nullptr ? assignment->rank_of(ds.minimizer) : ds.dest;
-      const std::uint32_t bin =
-          spill_bin_of<NarrowKeyTraits>(ds.minimizer, bins);
-      push_words(buckets.words[bin][dest], ds.smer.bases);
-      buckets.lens[bin][dest].push_back(ds.smer.len);
-      ++metrics.supermers_built;
-      metrics.supermer_bases += ds.smer.len;
-      metrics.kmers_parsed += static_cast<std::uint64_t>(ds.smer.len) -
-                              static_cast<std::uint64_t>(config.k) + 1;
-    }
-  }
-}
-
-/// Parse one pass-1 batch into the bin buckets and state the parse charge.
-/// Routes every occurrence with the pipeline's own destination function
-/// and charges each pipeline kind its own parse rate.
-template <typename KeyTraits>
-void parse_into_bins(io::ReadView mine, const PipelineConfig& config,
-                     std::uint32_t parts, std::uint32_t bins,
-                     const MinimizerAssignment* assignment,
-                     BinBuckets& buckets, RankMetrics& metrics) {
-  PhaseScope phase(metrics, kPhaseParse);
-  if (config.kind == PipelineKind::kGpuSupermer) {
-    if (config.wide_supermers) {
-      bin_supermers<kmer::WideKey>(mine, config, parts, bins, assignment,
-                                   buckets, metrics);
-    } else {
-      bin_supermers<std::uint64_t>(mine, config, parts, bins, assignment,
-                                   buckets, metrics);
-    }
-    const double work =
-        static_cast<double>(metrics.kmers_parsed) /
-        (summit::kGpuParseKmersPerSec / summit::kSupermerParseOverhead);
-    phase.set_charge(work + summit::kGpuParseOverheadSec, work);
-    return;
-  }
-
-  const io::BaseEncoding enc = config.encoding();
-  for (const auto& read : mine.reads) {
-    for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-      KeyTraits::for_each_routed(
-          fragment, config.k, config.canonical, enc, parts,
-          [&](std::uint32_t dest, const typename KeyTraits::Key& key) {
-            push_words(buckets.words[spill_bin_of<KeyTraits>(key, bins)][dest],
-                       key);
-            ++metrics.kmers_parsed;
-          });
-    }
-  }
-  if (config.kind == PipelineKind::kCpu) {
-    phase.set_uniform_charge(static_cast<double>(metrics.bases) /
-                             summit::kCpuParseBasesPerSec);
+kmer::KmerCode supermer_minimizer(const Word& word, std::uint8_t len, int k,
+                                  const kmer::MinimizerPolicy& policy) {
+  if constexpr (std::is_same_v<Word, kmer::WideKey>) {
+    return kmer::minimizer_of(kmer::wide_sub(kmer::from_key(word), len, 0, k),
+                              k, policy);
   } else {
-    const double work = static_cast<double>(metrics.kmers_parsed) /
-                        summit::kGpuParseKmersPerSec;
-    phase.set_charge(work + summit::kGpuParseOverheadSec, work);
+    return kmer::minimizer_of(kmer::sub_code(word, len, 0, k), k, policy);
   }
 }
 
-/// Append one batch's bin buckets as runs and state the spill charge.
-void spill_buckets(BinBuckets& buckets,
-                   std::vector<std::unique_ptr<io::SpillBinWriter>>& writers,
-                   io::SpillKind kind, const io::DiskModel& disk,
-                   RankMetrics& metrics) {
+/// The spill phase of one pass-1 batch: append each destination's run of
+/// `words` (and of `lens`, supermers only; empty for keys) to `writers`,
+/// one run per bin that holds any of its items, each in walk order; the
+/// bin of an item is bin_of(word, len). A run is regrouped by bin (a
+/// stable counting sort into scratch that the next run reuses) and freed
+/// once it is spilled. Returns the payload bytes the runs held.
+template <typename Word, typename BinOf>
+std::uint64_t spill_runs(
+    std::vector<std::vector<Word>>& words,
+    std::vector<std::vector<std::uint8_t>>& lens, BinOf&& bin_of,
+    std::vector<std::unique_ptr<io::SpillBinWriter>>& writers,
+    const io::DiskModel& disk, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseSpill);
-  std::uint64_t bytes = 0;
-  std::uint64_t runs = 0;
-  const bool has_lens = io::spill_has_lens(kind);
-  const std::uint32_t wpi = io::spill_words_per_item(kind);
-  for (std::size_t bin = 0; bin < writers.size(); ++bin) {
-    io::SpillBinWriter& writer = *writers[bin];
-    const std::uint64_t before_bytes = writer.bytes_written();
-    const std::uint64_t before_runs = writer.runs();
-    for (std::size_t dest = 0; dest < buckets.words[bin].size(); ++dest) {
-      const std::vector<std::uint64_t>& words = buckets.words[bin][dest];
-      if (words.empty()) continue;
-      writer.append_run(static_cast<std::uint32_t>(dest), words.data(),
-                        words.size() / wpi,
-                        has_lens ? buckets.lens[bin][dest].data() : nullptr);
+  const bool has_lens = !lens.empty();
+  const std::size_t bins = writers.size();
+  const auto ledger = [&writers] {
+    std::pair<std::uint64_t, std::uint64_t> bytes_runs;
+    for (const auto& writer : writers) {
+      bytes_runs.first += writer->bytes_written();
+      bytes_runs.second += writer->runs();
     }
-    bytes += writer.bytes_written() - before_bytes;
-    runs += writer.runs() - before_runs;
+    return bytes_runs;
+  };
+  const auto [bytes_before, runs_before] = ledger();
+
+  std::uint64_t payload = 0;
+  std::vector<std::uint32_t> item_bins;
+  std::vector<std::uint64_t> starts(bins + 1);
+  std::vector<Word> by_bin;
+  std::vector<std::uint8_t> lens_by_bin;
+  for (std::size_t dest = 0; dest < words.size(); ++dest) {
+    const std::vector<Word>& run = words[dest];
+    const std::size_t n = run.size();
+    item_bins.resize(n);
+    std::fill(starts.begin(), starts.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      item_bins[i] = bin_of(run[i], has_lens ? lens[dest][i] : 0);
+      ++starts[item_bins[i] + 1];
+    }
+    std::partial_sum(starts.begin(), starts.end(), starts.begin());
+    std::vector<std::uint64_t> next(starts.begin(), starts.end() - 1);
+    by_bin.resize(n);
+    if (has_lens) lens_by_bin.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t slot = next[item_bins[i]]++;
+      by_bin[slot] = run[i];
+      if (has_lens) lens_by_bin[slot] = lens[dest][i];
+    }
+    for (std::size_t bin = 0; bin < bins; ++bin) {
+      const std::uint64_t count = starts[bin + 1] - starts[bin];
+      if (count == 0) continue;
+      writers[bin]->append_run(
+          static_cast<std::uint32_t>(dest), as_words(&by_bin[starts[bin]]),
+          count, has_lens ? &lens_by_bin[starts[bin]] : nullptr);
+    }
+    payload += n * (sizeof(Word) + (has_lens ? 1 : 0));
+    std::vector<Word>().swap(words[dest]);
+    if (has_lens) std::vector<std::uint8_t>().swap(lens[dest]);
   }
-  metrics.spill_bytes_written = bytes;
-  phase.set_charge(disk.write_seconds(bytes, runs),
-                   disk.write_volume_seconds(bytes));
+
+  const auto [bytes_after, runs_after] = ledger();
+  metrics.spill_bytes_written = bytes_after - bytes_before;
+  phase.set_charge(disk.write_seconds(bytes_after - bytes_before,
+                                      runs_after - runs_before),
+                   disk.write_volume_seconds(bytes_after - bytes_before));
+  return payload;
+}
+
+/// Pass 1 for one rank's share of a batch: the pipeline's own parse phase
+/// (the GPU kinds' on a device of the batch's own, as an in-memory round
+/// builds one), then the spill phase of its runs. Returns the payload
+/// bytes the runs held.
+template <typename KeyTraits>
+std::uint64_t parse_and_spill(
+    mpisim::Comm& comm, io::ReadView mine, const DriverOptions& options,
+    std::optional<MinimizerAssignment>& assignment,
+    std::vector<std::unique_ptr<io::SpillBinWriter>>& writers,
+    RankMetrics& metrics) {
+  const PipelineConfig& config = options.pipeline;
+  const auto parts = static_cast<std::uint32_t>(comm.size());
+  const auto bins = static_cast<std::uint32_t>(writers.size());
+  const io::DiskModel& disk = options.ooc.disk;
+  const auto key_bin = [bins](const typename KeyTraits::Key& key,
+                              std::uint8_t) {
+    return spill_bin_of<KeyTraits>(key, bins);
+  };
+  std::vector<std::vector<std::uint8_t>> no_lens;
+  if constexpr (std::is_same_v<KeyTraits, NarrowKeyTraits>) {
+    if (config.kind != PipelineKind::kCpu) {
+      gpusim::Device device(options.device);
+      if (config.kind == PipelineKind::kGpuKmer) {
+        detail::ParsedKmers parsed =
+            detail::parse_gpu_kmers(device, mine, config, parts, metrics);
+        return spill_runs(parsed.runs, no_lens, key_bin, writers, disk,
+                          metrics);
+      }
+      const detail::SupermerRouting routing = detail::route_supermers(
+          comm, device, mine, config, assignment, metrics);
+      const kmer::MinimizerPolicy policy = config.supermer_config().policy();
+      const auto spill_supermers = [&]<typename Word>(Word) {
+        detail::ParsedSupermers<Word> parsed =
+            detail::parse_gpu_supermers<Word>(device, mine, config, parts,
+                                              routing.table, metrics);
+        return spill_runs(
+            parsed.runs.words, parsed.runs.lens,
+            [&](const Word& word, std::uint8_t len) {
+              return spill_bin_of<NarrowKeyTraits>(
+                  supermer_minimizer(word, len, config.k, policy), bins);
+            },
+            writers, disk, metrics);
+      };
+      return config.wide_supermers ? spill_supermers(kmer::WideKey{})
+                                   : spill_supermers(std::uint64_t{});
+    }
+  }
+  auto outgoing = detail::parse_cpu<KeyTraits>(mine, config, parts, metrics);
+  return spill_runs(outgoing, no_lens, key_bin, writers, disk, metrics);
 }
 
 /// One pass-2 bin reload: replay every run into per-destination buffers.
@@ -372,9 +362,6 @@ void count_out_of_core(CountEngine<KeyTraits>& engine, BatchSource& source) {
   const auto bins = static_cast<std::uint32_t>(options.ooc.bins);
   const io::SpillKind kind = spill_kind_of<KeyTraits>(config);
   const io::DiskModel& disk = options.ooc.disk;
-  const bool need_assignment =
-      config.kind == PipelineKind::kGpuSupermer &&
-      config.partition != PartitionScheme::kMinimizerHash;
 
   // RAII scratch: removed on return and on exception alike.
   io::SpillDir spill(options.ooc.spill_root);
@@ -399,29 +386,14 @@ void count_out_of_core(CountEngine<KeyTraits>& engine, BatchSource& source) {
   // --- pass 1: stream batches, parse, spill ---
   engine.run_batches(
       source, "rank_spill_pass",
-      [&](mpisim::Comm& comm, io::ReadView mine,
-          const BatchInfo& batch) {
+      [&](mpisim::Comm& comm, io::ReadView mine, const BatchInfo&) {
         const auto rank = static_cast<std::size_t>(comm.rank());
         RankMetrics metrics;
         metrics.reads = mine.size();
         metrics.bases = mine.total_bases();
-
-        if (need_assignment && batch.index == 0) {
-          PhaseScope phase(metrics, kPhaseParse);
-          SampledAssignment sample = sample_assignment(comm, mine, config);
-          assignments[rank].emplace(std::move(sample.assignment));
-          phase.set_charge(sample.modeled_seconds,
-                           sample.modeled_volume_seconds);
-        }
-
-        BinBuckets buckets(bins, parts, io::spill_has_lens(kind));
-        parse_into_bins<KeyTraits>(
-            mine, config, parts, bins,
-            assignments[rank] ? &*assignments[rank] : nullptr, buckets,
-            metrics);
-        metrics.peak_resident_bytes =
-            io::resident_read_bytes(mine) + buckets.resident_bytes();
-        spill_buckets(buckets, writers[rank], kind, disk, metrics);
+        const std::uint64_t payload = parse_and_spill<KeyTraits>(
+            comm, mine, options, assignments[rank], writers[rank], metrics);
+        metrics.peak_resident_bytes = io::resident_read_bytes(mine) + payload;
         return metrics;
       },
       [](mpisim::Comm&, const BatchInfo&) {});

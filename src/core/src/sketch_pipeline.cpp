@@ -76,6 +76,19 @@ std::vector<std::uint64_t> parse_host_keys(io::ReadView reads,
   return keys;
 }
 
+/// The gpu-kmer pipeline's parse phase with one destination: every k-mer
+/// of `reads`, `total` in all, in input order, as a device buffer that
+/// adopts the parse's one run.
+gpusim::DeviceBuffer<std::uint64_t> parse_device_kmers(
+    gpusim::Device& device, io::ReadView reads, const PipelineConfig& config,
+    RankMetrics& metrics, std::uint64_t& total) {
+  detail::ParsedKmers parsed =
+      detail::parse_gpu_kmers(device, reads, config, /*parts=*/1, metrics);
+  total = parsed.total;
+  device.release(parsed.reserved);
+  return device.adopt(std::move(parsed.runs[0]));
+}
+
 /// One round of the sketch pipeline: parse the rank's share of a batch and
 /// absorb it into the rank's persistent sketch. The sketch has no
 /// distinct-key count; the counted total is the stream length it absorbed.
@@ -108,19 +121,9 @@ RankMetrics run_sketch_round(gpusim::Device* device,
   }
 
   DEDUKT_CHECK(device != nullptr);
-  gpusim::DeviceBuffer<std::uint64_t> d_kmers;
   std::uint64_t total = 0;
-  {
-    PhaseScope phase(metrics, kPhaseParse, *device);
-    detail::ParsedKmers parsed =
-        detail::parse_device_kmers(*device, reads, config, /*parts=*/1);
-    d_kmers = std::move(parsed.d_out);
-    total = parsed.total;
-    metrics.kmers_parsed = total;
-    phase.set_device_floor_charge(
-        static_cast<double>(total) / summit::kGpuParseKmersPerSec,
-        summit::kGpuParseOverheadSec);
-  }
+  gpusim::DeviceBuffer<std::uint64_t> d_kmers =
+      parse_device_kmers(*device, reads, config, metrics, total);
   {
     PhaseScope phase(metrics, kPhaseCount, *device);
     DeviceCountMinSketch device_sketch(*device, sketch.params());
@@ -173,18 +176,10 @@ RankMetrics run_heavy_pass(gpusim::Device* device, io::ReadView reads,
   }
 
   DEDUKT_CHECK(device != nullptr);
-  gpusim::DeviceBuffer<std::uint64_t> d_kmers;
   std::uint64_t total = 0;
-  {
-    PhaseScope phase(metrics, kPhaseParse, *device);
-    detail::ParsedKmers parsed =
-        detail::parse_device_kmers(*device, reads, config, /*parts=*/1);
-    d_kmers = std::move(parsed.d_out);
-    total = parsed.total;
-    phase.set_device_floor_charge(
-        static_cast<double>(total) / summit::kGpuParseKmersPerSec,
-        summit::kGpuParseOverheadSec);
-  }
+  gpusim::DeviceBuffer<std::uint64_t> d_kmers =
+      parse_device_kmers(*device, reads, config, metrics, total);
+  metrics.kmers_parsed = 0;  // counted in pass 1
   {
     PhaseScope phase(metrics, kPhaseCount, *device);
     DeviceCountMinSketch device_sketch(*device, params_from(config));

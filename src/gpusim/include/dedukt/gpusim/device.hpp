@@ -84,17 +84,6 @@ class Device {
     return DeviceBuffer<T>(std::move(host));
   }
 
-  /// The storage-handing counterpart of free(): releases what free()
-  /// releases and returns the buffer's storage (same data() pointer),
-  /// leaving `buffer` empty.
-  template <typename T>
-  [[nodiscard]] std::vector<T> disown(DeviceBuffer<T>& buffer) {
-    release(buffer.bytes());
-    std::vector<T> storage = std::move(buffer.data_);
-    buffer = DeviceBuffer<T>();
-    return storage;
-  }
-
   /// Account `bytes` of device memory without host storage, for a
   /// structure whose functional state lives elsewhere but whose modeled
   /// footprint must still count; throws SimulationError if the device
@@ -138,9 +127,9 @@ class Device {
 
   /// Price a host-link transfer of `bytes` that the simulation does not
   /// perform because the host already holds the data (a rank's staged
-  /// reads, a count table's readout, a buffer moved across with adopt() or
-  /// disown()): the span, timeline entry and counter of a copy that size.
-  /// The caller reserves the device footprint.
+  /// reads, a parse's outgoing runs, a count table's readout, a buffer
+  /// moved across with adopt()): the span, timeline entry and counter of a
+  /// copy that size. The caller reserves the device footprint.
   void price_transfer(Link link, std::uint64_t bytes) {
     transfer(link, bytes, [] {});
   }

@@ -21,9 +21,6 @@ struct DiskModel {
   double seq_write_bw = 2.1e9;
   /// Sequential read bandwidth, bytes/second (bin replay).
   double seq_read_bw = 5.5e9;
-  /// Small-random read bandwidth, bytes/second (out-of-order bin probes;
-  /// unused by the sequential two-pass flow but part of the calibration).
-  double rand_read_bw = 1.2e9;
   /// Per-operation software + device latency, seconds (one append or one
   /// run-sized read).
   double op_latency_s = 80e-6;
@@ -31,10 +28,6 @@ struct DiskModel {
   /// Summit burst-buffer defaults (the paper's machine; see
   /// docs/out-of-core.md for the calibration table).
   [[nodiscard]] static DiskModel summit_nvme();
-
-  /// Page-cache-class local scratch — effectively free, used when disk
-  /// modeling is irrelevant (mirrors NetworkModel::local()).
-  [[nodiscard]] static DiskModel local();
 
   /// Modeled time of `ops` sequential appends totalling `bytes`.
   [[nodiscard]] double write_seconds(std::uint64_t bytes,
@@ -47,10 +40,6 @@ struct DiskModel {
                                     std::uint64_t ops) const;
   /// The volume-proportional (bandwidth) part of read_seconds().
   [[nodiscard]] double read_volume_seconds(std::uint64_t bytes) const;
-
-  /// Modeled time of `ops` random reads totalling `bytes`.
-  [[nodiscard]] double random_read_seconds(std::uint64_t bytes,
-                                           std::uint64_t ops) const;
 };
 
 }  // namespace dedukt::io

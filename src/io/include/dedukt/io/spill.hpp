@@ -70,12 +70,8 @@ class SpillDir {
   /// Canonical bin-file path for (rank, bin).
   [[nodiscard]] std::string bin_path(int rank, int bin) const;
 
-  /// Leave the directory on disk at destruction (debugging).
-  void keep() { keep_ = true; }
-
  private:
   std::string path_;
-  bool keep_ = false;
 };
 
 /// One destination-tagged run replayed from a bin file.

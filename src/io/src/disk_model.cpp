@@ -4,15 +4,6 @@ namespace dedukt::io {
 
 DiskModel DiskModel::summit_nvme() { return DiskModel{}; }
 
-DiskModel DiskModel::local() {
-  DiskModel m;
-  m.seq_write_bw = 100e9;  // page-cache class: memory-bus bandwidth
-  m.seq_read_bw = 100e9;
-  m.rand_read_bw = 100e9;
-  m.op_latency_s = 1e-7;
-  return m;
-}
-
 double DiskModel::write_seconds(std::uint64_t bytes,
                                 std::uint64_t ops) const {
   return op_latency_s * static_cast<double>(ops) +
@@ -29,12 +20,6 @@ double DiskModel::read_seconds(std::uint64_t bytes, std::uint64_t ops) const {
 
 double DiskModel::read_volume_seconds(std::uint64_t bytes) const {
   return static_cast<double>(bytes) / seq_read_bw;
-}
-
-double DiskModel::random_read_seconds(std::uint64_t bytes,
-                                      std::uint64_t ops) const {
-  return op_latency_s * static_cast<double>(ops) +
-         static_cast<double>(bytes) / rand_read_bw;
 }
 
 }  // namespace dedukt::io

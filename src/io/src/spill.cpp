@@ -68,7 +68,7 @@ SpillDir::SpillDir(const std::string& root) {
 }
 
 SpillDir::~SpillDir() {
-  if (keep_ || path_.empty()) return;
+  if (path_.empty()) return;
   std::error_code ec;
   fs::remove_all(path_, ec);  // best effort; never throws from a destructor
 }

@@ -30,17 +30,22 @@ MinimizerPolicy::MinimizerPolicy(MinimizerOrder order, int m)
 KmerCode minimizer_of(KmerCode code, int k, const MinimizerPolicy& policy) {
   const int m = policy.m();
   DEDUKT_REQUIRE_MSG(m < k, "minimizer length must be < k");
-  KmerCode best_mmer = sub_code(code, k, 0, m);
-  std::uint64_t best_score = policy.score(best_mmer);
-  for (int pos = 1; pos <= k - m; ++pos) {
-    const KmerCode mmer = sub_code(code, k, pos, m);
-    const std::uint64_t score = policy.score(mmer);
-    if (score < best_score) {  // strict: leftmost wins ties
-      best_score = score;
-      best_mmer = mmer;
+  // The score is injective, so the least score of the k − m + 1 m-mers
+  // names one m-mer, and masks back to it.
+  const KmerCode mask = code_mask(m);
+  const auto least = [&](auto score) {
+    KmerCode rest = code;
+    std::uint64_t best = score(rest & mask);
+    for (int pos = k - m; pos > 0; --pos) {
+      rest >>= 2;
+      best = std::min(best, score(rest & mask));
     }
+    return best & mask;
+  };
+  if (policy.order() == MinimizerOrder::kKmc2) {
+    return least([&](KmerCode mmer) { return policy.score(mmer); });
   }
-  return best_mmer;
+  return least([](KmerCode mmer) { return mmer; });  // score() is identity
 }
 
 void minimizers_of(std::span<const KmerCode> codes, int k,

@@ -451,5 +451,33 @@ TEST(AppTest, CountWithExtensionsEnabled) {
   EXPECT_EQ(info.exit_code, 0);
 }
 
+TEST(AppTest, SaturatedSketchNamesItsWidth) {
+  const AppResult result =
+      run({"count", "--synthetic=ecoli30x", "--scale=8000", "--ranks=2",
+           "--sketch", "--sketch-width=16", "--heavy-threshold=2"});
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const std::size_t heavy = result.out.find("heavy hitters (count >= 2)");
+  const std::size_t saturated = result.out.find("sketch saturated");
+  ASSERT_NE(heavy, std::string::npos) << result.out;
+  ASSERT_NE(saturated, std::string::npos) << result.out;
+  EXPECT_LT(heavy, saturated);
+  const std::string line = result.out.substr(
+      saturated, result.out.find('\n', saturated) - saturated);
+  EXPECT_NE(line.find("pass 2 counts nearly every key exactly"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("--sketch-width"), std::string::npos) << line;
+}
+
+TEST(AppTest, UnsaturatedSketchPrintsNoSaturationLine) {
+  const AppResult result =
+      run({"count", "--synthetic=ecoli30x", "--scale=8000", "--ranks=2",
+           "--sketch", "--heavy-threshold=5"});
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(result.out.find("heavy hitters (count >= 5)"), std::string::npos)
+      << result.out;
+  EXPECT_EQ(result.out.find("saturated"), std::string::npos) << result.out;
+}
+
 }  // namespace
 }  // namespace dedukt::core

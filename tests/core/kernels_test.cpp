@@ -32,7 +32,8 @@ TEST(ParseKernelsTest, TwoPhaseProducesExactKmerMultiset) {
   gpusim::Device device;
   const Staging staging = staging_of(batch, k);
   auto d_counts = device.alloc<std::uint32_t>(kParts, 0u);
-  parse_count_kmers(device, batch, staging, k, enc, kParts, d_counts);
+  KmerRuns runs;
+  parse_count_kmers(device, batch, staging, k, enc, kParts, d_counts, runs);
 
   std::vector<std::uint32_t> counts(kParts);
   device.copy_to_host(d_counts, std::span<std::uint32_t>(counts));
@@ -40,21 +41,10 @@ TEST(ParseKernelsTest, TwoPhaseProducesExactKmerMultiset) {
       std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
   EXPECT_EQ(total, staging.kmers);
 
-  std::vector<std::uint64_t> offsets(kParts);
-  std::uint64_t running = 0;
-  for (std::uint32_t p = 0; p < kParts; ++p) {
-    offsets[p] = running;
-    running += counts[p];
-  }
-  auto d_offsets = device.alloc<std::uint64_t>(kParts);
-  device.copy_to_device<std::uint64_t>(offsets, d_offsets);
-  auto d_cursors = device.alloc<std::uint32_t>(kParts, 0u);
-  auto d_out = device.alloc<std::uint64_t>(total);
-  parse_fill_kmers(device, batch, staging, k, enc, kParts, d_offsets,
-                   d_cursors, d_out);
-
-  // The filled buffer must be the exact k-mer multiset of the input,
-  // with every k-mer in its hash-selected partition.
+  // The count launch keeps each destination's k-mers as its run: together
+  // the exact k-mer multiset of the input, every k-mer in its
+  // hash-selected partition. The fill launch is priced over them and
+  // places nothing.
   std::map<std::uint64_t, int> expected;
   for (const auto& read : batch.reads) {
     for (const auto code : kmer::extract_kmers(read.bases, k, enc)) {
@@ -62,13 +52,18 @@ TEST(ParseKernelsTest, TwoPhaseProducesExactKmerMultiset) {
     }
   }
   std::map<std::uint64_t, int> actual;
+  ASSERT_EQ(runs.size(), kParts);
   for (std::uint32_t p = 0; p < kParts; ++p) {
-    for (std::uint64_t i = offsets[p]; i < offsets[p] + counts[p]; ++i) {
-      ++actual[d_out[i]];
-      EXPECT_EQ(kmer::kmer_partition(d_out[i], kParts), p);
+    ASSERT_EQ(runs[p].size(), counts[p]);
+    for (const std::uint64_t code : runs[p]) {
+      ++actual[code];
+      EXPECT_EQ(kmer::kmer_partition(code, kParts), p);
     }
   }
   EXPECT_EQ(actual, expected);
+  const auto fill = parse_fill_kmers(device, staging, k);
+  EXPECT_EQ(fill.counters.atomics, total);
+  EXPECT_EQ(fill.counters.gmem_write_bytes, total * sizeof(std::uint64_t));
 }
 
 TEST(SupermerKernelsTest, TwoPhaseMatchesHostBuilder) {
@@ -121,9 +116,10 @@ TEST(ParseKernelsTest, TraffickersReportTraffic) {
   gpusim::Device device;
   const Staging staging = staging_of(batch, 17);
   auto d_counts = device.alloc<std::uint32_t>(4, 0u);
+  KmerRuns runs;
   const auto stats = parse_count_kmers(device, batch, staging, 17,
                                        io::BaseEncoding::kStandard, 4,
-                                       d_counts);
+                                       d_counts, runs);
   EXPECT_GT(stats.counters.gmem_read_bytes, staging.bases);
   EXPECT_EQ(stats.counters.atomics, staging.kmers);
   EXPECT_GT(stats.modeled_seconds, 0.0);

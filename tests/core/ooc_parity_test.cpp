@@ -204,6 +204,38 @@ INSTANTIATE_TEST_SUITE_P(
     ScenariosAndShapes, OocParity,
     ::testing::Combine(::testing::Range(0, 6), ::testing::Range(0, 6)));
 
+// --- pass 1 is the pipeline's own parse ---------------------------------
+
+/// Pass 1 runs each batch through the pipeline's own parse phase (the GPU
+/// kinds' launches and §VII routing setup on a device of the batch's own),
+/// so rank by rank a spilled run's parse ledger is the in-memory run's with
+/// the same batch bounds: modeled and volume seconds bit for bit, and the
+/// parse work counters.
+TEST(OocParity, SpilledParseMatchesTheInMemoryParseRankByRank) {
+  for (const Scenario& scenario : kScenarios) {
+    for (const std::uint64_t max_reads : {std::uint64_t{0}, std::uint64_t{40}}) {
+      SCOPED_TRACE(testing::Message()
+                   << scenario.name << ", max_reads=" << max_reads);
+      const CountResult in_memory =
+          run_shape(scenario, IngestShape{"in_memory", max_reads, false});
+      const CountResult spilled =
+          run_shape(scenario, IngestShape{"spilled", max_reads, true});
+      ASSERT_EQ(in_memory.ranks.size(), spilled.ranks.size());
+      for (std::size_t r = 0; r < in_memory.ranks.size(); ++r) {
+        SCOPED_TRACE(testing::Message() << "rank " << r);
+        const RankMetrics& a = in_memory.ranks[r];
+        const RankMetrics& b = spilled.ranks[r];
+        EXPECT_EQ(a.modeled.get(kPhaseParse), b.modeled.get(kPhaseParse));
+        EXPECT_EQ(a.modeled_volume.get(kPhaseParse),
+                  b.modeled_volume.get(kPhaseParse));
+        EXPECT_EQ(a.kmers_parsed, b.kmers_parsed);
+        EXPECT_EQ(a.supermers_built, b.supermers_built);
+        EXPECT_EQ(a.supermer_bases, b.supermer_bases);
+      }
+    }
+  }
+}
+
 // --- wide-k parity ------------------------------------------------------
 
 TEST(OocWideParity, StreamedAndSpilledWideRunsMatchInMemory) {

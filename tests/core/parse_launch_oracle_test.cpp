@@ -12,14 +12,13 @@
 // (DestinationTable) or by hash; both claim destination counters and
 // cursors with device atomics. The references run thread by thread in the
 // canonical block order (support/kernel_runner.hpp). Each launch and its
-// reference must agree on every LaunchCounters field and the modeled time;
-// the k-mer launches on the destination counts, cursors and filled keys
-// byte for byte. The supermer count launch must agree on the destination
-// counts, and its per-destination runs must equal, byte for byte, the
-// slices of the word and length buffers that the reference fill kernel
-// fills; the supermer fill launch places nothing. The closed-form staging
-// must equal the reference staging's size. The suite runs at pool sizes
-// 1, 4 and 16, which no launch may read.
+// reference must agree on every LaunchCounters field and the modeled time.
+// Each count launch must agree on the destination counts, and its
+// per-destination runs must equal, byte for byte, the slices of the
+// buffers that the reference fill kernel fills (k-mers; supermer words and
+// lengths); the fill launches place nothing. The closed-form staging must
+// equal the reference staging's size. The suite runs at pool sizes 1, 4
+// and 16, which no launch may read.
 #include "dedukt/core/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -402,47 +401,6 @@ std::vector<std::uint64_t> offsets_of(
   return offsets;
 }
 
-/// Both k-mer launches over `reads` and their references over the staged
-/// base array.
-void check_kmer_launches(const io::ReadBatch& reads, int k,
-                         io::BaseEncoding enc, std::uint32_t parts) {
-  gpusim::Device device;
-  const reference::EncodedReads staged =
-      reference::EncodedReads::build(reads, k);
-  const auto d_bases = upload(device, staged.bases);
-  const std::size_t total_len = staged.bases.size();
-  const Staging staging = staging_of(reads, k);
-
-  auto counts = device.alloc<std::uint32_t>(parts, 0u);
-  auto ref_counts = device.alloc<std::uint32_t>(parts, 0u);
-  {
-    SCOPED_TRACE("parse_count_kmers");
-    expect_same_launch(
-        parse_count_kmers(device, reads, staging, k, enc, parts, counts),
-        reference::parse_count_kmers(device, d_bases, total_len, k, enc,
-                                     parts, ref_counts));
-    expect_same_bytes(counts, ref_counts, "destination counts");
-  }
-
-  std::uint64_t total = 0;
-  const auto d_offsets = upload(device, offsets_of(ref_counts, total));
-  auto cursors = device.alloc<std::uint32_t>(parts, 0u);
-  auto ref_cursors = device.alloc<std::uint32_t>(parts, 0u);
-  auto out = device.alloc<std::uint64_t>(std::max<std::uint64_t>(total, 1));
-  auto ref_out =
-      device.alloc<std::uint64_t>(std::max<std::uint64_t>(total, 1));
-  {
-    SCOPED_TRACE("parse_fill_kmers");
-    expect_same_launch(
-        parse_fill_kmers(device, reads, staging, k, enc, parts, d_offsets,
-                         cursors, out),
-        reference::parse_fill_kmers(device, d_bases, total_len, k, enc,
-                                    parts, d_offsets, ref_cursors, ref_out));
-    expect_same_bytes(cursors, ref_cursors, "cursors");
-    expect_same_bytes(out, ref_out, "k-mers");
-  }
-}
-
 /// `run` must hold exactly the `count` elements of `buffer` from `offset`,
 /// byte for byte.
 template <typename T>
@@ -457,6 +415,55 @@ void expect_run_is_slice(const std::vector<T>& run,
                         count * sizeof(T)),
             0)
       << what;
+}
+
+/// Both k-mer launches over `reads` and their references over the staged
+/// base array.
+void check_kmer_launches(const io::ReadBatch& reads, int k,
+                         io::BaseEncoding enc, std::uint32_t parts) {
+  gpusim::Device device;
+  const reference::EncodedReads staged =
+      reference::EncodedReads::build(reads, k);
+  const auto d_bases = upload(device, staged.bases);
+  const std::size_t total_len = staged.bases.size();
+  const Staging staging = staging_of(reads, k);
+
+  auto counts = device.alloc<std::uint32_t>(parts, 0u);
+  auto ref_counts = device.alloc<std::uint32_t>(parts, 0u);
+  KmerRuns runs;
+  {
+    SCOPED_TRACE("parse_count_kmers");
+    expect_same_launch(
+        parse_count_kmers(device, reads, staging, k, enc, parts, counts,
+                          runs),
+        reference::parse_count_kmers(device, d_bases, total_len, k, enc,
+                                     parts, ref_counts));
+    expect_same_bytes(counts, ref_counts, "destination counts");
+  }
+
+  std::uint64_t total = 0;
+  const std::vector<std::uint64_t> offsets = offsets_of(ref_counts, total);
+  const auto d_offsets = upload(device, offsets);
+  auto ref_cursors = device.alloc<std::uint32_t>(parts, 0u);
+  auto ref_out =
+      device.alloc<std::uint64_t>(std::max<std::uint64_t>(total, 1));
+  {
+    SCOPED_TRACE("parse_fill_kmers");
+    expect_same_launch(
+        parse_fill_kmers(device, staging, k),
+        reference::parse_fill_kmers(device, d_bases, total_len, k, enc,
+                                    parts, d_offsets, ref_cursors, ref_out));
+    expect_same_bytes(ref_cursors, ref_counts, "cursors");
+  }
+
+  // The count launch's runs are the reference fill's per-destination
+  // slices, in the reference's placement order.
+  ASSERT_EQ(runs.size(), parts);
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    SCOPED_TRACE(testing::Message() << "destination " << p);
+    expect_run_is_slice(runs[p], ref_out, offsets[p], ref_counts[p],
+                        "k-mers");
+  }
 }
 
 /// Both supermer launches over `reads` and their references over the

@@ -1,7 +1,7 @@
 // Unit tests for the staged pipeline framework in isolation: PhaseScope
 // commits exactly what a hand-rolled phase block would (bit-for-bit),
 // ExchangePlan moves the same data staged and direct while pricing only the
-// staged copies, its moving staging prices exactly what the copies did, and
+// staged copies, its staging prices exactly the copies it stands for, and
 // accumulate_round folds one round's ledger into a total. The end-to-end
 // bit-identity of whole pipelines built on these pieces is covered by
 // pipeline_golden_framework_test.cpp.
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,19 +22,6 @@
 
 namespace dedukt::core {
 namespace {
-
-TEST(ExclusivePrefixTest, OffsetsAndTotal) {
-  const std::vector<std::uint32_t> counts = {3, 0, 5, 2};
-  std::vector<std::uint64_t> offsets;
-  EXPECT_EQ(exclusive_prefix(counts, offsets), 10u);
-  EXPECT_EQ(offsets, (std::vector<std::uint64_t>{0, 3, 3, 8}));
-}
-
-TEST(ExclusivePrefixTest, EmptyCounts) {
-  std::vector<std::uint64_t> offsets = {7};  // stale contents must go
-  EXPECT_EQ(exclusive_prefix({}, offsets), 0u);
-  EXPECT_TRUE(offsets.empty());
-}
 
 TEST(AccumulateRoundTest, WorkCountsAndTimesAdd) {
   RankMetrics total;
@@ -131,27 +117,20 @@ TEST(ExchangePlanTest, StagedAndDirectDeliverIdenticalData) {
     mpisim::Runtime runtime(kRanks);
     runtime.run([&](mpisim::Comm& comm) {
       const auto parts = static_cast<std::uint32_t>(comm.size());
-      // Rank r sends r*10 + dest, dest+1 times, out of one flat buffer.
-      std::vector<std::uint32_t> counts(parts);
-      std::vector<std::uint64_t> flat;
+      // Rank r sends r*10 + dest, dest+1 times, in one run per
+      // destination, standing for a device buffer of all of them.
+      std::vector<std::vector<std::uint64_t>> runs(parts);
+      std::uint64_t total = 0;
       for (std::uint32_t dest = 0; dest < parts; ++dest) {
-        counts[dest] = dest + 1;
-        for (std::uint32_t i = 0; i <= dest; ++i) {
-          flat.push_back(static_cast<std::uint64_t>(comm.rank()) * 10 + dest);
-        }
+        runs[dest].assign(dest + 1,
+                          static_cast<std::uint64_t>(comm.rank()) * 10 + dest);
+        total += dest + 1;
       }
-      std::vector<std::uint64_t> offsets;
-      const std::uint64_t total = exclusive_prefix(counts, offsets);
 
       gpusim::Device device;
-      auto d_out = device.alloc<std::uint64_t>(total);
-      device.copy_to_device<std::uint64_t>(flat, d_out);
-
       ExchangePlan plan(comm, &device, staged);
-      const std::vector<std::uint64_t> host_out =
-          plan.stage_out(d_out, total);
-      EXPECT_EQ(host_out, flat);
-      auto received = plan.exchange(host_out, counts, offsets);
+      plan.price_stage_out(total * sizeof(std::uint64_t));
+      auto received = plan.exchange(runs);
       const std::size_t n = received.data.size();
       auto d_recv = plan.stage_in(std::move(received.data));
       const auto r = static_cast<std::size_t>(comm.rank());
@@ -191,12 +170,11 @@ void expect_same_timeline(const gpusim::DeviceTimeline& a,
   EXPECT_EQ(a.launches, b.launches);
 }
 
-/// A staged stage_out / stage_in moves the payload's storage across
-/// instead of copying it, and leaves the device exactly where the copies
-/// it stands for leave it — copy_to_host into a fresh vector, then
-/// copy_to_device into a fresh one-slot-at-least buffer: the timeline, the
-/// reserved bytes and the traced h2d/d2h spans, the empty payload's one
-/// slot included.
+/// A staged stage_in moves the received payload's storage onto the
+/// device instead of copying it, and leaves the device exactly where the
+/// copy it stands for leaves it — copy_to_device into a fresh
+/// one-slot-at-least buffer: the timeline, the reserved bytes and the
+/// traced h2d span, the empty payload's one slot included.
 TEST(ExchangePlanTest, StagingMovesStorageAndPricesLikeTheCopies) {
   trace::TraceSession& session = trace::TraceSession::instance();
   session.enable("");
@@ -204,111 +182,78 @@ TEST(ExchangePlanTest, StagingMovesStorageAndPricesLikeTheCopies) {
        {std::size_t{0}, std::size_t{1}, std::size_t{777}}) {
     SCOPED_TRACE(testing::Message() << n << " elements");
     const std::size_t slots = std::max<std::size_t>(n, 1);
-    struct Step {
-      gpusim::DeviceTimeline timeline;
-      std::uint64_t allocated = 0;
-    };
+    std::vector<std::uint64_t> payload(n);
+    std::iota(payload.begin(), payload.end(), 5u);
 
     session.reset();
     gpusim::Device copied;
-    Step copied_out, copied_in;
     mpisim::Runtime(1).run([&](mpisim::Comm&) {
-      auto d_out = copied.alloc<std::uint64_t>(slots);
-      std::vector<std::uint64_t> host(n);
-      copied.copy_to_host(d_out, std::span<std::uint64_t>(host));
-      copied.free(d_out);
-      copied_out = {copied.timeline(), copied.allocated_bytes()};
       auto d_in = copied.alloc<std::uint64_t>(slots);
-      copied.copy_to_device<std::uint64_t>(host, d_in);
-      copied_in = {copied.timeline(), copied.allocated_bytes()};
+      copied.copy_to_device<std::uint64_t>(payload, d_in);
     });
     const std::string copied_trace = session.chrome_json();
-    EXPECT_NE(copied_trace.find("\"d2h\""), std::string::npos);
     EXPECT_NE(copied_trace.find("\"h2d\""), std::string::npos);
 
     session.reset();
     gpusim::Device moved;
-    Step moved_out, moved_in;
     mpisim::Runtime(1).run([&](mpisim::Comm& comm) {
       ExchangePlan plan(comm, &moved, /*staged=*/true);
-      auto d_out = moved.alloc<std::uint64_t>(slots);
-      std::iota(d_out.data(), d_out.data() + slots, 5u);
-      const std::uint64_t* device_storage = d_out.data();
-      std::vector<std::uint64_t> host = plan.stage_out(d_out, n);
-      moved_out = {moved.timeline(), moved.allocated_bytes()};
-      ASSERT_EQ(host.size(), n);
-      EXPECT_TRUE(d_out.empty());
-      if (n > 0) {
-        EXPECT_EQ(host.data(), device_storage);
-        EXPECT_EQ(host.back(), 5u + n - 1);
-      }
+      std::vector<std::uint64_t> host = payload;
       const std::uint64_t* host_storage = host.data();
       auto d_in = plan.stage_in(std::move(host));
-      moved_in = {moved.timeline(), moved.allocated_bytes()};
       ASSERT_EQ(d_in.size(), slots);
       if (n > 0) {
         EXPECT_EQ(d_in.data(), host_storage);
+        EXPECT_EQ(d_in[n - 1], 5u + n - 1);
       }
     });
     EXPECT_EQ(session.chrome_json(), copied_trace);
-    expect_same_timeline(moved_out.timeline, copied_out.timeline);
-    expect_same_timeline(moved_in.timeline, copied_in.timeline);
-    EXPECT_EQ(moved_out.allocated, copied_out.allocated);
-    EXPECT_EQ(moved_in.allocated, copied_in.allocated);
-    EXPECT_EQ(moved_in.allocated, slots * sizeof(std::uint64_t));
+    expect_same_timeline(moved.timeline(), copied.timeline());
+    EXPECT_EQ(moved.allocated_bytes(), copied.allocated_bytes());
+    EXPECT_EQ(moved.allocated_bytes(), slots * sizeof(std::uint64_t));
   }
   session.disable();
   session.reset();
 }
 
-/// The supermer pipeline's payload is already on the host, one run per
-/// destination. Pricing its words and then its lengths with
-/// price_stage_out, and releasing the one reservation that stood for both
-/// buffers, must leave the device and the trace exactly where stage_out of
-/// the two device buffers leaves them, staged or under GPUDirect.
+/// Every parse leaves its payload on the host as per-destination runs;
+/// price_stage_out prices the D2H of the device buffer they stand for.
+/// Staged, that is one d2h span, timeline entry and device.d2h_bytes
+/// counter of exactly its bytes; under GPUDirect it prices nothing.
 TEST(ExchangePlanTest, PriceStageOutPricesLikeStageOut) {
   trace::TraceSession& session = trace::TraceSession::instance();
   session.enable("");
+  const gpusim::GpuCostModel cost(gpusim::DeviceProps::v100());
   for (const bool staged : {true, false}) {
-    for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, std::size_t{777}}) {
-      SCOPED_TRACE(testing::Message() << n << " supermers, staged=" << staged);
-      const std::size_t slots = std::max<std::size_t>(n, 1);
-
+    for (const std::uint64_t n : {0u, 1u, 7777u}) {
+      SCOPED_TRACE(testing::Message() << n << " bytes, staged=" << staged);
       session.reset();
-      gpusim::Device moved;
-      gpusim::DeviceTimeline moved_timeline;
+      gpusim::Device device;
       mpisim::Runtime(1).run([&](mpisim::Comm& comm) {
-        ExchangePlan plan(comm, &moved, staged);
-        auto d_words = moved.alloc<std::uint64_t>(slots);
-        auto d_lens = moved.alloc<std::uint8_t>(slots);
-        const std::vector<std::uint64_t> words = plan.stage_out(d_words, n);
-        const std::vector<std::uint8_t> lens = plan.stage_out(d_lens, n);
-        EXPECT_EQ(words.size(), n);
-        EXPECT_EQ(lens.size(), n);
-        moved_timeline = moved.timeline();
+        ExchangePlan plan(comm, &device, staged);
+        plan.price_stage_out(n);
       });
-      const std::string moved_trace = session.chrome_json();
-      EXPECT_EQ(moved.allocated_bytes(), 0u);
-
-      session.reset();
-      gpusim::Device priced;
-      gpusim::DeviceTimeline priced_timeline;
-      mpisim::Runtime(1).run([&](mpisim::Comm& comm) {
-        ExchangePlan plan(comm, &priced, staged);
-        const std::uint64_t reserved =
-            slots * (sizeof(std::uint64_t) + sizeof(std::uint8_t));
-        priced.reserve(reserved);
-        plan.price_stage_out(n * sizeof(std::uint64_t));
-        plan.price_stage_out(n * sizeof(std::uint8_t));
-        priced.release(reserved);
-        priced_timeline = priced.timeline();
-      });
-      EXPECT_EQ(session.chrome_json(), moved_trace);
-      expect_same_timeline(priced_timeline, moved_timeline);
-      EXPECT_EQ(priced.allocated_bytes(), 0u);
-      EXPECT_EQ(priced_timeline.d2h_bytes,
-                staged ? n * (sizeof(std::uint64_t) + 1) : 0u);
+      const std::string trace = session.chrome_json();
+      const std::string metrics = session.metrics().to_json(false);
+      const gpusim::DeviceTimeline& timeline = device.timeline();
+      std::size_t d2h_spans = 0;
+      for (std::size_t at = trace.find("\"d2h\""); at != std::string::npos;
+           at = trace.find("\"d2h\"", at + 1)) {
+        ++d2h_spans;
+      }
+      EXPECT_EQ(d2h_spans, staged ? 1u : 0u);
+      EXPECT_EQ(timeline.d2h_bytes, staged ? n : 0u);
+      EXPECT_EQ(timeline.d2h_seconds,
+                staged ? cost.transfer_seconds(n) : 0.0);
+      EXPECT_EQ(timeline.volume_seconds,
+                staged ? cost.transfer_volume_seconds(n) : 0.0);
+      EXPECT_EQ(timeline.h2d_bytes, 0u);
+      EXPECT_EQ(timeline.kernel_seconds, 0.0);
+      EXPECT_EQ(timeline.launches, 0u);
+      EXPECT_EQ(metrics.find("\"device.d2h_bytes\":" + std::to_string(n)) !=
+                    std::string::npos,
+                staged);
+      EXPECT_EQ(device.allocated_bytes(), 0u);
     }
   }
   session.disable();

@@ -9,7 +9,6 @@ TEST(DiskModelTest, ZeroWorkCostsNothing) {
   const DiskModel disk = DiskModel::summit_nvme();
   EXPECT_DOUBLE_EQ(disk.write_seconds(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(disk.read_seconds(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(disk.random_read_seconds(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(disk.write_volume_seconds(0), 0.0);
   EXPECT_DOUBLE_EQ(disk.read_volume_seconds(0), 0.0);
 }
@@ -37,23 +36,9 @@ TEST(DiskModelTest, MonotoneInBytesAndOps) {
 
 TEST(DiskModelTest, SummitCalibrationOrdering) {
   const DiskModel disk = DiskModel::summit_nvme();
-  // PM1725a: reads outrun writes; random reads trail sequential reads.
+  // PM1725a: reads outrun writes.
   EXPECT_GT(disk.seq_read_bw, disk.seq_write_bw);
-  EXPECT_GT(disk.seq_read_bw, disk.rand_read_bw);
   EXPECT_GT(disk.op_latency_s, 0.0);
-  // Same bytes: the random-read charge can never beat sequential.
-  EXPECT_GE(disk.random_read_seconds(1 << 24, 8),
-            disk.read_seconds(1 << 24, 8));
-}
-
-TEST(DiskModelTest, LocalScratchIsNearlyFree) {
-  const DiskModel local = DiskModel::local();
-  const DiskModel summit = DiskModel::summit_nvme();
-  const std::uint64_t bytes = 1 << 30;
-  EXPECT_LT(local.write_seconds(bytes, 1000),
-            summit.write_seconds(bytes, 1000) / 10.0);
-  EXPECT_LT(local.read_seconds(bytes, 1000),
-            summit.read_seconds(bytes, 1000) / 10.0);
 }
 
 }  // namespace

@@ -88,18 +88,6 @@ TEST(SpillDirTest, RemovesContentsOnException) {
   fs::remove_all(root);
 }
 
-TEST(SpillDirTest, KeepLeavesDirectoryOnDisk) {
-  const std::string root = test_root();
-  std::string path;
-  {
-    SpillDir dir(root);
-    dir.keep();
-    path = dir.path();
-  }
-  EXPECT_TRUE(fs::is_directory(path));
-  fs::remove_all(root);
-}
-
 TEST(SpillDirTest, BinPathIsPerRankPerBin) {
   const std::string root = test_root();
   SpillDir dir(root);
