@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "dedukt/core/host_hash_table.hpp"
 #include "dedukt/gpusim/device.hpp"
@@ -124,5 +125,20 @@ class DeviceHashTable {
   /// table, as of the last launch.
   std::uint64_t displacement_ = 0;
 };
+
+namespace detail {
+
+/// Most slots a DeviceHashTable may have, so that a home slot fits 32 bits
+/// (48 GiB of modeled table, three times a V100's memory).
+inline constexpr std::uint64_t kMaxCapacity = std::uint64_t{1} << 32;
+
+/// Total linear-probing displacement, Σ (final slot − home slot) with
+/// wrap-around, of keys with these home slots (each below `capacity`, at
+/// most kMaxCapacity) in a `capacity`-slot table. Sorts `homes`, with an
+/// LSD radix sort over the bit width of the largest slot.
+[[nodiscard]] std::uint64_t total_displacement(
+    std::vector<std::uint32_t>& homes, std::uint64_t capacity);
+
+}  // namespace detail
 
 }  // namespace dedukt::core

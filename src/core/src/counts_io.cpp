@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 
 #include "dedukt/kmer/kmer.hpp"
@@ -45,6 +46,11 @@ void check(const CountsFile& file) {
 // from trusting a garbage length for the allocation.
 constexpr std::uint64_t kMaxReserve = 1u << 20;
 
+// The payload moves through a staging block of this many entries, one
+// stream call per block: 64 KiB, below glibc's mmap threshold.
+constexpr std::size_t kBlockEntries = 4096;
+constexpr std::size_t kEntryBytes = 2 * sizeof(std::uint64_t);
+
 // Strict decimal u64: the whole field must be digits, no sign, no
 // trailing garbage, no overflow. strtoull accepted "-1", "7x" and
 // silently saturated on overflow — all of which are corrupt rows.
@@ -76,9 +82,17 @@ void write_counts_binary(std::ostream& out, const CountsFile& file) {
   write_u32(out, static_cast<std::uint32_t>(file.k));
   write_u32(out, file.encoding == io::BaseEncoding::kStandard ? 0u : 1u);
   write_u64(out, file.counts.size());
-  for (const auto& [key, count] : file.counts) {
-    write_u64(out, key);
-    write_u64(out, count);
+  const auto block =
+      std::make_unique_for_overwrite<std::uint64_t[]>(2 * kBlockEntries);
+  for (std::size_t first = 0; first < file.counts.size();
+       first += kBlockEntries) {
+    const std::size_t n = std::min(kBlockEntries, file.counts.size() - first);
+    for (std::size_t i = 0; i < n; ++i) {
+      block[2 * i] = file.counts[first + i].first;
+      block[2 * i + 1] = file.counts[first + i].second;
+    }
+    out.write(reinterpret_cast<const char*>(block.get()),
+              static_cast<std::streamsize>(n * kEntryBytes));
   }
   if (!out) throw ParseError("failed writing counts stream");
 }
@@ -115,18 +129,31 @@ CountsFile read_counts_binary(std::istream& in) {
   const std::uint64_t n = read_u64(in);
   file.counts.reserve(std::min(n, kMaxReserve));
   const std::uint64_t mask = kmer::code_mask(file.k);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t key = read_u64(in);
-    const std::uint64_t count = read_u64(in);
-    if (key > mask) {
-      throw ParseError("counts file key wider than 2k bits: " +
-                       std::to_string(key));
+  const auto block =
+      std::make_unique_for_overwrite<std::uint64_t[]>(2 * kBlockEntries);
+  for (std::uint64_t left = n; left > 0;) {
+    const auto want = static_cast<std::size_t>(
+        std::min<std::uint64_t>(left, kBlockEntries));
+    in.read(reinterpret_cast<char*>(block.get()),
+            static_cast<std::streamsize>(want * kEntryBytes));
+    // A short block's whole entries are checked before the truncation is
+    // reported, so the first fault in file order is the one reported.
+    const std::size_t got = static_cast<std::size_t>(in.gcount()) / kEntryBytes;
+    for (std::size_t i = 0; i < got; ++i) {
+      const std::uint64_t key = block[2 * i];
+      const std::uint64_t count = block[2 * i + 1];
+      if (key > mask) {
+        throw ParseError("counts file key wider than 2k bits: " +
+                         std::to_string(key));
+      }
+      if (count == 0) throw ParseError("counts file entry with zero count");
+      if (!file.counts.empty() && file.counts.back().first >= key) {
+        throw ParseError("counts file keys are not strictly increasing");
+      }
+      file.counts.emplace_back(key, count);
     }
-    if (count == 0) throw ParseError("counts file entry with zero count");
-    if (!file.counts.empty() && file.counts.back().first >= key) {
-      throw ParseError("counts file keys are not strictly increasing");
-    }
-    file.counts.emplace_back(key, count);
+    if (got < want) throw ParseError("truncated counts file (u64)");
+    left -= want;
   }
   return file;
 }

@@ -1,6 +1,7 @@
 #include "dedukt/core/device_hash_table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <span>
 #include <type_traits>
@@ -20,32 +21,27 @@ namespace {
 constexpr std::uint64_t kSlotBytes =
     sizeof(std::uint64_t) + sizeof(std::uint32_t);
 
-/// Total linear-probing displacement, Σ (final slot − home slot) with
-/// wrap-around, of keys with these home slots in a `capacity`-slot table
-/// (sorts `homes`). The total does not depend on insertion order (the
-/// parking-function property), so the keys are placed in home-slot order:
-/// each takes the first free slot at or after its home, counted past the
-/// last slot instead of wrapping. The keys that land past the end occupy
-/// the table's first `carry` slots, which the next lap starts behind. Two
-/// laps reach the fixed point even for a full table: the carried keys'
-/// push stops in the free slots before the run that wrapped, so the
-/// second lap wraps as many keys as the first.
-std::uint64_t total_displacement(std::vector<std::uint64_t>& homes,
-                                 std::uint64_t capacity) {
-  std::sort(homes.begin(), homes.end());
-  std::uint64_t total = 0;
-  std::uint64_t carry = 0;
-  for (int lap = 0; lap < 2; ++lap) {
-    total = 0;
-    std::uint64_t next = carry;  // first free slot, unwrapped
-    for (const std::uint64_t home : homes) {
-      const std::uint64_t slot = std::max(home, next);
-      total += slot - home;
-      next = slot + 1;
+/// Sort `homes`, each below 2^`bits`, with an LSD radix sort: one
+/// counting pass per 11-bit digit, scattering into one scratch vector that
+/// swaps places with `homes` after each pass.
+void radix_sort(std::vector<std::uint32_t>& homes, int bits) {
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  std::vector<std::uint32_t> scratch(homes.size());
+  for (int shift = 0; shift < bits; shift += kDigitBits) {
+    std::array<std::size_t, kBuckets> offsets{};
+    for (const std::uint32_t home : homes) {
+      ++offsets[(home >> shift) & (kBuckets - 1)];
     }
-    carry = next > capacity ? next - capacity : 0;
+    std::size_t first = 0;
+    for (std::size_t& offset : offsets) {
+      first += std::exchange(offset, first);
+    }
+    for (const std::uint32_t home : homes) {
+      scratch[offsets[(home >> shift) & (kBuckets - 1)]++] = home;
+    }
+    homes.swap(scratch);
   }
-  return total;
 }
 
 /// Launch the block reduction `name` over `n` device slots of
@@ -81,6 +77,32 @@ std::uint64_t reduce_slots(gpusim::Device& device, const char* name,
 
 }  // namespace
 
+/// The total does not depend on insertion order (the parking-function
+/// property), so the keys are placed in home-slot order: each takes the
+/// first free slot at or after its home, counted past the last slot
+/// instead of wrapping. The keys that land past the end occupy the
+/// table's first `carry` slots, which the next lap starts behind. Two laps
+/// reach the fixed point even for a full table: the carried keys' push
+/// stops in the free slots before the run that wrapped, so the second lap
+/// wraps as many keys as the first.
+std::uint64_t detail::total_displacement(std::vector<std::uint32_t>& homes,
+                                         std::uint64_t capacity) {
+  radix_sort(homes, std::bit_width(capacity - 1));
+  std::uint64_t total = 0;
+  std::uint64_t carry = 0;
+  for (int lap = 0; lap < 2; ++lap) {
+    total = 0;
+    std::uint64_t next = carry;  // first free slot, unwrapped
+    for (const std::uint64_t home : homes) {
+      const std::uint64_t slot = std::max(home, next);
+      total += slot - home;
+      next = slot + 1;
+    }
+    carry = next > capacity ? next - capacity : 0;
+  }
+  return total;
+}
+
 DeviceHashTable::DeviceHashTable(gpusim::Device& device,
                                  std::size_t expected_keys, double headroom)
     : device_(&device) {
@@ -89,6 +111,9 @@ DeviceHashTable::DeviceHashTable(gpusim::Device& device,
       static_cast<double>(std::max<std::size_t>(expected_keys, 8)) *
       headroom);
   capacity_ = std::bit_ceil(want);
+  DEDUKT_REQUIRE_MSG(capacity_ <= detail::kMaxCapacity,
+                     "device hash table of " << capacity_
+                                             << " slots exceeds 2^32");
   device.reserve(capacity_ * kSlotBytes);
 }
 
@@ -140,13 +165,14 @@ bool DeviceHashTable::insert(gpusim::KernelCharges& charges,
 /// Re-derive the held keys' total displacement in the modeled table and
 /// return what it grew by since the last launch.
 std::uint64_t DeviceHashTable::added_displacement() {
-  std::vector<std::uint64_t> homes;
+  std::vector<std::uint32_t> homes;
   homes.reserve(held_.unique());
   const std::uint64_t mask = capacity_ - 1;
   held_.for_each([&](std::uint64_t key, std::uint64_t) {
-    homes.push_back(hash::hash_u64(key, kProbeSeed) & mask);
+    homes.push_back(
+        static_cast<std::uint32_t>(hash::hash_u64(key, kProbeSeed) & mask));
   });
-  const std::uint64_t total = total_displacement(homes, capacity_);
+  const std::uint64_t total = detail::total_displacement(homes, capacity_);
   const std::uint64_t added = total - displacement_;
   displacement_ = total;
   return added;

@@ -5,32 +5,36 @@
 #include <iosfwd>
 #include <string>
 
+#include "dedukt/io/line_scanner.hpp"
 #include "dedukt/io/sequence.hpp"
 
 namespace dedukt::io {
 
 /// Incremental single-record FASTQ parser — the one implementation of the
 /// 4-line record grammar, shared by the whole-stream reader below and the
-/// chunked FastqBatchStream (read_stream.hpp). Malformed or truncated
-/// records mid-stream raise typed ParseError (never a precondition error,
-/// never bad_alloc: every allocation is bounded by a line already read);
-/// a clean end of input returns false.
+/// chunked FastqBatchStream (read_stream.hpp). It reads its lines through
+/// a LineScanner, which reads the stream ahead of the records returned so
+/// far, a block at a time. Malformed or truncated records mid-stream raise
+/// typed ParseError (never a precondition error, never bad_alloc: every
+/// allocation is bounded by a line already read); a clean end of input
+/// returns false.
 class FastqRecordReader {
  public:
-  explicit FastqRecordReader(std::istream& in) : in_(in) {}
+  explicit FastqRecordReader(std::istream& in) : lines_(in) {}
 
   FastqRecordReader(const FastqRecordReader&) = delete;
   FastqRecordReader& operator=(const FastqRecordReader&) = delete;
 
   /// Parse the next record into `read` (bases upper-cased). Returns false
-  /// once the stream is exhausted; throws ParseError on malformed input.
+  /// once the stream is exhausted; throws ParseError on malformed input,
+  /// leaving `read` unspecified.
   bool next(Read& read);
 
  private:
-  std::istream& in_;
-  // Line buffers reused across records so a batch pull does not
-  // reallocate four strings per read.
-  std::string header_, bases_, plus_, quality_;
+  LineScanner lines_;
+  // The header and '+' lines, reused across records; the sequence and
+  // quality lines go straight into the read.
+  std::string header_, plus_;
 };
 
 /// Parse all FASTQ records from a stream. Bases are upper-cased. Throws

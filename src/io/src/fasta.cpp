@@ -1,17 +1,17 @@
 #include "dedukt/io/fasta.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <istream>
 #include <ostream>
 
+#include "dedukt/io/line_scanner.hpp"
 #include "dedukt/util/error.hpp"
 
 namespace dedukt::io {
 
 ReadBatch read_fasta(std::istream& in) {
   ReadBatch batch;
+  LineScanner lines(in);
   std::string line;
   Read current;
   bool in_record = false;
@@ -26,19 +26,23 @@ ReadBatch read_fasta(std::istream& in) {
     }
   };
 
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    if (line[0] == '>') {
+  // A line's first byte decides where it goes: a '>' line is a header, and
+  // every other line of a record appends its bases (a blank line appends
+  // none). Only a line before the first header is read on its own, to
+  // tell a blank one from a stray sequence.
+  for (int first = lines.peek(); first != -1; first = lines.peek()) {
+    if (first == '>') {
       flush();
       in_record = true;
-      current.id = line.substr(1);
+      line.clear();
+      lines.append_line(line);
+      current.id.assign(line, 1);
+    } else if (in_record) {
+      lines.append_line(current.bases, /*upper=*/true);
     } else {
-      if (!in_record) throw ParseError("FASTA sequence before first '>'");
-      for (char c : line) {
-        current.bases.push_back(
-            static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-      }
+      line.clear();
+      lines.append_line(line);
+      if (!line.empty()) throw ParseError("FASTA sequence before first '>'");
     }
   }
   flush();

@@ -1,6 +1,5 @@
 #include "dedukt/io/fastq.hpp"
 
-#include <cctype>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -9,54 +8,35 @@
 
 namespace dedukt::io {
 
-namespace {
-
-void strip_cr(std::string& s) {
-  if (!s.empty() && s.back() == '\r') s.pop_back();
-}
-
-}  // namespace
-
 bool FastqRecordReader::next(Read& read) {
-  while (std::getline(in_, header_)) {
-    strip_cr(header_);
-    if (header_.empty()) continue;
-    if (header_[0] != '@') {
-      throw ParseError("FASTQ record must start with '@', got: " + header_);
-    }
-    if (!std::getline(in_, bases_)) {
-      throw ParseError("FASTQ record '" + header_ +
-                       "' truncated at sequence");
-    }
-    if (!std::getline(in_, plus_)) {
-      throw ParseError("FASTQ record '" + header_ + "' truncated at '+'");
-    }
-    if (!std::getline(in_, quality_)) {
-      throw ParseError("FASTQ record '" + header_ +
-                       "' truncated at quality");
-    }
-    strip_cr(bases_);
-    strip_cr(plus_);
-    strip_cr(quality_);
-    if (plus_.empty() || plus_[0] != '+') {
-      throw ParseError("FASTQ record '" + header_ +
-                       "' missing '+' separator");
-    }
-    if (quality_.size() != bases_.size()) {
-      throw ParseError("FASTQ record '" + header_ +
-                       "' quality length does not match sequence length");
-    }
-    read.id = header_.substr(1);
-    read.bases.clear();
-    read.bases.reserve(bases_.size());
-    for (char c : bases_) {
-      read.bases.push_back(
-          static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-    }
-    read.quality = quality_;
-    return true;
+  do {
+    header_.clear();
+    if (!lines_.append_line(header_)) return false;
+  } while (header_.empty());
+  if (header_[0] != '@') {
+    throw ParseError("FASTQ record must start with '@', got: " + header_);
   }
-  return false;
+  read.id = header_.substr(1);
+  read.bases.clear();
+  if (!lines_.append_line(read.bases, /*upper=*/true)) {
+    throw ParseError("FASTQ record '" + header_ + "' truncated at sequence");
+  }
+  plus_.clear();
+  if (!lines_.append_line(plus_)) {
+    throw ParseError("FASTQ record '" + header_ + "' truncated at '+'");
+  }
+  read.quality.clear();
+  if (!lines_.append_line(read.quality)) {
+    throw ParseError("FASTQ record '" + header_ + "' truncated at quality");
+  }
+  if (plus_.empty() || plus_[0] != '+') {
+    throw ParseError("FASTQ record '" + header_ + "' missing '+' separator");
+  }
+  if (read.quality.size() != read.bases.size()) {
+    throw ParseError("FASTQ record '" + header_ +
+                     "' quality length does not match sequence length");
+  }
+  return true;
 }
 
 ReadBatch read_fastq(std::istream& in) {

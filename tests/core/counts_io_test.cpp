@@ -145,6 +145,48 @@ TEST(CountsBinaryTest, EveryFlippedByteFailsTypedOrRoundTrips) {
   }
 }
 
+TEST(CountsBinaryTest, PayloadLongerThanOneBlock) {
+  // The payload moves in blocks of 4096 entries: a three-block file round
+  // trips, every cut around a block's edge is a truncation, and of two
+  // faults in one block the first in file order is the one reported.
+  CountsFile file;
+  file.k = 15;
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    file.counts.emplace_back(3 * i + 1, i % 7 + 1);
+  }
+  std::stringstream buffer;
+  write_counts_binary(buffer, file);
+  const std::string bytes = buffer.str();
+  constexpr std::size_t kHeader = 4 + 3 * 4 + 8;
+  ASSERT_EQ(bytes.size(), kHeader + 16 * file.counts.size());
+  std::stringstream whole(bytes);
+  EXPECT_EQ(read_counts_binary(whole).counts, file.counts);
+
+  for (const std::size_t entries : {4095u, 4096u, 4097u, 8192u, 9999u}) {
+    for (const std::size_t extra : {0u, 8u, 15u}) {
+      std::stringstream truncated(
+          bytes.substr(0, kHeader + 16 * entries + extra));
+      try {
+        (void)read_counts_binary(truncated);
+        ADD_FAILURE() << entries << " entries and " << extra << " bytes";
+      } catch (const ParseError& e) {
+        EXPECT_STREQ(e.what(), "truncated counts file (u64)");
+      }
+    }
+  }
+
+  std::string corrupt = bytes.substr(0, kHeader + 16 * 6000 + 8);
+  const std::uint64_t zero = 0;
+  std::memcpy(corrupt.data() + kHeader + 16 * 5000 + 8, &zero, sizeof(zero));
+  std::stringstream in(corrupt);
+  try {
+    (void)read_counts_binary(in);
+    ADD_FAILURE() << "a zero count and a truncation both passed";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "counts file entry with zero count");
+  }
+}
+
 TEST(CountsIoTest, TrailingBytesInFileRejected) {
   const std::string path = test_support::temp_path("dedukt_trailing.bin");
   write_counts_binary_file(path, sample_file());
