@@ -15,13 +15,16 @@
 // of that many slots. The (key, count) pairs live in a host table that
 // grows with its keys, and the readout hands that table to the rank's
 // table instead of copying it. Each launch is evaluated on the host
-// (Device::launch_host): it walks its input in index order and prices
-// itself in closed form. Every insert is charged one probe, a CAS and an
-// add. The claims are charged the linear-probing displacement they add.
-// That total depends only on the multiset of the held keys' home slots
-// (the parking-function property), so it comes from their sorted home
-// slots, with no slot array. The per-thread CAS kernel that this evaluates
-// is the hash battery's oracle (tests/core/device_hash_table_oracle_test.cpp).
+// (Device::launch_host): it walks its input in index order inside one
+// bulk add on the held table (BasicHostHashTable::add_all), which holds
+// the table's state for the whole walk and leaves the slot layout of
+// one-by-one adds, and it prices itself in closed form. Every insert is
+// charged one probe, a CAS and an add. The claims are charged the
+// linear-probing displacement they add. That total depends only on the
+// multiset of the held keys' home slots (the parking-function property),
+// so it comes from their sorted home slots, with no slot array. The
+// per-thread CAS kernel that this evaluates is the hash battery's oracle
+// (tests/core/device_hash_table_oracle_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -113,9 +116,8 @@ class DeviceHashTable {
  private:
   template <typename Body>
   gpusim::LaunchStats launch(const char* name, std::size_t n,
-                             std::uint64_t elem_bytes, Body&& body);
-  bool insert(gpusim::KernelCharges& charges, std::uint64_t key,
-              std::uint64_t count, DeviceBloomFilter* bloom);
+                             std::uint64_t elem_bytes,
+                             DeviceBloomFilter* bloom, Body&& body);
   std::uint64_t added_displacement();
 
   gpusim::Device* device_ = nullptr;

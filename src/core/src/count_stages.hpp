@@ -157,9 +157,9 @@ void count_cpu(
     const mpisim::AlltoallvResult<typename KeyTraits::Key>& received,
     BasicHostHashTable<KeyTraits>& local_table, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount);
-  for (const auto& key : received.data) {
-    local_table.add(key);
-  }
+  local_table.add_all([&](auto& add) {
+    for (const auto& key : received.data) add(key, 1);
+  });
   metrics.kmers_received = received.data.size();
   phase.set_uniform_charge(static_cast<double>(metrics.kmers_received) /
                            summit::kCpuCountKmersPerSec);

@@ -162,14 +162,16 @@ HostHashTable reference_count(const io::ReadBatch& reads,
   // Grown as keys arrive: sized by occurrences, a large input's table
   // would reserve several times the memory its keys need.
   HostHashTable table;
-  for (const auto& read : reads.reads) {
-    for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-      kmer::for_each_kmer(fragment, config.k, enc, [&](kmer::KmerCode code) {
-        if (config.canonical) code = kmer::canonical(code, config.k, enc);
-        table.add(code);
-      });
+  table.add_all([&](auto& add) {
+    for (const auto& read : reads.reads) {
+      for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
+        kmer::for_each_kmer(fragment, config.k, enc, [&](kmer::KmerCode code) {
+          if (config.canonical) code = kmer::canonical(code, config.k, enc);
+          add(code, 1);
+        });
+      }
     }
-  }
+  });
   return table;
 }
 
@@ -189,17 +191,19 @@ WideHostHashTable reference_count_wide(const io::ReadBatch& reads,
                                        const PipelineConfig& config) {
   const io::BaseEncoding enc = config.encoding();
   WideHostHashTable table;  // grown as keys arrive, as in reference_count
-  for (const auto& read : reads.reads) {
-    for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
-      kmer::for_each_wide_kmer(
-          fragment, config.k, enc, [&](kmer::WideCode code) {
-            if (config.canonical) {
-              code = kmer::wide_canonical(code, config.k, enc);
-            }
-            table.add(kmer::to_key(code));
-          });
+  table.add_all([&](auto& add) {
+    for (const auto& read : reads.reads) {
+      for (std::string_view fragment : kmer::acgt_fragments(read.bases)) {
+        kmer::for_each_wide_kmer(
+            fragment, config.k, enc, [&](kmer::WideCode code) {
+              if (config.canonical) {
+                code = kmer::wide_canonical(code, config.k, enc);
+              }
+              add(kmer::to_key(code), 1);
+            });
+      }
     }
-  }
+  });
   return table;
 }
 

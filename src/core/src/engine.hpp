@@ -61,26 +61,30 @@ std::vector<std::pair<Key, std::uint64_t>> merge_gathered_counts(
   std::vector<std::pair<Key, std::uint64_t>> counts;
   counts.reserve(total);
 
-  // Heap of each run's next unmerged entry, smallest key on top.
-  using Head = std::pair<std::size_t, std::size_t>;  // (run, index)
-  const auto later = [&runs](const Head& a, const Head& b) {
-    return runs[b.first][b.second].key < runs[a.first][a.second].key;
+  // Heap of each run's next unmerged entry, smallest key on top. Each head
+  // carries its entry's key, so a comparison reads no run.
+  struct Head {
+    Key key;
+    std::size_t run;
+    std::size_t index;
   };
+  const auto later = [](const Head& a, const Head& b) { return b.key < a.key; };
   std::vector<Head> heads;
   for (std::size_t run = 0; run < runs.size(); ++run) {
-    if (!runs[run].empty()) heads.emplace_back(run, 0);
+    if (!runs[run].empty()) heads.push_back({runs[run][0].key, run, 0});
   }
   std::make_heap(heads.begin(), heads.end(), later);
   while (!heads.empty()) {
     std::pop_heap(heads.begin(), heads.end(), later);
     Head& head = heads.back();
-    const KeyCount<Key>& entry = runs[head.first][head.second];
-    if (!counts.empty() && counts.back().first == entry.key) {
-      counts.back().second += entry.count;
+    const std::uint64_t count = runs[head.run][head.index].count;
+    if (!counts.empty() && counts.back().first == head.key) {
+      counts.back().second += count;
     } else {
-      counts.emplace_back(entry.key, entry.count);
+      counts.emplace_back(head.key, count);
     }
-    if (++head.second < runs[head.first].size()) {
+    if (++head.index < runs[head.run].size()) {
+      head.key = runs[head.run][head.index].key;
       std::push_heap(heads.begin(), heads.end(), later);
     } else {
       heads.pop_back();

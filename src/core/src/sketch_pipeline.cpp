@@ -163,12 +163,14 @@ RankMetrics run_heavy_pass(gpusim::Device* device, io::ReadView reads,
     }
     {
       PhaseScope phase(metrics, kPhaseCount);
-      for (const std::uint64_t key : keys) {
-        if (sketch_estimate_cells(merged, config.sketch_width,
-                                  config.sketch_depth, key) >= threshold) {
-          candidates.add(key);
+      candidates.add_all([&](auto& add) {
+        for (const std::uint64_t key : keys) {
+          if (sketch_estimate_cells(merged, config.sketch_width,
+                                    config.sketch_depth, key) >= threshold) {
+            add(key, 1);
+          }
         }
-      }
+      });
       phase.set_uniform_charge(static_cast<double>(keys.size()) /
                                summit::kCpuCountKmersPerSec);
     }
@@ -193,9 +195,11 @@ RankMetrics run_heavy_pass(gpusim::Device* device, io::ReadView reads,
                            total * sizeof(std::uint32_t));
     device->price_transfer(gpusim::Device::Link::kToHost,
                            total * sizeof(std::uint64_t));
-    for (std::uint64_t i = 0; i < total; ++i) {
-      if (d_estimates[i] >= threshold) candidates.add(d_kmers[i]);
-    }
+    candidates.add_all([&](auto& add) {
+      for (std::uint64_t i = 0; i < total; ++i) {
+        if (d_estimates[i] >= threshold) add(d_kmers[i], 1);
+      }
+    });
     device->free(d_estimates);
     device->free(d_kmers);
     device_sketch.release();
