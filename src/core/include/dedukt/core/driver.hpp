@@ -16,25 +16,24 @@
 #include "dedukt/core/result.hpp"
 #include "dedukt/core/summit.hpp"
 #include "dedukt/gpusim/device_props.hpp"
-#include "dedukt/io/disk_model.hpp"
 #include "dedukt/io/read_stream.hpp"
 #include "dedukt/io/sequence.hpp"
 
 namespace dedukt::core {
 
 /// Out-of-core spill configuration (--ooc-spill). When enabled, pass 1
-/// streams batches through the parse machinery and appends
-/// minimizer/key-partitioned runs to per-rank bin files under spill_root;
-/// pass 2 replays each bin through the staged exchange/count framework, so
-/// the exchange working set is one bin instead of the whole input.
+/// runs each batch through the pipeline's own parse phase and appends its
+/// per-destination runs to per-rank bin files under spill_root, binned by
+/// a hash of the supermer's minimizer or of the k-mer key; pass 2 replays
+/// each bin through the pipeline's own exchange and count phases, so the
+/// exchange working set is one bin instead of the whole input. Spill and
+/// reload are priced by io::DiskModel::summit_nvme().
 struct OocOptions {
   /// Scratch directory root; empty disables out-of-core mode. A uniquely
   /// named subdirectory is created per run and removed on completion.
   std::string spill_root;
   /// Spill bins per rank: pass 2's working-set divisor.
   int bins = 8;
-  /// Prices spill writes and bin reloads in modeled seconds.
-  io::DiskModel disk = io::DiskModel::summit_nvme();
 
   [[nodiscard]] bool enabled() const { return !spill_root.empty(); }
 };
@@ -51,9 +50,9 @@ struct DriverOptions {
   gpusim::DeviceProps device = gpusim::DeviceProps::v100();
   /// Ingest batching (--batch-reads / --batch-bytes): each batch is one
   /// §III-A round, and the bound is the run's memory limit. Unbounded runs
-  /// the whole input as one round. Applied when the driver builds its own
-  /// stream from a ReadBatch; callers handing a ReadBatchStream control
-  /// batching themselves.
+  /// the whole input as one round. Applied when the driver slices a
+  /// ReadBatch; callers handing a ReadBatchStream control batching
+  /// themselves.
   io::BatchBounds batch;
   /// Out-of-core spill mode (--ooc-spill); see OocOptions.
   OocOptions ooc;
@@ -66,9 +65,10 @@ struct DriverOptions {
   }
 };
 
-/// Run a distributed count of `reads` according to `options`. Wraps the
-/// reads in a VectorBatchStream honouring options.batch and calls the
-/// stream overload below.
+/// Run a distributed count of `reads` according to `options`. Cuts the
+/// reads into batches in place by options.batch (all of them as one batch
+/// when unbounded), so every rank reads a view of `reads`, which must
+/// outlive the call; otherwise runs as the stream overload below.
 [[nodiscard]] CountResult run_distributed_count(const io::ReadBatch& reads,
                                                 const DriverOptions& options);
 

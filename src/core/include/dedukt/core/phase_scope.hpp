@@ -27,8 +27,6 @@
 
 namespace dedukt::core {
 
-class ExchangePlan;
-
 class PhaseScope {
  public:
   /// Host-only phase (CPU parse/count): span + measured wall time.
@@ -83,13 +81,6 @@ class PhaseScope {
         std::max(capture.modeled_seconds(), work_seconds) + overhead_seconds,
         std::max(capture.modeled_volume_seconds(), work_seconds));
   }
-
-  /// Commit an exchange phase from its ExchangePlan: exact byte counts,
-  /// the Alltoallv-routine time (Fig. 8's metric), and the full exchange
-  /// charge (routine + staging copies + constant overhead). Defined in
-  /// exchange_plan.hpp.
-  inline void commit_exchange(const ExchangePlan& plan,
-                              double overhead_seconds = 0.0);
 
  private:
   RankMetrics& metrics_;

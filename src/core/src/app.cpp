@@ -58,8 +58,9 @@ commands:
                                   inputs are decoded incrementally, never
                                   fully resident)
            [--ooc-spill=<dir>] [--ooc-bins=8]  (out-of-core two-pass run:
-                                  spill minimizer-partitioned supermer bins
-                                  under <dir>, then replay bin by bin)
+                                  spill the wire payload under <dir> in bins
+                                  (supermers by minimizer, k-mers by key
+                                  hash), then replay bin by bin)
            [--trace=trace.json]  (Chrome trace + <base>.metrics.json,
                                   same as DEDUKT_TRACE=<path>)
   histo    --counts=counts.bin [--max-rows=25]
@@ -180,9 +181,14 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
   options.batch.max_bytes = cli.get_uint<std::uint64_t>("batch-bytes", 0);
   options.ooc.spill_root = cli.get("ooc-spill");
   options.ooc.bins = cli.get_int_as<int>("ooc-bins", 8);
+  const std::string store_out = cli.get("store-out");
 
   // Checked before any input is generated or read.
   detail::validate_run(options, /*wide_keys=*/false);
+  DEDUKT_REQUIRE_MSG(store_out.empty() || !options.pipeline.sketch,
+                     "--store-out needs exact counts, and a --sketch run "
+                     "gathers none; write the sketch's heavy hitters with "
+                     "--output");
 
   // Bounded-batch or out-of-core runs on a FASTQ input stream straight
   // from the file, so the full read set is never resident; everything else
@@ -292,7 +298,6 @@ int cmd_count(const CliParser& cli, std::ostream& out) {
         << "\n";
   }
 
-  const std::string store_out = cli.get("store-out");
   if (!store_out.empty()) {
     std::filesystem::create_directories(store_out);
     const store::Manifest manifest =

@@ -9,12 +9,9 @@
 //
 // One translation unit, templated on the key traits of host_hash_table.hpp
 // (mirroring how the supermer pipeline templates on its packing word); each
-// round is the parse -> exchange -> count stage sequence on PhaseScope and
-// ExchangePlan.
-#include <vector>
-
+// round is the parse -> exchange -> count stage sequence of
+// count_stages.hpp.
 #include "count_stages.hpp"
-#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/core/summit.hpp"
 
@@ -34,20 +31,12 @@ RankMetrics run_cpu(mpisim::Comm& comm, io::ReadView reads,
   metrics.reads = reads.size();
   metrics.bases = reads.total_bases();
 
-  std::vector<std::vector<typename KeyTraits::Key>> outgoing =
-      detail::parse_cpu<KeyTraits>(reads, config, parts, metrics);
-
-  // --- EXCHANGEKMER: Alltoallv of packed k-mers ---
-  mpisim::AlltoallvResult<typename KeyTraits::Key> received;
-  {
-    PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, /*device=*/nullptr, /*staged=*/false);
-    received = plan.exchange(outgoing);
-    phase.commit_exchange(plan);
-  }
-  outgoing.clear();
-  outgoing.shrink_to_fit();
-
+  using Key = typename KeyTraits::Key;
+  const detail::Received<Key> received = detail::exchange_phase(
+      comm, /*device=*/nullptr, config,
+      detail::Outgoing<Key>{
+          detail::parse_cpu<KeyTraits>(reads, config, parts, metrics)},
+      metrics);
   detail::count_cpu(received, local_table, metrics);
 
   metrics.unique_kmers = local_table.unique();

@@ -13,7 +13,6 @@
 #include "count_stages.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
-#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/kernels.hpp"
 #include "dedukt/core/pipeline.hpp"
 #include "dedukt/core/summit.hpp"
@@ -25,19 +24,19 @@ namespace detail {
 
 /// Count phase of the main path: build the k-mer counter on the device.
 void count_gpu_kmers(gpusim::Device& device, const PipelineConfig& config,
-                     gpusim::DeviceBuffer<std::uint64_t>& d_recv,
-                     std::uint64_t kmers, HostHashTable& local_table,
-                     RankMetrics& metrics) {
+                     Received<std::uint64_t>& received,
+                     HostHashTable& local_table, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  DeviceHashTable table(device, kmers);
+  DeviceHashTable table(device, received.kmers);
   std::optional<DeviceBloomFilter> bloom;
-  if (config.filter_singletons) bloom.emplace(device, kmers);
-  table.count_kmers(d_recv, kmers, bloom ? &*bloom : nullptr);
-  device.free(d_recv);
+  if (config.filter_singletons) bloom.emplace(device, received.kmers);
+  table.count_kmers(received.d_items, received.kmers,
+                    bloom ? &*bloom : nullptr);
+  device.free(received.d_items);
   std::move(table).read_out(local_table);
 
-  metrics.kmers_received = kmers;
+  metrics.kmers_received = received.kmers;
   phase.set_device_floor_charge(
       static_cast<double>(metrics.kmers_received) /
           summit::kGpuCountKmersPerSec,
@@ -82,22 +81,19 @@ namespace {
 
 using detail::ParsedKmers;
 
-/// Per-destination (key, count) buckets after source-side consolidation.
-struct ConsolidatedKmers {
-  std::vector<std::vector<std::uint64_t>> out_keys;
-  std::vector<std::vector<std::uint32_t>> out_key_counts;
-};
+/// Per-destination (key, count) pairs after source-side consolidation.
+using ConsolidatedPairs = detail::Outgoing<std::uint64_t, std::uint32_t>;
 
 /// Source-side consolidation (footnote 1, after Georganas): count locally
 /// first and bucket (k-mer, count) pairs per destination. A second parse
 /// phase in the ledger.
-ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
+ConsolidatedPairs consolidate_gpu_kmers(gpusim::Device& device,
                                         ParsedKmers&& parsed,
                                         std::uint32_t parts,
                                         RankMetrics& metrics) {
-  ConsolidatedKmers buckets;
-  buckets.out_keys.resize(parts);
-  buckets.out_key_counts.resize(parts);
+  ConsolidatedPairs buckets;
+  buckets.items.resize(parts);
+  buckets.second.resize(parts);
   PhaseScope phase(metrics, kPhaseParse, device);
 
   // The runs in destination order, the order the outgoing buffer holds
@@ -111,8 +107,8 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   std::move(local).read_out(counted);
   counted.for_each([&](std::uint64_t key, std::uint64_t count) {
     const std::uint32_t dest = kmer::kmer_partition(key, parts);
-    buckets.out_keys[dest].push_back(key);
-    buckets.out_key_counts[dest].push_back(static_cast<std::uint32_t>(count));
+    buckets.items[dest].push_back(key);
+    buckets.second[dest].push_back(static_cast<std::uint32_t>(count));
   });
   // Local pre-counting runs at the count rate; no extra launch overhead is
   // charged for the fused pass.
@@ -122,26 +118,23 @@ ConsolidatedKmers consolidate_gpu_kmers(gpusim::Device& device,
   return buckets;
 }
 
-/// Count phase of the consolidated path: accumulate the `pairs` received
-/// (key, count) pairs, `kmers` occurrences in all, into the local
-/// partition of the global table.
+/// Count phase of the consolidated path: accumulate the received
+/// (key, count) pairs into the local partition of the global table.
 void count_gpu_pairs(gpusim::Device& device,
-                     gpusim::DeviceBuffer<std::uint64_t>& d_recv_keys,
-                     gpusim::DeviceBuffer<std::uint32_t>& d_recv_key_counts,
-                     std::uint64_t pairs, std::uint64_t kmers,
+                     detail::Received<std::uint64_t, std::uint32_t>& received,
                      HostHashTable& local_table, RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  DeviceHashTable table(device, pairs);
-  table.accumulate_pairs(d_recv_keys, d_recv_key_counts, pairs);
-  device.free(d_recv_keys);
-  device.free(d_recv_key_counts);
+  DeviceHashTable table(device, received.items);
+  table.accumulate_pairs(received.d_items, received.d_second, received.items);
+  device.free(received.d_items);
+  device.free(received.d_second);
   std::move(table).read_out(local_table);
 
-  metrics.kmers_received = kmers;
+  metrics.kmers_received = received.kmers;
   // Accumulation touches one pair per locally-distinct k-mer.
   phase.set_device_floor_charge(
-      static_cast<double>(pairs) / summit::kGpuCountKmersPerSec,
+      static_cast<double>(received.items) / summit::kGpuCountKmersPerSec,
       summit::kGpuCountOverheadSec);
 }
 
@@ -153,7 +146,6 @@ RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
                               HostHashTable& local_table) {
   config.validate();
   const auto parts = static_cast<std::uint32_t>(comm.size());
-  const bool staged = config.exchange == ExchangeMode::kStaged;
 
   RankMetrics metrics;
   metrics.reads = reads.size();
@@ -163,58 +155,22 @@ RankMetrics run_gpu_kmer_rank(mpisim::Comm& comm, gpusim::Device& device,
       detail::parse_gpu_kmers(device, reads, config, parts, metrics);
 
   if (config.source_consolidation) {
-    ConsolidatedKmers buckets =
-        consolidate_gpu_kmers(device, std::move(parsed), parts, metrics);
-
-    gpusim::DeviceBuffer<std::uint64_t> d_recv_keys;
-    gpusim::DeviceBuffer<std::uint32_t> d_recv_key_counts;
-    std::uint64_t pairs = 0;
-    std::uint64_t kmers = 0;
-    {
-      PhaseScope phase(metrics, kPhaseExchange);
-      ExchangePlan plan(comm, &device, staged);
-
-      mpisim::AlltoallvResult<std::uint64_t> recv_keys =
-          plan.exchange(buckets.out_keys);
-      mpisim::AlltoallvResult<std::uint32_t> recv_key_counts =
-          plan.exchange(buckets.out_key_counts);
-      DEDUKT_CHECK(recv_keys.data.size() == recv_key_counts.data.size());
-      pairs = recv_keys.data.size();
-      for (const std::uint32_t count : recv_key_counts.data) kmers += count;
-
-      d_recv_keys = plan.stage_in(std::move(recv_keys.data));
-      d_recv_key_counts = plan.stage_in(std::move(recv_key_counts.data));
-      phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-    }
-
-    count_gpu_pairs(device, d_recv_keys, d_recv_key_counts, pairs, kmers,
-                    local_table, metrics);
-    metrics.unique_kmers = local_table.unique();
-    metrics.counted_kmers = local_table.total();
-    return metrics;
+    detail::Received<std::uint64_t, std::uint32_t> received =
+        detail::exchange_phase(
+            comm, &device, config,
+            consolidate_gpu_kmers(device, std::move(parsed), parts, metrics),
+            metrics);
+    count_gpu_pairs(device, received, local_table, metrics);
+  } else {
+    // The count launch's runs are the per-destination slices of the
+    // outgoing buffer the fill launch placed.
+    detail::Received<std::uint64_t> received = detail::exchange_phase(
+        comm, &device, config,
+        detail::Outgoing<std::uint64_t>{.items = std::move(parsed.runs),
+                                        .reserved = parsed.reserved},
+        metrics);
+    detail::count_gpu_kmers(device, config, received, local_table, metrics);
   }
-
-  // --- exchange ---
-  gpusim::DeviceBuffer<std::uint64_t> d_recv;
-  std::uint64_t kmers = 0;
-  {
-    PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, &device, staged);
-
-    // The outgoing buffer leaves the device (priced by its bytes); the
-    // count launch's runs are its per-destination slices, and the
-    // Alltoallv reads them in place.
-    const kernels::KmerRuns runs = std::move(parsed.runs);
-    plan.price_stage_out(parsed.total * sizeof(std::uint64_t));
-    device.release(parsed.reserved);
-    mpisim::AlltoallvResult<std::uint64_t> received = plan.exchange(runs);
-    kmers = received.data.size();
-    d_recv = plan.stage_in(std::move(received.data));
-    phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-  }
-
-  detail::count_gpu_kmers(device, config, d_recv, kmers, local_table,
-                          metrics);
 
   metrics.unique_kmers = local_table.unique();
   metrics.counted_kmers = local_table.total();

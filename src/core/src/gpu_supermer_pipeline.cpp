@@ -9,14 +9,12 @@
 // the device hash table.
 #include <algorithm>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "count_stages.hpp"
 #include "dedukt/core/bloom_filter.hpp"
 #include "dedukt/core/device_hash_table.hpp"
-#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/kernels.hpp"
 #include "dedukt/core/partitioner.hpp"
 #include "dedukt/core/pipeline.hpp"
@@ -27,51 +25,38 @@ namespace dedukt::core {
 
 namespace detail {
 
-std::uint64_t supermer_kmers(std::span<const std::uint8_t> lens, int k) {
-  std::uint64_t kmers = 0;
-  for (const std::uint8_t len : lens) {
-    kmers += static_cast<std::uint64_t>(len) - static_cast<std::uint64_t>(k) +
-             1;
-  }
-  return kmers;
-}
-
 /// Count phase: extract k-mers from received supermers and count. Shared
 /// verbatim by the in-memory rounds and the out-of-core replay.
 template <typename Word>
 void count_gpu_supermers(gpusim::Device& device, const PipelineConfig& config,
-                         gpusim::DeviceBuffer<Word>& d_recv_words,
-                         gpusim::DeviceBuffer<std::uint8_t>& d_recv_lens,
-                         std::uint64_t supermers, std::uint64_t kmers,
-                         HostHashTable& local_table, RankMetrics& metrics) {
+                         Received<Word>& received, HostHashTable& local_table,
+                         RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseCount, device);
 
-  metrics.supermers_received = supermers;
-  DeviceHashTable table(device, kmers);
+  metrics.supermers_received = received.items;
+  DeviceHashTable table(device, received.kmers);
   std::optional<DeviceBloomFilter> bloom;
-  if (config.filter_singletons) bloom.emplace(device, kmers);
-  table.count_supermers(d_recv_words, d_recv_lens, supermers, config.k,
-                        bloom ? &*bloom : nullptr);
-  device.free(d_recv_words);
-  device.free(d_recv_lens);
+  if (config.filter_singletons) bloom.emplace(device, received.kmers);
+  table.count_supermers(received.d_items, received.d_second, received.items,
+                        config.k, bloom ? &*bloom : nullptr);
+  device.free(received.d_items);
+  device.free(received.d_second);
   std::move(table).read_out(local_table);
 
-  metrics.kmers_received = kmers;
+  metrics.kmers_received = received.kmers;
   // Counting from supermers costs ~27% over direct counting (§V-C).
   phase.set_device_floor_charge(
-      static_cast<double>(kmers) /
+      static_cast<double>(metrics.kmers_received) /
           (summit::kGpuCountKmersPerSec / summit::kSupermerCountOverhead),
       summit::kGpuCountOverheadSec);
 }
 
 template void count_gpu_supermers<std::uint64_t>(
-    gpusim::Device&, const PipelineConfig&,
-    gpusim::DeviceBuffer<std::uint64_t>&, gpusim::DeviceBuffer<std::uint8_t>&,
-    std::uint64_t, std::uint64_t, HostHashTable&, RankMetrics&);
+    gpusim::Device&, const PipelineConfig&, Received<std::uint64_t>&,
+    HostHashTable&, RankMetrics&);
 template void count_gpu_supermers<kmer::WideKey>(
-    gpusim::Device&, const PipelineConfig&,
-    gpusim::DeviceBuffer<kmer::WideKey>&, gpusim::DeviceBuffer<std::uint8_t>&,
-    std::uint64_t, std::uint64_t, HostHashTable&, RankMetrics&);
+    gpusim::Device&, const PipelineConfig&, Received<kmer::WideKey>&,
+    HostHashTable&, RankMetrics&);
 
 SupermerRouting route_supermers(mpisim::Comm& comm, gpusim::Device& device,
                                 io::ReadView reads,
@@ -132,7 +117,7 @@ ParsedSupermers<Word> parse_gpu_supermers(gpusim::Device& device,
   device.price_transfer(gpusim::Device::Link::kToDevice, window_bytes);
 
   // The runs are what the fill launch would place.
-  parsed.total_supermers = populate_outgoing(
+  metrics.supermers_built = populate_outgoing(
       device, parts, sizeof(Word) + sizeof(std::uint8_t), parsed.reserved,
       [&](gpusim::DeviceBuffer<std::uint32_t>& d_counts) {
         kernels::supermer_count<Word>(device, reads, staging, smer_config,
@@ -145,7 +130,6 @@ ParsedSupermers<Word> parse_gpu_supermers(gpusim::Device& device,
   device.release(staging.bases);
   device.release(window_reserved);
 
-  metrics.supermers_built = parsed.total_supermers;
   // Total supermer payload bases (§IV-C compression metric), summed from
   // the length runs on the host — never element-by-element from device
   // memory.
@@ -182,45 +166,21 @@ void run_supermer_round(mpisim::Comm& comm, gpusim::Device& device,
                         const MinimizerAssignment* routing,
                         RankMetrics& metrics) {
   const auto parts = static_cast<std::uint32_t>(comm.size());
-  const bool staged = config.exchange == ExchangeMode::kStaged;
 
   metrics.reads = reads.size();
   metrics.bases = reads.total_bases();
 
   detail::ParsedSupermers<Word> parsed = detail::parse_gpu_supermers<Word>(
       device, reads, config, parts, routing, metrics);
-
-  // --- exchange supermer words and lengths ---
-  gpusim::DeviceBuffer<Word> d_recv_words;
-  gpusim::DeviceBuffer<std::uint8_t> d_recv_lens;
-  std::uint64_t supermers = 0;
-  std::uint64_t kmers = 0;
-  {
-    PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, &device, staged);
-
-    // The word and then the length buffer leave the device (priced by
-    // their bytes); the count launch's runs are their per-destination
-    // slices, and each Alltoallv reads them in place.
-    const kernels::SupermerRuns<Word> runs = std::move(parsed.runs);
-    plan.price_stage_out(parsed.total_supermers * sizeof(Word));
-    plan.price_stage_out(parsed.total_supermers * sizeof(std::uint8_t));
-    device.release(parsed.reserved);
-
-    mpisim::AlltoallvResult<Word> recv_words = plan.exchange(runs.words);
-    mpisim::AlltoallvResult<std::uint8_t> recv_lens =
-        plan.exchange(runs.lens);
-    DEDUKT_CHECK(recv_words.data.size() == recv_lens.data.size());
-    supermers = recv_lens.data.size();
-    kmers = detail::supermer_kmers(recv_lens.data, config.k);
-
-    d_recv_words = plan.stage_in(std::move(recv_words.data));
-    d_recv_lens = plan.stage_in(std::move(recv_lens.data));
-    phase.commit_exchange(plan, summit::kGpuExchangeOverheadSec);
-  }
-
-  detail::count_gpu_supermers<Word>(device, config, d_recv_words, d_recv_lens,
-                                    supermers, kmers, local_table, metrics);
+  // The count launch's runs are the per-destination slices of the word
+  // and length buffers the fill launch placed.
+  detail::Received<Word> received = detail::exchange_phase(
+      comm, &device, config,
+      detail::Outgoing<Word>{std::move(parsed.runs.words),
+                             std::move(parsed.runs.lens), parsed.reserved},
+      metrics);
+  detail::count_gpu_supermers<Word>(device, config, received, local_table,
+                                    metrics);
 }
 
 }  // namespace

@@ -12,9 +12,10 @@
 // is not priced. The bin is a pure function of the k-mer key or of the
 // supermer's minimizer (its first k-mer's, recomputed from its bases), so
 // pass 2 can process bins independently. Pass 2 replays one bin at a
-// time: it exchanges the bin, then calls the pipeline's own count phase
-// against the persistent per-rank table, which bounds the exchange working
-// set by 1/bins of the dataset.
+// time: it reloads the bin as the items the pipeline sends, then runs the
+// pipeline's own exchange and count phases (count_stages.hpp) against the
+// persistent per-rank table, which bounds the exchange working set by
+// 1/bins of the dataset.
 //
 // Spectra, global counts and (for hash routing) per-rank tallies are
 // bit-identical to the in-memory path: every occurrence of a key follows
@@ -31,11 +32,10 @@
 #include <vector>
 
 #include "count_stages.hpp"
-#include "dedukt/core/exchange_plan.hpp"
 #include "dedukt/core/partitioner.hpp"
-#include "dedukt/core/summit.hpp"
 #include "dedukt/gpusim/device.hpp"
 #include "dedukt/hash/murmur3.hpp"
+#include "dedukt/io/disk_model.hpp"
 #include "dedukt/io/spill.hpp"
 #include "dedukt/kmer/supermer.hpp"
 #include "dedukt/kmer/wide.hpp"
@@ -80,23 +80,6 @@ const std::uint64_t* as_words(const Word* items) {
   return reinterpret_cast<const std::uint64_t*>(items);
 }
 
-/// The inverse of as_words over a whole reloaded buffer.
-template <typename Word>
-std::vector<Word> words_as(std::vector<std::uint64_t>&& words) {
-  if constexpr (std::is_same_v<Word, std::uint64_t>) {
-    return std::move(words);
-  } else {
-    std::vector<Word> items(words.size() * sizeof(std::uint64_t) /
-                            sizeof(Word));
-    // An empty bin has no storage, and memcpy from its null data() is
-    // undefined behaviour even for 0 bytes.
-    if (items.empty()) return items;
-    std::memcpy(static_cast<void*>(items.data()), words.data(),
-                items.size() * sizeof(Word));
-    return items;
-  }
-}
-
 /// The minimizer a packed supermer's k-mers share: its first k-mer's.
 template <typename Word>
 kmer::KmerCode supermer_minimizer(const Word& word, std::uint8_t len, int k,
@@ -120,7 +103,7 @@ std::uint64_t spill_runs(
     std::vector<std::vector<Word>>& words,
     std::vector<std::vector<std::uint8_t>>& lens, BinOf&& bin_of,
     std::vector<std::unique_ptr<io::SpillBinWriter>>& writers,
-    const io::DiskModel& disk, RankMetrics& metrics) {
+    RankMetrics& metrics) {
   PhaseScope phase(metrics, kPhaseSpill);
   const bool has_lens = !lens.empty();
   const std::size_t bins = writers.size();
@@ -171,6 +154,7 @@ std::uint64_t spill_runs(
 
   const auto [bytes_after, runs_after] = ledger();
   metrics.spill_bytes_written = bytes_after - bytes_before;
+  const io::DiskModel disk = io::DiskModel::summit_nvme();
   phase.set_charge(disk.write_seconds(bytes_after - bytes_before,
                                       runs_after - runs_before),
                    disk.write_volume_seconds(bytes_after - bytes_before));
@@ -190,7 +174,6 @@ std::uint64_t parse_and_spill(
   const PipelineConfig& config = options.pipeline;
   const auto parts = static_cast<std::uint32_t>(comm.size());
   const auto bins = static_cast<std::uint32_t>(writers.size());
-  const io::DiskModel& disk = options.ooc.disk;
   const auto key_bin = [bins](const typename KeyTraits::Key& key,
                               std::uint8_t) {
     return spill_bin_of<KeyTraits>(key, bins);
@@ -202,8 +185,7 @@ std::uint64_t parse_and_spill(
       if (config.kind == PipelineKind::kGpuKmer) {
         detail::ParsedKmers parsed =
             detail::parse_gpu_kmers(device, mine, config, parts, metrics);
-        return spill_runs(parsed.runs, no_lens, key_bin, writers, disk,
-                          metrics);
+        return spill_runs(parsed.runs, no_lens, key_bin, writers, metrics);
       }
       const detail::SupermerRouting routing = detail::route_supermers(
           comm, device, mine, config, assignment, metrics);
@@ -218,134 +200,93 @@ std::uint64_t parse_and_spill(
               return spill_bin_of<NarrowKeyTraits>(
                   supermer_minimizer(word, len, config.k, policy), bins);
             },
-            writers, disk, metrics);
+            writers, metrics);
       };
       return config.wide_supermers ? spill_supermers(kmer::WideKey{})
                                    : spill_supermers(std::uint64_t{});
     }
   }
   auto outgoing = detail::parse_cpu<KeyTraits>(mine, config, parts, metrics);
-  return spill_runs(outgoing, no_lens, key_bin, writers, disk, metrics);
+  return spill_runs(outgoing, no_lens, key_bin, writers, metrics);
 }
 
-/// One pass-2 bin reload: replay every run into per-destination buffers.
-struct ReloadedBin {
-  std::vector<std::vector<std::uint64_t>> words;  ///< [dest] packed words
-  std::vector<std::vector<std::uint8_t>> lens;    ///< [dest], supermers only
-  std::uint64_t bytes = 0;
-};
-
-ReloadedBin reload_bin(const std::string& path, io::SpillKind kind, int k,
-                       std::uint32_t parts, const io::DiskModel& disk,
-                       RankMetrics& metrics) {
-  ReloadedBin reloaded;
-  reloaded.words.resize(parts);
-  reloaded.lens.resize(parts);
+/// Pass 2's reload phase of one bin: every run the rank spilled to it,
+/// replayed into per-destination runs of the items the pipeline sends
+/// and, for supermers, their lengths.
+template <typename Item>
+detail::Outgoing<Item> reload_bin(const std::string& path, io::SpillKind kind,
+                                  int k, std::uint32_t parts,
+                                  RankMetrics& metrics) {
+  static_assert(sizeof(Item) % sizeof(std::uint64_t) == 0);
+  detail::Outgoing<Item> reloaded;
+  reloaded.items.resize(parts);
+  if (io::spill_has_lens(kind)) reloaded.second.resize(parts);
   PhaseScope phase(metrics, kPhaseReload);
   io::SpillBinReader reader(path, kind, k, parts);
   io::SpillRun run;
   while (reader.next(run)) {
-    auto& words = reloaded.words[run.dest];
-    words.insert(words.end(), run.words.begin(), run.words.end());
-    auto& lens = reloaded.lens[run.dest];
-    lens.insert(lens.end(), run.lens.begin(), run.lens.end());
+    DEDUKT_CHECK(run.words.size() * sizeof(std::uint64_t) ==
+                 run.count * sizeof(Item));
+    std::vector<Item>& items = reloaded.items[run.dest];
+    if constexpr (std::is_same_v<Item, std::uint64_t>) {
+      items.insert(items.end(), run.words.begin(), run.words.end());
+    } else if (run.count > 0) {
+      // An empty run has no storage, and memcpy from its null data() is
+      // undefined behaviour even for 0 bytes.
+      const std::size_t at = items.size();
+      items.resize(at + run.count);
+      std::memcpy(static_cast<void*>(items.data() + at), run.words.data(),
+                  run.count * sizeof(Item));
+    }
+    if (!reloaded.second.empty()) {
+      std::vector<std::uint8_t>& lens = reloaded.second[run.dest];
+      lens.insert(lens.end(), run.lens.begin(), run.lens.end());
+    }
   }
-  reloaded.bytes = reader.bytes_read();
-  metrics.spill_bytes_read = reloaded.bytes;
+  metrics.spill_bytes_read = reader.bytes_read();
   // One op per run plus the header read.
+  const io::DiskModel disk = io::DiskModel::summit_nvme();
   phase.set_charge(disk.read_seconds(reader.bytes_read(), reader.runs() + 1),
                    disk.read_volume_seconds(reader.bytes_read()));
   return reloaded;
 }
 
-/// One bin after its exchange. The host-only CPU kinds count `words`; the
-/// GPU kinds count what the device took: `d_words` holds the `items` keys
-/// or supermers received and, for supermers, `d_lens` their lengths,
-/// `kmers` k-mers in all.
-template <typename Word>
-struct ReceivedBin {
-  mpisim::AlltoallvResult<Word> words;
-  gpusim::DeviceBuffer<Word> d_words;
-  gpusim::DeviceBuffer<std::uint8_t> d_lens;
-  std::uint64_t items = 0;
-  std::uint64_t kmers = 0;
-};
-
-/// The exchange phase of one reloaded bin, as the pipeline's in-memory
-/// exchange runs it: k-mer keys, or supermer words plus their lengths.
-template <typename Word>
-ReceivedBin<Word> exchange_bin(mpisim::Comm& comm, gpusim::Device* device,
-                               const PipelineConfig& config,
-                               ReloadedBin& reloaded, RankMetrics& metrics) {
-  const bool supermers = config.kind == PipelineKind::kGpuSupermer;
-  std::vector<std::vector<Word>> out_words(reloaded.words.size());
-  for (std::size_t dest = 0; dest < out_words.size(); ++dest) {
-    out_words[dest] = words_as<Word>(std::move(reloaded.words[dest]));
-  }
-  ReceivedBin<Word> received;
-  {
-    PhaseScope phase(metrics, kPhaseExchange);
-    ExchangePlan plan(comm, device, config.exchange == ExchangeMode::kStaged);
-    received.words = plan.exchange(out_words);
-    received.items = received.words.data.size();
-    mpisim::AlltoallvResult<std::uint8_t> lens;
-    if (supermers) {
-      lens = plan.exchange(reloaded.lens);
-      DEDUKT_CHECK(received.items == lens.data.size());
-      received.kmers = detail::supermer_kmers(lens.data, config.k);
-    }
-    if (device != nullptr) {
-      received.d_words = plan.stage_in(std::move(received.words.data));
-      if (supermers) received.d_lens = plan.stage_in(std::move(lens.data));
-    }
-    phase.commit_exchange(
-        plan, device != nullptr ? summit::kGpuExchangeOverheadSec : 0.0);
-  }
-  reloaded.words.clear();
-  reloaded.lens.clear();
-  return received;
-}
-
-template <typename Word>
-void count_supermer_bin(mpisim::Comm& comm, gpusim::Device& device,
-                        const PipelineConfig& config, ReloadedBin& reloaded,
-                        HostHashTable& table, RankMetrics& metrics) {
-  ReceivedBin<Word> received =
-      exchange_bin<Word>(comm, &device, config, reloaded, metrics);
-  detail::count_gpu_supermers<Word>(device, config, received.d_words,
-                                    received.d_lens, received.items,
-                                    received.kmers, table, metrics);
-}
-
-/// Pass 2 for one bin: exchange it, then count it with the pipeline's own
-/// count phase against the rank's persistent table.
+/// Pass 2 for one bin: reload it, then run the pipeline's own exchange and
+/// count phases against the rank's persistent table.
 template <typename KeyTraits>
-void count_bin(mpisim::Comm& comm, gpusim::Device* device,
-               const PipelineConfig& config, ReloadedBin& reloaded,
-               BasicHostHashTable<KeyTraits>& table, RankMetrics& metrics) {
+void replay_bin(mpisim::Comm& comm, gpusim::Device* device,
+                const PipelineConfig& config, const std::string& path,
+                io::SpillKind kind, BasicHostHashTable<KeyTraits>& table,
+                RankMetrics& metrics) {
   using Key = typename KeyTraits::Key;
+  // The bin's reload and exchange phases, its items sent as Item.
+  const auto exchange = [&]<typename Item>(Item) {
+    return detail::exchange_phase(
+        comm, device, config,
+        reload_bin<Item>(path, kind, config.k,
+                         static_cast<std::uint32_t>(comm.size()), metrics),
+        metrics);
+  };
   if constexpr (std::is_same_v<KeyTraits, NarrowKeyTraits>) {
     if (config.kind == PipelineKind::kGpuSupermer) {
       if (config.wide_supermers) {
-        count_supermer_bin<kmer::WideKey>(comm, *device, config, reloaded,
-                                          table, metrics);
+        detail::Received<kmer::WideKey> received = exchange(kmer::WideKey{});
+        detail::count_gpu_supermers(*device, config, received, table,
+                                    metrics);
       } else {
-        count_supermer_bin<std::uint64_t>(comm, *device, config, reloaded,
-                                          table, metrics);
+        detail::Received<std::uint64_t> received = exchange(std::uint64_t{});
+        detail::count_gpu_supermers(*device, config, received, table,
+                                    metrics);
       }
       return;
     }
     if (config.kind == PipelineKind::kGpuKmer) {
-      ReceivedBin<Key> received =
-          exchange_bin<Key>(comm, device, config, reloaded, metrics);
-      detail::count_gpu_kmers(*device, config, received.d_words,
-                              received.items, table, metrics);
+      detail::Received<Key> received = exchange(Key{});
+      detail::count_gpu_kmers(*device, config, received, table, metrics);
       return;
     }
   }
-  const ReceivedBin<Key> received =
-      exchange_bin<Key>(comm, /*device=*/nullptr, config, reloaded, metrics);
-  detail::count_cpu(received.words, table, metrics);
+  detail::count_cpu(exchange(Key{}), table, metrics);
 }
 
 }  // namespace
@@ -361,7 +302,6 @@ void count_out_of_core(CountEngine<KeyTraits>& engine, BatchSource& source) {
   const auto parts = static_cast<std::uint32_t>(options.nranks);
   const auto bins = static_cast<std::uint32_t>(options.ooc.bins);
   const io::SpillKind kind = spill_kind_of<KeyTraits>(config);
-  const io::DiskModel& disk = options.ooc.disk;
 
   // RAII scratch: removed on return and on exception alike.
   io::SpillDir spill(options.ooc.spill_root);
@@ -415,16 +355,14 @@ void count_out_of_core(CountEngine<KeyTraits>& engine, BatchSource& source) {
     if (config.kind != PipelineKind::kCpu) device.emplace(options.device);
 
     for (std::uint32_t bin = 0; bin < bins; ++bin) {
-      // Fresh per-bin ledger: commit_exchange ASSIGNS byte counts and
+      // Fresh per-bin ledger: the exchange phase ASSIGNS byte counts and
       // alltoallv times, so they must not overwrite earlier bins' values.
       RankMetrics bm;
-      ReloadedBin reloaded = reload_bin(
-          spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
-          kind, config.k, parts, disk, bm);
-      count_bin(comm, device ? &*device : nullptr, config, reloaded, table,
-                bm);
+      replay_bin(comm, device ? &*device : nullptr, config,
+                 spill.bin_path(static_cast<int>(rank), static_cast<int>(bin)),
+                 kind, table, bm);
       bm.peak_resident_bytes =
-          reloaded.bytes + bm.bytes_sent + bm.bytes_received;
+          bm.spill_bytes_read + bm.bytes_sent + bm.bytes_received;
       accumulate_round(total, bm);
     }
 

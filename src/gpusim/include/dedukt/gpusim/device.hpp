@@ -259,7 +259,7 @@ class Device {
 /// Snapshot/delta of a device's modeled timeline around one scope:
 /// construct at the start, read the deltas at the end. This is the one
 /// canonical way to attribute device time to a pipeline phase (see
-/// core::PhaseScope / core::ExchangePlan).
+/// core::PhaseScope and the exchange phase of core's count_stages.hpp).
 class DeviceCapture {
  public:
   explicit DeviceCapture(Device& device)

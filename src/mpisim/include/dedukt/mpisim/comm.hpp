@@ -423,7 +423,8 @@ class Comm {
 /// Snapshot/delta of a rank's communication ledger around one scope:
 /// construct at the start, read the deltas at the end. This is the one
 /// canonical way to attribute communication traffic and modeled time to a
-/// pipeline phase (see core::PhaseScope / core::ExchangePlan).
+/// pipeline phase (see core::PhaseScope and the exchange phase of core's
+/// count_stages.hpp).
 class CommCapture {
  public:
   explicit CommCapture(Comm& comm) : comm_(comm), start_(comm.stats()) {}

@@ -133,6 +133,20 @@ TEST(AppTest, CountRejectsABadRunBeforeLoadingItsInput) {
   }
 }
 
+TEST(AppTest, CountRejectsASketchStoreBeforeLoadingItsInput) {
+  // A sketch run gathers no exact table, so its store would answer 0 for
+  // every k-mer; the heavy hitters it does count exactly go to --output.
+  const std::string dir = temp_path("app_sketch_store");
+  const AppResult result =
+      run({"count", "--synthetic=ecoli30x", "--scale=8000", "--ranks=2",
+           "--sketch", "--heavy-threshold=5", "--store-out=" + dir});
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.err.find("--store-out"), std::string::npos) << result.err;
+  EXPECT_NE(result.err.find("--output"), std::string::npos) << result.err;
+  EXPECT_EQ(result.out.find("generating"), std::string::npos) << result.out;
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(AppTest, PreconditionErrorsPrintTheirMessageAlone) {
   // The user reads the check's message, not the failed C++ expression or
   // the source path it sits at.

@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "dedukt/core/driver.hpp"
+#include "dedukt/gpusim/cost_model.hpp"
+#include "dedukt/gpusim/device_props.hpp"
 #include "dedukt/io/datasets.hpp"
 #include "dedukt/io/read_stream.hpp"
 #include "dedukt/io/synthetic.hpp"
@@ -231,6 +233,109 @@ TEST(OocParity, SpilledParseMatchesTheInMemoryParseRankByRank) {
         EXPECT_EQ(a.kmers_parsed, b.kmers_parsed);
         EXPECT_EQ(a.supermers_built, b.supermers_built);
         EXPECT_EQ(a.supermer_bases, b.supermer_bases);
+      }
+    }
+  }
+}
+
+// --- pass 2 is the pipeline's own exchange phase -----------------------
+
+/// With one batch and one bin, the bin holds each destination's run as
+/// the parse left it, so pass 2 exchanges and counts exactly what the
+/// in-memory round does. Rank by rank, its exchange and count ledgers are
+/// the in-memory round's, bit for bit where the ledgers allow, except that
+/// a staged in-memory exchange also stages the parse's buffers off the
+/// device, which pass 1 spills unpriced.
+TEST(OocParity, OneBinReplayExchangesLikeTheInMemoryRoundRankByRank) {
+  struct Variant {
+    const char* name;
+    PipelineKind kind;
+    bool wide_supermers;
+    PartitionScheme partition;
+  };
+  constexpr Variant kVariants[] = {
+      {"cpu", PipelineKind::kCpu, false, PartitionScheme::kMinimizerHash},
+      {"gpu_kmer", PipelineKind::kGpuKmer, false,
+       PartitionScheme::kMinimizerHash},
+      {"gpu_supermer", PipelineKind::kGpuSupermer, false,
+       PartitionScheme::kMinimizerHash},
+      {"gpu_supermer_freq", PipelineKind::kGpuSupermer, false,
+       PartitionScheme::kFrequencyBalanced},
+      {"gpu_supermer_wide", PipelineKind::kGpuSupermer, true,
+       PartitionScheme::kMinimizerHash},
+      {"gpu_supermer_wide_freq", PipelineKind::kGpuSupermer, true,
+       PartitionScheme::kFrequencyBalanced},
+  };
+  const gpusim::GpuCostModel cost(gpusim::DeviceProps::v100());
+  const io::ReadBatch reads = parity_reads();
+  for (const Variant& variant : kVariants) {
+    for (const ExchangeMode mode :
+         {ExchangeMode::kStaged, ExchangeMode::kGpuDirect}) {
+      SCOPED_TRACE(testing::Message() << variant.name << ", "
+                                      << to_string(mode));
+      DriverOptions options;
+      options.pipeline.kind = variant.kind;
+      options.pipeline.wide_supermers = variant.wide_supermers;
+      if (variant.wide_supermers) options.pipeline.window = 40;
+      options.pipeline.partition = variant.partition;
+      options.pipeline.exchange = mode;
+      options.nranks = 4;
+      const CountResult in_memory = run_distributed_count(reads, options);
+      options.ooc.spill_root = spill_root();
+      options.ooc.bins = 1;
+      const CountResult spilled = run_distributed_count(reads, options);
+      EXPECT_EQ(global_identity(in_memory), global_identity(spilled));
+
+      ASSERT_EQ(in_memory.ranks.size(), spilled.ranks.size());
+      for (std::size_t r = 0; r < in_memory.ranks.size(); ++r) {
+        SCOPED_TRACE(testing::Message() << "rank " << r);
+        const RankMetrics& a = in_memory.ranks[r];
+        const RankMetrics& b = spilled.ranks[r];
+        EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+        EXPECT_EQ(a.bytes_received, b.bytes_received);
+        EXPECT_EQ(a.modeled_alltoallv_seconds, b.modeled_alltoallv_seconds);
+        EXPECT_EQ(a.modeled_alltoallv_volume_seconds,
+                  b.modeled_alltoallv_volume_seconds);
+        EXPECT_EQ(a.kmers_received, b.kmers_received);
+        EXPECT_EQ(a.supermers_received, b.supermers_received);
+        EXPECT_EQ(a.modeled.get(kPhaseCount), b.modeled.get(kPhaseCount));
+        EXPECT_EQ(a.modeled_volume.get(kPhaseCount),
+                  b.modeled_volume.get(kPhaseCount));
+
+        // The in-memory round's stage-out: the parse's word buffer and,
+        // for supermers, its length buffer.
+        double stage_out = 0.0;
+        double stage_out_volume = 0.0;
+        if (variant.kind != PipelineKind::kCpu &&
+            mode == ExchangeMode::kStaged) {
+          const bool supermers = variant.kind == PipelineKind::kGpuSupermer;
+          const std::uint64_t items =
+              supermers ? a.supermers_built : a.kmers_parsed;
+          const std::uint64_t word_bytes =
+              variant.wide_supermers ? 2 * sizeof(std::uint64_t)
+                                     : sizeof(std::uint64_t);
+          stage_out = cost.transfer_seconds(items * word_bytes);
+          stage_out_volume = cost.transfer_volume_seconds(items * word_bytes);
+          if (supermers) {
+            stage_out += cost.transfer_seconds(items);
+            stage_out_volume += cost.transfer_volume_seconds(items);
+          }
+        }
+        if (stage_out == 0.0) {
+          EXPECT_EQ(a.modeled.get(kPhaseExchange),
+                    b.modeled.get(kPhaseExchange));
+          EXPECT_EQ(a.modeled_volume.get(kPhaseExchange),
+                    b.modeled_volume.get(kPhaseExchange));
+        } else {
+          // The staging seconds are differences of device timelines that
+          // hold different earlier work (the in-memory round's parse, or
+          // nothing), so the two charges round apart in the last bits.
+          EXPECT_DOUBLE_EQ(a.modeled.get(kPhaseExchange) - stage_out,
+                           b.modeled.get(kPhaseExchange));
+          EXPECT_DOUBLE_EQ(
+              a.modeled_volume.get(kPhaseExchange) - stage_out_volume,
+              b.modeled_volume.get(kPhaseExchange));
+        }
       }
     }
   }

@@ -7,9 +7,9 @@
 // deterministic fields of every RankMetrics (doubles rendered as
 // hexfloats, so a one-ULP drift fails), and the trace metrics JSON on
 // the modeled clock. The golden files were captured from the hand-rolled
-// pipelines before the PhaseScope/ExchangePlan refactor, or when their case
-// was added; any change to modeled charges, exchange accounting or span
-// structure shows up as a byte diff.
+// pipelines before the staged-phase refactor (PhaseScope and one exchange
+// phase), or when their case was added; any change to modeled charges,
+// exchange accounting or span structure shows up as a byte diff.
 //
 // Regenerate (only when a change to observable accounting is intended):
 //   DEDUKT_UPDATE_GOLDEN=1 ./dedukt_core_tests
